@@ -5,8 +5,10 @@ core, so a 24,000-request mailbox takes ~8 seconds on 4 cores; dialing is
 negligible because one core computes ~1M keywheel hashes per second, so
 1,000 friends x 10 intents scans in well under a second.
 
-Our pure-Python pairing is orders of magnitude slower per decryption (that
-is the documented substitution); the *relative* structure -- add-friend scan
+Our pure-Python pairing (the documented substitution) manages a few tens of
+decryptions per second per core -- the measured figure is the §8.2 row of the
+README, taken from the benchmark ladder's ``crypto.ibe_decrypt_ms`` -- a gap
+of roughly 20x to the paper; the *relative* structure -- add-friend scan
 dominated by IBE trial decryption, dialing scan essentially free -- is what
 these benchmarks check and report.
 """
@@ -56,7 +58,7 @@ def test_ibe_decryption_rate_report(ibe_setup, capsys):
         "paper_decryptions_per_second_per_core": 800,
         "mailbox_scan_24k_on_4_cores_seconds": scan_24k_4cores,
     })
-    assert rate > 0.5  # sanity: sub-2s per trial decryption in pure Python
+    assert rate > 2  # sanity: well under 0.5 s per trial decryption in pure Python
 
 
 @pytest.mark.figure("§8.2 CPU")

@@ -8,8 +8,9 @@ ciphertext size (the 64-byte IBE component of a 308-byte request).
 The benchmark sweeps cost/size multipliers for a hypothetical replacement
 curve and reports how the headline numbers (mailbox size, client bandwidth,
 add-friend latency) move -- verifying the paper's "linear or sub-linear
-impact" claim -- and also times this implementation's own pairing as the
-concrete data point for "a much slower IBE backend".
+impact" claim -- and also times this implementation's own pairing (tens of
+milliseconds in pure Python against the paper's 1-2 ms in assembly) as the
+concrete data point for "a slower IBE backend".
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def test_pure_python_pairing_cost_report(capsys):
     with capsys.disabled():
         print(f"\n§8.6 data point: one optimal-ate pairing in pure Python takes {per_pairing*1000:.0f} ms "
               f"(the paper's AMD64-assembly BN-256 pairing takes ~1-2 ms)")
-    assert per_pairing < 2.0
+    assert per_pairing < 0.5
 
 
 @pytest.mark.figure("§8.6")

@@ -79,6 +79,19 @@ def _jacobian_scalar_mul(x2: int, y2: int, scalar: int) -> tuple[int, int, int]:
     return X1, Y1, Z1
 
 
+def _decode_coordinates(data: bytes) -> list[int]:
+    """Split an encoding into 32-byte big-endian Fq coordinates.
+
+    Only the canonical representative of each coordinate is accepted:
+    ``x`` and ``x + p`` both fit in 32 bytes, and decoding both to the same
+    point would make every signature and IBE header malleable.
+    """
+    coordinates = [int.from_bytes(data[i : i + 32], "big") for i in range(0, len(data), 32)]
+    if any(coordinate >= _P for coordinate in coordinates):
+        raise CryptoError("non-canonical field element in point encoding")
+    return coordinates
+
+
 class G1Point:
     """Affine point on G1 (or the point at infinity)."""
 
@@ -187,8 +200,7 @@ class G1Point:
             raise CryptoError(f"G1 encoding must be {G1_ENCODED_SIZE} bytes")
         if data == b"\x00" * G1_ENCODED_SIZE:
             return G1Point.identity()
-        x = int.from_bytes(data[:32], "big")
-        y = int.from_bytes(data[32:], "big")
+        x, y = _decode_coordinates(data)
         point = G1Point(x, y)
         if not point.is_on_curve():
             raise CryptoError("decoded G1 point is not on the curve")
@@ -337,9 +349,8 @@ class G2Point:
             raise CryptoError(f"G2 encoding must be {G2_ENCODED_SIZE} bytes")
         if data == b"\x00" * G2_ENCODED_SIZE:
             return G2Point.identity()
-        x = Fq2(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:64], "big"))
-        y = Fq2(int.from_bytes(data[64:96], "big"), int.from_bytes(data[96:], "big"))
-        point = G2Point(x, y)
+        x0, x1, y0, y1 = _decode_coordinates(data)
+        point = G2Point(Fq2(x0, x1), Fq2(y0, y1))
         if not point.is_on_curve():
             raise CryptoError("decoded G2 point is not on the curve")
         return point

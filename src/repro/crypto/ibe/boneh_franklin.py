@@ -6,7 +6,9 @@ pairing, used as a key-encapsulation mechanism around ChaCha20-Poly1305
 
 * Setup:    master secret ``s``; master public ``P_pub = s * P2`` in G2.
 * Extract:  ``d_id = s * H1(id)`` in G1.
-* Encrypt:  pick ``r``; ``U = r * P2``; ``shared = e(H1(id), P_pub)^r``;
+* Encrypt:  pick ``r``; ``U = r * P2``; ``shared = e(r * H1(id), P_pub)``
+            (``= e(H1(id), P_pub)^r`` by bilinearity, but the scalar costs a
+            G1 multiplication instead of a GT exponentiation);
             seal the payload under ``H2(shared || U)``.
 * Decrypt:  ``shared = e(d_id, U)`` and open the seal.
 
@@ -93,7 +95,7 @@ class BonehFranklinIbe(IbeScheme):
             raise CryptoError("master public key is the identity point")
         r = int.from_bytes(random_bytes(32), "big") % CURVE_ORDER or 1
         u = g2_generator().scalar_mul(r)
-        shared = pairing(_hash_identity(identity), master_public).pow(r).to_bytes()
+        shared = pairing(_hash_identity(identity).scalar_mul(r), master_public).to_bytes()
         header = u.to_bytes()
         key = _derive_seal_key(shared, header)
         body = seal(key, message, associated_data=header)

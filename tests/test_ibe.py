@@ -3,14 +3,21 @@ simulated oracle backend."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.crypto.aead import open_sealed, seal
+from repro.crypto.bn254.curve import g2_generator
+from repro.crypto.bn254.field import CURVE_ORDER, FIELD_MODULUS
+from repro.crypto.bn254.pairing import pairing
 from repro.crypto.ibe import (
     AnytrustIbe,
     BonehFranklinIbe,
     IbeCiphertext,
     SimulatedIbe,
     SimulatedPkgOracle,
+    boneh_franklin,
 )
 from repro.errors import CryptoError
 
@@ -94,6 +101,58 @@ class TestBonehFranklin:
         private = ibe.extract(master.secret, "bob@example.org")
         garbage = IbeCiphertext(header=b"\xff" * 128, body=b"\x00" * 64)
         assert ibe.decrypt(private, garbage) is None
+
+    def test_non_canonical_header_returns_none(self, monkeypatch):
+        """A header coordinate shifted by p names the same point.  The KDF
+        binds the header bytes, so the seal would fail anyway; the decoder
+        now rejects it up front, before any pairing work is spent on it."""
+        ibe = BonehFranklinIbe()
+        master = ibe.generate_master_keypair()
+        ciphertext = ibe.encrypt(master.public, "bob@example.org", b"hello")
+        private = ibe.extract(master.secret, "bob@example.org")
+        header = ciphertext.header
+        # 2p < 2^256, so the shifted coordinate always fits its 32 bytes.
+        shifted = int.from_bytes(header[:32], "big") + FIELD_MODULUS
+        forged = shifted.to_bytes(32, "big") + header[32:]
+        assert ibe.decrypt(private, ciphertext) == b"hello"
+
+        def no_pairing(*_):
+            raise AssertionError("pairing computed on a non-canonical header")
+
+        monkeypatch.setattr(boneh_franklin, "pairing", no_pairing)
+        assert ibe.decrypt(private, IbeCiphertext(header=forged, body=ciphertext.body)) is None
+
+    def test_pinned_shared_secret_with_fixed_randomness(self, monkeypatch):
+        """Vectors recorded at the commit that still computed
+        ``e(H1(id), P_pub)^r`` in GT: moving r to the G1 side must not change
+        a single byte of the shared secret or the seal key."""
+        ibe = BonehFranklinIbe()
+        master = ibe.generate_master_keypair(seed=b"\x07" * 32)
+        r_bytes = bytes(range(1, 33))
+        r = int.from_bytes(r_bytes, "big") % CURVE_ORDER
+        shared = pairing(
+            boneh_franklin._hash_identity("bob@example.org").scalar_mul(r), master.public
+        ).to_bytes()
+        assert hashlib.sha256(shared).hexdigest() == (
+            "8a1672fa3091c1476aae32ad3ce0fc13eff633629a5c5fe130eb429dc835a798"
+        )
+        monkeypatch.setattr(boneh_franklin, "random_bytes", lambda n: r_bytes[:n])
+        ciphertext = ibe.encrypt(master.public, "bob@example.org", b"pinned")
+        assert ciphertext.header == g2_generator().scalar_mul(r).to_bytes()
+        seal_key = bytes.fromhex("701276977bfa9769f13f4f1ec8161f0f6774f28360684a34af7d6d2e6efc5d69")
+        assert open_sealed(seal_key, ciphertext.body, associated_data=ciphertext.header) == b"pinned"
+
+    def test_ciphertext_from_gt_side_formula_still_decrypts(self):
+        """Ciphertexts made by the previous encrypt (scalar applied in GT)
+        remain readable: both formulas name the same group element."""
+        ibe = BonehFranklinIbe()
+        master = ibe.generate_master_keypair(seed=b"\x09" * 32)
+        r = 0x1234567890ABCDEF1234567890ABCDEF
+        header = g2_generator().scalar_mul(r).to_bytes()
+        shared = pairing(boneh_franklin._hash_identity("bob@example.org"), master.public).pow(r).to_bytes()
+        body = seal(boneh_franklin._derive_seal_key(shared, header), b"old format", associated_data=header)
+        private = ibe.extract(master.secret, "bob@example.org")
+        assert ibe.decrypt(private, IbeCiphertext(header=header, body=body)) == b"old format"
 
     def test_combine_rejects_mismatched_identities(self):
         ibe = BonehFranklinIbe()
