@@ -30,6 +30,7 @@ from repro.core.keywheel import Keywheel
 from repro.crypto import x25519
 from repro.crypto.aead import AEAD_OVERHEAD
 from repro.crypto.attestation import DEFAULT_SCHEME, AttestationScheme
+from repro.crypto.engine import active_backend
 from repro.crypto.ibe.anytrust import AnytrustIbe
 from repro.crypto.ibe.interface import IbeCiphertext
 from repro.errors import ProtocolError
@@ -250,10 +251,11 @@ class AddFriendEngine:
                 # copy anchored their wheel with exactly this key; a fresh
                 # one would silently desync the two wheels.
                 dialing_private = pending.dialing_private
-                dialing_public = x25519.public_key(pending.dialing_private)
+                dialing_public = active_backend().public_key(pending.dialing_private)
                 request_dialing_round = pending.dialing_round
             else:
-                dialing_private, dialing_public = x25519.generate_keypair()
+                dialing_private = x25519.generate_private_key()
+                dialing_public = active_backend().public_key(dialing_private)
                 request_dialing_round = dialing_round
 
         request = FriendRequest.build(
@@ -429,7 +431,7 @@ class AddFriendEngine:
         if pending is not None:
             # We previously sent them a request: this is the confirmation leg
             # (or a simultaneous add from both sides -- same math either way).
-            shared = x25519.shared_secret(pending.dialing_private, request.dialing_key)
+            shared = active_backend().shared_secret(pending.dialing_private, request.dialing_key)
             anchor = max(pending.dialing_round, request.dialing_round)
             self.keywheel.add_friend(sender, shared, anchor)
             self.address_book.pop_pending_outgoing(sender)
@@ -446,7 +448,7 @@ class AddFriendEngine:
             self._accepted_requests[sender] = request.dialing_key
             self._sent_replies[sender] = PreparedReply(
                 dialing_private=pending.dialing_private,
-                dialing_public=x25519.public_key(pending.dialing_private),
+                dialing_public=active_backend().public_key(pending.dialing_private),
                 dialing_round=pending.dialing_round,
             )
             return {"type": "confirmed", "email": sender, "dialing_round": anchor}
@@ -479,9 +481,11 @@ class AddFriendEngine:
 
         # Accepting: generate our ephemeral key now, anchor the wheel, and
         # queue the confirming request for the next round (Algorithm 1 step 5).
-        dialing_private, dialing_public = x25519.generate_keypair()
+        engine = active_backend()
+        dialing_private = x25519.generate_private_key()
+        dialing_public = engine.public_key(dialing_private)
         reply_round = max(request.dialing_round, current_dialing_round + 1)
-        shared = x25519.shared_secret(dialing_private, request.dialing_key)
+        shared = engine.shared_secret(dialing_private, request.dialing_key)
         anchor = max(request.dialing_round, reply_round)
         self.keywheel.add_friend(sender, shared, anchor)
         self.address_book.upsert_friend(

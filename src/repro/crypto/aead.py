@@ -24,9 +24,10 @@ from __future__ import annotations
 import hmac
 import struct
 
-from repro.crypto.chacha20 import chacha20_encrypt, chacha20_stream, KEY_SIZE, NONCE_SIZE
+from repro.crypto.chacha20 import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, chacha20_stream
 from repro.crypto.poly1305 import poly1305_mac, TAG_SIZE
 from repro.errors import DecryptionError, CryptoError
+from repro.utils.bytes import xor_bytes
 from repro.utils.rng import random_bytes
 
 AEAD_OVERHEAD = NONCE_SIZE + TAG_SIZE
@@ -48,6 +49,13 @@ def _auth_input(associated_data: bytes, ciphertext: bytes) -> bytes:
     )
 
 
+def _keystream(key: bytes, nonce: bytes, length: int) -> tuple[bytes, bytes]:
+    """The Poly1305 one-time key (block 0) and ``length`` bytes of body
+    keystream (blocks 1..n), from one pass over the cipher."""
+    stream = chacha20_stream(key, nonce, BLOCK_SIZE + length)
+    return stream[:32], stream[BLOCK_SIZE:]
+
+
 def pure_seal(
     key: bytes, plaintext: bytes, associated_data: bytes = b"", nonce: bytes | None = None
 ) -> bytes:
@@ -61,8 +69,8 @@ def pure_seal(
         nonce = random_bytes(NONCE_SIZE)
     elif len(nonce) != NONCE_SIZE:
         raise CryptoError(f"AEAD nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-    one_time_key = chacha20_stream(key, nonce, 32, initial_counter=0)
-    ciphertext = chacha20_encrypt(key, nonce, plaintext, initial_counter=1)
+    one_time_key, stream = _keystream(key, nonce, len(plaintext))
+    ciphertext = xor_bytes(plaintext, stream)
     tag = poly1305_mac(one_time_key, _auth_input(associated_data, ciphertext))
     return nonce + ciphertext + tag
 
@@ -80,11 +88,11 @@ def pure_open_sealed(key: bytes, sealed: bytes, associated_data: bytes = b"") ->
     nonce = sealed[:NONCE_SIZE]
     tag = sealed[-TAG_SIZE:]
     ciphertext = sealed[NONCE_SIZE:-TAG_SIZE]
-    one_time_key = chacha20_stream(key, nonce, 32, initial_counter=0)
+    one_time_key, stream = _keystream(key, nonce, len(ciphertext))
     expected_tag = poly1305_mac(one_time_key, _auth_input(associated_data, ciphertext))
     if not hmac.compare_digest(expected_tag, tag):
         raise DecryptionError("authentication tag mismatch")
-    return chacha20_encrypt(key, nonce, ciphertext, initial_counter=1)
+    return xor_bytes(ciphertext, stream)
 
 
 def seal(

@@ -2,9 +2,12 @@
 
 Alpenhorn's throughput rests on cheap symmetric crypto on the hot path --
 the paper's servers peel hundreds of thousands of onion layers per round.
-Our reference primitives are deliberately pure Python (readable, spec-true,
-stdlib-only), which caps scenario scale; this module makes that cost a
-*choice* instead of a ceiling:
+Our reference primitives are deliberately pure Python (spec-true,
+stdlib-only): about 0.1 ms per 640-byte seal or open, 0.25 ms per X25519
+key generation and 1.0 ms per X25519 exchange, so peeling one onion layer
+costs ~1.2 ms against ~0.09 ms on OpenSSL (``crypto.*_us.*`` and
+``mixnet.peel_us_per_env.*`` on the benchmark ladder).  This module makes
+that cost a *choice* instead of a ceiling:
 
 * ``"pure"`` -- the stdlib-only reference implementation (the default, and
   the byte-exactness oracle every other backend is tested against),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hmac
+
 from repro.errors import CryptoError
 
 TAG_SIZE = 16
@@ -28,7 +30,5 @@ def poly1305_mac(key: bytes, message: bytes) -> bytes:
 
 def poly1305_verify(key: bytes, message: bytes, tag: bytes) -> bool:
     """Constant-time comparison of the expected and provided tags."""
-    import hmac
-
     expected = poly1305_mac(key, message)
     return hmac.compare_digest(expected, tag)

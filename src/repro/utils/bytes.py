@@ -30,7 +30,8 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    # One wide-int XOR instead of a per-byte generator (the ChaCha20 body XOR).
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def hexlify(data: bytes, max_len: int = 12) -> str:
