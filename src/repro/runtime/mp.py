@@ -6,7 +6,14 @@ forked -- the parent runs an event-loop thread), rebuilds its servers from
 plain picklable *endpoint specs*, serves them on OS-assigned localhost ports
 over the same length-prefixed wire protocol, and reports its port map back
 through a pipe.  The parent then simply routes calls for those endpoints to
-the worker's ports; everything else -- codec, pooling, stats -- is inherited.
+the worker's ports; everything else -- codec, pooling, pipelined waves, stats
+-- is inherited.  A worker serves its connections with the parent's own
+:func:`~repro.runtime.transport.serve_connection` loop (same grouping, same
+malformed-input handling); its one handler thread is the FIFO executor that
+loop's in-order replies rest on, and the runtime-control RPCs (ping,
+telemetry harvest, shutdown) plug in as the loop's ``control`` hook.  Workers
+are all started before the first port map is awaited, so their interpreter
+start-up and ``repro`` imports overlap.
 
 The default placement puts **mix servers** in workers: they are the
 crypto hot path the ``parallel``/multi-core story is about, their RPC
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.net.frames import KIND_RESPONSE, Frame, encode_wire_message
+from repro.net.frames import KIND_RESPONSE, Frame
 from repro.obs.distributed import (
     WorkerTelemetry,
     decode_ping_reply,
@@ -47,11 +54,7 @@ from repro.obs.logging import configure_logging, configured_level
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer
 from repro.runtime import wire
-from repro.runtime.transport import (
-    AsyncioTransport,
-    read_wire_message,
-    serve_wire_message,
-)
+from repro.runtime.transport import AsyncioTransport, serve_connection, serve_wire_message
 
 #: The control method a parent sends to stop a worker process gracefully.
 SHUTDOWN_METHOD = "__runtime_shutdown__"
@@ -176,12 +179,10 @@ async def _worker_async(
             rss=rss_bytes(),
         ).to_payload()
 
-    async def serve(name: str, reader, writer) -> None:
+    def make_serve(name: str):
         handler = handlers[name]
-        loop = asyncio.get_running_loop()
 
-        def handle(message: wire.WireMessage, received: float) -> bytes:
-            queue_s = max(0.0, time.perf_counter() - received)
+        def serve(message: wire.WireMessage, queue_s: float) -> bytes:
             started = time.perf_counter()
             reply = serve_wire_message(message, handler, None, clock, name, queue_s)
             if registry is not None:
@@ -191,50 +192,36 @@ async def _worker_async(
                 registry.count(f"{name}.bytes_in", len(message.frame.payload))
             return reply
 
-        try:
-            while True:
-                try:
-                    body = await read_wire_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
-                    return
-                received = time.perf_counter()
-                message = wire.decode_message(body)
-                method = message.frame.method
-                if method in (SHUTDOWN_METHOD, PING_METHOD, TELEMETRY_METHOD):
-                    # Control RPCs answer inline on the loop: the ping must
-                    # not queue behind mix batches (it measures the clock,
-                    # not the executor), and shutdown/harvest are rare.
-                    frame = message.frame
-                    payload = b""
-                    flag, data = wire.OBJ_NONE, b""
-                    if method == PING_METHOD:
-                        payload = encode_ping_reply()
-                    elif method == TELEMETRY_METHOD:
-                        flag, data = wire.encode_obj(collect_telemetry(), None)
-                    reply = Frame(
-                        kind=KIND_RESPONSE, msg_id=frame.msg_id, src=frame.dst,
-                        dst=frame.src, method=frame.method, payload=payload,
-                    )
-                    writer.write(encode_wire_message(wire.encode_message(reply, flag, data)))
-                    await writer.drain()
-                    if method == SHUTDOWN_METHOD:
-                        stop.set()
-                    continue
-                reply_body = await loop.run_in_executor(
-                    executor, handle, message, received
-                )
-                writer.write(encode_wire_message(reply_body))
-                await writer.drain()
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        return serve
+
+    def control(message: wire.WireMessage) -> bytes | None:
+        """Control RPCs answer inline on the loop: the ping must not queue
+        behind mix batches (it measures the clock, not the executor), and
+        shutdown/harvest are rare."""
+        frame = message.frame
+        payload = b""
+        flag, data = wire.OBJ_NONE, b""
+        if frame.method == PING_METHOD:
+            payload = encode_ping_reply()
+        elif frame.method == TELEMETRY_METHOD:
+            flag, data = wire.encode_obj(collect_telemetry(), None)
+        elif frame.method == SHUTDOWN_METHOD:
+            # Wakes the main coroutine on a later loop turn; the serve loop
+            # writes this reply before it next yields.
+            stop.set()
+        else:
+            return None
+        reply = Frame(
+            kind=KIND_RESPONSE, msg_id=frame.msg_id, src=frame.dst,
+            dst=frame.src, method=frame.method, payload=payload,
+        )
+        return wire.encode_message(reply, flag, data)
 
     servers = []
     ports: dict[str, int] = {}
     for name in handlers:
-        def on_connection(reader, writer, name=name):
-            return serve(name, reader, writer)
+        def on_connection(reader, writer, serve=make_serve(name)):
+            return serve_connection(reader, writer, executor, serve, control)
 
         server = await asyncio.start_server(on_connection, host=host, port=0)
         servers.append(server)
@@ -295,7 +282,12 @@ class MultiprocessTransport(AsyncioTransport):
         #: Worker label -> latest (cumulative) metrics snapshot harvested.
         self.worker_metrics: dict[str, dict[str, Any]] = {}
         context = multiprocessing.get_context("spawn")
+        # (process, its end of the port-map pipe, specs, options) per worker.
+        started: list[tuple] = []
         try:
+            # Start every worker before waiting on any of them: interpreter
+            # start-up and the ``repro`` import are the spawn cost, and they
+            # run side by side this way.
             for index, specs in enumerate(worker_specs):
                 if not specs:
                     raise ConfigurationError("a worker process needs at least one endpoint")
@@ -311,15 +303,15 @@ class MultiprocessTransport(AsyncioTransport):
                 )
                 process.start()
                 child_conn.close()
+                self._processes.append(process)
+                started.append((process, parent_conn, specs, options))
+            for process, parent_conn, specs, options in started:
                 if not parent_conn.poll(start_timeout_s):
                     raise NetworkError(
                         f"worker {process.pid} did not report its ports within "
                         f"{start_timeout_s}s"
                     )
-                ports = parent_conn.recv()
-                parent_conn.close()
-                self._remote_ports.update(ports)
-                self._processes.append(process)
+                self._remote_ports.update(parent_conn.recv())
                 contact = specs[0].name
                 self._worker_contacts.append((process, contact))
                 self._worker_info[contact] = {
@@ -334,6 +326,9 @@ class MultiprocessTransport(AsyncioTransport):
         except Exception:
             self.close()
             raise
+        finally:
+            for _process, parent_conn, _specs, _options in started:
+                parent_conn.close()
         # Workers are non-daemonic (the parallel crypto backend may need its
         # own pool inside one); make sure an unclosed transport still reaps
         # them at interpreter exit.
@@ -410,13 +405,17 @@ class MultiprocessTransport(AsyncioTransport):
         # otherwise die with the workers.
         with contextlib.suppress(Exception):
             self.harvest_telemetry()
+        asked = set()
         for process, endpoint in self._worker_contacts:
             if process.is_alive():
                 with contextlib.suppress(Exception):
                     self._call("runtime", endpoint, SHUTDOWN_METHOD, b"", None, 0, 5.0)
+                    asked.add(process)
         super().close()
         for process in self._processes:
-            process.join(timeout=10)
+            # Only a worker that took the shutdown RPC exits by itself; one
+            # whose port map was never read (a sibling failed first) does not.
+            process.join(timeout=10 if process in asked else 0)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)

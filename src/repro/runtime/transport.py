@@ -8,6 +8,17 @@ request/response exchange over a pooled connection -- length-prefixed wire
 messages carrying the same :class:`~repro.net.frames.Frame` codec the other
 transports round-trip in process.
 
+Pipelining.  A connection carries a *group* of requests at a time: the client
+writes them back to back and reads the replies in order (HTTP/1.1 style; a
+single call is a group of one), so a :meth:`~AsyncioTransport.call_batch`
+wave costs one connection and one exchange per destination.  The one server
+loop, :func:`serve_connection` (shared with :mod:`repro.runtime.mp`'s
+workers), takes whatever complete messages have arrived, runs them through
+the endpoint's executor in one hop and answers with one ``write``.  Replies
+are matched to requests by position, which rests on that executor being
+single-threaded and FIFO; each reply's ``msg_id`` is checked against its
+request's, and a stream found out of step is discarded.
+
 Threading model.  One background thread runs the asyncio event loop; it only
 moves bytes.  Handler execution happens on a dedicated single-thread executor
 *per endpoint*: server objects are not thread-safe, so each server's handlers
@@ -38,8 +49,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.errors import NetworkError, TransportTimeoutError
+from repro.errors import NetworkError, SerializationError, TransportTimeoutError
 from repro.obs.distributed import TraceContext
+from repro.obs.logging import get_logger
 from repro.obs.trace import CATEGORY_RPC, active_tracer
 from repro.net.frames import (
     Frame,
@@ -67,6 +79,11 @@ from repro.runtime import wire
 #: traced or multiprocess run stays byte-for-byte comparable to the
 #: simulated one.
 CONTROL_PREFIX = "__runtime_"
+
+#: Most bytes one socket read of a serve loop or a pipelined client takes.
+_READ_BYTES = 256 * 1024
+
+logger = get_logger("runtime")
 
 
 def dispatch_wire_message(
@@ -157,25 +174,110 @@ def serve_wire_message(
         span.set(crypto_s=round(span.crypto_wall, 6))
 
 
-async def read_wire_message(reader: asyncio.StreamReader) -> bytes:
-    """Read one length-prefixed message body from a stream."""
-    prefix = await reader.readexactly(WIRE_LENGTH_BYTES)
-    return await reader.readexactly(decode_wire_length(prefix))
+def split_wire_messages(buffer: bytearray) -> list[bytes]:
+    """Pop every complete length-prefixed message body off the front of
+    ``buffer``; every prefix passes :func:`decode_wire_length`'s size check."""
+    bodies = []
+    offset = 0
+    with memoryview(buffer) as view:
+        while len(view) - offset >= WIRE_LENGTH_BYTES:
+            start = offset + WIRE_LENGTH_BYTES
+            end = start + decode_wire_length(bytes(view[offset:start]))
+            if end > len(view):
+                break
+            bodies.append(bytes(view[start:end]))
+            offset = end
+    del buffer[:offset]
+    return bodies
+
+
+async def read_wire_messages(reader: asyncio.StreamReader, buffer: bytearray) -> list[bytes]:
+    """Read until at least one complete message has arrived; return all that
+    have.  ``buffer`` keeps the partial message (if any) between calls."""
+    while True:
+        chunk = await reader.read(_READ_BYTES)
+        if not chunk:
+            raise asyncio.IncompleteReadError(bytes(buffer), None)
+        buffer += chunk
+        bodies = split_wire_messages(buffer)
+        if bodies:
+            return bodies
+
+
+def _serve_group(serve, messages: list[wire.WireMessage], received: float) -> list[bytes]:
+    """Executor-thread entry: one hop serves the whole group.  The gap from
+    ``received`` (loop ``perf_counter`` at arrival) to a handler's start is
+    its queue wait."""
+    return [serve(message, max(0.0, time.perf_counter() - received)) for message in messages]
+
+
+async def serve_connection(reader, writer, executor, serve, control=None) -> None:
+    """Serve one accepted connection until the peer hangs up: the runtime's
+    one server loop, for in-parent endpoints and mp workers alike.
+
+    ``serve(message, queue_s)`` returns a reply body and runs on ``executor``
+    (single-threaded, so handlers serialize and replies keep request order);
+    ``control(message)``, when given, runs on the loop first and answers a
+    runtime-control request inline (``None`` = not one).  Malformed input --
+    an oversize length prefix, a body that does not decode -- closes this
+    connection quietly; other connections keep being served.
+    """
+    loop = asyncio.get_running_loop()
+    buffer = bytearray()
+    try:
+        while True:
+            bodies = await read_wire_messages(reader, buffer)
+            received = time.perf_counter()
+            messages = [wire.decode_message(body) for body in bodies]
+            inline = [control(message) for message in messages] if control else None
+            queued = messages if inline is None else [
+                message for message, reply in zip(messages, inline) if reply is None
+            ]
+            replies = []
+            if queued:
+                replies = await loop.run_in_executor(
+                    executor, _serve_group, serve, queued, received
+                )
+            if inline is not None:  # slot the served replies back in around the inline ones
+                served = iter(replies)
+                replies = [next(served) if reply is None else reply for reply in inline]
+            writer.write(b"".join(map(encode_wire_message, replies)))
+            await writer.drain()
+    except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
+        # The peer hung up (its own call already failed) or teardown reaped
+        # this task.  It ends here either way; not re-raising the cancellation
+        # keeps Python 3.11's start_server done-callback, which reads
+        # ``task.exception()`` of a cancelled task, out of the log.
+        pass
+    except SerializationError as exc:
+        logger.debug("closing connection on malformed wire input: %s", exc)
+    finally:
+        writer.close()
+        with contextlib.suppress(Exception):
+            await writer.wait_closed()
 
 
 class _Connection:
-    """One pooled client connection; used serially (request, then response)."""
+    """One pooled client connection; carries one pipelined group at a time."""
 
-    __slots__ = ("reader", "writer")
+    __slots__ = ("reader", "writer", "buffer")
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
+        self.buffer = bytearray()
 
-    async def roundtrip(self, data: bytes) -> bytes:
+    async def exchange(self, data: bytes, replies: list[tuple[bytes, float]], count: int) -> None:
+        """Write ``count`` back-to-back requests; append each reply body and
+        its arrival ``perf_counter`` to ``replies``, in request order.  No
+        ``drain()`` before reading: the loop keeps flushing the group while
+        replies are read, so a wave larger than the socket buffers cannot
+        leave both ends blocked on a full send buffer."""
         self.writer.write(data)
-        await self.writer.drain()
-        return await read_wire_message(self.reader)
+        while len(replies) < count:
+            bodies = await read_wire_messages(self.reader, self.buffer)
+            arrived = time.perf_counter()
+            replies.extend((body, arrived) for body in bodies)
 
     def close(self) -> None:
         if not self.writer.is_closing():
@@ -228,60 +330,24 @@ class AsyncioTransport(Transport):
             # A worker process serves this endpoint; the local object is a
             # construction artifact and never receives traffic.
             return
-        future = asyncio.run_coroutine_threadsafe(self._start_server(name), self._loop)
-        self._ports[name] = future.result(self._start_timeout_s)
         self._executors[name] = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"rpc-{name}"
         )
+        future = asyncio.run_coroutine_threadsafe(self._start_server(name), self._loop)
+        self._ports[name] = future.result(self._start_timeout_s)
 
     async def _start_server(self, name: str) -> int:
-        async def on_connection(reader, writer) -> None:
-            await self._serve_connection(name, reader, writer)
+        handler, executor = self._handlers[name], self._executors[name]
+
+        def serve(message: wire.WireMessage, queue_s: float) -> bytes:
+            return serve_wire_message(message, handler, self._objects, self.now, name, queue_s)
+
+        def on_connection(reader, writer):
+            return serve_connection(reader, writer, executor, serve)
 
         server = await asyncio.start_server(on_connection, host=self._host, port=0)
         self._servers[name] = server
         return server.sockets[0].getsockname()[1]
-
-    async def _serve_connection(self, endpoint: str, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    body = await read_wire_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # peer hung up; its own call already failed
-                received = time.perf_counter()
-                loop = asyncio.get_running_loop()
-                reply = await loop.run_in_executor(
-                    self._executors[endpoint], self._handle_message, endpoint, body, received
-                )
-                writer.write(encode_wire_message(reply))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    def _handle_message(self, endpoint: str, body: bytes, received: float = 0.0) -> bytes:
-        """Executor-thread entry: decode, dispatch, encode (never raises).
-
-        ``received`` is the loop's ``perf_counter`` when the request bytes
-        finished arriving; the gap to here is time spent queued behind the
-        endpoint's single-thread executor.
-        """
-        queue_s = max(0.0, time.perf_counter() - received) if received else 0.0
-        try:
-            message = wire.decode_message(body)
-        except Exception as exc:  # noqa: BLE001 - malformed wire bytes
-            error_frame = Frame(
-                kind=KIND_ERROR, msg_id=0, src=endpoint, dst="", method="",
-                payload=wire.encode_error(exc, endpoint=endpoint),
-            )
-            return wire.encode_message(error_frame)
-        return serve_wire_message(
-            message, self._handlers[endpoint], self._objects, self.now, endpoint, queue_s
-        )
 
     def _port_for(self, dst: str) -> int:
         port = self._ports.get(dst)
@@ -323,16 +389,21 @@ class AsyncioTransport(Transport):
         self._connections.discard(conn)
         conn.close()
 
-    async def _request(self, dst: str, port: int, data: bytes, timeout_s: float | None) -> bytes:
+    async def _request(
+        self, dst: str, data: bytes, timeout_s: float | None, replies: list, count: int = 1
+    ) -> _Connection:
+        """One pipelined exchange of ``count`` requests on one pooled
+        connection.  Replies land in ``replies`` as they arrive, so the ones
+        read before a connection died mid-group survive the exception."""
         # Per-destination in-flight gauge; loop-thread only, like the pool.
-        self._in_flight[dst] = self._in_flight.get(dst, 0) + 1
+        self._in_flight[dst] = self._in_flight.get(dst, 0) + count
         try:
-            conn = await self._acquire(dst, port)
+            conn = await self._acquire(dst, self._port_for(dst))
             try:
                 if timeout_s is None:
-                    reply = await conn.roundtrip(data)
+                    await conn.exchange(data, replies, count)
                 else:
-                    reply = await asyncio.wait_for(conn.roundtrip(data), timeout_s)
+                    await asyncio.wait_for(conn.exchange(data, replies, count), timeout_s)
             except asyncio.TimeoutError:
                 # The connection is mid-exchange; a late reply would desync the
                 # stream, so the connection dies with the deadline.
@@ -340,13 +411,13 @@ class AsyncioTransport(Transport):
                 raise TransportTimeoutError(
                     f"call to {dst!r} exceeded its {timeout_s}s deadline"
                 ) from None
-            except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
+            except (asyncio.IncompleteReadError, OSError, SerializationError) as exc:
                 self._discard(conn)
                 raise NetworkError(f"connection to {dst!r} failed mid-call: {exc}") from exc
             self._release(dst, conn)
-            return reply
+            return conn
         finally:
-            self._in_flight[dst] -= 1
+            self._in_flight[dst] -= count
 
     # -- the Transport surface -----------------------------------------------
     def _call(
@@ -361,7 +432,7 @@ class AsyncioTransport(Transport):
     ) -> RpcResult:
         if self._closed:
             raise NetworkError("transport is closed")
-        port = self._port_for(dst)
+        self._port_for(dst)  # an unknown endpoint fails before any accounting
         control = method.startswith(CONTROL_PREFIX)
         with self._send_lock:
             frame = self._frame(src, dst, method, payload)
@@ -382,22 +453,34 @@ class AsyncioTransport(Transport):
             context = TraceContext(tracer.trace_id, span.span_id, src, os.getpid())
         flag, data = wire.encode_obj(obj, self._obj_channel_for(dst))
         body = encode_wire_message(wire.encode_message(frame, flag, data, size_hint, context))
+        replies: list[tuple[bytes, float]] = []
         started = time.monotonic()
         try:
-            future = asyncio.run_coroutine_threadsafe(
-                self._request(dst, port, body, timeout_s), self._loop
-            )
-            reply_body = future.result()
-            return self._finish_call(src, dst, method, reply_body, started)
+            conn = asyncio.run_coroutine_threadsafe(
+                self._request(dst, body, timeout_s, replies), self._loop
+            ).result()
+            latency_s = time.monotonic() - started
+            return self._finish_call(src, dst, method, frame.msg_id, replies[0][0], latency_s, conn)
         finally:
             if span is not None:
                 tracer.end(span)
 
     def _finish_call(
-        self, src: str, dst: str, method: str, reply_body: bytes, started: float
+        self, src: str, dst: str, method: str, msg_id: int, reply_body: bytes,
+        latency_s: float, conn: _Connection | None,
     ) -> RpcResult:
         message = wire.decode_message(reply_body)
         reply = message.frame
+        if reply.msg_id != msg_id:
+            # Replies are matched to requests by position: an id that
+            # disagrees means the stream is out of step, and every later
+            # reply on it is suspect too.  (No conn: already discarded.)
+            if conn is not None:
+                self._loop.call_soon_threadsafe(self._discard, conn)
+            raise NetworkError(
+                f"reply from {dst!r} answers message {reply.msg_id}, not {msg_id}: "
+                "connection out of step"
+            )
         control = method.startswith(CONTROL_PREFIX)
         overhead = frame_overhead(dst, src, method)
         if reply.kind == KIND_ERROR:
@@ -415,15 +498,20 @@ class AsyncioTransport(Transport):
             payload=reply.payload,
             obj=response_obj,
             size_hint=message.size_hint,
-            latency_s=time.monotonic() - started,
+            latency_s=latency_s,
         )
 
     def call_batch(self, calls: list[BatchCall]) -> list[BatchCallOutcome]:
-        """A wave of concurrent calls: all requests in flight at once.
+        """A wave of concurrent calls: one pipelined exchange per destination.
 
-        Encoding happens on the calling thread; the event loop multiplexes
-        every exchange concurrently (each on its own pooled connection), so
-        a 1000-client submit wave costs the slowest exchange, not the sum.
+        Encoding happens on the calling thread.  The wave's calls are grouped
+        by destination; each group takes one pooled connection, goes out as
+        one back-to-back write and is served in one executor hop, and the
+        groups run concurrently -- so a 1000-client submit wave costs one
+        exchange plus its handlers, not 1000 connections.  Outcomes come back
+        in call order and stay isolated: an error reply fails its own call,
+        and a connection that dies mid-group fails the calls it had not yet
+        answered (``NetworkError``) while keeping the replies already read.
         ``start`` overrides are simulated-clock offsets and are ignored on
         wall time, like the base implementation ignores them.
         """
@@ -433,15 +521,16 @@ class AsyncioTransport(Transport):
             raise NetworkError("transport is closed")
         tracer = active_tracer()
         traced = tracer.enabled
-        # (call, (port, body) | None, prepare-error, span id): a wave of N
+        outcomes: list[BatchCallOutcome | None] = [None] * len(calls)
+        # dst -> [(call index, msg id, span id, wire bytes)].  A wave of N
         # overlapping calls on one thread cannot nest on the span stack, so
         # each exchange is timed on the loop and recorded as a detached span.
-        prepared: list[tuple[BatchCall, tuple[int, bytes] | None, Exception | None, int]] = []
-        for call in calls:
+        groups: dict[str, list[tuple[int, int, int, bytes]]] = {}
+        for index, call in enumerate(calls):
             try:
-                port = self._port_for(call.dst)
+                self._port_for(call.dst)
             except NetworkError as exc:
-                prepared.append((call, None, exc, 0))
+                outcomes[index] = BatchCallOutcome(error=exc, finished_at=self.now())
                 continue
             with self._send_lock:
                 frame = self._frame(call.src, call.dst, call.method, call.payload)
@@ -460,57 +549,56 @@ class AsyncioTransport(Transport):
             body = encode_wire_message(
                 wire.encode_message(frame, flag, data, call.size_hint, context)
             )
-            prepared.append((call, (port, body), None, span_id))
+            groups.setdefault(call.dst, []).append((index, frame.msg_id, span_id, body))
 
-        async def run_one(dst: str, port: int, data: bytes):
+        async def run_group(dst: str, group: list[tuple[int, int, int, bytes]]):
+            replies: list[tuple[bytes | None, float]] = []
+            conn = error = None
             t0 = time.perf_counter()
             try:
-                reply = await self._request(dst, port, data, None)
+                data = b"".join(body for _index, _msg_id, _span_id, body in group)
+                conn = await self._request(dst, data, None, replies, len(group))
             except Exception as exc:  # noqa: BLE001 - captured per call
-                return exc, t0, time.perf_counter()
-            return reply, t0, time.perf_counter()
+                error = exc
+                # The calls the dead connection never answered end here.
+                replies += [(None, time.perf_counter())] * (len(group) - len(replies))
+            return replies, conn, error, t0
 
         async def run_wave():
-            tasks = []
-            for call, req, error, _span_id in prepared:
-                if error is not None:
-                    async def failed(error=error):
-                        return error, 0.0, 0.0
+            return await asyncio.gather(*(run_group(dst, group) for dst, group in groups.items()))
 
-                    tasks.append(failed())
+        results = asyncio.run_coroutine_threadsafe(run_wave(), self._loop).result()
+        # A call finished when its reply arrived on the loop (a perf_counter
+        # reading), not when this thread gets round to decoding it.
+        to_clock = self.now() - time.perf_counter()
+        for group, (replies, conn, error, t0) in zip(groups.values(), results):
+            for (index, msg_id, span_id, _body), (reply_body, t1) in zip(group, replies):
+                call = calls[index]
+                if traced:
+                    span = tracer.record_span(
+                        "rpc.call",
+                        category=CATEGORY_RPC,
+                        track=call.src,
+                        wall_start=t0,
+                        wall_end=t1,
+                        span_id=span_id,
+                        src=call.src,
+                        dst=call.dst,
+                        method=call.method,
+                        batch=True,
+                    )
+                    span.set(span_id=span_id)
+                finished = t1 + to_clock
+                try:
+                    if reply_body is None:
+                        raise error
+                    result = self._finish_call(
+                        call.src, call.dst, call.method, msg_id, reply_body, t1 - t0, conn
+                    )
+                except Exception as exc:  # noqa: BLE001 - captured per call
+                    outcomes[index] = BatchCallOutcome(error=exc, finished_at=finished)
                 else:
-                    port, data = req
-                    tasks.append(run_one(call.dst, port, data))
-            return await asyncio.gather(*tasks)
-
-        started = time.monotonic()
-        replies = asyncio.run_coroutine_threadsafe(run_wave(), self._loop).result()
-        outcomes: list[BatchCallOutcome] = []
-        for (call, _req, _error, span_id), (reply, t0, t1) in zip(prepared, replies):
-            finished = self.now()
-            if traced and span_id:
-                span = tracer.record_span(
-                    "rpc.call",
-                    category=CATEGORY_RPC,
-                    track=call.src,
-                    wall_start=t0,
-                    wall_end=t1,
-                    span_id=span_id,
-                    src=call.src,
-                    dst=call.dst,
-                    method=call.method,
-                    batch=True,
-                )
-                span.set(span_id=span_id)
-            if isinstance(reply, Exception):
-                outcomes.append(BatchCallOutcome(error=reply, finished_at=finished))
-                continue
-            try:
-                result = self._finish_call(call.src, call.dst, call.method, reply, started)
-            except Exception as exc:  # noqa: BLE001 - captured per call
-                outcomes.append(BatchCallOutcome(error=exc, finished_at=finished))
-            else:
-                outcomes.append(BatchCallOutcome(result=result, finished_at=finished))
+                    outcomes[index] = BatchCallOutcome(result=result, finished_at=finished)
         return outcomes
 
     def now(self) -> float:

@@ -3,14 +3,29 @@ and :class:`MultiprocessTransport` with spawned worker processes."""
 
 from __future__ import annotations
 
+import asyncio
+import itertools
+import logging
+import multiprocessing
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.errors import NetworkError, RemoteCallError, RoundError, TransportTimeoutError
 from repro.net import DirectTransport
+from repro.net.frames import KIND_RESPONSE, Frame, encode_wire_message
 from repro.net.transport import BatchCall, RpcResult
-from repro.runtime import AsyncioTransport, MultiprocessTransport, mix_endpoint_spec
+from repro.runtime import AsyncioTransport, MultiprocessTransport, mix_endpoint_spec, wire
+from repro.runtime import mp as mp_module
+from repro.runtime.mp import EndpointSpec
+from repro.runtime.transport import split_wire_messages
+
+#: Malformed stream input: a length prefix past MAX_WIRE_MESSAGE_BYTES, and a
+#: well-framed body that is not a wire message.
+OVERSIZE_PREFIX = b"\xff\xff\xff\xff"
+GARBAGE_BODY = encode_wire_message(b"not a wire message")
 
 
 @pytest.fixture
@@ -24,6 +39,78 @@ def register_echo(t, name="server"):
         return RpcResult(payload=request.payload, obj=None)
 
     t.register(name, handler)
+
+
+def echo_wave(dst, count, size=1):
+    return [
+        BatchCall(src=f"c{i}", dst=dst, method="echo", payload=bytes([i % 256]) * size)
+        for i in range(count)
+    ]
+
+
+def echo_reply(message, msg_id=None):
+    """The framed echo reply a well-behaved server would send for ``message``."""
+    frame = message.frame
+    reply = Frame(
+        kind=KIND_RESPONSE,
+        msg_id=frame.msg_id if msg_id is None else msg_id,
+        src=frame.dst,
+        dst=frame.src,
+        method=frame.method,
+        payload=frame.payload,
+    )
+    return encode_wire_message(wire.encode_message(reply))
+
+
+@pytest.fixture
+def scripted_peer(transport):
+    """Route an endpoint name to a raw TCP peer driven by a test script.
+
+    ``respond(connection_index, message)`` returns the bytes to send for one
+    request (``b""`` = stay silent) or ``None`` to close the connection.
+    Connections are served one after the other, as the transport uses them.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve(respond):
+        for index in itertools.count():
+            try:
+                sock, _addr = listener.accept()
+            except OSError:
+                return  # listener closed: the test is over
+            with sock:
+                buffer = bytearray()
+                while True:
+                    chunk = sock.recv(1 << 16)
+                    if not chunk:
+                        break
+                    buffer += chunk
+                    replies = [
+                        respond(index, wire.decode_message(body))
+                        for body in split_wire_messages(buffer)
+                    ]
+                    sock.sendall(b"".join(reply for reply in replies if reply))
+                    if None in replies:
+                        break
+
+    def start(name, respond):
+        transport._remote_ports[name] = listener.getsockname()[1]
+        threading.Thread(target=serve, args=(respond,), daemon=True).start()
+
+    yield start
+    listener.close()
+
+
+def settle(transport):
+    """Let callbacks queued on the transport's loop (a discard) run."""
+    asyncio.run_coroutine_threadsafe(asyncio.sleep(0), transport._loop).result(5)
+
+
+def poke(port, data):
+    """Send raw bytes to a served port; True when the server closes on us."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        return sock.recv(1) == b""
 
 
 class TestAsyncioTransport:
@@ -116,6 +203,115 @@ class TestAsyncioTransport:
             assert outcome.error is None
             assert outcome.result.payload == bytes([i])
 
+    def test_wave_is_one_pipelined_connection_per_endpoint(self, transport):
+        # 300 connections at once would overrun the listen backlog and wait
+        # out a 1 s SYN retransmission; a pipelined wave opens just one.
+        register_echo(transport)
+        started = time.monotonic()
+        outcomes = transport.call_batch(echo_wave("server", 300))
+        elapsed = time.monotonic() - started
+        assert [o.result.payload for o in outcomes] == [bytes([i % 256]) for i in range(300)]
+        assert transport.runtime_snapshot()["server"]["connections"] == 1
+        assert elapsed < 0.9
+
+    def test_wave_isolates_per_call_failures(self, transport):
+        for name in ("a", "b"):
+            register_echo(transport, name)
+
+        def picky(request):
+            if request.payload == b"bad":
+                raise RoundError("rejected")
+            return RpcResult(payload=request.payload)
+
+        transport.register("picky", picky)
+        calls = [
+            BatchCall("c0", "a", "echo", b"0"),
+            BatchCall("c1", "picky", "echo", b"bad"),
+            BatchCall("c2", "nowhere", "echo", b"2"),
+            BatchCall("c3", "b", "echo", b"3"),
+            BatchCall("c4", "picky", "echo", b"4"),
+            BatchCall("c5", "a", "echo", b"5"),
+        ]
+        outcomes = transport.call_batch(calls)
+        assert isinstance(outcomes[1].error, RoundError)
+        assert isinstance(outcomes[2].error, NetworkError)
+        for i in (0, 3, 4, 5):
+            assert outcomes[i].error is None
+            assert outcomes[i].result.payload == calls[i].payload
+
+    def test_connection_dropped_mid_wave_keeps_answered_calls(self, transport, scripted_peer):
+        seen = itertools.count(1)
+
+        def respond(connection, message):
+            if connection > 0:
+                return echo_reply(message)
+            n = next(seen)
+            if n <= 5:
+                return echo_reply(message)
+            return b"" if n < 12 else None  # read the whole group, then hang up
+
+        scripted_peer("flaky", respond)
+        outcomes = transport.call_batch(echo_wave("flaky", 12))
+        assert [o.result.payload for o in outcomes[:5]] == [bytes([i]) for i in range(5)]
+        assert all(isinstance(o.error, NetworkError) for o in outcomes[5:])
+        # The dead connection was discarded; the next wave gets a fresh one.
+        again = transport.call_batch(echo_wave("flaky", 12))
+        assert [o.result.payload for o in again] == [bytes([i]) for i in range(12)]
+        assert len(transport._connections) == 1
+
+    def test_wave_larger_than_socket_buffers_completes(self, transport):
+        # 16 MiB out and 16 MiB back on one connection: neither side may sit
+        # in a send waiting for the other to read.
+        register_echo(transport)
+        outcomes = []
+        wave = threading.Thread(
+            target=lambda: outcomes.extend(
+                transport.call_batch(echo_wave("server", 64, size=256 * 1024))
+            ),
+            daemon=True,
+        )
+        wave.start()
+        wave.join(timeout=60)
+        assert not wave.is_alive(), "pipelined wave deadlocked"
+        assert [len(o.result.payload) for o in outcomes] == [256 * 1024] * 64
+
+    def test_wave_timestamps_are_reply_arrival_not_decode_turn(self, transport, monkeypatch):
+        register_echo(transport)
+        finish_call = transport._finish_call
+
+        def slow_finish_call(*args):
+            time.sleep(0.01)  # stands in for decoding a large reply
+            return finish_call(*args)
+
+        monkeypatch.setattr(transport, "_finish_call", slow_finish_call)
+        outcomes = transport.call_batch(echo_wave("server", 20))
+        finished = [o.finished_at for o in outcomes]
+        assert max(finished) - min(finished) < 0.1
+        assert max(o.result.latency_s for o in outcomes) < 0.1
+
+    def test_reply_out_of_step_fails_closed(self, transport, scripted_peer):
+        scripted_peer("liar", lambda _connection, message: echo_reply(message, msg_id=999_999))
+        with pytest.raises(NetworkError, match="out of step"):
+            transport.call("client", "liar", "echo", b"x")
+        settle(transport)
+        assert not transport._connections
+
+    def test_malformed_reply_discards_the_connection(self, transport, scripted_peer):
+        scripted_peer("noisy", lambda _connection, _message: OVERSIZE_PREFIX)
+        with pytest.raises(NetworkError):
+            transport.call("client", "noisy", "echo", b"x")
+        assert not transport._connections
+
+    @pytest.mark.parametrize("malformed", [OVERSIZE_PREFIX, GARBAGE_BODY])
+    def test_malformed_request_closes_only_its_connection(self, transport, caplog, malformed):
+        register_echo(transport)
+        assert transport.call("client", "server", "echo", b"x").payload == b"x"
+        assert poke(transport._ports["server"], malformed)
+        assert transport.call("client", "server", "echo", b"y").payload == b"y"
+        settle(transport)
+        # An exception escaping the serve loop is what asyncio would log.
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
     def test_bandwidth_accounting_matches_direct_transport(self, transport):
         # The simulated accounting formula (payload + size_hint + frame
         # overhead, no length prefix) is the cross-runtime baseline.
@@ -126,6 +322,9 @@ class TestAsyncioTransport:
 
             t.register("server", handler)
             t.call("client", "server", "extract", b"q" * 5, size_hint=7)
+            t.call_batch(
+                [BatchCall(f"c{i}", "server", "submit", b"s" * i, size_hint=i) for i in range(9)]
+            )
         assert transport.stats.bytes_by_method == direct.stats.bytes_by_method
         assert transport.stats.bytes_by_endpoint == direct.stats.bytes_by_endpoint
         assert transport.stats.messages_sent == direct.stats.messages_sent
@@ -180,3 +379,58 @@ class TestMultiprocessTransport:
                 for name in ("mix0", "mix1")
             }
             assert keys["mix0"] != keys["mix1"]
+
+    @pytest.mark.slow
+    def test_workers_start_before_any_port_map_is_read(self, monkeypatch):
+        spawn = multiprocessing.get_context("spawn")
+        events = []
+
+        class RecordingPipeEnd:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def recv(self):
+                events.append("recv")
+                return self._conn.recv()
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        class RecordingContext:
+            def Pipe(self):
+                parent_end, child_end = spawn.Pipe()
+                return RecordingPipeEnd(parent_end), child_end
+
+            def __getattr__(self, name):
+                return getattr(spawn, name)
+
+        start = spawn.Process.start
+        # Patched on the class: the Process object itself is pickled to the child.
+        monkeypatch.setattr(
+            spawn.Process, "start", lambda process: (events.append("start"), start(process))
+        )
+        monkeypatch.setattr(mp_module.multiprocessing, "get_context", lambda _m: RecordingContext())
+        specs = [[mix_endpoint_spec(f"mix{i}", f"seed/mix/{i}")] for i in range(2)]
+        with MultiprocessTransport(specs) as transport:
+            assert transport.remote_endpoints() == ["mix0", "mix1"]
+        assert events == ["start", "start", "recv", "recv"]
+
+    @pytest.mark.slow
+    def test_failed_worker_build_leaves_no_process_behind(self):
+        specs = [[mix_endpoint_spec("mix0", "seed/mix/0")], [EndpointSpec(kind="nope", name="x")]]
+        with pytest.raises(EOFError):  # the dead worker's port-map pipe
+            MultiprocessTransport(specs)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("malformed", [OVERSIZE_PREFIX, GARBAGE_BODY])
+    def test_worker_closes_malformed_connection_quietly(self, capfd, malformed):
+        from repro.net.rpc import MixStub
+
+        with MultiprocessTransport([[mix_endpoint_spec("mix0", "seed/mix/0")]]) as transport:
+            stub = MixStub(transport, "mix0", src="entry")
+            pk = stub.open_round("dialing", 1)
+            assert poke(transport._remote_ports["mix0"], malformed)
+            assert stub.round_public_key("dialing", 1) == pk
+        # The worker shares our stderr: an escaped exception would print there.
+        assert "Traceback" not in capfd.readouterr().err
