@@ -33,7 +33,7 @@ from repro.crypto.attestation import DEFAULT_SCHEME, AttestationScheme
 from repro.crypto.engine import active_backend
 from repro.crypto.ibe.anytrust import AnytrustIbe
 from repro.crypto.ibe.interface import IbeCiphertext
-from repro.errors import ProtocolError
+from repro.errors import CryptoError, ProtocolError
 from repro.mixnet.mailbox import COVER_MAILBOX_ID, mailbox_for_identity
 from repro.mixnet.onion import wrap_onion
 from repro.mixnet.server import encode_inner_payload
@@ -251,7 +251,7 @@ class AddFriendEngine:
                 # copy anchored their wheel with exactly this key; a fresh
                 # one would silently desync the two wheels.
                 dialing_private = pending.dialing_private
-                dialing_public = active_backend().public_key(pending.dialing_private)
+                dialing_public = pending.dialing_public
                 request_dialing_round = pending.dialing_round
             else:
                 dialing_private = x25519.generate_private_key()
@@ -285,6 +285,7 @@ class AddFriendEngine:
                 PendingOutgoing(
                     email=queued.email,
                     dialing_private=dialing_private,
+                    dialing_public=dialing_public,
                     dialing_round=request_dialing_round,
                     expected_key=queued.expected_key,
                 )
@@ -448,7 +449,7 @@ class AddFriendEngine:
             self._accepted_requests[sender] = request.dialing_key
             self._sent_replies[sender] = PreparedReply(
                 dialing_private=pending.dialing_private,
-                dialing_public=active_backend().public_key(pending.dialing_private),
+                dialing_public=pending.dialing_public,
                 dialing_round=pending.dialing_round,
             )
             return {"type": "confirmed", "email": sender, "dialing_round": anchor}
@@ -481,11 +482,13 @@ class AddFriendEngine:
 
         # Accepting: generate our ephemeral key now, anchor the wheel, and
         # queue the confirming request for the next round (Algorithm 1 step 5).
-        engine = active_backend()
         dialing_private = x25519.generate_private_key()
-        dialing_public = engine.public_key(dialing_private)
+        [(dialing_public, shared)] = active_backend().keypair_exchange_many(
+            [dialing_private], request.dialing_key
+        )
+        if shared is None:
+            raise CryptoError("X25519 produced the all-zero shared secret")
         reply_round = max(request.dialing_round, current_dialing_round + 1)
-        shared = engine.shared_secret(dialing_private, request.dialing_key)
         anchor = max(request.dialing_round, reply_round)
         self.keywheel.add_friend(sender, shared, anchor)
         self.address_book.upsert_friend(

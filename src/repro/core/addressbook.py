@@ -54,12 +54,15 @@ class PendingOutgoing:
     """An add-friend request we sent and have not yet seen answered.
 
     ``dialing_private`` is the ephemeral Diffie-Hellman secret whose public
-    half went out in the request; ``dialing_round`` is the keywheel anchor
-    round we proposed (the ``DialingRound`` field of Figure 3).
+    half, ``dialing_public``, went out in the request (kept so a re-send or
+    a remembered reply does not pay a base multiplication to re-derive it);
+    ``dialing_round`` is the keywheel anchor round we proposed (the
+    ``DialingRound`` field of Figure 3).
     """
 
     email: str
     dialing_private: bytes
+    dialing_public: bytes
     dialing_round: int
     expected_key: bytes | None = None  # out-of-band key, if the caller had one
 

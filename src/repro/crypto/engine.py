@@ -5,9 +5,13 @@ the paper's servers peel hundreds of thousands of onion layers per round.
 Our reference primitives are deliberately pure Python (spec-true,
 stdlib-only): about 0.1 ms per 640-byte seal or open, 0.25 ms per X25519
 key generation and 1.0 ms per X25519 exchange, so peeling one onion layer
-costs ~1.2 ms against ~0.09 ms on OpenSSL (``crypto.*_us.*`` and
-``mixnet.peel_us_per_env.*`` on the benchmark ladder).  This module makes
-that cost a *choice* instead of a ceiling:
+costs ~1.2 ms.  On OpenSSL an exchange is ~0.04 ms -- and so is *importing*
+a private key, because OpenSSL derives the public half on import -- so a
+peel costs one exchange per envelope plus one import per batch (~0.05 ms
+per envelope) and a wrap one import and one exchange per layer
+(``crypto.*_us.*`` and ``mixnet.{wrap,peel}_us_per_env.*`` on the
+benchmark ladder).  This module makes that cost a *choice* instead of a
+ceiling:
 
 * ``"pure"`` -- the stdlib-only reference implementation (the default, and
   the byte-exactness oracle every other backend is tested against),
@@ -25,12 +29,22 @@ is RFC 7748 X25519, so tier-1 passes -- and deployments interoperate --
 under any of them.
 
 A :class:`CryptoBackend` adds batch variants (``seal_many``, ``open_many``,
-``shared_secret_many``, ``public_key_many``) that the hot paths feed whole
-rounds through: :meth:`~repro.mixnet.server.MixServer.process_batch` peels
-its envelopes via ``open_many`` (see :func:`repro.mixnet.onion.unwrap_layers`),
-noise generation wraps via :func:`repro.mixnet.onion.wrap_onion_many`, and
-the engine-backed entry points in :mod:`repro.crypto.aead` route every
-keywheel/session seal through the active backend.
+``shared_secret_many``, ``public_key_many``, ``keypair_exchange_many``)
+that the hot paths feed whole rounds through:
+:meth:`~repro.mixnet.server.MixServer.process_batch` peels its envelopes
+via ``shared_secret_many`` + ``open_many`` (see
+:func:`repro.mixnet.onion.unwrap_layers`), noise generation and clients
+wrap via :func:`repro.mixnet.onion.wrap_onion_many`, whose every layer is
+one ``keypair_exchange_many`` -- each fresh ephemeral's public half and
+its exchange with the server's round key, from one import of the
+ephemeral -- and one ``seal_many``; the engine-backed entry points in
+:mod:`repro.crypto.aead` route every keywheel/session seal through the
+active backend.
+
+A backend keeps **no key material between calls**: a batch call may hold
+the handles it loaded until it returns (the peel imports the round key
+once for the whole batch), and nothing longer, so erasing a round key
+(close or abort) leaves no copy of it behind an engine instance.
 
 Selection is ``AlpenhornConfig.crypto_backend``; a :class:`Deployment`
 resolves it via :func:`get_backend`, threads the instance through the mix
@@ -43,6 +57,7 @@ from __future__ import annotations
 import atexit
 import os
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.crypto import ed25519, x25519
@@ -56,6 +71,13 @@ SealItem = tuple[bytes, bytes, bytes, "bytes | None"]
 OpenItem = tuple[bytes, bytes, bytes]
 #: (private_key, peer_public_key) -- one ``shared_secret`` call.
 SecretItem = tuple[bytes, bytes]
+#: (public_key, shared_secret-or-None) -- one ``keypair_exchange_many`` result.
+KeypairExchange = tuple[bytes, "bytes | None"]
+
+
+def _check_x25519_length(what: str, value: bytes) -> None:
+    if len(value) != x25519.KEY_SIZE:
+        raise CryptoError(f"X25519 {what} must be {x25519.KEY_SIZE} bytes, got {len(value)}")
 
 
 def _fill_nonces(items: Iterable[SealItem]) -> list[SealItem]:
@@ -147,6 +169,23 @@ class CryptoBackend:
 
     def public_key_many(self, private_keys: Sequence[bytes]) -> list[bytes]:
         return [self.public_key(private_key) for private_key in private_keys]
+
+    def keypair_exchange_many(
+        self, private_keys: Sequence[bytes], peer_public_key: bytes
+    ) -> list[KeypairExchange]:
+        """Each key's public half and its exchange with one shared peer.
+
+        The onion wrap's shape: N fresh ephemerals against one server key.
+        Equal to :meth:`public_key_many` zipped with :meth:`shared_secret_many`
+        (which is what this default does), except that a wrong-length peer
+        raises instead of mapping every secret to ``None``.
+        """
+        _check_x25519_length("point", peer_public_key)
+        publics = self.public_key_many(private_keys)
+        secrets = self.shared_secret_many(
+            [(private_key, peer_public_key) for private_key in private_keys]
+        )
+        return list(zip(publics, secrets))
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -264,26 +303,63 @@ class AcceleratedBackend(CryptoBackend):
 
         self._aead_overhead = AEAD_OVERHEAD
 
-    def shared_secret(self, private_key: bytes, peer_public_key: bytes) -> bytes:
-        if len(private_key) != x25519.KEY_SIZE:
-            raise CryptoError(f"X25519 scalar must be {x25519.KEY_SIZE} bytes, got {len(private_key)}")
-        if len(peer_public_key) != x25519.KEY_SIZE:
-            raise CryptoError(f"X25519 point must be {x25519.KEY_SIZE} bytes, got {len(peer_public_key)}")
+    # Importing a private key is not free: OpenSSL derives the public half on
+    # load, which costs as much as an exchange.  So every method below loads
+    # a given key once per *call* -- and keeps nothing afterwards: a handle
+    # that outlived its call would outlive the round key it was loaded from.
+    def _load_private(self, private_key: bytes):
+        _check_x25519_length("scalar", private_key)
+        return self._private_key.from_private_bytes(private_key)
+
+    def _load_peer(self, peer_public_key: bytes):
+        _check_x25519_length("point", peer_public_key)
+        return self._public_key.from_public_bytes(peer_public_key)
+
+    @staticmethod
+    def _exchange(private, peer) -> bytes:
         try:
-            return self._private_key.from_private_bytes(private_key).exchange(
-                self._public_key.from_public_bytes(peer_public_key)
-            )
+            return private.exchange(peer)
         except ValueError as exc:  # OpenSSL refuses the all-zero shared point
             raise CryptoError("X25519 produced the all-zero shared secret") from exc
 
+    def shared_secret(self, private_key: bytes, peer_public_key: bytes) -> bytes:
+        private = self._load_private(private_key)
+        return self._exchange(private, self._load_peer(peer_public_key))
+
     def public_key(self, private_key: bytes) -> bytes:
-        if len(private_key) != x25519.KEY_SIZE:
-            raise CryptoError(f"X25519 scalar must be {x25519.KEY_SIZE} bytes, got {len(private_key)}")
         return (
-            self._private_key.from_private_bytes(private_key)
+            self._load_private(private_key)
             .public_key()
             .public_bytes(self._raw_encoding, self._raw_format)
         )
+
+    def shared_secret_many(self, pairs: Sequence[SecretItem]) -> list[bytes | None]:
+        # The mix peel is one round key against N ephemerals: 1 load, not N.
+        loaded: dict[bytes, object] = {}
+        results: list[bytes | None] = []
+        for private_key, peer_public_key in pairs:
+            try:
+                private = loaded.get(private_key)
+                if private is None:
+                    private = loaded[private_key] = self._load_private(private_key)
+                results.append(self._exchange(private, self._load_peer(peer_public_key)))
+            except CryptoError:
+                results.append(None)
+        return results
+
+    def keypair_exchange_many(
+        self, private_keys: Sequence[bytes], peer_public_key: bytes
+    ) -> list[KeypairExchange]:
+        peer = self._load_peer(peer_public_key)
+        results: list[KeypairExchange] = []
+        for private_key in private_keys:
+            private = self._load_private(private_key)
+            public = private.public_key().public_bytes(self._raw_encoding, self._raw_format)
+            try:
+                results.append((public, self._exchange(private, peer)))
+            except CryptoError:
+                results.append((public, None))
+        return results
 
     def seal(
         self,
@@ -367,6 +443,10 @@ def _worker_secret_chunk(chunk: list[SecretItem]) -> list[bytes | None]:
 
 def _worker_public_chunk(chunk: list[bytes]) -> list[bytes]:
     return _WORKER_BACKEND.public_key_many(chunk)
+
+
+def _worker_keypair_chunk(peer_public_key: bytes, chunk: list[bytes]) -> list[KeypairExchange]:
+    return _WORKER_BACKEND.keypair_exchange_many(chunk, peer_public_key)
 
 
 def _chunked(items: list, chunks: int) -> list[list]:
@@ -461,6 +541,15 @@ class ParallelBackend(CryptoBackend):
 
     def public_key_many(self, private_keys: Sequence[bytes]) -> list[bytes]:
         return self._fan_out(_worker_public_chunk, list(private_keys), self._inner.public_key_many)
+
+    def keypair_exchange_many(
+        self, private_keys: Sequence[bytes], peer_public_key: bytes
+    ) -> list[KeypairExchange]:
+        return self._fan_out(
+            partial(_worker_keypair_chunk, peer_public_key),
+            list(private_keys),
+            lambda keys: self._inner.keypair_exchange_many(keys, peer_public_key),
+        )
 
     def close(self) -> None:
         if self._pool is not None:

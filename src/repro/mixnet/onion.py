@@ -14,10 +14,14 @@ identical sizes and are indistinguishable on the wire.
 All layer crypto routes through the pluggable engine
 (:mod:`repro.crypto.engine`): the single-envelope helpers take an optional
 ``engine`` (defaulting to the process-wide active backend), and the batch
-variants -- :func:`wrap_onion_many` for a server's noise envelopes,
-:func:`unwrap_layers` for a round's peel -- hand whole batches to the
-backend's ``*_many`` APIs so an accelerated or multi-core backend can go
-wide.
+variants hand whole batches to the backend's ``*_many`` APIs so an
+accelerated or multi-core backend can go wide.  :func:`wrap_onion_many`
+(a server's noise, a client's request) makes one ``keypair_exchange_many``
+and one ``seal_many`` call per layer: every ephemeral private key reaches
+the engine once and yields both its public half and the layer secret.
+:func:`unwrap_layers` (a round's peel) makes one ``shared_secret_many``
+call with the same round key in every item -- which the engine loads once
+for the call and forgets -- and one ``open_many``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.crypto import x25519
 from repro.crypto.aead import AEAD_OVERHEAD
 from repro.crypto.engine import CryptoBackend, active_backend
 from repro.crypto.hashing import hkdf
-from repro.errors import DecryptionError, MixnetError
+from repro.errors import CryptoError, DecryptionError, MixnetError
 from repro.utils.rng import random_bytes
 
 _LAYER_KEY_INFO = b"alpenhorn/mixnet/onion-layer"
@@ -88,19 +92,16 @@ def wrap_onion_many(
         return []
     for server_public in reversed(server_publics):
         ephemeral_privates = [random_bytes(x25519.KEY_SIZE) for _ in wrapped]
-        ephemeral_publics = engine.public_key_many(ephemeral_privates)
-        secrets = engine.shared_secret_many(
-            [(private, server_public) for private in ephemeral_privates]
-        )
+        exchanged = engine.keypair_exchange_many(ephemeral_privates, server_public)
         seal_items = []
-        for ephemeral_public, secret, payload in zip(ephemeral_publics, secrets, wrapped):
-            if secret is None:  # pragma: no cover - needs a contrived ephemeral
+        for (ephemeral_public, secret), payload in zip(exchanged, wrapped):
+            if secret is None:  # a small-order server key: no ephemeral can fix that
                 raise MixnetError("onion layer key exchange degenerated to zero")
             key = _layer_key(secret, ephemeral_public, server_public)
             seal_items.append((key, payload, ephemeral_public, None))
         boxes = engine.seal_many(seal_items)
         wrapped = [
-            ephemeral_public + box for ephemeral_public, box in zip(ephemeral_publics, boxes)
+            ephemeral_public + box for (ephemeral_public, _), box in zip(exchanged, boxes)
         ]
     return wrapped
 
@@ -122,9 +123,7 @@ def unwrap_layer(
         shared = engine.shared_secret(server_keypair.private, ephemeral_public)
         key = _layer_key(shared, ephemeral_public, server_keypair.public)
         return engine.open_sealed(key, sealed, associated_data=ephemeral_public)
-    except (DecryptionError, Exception) as exc:
-        if isinstance(exc, MixnetError):
-            raise
+    except (CryptoError, DecryptionError) as exc:
         raise MixnetError(f"failed to unwrap onion layer: {exc}") from exc
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.crypto.engine import CryptoBackend, OpenItem, SealItem, SecretItem
+from repro.crypto.engine import CryptoBackend, KeypairExchange, OpenItem, SealItem, SecretItem
 from repro.obs.trace import CATEGORY_CRYPTO, active_tracer
 
 __all__ = ["CryptoOpStats", "InstrumentedCryptoBackend"]
@@ -121,6 +121,17 @@ class InstrumentedCryptoBackend(CryptoBackend):
 
     def public_key_many(self, private_keys: Sequence[bytes]) -> list[bytes]:
         return self._batch("public_key_many", self.inner.public_key_many, private_keys)
+
+    def keypair_exchange_many(
+        self, private_keys: Sequence[bytes], peer_public_key: bytes
+    ) -> "list[KeypairExchange]":
+        # Forwarded, not left to the composing default: a traced run must
+        # make the engine calls an untraced one makes.
+        return self._batch(
+            "keypair_exchange_many",
+            lambda keys: self.inner.keypair_exchange_many(keys, peer_public_key),
+            private_keys,
+        )
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -13,6 +13,32 @@ def rng() -> DeterministicRng:
     return DeterministicRng(b"alpenhorn-test-seed")
 
 
+class CountingPrivateKey:
+    """Stands in for ``AcceleratedBackend._private_key``: counts key imports."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.loads = 0
+
+    def from_private_bytes(self, data: bytes):
+        self.loads += 1
+        return self.real.from_private_bytes(data)
+
+
+@pytest.fixture
+def counting_accelerated():
+    """A private accelerated backend whose X25519 key imports are counted
+    (``backend._private_key.loads``): OpenSSL derives the public half on
+    every import, so the engine must import each key once per call."""
+    from repro.crypto.engine import AcceleratedBackend, accelerated_available
+
+    if not accelerated_available():
+        pytest.skip("load counts need the optional 'cryptography' package")
+    backend = AcceleratedBackend()
+    backend._private_key = CountingPrivateKey(backend._private_key)
+    return backend
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--run-slow",

@@ -41,7 +41,12 @@ class TestAddressBook:
 
     def test_pending_outgoing_lifecycle(self):
         book = AddressBook()
-        pending = PendingOutgoing(email="bob@example.org", dialing_private=b"\x01" * 32, dialing_round=7)
+        pending = PendingOutgoing(
+            email="bob@example.org",
+            dialing_private=b"\x01" * 32,
+            dialing_public=b"\x02" * 32,
+            dialing_round=7,
+        )
         book.add_pending_outgoing(pending)
         assert book.pending_count() == 1
         assert book.pending_outgoing("BOB@example.org") is pending
@@ -52,7 +57,12 @@ class TestAddressBook:
         book = AddressBook()
         book.upsert_friend("bob@example.org")
         book.add_pending_outgoing(
-            PendingOutgoing(email="bob@example.org", dialing_private=b"\x01" * 32, dialing_round=7)
+            PendingOutgoing(
+                email="bob@example.org",
+                dialing_private=b"\x01" * 32,
+                dialing_public=b"\x02" * 32,
+                dialing_round=7,
+            )
         )
         book.remove_friend("bob@example.org")
         assert not book.has_friend("bob@example.org")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from textbook_crypto import SMALL_ORDER_U
 
 from repro.crypto import engine
 from repro.crypto.aead import open_sealed, pure_open_sealed, pure_seal, seal
@@ -346,6 +347,81 @@ class TestBatchApis:
         assert wrap_onion_many([], [OnionKeyPair.generate().public]) == []
 
 
+# --------------------------------------------------------------------------- #
+# The fused keypair+exchange op and per-call key loading
+# --------------------------------------------------------------------------- #
+SMALL_ORDER_PEERS = [u.to_bytes(32, "little") for u in SMALL_ORDER_U]
+
+keys32 = st.binary(min_size=32, max_size=32)
+
+
+class TestKeypairExchange:
+    @given(st.lists(keys32, max_size=5), keys32)
+    @settings(max_examples=20, deadline=None)
+    def test_equals_public_key_many_plus_shared_secret_many(self, privates, peer_private):
+        peer = get_backend("pure").public_key(peer_private)
+        outputs = {}
+        for backend in backends():
+            fused = backend.keypair_exchange_many(privates, peer)
+            assert fused == list(
+                zip(
+                    backend.public_key_many(privates),
+                    backend.shared_secret_many([(private, peer) for private in privates]),
+                )
+            )
+            outputs[backend.name] = fused
+        assert all(fused == outputs["pure"] for fused in outputs.values()), outputs
+
+    @backend_params()
+    @pytest.mark.parametrize("peer", SMALL_ORDER_PEERS, ids=lambda peer: peer.hex()[:8])
+    def test_small_order_peer_gives_none_in_the_secret_slot(self, backend, peer):
+        privates = [bytes(range(i, i + 32)) for i in range(3)]
+        assert backend.keypair_exchange_many(privates, peer) == [
+            (backend.public_key(private), None) for private in privates
+        ]
+        assert backend.shared_secret_many([(private, peer) for private in privates]) == [None] * 3
+
+    @backend_params()
+    def test_wrong_length_inputs_raise(self, backend):
+        good, peer = bytes(range(32)), backend.public_key(bytes(range(1, 33)))
+        with pytest.raises(CryptoError):
+            backend.keypair_exchange_many([good, b"short"], peer)
+        with pytest.raises(CryptoError):
+            backend.keypair_exchange_many([good], peer + b"\x00")
+        assert backend.keypair_exchange_many([], peer) == []
+
+    def test_load_count_fused_op_loads_each_key_once(self, counting_accelerated):
+        backend = counting_accelerated
+        privates = [bytes([i]) * 32 for i in range(1, 7)]
+        peer = backend.public_key(bytes(range(32)))
+        backend._private_key.loads = 0
+        before = dict(vars(backend))
+        backend.keypair_exchange_many(privates, peer)
+        assert backend._private_key.loads == len(privates)
+        assert vars(backend) == before
+
+    def test_load_count_shared_secret_many_loads_each_distinct_key_once(
+        self, counting_accelerated
+    ):
+        backend = counting_accelerated
+        privates = [bytes([i]) * 32 for i in range(1, 4)]
+        peers = [backend.public_key(bytes([i]) * 32) for i in range(10, 15)]
+        backend._private_key.loads = 0
+        before = dict(vars(backend))
+        # k = 3 distinct keys, interleaved over 15 items, plus misshapen
+        # and degenerate items that must neither count nor be remembered.
+        pairs = [(privates[i % 3], peers[i % 5]) for i in range(15)]
+        pairs += [(b"short", peers[0]), (privates[0], bytes(32))]
+        results = backend.shared_secret_many(pairs)
+        assert backend._private_key.loads == 3
+        assert results[15:] == [None, None]
+        assert results[:15] == get_backend("pure").shared_secret_many(pairs[:15])
+        assert vars(backend) == before
+        # Nothing carried over: the next call loads again.
+        backend.shared_secret_many(pairs[:1])
+        assert backend._private_key.loads == 4
+
+
 class TestParallelBackend:
     def test_pool_path_matches_serial(self):
         """Force the pool (2 workers, min_batch=1) and compare bytes."""
@@ -364,6 +440,12 @@ class TestParallelBackend:
             assert backend.shared_secret_many([(private, peer)] * 4) == [
                 backend.shared_secret(private, peer)
             ] * 4
+            privates = [bytes([i]) * 32 for i in range(1, 9)]
+            assert backend.keypair_exchange_many(privates, peer) == get_backend(
+                "pure"
+            ).keypair_exchange_many(privates, peer)
+            with pytest.raises(CryptoError):  # raised in a worker, re-raised here
+                backend.keypair_exchange_many(privates, b"short")
         finally:
             backend.close()
 

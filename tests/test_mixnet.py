@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import engine
+from repro.crypto.engine import available_backends, get_backend
 from repro.errors import MixnetError, RoundError
+from repro.mixnet import onion
 from repro.mixnet.chain import MixChain
 from repro.mixnet.mailbox import (
     COVER_MAILBOX_ID,
@@ -16,7 +21,14 @@ from repro.mixnet.mailbox import (
     mailbox_for_identity,
 )
 from repro.mixnet.noise import NoiseConfig
-from repro.mixnet.onion import OnionKeyPair, onion_overhead, unwrap_layer, wrap_onion
+from repro.mixnet.onion import (
+    OnionKeyPair,
+    onion_overhead,
+    unwrap_layer,
+    unwrap_layers,
+    wrap_onion,
+    wrap_onion_many,
+)
 from repro.mixnet.server import MixServer, decode_inner_payload, encode_inner_payload
 from repro.utils.rng import DeterministicRng
 
@@ -67,6 +79,69 @@ class TestOnion:
         for key in keys:
             envelope = unwrap_layer(envelope, key)
         assert envelope == payload
+
+
+#: sha256 of each envelope ``wrap_onion_many`` produced at commit 9bfba83
+#: (before the fused keypair+exchange op) for the inputs of
+#: ``test_wrap_matches_parent_commit_vector``, identical on every backend.
+PARENT_WRAP_DIGESTS = [
+    "10fbf56095d01f95e47564e9ba5c2b9e89dac3f9cb591b4283606ce2601fd142",
+    "03dc12d36b6d58225c8494dde23d49a3ec1fddc70221b9bf43c01cc5915a5dd9",
+    "2b447df12e9732d33f1b93584ead3ae620517878d2b64f5a2aa768dd934e6fd0",
+]
+
+
+class TestOnionBatches:
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_wrap_matches_parent_commit_vector(self, backend_name, monkeypatch):
+        """Same draws in the same order: ephemerals per layer, then nonces."""
+        rng = DeterministicRng("wrap-onion-many/vector")
+        monkeypatch.setattr(onion, "random_bytes", rng.read)
+        monkeypatch.setattr(engine, "random_bytes", rng.read)
+        backend = get_backend(backend_name)
+        publics = [backend.public_key(bytes(range(i, i + 32))) for i in (1, 2)]
+        payloads = [b"payload-%d" % i + bytes(40) for i in range(3)]
+        envelopes = wrap_onion_many(payloads, publics, engine=backend)
+        assert [hashlib.sha256(e).hexdigest() for e in envelopes] == PARENT_WRAP_DIGESTS
+
+    def test_small_order_server_key_cannot_be_wrapped_for(self):
+        with pytest.raises(MixnetError):
+            wrap_onion_many([b"a", b"b"], [OnionKeyPair.generate().public, bytes(32)])
+
+    def test_load_count_wrap_and_peel(self, counting_accelerated):
+        """2 hops x N payloads: one import per ephemeral (the parent made
+        two); peeling N envelopes imports the round key once (parent: N)."""
+        backend = counting_accelerated
+        hops = [OnionKeyPair.generate(backend) for _ in range(2)]
+        payloads = [b"payload-%d" % i for i in range(9)]
+        before = dict(vars(backend))
+
+        backend._private_key.loads = 0
+        envelopes = wrap_onion_many(payloads, [hop.public for hop in hops], engine=backend)
+        assert backend._private_key.loads == 2 * len(payloads)
+
+        backend._private_key.loads = 0
+        peeled = unwrap_layers(envelopes + [b"malformed"], hops[0], backend)
+        assert backend._private_key.loads == 1
+        assert peeled[-1] is None
+        assert unwrap_layers(peeled[:-1], hops[1], backend) == payloads
+        assert vars(backend) == before  # no handle, no key bytes kept
+
+    def test_unwrap_layer_only_translates_crypto_failures(self):
+        keypair = OnionKeyPair.generate()
+        envelope = wrap_onion(b"payload", [keypair.public])
+
+        class Broken(type(get_backend("pure"))):
+            def open_sealed(self, key, sealed, associated_data=b""):
+                raise ZeroDivisionError("a bug, not a bad envelope")
+
+        with pytest.raises(ZeroDivisionError):
+            unwrap_layer(envelope, keypair, engine=Broken())
+        with pytest.raises(MixnetError):  # degenerate ephemeral: a CryptoError
+            unwrap_layer(bytes(32) + envelope[32:], keypair)
+        tampered = envelope[:-1] + bytes([envelope[-1] ^ 1])
+        with pytest.raises(MixnetError):  # authentication: a DecryptionError
+            unwrap_layer(tampered, keypair)
 
 
 class TestMailboxRouting:

@@ -288,17 +288,7 @@ class TestEd25519PinnedAtParent:
 # --------------------------------------------------------------------------- #
 # X25519: lazily reduced ladder, Edwards-table keygen, small-order inputs
 # --------------------------------------------------------------------------- #
-#: RFC 7748 section 6.1 / the curve25519 paper's list: u = 0, 1, the two
-#: order-8 points, p - 1, and the non-canonical p, p + 1.
-SMALL_ORDER_U = [
-    0,
-    1,
-    325606250916557431795983626356110631294008115727848805560023387167927233504,
-    39382357235489614581723060781553021112529911719440698176882885853963445705823,
-    P - 1,
-    P,
-    P + 1,
-]
+SMALL_ORDER_U = textbook.SMALL_ORDER_U
 
 
 class TestX25519Kernels:

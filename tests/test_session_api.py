@@ -227,6 +227,40 @@ class TestRetryLiveness:
         retrying = alice.events.history("request_retrying")
         assert len(retrying) == 1 and retrying[0].email == "bob@x.org"
 
+    def test_resend_and_confirmation_reuse_the_stored_dialing_public(self, monkeypatch):
+        """The pending record keeps the public half: only the first send
+        derives it (one base multiplication), never the re-send or the
+        confirmation leg's remembered reply."""
+        from repro.core import addfriend
+        from repro.crypto.engine import PureBackend
+
+        class CountingPublicKey(PureBackend):
+            derivations = 0
+
+            def public_key(self, private_key: bytes) -> bytes:
+                self.derivations += 1
+                return super().public_key(private_key)
+
+        counting = CountingPublicKey()
+        monkeypatch.setattr(addfriend, "active_backend", lambda: counting)
+        deployment = make_deployment("retry-stored-public", retry=1)
+        deployment.create_client("alice@x.org")
+        deployment.create_client("bob@x.org")
+        alice = deployment.session("alice@x.org")
+        handle = alice.add_friend("bob@x.org")
+        deployment.run_addfriend_round(participants=["alice@x.org"])
+        pending = alice.client.address_book.pending_outgoing("bob@x.org")
+        assert pending.dialing_public == counting.public_key(pending.dialing_private)
+        counting.derivations = 0
+        for _ in range(4):  # the re-send, bob's acceptance, alice's confirmation leg
+            deployment.run_addfriend_round()
+        assert handle.state is RequestState.CONFIRMED and handle.attempts == 2
+        # One new key pair was made in those rounds -- bob's reply key -- and
+        # nothing else was derived (the parent re-derived alice's twice).
+        assert counting.derivations == 1
+        sent = alice.client.addfriend._sent_replies["bob@x.org"]
+        assert sent.dialing_public == pending.dialing_public
+
     def test_retry_budget_exhaustion_fails_the_handle(self):
         deployment = make_deployment("retry-budget", retry=1)
         deployment.create_client("alice@x.org")

@@ -20,6 +20,18 @@ D = (-121665 * pow(121666, P - 2, P)) % P
 SQRT_M1 = pow(2, (P - 1) // 4, P)
 A24 = 121665
 
+#: RFC 7748 section 6.1 / the curve25519 paper's list: u = 0, 1, the two
+#: order-8 points, p - 1, and the non-canonical p, p + 1.
+SMALL_ORDER_U = [
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    P - 1,
+    P,
+    P + 1,
+]
+
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _MASK32 = 0xFFFFFFFF
 
