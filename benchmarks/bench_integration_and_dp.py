@@ -40,8 +40,10 @@ def test_vuvuzela_integration_end_to_end_report(capsys):
     alice_app.addfriend("bob@example.org")
     deployment.run_addfriend_round()
     deployment.run_addfriend_round()
-    placed = deployment.place_call("alice@example.org", "bob@example.org")
-    alice_app.adopt_placed_call(placed)
+    call = deployment.session("alice@example.org").call("bob@example.org")
+    deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+    deployment.run_dialing_round()
+    alice_app.adopt_call_handle(call)
     alice_app.send_message("bob@example.org", "hello through vuvuzela")
     received = bob_app.receive_message("alice@example.org")
     elapsed = time.perf_counter() - start
@@ -56,11 +58,16 @@ def test_pond_panda_integration_end_to_end_report(capsys):
     deployment = Deployment(AlpenhornConfig.for_tests(backend="simulated"), seed="bench-panda")
     deployment.create_client("alice@example.org")
     bob = deployment.create_client("bob@example.org")
-    deployment.befriend("alice@example.org", "bob@example.org")
-    placed = deployment.place_call("alice@example.org", "bob@example.org")
+    session = deployment.session("alice@example.org")
+    session.add_friend("bob@example.org")
+    deployment.run_addfriend_round()
+    deployment.run_addfriend_round()
+    call = session.call("bob@example.org")
+    deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+    deployment.run_dialing_round()
     received = bob.received_calls()[-1]
     caller, callee = bootstrap_panda_from_call(
-        placed.session_key, received.session_key, b"alice-pond-identity", b"bob-pond-identity"
+        call.session_key, received.session_key, b"alice-pond-identity", b"bob-pond-identity"
     )
     with capsys.disabled():
         print("\n§8.5 Pond/PANDA integration: shared secret from Call seeds PANDA; "

@@ -25,7 +25,9 @@ def small_real_deployment():
     deployment = Deployment(AlpenhornConfig.for_tests(num_mix_servers=3, num_pkg_servers=3), seed="bench-real")
     deployment.create_client("alice@example.org")
     deployment.create_client("bob@example.org")
-    deployment.befriend("alice@example.org", "bob@example.org")
+    deployment.session("alice@example.org").add_friend("bob@example.org")
+    deployment.run_addfriend_round()  # Alice's request reaches Bob, Bob accepts
+    deployment.run_addfriend_round()  # Bob's confirmation reaches Alice
     return deployment
 
 

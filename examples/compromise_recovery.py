@@ -7,11 +7,9 @@ key), wait out the 30-day lockout, re-register with a fresh key, and re-run
 add-friend with every friend -- plus the forward-secrecy point that the
 stolen keywheel snapshot says nothing about calls made after the compromise.
 
-This example deliberately stays on the legacy convenience surface
-(``Deployment.befriend`` / ``Deployment.place_call``): those entry points
-are deprecation shims over the ClientSession API now, so running it also
-demonstrates that old embedding code keeps working (expect
-DeprecationWarnings).  See examples/session_api.py for the replacement.
+Friend requests and calls go through the ClientSession API
+(``deployment.session(email)``) with the rounds driven explicitly; see
+examples/session_api.py for a tour of that surface.
 
 Run with:  python examples/compromise_recovery.py
 """
@@ -27,7 +25,10 @@ def main() -> None:
     deployment = Deployment(config, seed="recovery")
     alice = deployment.create_client("alice@example.org")
     bob = deployment.create_client("bob@example.org")
-    deployment.befriend("alice@example.org", "bob@example.org")
+    session = deployment.session("alice@example.org")
+    session.add_friend("bob@example.org")
+    deployment.run_addfriend_round()  # Alice's request reaches Bob, Bob accepts
+    deployment.run_addfriend_round()  # Bob's confirmation reaches Alice
     print(f"alice and bob are friends; alice's key: {alice.my_signing_key().hex()[:16]}...")
 
     # The adversary snapshots Alice's client state at this moment.
@@ -44,11 +45,15 @@ def main() -> None:
     print("  re-registered with the new key")
 
     bob.remove_friend("alice@example.org")
-    deployment.befriend("alice@example.org", "bob@example.org")
-    placed = deployment.place_call("alice@example.org", "bob@example.org")
+    session.add_friend("bob@example.org")
+    deployment.run_addfriend_round()
+    deployment.run_addfriend_round()
+    call = session.call("bob@example.org")
+    deployment.run_dialing_round()  # cover: the new wheel anchors at round 2
+    deployment.run_dialing_round()
     received = bob.received_calls()[-1]
     print(f"  friendship re-established; new call delivered "
-          f"(keys match: {placed.session_key == received.session_key})")
+          f"(keys match: {call.session_key == received.session_key})")
 
     # Forward secrecy: the stolen wheel is anchored at an old round and the
     # new wheel was derived from a fresh Diffie-Hellman exchange, so the

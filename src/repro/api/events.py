@@ -6,8 +6,8 @@ friend request's lifecycle (was it submitted? delivered? ever confirmed?),
 learn when the library re-sends an unconfirmed request, and wire several
 independent components to the same client without fighting over one callback
 slot.  :class:`EventBus` provides that surface -- typed, multi-subscriber,
-and recordable -- and subsumes the old single-slot
-:class:`~repro.core.callbacks.ApplicationCallbacks`.
+and recordable -- and subsumes the old single-slot callbacks
+(:class:`~repro.core.callbacks.CallbackBridge`).
 
 Event types emitted by a :class:`~repro.api.session.ClientSession`:
 

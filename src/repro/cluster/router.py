@@ -3,11 +3,10 @@
 The :class:`ShardRouter` replaces the single
 :class:`~repro.entry.server.EntryServer` as the round control plane when the
 entry tier is sharded.  It presents the same surface the round engine drives
-through ``Deployment.entry_stub`` (``announce_round`` / ``submit`` /
-``submissions`` / ``close_round``) plus ``abort_round`` (the ``Deployment.entry``
-operator surface) and ``flush_submissions`` (the end-of-stage batch drain),
-so :class:`~repro.core.roundengine.RoundEngine` needs no sharding knowledge
-beyond calling the flush hook when present.
+through ``Deployment.entry_stub`` (``announce_round`` / ``submit_many`` /
+``flush_submissions`` / ``submissions`` / ``close_round``) plus
+``abort_round`` (the ``Deployment.entry`` operator surface), so
+:class:`~repro.core.roundengine.RoundEngine` needs no sharding knowledge.
 
 Per round the router:
 
@@ -190,25 +189,6 @@ class ShardRouter:
             self.pkg_coordinator.close_round(round_number)
 
     # -- submission path -----------------------------------------------------
-    def submit(
-        self,
-        protocol: str,
-        round_number: int,
-        client_id: str,
-        envelope: bytes,
-        rate_token=None,
-    ) -> None:
-        """Route one client's envelope to the owning shard's ingress proxy."""
-        directory = self.directory(protocol, round_number)
-        shard = directory.shard_for_identity(client_id)
-        token_bytes = rate_token.to_bytes() if rate_token is not None else None
-        self.transport.call(
-            client_id,
-            shard.ingress,
-            "submit",
-            rpc.encode_submit_request(protocol, round_number, client_id, envelope, token_bytes),
-        )
-
     def submit_many(
         self,
         protocol: str,
@@ -428,21 +408,6 @@ class ShardedCdnStub:
     def mailbox_count(self, protocol: str, round_number: int, client: str = "anonymous") -> int:
         return self._round_directory(protocol, round_number).mailbox_count
 
-    def download(self, protocol: str, round_number: int, mailbox_id: int, client: str = "anonymous"):
-        from repro.mixnet.mailbox import decode_mailbox
-
-        directory = self._round_directory(protocol, round_number)
-        shard = directory.shard_for_mailbox(mailbox_id)
-        result = self.transport.call(
-            client,
-            shard.cdn,
-            "download",
-            rpc.encode_download_request(protocol, round_number, mailbox_id, client),
-        )
-        unpacker = Unpacker(result.payload)
-        blob = unpacker.bytes() if unpacker.u8() else None
-        return decode_mailbox(protocol, mailbox_id, blob)
-
     def download_many(
         self,
         protocol: str,
@@ -452,8 +417,7 @@ class ShardedCdnStub:
         """One download wave, each mailbox routed to its owning CDN shard.
 
         Same contract as :meth:`~repro.net.rpc.CdnStub.download_many`.  An
-        unknown round raises :class:`UnknownRoundError` up front, exactly as
-        the first per-frame download would.
+        unknown round raises :class:`UnknownRoundError` up front.
         """
         from repro.mixnet.mailbox import decode_mailbox
 

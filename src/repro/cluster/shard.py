@@ -295,7 +295,7 @@ class IngressProxy:
                     rpc.encode_submit_batch_request(protocol, round_number, batch),
                 )
             except NetworkError as exc:
-                if getattr(exc, "request_delivered", False):
+                if exc.request_delivered:
                     # Ack lost: the shard holds the envelopes; the batch stands.
                     self.batches_sent += 1
                     return

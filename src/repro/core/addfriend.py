@@ -35,9 +35,7 @@ from repro.crypto.ibe.anytrust import AnytrustIbe
 from repro.crypto.ibe.interface import IbeCiphertext
 from repro.errors import CryptoError, ProtocolError
 from repro.mixnet.mailbox import COVER_MAILBOX_ID, mailbox_for_identity
-from repro.mixnet.onion import wrap_onion
 from repro.mixnet.server import encode_inner_payload
-from repro.net.transport import concurrent_calls, shared_transport
 from repro.pkg.server import extraction_request_statement
 from repro.utils.serialization import Packer, Unpacker
 
@@ -116,7 +114,6 @@ class AddFriendEngine:
         keywheel: Keywheel,
         ibe: AnytrustIbe,
         plaintext_size: int,
-        parallel_fanout: bool = True,
         attestation: AttestationScheme | None = None,
     ) -> None:
         self.identity = identity
@@ -124,7 +121,6 @@ class AddFriendEngine:
         self.keywheel = keywheel
         self.ibe = ibe
         self.plaintext_size = plaintext_size
-        self.parallel_fanout = parallel_fanout
         self.attestation = attestation if attestation is not None else DEFAULT_SCHEME
         self.queue: list[QueuedFriendRequest] = []
         self._round_keys: dict[int, RoundKeyMaterial] = {}
@@ -162,10 +158,8 @@ class AddFriendEngine:
     def install_round_keys(self, round_number: int, responses: list) -> RoundKeyMaterial:
         """Combine per-PKG extraction responses into this round's material.
 
-        The batched round path issues the extraction RPCs itself (one
-        transport wave per PKG across all clients) and hands the responses
-        here; :meth:`acquire_round_keys` is the same combine behind its own
-        per-client fan-out.
+        The round driver issues the extraction RPCs (one transport wave per
+        PKG across all clients) and hands each client's responses here.
         """
         shares = [response.private_key_share for response in responses]
         attestations = [response.attestation for response in responses]
@@ -175,25 +169,6 @@ class AddFriendEngine:
         )
         self._round_keys[round_number] = material
         return material
-
-    def acquire_round_keys(self, round_number: int, pkgs: list, now: float) -> RoundKeyMaterial:
-        """Fetch private-key shares + attestations from every PKG and combine.
-
-        The per-PKG extraction RPCs are independent, so they fan out in one
-        concurrent transport phase: the stage costs the slowest PKG's round
-        trip, not the sum over PKGs (the anytrust set can then grow without
-        stretching the add-friend submit stage).
-        """
-        signature = self.extraction_signature(round_number)
-        transport = shared_transport(pkgs) if self.parallel_fanout else None
-        responses = concurrent_calls(
-            transport,
-            [
-                lambda p=pkg: p.extract(self.identity.email, round_number, signature, now)
-                for pkg in pkgs
-            ],
-        )
-        return self.install_round_keys(round_number, responses)
 
     def has_round_keys(self, round_number: int) -> bool:
         return round_number in self._round_keys
@@ -298,9 +273,6 @@ class AddFriendEngine:
             )
         mailbox_id = mailbox_for_identity(queued.email, mailbox_count)
         return encode_inner_payload(mailbox_id, body), queued
-
-    def wrap_for_mixnet(self, inner_payload: bytes, mix_public_keys: list[bytes]) -> bytes:
-        return wrap_onion(inner_payload, mix_public_keys)
 
     def confirm_sent(self) -> None:
         """The last built request reached the entry server; nothing to undo.

@@ -16,14 +16,10 @@ client-internal seam the scan paths call into: it keeps the legacy
 single-slot callbacks working, records events for tests, and feeds a ``tap``
 the session layer installs to translate callback invocations into bus
 events.
-
-:class:`ApplicationCallbacks` -- the old public name -- is a deprecated
-alias; constructing one directly emits :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,16 +61,3 @@ class CallbackBridge:
             self.incoming_call(call.caller, call.intent, call.session_key)
         if self.tap is not None:
             self.tap("call_received", {"call": call})
-
-
-class ApplicationCallbacks(CallbackBridge):
-    """Deprecated: subscribe to a session's :class:`EventBus` instead."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "ApplicationCallbacks is deprecated; use ClientSession and its "
-            "EventBus (deployment.session(email).events) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

@@ -11,9 +11,11 @@ the same surface the paper's Go library exposes:
 * callbacks ``new_friend`` and ``incoming_call`` supplied at construction.
 
 The client is driven in rounds by a :class:`~repro.core.coordinator.Deployment`
-(or by an application's own loop): ``participate_addfriend_round`` /
-``process_addfriend_mailbox`` and ``participate_dialing_round`` /
-``process_dialing_mailbox``.
+(or by an application's own loop).  The round driver owns every RPC and the
+onion wrapping (both are waves over all clients, see
+:mod:`repro.core.roundengine`); the client contributes the per-user steps:
+``build_addfriend_inner`` / ``process_addfriend_mailbox`` and
+``build_dialing_inner`` / ``process_dialing_mailbox``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.core.keywheel import Keywheel
 from repro.crypto.attestation import get_scheme
 from repro.crypto.ibe.anytrust import AnytrustIbe
 from repro.errors import ProtocolError
-from repro.mixnet.mailbox import mailbox_for_identity
 from repro.net.transport import concurrent_calls, shared_transport
 from repro.pkg.server import PkgServer
 
@@ -68,15 +69,13 @@ class Client:
         self.keywheel = Keywheel()
         self.callbacks = CallbackBridge(new_friend=new_friend, incoming_call=incoming_call)
         self.ibe = ibe
-        self._parallel_fanout = config.pkg_fanout == "parallel"
-        self.attestation = get_scheme(getattr(config, "attestation_backend", "bls"))
+        self.attestation = get_scheme(config.attestation_backend)
         self.addfriend = AddFriendEngine(
             identity=self.identity,
             address_book=self.address_book,
             keywheel=self.keywheel,
             ibe=ibe,
             plaintext_size=config.addfriend_request_size,
-            parallel_fanout=self._parallel_fanout,
             attestation=self.attestation,
         )
         self.dialing = DialingEngine(keywheel=self.keywheel, num_intents=config.num_intents)
@@ -137,7 +136,7 @@ class Client:
 
     def _fanout_transport(self, pkgs: list):
         """The transport for a concurrent per-PKG fan-out (None = sequential)."""
-        if not self._parallel_fanout:
+        if self.config.pkg_fanout != "parallel":
             return None
         return shared_transport(pkgs)
 
@@ -208,7 +207,6 @@ class Client:
             keywheel=self.keywheel,
             ibe=self.ibe,
             plaintext_size=self.config.addfriend_request_size,
-            parallel_fanout=self._parallel_fanout,
             attestation=self.attestation,
         )
         self.dialing = DialingEngine(keywheel=self.keywheel, num_intents=self.config.num_intents)
@@ -218,23 +216,12 @@ class Client:
     # ------------------------------------------------------------------ #
     # Round participation (driven by the Deployment)
     # ------------------------------------------------------------------ #
-    def participate_addfriend_round(
-        self,
-        announcement,
-        pkgs: list,
-        next_dialing_round: int,
-        now: float,
-    ) -> bytes:
-        """Steps 1-3 of Algorithm 1: acquire keys, build, and wrap the request."""
-        self.addfriend.acquire_round_keys(announcement.round_number, pkgs, now)
-        inner = self.build_addfriend_inner(announcement, next_dialing_round)
-        return self.addfriend.wrap_for_mixnet(inner, announcement.mix_public_keys)
-
     def build_addfriend_inner(self, announcement, next_dialing_round: int) -> bytes:
-        """Step 2 alone: build this round's inner payload (round keys must be
-        installed already).  The batched round path runs the extraction RPCs
-        itself and wraps all clients' inners in one onion batch; the stats
-        accounting here is identical to :meth:`participate_addfriend_round`.
+        """Step 2 of Algorithm 1: build this round's inner payload.
+
+        Round keys must be installed already: the round driver runs the
+        extraction RPCs (step 1) and wraps all clients' inners in one onion
+        batch (step 3).
         """
         inner, queued = self.addfriend.build_request_payload(
             round_number=announcement.round_number,
@@ -252,35 +239,19 @@ class Client:
     def process_addfriend_mailbox(
         self,
         round_number: int,
-        cdn,
+        mailbox,
         pkg_bls_public_keys: list,
         current_dialing_round: int,
-        mailbox_count: int | None = None,
-        mailbox=None,
     ) -> list[dict]:
-        """Steps 4-5 of Algorithm 1: download, scan, verify, update state.
+        """Steps 4-5 of Algorithm 1: scan the mailbox, verify, update state.
 
-        ``pkg_bls_public_keys`` are the PKGs' *long-term* attestation keys
-        (distributed with the client software, like CA certificates); their
-        aggregate verifies the ``PKGSigs`` field of incoming requests.
-        ``mailbox_count`` skips the CDN metadata round trip when the client
-        already knows the count from the round's announcement; a client
-        catching up on a round it did not participate in passes ``None``.
-        ``mailbox`` skips the download itself: the batched round path fetches
-        every participant's mailbox in one transport wave and hands each
-        client its prefetched copy.
-
-        ``cdn`` is whatever fronts the CDN tier: the single
-        :class:`~repro.net.rpc.CdnStub`, or -- under a sharded deployment --
-        the :class:`~repro.cluster.router.ShardedCdnStub`, which routes the
-        download to the shard owning this client's mailbox per the round's
-        shard directory.  The client code is identical either way.
+        ``mailbox`` is this client's downloaded add-friend mailbox: the round
+        driver fetches every participant's mailbox in one transport wave and
+        hands each client its copy.  ``pkg_bls_public_keys`` are the PKGs'
+        *long-term* attestation keys (distributed with the client software,
+        like CA certificates); their aggregate verifies the ``PKGSigs`` field
+        of incoming requests.
         """
-        if mailbox is None:
-            if mailbox_count is None:
-                mailbox_count = cdn.mailbox_count("add-friend", round_number, client=self.email)
-            mailbox_id = mailbox_for_identity(self.email, mailbox_count)
-            mailbox = cdn.download("add-friend", round_number, mailbox_id, client=self.email)
         self.stats.mailbox_bytes_downloaded += mailbox.size_bytes()
         aggregate = self.attestation.aggregate_publics(pkg_bls_public_keys)
         events = self.addfriend.scan_mailbox(
@@ -293,13 +264,9 @@ class Client:
         self.addfriend.erase_round_keys(round_number)
         return events
 
-    def participate_dialing_round(self, announcement) -> bytes:
-        """Build and wrap this round's dialing request (token or cover)."""
-        inner = self.build_dialing_inner(announcement)
-        return self.dialing.wrap_for_mixnet(inner, announcement.mix_public_keys)
-
     def build_dialing_inner(self, announcement) -> bytes:
-        """The dialing inner payload alone (the batched path wraps it itself)."""
+        """This round's dialing inner payload (token or cover); the round
+        driver wraps all clients' inners in one onion batch."""
         inner, placed = self.dialing.build_request_payload(
             round_number=announcement.round_number,
             mailbox_count=announcement.mailbox_count,
@@ -311,15 +278,8 @@ class Client:
         self.stats.dialing_rounds += 1
         return inner
 
-    def process_dialing_mailbox(
-        self, round_number: int, cdn, mailbox_count: int | None = None, mailbox=None
-    ) -> list[IncomingCall]:
-        """Download the Bloom filter, detect incoming calls, advance wheels."""
-        if mailbox is None:
-            if mailbox_count is None:
-                mailbox_count = cdn.mailbox_count("dialing", round_number, client=self.email)
-            mailbox_id = mailbox_for_identity(self.email, mailbox_count)
-            mailbox = cdn.download("dialing", round_number, mailbox_id, client=self.email)
+    def process_dialing_mailbox(self, round_number: int, mailbox) -> list[IncomingCall]:
+        """Scan the downloaded Bloom filter for incoming calls, advance wheels."""
         self.stats.bloom_bytes_downloaded += mailbox.size_bytes()
         calls = self.dialing.scan_mailbox(round_number, mailbox)
         for call in calls:

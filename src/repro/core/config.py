@@ -35,8 +35,6 @@ class AlpenhornConfig:
 
     # IBE backend: "bn254" (real Boneh-Franklin over the pairing) or
     # "simulated" (oracle backend for large-scale protocol simulation).
-    # (Named crypto_backend before the engine existed; that spelling is
-    # still accepted for those two values and migrated with a warning.)
     ibe_backend: str = "bn254"
 
     # Crypto engine for the symmetric/X25519 hot path (onion layers, AEAD
@@ -80,14 +78,6 @@ class AlpenhornConfig:
     # repro.crypto.attestation.
     attestation_backend: str = "bls"
 
-    # Drive round stages through the batched transport path: clients'
-    # per-round RPC waves (key extraction, envelope submission, mailbox
-    # downloads) are issued as Transport.call_batch waves instead of one
-    # blocking call per client.  Semantically identical to the per-frame
-    # path (equivalence is pinned by tests); the batch path is what makes
-    # 100k-client populations tractable.
-    batched_rounds: bool = False
-
     # How a client issues its per-round PKG RPCs (key extraction,
     # registration): "parallel" fans them out in one concurrent transport
     # phase (the stage costs the slowest PKG, not the sum); "sequential"
@@ -126,20 +116,6 @@ class AlpenhornConfig:
     fixed_mailbox_count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.crypto_backend in ("bn254", "simulated"):
-            # Pre-engine configs used crypto_backend for the IBE selection;
-            # migrate them so every old call site keeps working.
-            import warnings
-
-            warnings.warn(
-                f"crypto_backend={self.crypto_backend!r} now spells the IBE "
-                "selection as ibe_backend; the crypto_backend field selects "
-                "the symmetric/X25519 engine ('pure', 'accelerated', ...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.ibe_backend = self.crypto_backend
-            self.crypto_backend = "pure"
         self.validate()
 
     def validate(self) -> None:

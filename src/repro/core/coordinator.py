@@ -19,8 +19,6 @@ meaningful end-to-end ``latency_s``.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.cdn.cdn import Cdn
 from repro.core.client import Client
 from repro.core.config import AlpenhornConfig
@@ -432,48 +430,3 @@ class Deployment:
                 next_pending = None
             pending = next_pending
         return summaries
-
-    # ------------------------------------------------------------------ #
-    # Convenience flows (deprecation shims over the session API)
-    # ------------------------------------------------------------------ #
-    def befriend(self, alice_email: str, bob_email: str):
-        """Deprecated: use ``session(alice).add_friend(bob)`` and drive rounds.
-
-        Runs the two add-friend rounds a mutual friendship needs and returns
-        the initiating request's handle.
-        """
-        warnings.warn(
-            "Deployment.befriend is deprecated; use "
-            "deployment.session(email).add_friend(...) and drive rounds "
-            "(the handle reports confirmation)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        handle = self.session(alice_email).add_friend(bob_email)
-        self.run_addfriend_round()  # Alice's request reaches Bob, Bob accepts
-        self.run_addfriend_round()  # Bob's confirmation reaches Alice
-        return handle
-
-    def place_call(self, caller_email: str, callee_email: str, intent: int = 0):
-        """Deprecated: use ``session(caller).call(callee)`` and drive rounds.
-
-        Queues a call and runs dialing rounds until it goes out (or the lag
-        budget runs dry).  Returns the
-        :class:`~repro.core.dialtoken.PlacedCall` for *this* dial, or
-        ``None`` when it never left the queue -- never a stale record of
-        some earlier call.
-        """
-        warnings.warn(
-            "Deployment.place_call is deprecated; use "
-            "deployment.session(email).call(...) and drive rounds "
-            "(the CallHandle carries the session key)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        handle = self.session(caller_email).call(callee_email, intent)
-        caller = self.client(caller_email)
-        for _ in range(self.config.max_mailbox_lag_rounds):
-            self.run_dialing_round()
-            if caller.dialing.pending_in_queue() == 0:
-                break
-        return handle.placed

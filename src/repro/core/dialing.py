@@ -24,7 +24,6 @@ from repro.core.dialtoken import DIAL_TOKEN_SIZE, IncomingCall, OutgoingCall, Pl
 from repro.core.keywheel import Keywheel
 from repro.errors import ProtocolError
 from repro.mixnet.mailbox import COVER_MAILBOX_ID, DialingMailbox, mailbox_for_identity
-from repro.mixnet.onion import wrap_onion
 from repro.mixnet.server import encode_inner_payload
 
 
@@ -91,9 +90,6 @@ class DialingEngine:
         self.last_built = (ready, placed)
         mailbox_id = mailbox_for_identity(ready.friend, mailbox_count)
         return encode_inner_payload(mailbox_id, token), placed
-
-    def wrap_for_mixnet(self, inner_payload: bytes, mix_public_keys: list[bytes]) -> bytes:
-        return wrap_onion(inner_payload, mix_public_keys)
 
     def confirm_sent(self) -> None:
         """The last built token reached the entry server; nothing to undo."""

@@ -1,18 +1,18 @@
 """The unified round driver: one engine, two protocols, optional pipelining.
 
-Historically the deployment carried two copy-pasted ~200-line drivers
-(``run_addfriend_round`` / ``run_dialing_round``) whose only real differences
-were per-protocol details: how to size mailboxes, what a client submits, how
-it scans its mailbox, and what to undo on each failure path.  This module
-extracts the shared structure:
+Every online client submits exactly one fixed-size request per round, real
+or cover (Algorithm 1, §4-§5), so each round stage is a *wave* over the
+round's participants; a single client is a wave of one.
 
 * :class:`ProtocolDriver` is the per-protocol hook set (add-friend and
-  dialing implementations live here, next to the engine that calls them);
+  dialing implementations live here, next to the engine that calls them):
+  how to size mailboxes, what the clients submit (``submit_many``), how they
+  scan their mailboxes (``scan_many``), and what to undo on each failure
+  path;
 * :class:`RoundEngine` drives one round through its three stages --
-  **start** (announce + concurrent client submissions), **close** (hand the
-  batch to the mix chain, publish mailboxes to the CDN), and **scan**
-  (concurrent client mailbox fetches + post-round key erasure) -- with the
-  same failure/abort/requeue semantics both legacy drivers implemented;
+  **start** (announce + the clients' submission wave), **close** (hand the
+  batch to the mix chain, publish mailboxes to the CDN), and **scan** (the
+  clients' mailbox download wave + post-round key erasure);
 * :meth:`RoundEngine.start_round` / :meth:`RoundEngine.finish_round` split a
   round at the stage boundary the paper's deployment overlaps: a new round's
   announce+submit can run while the previous round is still mixing and being
@@ -23,8 +23,8 @@ extracts the shared structure:
   by the slowest stage instead of the sum of stages.
 
 The engine never imports :class:`~repro.core.coordinator.Deployment`; it
-talks to it duck-typed (clients, stubs, clock, entry server), which keeps the
-module cycle-free.
+talks to it duck-typed (clients, stubs, clock, entry server, session
+registry), which keeps the module cycle-free.
 """
 
 from __future__ import annotations
@@ -116,17 +116,14 @@ class ProtocolDriver:
     def round_duration(self) -> float:
         raise NotImplementedError
 
-    def submit(self, client: Client, announcement) -> None:
-        """Build and submit one client's envelope (may raise NetworkError)."""
-        raise NotImplementedError
-
     def submit_many(self, clients: list[Client], announcement) -> list:
-        """Batched counterpart of per-client :meth:`submit` calls in a phase.
+        """Build and submit every client's envelope as transport waves.
 
-        Returns ``(client, error_or_None)`` per client, in client order, with
-        the same side effects the per-frame path would have applied (queue
-        consumption, confirm_sent on success or lost-ack).  Non-network
-        errors propagate, exactly as they would out of ``phase.run``.
+        Returns ``(client, error_or_None)`` per client, in client order.  A
+        client whose envelope reached the entry server (acknowledged, or
+        delivered with only the acknowledgement lost) has had its
+        ``confirm_sent`` run; a ``NetworkError`` is that client's outcome;
+        any other error propagates.
         """
         raise NotImplementedError
 
@@ -146,15 +143,11 @@ class ProtocolDriver:
     def _fixed_mailbox_count(self) -> int | None:
         return self.dep.config.fixed_mailbox_count
 
-    def scan(self, client: Client, round_number: int, mailbox_count: int) -> list:
-        """Fetch and process one client's mailbox; returns its events."""
-        raise NotImplementedError
-
     def scan_many(self, clients: list[Client], round_number: int, mailbox_count: int) -> list:
-        """Batched counterpart of per-client :meth:`scan` calls in a phase.
+        """Fetch and process every client's mailbox.
 
-        Prefetches every client's mailbox in one transport wave, then runs
-        the (simulated-time-free) scan crypto per client.  Returns
+        Downloads all mailboxes in one transport wave, then runs the
+        (simulated-time-free) scan crypto per client.  Returns
         ``(client, events, error_or_None)`` per client, in client order.
         """
         raise NotImplementedError
@@ -173,11 +166,10 @@ class ProtocolDriver:
     def _fast_forward(self, to_time: float) -> None:
         """Ratchet the simulated clock to ``to_time`` if it is in the future.
 
-        A batched submit stage issues several waves; a client that failed in
-        an early wave may have observed its failure *after* every later
-        wave's finisher (retry timeouts stretch a lost message's interval).
-        The per-frame phase counts that time toward the stage's end, so the
-        batched path must too.
+        A submit stage issues several waves; a client that failed in an
+        early wave may have observed its failure *after* every later wave's
+        finisher (retry timeouts stretch a lost message's interval), and
+        that time counts toward the stage's end.
         """
         scheduler = getattr(self.dep.transport, "scheduler", None)
         if scheduler is not None:
@@ -193,12 +185,11 @@ class ProtocolDriver:
         errors: dict[int, Exception],
         confirm,
     ) -> float:
-        """Issue the entry-submission wave and apply per-frame ack semantics.
+        """Issue the entry-submission wave and apply the ack semantics.
 
         ``confirm(client)`` runs for every accepted (or delivered-but-ack-
-        lost) submission, mirroring the per-frame ``confirm_sent`` call;
-        undeliverable submissions land in ``errors``.  Returns the latest
-        finisher's time.
+        lost) submission; undeliverable submissions land in ``errors``.
+        Returns the latest finisher's time.
         """
         entries = [
             (clients[i].email, envelope, start)
@@ -209,20 +200,24 @@ class ProtocolDriver:
         for i, outcome in zip(indices, outcomes):
             latest = max(latest, outcome.finished_at)
             error = outcome.error
-            if error is None or getattr(error, "request_delivered", False):
-                # No error, or only the acknowledgement was lost: the entry
-                # server holds the envelope, so the submission stands.
-                confirm(clients[i])
-                continue
-            if not isinstance(error, NetworkError):
-                raise error
-            errors[i] = error
+            if error is not None:
+                if not isinstance(error, NetworkError):
+                    raise error
+                if not error.request_delivered:
+                    errors[i] = error
+                    continue
+                # Only the acknowledgement was lost: the entry server holds
+                # the envelope, so the submission stands and must NOT be
+                # re-sent (a re-send would carry a fresh ephemeral key and
+                # desync the keywheel if the recipient answers the first
+                # copy).
+            confirm(clients[i])
         return latest
 
     def _download_wave(
         self, clients: list[Client], round_number: int, mailbox_count: int
     ) -> list:
-        """Prefetch every client's mailbox for this round in one wave."""
+        """Download every client's mailbox for this round in one wave."""
         items = [
             (mailbox_for_identity(client.email, mailbox_count), client.email)
             for client in clients
@@ -258,38 +253,19 @@ class AddFriendDriver(ProtocolDriver):
     def round_duration(self) -> float:
         return self.dep.config.addfriend_round_duration
 
-    def submit(self, client: Client, announcement) -> None:
-        envelope = client.participate_addfriend_round(
-            announcement,
-            pkgs=self.dep.pkg_stubs,
-            next_dialing_round=self.dep.dialing_round + 2,
-            now=self.dep.clock,
-        )
-        try:
-            self.dep.entry_stub.submit(
-                "add-friend", announcement.round_number, client.email, envelope
-            )
-        except NetworkError as exc:
-            if not getattr(exc, "request_delivered", False):
-                raise
-            # Only the acknowledgement was lost: the entry server holds the
-            # envelope, so the submission stands and must NOT be re-sent (a
-            # re-send would carry a fresh ephemeral key and desync the
-            # keywheel if the recipient answers the first copy).
-        client.addfriend.confirm_sent()
-
     def submit_many(self, clients: list[Client], announcement) -> list:
         """All clients' extraction fan-outs and submissions as batch waves.
 
         One :class:`~repro.net.transport.BatchCall` wave per PKG (every
         client's extraction at that PKG), then one onion-wrapping batch over
         all inner payloads, then one entry-submission wave -- each client's
-        submission starting when its own extractions finished.  Failure
-        semantics mirror the per-frame path exactly: a client whose
-        extraction fails skips its remaining PKGs (the per-frame fan-out
-        aborts on first failure) and never builds a payload; a lost
-        submission surfaces as that client's error; a lost acknowledgement
-        counts as delivered.
+        submission starting when its own extractions finished.  With
+        ``pkg_fanout="parallel"`` a client's extractions all start at the
+        stage's t0 (the stage costs the slowest PKG); with ``"sequential"``
+        each starts when the previous PKG answered (the sum).  A client
+        whose extraction fails skips its remaining PKGs and never builds a
+        payload; a lost submission surfaces as that client's error; a lost
+        acknowledgement counts as delivered.
         """
         dep = self.dep
         round_number = announcement.round_number
@@ -359,15 +335,6 @@ class AddFriendDriver(ProtocolDriver):
         client.addfriend.revoke_submission()
         client.addfriend.erase_round_keys(round_number)
 
-    def scan(self, client: Client, round_number: int, mailbox_count: int) -> list:
-        return client.process_addfriend_mailbox(
-            round_number,
-            self.dep.cdn_stub,
-            pkg_bls_public_keys=[stub.bls_public_key for stub in self.dep.pkg_stubs],
-            current_dialing_round=self.dep.dialing_round,
-            mailbox_count=mailbox_count,
-        )
-
     def scan_many(self, clients: list[Client], round_number: int, mailbox_count: int) -> list:
         downloads = self._download_wave(clients, round_number, mailbox_count)
         pkg_keys = [stub.bls_public_key for stub in self.dep.pkg_stubs]
@@ -380,11 +347,9 @@ class AddFriendDriver(ProtocolDriver):
                 continue
             events = client.process_addfriend_mailbox(
                 round_number,
-                self.dep.cdn_stub,
+                mailbox,
                 pkg_bls_public_keys=pkg_keys,
                 current_dialing_round=self.dep.dialing_round,
-                mailbox_count=mailbox_count,
-                mailbox=mailbox,
             )
             results.append((client, events, None))
         return results
@@ -424,24 +389,11 @@ class DialingDriver(ProtocolDriver):
     def round_duration(self) -> float:
         return self.dep.config.dialing_round_duration
 
-    def submit(self, client: Client, announcement) -> None:
-        envelope = client.participate_dialing_round(announcement)
-        try:
-            self.dep.entry_stub.submit(
-                "dialing", announcement.round_number, client.email, envelope
-            )
-        except NetworkError as exc:
-            if not getattr(exc, "request_delivered", False):
-                raise
-            # Ack lost but the token was accepted; the dial stands.
-        client.dialing.confirm_sent()
-
     def submit_many(self, clients: list[Client], announcement) -> list:
         """All clients' dialing tokens as one wrap batch + one submit wave.
 
         Dialing has no pre-submission RPC, so every client starts at the
-        phase's t0 (``start=None``) -- exactly where each per-frame task
-        would have started.
+        phase's t0 (``start=None``).
         """
         inners = [client.build_dialing_inner(announcement) for client in clients]
         envelopes = (
@@ -468,11 +420,6 @@ class DialingDriver(ProtocolDriver):
     def submit_revoked(self, client: Client, round_number: int) -> None:
         client.dialing.revoke_submission()
 
-    def scan(self, client: Client, round_number: int, mailbox_count: int) -> list:
-        return client.process_dialing_mailbox(
-            round_number, self.dep.cdn_stub, mailbox_count=mailbox_count
-        )
-
     def scan_many(self, clients: list[Client], round_number: int, mailbox_count: int) -> list:
         downloads = self._download_wave(clients, round_number, mailbox_count)
         results = []
@@ -482,9 +429,7 @@ class DialingDriver(ProtocolDriver):
                     raise error
                 results.append((client, None, error))
                 continue
-            events = client.process_dialing_mailbox(
-                round_number, self.dep.cdn_stub, mailbox_count=mailbox_count, mailbox=mailbox
-            )
+            events = client.process_dialing_mailbox(round_number, mailbox)
             results.append((client, events, None))
         return results
 
@@ -505,27 +450,6 @@ class RoundEngine:
     def __init__(self, deployment, driver: ProtocolDriver) -> None:
         self.dep = deployment
         self.driver = driver
-
-    def _batched(self) -> bool:
-        """Whether to drive stages through the drivers' batch-wave paths.
-
-        The batched paths are byte-identical to the per-frame loops on every
-        non-fluid topology (the equivalence the per-message keyed rng buys),
-        but build envelopes in crypto-engine batches and move frames through
-        columnar storage + slotted delivery -- the difference between
-        per-round seconds and minutes at 100k clients.
-        """
-        return bool(getattr(self.dep.config, "batched_rounds", False))
-
-    def _sessions(self):
-        """The deployment's session registry, if it has one.
-
-        The engine stays duck-typed over the deployment: a registry gets the
-        per-round lifecycle feed (submissions, deliveries, scan events,
-        aborts) that drives handles and sender-side retry; a deployment
-        without one simply has nobody to tell.
-        """
-        return getattr(self.dep, "sessions", None)
 
     # -- stage 1: announce + submissions ----------------------------------
     def start_round(self, participants=None) -> PendingRound:
@@ -573,8 +497,7 @@ class RoundEngine:
         # Every online client participates every round (cover traffic
         # included); clients act concurrently, so the phase's duration is
         # the slowest participant's, not the sum.
-        sessions = self._sessions()
-        rejected: list = []
+        sessions = self.dep.sessions
         submit_bytes_before = self.dep.transport.stats.bytes_sent
         submit_span = tracer.start(
             "submit",
@@ -586,34 +509,20 @@ class RoundEngine:
         )
         try:
             with self.dep.transport.phase() as phase:
-                if self._batched():
-                    outcomes = phase.run(
-                        lambda: driver.submit_many(clients, pending.announcement)
-                    )
-                    for client, error in outcomes:
-                        if error is None:
-                            pending.participated.append(client)
-                            if sessions is not None:
-                                sessions.note_submitted(driver.protocol, client, round_number)
-                        else:
-                            pending.failures += 1
-                            driver.submit_failed(client, round_number)
-                else:
-                    for client in clients:
-                        try:
-                            phase.run(lambda c=client: driver.submit(c, pending.announcement))
-                            pending.participated.append(client)
-                            if sessions is not None:
-                                sessions.note_submitted(driver.protocol, client, round_number)
-                        except NetworkError:
-                            pending.failures += 1
-                            driver.submit_failed(client, round_number)
+                outcomes = phase.run(lambda: driver.submit_many(clients, pending.announcement))
+                for client, error in outcomes:
+                    if error is None:
+                        pending.participated.append(client)
+                        sessions.note_submitted(driver.protocol, client, round_number)
+                    else:
+                        pending.failures += 1
+                        driver.submit_failed(client, round_number)
                 # A batching entry tier (repro.cluster) acks submissions
                 # optimistically at the ingress proxies; drain the remainders
                 # inside the stage's phase and learn what was actually rejected.
-                flush = getattr(self.dep.entry_stub, "flush_submissions", None)
-                if flush is not None:
-                    rejected = phase.run(lambda: flush(driver.protocol, round_number))
+                rejected = phase.run(
+                    lambda: self.dep.entry_stub.flush_submissions(driver.protocol, round_number)
+                )
             if rejected:
                 by_email = {client.email: client for client in pending.participated}
                 for client_id, _reason in rejected:
@@ -623,8 +532,7 @@ class RoundEngine:
                     pending.participated.remove(client)
                     pending.failures += 1
                     driver.submit_revoked(client, round_number)
-                    if sessions is not None:
-                        sessions.note_submission_revoked(driver.protocol, client, round_number)
+                    sessions.note_submission_revoked(driver.protocol, client, round_number)
             pending.submitted_at = self.dep.clock
             pending.bytes_accum = self.dep.transport.stats.bytes_sent - bytes_before
         finally:
@@ -665,9 +573,7 @@ class RoundEngine:
             # like any mixnet round that dies mid-flight.
             self.dep.entry.abort_round(driver.protocol, round_number)
             driver.round_aborted(pending.participated, round_number)
-            sessions = self._sessions()
-            if sessions is not None:
-                sessions.round_aborted(driver.protocol, round_number, pending.participated)
+            self.dep.sessions.round_aborted(driver.protocol, round_number, pending.participated)
             pending.bytes_accum += self.dep.transport.stats.bytes_sent - bytes_before
             tracer.end(
                 mix_span,
@@ -696,44 +602,24 @@ class RoundEngine:
         )
         try:
             with self.dep.transport.phase() as phase:
-                if self._batched():
-                    scans = phase.run(
-                        lambda: driver.scan_many(
-                            pending.participated,
-                            round_number,
-                            pending.announcement.mailbox_count,
-                        )
+                scans = phase.run(
+                    lambda: driver.scan_many(
+                        pending.participated, round_number, pending.announcement.mailbox_count
                     )
-                    for client, events, error in scans:
-                        if error is not None:
-                            pending.failures += 1
-                            driver.scan_failed(client, round_number)
-                            continue
-                        if events:
-                            events_by_client[client.email] = events
-                else:
-                    for client in pending.participated:
-                        try:
-                            events = phase.run(
-                                lambda c=client: driver.scan(
-                                    c, round_number, pending.announcement.mailbox_count
-                                )
-                            )
-                        except NetworkError:
-                            pending.failures += 1
-                            driver.scan_failed(client, round_number)
-                            continue
-                        if events:
-                            events_by_client[client.email] = events
-            driver.after_scan(round_number)
-            sessions = self._sessions()
-            if sessions is not None:
-                # Feed the session layer: handles submitted into this round are
-                # now delivered, scan events may confirm them, and the retry
-                # pass re-enqueues what stayed unconfirmed past the horizon.
-                sessions.round_finished(
-                    driver.protocol, round_number, pending.participated, events_by_client
                 )
+                for client, events, error in scans:
+                    if error is not None:
+                        pending.failures += 1
+                        driver.scan_failed(client, round_number)
+                    elif events:
+                        events_by_client[client.email] = events
+            driver.after_scan(round_number)
+            # Feed the session layer: handles submitted into this round are
+            # now delivered, scan events may confirm them, and the retry
+            # pass re-enqueues what stayed unconfirmed past the horizon.
+            self.dep.sessions.round_finished(
+                driver.protocol, round_number, pending.participated, events_by_client
+            )
         finally:
             tracer.end(
                 scan_span,

@@ -77,6 +77,10 @@ class RateLimitError(AlpenhornError):
 class NetworkError(AlpenhornError):
     """A transport-level failure: unknown endpoint, lost message, dead link."""
 
+    #: Set on an instance when the server acted on the request and only the
+    #: acknowledgement was lost: a blind retry would double-apply it.
+    request_delivered = False
+
 
 class PartitionError(NetworkError):
     """The link between two endpoints is partitioned; the message cannot flow."""

@@ -400,9 +400,9 @@ class EntryStub:
     ) -> list[BatchCallOutcome]:
         """One submit wave: ``(client_id, envelope, start_time)`` per entry.
 
-        The batched round path's counterpart of per-client :meth:`submit`
-        calls inside a phase; each entry's ``start_time`` is when that client
-        logically begins (e.g. when its key extraction finished).
+        Each entry's ``start_time`` is when that client logically begins
+        (e.g. when its key extraction finished).  :meth:`submit` is the
+        single call that can also carry a §9 rate token.
         """
         calls = [
             BatchCall(
@@ -415,6 +415,16 @@ class EntryStub:
             for client_id, envelope, start in entries
         ]
         return self.transport.call_batch(calls)
+
+    def flush_submissions(self, protocol: str, round_number: int) -> list[tuple[str, str]]:
+        """The end-of-stage drain: ``(client_id, reason)`` per late reject.
+
+        The single entry server answers every submission itself, so there is
+        nothing buffered and no RPC; the sharded tier's
+        :meth:`~repro.cluster.router.ShardRouter.flush_submissions` drains
+        its ingress proxies here.
+        """
+        return []
 
     def submissions(self, protocol: str, round_number: int) -> int:
         result = self.transport.call(
@@ -528,19 +538,10 @@ class PkgStub:
         )
 
     # -- extraction (src = the extracting client) --------------------------
-    def extract(self, email: str, round_number: int, request_signature: bytes, now: float):
-        result = self.transport.call(
-            email,
-            self.name,
-            "extract",
-            encode_extract_request(email, round_number, request_signature),
-        )
-        return result.obj
-
     def extract_call(
         self, email: str, round_number: int, request_signature: bytes, start: float | None = None
     ) -> BatchCall:
-        """The extraction RPC as a :class:`BatchCall` (batched round path).
+        """The extraction RPC as a :class:`BatchCall`.
 
         The caller composes one wave per PKG across all clients and issues it
         via ``transport.call_batch``; each outcome's ``result.obj`` is the
@@ -601,19 +602,6 @@ class CdnStub:
         )
         return Unpacker(result.payload).u32()
 
-    def download(self, protocol: str, round_number: int, mailbox_id: int, client: str = "anonymous"):
-        from repro.mixnet.mailbox import decode_mailbox
-
-        result = self.transport.call(
-            client,
-            self.endpoint,
-            "download",
-            encode_download_request(protocol, round_number, mailbox_id, client),
-        )
-        unpacker = Unpacker(result.payload)
-        blob = unpacker.bytes() if unpacker.u8() else None
-        return decode_mailbox(protocol, mailbox_id, blob)
-
     def download_many(
         self,
         protocol: str,
@@ -623,8 +611,8 @@ class CdnStub:
         """One download wave: ``(mailbox_id, client)`` per item.
 
         Returns ``(mailbox, None)`` or ``(None, error)`` per item, in order;
-        the batched scan stage prefetches every participant's mailbox this
-        way before running the (simulated-time-free) scan crypto.
+        the scan stage fetches every participant's mailbox this way before
+        running the (simulated-time-free) scan crypto.
         """
         from repro.mixnet.mailbox import decode_mailbox
 

@@ -244,7 +244,7 @@ class SimulatedNetwork(Transport):
                     f"call {src} -> {dst} {method!r} exceeded its {timeout_s}s deadline"
                 )
                 # Preserve the underlying failure's retry-safety verdict.
-                timed_out.request_delivered = getattr(exc, "request_delivered", False)
+                timed_out.request_delivered = exc.request_delivered
                 raise timed_out from exc
             raise
         if self.scheduler.now > deadline:

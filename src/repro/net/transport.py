@@ -306,7 +306,7 @@ class Transport(ABC):
             try:
                 return self._call(src, dst, method, payload, obj, size_hint, timeout_s)
             except NetworkError as exc:
-                if getattr(exc, "request_delivered", False) or attempt >= max_retries:
+                if exc.request_delivered or attempt >= max_retries:
                     raise
                 self._retry_wait(retry_backoff_s * (2.0 ** attempt))
                 attempt += 1

@@ -12,7 +12,7 @@ Examples::
     python -m repro.sim --sweep-shards 1,2,4 --sweep-cdn-egress 0,1
     python -m repro.sim --scenario metropolis          # 10k clients, accelerated
     python -m repro.sim --scenario megacity            # 100k clients, fluid links
-    python -m repro.sim --scenario baseline --fidelity frames   # legacy per-frame core
+    python -m repro.sim --scenario megacity --fidelity slotted  # exact client links
     python -m repro.sim --sweep-crypto pure,accelerated --sweep-crypto-clients 100,400
     python -m repro.sim --sweep-fidelity --sweep-fidelity-clients 100,300
     python -m repro.sim --scenario baseline --runtime asyncio   # real TCP sockets
@@ -27,9 +27,9 @@ over a shard-count x Zipf-skew grid (plus an ingress batch comparison and an
 optional ``--sweep-cdn-egress`` axis) and writes ``BENCH_shard.json``.
 ``--sweep-crypto`` microbenchmarks every available crypto backend and runs a
 backend x client-count scenario grid into ``BENCH_crypto.json``.
-``--sweep-fidelity`` runs the simulator-core fidelity grid (``frames`` vs
-``slotted`` vs ``fluid``) and writes ``BENCH_net.json`` -- asserting the
-slotted core's byte-identical results and measuring fluid's divergence.
+``--sweep-fidelity`` runs the simulator-core fidelity grid (``slotted`` vs
+``fluid``) and writes ``BENCH_net.json`` -- measuring fluid's divergence
+from the slotted reference and what each costs the host.
 ``--sweep-runtime`` runs the deployment-runtime grid (``sim`` vs ``asyncio``
 vs ``mp``) plus a crypto-backend leg on real sockets and writes
 ``BENCH_runtime.json`` -- asserting result parity across runtimes and
@@ -144,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fidelity",
-        choices=("frames", "slotted", "fluid"),
+        choices=("slotted", "fluid"),
         default=None,
-        help="simulator-core fidelity: per-frame events, batched slotted "
-        "delivery (byte-identical, default), or fluid-flow client links",
+        help="simulator-core fidelity: slotted delivery with per-frame "
+        "jitter/loss draws (default), or fluid-flow client links",
     )
     parser.add_argument(
         "--runtime",
@@ -269,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sweep-fidelity",
         nargs="?",
-        const="frames,slotted,fluid",
+        const="slotted,fluid",
         default=None,
         metavar="F,F,...",
-        help="run the simulator-core fidelity grid (frames/slotted/fluid) "
-        "and write BENCH_net.json; default grid frames,slotted,fluid",
+        help="run the simulator-core fidelity grid (slotted/fluid) "
+        "and write BENCH_net.json; default grid slotted,fluid",
     )
     parser.add_argument(
         "--sweep-fidelity-clients",

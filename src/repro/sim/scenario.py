@@ -113,12 +113,9 @@ class ScenarioSpec:
     cdn_egress_mbps: float = 0.0
     #: Simulator-core fidelity (the --sweep-fidelity axis):
     #:
-    #: * ``"frames"``  -- per-frame RPCs driven one client at a time (the
-    #:   historical path; every frame is its own heap event);
-    #: * ``"slotted"`` -- batched round stages over columnar frame storage
-    #:   with per-(destination, slot) coalesced delivery.  Byte-identical
-    #:   results to ``"frames"`` (the per-message keyed rng guarantees it),
-    #:   dramatically cheaper per frame;
+    #: * ``"slotted"`` -- round stages as client waves over columnar frame
+    #:   storage with per-(destination, slot) coalesced delivery; every
+    #:   frame keeps its own jitter/drop draws (the per-message keyed rng);
     #: * ``"fluid"``   -- ``"slotted"`` plus fluid-flow client links: bulk
     #:   frames move as deterministic flows with no per-frame jitter/drop
     #:   draws (a bounded-divergence approximation for 100k-client runs).
@@ -519,9 +516,9 @@ class Scenario:
 
     def build(self) -> tuple[Deployment, Transport]:
         spec = self.spec
-        if spec.fidelity not in ("frames", "slotted", "fluid"):
+        if spec.fidelity not in ("slotted", "fluid"):
             raise ValueError(
-                f"unknown fidelity {spec.fidelity!r}: expected frames, slotted, or fluid"
+                f"unknown fidelity {spec.fidelity!r}: expected slotted or fluid"
             )
         net = self.build_transport()
         noise_mu, noise_b = spec.resolved_noise()
@@ -541,7 +538,6 @@ class Scenario:
             entry_shards=spec.entry_shards,
             ingress_batch_size=spec.ingress_batch_size,
             fixed_mailbox_count=spec.fixed_mailbox_count,
-            batched_rounds=spec.fidelity != "frames",
             attestation_backend=spec.attestation_backend,
         )
         try:

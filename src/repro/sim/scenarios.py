@@ -32,9 +32,8 @@ answered with EC2 machines:
 * ``metropolis`` -- 10,000 clients on the ``accelerated`` crypto engine:
   the scale the pluggable engine (``--sweep-crypto``, ``BENCH_crypto.json``)
   buys over the pure-Python hot path.
-* ``megacity`` -- 100,000 clients on the rebuilt simulator core: batched
-  round stages over columnar frames, slotted delivery, and fluid-flow
-  client links (``--sweep-fidelity`` measures what each fidelity level
+* ``megacity`` -- 100,000 clients: round stages as client waves over
+  columnar frames, slotted delivery, and fluid-flow client links (``--sweep-fidelity`` measures what each fidelity level
   costs and how far ``fluid`` diverges; ``BENCH_net.json``).
 
 ``run_scenario("name", num_clients=500)`` is the programmatic entry point;
@@ -227,9 +226,9 @@ class ShardedEntryScenario(Scenario):
 class MegacityScenario(Scenario):
     """The paper's headline scale: 100,000 clients in one deployment.
 
-    Only reachable through the rebuilt simulator core: batched round stages
-    build every client's envelope through one crypto-engine batch per
-    round, frames live in columnar storage instead of per-frame
+    Reachable because a round stage is one wave over the population: every
+    client's envelope is built through one crypto-engine batch per round,
+    frames live in columnar storage instead of per-frame
     ``Frame``/``Event`` objects, arrivals coalesce into per-(destination,
     slot) heap events, and the client links run in ``fluid`` mode (its
     spec default) so the bulk traffic moves as deterministic flows with no

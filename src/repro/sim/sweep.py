@@ -31,9 +31,9 @@ The crypto-engine sweep lives in :mod:`repro.sim.crypto_sweep`
 
 A third sweep covers the simulator core itself (:func:`run_fidelity_sweep`,
 CLI ``--sweep-fidelity``, ``BENCH_net.json``): one scenario over a
-clients x fidelity grid (``frames`` / ``slotted`` / ``fluid``), asserting
-byte-identical results for ``slotted`` and measuring ``fluid``'s bounded
-divergence plus what each fidelity level costs the host.
+clients x fidelity grid (``slotted`` / ``fluid``), measuring ``fluid``'s
+bounded divergence from the ``slotted`` reference plus what each fidelity
+level costs the host.
 
 ``python -m repro.sim --sweep`` is the CLI; :func:`run_sweep` the API.
 """
@@ -619,21 +619,6 @@ def emit_sweep_report(result: SweepResult, name: str = "sweep") -> str:
 
 # -- the simulator-core fidelity sweep (CLI --sweep-fidelity) ---------------
 
-def _comparable_dict(result: ScenarioResult) -> dict:
-    """A result's dict with the fidelity-varying bookkeeping stripped.
-
-    ``wall_seconds`` is host time, ``metrics`` carries scheduler/heap gauges
-    that legitimately differ across delivery mechanics, and ``fidelity`` is
-    the axis itself; everything else -- per-round latencies, deliveries,
-    byte counts, liveness -- must match bit-for-bit between ``frames`` and
-    ``slotted``.
-    """
-    d = result.to_dict()
-    for key in ("wall_seconds", "metrics", "fidelity"):
-        d.pop(key, None)
-    return d
-
-
 @dataclass
 class FidelityPoint:
     """One grid cell: a scenario at one client count and fidelity level."""
@@ -641,12 +626,10 @@ class FidelityPoint:
     num_clients: int
     fidelity: str
     result: ScenarioResult
-    #: Whether this point's comparable results equal the same-size
-    #: ``frames`` point's (None for the ``frames`` points themselves).
-    identical_to_frames: bool | None = None
-    #: Max relative per-round latency deviation from the ``frames`` point.
+    #: Max relative per-round latency deviation from the same-size
+    #: ``slotted`` point (None for the ``slotted`` points themselves).
     latency_divergence: float | None = None
-    #: Sum of absolute per-round delivered_real deviations from ``frames``.
+    #: Sum of absolute per-round delivered_real deviations from ``slotted``.
     delivery_divergence: int | None = None
 
     def delivered_total(self) -> int:
@@ -658,9 +641,6 @@ class FidelityPoint:
             if self.result.round_latencies()
             else 0.0
         )
-        identical = "-" if self.identical_to_frames is None else (
-            "yes" if self.identical_to_frames else "NO"
-        )
         divergence = (
             "-" if self.latency_divergence is None else f"{self.latency_divergence:.3f}"
         )
@@ -670,7 +650,6 @@ class FidelityPoint:
             f"{self.result.wall_seconds:.2f}",
             f"{mean_lat:.3f}",
             self.delivered_total(),
-            identical,
             divergence,
         ]
 
@@ -678,7 +657,6 @@ class FidelityPoint:
         return {
             "num_clients": self.num_clients,
             "fidelity": self.fidelity,
-            "identical_to_frames": self.identical_to_frames,
             "latency_divergence": self.latency_divergence,
             "delivery_divergence": self.delivery_divergence,
             "result": self.result.to_dict(),
@@ -694,16 +672,11 @@ class FidelitySweepResult:
 
     HEADERS = [
         "clients", "fidelity", "wall s", "mean round s",
-        "delivered", "identical", "latency div",
+        "delivered", "latency div",
     ]
 
     def table(self) -> tuple[list[str], list[list]]:
         return list(self.HEADERS), [point.row() for point in self.points]
-
-    def slotted_identical(self) -> bool:
-        """True when every slotted point matched its frames point exactly."""
-        slotted = [p for p in self.points if p.fidelity == "slotted"]
-        return bool(slotted) and all(p.identical_to_frames for p in slotted)
 
     def max_fluid_divergence(self) -> float:
         """The largest relative round-latency deviation any fluid point showed."""
@@ -723,11 +696,10 @@ class FidelitySweepResult:
     def to_report(self) -> dict:
         headers, rows = self.table()
         report = table_report(
-            headers, rows, title="simulator-core fidelity: frames vs slotted vs fluid"
+            headers, rows, title="simulator-core fidelity: slotted vs fluid"
         )
         report["scenario"] = self.scenario
         report["points"] = [point.to_dict() for point in self.points]
-        report["slotted_identical"] = self.slotted_identical()
         report["max_fluid_latency_divergence"] = round(self.max_fluid_divergence(), 6)
         report["wall_seconds_by_fidelity"] = self.wall_seconds_by_fidelity()
         return report
@@ -742,20 +714,19 @@ def run_fidelity_sweep(
 ) -> FidelitySweepResult:
     """Run one scenario over a clients x fidelity grid.
 
-    Every same-size point shares its seed, so ``frames`` and ``slotted``
-    must produce byte-identical comparable results (the per-message keyed
-    rng guarantee) and ``fluid``'s deviation is a pure measurement of the
-    flow approximation.  The wall-clock column is the point of the sweep:
-    what each fidelity level costs the host at each population size.
+    Every same-size point shares its seed, so ``fluid``'s deviation from
+    the ``slotted`` reference is a pure measurement of the flow
+    approximation.  The wall-clock column is the point of the sweep: what
+    each fidelity level costs the host at each population size.
     """
     from repro.sim.scenarios import run_scenario
 
     client_counts = client_counts or [100, 300]
-    fidelities = fidelities or ["frames", "slotted", "fluid"]
+    fidelities = fidelities or ["slotted", "fluid"]
     seed = overrides.pop("seed", "fidelity-sweep")
     result = FidelitySweepResult(scenario=scenario)
     for clients in client_counts:
-        frames_point: ScenarioResult | None = None
+        reference: ScenarioResult | None = None
         for fidelity in fidelities:
             if progress:
                 progress(f"fidelity sweep: {clients} clients @ {fidelity}")
@@ -767,13 +738,10 @@ def run_fidelity_sweep(
                 **overrides,
             )
             point = FidelityPoint(clients, fidelity, point_result)
-            if fidelity == "frames":
-                frames_point = point_result
-            elif frames_point is not None:
-                point.identical_to_frames = _comparable_dict(point_result) == _comparable_dict(
-                    frames_point
-                )
-                base_rounds = frames_point.rounds
+            if fidelity == "slotted":
+                reference = point_result
+            elif reference is not None:
+                base_rounds = reference.rounds
                 divergences = [
                     abs(mine.latency_s - base.latency_s) / base.latency_s
                     for mine, base in zip(point_result.rounds, base_rounds)
@@ -796,7 +764,6 @@ def emit_fidelity_report(result: FidelitySweepResult, name: str = "net") -> str:
             headers, rows, title=f"simulator-core fidelity grid on {result.scenario}"
         )
     )
-    print(f"slotted identical to frames: {'yes' if result.slotted_identical() else 'NO'}")
     print(f"max fluid latency divergence: {result.max_fluid_divergence():.3f}")
     path = write_json_report(name, result.to_report())
     return str(path)

@@ -30,8 +30,10 @@ def messaging_pair():
 class TestVuvuzelaIntegration:
     def test_call_bootstraps_conversation_and_messages_flow(self, messaging_pair):
         deployment, alice_app, bob_app = messaging_pair
-        placed = deployment.place_call("alice@example.org", "bob@example.org", intent=0)
-        conversation = alice_app.adopt_placed_call(placed)
+        call = deployment.session("alice@example.org").call("bob@example.org", intent=0)
+        deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+        deployment.run_dialing_round()
+        conversation = alice_app.adopt_call_handle(call)
         # Bob's side was opened automatically by the IncomingCall callback.
         assert "alice@example.org" in bob_app.conversations
         assert conversation.session_key == bob_app.conversations["alice@example.org"].session_key
@@ -90,11 +92,16 @@ class TestPandaIntegration:
         deployment = Deployment(AlpenhornConfig.for_tests(backend="simulated"), seed="panda")
         deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
-        placed = deployment.place_call("alice@example.org", "bob@example.org")
+        session = deployment.session("alice@example.org")
+        session.add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        call = session.call("bob@example.org")
+        deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+        deployment.run_dialing_round()
         received = bob.received_calls()[-1]
         caller, callee = bootstrap_panda_from_call(
-            placed.session_key, received.session_key, b"alice-pond", b"bob-pond"
+            call.session_key, received.session_key, b"alice-pond", b"bob-pond"
         )
         assert caller.peer_payload == b"bob-pond"
         assert callee.peer_payload == b"alice-pond"

@@ -26,7 +26,10 @@ def befriended():
     deployment = Deployment(AlpenhornConfig.for_tests(), seed="module-befriended")
     alice = deployment.create_client("alice@example.org")
     bob = deployment.create_client("bob@example.org")
-    deployment.befriend("alice@example.org", "bob@example.org")
+    deployment.session("alice@example.org").add_friend("bob@example.org")
+    deployment.run_addfriend_round()  # Alice's request reaches Bob, Bob accepts
+    deployment.run_addfriend_round()  # Bob's confirmation reaches Alice
+    deployment.run_dialing_round()  # the wheels anchor at dialing round 2: live from here on
     return deployment, alice, bob
 
 
@@ -76,24 +79,29 @@ class TestAddFriendFlow:
 class TestDialingFlow:
     def test_call_delivers_matching_session_keys(self, befriended):
         deployment, alice, bob = befriended
-        placed = deployment.place_call("alice@example.org", "bob@example.org", intent=1)
-        assert placed is not None
+        call = deployment.session("alice@example.org").call("bob@example.org", intent=1)
+        deployment.run_dialing_round()
+        assert call.placed is not None
         received = bob.received_calls()[-1]
         assert received.caller == "alice@example.org"
         assert received.intent == 1
-        assert received.session_key == placed.session_key
+        assert received.session_key == call.session_key
 
     def test_call_in_both_directions(self, befriended):
         deployment, alice, bob = befriended
-        placed = deployment.place_call("bob@example.org", "alice@example.org", intent=0)
+        call = deployment.session("bob@example.org").call("alice@example.org", intent=0)
+        deployment.run_dialing_round()
         received = alice.received_calls()[-1]
         assert received.caller == "bob@example.org"
-        assert received.session_key == placed.session_key
+        assert received.session_key == call.session_key
 
     def test_session_keys_are_fresh_each_call(self, befriended):
         deployment, alice, bob = befriended
-        first = deployment.place_call("alice@example.org", "bob@example.org", intent=0)
-        second = deployment.place_call("alice@example.org", "bob@example.org", intent=0)
+        session = deployment.session("alice@example.org")
+        first = session.call("bob@example.org", intent=0)
+        deployment.run_dialing_round()
+        second = session.call("bob@example.org", intent=0)
+        deployment.run_dialing_round()
         assert first.session_key != second.session_key
 
     def test_call_to_non_friend_rejected(self, befriended):
@@ -202,9 +210,13 @@ class TestForwardSecrecyAcrossTheSystem:
         deployment = Deployment(config, seed="fs3")
         alice = deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
-        placed = deployment.place_call("alice@example.org", "bob@example.org")
-        call_round = placed.round_number
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        call = deployment.session("alice@example.org").call("bob@example.org")
+        deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+        deployment.run_dialing_round()
+        call_round = call.placed.round_number
         # After the round completes, neither wheel can re-derive that round.
         with pytest.raises(ProtocolError):
             alice.keywheel.dial_token("bob@example.org", call_round, 0)
@@ -218,7 +230,9 @@ class TestRemoveAndRecover:
         deployment = Deployment(config, seed="remove")
         alice = deployment.create_client("alice@example.org")
         deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
         alice.remove_friend("bob@example.org")
         assert not alice.keywheel.has_friend("bob@example.org")
         assert not alice.address_book.has_friend("bob@example.org")
@@ -229,7 +243,9 @@ class TestRemoveAndRecover:
         deployment = Deployment(config, seed="recover")
         alice = deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
         old_key = alice.my_signing_key()
 
         alice.recover_from_compromise(deployment.pkgs, deployment.email_network, now=deployment.clock)
@@ -247,10 +263,14 @@ class TestRemoveAndRecover:
         alice.register(deployment.pkgs, deployment.email_network, now=deployment.clock)
         # Bob removes the stale friendship and they re-run add-friend.
         bob.remove_friend("alice@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
-        placed = deployment.place_call("alice@example.org", "bob@example.org")
-        assert placed is not None
-        assert bob.received_calls()[-1].session_key == placed.session_key
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        call = deployment.session("alice@example.org").call("bob@example.org")
+        deployment.run_dialing_round()  # cover: the new wheel anchors at round 2
+        deployment.run_dialing_round()
+        assert call.placed is not None
+        assert bob.received_calls()[-1].session_key == call.session_key
 
 
 class TestLargerPopulationSimulatedBackend:

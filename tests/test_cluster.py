@@ -46,7 +46,7 @@ def cluster_config(shards: int = 2, batch: int = 4, fixed_k: int | None = 4, **k
     return AlpenhornConfig(
         num_mix_servers=2,
         num_pkg_servers=2,
-        crypto_backend="simulated",
+        ibe_backend="simulated",
         noise=NoiseConfig(2, 0, 2, 0),
         addfriend_target_per_mailbox=16,
         dialing_target_per_mailbox=16,
@@ -399,7 +399,7 @@ class TestUnknownRoundVsEmptyMailbox:
         with pytest.raises(UnknownRoundError):
             deployment.cdn_stub.mailbox_count("dialing", 77)
         with pytest.raises(UnknownRoundError):
-            deployment.cdn_stub.download("dialing", 77, 0)
+            deployment.cdn_stub.download_many("dialing", 77, [(0, "anonymous")])
 
     def test_cdn_shard_rejects_out_of_range_downloads(self):
         shard = CdnShard("cdn0", 0)
@@ -419,10 +419,9 @@ class TestRevokeSubmission:
         deployment.create_client("bob@x.org")
         alice.add_friend("bob@x.org")
         announcement = deployment.entry.announce_round("add-friend", 1, 4, alice.addfriend.body_length())
-        alice.participate_addfriend_round(
-            announcement, pkgs=deployment.pkg_stubs, next_dialing_round=2, now=0.0
-        )
-        alice.addfriend.confirm_sent()  # the optimistic ack
+        driver = deployment.round_engine("add-friend").driver
+        # A wave of one; an accepted submission runs confirm_sent (the ack).
+        assert driver.submit_many([alice], announcement) == [(alice, None)]
         assert alice.addfriend.pending_in_queue() == 0
         alice.addfriend.revoke_submission()
         assert alice.addfriend.pending_in_queue() == 1

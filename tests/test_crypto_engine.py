@@ -497,13 +497,12 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             AlpenhornConfig.for_tests().__class__(crypto_backend="nonesuch")
 
-    def test_legacy_crypto_backend_values_migrate_to_ibe(self):
+    @pytest.mark.parametrize("ibe_name", ["bn254", "simulated"])
+    def test_ibe_name_is_not_a_crypto_backend(self, ibe_name):
         from repro.core.config import AlpenhornConfig
 
-        with pytest.warns(DeprecationWarning):
-            config = AlpenhornConfig(crypto_backend="simulated")
-        assert config.ibe_backend == "simulated"
-        assert config.crypto_backend == "pure"
+        with pytest.raises(ConfigurationError, match="unknown crypto backend"):
+            AlpenhornConfig(crypto_backend=ibe_name)
 
     def test_deployment_threads_engine_to_mix_tier(self):
         from repro.core.config import AlpenhornConfig

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
-from repro.errors import NetworkError, PartitionError, SerializationError
+from repro.errors import NetworkError, PartitionError, ProtocolError, SerializationError
 from repro.net import (
     DirectTransport,
     EventScheduler,
@@ -16,7 +16,7 @@ from repro.net import (
     SimulatedNetwork,
 )
 from repro.net.frames import decode_envelope_batch, encode_envelope_batch
-from repro.net.transport import RpcResult
+from repro.net.transport import BatchCall, RpcResult
 from repro.utils.rng import DeterministicRng
 from repro.utils.serialization import Packer, Unpacker
 
@@ -270,6 +270,108 @@ class TestSimulatedNetwork:
         assert result.latency_s == pytest.approx(0.4)  # two nested round trips
 
 
+class TestCallBatchEqualsPhaseOfCalls:
+    """``call_batch`` is a phase of single calls, delivered another way.
+
+    The wave is the only path the round engine drives, so the single
+    ``call`` -- one scheduler event per frame hop -- is kept as the reference
+    it must agree with exactly: same payloads, errors and retry-safety tags,
+    same per-call finish times, same traffic accounting, same final clock.
+    """
+
+    SENDERS = [f"c{i}@x.org" for i in range(40)]
+    CUT = "c7@x.org"        # partitioned from the server
+    REJECTED = "c11@x.org"  # the handler refuses this one (error reply path)
+
+    def make_net(self) -> SimulatedNetwork:
+        link = LinkSpec.of(latency_ms=30, bandwidth_mbps=10, jitter_ms=20, drop_rate=0.2)
+        # Two attempts at 20 % drop: ~4 % of messages are lost for good, so
+        # the run has lost requests and lost acknowledgements, not just retries.
+        net = SimulatedNetwork(
+            topology=NetworkTopology(default=link), seed="wave", max_attempts=2
+        )
+        net.topology.partition(self.CUT, "server")
+        net.set_access_link("server", ingress_mbps=0.5, egress_mbps=0.5)
+
+        def handler(request):
+            if request.src == self.REJECTED:
+                raise ProtocolError("refused")
+            return RpcResult(payload=request.payload[::-1] * 3)
+
+        net.register("server", handler)
+        return net
+
+    def calls(self, t0: float, offsets: bool) -> list[BatchCall]:
+        return [
+            BatchCall(
+                src=sender,
+                dst="server",
+                method="put",
+                payload=sender.encode() * (1 + i % 5),
+                start=t0 + 0.013 * (i % 7) if offsets else None,
+            )
+            for i, sender in enumerate(self.SENDERS)
+        ]
+
+    @staticmethod
+    def observed(net: SimulatedNetwork, outcomes: list[tuple]) -> dict:
+        stats = net.stats
+        return {
+            "outcomes": [
+                (
+                    result.payload if result is not None else None,
+                    (type(error).__name__, str(error), getattr(error, "request_delivered", None))
+                    if error is not None
+                    else None,
+                    finished_at,
+                )
+                for result, error, finished_at in outcomes
+            ],
+            "clock": net.now(),
+            "messages_sent": stats.messages_sent,
+            "bytes_sent": stats.bytes_sent,
+            "messages_dropped": stats.messages_dropped,
+            "bytes_by_endpoint": dict(stats.bytes_by_endpoint),
+            "calls_by_method": dict(stats.calls_by_method),
+            "bytes_by_method": dict(stats.bytes_by_method),
+        }
+
+    @pytest.mark.parametrize("offsets", [False, True], ids=["same-start", "start-offsets"])
+    def test_wave_equals_the_same_calls_one_by_one(self, offsets):
+        one_by_one = self.make_net()
+        one_by_one.advance(5.0)
+        singles = []
+
+        def single(call: BatchCall) -> None:
+            if call.start is not None:
+                one_by_one.advance(call.start - one_by_one.now())
+            try:
+                result = one_by_one.call(call.src, call.dst, call.method, call.payload)
+                singles.append((result, None, one_by_one.now()))
+            except Exception as exc:  # noqa: BLE001 - compared against the wave's outcome
+                singles.append((None, exc, one_by_one.now()))
+
+        with one_by_one.phase() as phase:
+            for call in self.calls(one_by_one.now(), offsets):
+                phase.run(lambda c=call: single(c))
+
+        wave = self.make_net()
+        wave.advance(5.0)
+        outcomes = wave.call_batch(self.calls(wave.now(), offsets))
+
+        expected = self.observed(one_by_one, singles)
+        assert self.observed(
+            wave, [(o.result, o.error, o.finished_at) for o in outcomes]
+        ) == expected
+        # The topology really exercised every outcome class being compared.
+        errors = [error for _, error, _ in expected["outcomes"] if error is not None]
+        assert ("PartitionError", f"link {self.CUT} <-> server is partitioned", False) in errors
+        assert ("ProtocolError", "refused", None) in errors
+        assert {tag for name, _, tag in errors if name == "NetworkError"} == {True, False}
+        assert expected["messages_dropped"] > 0
+        assert sum(error is None for _, error, _ in expected["outcomes"]) > 20
+
+
 class TestDeploymentOverSimulatedNetwork:
     def make_deployment(self, latency_ms: float, seed: str = "sim-deploy") -> Deployment:
         topo = NetworkTopology(default=LinkSpec.of(latency_ms=latency_ms, bandwidth_mbps=100))
@@ -303,11 +405,16 @@ class TestDeploymentOverSimulatedNetwork:
         deployment = self.make_deployment(latency_ms=10)
         alice = deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
+        session = deployment.session("alice@example.org")
+        session.add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
         assert alice.friends() == ["bob@example.org"]
-        placed = deployment.place_call("alice@example.org", "bob@example.org")
-        assert placed is not None
-        assert bob.received_calls()[-1].session_key == placed.session_key
+        call = session.call("bob@example.org")
+        deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+        deployment.run_dialing_round()
+        assert call.placed is not None
+        assert bob.received_calls()[-1].session_key == call.session_key
 
     def test_partitioned_pkg_fails_participants_not_deployment(self):
         deployment = self.make_deployment(latency_ms=10, seed="partition")
@@ -389,7 +496,9 @@ class TestDeploymentOverSimulatedNetwork:
         deployment = self.make_deployment(latency_ms=10, seed="requeue-dial")
         alice = deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
         alice.call("bob@example.org")
         deployment.transport.topology.partition("alice@example.org", "entry")
         # Dial rounds until the wheel is live and the failed send happens.

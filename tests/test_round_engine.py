@@ -8,7 +8,7 @@ Covers the regressions this layer exists to prevent:
   ever created,
 * the announced request size coming from wire-format constants instead of an
   arbitrary sampled client,
-* ``place_call`` reporting a stale earlier call when a dial never went out,
+* a call handle reporting a stale earlier call when its dial never went out,
 * the ack-lost (``request_delivered``) submit paths, and
 * the pipelined multi-round driver (equivalence on a direct transport,
   speedup on a simulated one, abort isolation mid-schedule).
@@ -187,28 +187,38 @@ class TestPlaceCall:
         deployment = make_deployment(seed="placecall")
         deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
-        placed = deployment.place_call("alice@example.org", "bob@example.org")
-        assert placed is not None
-        assert placed.friend == "bob@example.org"
-        assert bob.received_calls()[-1].session_key == placed.session_key
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        call = deployment.session("alice@example.org").call("bob@example.org")
+        deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+        deployment.run_dialing_round()
+        assert call.placed is not None
+        assert call.placed.friend == "bob@example.org"
+        assert bob.received_calls()[-1].session_key == call.session_key
 
     def test_failed_dial_after_successful_one_returns_none(self):
         """A dial that never leaves the queue must not report the previous
         call as its result."""
         deployment = make_sim_deployment(latency_ms=10, seed="placecall-fail")
-        deployment.config.max_mailbox_lag_rounds = 3  # keep the retry loop short
         alice = deployment.create_client("alice@example.org")
         deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
+        session = deployment.session("alice@example.org")
+        session.add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
 
-        first = deployment.place_call("alice@example.org", "bob@example.org", intent=0)
-        assert first is not None
+        first = session.call("bob@example.org", intent=0)
+        deployment.run_dialing_round()  # cover: the wheel anchors at round 2
+        deployment.run_dialing_round()
+        assert first.placed is not None
 
         # Alice loses the entry server: her token can never be submitted.
         deployment.transport.topology.partition("alice@example.org", "entry")
-        second = deployment.place_call("alice@example.org", "bob@example.org", intent=1)
-        assert second is None
+        second = session.call("bob@example.org", intent=1)
+        for _ in range(3):
+            deployment.run_dialing_round()
+        assert second.placed is None
         assert alice.dialing.pending_in_queue() == 1  # still queued for later
         # Only the first call was ever actually placed.
         assert [c.intent for c in alice.placed_calls()] == [0]
@@ -256,7 +266,9 @@ class TestAckLostSubmits:
         deployment = make_deployment(seed="ackd", transport=transport)
         alice = deployment.create_client("alice@example.org")
         bob = deployment.create_client("bob@example.org")
-        deployment.befriend("alice@example.org", "bob@example.org")
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
         alice.call("bob@example.org")
 
         transport.lose_submit_ack_for.add("alice@example.org")

@@ -9,8 +9,7 @@ Covers the contracts the api_redesign introduced:
   the loss the paper accepts,
 * the retry budget (max_attempts / rate tokens) terminating a hopeless
   request,
-* the deprecation shims (Deployment.befriend / place_call /
-  ApplicationCallbacks) keeping their legacy behavior,
+* the client-internal CallbackBridge keeping the single-slot callbacks,
 * the parallel per-PKG fan-out: RPC *counts* still scale linearly in PKG
   count (TransportStats.calls_by_method) while the stage's simulated
   wall-clock no longer does.
@@ -23,7 +22,7 @@ import json
 import pytest
 
 from repro.api import EventBus, RequestState
-from repro.core.callbacks import ApplicationCallbacks
+from repro.core.callbacks import CallbackBridge
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.errors import ProtocolError
@@ -414,7 +413,7 @@ class TestTapChaining:
         deployment.create_client("alice@x.org")
         bob_client = deployment.create_client("bob@x.org")
         direct = ClientSession(bob_client)          # app-constructed session
-        registry = deployment.session("bob@x.org")  # registry session (shims use this)
+        registry = deployment.session("bob@x.org")  # registry session
         assert direct is not registry
         deployment.session("alice@x.org").add_friend("bob@x.org")
         deployment.run_addfriend_round()
@@ -423,31 +422,9 @@ class TestTapChaining:
             assert event is not None and event.email == "alice@x.org"
 
 
-class TestDeprecationShims:
-    def test_befriend_warns_and_still_befriends(self):
-        deployment = make_deployment("shim-befriend")
-        deployment.create_client("alice@x.org")
-        deployment.create_client("bob@x.org")
-        with pytest.warns(DeprecationWarning):
-            handle = deployment.befriend("alice@x.org", "bob@x.org")
-        assert deployment.client("alice@x.org").friends() == ["bob@x.org"]
-        assert deployment.client("bob@x.org").friends() == ["alice@x.org"]
-        assert handle.confirmed  # the shim returns the session handle
-
-    def test_place_call_warns_and_returns_placed_call(self):
-        deployment = make_deployment("shim-place-call")
-        deployment.create_client("alice@x.org")
-        bob = deployment.create_client("bob@x.org")
-        with pytest.warns(DeprecationWarning):
-            deployment.befriend("alice@x.org", "bob@x.org")
-        with pytest.warns(DeprecationWarning):
-            placed = deployment.place_call("alice@x.org", "bob@x.org", intent=2)
-        assert placed is not None and placed.intent == 2
-        assert bob.received_calls()[-1].session_key == placed.session_key
-
-    def test_application_callbacks_warns_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            callbacks = ApplicationCallbacks(new_friend=lambda email, key: False)
+class TestCallbackBridge:
+    def test_bridge_records_and_returns_the_applications_decision(self):
+        callbacks = CallbackBridge(new_friend=lambda email, key: False)
         assert callbacks.on_new_friend("eve@x.org", b"\x01" * 32) is False
         assert callbacks.friend_requests_seen == [("eve@x.org", b"\x01" * 32)]
 
@@ -491,6 +468,27 @@ class TestParallelPkgFanout:
         _, sequential = self.one_round(4, "sequential")
         _, parallel = self.one_round(4, "parallel")
         assert sequential.submit_stage_s > parallel.submit_stage_s * 1.5
+
+    def test_sequential_wave_skips_remaining_pkgs_after_a_failed_extraction(self):
+        """One client cut off from the second of three PKGs: it stops
+        extracting there and fails alone; everyone else pays the PKG round
+        trips one after another."""
+        deployment = make_sim_deployment(pkgs=3, fanout="sequential", seed="fan-cut")
+        clients = [deployment.create_client(f"u{i}@x.org") for i in range(4)]
+        cut = clients[0]
+        cut.add_friend("u1@x.org")
+        deployment.transport.topology.partition(cut.email, "pkg1")
+        summary = deployment.run_addfriend_round()
+        assert summary.failures == 1
+        assert summary.submissions == 3
+        # pkg0 answered all four; pkg1 and pkg2 only ever saw the other three
+        # (two recorded messages per completed RPC; a partitioned call is not one).
+        assert deployment.transport.stats.calls_by_method["extract"] == 2 * (4 + 3 + 3)
+        assert cut.addfriend.pending_in_queue() == 1
+        assert not cut.addfriend.has_round_keys(summary.round_number)
+        # Three extraction round trips in series, then the submission's: four
+        # client-link round trips of 2 x 200 ms (parallel fan-out pays two).
+        assert 4 * 0.4 < summary.submit_stage_s < 4 * 0.4 + 0.1
 
     def test_registration_fans_out_too(self):
         def registration_cost(pkgs: int) -> tuple[float, int]:
