@@ -28,17 +28,18 @@ class Cdn:
 
     # -- publication (called by the entry server after a round) -----------
     def publish(self, mailboxes: MailboxSet) -> None:
-        key = (mailboxes.protocol, mailboxes.round_number)
-        serialized: dict[int, bytes] = {}
-        if mailboxes.protocol == "add-friend":
-            for mailbox_id, mailbox in mailboxes.addfriend.items():
-                serialized[mailbox_id] = mailbox.to_bytes()
-        else:
-            for mailbox_id, mailbox in mailboxes.dialing.items():
-                serialized[mailbox_id] = mailbox.to_bytes()
-        self._store[key] = serialized
-        self._mailbox_counts[key] = mailboxes.mailbox_count
-        self._evict_old(mailboxes.protocol)
+        self.store_round(
+            mailboxes.protocol, mailboxes.round_number, mailboxes.mailbox_count, mailboxes.blobs()
+        )
+
+    def store_round(
+        self, protocol: str, round_number: int, mailbox_count: int, blobs: dict[int, bytes]
+    ) -> None:
+        """Store one round's serialized mailboxes as received (no re-encoding)."""
+        key = (protocol, round_number)
+        self._store[key] = blobs
+        self._mailbox_counts[key] = mailbox_count
+        self._evict_old(protocol)
 
     def _evict_old(self, protocol: str) -> None:
         rounds = sorted(r for (p, r) in self._store if p == protocol)
@@ -90,7 +91,7 @@ class Cdn:
         from repro.utils.serialization import Packer
 
         if request.method == "publish":
-            self.publish(request.obj)
+            self.store_round(*rpc.decode_publish_request(request.payload))
             return RpcResult()
         if request.method == "mailbox_count":
             protocol, round_number = rpc.decode_round_ref(request.payload)
@@ -100,9 +101,7 @@ class Cdn:
         if request.method == "download":
             protocol, round_number, mailbox_id, client = rpc.decode_download_request(request.payload)
             blob = self.download_blob(protocol, round_number, mailbox_id, client)
-            if blob is None:
-                return RpcResult(payload=Packer().u8(0).pack())
-            return RpcResult(payload=Packer().u8(1).bytes(blob).pack())
+            return RpcResult(payload=rpc.encode_download_response(blob))
         raise NetworkError(f"CDN has no RPC method {request.method!r}")
 
     def round_total_bytes(self, protocol: str, round_number: int) -> int:

@@ -21,8 +21,9 @@ Per round the router:
    them (shard order, arrival order within a shard) into one batch for the
    mix chain, and records the per-shard counts that feed the load-imbalance
    benchmarks;
-5. hands the resulting mailboxes to :class:`ShardedCdnStub`, which fans each
-   shard's range back out to the owning CDN shard.
+5. publishes the resulting mailboxes itself through :class:`ShardedCdnStub`
+   (``router.cdn``), which fans each shard's range out to the owning CDN
+   shard, and returns the round's statistics.
 
 The router runs in the coordinator process: all its RPCs originate from
 ``src="coordinator"`` and ride the server mesh, like the legacy announce and
@@ -34,6 +35,7 @@ from __future__ import annotations
 from repro.cluster.directory import ShardDirectory
 from repro.entry.server import RoundAnnouncement
 from repro.errors import NetworkError, RoundError, UnknownRoundError
+from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import MailboxSet
 from repro.net import rpc
 from repro.net.transport import BatchCall, BatchCallOutcome, Transport, concurrent_calls
@@ -72,6 +74,8 @@ class ShardRouter:
         #: the load-imbalance reporting of the shard benchmarks.
         self.load_by_round: dict[tuple[str, int], list[int]] = {}
         self.batches_processed = 0
+        #: The CDN tier: whoever ran the mix chain publishes its mailboxes.
+        self.cdn = ShardedCdnStub(transport, self, src=src)
 
     # -- directory access ----------------------------------------------------
     def directory(self, protocol: str, round_number: int) -> ShardDirectory:
@@ -268,8 +272,8 @@ class ShardRouter:
         return sum(counts)
 
     # -- closing a round ------------------------------------------------------
-    def close_round(self, protocol: str, round_number: int):
-        """Collect every shard's batch, mix once, and return the result."""
+    def close_round(self, protocol: str, round_number: int) -> RoundCounts:
+        """Collect every shard's batch, mix once, publish; returns the statistics."""
         key = (protocol, round_number)
         announcement = self._announcements.get(key)
         if announcement is None:
@@ -309,7 +313,8 @@ class ShardRouter:
         # are erased as soon as the merged batch has been processed.
         self.mix_chain.close_round(protocol, round_number)
         self.batches_processed += 1
-        return result
+        self.cdn.publish(result.mailboxes)
+        return result.counts()
 
     # -- benchmarking ---------------------------------------------------------
     def load_report(self) -> dict:
@@ -354,34 +359,26 @@ class ShardedCdnStub:
         self.router = router
         self.src = src
 
-    def publish(self, mailboxes: MailboxSet, src: str | None = None) -> None:
+    def publish(self, mailboxes: MailboxSet) -> None:
         directory = self.router.directory(mailboxes.protocol, mailboxes.round_number)
-        origin = src if src is not None else self.src
+        blobs = mailboxes.blobs()
 
         def publish_range(shard):
-            subset = MailboxSet(
-                round_number=mailboxes.round_number,
-                protocol=mailboxes.protocol,
-                mailbox_count=mailboxes.mailbox_count,
-            )
-            if mailboxes.protocol == "add-friend":
-                subset.addfriend = {
-                    mid: box for mid, box in mailboxes.addfriend.items() if shard.contains(mid)
-                }
-            else:
-                subset.dialing = {
-                    mid: box for mid, box in mailboxes.dialing.items() if shard.contains(mid)
-                }
             # Empty subsets are published too: a shard must know the round
             # exists so an empty mailbox stays distinguishable from an
             # unknown round (see CdnShard.download_blob).
             self.transport.call(
-                origin,
+                self.src,
                 shard.cdn,
                 "publish",
-                rpc.encode_shard_publish_range(shard.lo, shard.hi),
-                obj=subset,
-                size_hint=subset.total_size_bytes(),
+                rpc.encode_shard_publish_request(
+                    shard.lo,
+                    shard.hi,
+                    mailboxes.protocol,
+                    mailboxes.round_number,
+                    mailboxes.mailbox_count,
+                    {mid: blob for mid, blob in blobs.items() if shard.contains(mid)},
+                ),
             )
 
         concurrent_calls(
@@ -419,24 +416,11 @@ class ShardedCdnStub:
         Same contract as :meth:`~repro.net.rpc.CdnStub.download_many`.  An
         unknown round raises :class:`UnknownRoundError` up front.
         """
-        from repro.mixnet.mailbox import decode_mailbox
-
         directory = self._round_directory(protocol, round_number)
-        calls = [
-            BatchCall(
-                src=client,
-                dst=directory.shard_for_mailbox(mailbox_id).cdn,
-                method="download",
-                payload=rpc.encode_download_request(protocol, round_number, mailbox_id, client),
-            )
-            for mailbox_id, client in items
-        ]
-        results: list[tuple[object, Exception | None]] = []
-        for (mailbox_id, _client), outcome in zip(items, self.transport.call_batch(calls)):
-            if outcome.error is not None:
-                results.append((None, outcome.error))
-                continue
-            unpacker = Unpacker(outcome.result.payload)
-            blob = unpacker.bytes() if unpacker.u8() else None
-            results.append((decode_mailbox(protocol, mailbox_id, blob), None))
-        return results
+        return rpc.download_wave(
+            self.transport,
+            protocol,
+            round_number,
+            items,
+            lambda mailbox_id: directory.shard_for_mailbox(mailbox_id).cdn,
+        )

@@ -360,9 +360,12 @@ class CdnShard(Cdn):
         self.index = index
         self._ranges: dict[tuple[str, int], tuple[int, int]] = {}
 
-    def publish_shard(self, mailboxes, lo: int, hi: int) -> None:
-        self._ranges[(mailboxes.protocol, mailboxes.round_number)] = (lo, hi)
-        super().publish(mailboxes)
+    def store_shard_round(
+        self, lo: int, hi: int, protocol: str, round_number: int,
+        mailbox_count: int, blobs: dict[int, bytes],
+    ) -> None:
+        self._ranges[(protocol, round_number)] = (lo, hi)
+        self.store_round(protocol, round_number, mailbox_count, blobs)
         # Base eviction pruned _store/_mailbox_counts; keep ranges aligned.
         self._ranges = {
             key: bounds for key, bounds in self._ranges.items() if key in self._mailbox_counts
@@ -386,7 +389,6 @@ class CdnShard(Cdn):
 
     def handle_rpc(self, request):
         if request.method == "publish":
-            lo, hi = rpc.decode_shard_publish_range(request.payload)
-            self.publish_shard(request.obj, lo, hi)
+            self.store_shard_round(*rpc.decode_shard_publish_request(request.payload))
             return RpcResult()
         return super().handle_rpc(request)

@@ -140,6 +140,7 @@ class Deployment:
                 self.transport,
                 pkg.name,
                 self._ibe_backend,
+                self.attestation,
                 pkg.bls_public_key,
                 control_src=control_src,
             )
@@ -156,10 +157,10 @@ class Deployment:
         if sharded:
             self._build_shard_tier()
         else:
-            self.entry = EntryServer(self.mix_chain, self.pkg_coordinator)
-            self.transport.register("entry", self.entry.handle_rpc)
-            self.entry_stub = EntryStub(self.transport)
             self.cdn_stub = CdnStub(self.transport)
+            self.entry = EntryServer(self.mix_chain, self.pkg_coordinator, cdn=self.cdn_stub)
+            self.transport.register("entry", self.entry.handle_rpc)
+            self.entry_stub = EntryStub(self.transport, ibe=self._ibe_backend)
             self.cluster = None
             self.entry_shard_servers = []
             self.ingress_proxies = []
@@ -201,7 +202,7 @@ class Deployment:
             entry_shard_name,
             ingress_proxy_name,
         )
-        from repro.cluster.router import ShardedCdnStub, ShardRouter
+        from repro.cluster.router import ShardRouter
         from repro.cluster.shard import CdnShard, EntryShard, IngressProxy
 
         shard_count = self.config.entry_shards
@@ -232,7 +233,7 @@ class Deployment:
         )
         self.entry = self.cluster
         self.entry_stub = self.cluster
-        self.cdn_stub = ShardedCdnStub(self.transport, self.cluster)
+        self.cdn_stub = self.cluster.cdn
 
     # ------------------------------------------------------------------ #
     # Client management

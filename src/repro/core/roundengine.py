@@ -35,7 +35,7 @@ from repro.core.addfriend import addfriend_body_length
 from repro.core.client import Client
 from repro.core.dialtoken import DIAL_TOKEN_SIZE
 from repro.errors import NetworkError
-from repro.mixnet.chain import RoundResult
+from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import choose_mailbox_count, mailbox_for_identity
 from repro.mixnet.onion import wrap_onion_many
 from repro.obs.trace import active_tracer
@@ -49,7 +49,7 @@ class RoundSummary:
     round_number: int
     mailbox_count: int
     submissions: int
-    mix_result: RoundResult | None = None
+    mix_result: RoundCounts | None = None
     events_by_client: dict[str, list] = field(default_factory=dict)
     # Transport-level measurements for the round (simulated time and bytes).
     latency_s: float = 0.0
@@ -295,7 +295,13 @@ class AddFriendDriver(ProtocolDriver):
                         raise outcome.error
                     errors[i] = outcome.error
                     continue
-                responses[i].append(outcome.result.obj)
+                try:
+                    responses[i].append(
+                        pkg.extraction_response(outcome.result.payload, clients[i].email)
+                    )
+                except NetworkError as exc:
+                    errors[i] = exc
+                    continue
                 ready[i] = max(ready[i], outcome.finished_at) if parallel else outcome.finished_at
         survivors = [i for i in range(len(clients)) if i not in errors]
         inners = []
@@ -564,7 +570,6 @@ class RoundEngine:
         try:
             submissions = self.dep.entry_stub.submissions(driver.protocol, round_number)
             result = self.dep.entry_stub.close_round(driver.protocol, round_number)
-            self.dep.cdn_stub.publish(result.mailboxes)
         except NetworkError:
             # The round's control plane failed (entry or CDN unreachable).
             # The operator runs in the entry server's process: tear the

@@ -48,6 +48,14 @@ class AttestationScheme(ABC):
         """One PKG's attestation over ``statement`` (scheme-specific type)."""
 
     @abstractmethod
+    def to_bytes(self, attestation) -> bytes:
+        """One PKG's attestation as its :data:`ATTESTATION_SIZE` wire bytes."""
+
+    @abstractmethod
+    def from_bytes(self, data: bytes) -> object:
+        """Inverse of :meth:`to_bytes`; ``CryptoError`` if malformed."""
+
+    @abstractmethod
     def aggregate(self, attestations: list) -> bytes:
         """Combine per-PKG attestations into the 64-byte ``PKGSigs`` field."""
 
@@ -68,6 +76,12 @@ class BlsAttestation(AttestationScheme):
     def attest(self, secret, public, statement: bytes):
         return bls.sign(secret, statement)
 
+    def to_bytes(self, attestation) -> bytes:
+        return bls.signature_to_bytes(attestation)
+
+    def from_bytes(self, data: bytes):
+        return bls.signature_from_bytes(data)
+
     def aggregate(self, attestations: list) -> bytes:
         return bls.aggregate_signatures(attestations).to_bytes()
 
@@ -75,10 +89,8 @@ class BlsAttestation(AttestationScheme):
         return bls.aggregate_publics(publics)
 
     def verify(self, aggregate_public, statement: bytes, aggregate_sig: bytes) -> bool:
-        from repro.crypto.bn254.curve import G1Point
-
         try:
-            signature = G1Point.from_bytes(aggregate_sig)
+            signature = bls.signature_from_bytes(aggregate_sig)
         except Exception:
             return False
         return bls.verify(aggregate_public, statement, signature)
@@ -102,6 +114,14 @@ class SimulatedAttestation(AttestationScheme):
 
     def attest(self, secret, public, statement: bytes) -> bytes:
         return self._attest_bytes(public, statement)
+
+    def to_bytes(self, attestation: bytes) -> bytes:
+        return attestation
+
+    def from_bytes(self, data: bytes) -> bytes:
+        if len(data) != ATTESTATION_SIZE:
+            raise CryptoError(f"attestation must be {ATTESTATION_SIZE} bytes, got {len(data)}")
+        return data
 
     def aggregate(self, attestations: list) -> bytes:
         if not attestations:

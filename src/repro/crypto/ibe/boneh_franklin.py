@@ -137,5 +137,14 @@ class BonehFranklinIbe(IbeScheme):
     def master_public_to_bytes(self, public: G2Point) -> bytes:
         return public.to_bytes()
 
+    def master_public_from_bytes(self, data: bytes) -> G2Point:
+        return G2Point.from_bytes(data)
+
+    def private_key_to_bytes(self, private: IbePrivateKey) -> bytes:
+        return private.point.to_bytes()
+
+    def private_key_from_bytes(self, identity: str, data: bytes) -> IbePrivateKey:
+        return IbePrivateKey(identity=identity, point=G1Point.from_bytes(data))
+
     def ciphertext_overhead(self) -> int:
         return IBE_OVERHEAD

@@ -79,5 +79,17 @@ class IbeScheme(abc.ABC):
         """Canonical encoding of a master public key."""
 
     @abc.abstractmethod
+    def master_public_from_bytes(self, data: bytes):
+        """Inverse of :meth:`master_public_to_bytes`; ``CryptoError`` if malformed."""
+
+    @abc.abstractmethod
+    def private_key_to_bytes(self, private) -> bytes:
+        """Canonical encoding of an identity private key (share)."""
+
+    @abc.abstractmethod
+    def private_key_from_bytes(self, identity: str, data: bytes):
+        """Inverse of :meth:`private_key_to_bytes` for ``identity``'s key."""
+
+    @abc.abstractmethod
     def ciphertext_overhead(self) -> int:
         """Bytes added on top of the plaintext by one IBE encryption."""

@@ -31,8 +31,11 @@ from repro.utils.rng import random_bytes
 
 # Header mimics the real scheme's G2 element so that simulated wire formats
 # have realistic sizes (configurable via analysis/sizes.py for the paper's
-# compressed 64-byte encoding).
+# compressed 64-byte encoding).  Keys encode at the BN254 widths too: a
+# master public key as a G2 element, an identity private key as a G1 one.
 _SIM_HEADER_SIZE = 128
+_SIM_MASTER_PUBLIC_SIZE = 128
+_SIM_PRIVATE_KEY_SIZE = 64
 SIMULATED_IBE_OVERHEAD = 2 + _SIM_HEADER_SIZE + AEAD_OVERHEAD
 
 
@@ -46,6 +49,19 @@ class SimulatedMasterKeyPair:
 class SimulatedPrivateKey:
     identity: str
     key: bytes
+
+
+def _pad(value: bytes, size: int) -> bytes:
+    """A 32-byte simulated value zero-padded to the real scheme's width."""
+    if len(value) != 32:
+        raise CryptoError("simulated keys are 32 bytes")
+    return value + bytes(size - 32)
+
+
+def _unpad(data: bytes, size: int) -> bytes:
+    if len(data) != size or data[32:] != bytes(size - 32):
+        raise CryptoError(f"simulated key encoding must be 32 bytes zero-padded to {size}")
+    return data[:32]
 
 
 class SimulatedPkgOracle:
@@ -134,7 +150,16 @@ class SimulatedIbe(IbeScheme):
         return SimulatedPrivateKey(identity=identity, key=combined)
 
     def master_public_to_bytes(self, public: bytes) -> bytes:
-        return public
+        return _pad(public, _SIM_MASTER_PUBLIC_SIZE)
+
+    def master_public_from_bytes(self, data: bytes) -> bytes:
+        return _unpad(data, _SIM_MASTER_PUBLIC_SIZE)
+
+    def private_key_to_bytes(self, private: SimulatedPrivateKey) -> bytes:
+        return _pad(private.key, _SIM_PRIVATE_KEY_SIZE)
+
+    def private_key_from_bytes(self, identity: str, data: bytes) -> SimulatedPrivateKey:
+        return SimulatedPrivateKey(identity=identity, key=_unpad(data, _SIM_PRIVATE_KEY_SIZE))
 
     def ciphertext_overhead(self) -> int:
         return SIMULATED_IBE_OVERHEAD

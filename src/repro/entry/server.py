@@ -57,10 +57,15 @@ class EntryServer:
         mix_chain: MixChain,
         pkg_coordinator: PkgCoordinator | None = None,
         rate_limit_verifier: blind.TokenVerifier | None = None,
+        cdn=None,
     ) -> None:
         self.mix_chain = mix_chain
         self.pkg_coordinator = pkg_coordinator
         self.rate_limit_verifier = rate_limit_verifier
+        #: Where the ``close_round`` RPC publishes the round's mailboxes (a
+        #: :class:`~repro.net.rpc.CdnStub`): whoever ran the mix chain
+        #: publishes, so mailboxes cross the wire once, entry -> CDN.
+        self.cdn = cdn
         self._open_rounds: dict[tuple[str, int], _OpenRound] = {}
         self.batches_processed = 0
 
@@ -180,15 +185,17 @@ class EntryServer:
                 request.payload
             )
             announcement = self.announce_round(protocol, round_number, mailbox_count, body_length)
+            pkg_publics: list[bytes] = []
+            if announcement.pkg_public_keys:
+                pkg_publics = self.pkg_coordinator.round_keys(round_number).encoded_public_keys
             return RpcResult(
                 payload=rpc.encode_announce_response(
                     announcement.mix_public_keys,
                     announcement.mailbox_count,
                     announcement.request_body_length,
                     announcement.shard_directory,
-                ),
-                obj=announcement.pkg_public_keys,
-                size_hint=rpc.MASTER_PUBLIC_SIZE_HINT * len(announcement.pkg_public_keys),
+                    pkg_publics,
+                )
             )
         if request.method == "submit":
             protocol, round_number, client_id, envelope, token_bytes = rpc.decode_submit_request(
@@ -203,7 +210,7 @@ class EntryServer:
         if request.method == "close_round":
             protocol, round_number = rpc.decode_round_ref(request.payload)
             result = self.close_round(protocol, round_number)
-            # The response to the coordinator carries only round statistics;
-            # the mailboxes themselves are charged on the entry -> CDN publish.
-            return RpcResult(obj=result, size_hint=64)
+            # The mailboxes go entry -> CDN; the coordinator gets statistics.
+            self.cdn.publish(result.mailboxes)
+            return RpcResult(payload=rpc.encode_round_counts(result))
         raise NetworkError(f"entry server has no RPC method {request.method!r}")

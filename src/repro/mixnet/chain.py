@@ -17,7 +17,7 @@ tests and one-off experiments simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.errors import MixnetError
 from repro.mixnet.mailbox import (
@@ -53,18 +53,31 @@ class _LocalMixHandle:
 
 
 @dataclass
-class RoundResult:
-    """Everything produced by one pass through the chain."""
+class RoundCounts:
+    """One round's statistics: what a ``close_round`` reply carries."""
 
-    round_number: int
-    protocol: str
-    mailboxes: MailboxSet
     submitted: int
     delivered_real: int
     dropped: int
     noise_added: int
     cover_dropped: int
-    per_server_noise: list[int] = field(default_factory=list)
+    #: Noise each mix server actually drew, in chain order.
+    per_server_noise: list[int]
+    #: Messages per mailbox ID, noise included (``MailboxSet.message_counts``).
+    mailbox_counts: list[int]
+
+
+@dataclass
+class RoundResult(RoundCounts):
+    """Everything produced by one pass through the chain."""
+
+    round_number: int
+    protocol: str
+    mailboxes: MailboxSet
+
+    def counts(self) -> RoundCounts:
+        """The statistics alone, without the mailboxes."""
+        return RoundCounts(*(getattr(self, f.name) for f in fields(RoundCounts)))
 
 
 class MixChain:
@@ -217,4 +230,5 @@ class MixChain:
             noise_added=total_noise,
             cover_dropped=cover_dropped,
             per_server_noise=per_server_noise,
+            mailbox_counts=mailboxes.message_counts(),
         )

@@ -136,10 +136,10 @@ class MailboxSet:
     addfriend: dict[int, AddFriendMailbox] = field(default_factory=dict)
     dialing: dict[int, DialingMailbox] = field(default_factory=dict)
 
-    def mailbox_sizes(self) -> dict[int, int]:
-        if self.protocol == "add-friend":
-            return {mid: mailbox.size_bytes() for mid, mailbox in self.addfriend.items()}
-        return {mid: mailbox.size_bytes() for mid, mailbox in self.dialing.items()}
+    def blobs(self) -> dict[int, bytes]:
+        """Every mailbox serialized: what crosses the wire and the CDN stores."""
+        boxes = self.addfriend if self.protocol == "add-friend" else self.dialing
+        return {mailbox_id: mailbox.to_bytes() for mailbox_id, mailbox in boxes.items()}
 
     def message_counts(self) -> list[int]:
         """Messages per mailbox ID -- the round's *observable* count vector.
@@ -158,9 +158,6 @@ class MailboxSet:
                 if 0 <= mid < self.mailbox_count:
                     counts[mid] = mailbox.token_count
         return counts
-
-    def total_size_bytes(self) -> int:
-        return sum(self.mailbox_sizes().values())
 
     def mailbox_for(self, identity: str):
         """The mailbox a given identity should download this round."""

@@ -5,13 +5,9 @@ Every message a :class:`~repro.net.transport.Transport` carries is one
 method) followed by a method-specific payload, all encoded with the same
 canonical :class:`~repro.utils.serialization.Packer` format the protocol
 messages themselves use.  The framing is what the simulated network charges
-against link bandwidth, so the header is deliberately compact.
-
-Some responses carry backend-specific objects (pairing points, extraction
-responses, mailbox sets) that have no byte encoding of their own yet; those
-travel out-of-band as an attached object with a declared ``size_hint`` so
-bandwidth accounting stays honest.  The helpers at the bottom encode the
-recurring compound payloads (envelope batches, public-key lists).
+against link bandwidth, so the header is deliberately compact.  The helpers
+at the bottom encode the recurring compound payloads (envelope batches,
+public-key lists).
 """
 
 from __future__ import annotations
@@ -103,9 +99,9 @@ class FrameBatch:
     handler hot path reads the columns directly.
 
     Wire-size accounting matches the per-frame path bit for bit: payload
-    length + declared size hint + :func:`frame_overhead`, with the overhead
-    memoized per ``(src, dst, method)`` triple so the string encodes run once
-    per route rather than once per frame.
+    length + :func:`frame_overhead`, with the overhead memoized per
+    ``(src, dst, method)`` triple so the string encodes run once per route
+    rather than once per frame.
     """
 
     __slots__ = (
@@ -113,8 +109,6 @@ class FrameBatch:
         "dsts",
         "methods",
         "payloads",
-        "objs",
-        "size_hints",
         "wire_sizes",
         "deadlines",
         "_overheads",
@@ -125,8 +119,6 @@ class FrameBatch:
         self.dsts: list[str] = []
         self.methods: list[str] = []
         self.payloads: list[bytes] = []
-        self.objs: list[object] = []
-        self.size_hints = array("q")
         self.wire_sizes = array("q")
         self.deadlines = array("d")
         self._overheads: dict[tuple[str, str, str], int] = {}
@@ -134,15 +126,7 @@ class FrameBatch:
     def __len__(self) -> int:
         return len(self.srcs)
 
-    def append(
-        self,
-        src: str,
-        dst: str,
-        method: str,
-        payload: bytes,
-        obj: object = None,
-        size_hint: int = 0,
-    ) -> int:
+    def append(self, src: str, dst: str, method: str, payload: bytes) -> int:
         """Add one frame; returns its column index."""
         route = (src, dst, method)
         overhead = self._overheads.get(route)
@@ -152,9 +136,7 @@ class FrameBatch:
         self.dsts.append(dst)
         self.methods.append(method)
         self.payloads.append(payload)
-        self.objs.append(obj)
-        self.size_hints.append(size_hint)
-        self.wire_sizes.append(len(payload) + size_hint + overhead)
+        self.wire_sizes.append(len(payload) + overhead)
         self.deadlines.append(0.0)
         return len(self.srcs) - 1
 
@@ -191,7 +173,7 @@ def encode_wire_message(body: bytes) -> bytes:
     the wire, so real transports wrap every frame in a 4-byte big-endian
     length prefix.  The prefix is *transport* framing and is deliberately not
     charged against link bandwidth: the simulated network's accounting
-    (payload + size hint + :func:`frame_overhead`) stays the comparison
+    (payload + :func:`frame_overhead`) stays the comparison
     baseline across runtimes.
     """
     if len(body) > MAX_WIRE_MESSAGE_BYTES:

@@ -8,25 +8,31 @@ encodes arguments into a framed payload, issues one :meth:`Transport.call`,
 and decodes the response; the server's ``handle_rpc`` does the inverse.
 
 Payload layouts live in the ``encode_*`` / ``decode_*`` helpers below so the
-two directions cannot drift apart.  Backend-specific values that have no
-byte encoding (pairing points, extraction responses, mailbox sets) ride the
-response's attached object with an explicit size hint; see
-``repro/net/frames.py`` for the rationale.
+two directions cannot drift apart; ``docs/wire.md`` tabulates them.  A client
+wave's reply (``extract``, ``download``) or a round-control reply the
+coordinator cannot decode is that call's :class:`~repro.errors.NetworkError`
+(:func:`decode_reply`), the same rule the real transports apply to an
+undecodable frame: one bad reply fails one caller, not the wave.
 """
 
 from __future__ import annotations
 
+from repro.errors import CryptoError, NetworkError, SerializationError
+from repro.mixnet.chain import RoundCounts
+from repro.mixnet.mailbox import decode_mailbox
 from repro.mixnet.noise import NoiseConfig
 from repro.mixnet.server import MixServerStats
 from repro.net.frames import pack_bytes_list, unpack_bytes_list
 from repro.net.transport import BatchCall, BatchCallOutcome, Transport
 from repro.utils.serialization import Packer, Unpacker
 
-# Nominal wire sizes for values that travel as attached objects: a G2 master
-# public key (128 bytes uncompressed), and an extraction response (a G1 key
-# share + a G1 BLS attestation, 64 bytes each, plus framing).
-MASTER_PUBLIC_SIZE_HINT = 128
-EXTRACTION_RESPONSE_SIZE_HINT = 2 * 64 + 16
+
+def decode_reply(decode, payload: bytes, *args):
+    """Decode one reply; malformed bytes become that call's ``NetworkError``."""
+    try:
+        return decode(payload, *args)
+    except (SerializationError, CryptoError) as exc:
+        raise NetworkError(f"undecodable reply: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -68,26 +74,29 @@ def encode_announce_response(
     mailbox_count: int,
     request_body_length: int,
     shard_directory=None,
+    pkg_public_keys: list[bytes] = (),
 ) -> bytes:
+    """``pkg_public_keys`` are the PKGs' encoded round master public keys."""
     packer = Packer().u32(mailbox_count).u32(request_body_length)
     pack_bytes_list(packer, mix_public_keys)
     if shard_directory is None:
         packer.u8(0)
     else:
         shard_directory.pack_into(packer.u8(1))
-    return packer.pack()
+    return pack_bytes_list(packer, pkg_public_keys).pack()
 
 
-def decode_announce_response(payload: bytes) -> tuple[list[bytes], int, int, object]:
+def decode_announce_response(payload: bytes) -> tuple[list[bytes], int, int, object, list[bytes]]:
     from repro.cluster.directory import ShardDirectory
 
     unpacker = Unpacker(payload)
     mailbox_count = unpacker.u32()
     request_body_length = unpacker.u32()
     mix_publics = unpack_bytes_list(unpacker)
-    directory = ShardDirectory.read_from(unpacker) if unpacker.u8() else None
+    directory = ShardDirectory.read_from(unpacker) if unpacker.flag() else None
+    pkg_publics = unpack_bytes_list(unpacker)
     unpacker.done()
-    return mix_publics, mailbox_count, request_body_length, directory
+    return mix_publics, mailbox_count, request_body_length, directory, pkg_publics
 
 
 def encode_submit_request(
@@ -111,7 +120,7 @@ def decode_submit_request(payload: bytes) -> tuple[str, int, str, bytes, bytes |
     round_number = unpacker.u64()
     client_id = unpacker.str()
     envelope = unpacker.bytes()
-    token = unpacker.bytes() if unpacker.u8() else None
+    token = unpacker.bytes() if unpacker.flag() else None
     unpacker.done()
     return protocol, round_number, client_id, envelope, token
 
@@ -178,7 +187,7 @@ def decode_submit_batch_request(
     for _ in range(count):
         client_id = unpacker.str()
         envelope = unpacker.bytes()
-        token = unpacker.bytes() if unpacker.u8() else None
+        token = unpacker.bytes() if unpacker.flag() else None
         entries.append((client_id, envelope, token))
     unpacker.done()
     return protocol, round_number, entries
@@ -225,15 +234,64 @@ def decode_collect_response(payload: bytes) -> list[bytes]:
     return envelopes
 
 
-def encode_shard_publish_range(lo: int, hi: int) -> bytes:
-    return Packer().u32(lo).u32(hi).pack()
+def encode_publish_request(
+    protocol: str, round_number: int, mailbox_count: int, blobs: dict[int, bytes]
+) -> bytes:
+    """A round's ``MailboxSet`` on the wire: round ref + ``(id, mailbox bytes)`` list."""
+    packer = Packer().str(protocol).u64(round_number).u32(mailbox_count).u32(len(blobs))
+    for mailbox_id, blob in blobs.items():
+        packer.u32(mailbox_id).bytes(blob)
+    return packer.pack()
 
 
-def decode_shard_publish_range(payload: bytes) -> tuple[int, int]:
+def decode_publish_request(payload: bytes) -> tuple[str, int, int, dict[int, bytes]]:
     unpacker = Unpacker(payload)
-    out = (unpacker.u32(), unpacker.u32())
+    protocol, round_number, mailbox_count = unpacker.str(), unpacker.u64(), unpacker.u32()
+    blobs: dict[int, bytes] = {}
+    for _ in range(unpacker.u32()):
+        mailbox_id = unpacker.u32()
+        if mailbox_id in blobs or mailbox_id >= mailbox_count:
+            raise SerializationError(f"duplicate or out-of-range mailbox id {mailbox_id}")
+        blobs[mailbox_id] = unpacker.bytes()
     unpacker.done()
-    return out
+    return protocol, round_number, mailbox_count, blobs
+
+
+def encode_shard_publish_request(lo: int, hi: int, *mailbox_set) -> bytes:
+    """One CDN shard's slice of a publish: its ``[lo, hi)`` range, then the
+    :func:`encode_publish_request` fields."""
+    return Packer().u32(lo).u32(hi).pack() + encode_publish_request(*mailbox_set)
+
+
+def decode_shard_publish_request(payload: bytes) -> tuple[int, int, str, int, int, dict[int, bytes]]:
+    unpacker = Unpacker(payload)
+    lo, hi = unpacker.u32(), unpacker.u32()
+    return (lo, hi, *decode_publish_request(unpacker.fixed(unpacker.remaining())))
+
+
+def encode_round_counts(counts: RoundCounts) -> bytes:
+    """The ``close_round`` reply: round statistics, never the mailboxes."""
+    packer = (
+        Packer()
+        .u32(counts.submitted)
+        .u32(counts.delivered_real)
+        .u32(counts.dropped)
+        .u32(counts.noise_added)
+        .u32(counts.cover_dropped)
+    )
+    for vector in (counts.per_server_noise, counts.mailbox_counts):
+        packer.u32(len(vector))
+        for value in vector:
+            packer.u32(value)
+    return packer.pack()
+
+
+def decode_round_counts(payload: bytes) -> RoundCounts:
+    unpacker = Unpacker(payload)
+    scalars = [unpacker.u32() for _ in range(5)]
+    vectors = [[unpacker.u32() for _ in range(unpacker.u32())] for _ in range(2)]
+    unpacker.done()
+    return RoundCounts(*scalars, *vectors)
 
 
 def encode_process_batch_request(
@@ -326,6 +384,32 @@ def decode_extract_request(payload: bytes) -> tuple[str, int, bytes]:
     return out
 
 
+def encode_extraction_response(response, ibe, attestation) -> bytes:
+    """An :class:`~repro.pkg.server.ExtractionResponse`: the identity-key share
+    and the attestation share in their scheme encodings (64 bytes each)."""
+    return (
+        Packer()
+        .str(response.pkg_name)
+        .u64(response.round_number)
+        .bytes(ibe.private_key_to_bytes(response.private_key_share))
+        .bytes(attestation.to_bytes(response.attestation))
+        .pack()
+    )
+
+
+def decode_extraction_response(payload: bytes, identity: str, ibe, attestation):
+    from repro.pkg.server import ExtractionResponse
+
+    unpacker = Unpacker(payload)
+    pkg_name, round_number = unpacker.str(), unpacker.u64()
+    share = ibe.private_key_from_bytes(identity, unpacker.bytes())
+    attested = attestation.from_bytes(unpacker.bytes())
+    unpacker.done()
+    return ExtractionResponse(
+        pkg_name=pkg_name, round_number=round_number, private_key_share=share, attestation=attested
+    )
+
+
 def encode_download_request(protocol: str, round_number: int, mailbox_id: int, client: str) -> bytes:
     return Packer().str(protocol).u64(round_number).u32(mailbox_id).str(client).pack()
 
@@ -337,16 +421,68 @@ def decode_download_request(payload: bytes) -> tuple[str, int, int, str]:
     return out
 
 
+def encode_download_response(blob: bytes | None) -> bytes:
+    """A mailbox's stored bytes, or the empty-mailbox marker."""
+    if blob is None:
+        return Packer().u8(0).pack()
+    return Packer().u8(1).bytes(blob).pack()
+
+
+def decode_download_response(payload: bytes, protocol: str, mailbox_id: int):
+    unpacker = Unpacker(payload)
+    blob = unpacker.bytes() if unpacker.flag() else None
+    unpacker.done()
+    return decode_mailbox(protocol, mailbox_id, blob)
+
+
+def download_wave(
+    transport: Transport, protocol: str, round_number: int, items: list[tuple[int, str]], endpoint_for
+) -> list[tuple[object, Exception | None]]:
+    """One download wave: ``(mailbox_id, client)`` per item, each sent to
+    ``endpoint_for(mailbox_id)``.
+
+    Returns ``(mailbox, None)`` or ``(None, error)`` per item, in order; the
+    scan stage fetches every participant's mailbox this way before running
+    the (simulated-time-free) scan crypto.
+    """
+    calls = [
+        BatchCall(
+            src=client,
+            dst=endpoint_for(mailbox_id),
+            method="download",
+            payload=encode_download_request(protocol, round_number, mailbox_id, client),
+        )
+        for mailbox_id, client in items
+    ]
+    results: list[tuple[object, Exception | None]] = []
+    for (mailbox_id, _client), outcome in zip(items, transport.call_batch(calls)):
+        if outcome.error is not None:
+            results.append((None, outcome.error))
+            continue
+        try:
+            payload = outcome.result.payload
+            results.append(
+                (decode_reply(decode_download_response, payload, protocol, mailbox_id), None)
+            )
+        except NetworkError as exc:
+            results.append((None, exc))
+    return results
+
+
 # --------------------------------------------------------------------------- #
 # Stubs
 # --------------------------------------------------------------------------- #
 class EntryStub:
     """Fronts the entry server for the round coordinator and for clients."""
 
-    def __init__(self, transport: Transport, endpoint: str = "entry", src: str = "coordinator") -> None:
+    def __init__(
+        self, transport: Transport, endpoint: str = "entry", src: str = "coordinator", ibe=None
+    ) -> None:
         self.transport = transport
         self.endpoint = endpoint
         self.src = src
+        #: Decodes an add-friend announcement's PKG master public keys.
+        self.ibe = ibe
 
     def announce_round(
         self,
@@ -363,14 +499,16 @@ class EntryStub:
             "announce_round",
             encode_announce_request(protocol, round_number, mailbox_count, request_body_length),
         )
-        mix_publics, final_mailbox_count, body_length, directory = decode_announce_response(
-            result.payload
+        mix_publics, final_mailbox_count, body_length, directory, pkg_publics = decode_reply(
+            decode_announce_response, result.payload
         )
         return RoundAnnouncement(
             protocol=protocol,
             round_number=round_number,
             mix_public_keys=mix_publics,
-            pkg_public_keys=list(result.obj) if result.obj is not None else [],
+            pkg_public_keys=[
+                decode_reply(self.ibe.master_public_from_bytes, key) for key in pkg_publics
+            ],
             mailbox_count=final_mailbox_count,
             request_body_length=body_length,
             shard_directory=directory,
@@ -432,11 +570,12 @@ class EntryStub:
         )
         return Unpacker(result.payload).u32()
 
-    def close_round(self, protocol: str, round_number: int):
+    def close_round(self, protocol: str, round_number: int) -> RoundCounts:
+        """Mix the round; the entry server publishes the mailboxes itself."""
         result = self.transport.call(
             self.src, self.endpoint, "close_round", encode_round_ref(protocol, round_number)
         )
-        return result.obj
+        return decode_reply(decode_round_counts, result.payload)
 
 
 class MixStub:
@@ -495,9 +634,9 @@ class PkgStub:
     appears in the request; round-lifecycle calls originate from
     ``control_src`` -- the entry server by default (which runs the
     commit-reveal coordinator), or the coordinator process when a sharded
-    entry tier moves round control there.  The ``ibe`` backend reference and
-    the long-term ``bls_public_key`` mirror what a real client ships with in
-    its configuration.
+    entry tier moves round control there.  The ``ibe`` backend reference, the
+    ``attestation`` scheme and the long-term ``bls_public_key`` mirror what a
+    real client ships with in its configuration.
     """
 
     def __init__(
@@ -505,12 +644,14 @@ class PkgStub:
         transport: Transport,
         name: str,
         ibe,
+        attestation,
         bls_public_key,
         control_src: str = "entry",
     ) -> None:
         self.transport = transport
         self.name = name
         self.ibe = ibe
+        self.attestation = attestation
         self._bls_public_key = bls_public_key
         self.control_src = control_src
 
@@ -544,8 +685,8 @@ class PkgStub:
         """The extraction RPC as a :class:`BatchCall`.
 
         The caller composes one wave per PKG across all clients and issues it
-        via ``transport.call_batch``; each outcome's ``result.obj`` is the
-        :class:`~repro.pkg.server.ExtractionResponse`.
+        via ``transport.call_batch``; :meth:`extraction_response` decodes each
+        outcome's reply.
         """
         return BatchCall(
             src=email,
@@ -555,18 +696,24 @@ class PkgStub:
             start=start,
         )
 
-    # -- round lifecycle (src = the control plane, see ``control_src``) ----
-    def open_round(self, round_number: int):
-        result = self.transport.call(
-            self.control_src, self.name, "open_round", Packer().u64(round_number).pack()
+    def extraction_response(self, payload: bytes, email: str):
+        """Decode an ``extract`` reply into ``email``'s ExtractionResponse."""
+        return decode_reply(
+            decode_extraction_response, payload, email.lower(), self.ibe, self.attestation
         )
-        return result.obj
+
+    # -- round lifecycle (src = the control plane, see ``control_src``) ----
+    def _master_public(self, method: str, round_number: int):
+        result = self.transport.call(
+            self.control_src, self.name, method, Packer().u64(round_number).pack()
+        )
+        return decode_reply(self.ibe.master_public_from_bytes, result.payload)
+
+    def open_round(self, round_number: int):
+        return self._master_public("open_round", round_number)
 
     def round_public_key(self, round_number: int):
-        result = self.transport.call(
-            self.control_src, self.name, "round_public_key", Packer().u64(round_number).pack()
-        )
-        return result.obj
+        return self._master_public("round_public_key", round_number)
 
     def close_round(self, round_number: int) -> None:
         self.transport.call(
@@ -577,7 +724,7 @@ class PkgStub:
         result = self.transport.call(
             self.control_src, self.name, "has_master_secret", Packer().u64(round_number).pack()
         )
-        return bool(Unpacker(result.payload).u8())
+        return Unpacker(result.payload).flag()
 
 
 class CdnStub:
@@ -587,13 +734,16 @@ class CdnStub:
         self.transport = transport
         self.endpoint = endpoint
 
-    def publish(self, mailboxes, src: str = "entry") -> None:
+    def publish(self, mailboxes) -> None:
+        """Called by the entry server, which ran the mix chain."""
         self.transport.call(
-            src,
+            "entry",
             self.endpoint,
             "publish",
-            obj=mailboxes,
-            size_hint=mailboxes.total_size_bytes(),
+            encode_publish_request(
+                mailboxes.protocol, mailboxes.round_number, mailboxes.mailbox_count,
+                mailboxes.blobs(),
+            ),
         )
 
     def mailbox_count(self, protocol: str, round_number: int, client: str = "anonymous") -> int:
@@ -603,34 +753,9 @@ class CdnStub:
         return Unpacker(result.payload).u32()
 
     def download_many(
-        self,
-        protocol: str,
-        round_number: int,
-        items: list[tuple[int, str]],
+        self, protocol: str, round_number: int, items: list[tuple[int, str]]
     ) -> list[tuple[object, Exception | None]]:
-        """One download wave: ``(mailbox_id, client)`` per item.
-
-        Returns ``(mailbox, None)`` or ``(None, error)`` per item, in order;
-        the scan stage fetches every participant's mailbox this way before
-        running the (simulated-time-free) scan crypto.
-        """
-        from repro.mixnet.mailbox import decode_mailbox
-
-        calls = [
-            BatchCall(
-                src=client,
-                dst=self.endpoint,
-                method="download",
-                payload=encode_download_request(protocol, round_number, mailbox_id, client),
-            )
-            for mailbox_id, client in items
-        ]
-        results: list[tuple[object, Exception | None]] = []
-        for (mailbox_id, _client), outcome in zip(items, self.transport.call_batch(calls)):
-            if outcome.error is not None:
-                results.append((None, outcome.error))
-                continue
-            unpacker = Unpacker(outcome.result.payload)
-            blob = unpacker.bytes() if unpacker.u8() else None
-            results.append((decode_mailbox(protocol, mailbox_id, blob), None))
-        return results
+        """One download wave (see :func:`download_wave`), all to this CDN."""
+        return download_wave(
+            self.transport, protocol, round_number, items, lambda _mailbox_id: self.endpoint
+        )

@@ -222,12 +222,10 @@ class SimulatedNetwork(Transport):
         dst: str,
         method: str,
         payload: bytes,
-        obj: object,
-        size_hint: int,
         timeout_s: float | None = None,
     ) -> RpcResult:
         if timeout_s is None:
-            return self._call_untimed(src, dst, method, payload, obj, size_hint)
+            return self._call_untimed(src, dst, method, payload)
         # Deadlines map onto the simulated clock: the exchange runs to its
         # natural end (handler side effects included -- a real server acts
         # even when its caller has given up), then the caller-visible clock
@@ -236,7 +234,7 @@ class SimulatedNetwork(Transport):
         # so the mapping is deterministic and composes with retry backoff.
         deadline = self.scheduler.now + timeout_s
         try:
-            result = self._call_untimed(src, dst, method, payload, obj, size_hint)
+            result = self._call_untimed(src, dst, method, payload)
         except NetworkError as exc:
             if self.scheduler.now > deadline:
                 self.scheduler.rewind(deadline)
@@ -257,21 +255,13 @@ class SimulatedNetwork(Transport):
             raise timed_out
         return result
 
-    def _call_untimed(
-        self,
-        src: str,
-        dst: str,
-        method: str,
-        payload: bytes,
-        obj: object,
-        size_hint: int,
-    ) -> RpcResult:
+    def _call_untimed(self, src: str, dst: str, method: str, payload: bytes) -> RpcResult:
         handler = self._handler_for(dst)
         start = self.scheduler.now
 
         frame = Frame.from_bytes(self._frame(src, dst, method, payload).to_bytes())
         try:
-            self._transmit(src, dst, method, len(payload) + size_hint + frame_overhead(src, dst, method))
+            self._transmit(src, dst, method, len(payload) + frame_overhead(src, dst, method))
         except NetworkError as exc:
             # The server never saw this request; callers may safely retry
             # with fresh state (see Deployment's requeue-on-failure).
@@ -285,7 +275,6 @@ class SimulatedNetwork(Transport):
             dst=frame.dst,
             method=frame.method,
             payload=frame.payload,
-            obj=obj,
             time=self.scheduler.now,
         )
         try:
@@ -306,18 +295,14 @@ class SimulatedNetwork(Transport):
 
         try:
             self._transmit(
-                dst, src, method, len(response.payload) + response.size_hint + frame_overhead(dst, src, method)
+                dst, src, method, len(response.payload) + frame_overhead(dst, src, method)
             )
         except NetworkError as exc:
             # Only the acknowledgement was lost: the server already acted on
             # the request, so a blind retry would double-apply it.
             exc.request_delivered = True
             raise
-        return RpcResult(
-            payload=response.payload,
-            obj=response.obj,
-            latency_s=self.scheduler.now - start,
-        )
+        return RpcResult(payload=response.payload, latency_s=self.scheduler.now - start)
 
     # -- batched (slotted/columnar) delivery ---------------------------------
     def call_batch(self, calls: list[BatchCall]) -> list[BatchCallOutcome]:
@@ -371,7 +356,7 @@ class SimulatedNetwork(Transport):
         batch = FrameBatch()
         starts: list[float] = []
         for call in calls:
-            batch.append(call.src, call.dst, call.method, call.payload, call.obj, call.size_hint)
+            batch.append(call.src, call.dst, call.method, call.payload)
             starts.append(call.start if call.start is not None else t0)
         arrivals = batch.deadlines  # the deadline column doubles as arrival times
 
@@ -436,8 +421,7 @@ class SimulatedNetwork(Transport):
             arrival = arrivals[i]
             sched.seek(arrival)
             request = RpcRequest(
-                src=src, dst=dst, method=method,
-                payload=batch.payloads[i], obj=batch.objs[i], time=arrival,
+                src=src, dst=dst, method=method, payload=batch.payloads[i], time=arrival
             )
             try:
                 response = normalize_response(handlers[dst](request))
@@ -462,7 +446,7 @@ class SimulatedNetwork(Transport):
             overhead = response_overheads.get(route)
             if overhead is None:
                 overhead = response_overheads[route] = frame_overhead(dst, src, method)
-            num_bytes = len(response.payload) + response.size_hint + overhead
+            num_bytes = len(response.payload) + overhead
             link = topo.link(src, dst)
             if topo.is_partitioned(src, dst):
                 outcomes[i] = BatchCallOutcome(
@@ -484,9 +468,7 @@ class SimulatedNetwork(Transport):
                 entries = response_stats[method] = []
             entries.append((dst, src, num_bytes))
             outcomes[i] = BatchCallOutcome(
-                result=RpcResult(
-                    payload=response.payload, obj=response.obj, latency_s=end - starts[i]
-                ),
+                result=RpcResult(payload=response.payload, latency_s=end - starts[i]),
                 finished_at=end,
             )
         for method, entries in response_stats.items():

@@ -17,10 +17,9 @@ moves when :meth:`advance` is called) and
 :class:`~repro.net.simulated.SimulatedNetwork` (discrete-event simulation
 with per-link latency/bandwidth/jitter/loss models).
 
-Responses may attach a Python object next to the payload bytes.  This stands
-in for the byte encoding of backend-specific values (pairing points, mailbox
-sets); such calls declare a ``size_hint`` so bandwidth accounting still sees
-realistic message sizes.
+An RPC carries exactly its ``payload`` bytes in each direction; what a
+transport charges to bandwidth is ``len(payload)`` plus the frame header
+(``docs/wire.md`` tabulates every method's layout and size).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class RpcRequest:
     dst: str
     method: str
     payload: bytes
-    obj: object = None
     time: float = 0.0  # server-side delivery time (the transport's clock)
 
 
@@ -56,8 +54,6 @@ class RpcResult:
     """What :meth:`Transport.call` returns to the caller."""
 
     payload: bytes = b""
-    obj: object = None
-    size_hint: int = 0
     latency_s: float = 0.0
 
 
@@ -79,8 +75,6 @@ class BatchCall:
     dst: str
     method: str
     payload: bytes = b""
-    obj: object = None
-    size_hint: int = 0
     start: float | None = None
 
 
@@ -246,8 +240,6 @@ class Transport(ABC):
         dst: str,
         method: str,
         payload: bytes = b"",
-        obj: object = None,
-        size_hint: int = 0,
         *,
         timeout_s: float | None = None,
         max_retries: int = 0,
@@ -275,14 +267,12 @@ class Transport(ABC):
         tracer = active_tracer()
         if not tracer.enabled:
             return self._call_retrying(
-                src, dst, method, payload, obj, size_hint,
-                timeout_s, max_retries, retry_backoff_s,
+                src, dst, method, payload, timeout_s, max_retries, retry_backoff_s
             )
         span = tracer.start(method, category="transport", keep=False)
         try:
             return self._call_retrying(
-                src, dst, method, payload, obj, size_hint,
-                timeout_s, max_retries, retry_backoff_s,
+                src, dst, method, payload, timeout_s, max_retries, retry_backoff_s
             )
         finally:
             tracer.end(span)
@@ -293,18 +283,16 @@ class Transport(ABC):
         dst: str,
         method: str,
         payload: bytes,
-        obj: object,
-        size_hint: int,
         timeout_s: float | None,
         max_retries: int,
         retry_backoff_s: float,
     ) -> RpcResult:
         if max_retries <= 0:
-            return self._call(src, dst, method, payload, obj, size_hint, timeout_s)
+            return self._call(src, dst, method, payload, timeout_s)
         attempt = 0
         while True:
             try:
-                return self._call(src, dst, method, payload, obj, size_hint, timeout_s)
+                return self._call(src, dst, method, payload, timeout_s)
             except NetworkError as exc:
                 if exc.request_delivered or attempt >= max_retries:
                     raise
@@ -337,9 +325,7 @@ class Transport(ABC):
         outcomes: list[BatchCallOutcome] = []
         for call in calls:
             try:
-                result = self.call(
-                    call.src, call.dst, call.method, call.payload, call.obj, call.size_hint
-                )
+                result = self.call(call.src, call.dst, call.method, call.payload)
             except Exception as exc:  # noqa: BLE001 - captured per call by design
                 outcomes.append(BatchCallOutcome(error=exc, finished_at=self.now()))
             else:
@@ -353,8 +339,6 @@ class Transport(ABC):
         dst: str,
         method: str,
         payload: bytes,
-        obj: object,
-        size_hint: int,
         timeout_s: float | None = None,
     ) -> RpcResult:
         """Transport-specific delivery of one request/response exchange."""
@@ -408,8 +392,6 @@ class DirectTransport(Transport):
         dst: str,
         method: str,
         payload: bytes,
-        obj: object,
-        size_hint: int,
         timeout_s: float | None = None,
     ) -> RpcResult:
         # timeout_s is accepted but can never expire: dispatch is immediate
@@ -418,20 +400,19 @@ class DirectTransport(Transport):
         # Round-trip the request through the frame codec so that malformed
         # payloads fail here, identically to how they would on a real link.
         frame = Frame.from_bytes(self._frame(src, dst, method, payload).to_bytes())
-        self.stats.record(src, dst, method, len(payload) + size_hint + frame_overhead(src, dst, method))
+        self.stats.record(src, dst, method, len(payload) + frame_overhead(src, dst, method))
         request = RpcRequest(
             src=frame.src,
             dst=frame.dst,
             method=frame.method,
             payload=frame.payload,
-            obj=obj,
             time=self._clock,
         )
         response = normalize_response(handler(request))
         self.stats.record(
-            dst, src, method, len(response.payload) + response.size_hint + frame_overhead(dst, src, method)
+            dst, src, method, len(response.payload) + frame_overhead(dst, src, method)
         )
-        return RpcResult(payload=response.payload, obj=response.obj, latency_s=0.0)
+        return RpcResult(payload=response.payload, latency_s=0.0)
 
     def now(self) -> float:
         return self._clock

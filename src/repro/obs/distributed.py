@@ -81,7 +81,7 @@ def read_context(unpacker: Unpacker) -> TraceContext | None:
     """
     if not unpacker.remaining():
         return None
-    if not unpacker.u8():
+    if not unpacker.flag():
         return None
     return TraceContext(
         trace=unpacker.str(),

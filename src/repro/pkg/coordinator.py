@@ -30,6 +30,8 @@ class RoundMasterKeys:
     round_number: int
     public_keys: list
     commitments: list[bytes]
+    #: ``public_keys`` in their wire encoding (what the commitments bind).
+    encoded_public_keys: list[bytes]
 
     def aggregate_bytes(self) -> bytes:
         return sha256(b"".join(c for c in self.commitments))
@@ -77,7 +79,10 @@ class PkgCoordinator:
                 )
 
         keys = RoundMasterKeys(
-            round_number=round_number, public_keys=publics, commitments=commitments
+            round_number=round_number,
+            public_keys=publics,
+            commitments=commitments,
+            encoded_public_keys=encoded_publics,
         )
         self._rounds[round_number] = keys
         return keys

@@ -198,15 +198,17 @@ class PkgServer:
         if request.method == "extract":
             email, round_number, signature = rpc.decode_extract_request(request.payload)
             response = self.extract(email, round_number, signature, now=request.time)
-            return RpcResult(obj=response, size_hint=rpc.EXTRACTION_RESPONSE_SIZE_HINT)
+            return RpcResult(
+                payload=rpc.encode_extraction_response(response, self.ibe, self.attestation)
+            )
 
         round_number = Unpacker(request.payload).u64()
         if request.method == "open_round":
             public = self.open_round(round_number)
-            return RpcResult(obj=public, size_hint=rpc.MASTER_PUBLIC_SIZE_HINT)
+            return RpcResult(payload=self.ibe.master_public_to_bytes(public))
         if request.method == "round_public_key":
             public = self.round_public_key(round_number)
-            return RpcResult(obj=public, size_hint=rpc.MASTER_PUBLIC_SIZE_HINT)
+            return RpcResult(payload=self.ibe.master_public_to_bytes(public))
         if request.method == "close_round":
             self.close_round(round_number)
             return RpcResult()

@@ -18,6 +18,12 @@ from repro.errors import SerializationError
 # The paper's operating point.
 DEFAULT_FALSE_POSITIVE_RATE = 1e-10
 
+#: Largest hash count a decoded filter may declare.  ``optimal_parameters``
+#: yields k = 33 at 1e-10; the bound leaves headroom down to ~1e-19 while
+#: capping the SHAKE-256 output one membership test of an untrusted filter
+#: can request (8 bytes per hash).
+MAX_NUM_HASHES = 64
+
 
 def optimal_parameters(expected_items: int, false_positive_rate: float = DEFAULT_FALSE_POSITIVE_RATE) -> tuple[int, int]:
     """Optimal (bit count, hash count) for the expected load and target FP rate.
@@ -121,7 +127,7 @@ class BloomFilter:
             raise SerializationError("Bloom filter encoding too short")
         num_bits = int.from_bytes(data[:8], "big")
         num_hashes = int.from_bytes(data[8:12], "big")
-        if num_bits <= 0 or num_hashes <= 0:
+        if num_bits <= 0 or not 0 < num_hashes <= MAX_NUM_HASHES:
             raise SerializationError("invalid Bloom filter parameters")
         expected_len = 12 + (num_bits + 7) // 8
         if len(data) != expected_len:

@@ -16,17 +16,13 @@ are all started before the first port map is awaited, so their interpreter
 start-up and ``repro`` imports overlap.
 
 The default placement puts **mix servers** in workers: they are the
-crypto hot path the ``parallel``/multi-core story is about, their RPC
-payloads are pure bytes (no object channel needed), they make no outgoing
-calls, and they reconstruct deterministically from ``(name, rng seed,
+crypto hot path the ``parallel``/multi-core story is about, they make no
+outgoing calls, and they reconstruct deterministically from ``(name, rng seed,
 crypto backend)`` -- the same derivation
 :class:`~repro.core.coordinator.Deployment` uses, so a worker's mix server
 is byte-identical to the in-parent one it replaces.  Tiers that touch
 shared in-process substrates (PKGs and the out-of-band email network, the
 shard router's round state) stay in the parent by design.
-
-Objects attached to cross-process calls travel pickled; within the parent
-the in-process token channel is used, chosen per destination.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import atexit
 import contextlib
+import json
 import multiprocessing
 import os
 import time
@@ -50,19 +47,21 @@ from repro.obs.distributed import (
     estimate_clock_offset,
     rss_bytes,
 )
-from repro.obs.logging import configure_logging, configured_level
+from repro.obs.logging import configure_logging, configured_level, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer
 from repro.runtime import wire
 from repro.runtime.transport import AsyncioTransport, serve_connection, serve_wire_message
+
+logger = get_logger("runtime")
 
 #: The control method a parent sends to stop a worker process gracefully.
 SHUTDOWN_METHOD = "__runtime_shutdown__"
 #: Clock ping: replies with the worker's ``perf_counter``, RSS, and pid;
 #: sampled a few times at startup for the clock-offset estimate.
 PING_METHOD = "__runtime_ping__"
-#: Telemetry harvest: replies with a pickled :class:`WorkerTelemetry`
-#: (drained spans + metrics snapshot + vitals).
+#: Telemetry harvest: replies with :meth:`WorkerTelemetry.to_payload` as
+#: JSON bytes (drained spans + metrics snapshot + vitals).
 TELEMETRY_METHOD = "__runtime_telemetry__"
 
 #: Clock pings sent per worker at the port-map handshake.
@@ -184,7 +183,7 @@ async def _worker_async(
 
         def serve(message: wire.WireMessage, queue_s: float) -> bytes:
             started = time.perf_counter()
-            reply = serve_wire_message(message, handler, None, clock, name, queue_s)
+            reply = serve_wire_message(message, handler, clock, name, queue_s)
             if registry is not None:
                 registry.count(f"{name}.rpcs")
                 registry.observe(f"{name}.queue_s", queue_s)
@@ -200,11 +199,10 @@ async def _worker_async(
         shutdown/harvest are rare."""
         frame = message.frame
         payload = b""
-        flag, data = wire.OBJ_NONE, b""
         if frame.method == PING_METHOD:
             payload = encode_ping_reply()
         elif frame.method == TELEMETRY_METHOD:
-            flag, data = wire.encode_obj(collect_telemetry(), None)
+            payload = json.dumps(collect_telemetry()).encode("utf-8")
         elif frame.method == SHUTDOWN_METHOD:
             # Wakes the main coroutine on a later loop turn; the serve loop
             # writes this reply before it next yields.
@@ -215,7 +213,7 @@ async def _worker_async(
             kind=KIND_RESPONSE, msg_id=frame.msg_id, src=frame.dst,
             dst=frame.src, method=frame.method, payload=payload,
         )
-        return wire.encode_message(reply, flag, data)
+        return wire.encode_message(reply)
 
     servers = []
     ports: dict[str, int] = {}
@@ -349,7 +347,7 @@ class MultiprocessTransport(AsyncioTransport):
             samples = []
             for _ in range(_PING_SAMPLES):
                 t0 = time.perf_counter()
-                result = self._call("runtime", contact, PING_METHOD, b"", None, 0, 10.0)
+                result = self._call("runtime", contact, PING_METHOD, b"", 10.0)
                 t1 = time.perf_counter()
                 worker_t, rss, pid = decode_ping_reply(result.payload)
                 samples.append((t0, t1, worker_t))
@@ -375,16 +373,21 @@ class MultiprocessTransport(AsyncioTransport):
             if not process.is_alive():
                 continue
             try:
-                result = self._call("runtime", contact, TELEMETRY_METHOD, b"", None, 0, 10.0)
+                result = self._call("runtime", contact, TELEMETRY_METHOD, b"", 10.0)
             except Exception:  # noqa: BLE001 - a dying worker loses its tail
                 continue
-            telemetry = WorkerTelemetry.from_payload(result.obj or {})
             info = self._worker_info.get(contact, {})
+            try:
+                telemetry = WorkerTelemetry.from_payload(json.loads(result.payload))
+                if getattr(tracer, "enabled", False) and telemetry.spans:
+                    tracer.add_remote_spans(
+                        telemetry.pid, telemetry.spans, info.get("offset_s", 0.0)
+                    )
+            except (ValueError, TypeError, AttributeError) as exc:
+                # The peer is a socket, not a trusted object: skip this worker.
+                logger.warning("skipping malformed telemetry from %s: %s", contact, exc)
+                continue
             info["rss"] = telemetry.rss
-            if getattr(tracer, "enabled", False) and telemetry.spans:
-                tracer.add_remote_spans(
-                    telemetry.pid, telemetry.spans, info.get("offset_s", 0.0)
-                )
             if telemetry.metrics:
                 self.worker_metrics[telemetry.label] = telemetry.metrics
             harvested.append(telemetry)
@@ -409,7 +412,7 @@ class MultiprocessTransport(AsyncioTransport):
         for process, endpoint in self._worker_contacts:
             if process.is_alive():
                 with contextlib.suppress(Exception):
-                    self._call("runtime", endpoint, SHUTDOWN_METHOD, b"", None, 0, 5.0)
+                    self._call("runtime", endpoint, SHUTDOWN_METHOD, b"", 5.0)
                     asked.add(process)
         super().close()
         for process in self._processes:

@@ -36,8 +36,7 @@ gaps are a simulated-time concept and must not stall a real deployment.
 
 The multiprocess variant (:class:`~repro.runtime.mp.MultiprocessTransport`)
 extends this class with a routing table of endpoints served by spawned worker
-processes; ``_remote_ports`` and the per-destination object-channel selection
-are the seams it plugs into.
+processes; ``_remote_ports`` is the seam it plugs into.
 """
 
 from __future__ import annotations
@@ -86,12 +85,7 @@ _READ_BYTES = 256 * 1024
 logger = get_logger("runtime")
 
 
-def dispatch_wire_message(
-    message: wire.WireMessage,
-    handler: RpcHandler,
-    obj_channel: wire.LocalObjectChannel | None,
-    clock,
-) -> bytes:
+def dispatch_wire_message(message: wire.WireMessage, handler: RpcHandler, clock) -> bytes:
     """Run one decoded request through a handler; return the reply body.
 
     Shared by the in-parent servers here and the worker processes in
@@ -101,13 +95,11 @@ def dispatch_wire_message(
     """
     frame = message.frame
     try:
-        obj = wire.decode_obj(message, obj_channel)
         request = RpcRequest(
             src=frame.src,
             dst=frame.dst,
             method=frame.method,
             payload=frame.payload,
-            obj=obj,
             time=clock(),
         )
         response = normalize_response(handler(request))
@@ -129,14 +121,12 @@ def dispatch_wire_message(
         method=frame.method,
         payload=response.payload,
     )
-    flag, data = wire.encode_obj(response.obj, obj_channel)
-    return wire.encode_message(reply_frame, flag, data, response.size_hint)
+    return wire.encode_message(reply_frame)
 
 
 def serve_wire_message(
     message: wire.WireMessage,
     handler: RpcHandler,
-    obj_channel: wire.LocalObjectChannel | None,
     clock,
     endpoint: str,
     queue_s: float = 0.0,
@@ -152,7 +142,7 @@ def serve_wire_message(
     tracer = active_tracer()
     context = message.trace
     if not tracer.enabled or context is None:
-        return dispatch_wire_message(message, handler, obj_channel, clock)
+        return dispatch_wire_message(message, handler, clock)
     span = tracer.start(
         "rpc.serve",
         category=CATEGORY_RPC,
@@ -166,7 +156,7 @@ def serve_wire_message(
         queue_s=round(queue_s, 6),
     )
     try:
-        return dispatch_wire_message(message, handler, obj_channel, clock)
+        return dispatch_wire_message(message, handler, clock)
     finally:
         tracer.end(span)
         # crypto_wall is only final once the span has ended; args stay
@@ -291,7 +281,6 @@ class AsyncioTransport(Transport):
         super().__init__()
         self._host = host
         self._start_timeout_s = start_timeout_s
-        self._objects = wire.LocalObjectChannel()
         #: Endpoint -> port for locally served endpoints.
         self._ports: dict[str, int] = {}
         #: Endpoint -> port for endpoints served by worker processes (filled
@@ -340,7 +329,7 @@ class AsyncioTransport(Transport):
         handler, executor = self._handlers[name], self._executors[name]
 
         def serve(message: wire.WireMessage, queue_s: float) -> bytes:
-            return serve_wire_message(message, handler, self._objects, self.now, name, queue_s)
+            return serve_wire_message(message, handler, self.now, name, queue_s)
 
         def on_connection(reader, writer):
             return serve_connection(reader, writer, executor, serve)
@@ -356,12 +345,6 @@ class AsyncioTransport(Transport):
         if port is None:
             raise NetworkError(f"no endpoint registered as {dst!r}")
         return port
-
-    def _obj_channel_for(self, dst: str) -> wire.LocalObjectChannel | None:
-        """The object channel for requests *to* ``dst`` (None = pickle)."""
-        if dst in self._remote_ports:
-            return None
-        return self._objects
 
     # -- connection pool (event-loop thread only) ----------------------------
     async def _acquire(self, dst: str, port: int) -> _Connection:
@@ -426,8 +409,6 @@ class AsyncioTransport(Transport):
         dst: str,
         method: str,
         payload: bytes,
-        obj: object,
-        size_hint: int,
         timeout_s: float | None = None,
     ) -> RpcResult:
         if self._closed:
@@ -437,11 +418,11 @@ class AsyncioTransport(Transport):
         with self._send_lock:
             frame = self._frame(src, dst, method, payload)
             # Request accounting matches the in-process transports: payload
-            # + declared size hint + frame overhead (the stream's 4-byte
-            # length prefix is transport framing, not protocol bandwidth).
+            # + frame overhead (the stream's 4-byte length prefix is
+            # transport framing, not protocol bandwidth).
             if not control:
                 self.stats.record(
-                    src, dst, method, len(payload) + size_hint + frame_overhead(src, dst, method)
+                    src, dst, method, len(payload) + frame_overhead(src, dst, method)
                 )
         tracer = active_tracer()
         span = context = None
@@ -451,8 +432,7 @@ class AsyncioTransport(Transport):
             )
             span.set(span_id=span.span_id)
             context = TraceContext(tracer.trace_id, span.span_id, src, os.getpid())
-        flag, data = wire.encode_obj(obj, self._obj_channel_for(dst))
-        body = encode_wire_message(wire.encode_message(frame, flag, data, size_hint, context))
+        body = encode_wire_message(wire.encode_message(frame, context))
         replies: list[tuple[bytes, float]] = []
         started = time.monotonic()
         try:
@@ -488,18 +468,10 @@ class AsyncioTransport(Transport):
                 with self._send_lock:
                     self.stats.record(dst, src, method, len(reply.payload) + overhead)
             raise wire.decode_error(reply.payload)
-        response_obj = wire.decode_obj(message, self._objects)
         if not control:
             with self._send_lock:
-                self.stats.record(
-                    dst, src, method, len(reply.payload) + message.size_hint + overhead
-                )
-        return RpcResult(
-            payload=reply.payload,
-            obj=response_obj,
-            size_hint=message.size_hint,
-            latency_s=latency_s,
-        )
+                self.stats.record(dst, src, method, len(reply.payload) + overhead)
+        return RpcResult(payload=reply.payload, latency_s=latency_s)
 
     def call_batch(self, calls: list[BatchCall]) -> list[BatchCallOutcome]:
         """A wave of concurrent calls: one pipelined exchange per destination.
@@ -538,17 +510,14 @@ class AsyncioTransport(Transport):
                     call.src,
                     call.dst,
                     call.method,
-                    len(call.payload) + call.size_hint + frame_overhead(call.src, call.dst, call.method),
+                    len(call.payload) + frame_overhead(call.src, call.dst, call.method),
                 )
             context = None
             span_id = 0
             if traced:
                 span_id = tracer.next_span_id()
                 context = TraceContext(tracer.trace_id, span_id, call.src, os.getpid())
-            flag, data = wire.encode_obj(call.obj, self._obj_channel_for(call.dst))
-            body = encode_wire_message(
-                wire.encode_message(frame, flag, data, call.size_hint, context)
-            )
+            body = encode_wire_message(wire.encode_message(frame, context))
             groups.setdefault(call.dst, []).append((index, frame.msg_id, span_id, body))
 
         async def run_group(dst: str, group: list[tuple[int, int, int, bytes]]):

@@ -1,21 +1,16 @@
 """The wire codec real transports put on TCP sockets.
 
 Every wire message is one :class:`~repro.net.frames.Frame` -- the exact
-codec the in-process transports already round-trip -- plus a small trailer
-carrying the out-of-band pieces the frame itself cannot:
+codec the in-process transports already round-trip -- optionally followed by
+a trace context (tracing enabled on the sender only; never charged to
+bandwidth accounting, like the length prefix).  Nothing else crosses a
+socket: an RPC is its payload bytes.
 
-* the **object channel**: responses (and a few requests) attach a Python
-  object next to the payload bytes (pairing points, extraction responses,
-  mailbox sets).  In-process across threads the object travels as a *token*
-  into a shared side table (no serialization, same semantics as the
-  simulated network's attached-object convention); across processes it is
-  pickled.  Either way the declared ``size_hint`` rides along so bandwidth
-  accounting stays identical to the simulated network's.
-* **error replies**: a handler exception is encoded as a ``KIND_ERROR``
-  frame whose payload names the exception class and message.  Classes from
-  :mod:`repro.errors` reconstruct exactly (the round engine's abort/requeue
-  semantics key on them); anything else reconstructs as
-  :class:`~repro.errors.RemoteCallError`.
+**Error replies**: a handler exception is encoded as a ``KIND_ERROR`` frame
+whose payload names the exception class and message.  Classes from
+:mod:`repro.errors` reconstruct exactly (the round engine's abort/requeue
+semantics key on them); anything else reconstructs as
+:class:`~repro.errors.RemoteCallError`.
 
 On the stream each message is preceded by the 4-byte length prefix from
 :func:`repro.net.frames.encode_wire_message`; this module only encodes and
@@ -24,131 +19,36 @@ decodes the message *bodies*.
 
 from __future__ import annotations
 
-import itertools
-import pickle
-import threading
 from dataclasses import dataclass
 
 import repro.errors as errors_module
-from repro.errors import RemoteCallError, SerializationError
+from repro.errors import RemoteCallError
 from repro.net.frames import Frame
 from repro.obs.distributed import TraceContext, read_context, write_context
 from repro.utils.serialization import Packer, Unpacker
 
-#: Object-channel modes (the u8 flag after the embedded frame).
-OBJ_NONE = 0
-OBJ_TOKEN = 1
-OBJ_PICKLE = 2
-
 
 @dataclass(frozen=True)
 class WireMessage:
-    """One decoded wire body: the frame plus its object-channel trailer."""
+    """One decoded wire body: the frame plus its optional trace context."""
 
     frame: Frame
-    obj_flag: int = OBJ_NONE
-    obj_data: bytes = b""
-    size_hint: int = 0
-    #: Optional trace-context trailer (tracing enabled on the sender only);
-    #: never charged to bandwidth accounting, like the length prefix.
     trace: TraceContext | None = None
 
 
-def encode_message(
-    frame: Frame,
-    obj_flag: int = OBJ_NONE,
-    obj_data: bytes = b"",
-    size_hint: int = 0,
-    trace: TraceContext | None = None,
-) -> bytes:
-    """Encode one frame + object trailer into a wire body (no length prefix)."""
-    packer = (
-        Packer()
-        .bytes(frame.to_bytes())
-        .u8(obj_flag)
-        .bytes(obj_data)
-        .u64(size_hint)
-    )
-    return write_context(packer, trace).pack()
+def encode_message(frame: Frame, trace: TraceContext | None = None) -> bytes:
+    """Encode one frame (+ trace context) into a wire body (no length prefix)."""
+    return write_context(Packer().bytes(frame.to_bytes()), trace).pack()
 
 
 def decode_message(body: bytes) -> WireMessage:
     unpacker = Unpacker(body)
     frame = Frame.from_bytes(unpacker.bytes())
-    obj_flag = unpacker.u8()
-    if obj_flag not in (OBJ_NONE, OBJ_TOKEN, OBJ_PICKLE):
-        raise SerializationError(f"unknown object-channel flag {obj_flag}")
-    obj_data = unpacker.bytes()
-    size_hint = unpacker.u64()
-    # The trailer is optional both ways: absent bytes (a peer that never
+    # The context is optional both ways: absent bytes (a peer that never
     # writes it) and a 0 presence flag both decode to "no context".
     trace = read_context(unpacker)
     unpacker.done()
-    return WireMessage(
-        frame=frame, obj_flag=obj_flag, obj_data=obj_data, size_hint=size_hint, trace=trace
-    )
-
-
-# --------------------------------------------------------------------------- #
-# The object channel
-# --------------------------------------------------------------------------- #
-class LocalObjectChannel:
-    """The in-process side table behind :data:`OBJ_TOKEN` object references.
-
-    Within one process the wire carries an opaque token while the object
-    itself crosses via this table -- the real-socket analogue of the
-    simulated network's out-of-band attached object.  Tokens are
-    single-use: :meth:`take` pops, so a dropped reply cannot leak its
-    object forever.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._objects: dict[int, object] = {}
-        self._tokens = itertools.count(1)
-
-    def put(self, obj: object) -> bytes:
-        with self._lock:
-            token = next(self._tokens)
-            self._objects[token] = obj
-        return token.to_bytes(8, "big")
-
-    def take(self, token_bytes: bytes) -> object:
-        token = int.from_bytes(token_bytes, "big")
-        with self._lock:
-            try:
-                return self._objects.pop(token)
-            except KeyError:
-                raise SerializationError(f"unknown object-channel token {token}") from None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._objects)
-
-
-def encode_obj(obj: object, channel: LocalObjectChannel | None) -> tuple[int, bytes]:
-    """Pick the object-channel mode for one attached object.
-
-    ``channel`` present means the peer shares this process (token mode);
-    absent means it does not (pickle).  ``None`` objects never ride at all.
-    """
-    if obj is None:
-        return OBJ_NONE, b""
-    if channel is not None:
-        return OBJ_TOKEN, channel.put(obj)
-    return OBJ_PICKLE, pickle.dumps(obj)
-
-
-def decode_obj(message: WireMessage, channel: LocalObjectChannel | None) -> object:
-    if message.obj_flag == OBJ_NONE:
-        return None
-    if message.obj_flag == OBJ_TOKEN:
-        if channel is None:
-            raise SerializationError(
-                "received an in-process object token from a peer in another process"
-            )
-        return channel.take(message.obj_data)
-    return pickle.loads(message.obj_data)
+    return WireMessage(frame=frame, trace=trace)
 
 
 # --------------------------------------------------------------------------- #

@@ -221,11 +221,7 @@ class RoundStats:
             mix_stage_s=summary.mix_stage_s,
             scan_stage_s=summary.scan_stage_s,
             per_server_noise=list(mix.per_server_noise) if mix is not None else [],
-            mailbox_counts=(
-                mix.mailboxes.message_counts()
-                if mix is not None and mix.mailboxes is not None
-                else []
-            ),
+            mailbox_counts=list(mix.mailbox_counts) if mix is not None else [],
         )
 
     def to_dict(self) -> dict:

@@ -94,6 +94,13 @@ class Unpacker:
     def u8(self) -> int:
         return int.from_bytes(self._take(1), "big")
 
+    def flag(self) -> bool:
+        """A presence byte: exactly 0 or 1, so every message has one encoding."""
+        value = self.u8()
+        if value > 1:
+            raise SerializationError(f"invalid flag byte {value}")
+        return bool(value)
+
     def u32(self) -> int:
         return int.from_bytes(self._take(4), "big")
 

@@ -108,7 +108,7 @@ class TestShardDirectory:
     def test_announce_response_carries_the_directory(self):
         directory = ShardDirectory.build("add-friend", 2, 8, 2)
         payload = rpc.encode_announce_response([b"mixkey"], 8, 640, directory)
-        mix, count, body, decoded = rpc.decode_announce_response(payload)
+        mix, count, body, decoded, _pkg_keys = rpc.decode_announce_response(payload)
         assert (mix, count, body) == ([b"mixkey"], 8, 640)
         assert decoded == directory
         # And the single-server form still decodes with no directory.
@@ -403,8 +403,7 @@ class TestUnknownRoundVsEmptyMailbox:
 
     def test_cdn_shard_rejects_out_of_range_downloads(self):
         shard = CdnShard("cdn0", 0)
-        mailboxes = MailboxSet(round_number=3, protocol="add-friend", mailbox_count=8)
-        shard.publish_shard(mailboxes, lo=0, hi=4)
+        shard.store_shard_round(0, 4, "add-friend", 3, 8, {})
         assert shard.download_blob("add-friend", 3, 1) is None  # empty but owned
         with pytest.raises(ShardRoutingError):
             shard.download_blob("add-friend", 3, 5)  # owned by another shard

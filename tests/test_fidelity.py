@@ -1,8 +1,7 @@
 """Simulator-core results: pinned at the default tier, bounded under fluid.
 
-The default (``slotted``) tier's seeded results are pinned by SHA-256 digests
-generated at the commit before the per-client round drivers were deleted, so
-any change to what a seeded scenario computes -- on any crypto backend --
+The default (``slotted``) tier's seeded results are pinned by SHA-256 digests,
+so any change to what a seeded scenario computes -- on any crypto backend --
 fails here.  The fluid tier trades per-frame fidelity for throughput, so
 there the tests bound the divergence from ``slotted`` instead.
 """
@@ -21,18 +20,19 @@ from repro.sim import make_scenario, run_scenario
 #: ``wall_seconds`` (host time), ``metrics`` (host-time histograms, delivery
 #: mechanism gauges) and ``crypto_backend`` (the label of the axis the digest
 #: must not depend on), at 16 clients, seed "golden-digest", default
-#: fidelity.  Generated at the parent of the one-round-path change
-#: (commit e617227), where the per-client path still existed.
+#: fidelity.  Regenerated once by the bytes-only-wire change (PR 17), whose
+#: byte totals are measured where the parent's were hinted; CHANGES.md lists
+#: the field-by-field diff against the parent (every protocol outcome equal).
 GOLDEN_DIGESTS = {
-    "baseline": "d7a9d6b81471f0ecd4a9d148ac8dd8e0e9d72a2eed3c9e9b9db046069375a87f",
-    "sharded_entry": "abeb83052c56520ba1f8dd1c186ecadec7e500d321acf888c72dd6b07fafc5e1",
-    "pipelined_rounds": "d0dcf7e371c7a7a95c31ba3888c60d4b534c68197acc3a668adccee5387876e1",
-    "client_churn": "2d57770b85ca151ca9e1b0612d4b032b0b89b36e69503123c4fbe743e8a773a2",
+    "baseline": "29dac20dfb25aff5fbc5317d6721cac491169fd18b0122ccc7cf39a1cdbff11b",
+    "sharded_entry": "5e5670d7de0aa633a444e8b7272d07caf4bf43b8aabec7d7d77a4e810e1b59b6",
+    "pipelined_rounds": "c680a44695491a2c6ec9148b39063fcd3e064fb7db45ffb4dca9353247857476",
+    "client_churn": "0650f7d18be6c3baa6d65f958327bafec7a0a33e6abcf2a27b09c7ae2b36496d",
 }
 
 
 class TestGoldenDigests:
-    """Same program: seeded results equal the parent commit's, byte for byte."""
+    """Same program: seeded results equal the pinned ones, byte for byte."""
 
     @pytest.mark.parametrize("backend", ["pure", "accelerated"])
     @pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))

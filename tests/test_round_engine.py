@@ -231,8 +231,8 @@ class _AckLossTransport(DirectTransport):
         super().__init__()
         self.lose_submit_ack_for: set[str] = set()
 
-    def call(self, src, dst, method, payload=b"", obj=None, size_hint=0):
-        result = super().call(src, dst, method, payload=payload, obj=obj, size_hint=size_hint)
+    def call(self, src, dst, method, payload=b""):
+        result = super().call(src, dst, method, payload)
         if method == "submit" and src in self.lose_submit_ack_for:
             self.lose_submit_ack_for.discard(src)
             exc = NetworkError(f"ack to {src} lost")

@@ -4,7 +4,9 @@ and :class:`MultiprocessTransport` with spawned worker processes."""
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
+import json
 import logging
 import multiprocessing
 import socket
@@ -36,7 +38,7 @@ def transport():
 
 def register_echo(t, name="server"):
     def handler(request):
-        return RpcResult(payload=request.payload, obj=None)
+        return RpcResult(payload=request.payload)
 
     t.register(name, handler)
 
@@ -48,8 +50,8 @@ def echo_wave(dst, count, size=1):
     ]
 
 
-def echo_reply(message, msg_id=None):
-    """The framed echo reply a well-behaved server would send for ``message``."""
+def reply_to(message, payload, msg_id=None):
+    """A framed reply to ``message`` carrying ``payload``."""
     frame = message.frame
     reply = Frame(
         kind=KIND_RESPONSE,
@@ -57,22 +59,28 @@ def echo_reply(message, msg_id=None):
         src=frame.dst,
         dst=frame.src,
         method=frame.method,
-        payload=frame.payload,
+        payload=payload,
     )
     return encode_wire_message(wire.encode_message(reply))
 
 
+def echo_reply(message, msg_id=None):
+    """The framed echo reply a well-behaved server would send for ``message``."""
+    return reply_to(message, message.frame.payload, msg_id)
+
+
 @pytest.fixture
-def scripted_peer(transport):
-    """Route an endpoint name to a raw TCP peer driven by a test script.
+def scripted_peers():
+    """Route endpoint names to raw TCP peers driven by test scripts.
 
-    ``respond(connection_index, message)`` returns the bytes to send for one
-    request (``b""`` = stay silent) or ``None`` to close the connection.
-    Connections are served one after the other, as the transport uses them.
+    ``start(transport, name, respond)``: ``respond(connection_index, message)``
+    returns the bytes to send for one request (``b""`` = stay silent) or
+    ``None`` to close the connection.  A peer serves its connections one
+    after the other, as the transport uses them.
     """
-    listener = socket.create_server(("127.0.0.1", 0))
+    listeners = []
 
-    def serve(respond):
+    def serve(listener, respond):
         for index in itertools.count():
             try:
                 sock, _addr = listener.accept()
@@ -93,12 +101,21 @@ def scripted_peer(transport):
                     if None in replies:
                         break
 
-    def start(name, respond):
+    def start(transport, name, respond):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listeners.append(listener)
         transport._remote_ports[name] = listener.getsockname()[1]
-        threading.Thread(target=serve, args=(respond,), daemon=True).start()
+        threading.Thread(target=serve, args=(listener, respond), daemon=True).start()
 
     yield start
-    listener.close()
+    for listener in listeners:
+        listener.close()
+
+
+@pytest.fixture
+def scripted_peer(transport, scripted_peers):
+    """``scripted_peers`` bound to the ``transport`` fixture."""
+    return functools.partial(scripted_peers, transport)
 
 
 def settle(transport):
@@ -117,29 +134,7 @@ class TestAsyncioTransport:
     def test_echo_roundtrip(self, transport):
         register_echo(transport)
         result = transport.call("client", "server", "echo", b"\x01\x02\x03")
-        assert result.payload == b"\x01\x02\x03"
-        assert result.obj is None
-
-    def test_object_channel(self, transport):
-        payload_obj = {"pairing": (1, 2), "mailbox": b"m" * 8}
-
-        def handler(request):
-            return RpcResult(payload=b"", obj=payload_obj, size_hint=64)
-
-        transport.register("server", handler)
-        result = transport.call("client", "server", "extract")
-        assert result.obj == payload_obj
-
-    def test_request_obj_reaches_handler(self, transport):
-        seen = []
-
-        def handler(request):
-            seen.append(request.obj)
-            return RpcResult(payload=b"ok")
-
-        transport.register("server", handler)
-        transport.call("client", "server", "put", obj={"k": 3})
-        assert seen == [{"k": 3}]
+        assert result == RpcResult(payload=b"\x01\x02\x03", latency_s=result.latency_s)
 
     def test_nested_calls_do_not_deadlock(self, transport):
         # entry -> mix is a real pattern: the outer handler issues a
@@ -313,18 +308,16 @@ class TestAsyncioTransport:
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_bandwidth_accounting_matches_direct_transport(self, transport):
-        # The simulated accounting formula (payload + size_hint + frame
-        # overhead, no length prefix) is the cross-runtime baseline.
+        # The simulated accounting formula (payload + frame overhead, no
+        # length prefix) is the cross-runtime baseline.
         direct = DirectTransport()
         for t in (transport, direct):
             def handler(request):
-                return RpcResult(payload=b"r" * 10, obj={"x": 1}, size_hint=100)
+                return RpcResult(payload=b"r" * 10)
 
             t.register("server", handler)
-            t.call("client", "server", "extract", b"q" * 5, size_hint=7)
-            t.call_batch(
-                [BatchCall(f"c{i}", "server", "submit", b"s" * i, size_hint=i) for i in range(9)]
-            )
+            t.call("client", "server", "extract", b"q" * 5)
+            t.call_batch([BatchCall(f"c{i}", "server", "submit", b"s" * i) for i in range(9)])
         assert transport.stats.bytes_by_method == direct.stats.bytes_by_method
         assert transport.stats.bytes_by_endpoint == direct.stats.bytes_by_endpoint
         assert transport.stats.messages_sent == direct.stats.messages_sent
@@ -405,7 +398,7 @@ class TestMultiprocessTransport:
                 return getattr(spawn, name)
 
         start = spawn.Process.start
-        # Patched on the class: the Process object itself is pickled to the child.
+        # Patched on the class: spawn serializes the Process object itself to the child.
         monkeypatch.setattr(
             spawn.Process, "start", lambda process: (events.append("start"), start(process))
         )
@@ -434,3 +427,50 @@ class TestMultiprocessTransport:
             assert stub.round_public_key("dialing", 1) == pk
         # The worker shares our stderr: an escaped exception would print there.
         assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [b"", b"\x80\x04not json", b"[1, 2]", b'{"pid": "x"}', b'{"spans": [3]}', b'{"metrics": 7}'],
+    )
+    def test_malformed_telemetry_skips_that_worker(self, scripted_peers, monkeypatch, malformed):
+        """A worker is a socket, not a trusted object: its harvest is JSON
+        bytes, and a reply that is not a telemetry record is logged and
+        skipped -- the other worker's harvest lands, ``close()`` never raises."""
+        from repro.obs.distributed import WorkerTelemetry
+        from repro.obs.trace import Tracer, set_active_tracer
+
+        good = WorkerTelemetry(
+            pid=4242, label="worker-1", endpoints=["mix1"],
+            spans=[{"name": "rpc.serve", "cat": "rpc", "wall_start": 1.0, "wall_dur": 0.5}],
+            metrics={"counters": {"mix1.rpcs": 3}}, rss=1 << 20,
+        )
+
+        def worker(telemetry_payload):
+            def respond(_connection, message):
+                if message.frame.method == mp_module.TELEMETRY_METHOD:
+                    return reply_to(message, telemetry_payload)
+                return echo_reply(message)
+
+            return respond
+
+        alive = type("Alive", (), {"is_alive": lambda self: True})()
+        # Not caplog: an earlier configure_logging() stops ``repro`` propagating.
+        warnings = []
+        monkeypatch.setattr(
+            mp_module.logger, "warning", lambda message, *args: warnings.append(message % args)
+        )
+        tracer = Tracer()
+        previous = set_active_tracer(tracer)
+        transport = MultiprocessTransport([], telemetry=True)
+        try:
+            scripted_peers(transport, "mix0", worker(malformed))
+            scripted_peers(transport, "mix1", worker(json.dumps(good.to_payload()).encode()))
+            transport._worker_contacts += [(alive, "mix0"), (alive, "mix1")]
+            assert transport.harvest_telemetry() == [good]
+            assert len(warnings) == 1 and "mix0" in warnings[0]
+            assert transport.worker_metrics == {"worker-1": good.metrics}
+            assert [span["pid"] for span in tracer.remote_spans] == [4242]
+        finally:
+            transport.close()
+            set_active_tracer(previous)
+        assert transport._closed
