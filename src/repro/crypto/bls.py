@@ -25,6 +25,7 @@ from repro.crypto.bn254.curve import (
     G1Point,
     G2Point,
     g2_generator,
+    g2_generator_mul,
     hash_to_g1,
 )
 from repro.crypto.bn254.field import CURVE_ORDER
@@ -52,7 +53,7 @@ def generate_keypair(seed: bytes | None = None) -> BlsKeyPair:
     secret = int.from_bytes(raw[:32], "big") % CURVE_ORDER
     if secret == 0:
         secret = 1
-    return BlsKeyPair(secret=secret, public=g2_generator().scalar_mul(secret))
+    return BlsKeyPair(secret=secret, public=g2_generator_mul(secret))
 
 
 def hash_message(message: bytes) -> G1Point:

@@ -10,19 +10,21 @@ the code paths the paper describes.
 
 Module layout:
 
-* :mod:`repro.crypto.bn254.field`   -- Fq, Fq2, Fq6, Fq12 tower arithmetic.
+* :mod:`repro.crypto.bn254.field`   -- Fq -> Fq2 -> Fq6 -> Fq12 tower kernels
+  on flat integers, and the ``Fq2``/``Fq12`` value types.
 * :mod:`repro.crypto.bn254.curve`   -- affine G1/G2 group operations,
-  serialization, and hashing to G1.
+  serialization, hashing to G1, the fixed-base table for the G2 generator.
 * :mod:`repro.crypto.bn254.pairing` -- optimal-ate Miller loop and final
   exponentiation.
 """
 
-from repro.crypto.bn254.field import FIELD_MODULUS, CURVE_ORDER, Fq2, Fq6, Fq12
+from repro.crypto.bn254.field import FIELD_MODULUS, CURVE_ORDER, Fq2, Fq12
 from repro.crypto.bn254.curve import (
     G1Point,
     G2Point,
     g1_generator,
     g2_generator,
+    g2_generator_mul,
     hash_to_g1,
 )
 from repro.crypto.bn254.pairing import pairing
@@ -31,12 +33,12 @@ __all__ = [
     "FIELD_MODULUS",
     "CURVE_ORDER",
     "Fq2",
-    "Fq6",
     "Fq12",
     "G1Point",
     "G2Point",
     "g1_generator",
     "g2_generator",
+    "g2_generator_mul",
     "hash_to_g1",
     "pairing",
 ]

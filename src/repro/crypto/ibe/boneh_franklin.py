@@ -27,7 +27,7 @@ from repro.crypto.bn254.curve import (
     G1Point,
     G2Point,
     G2_ENCODED_SIZE,
-    g2_generator,
+    g2_generator_mul,
     hash_to_g1,
 )
 from repro.crypto.bn254.field import CURVE_ORDER
@@ -81,7 +81,7 @@ class BonehFranklinIbe(IbeScheme):
         secret = int.from_bytes(raw[:32], "big") % CURVE_ORDER
         if secret == 0:
             secret = 1
-        public = g2_generator().scalar_mul(secret)
+        public = g2_generator_mul(secret)
         return IbeMasterKeyPair(secret=secret, public=public)
 
     def extract(self, master_secret: int, identity: str) -> IbePrivateKey:
@@ -94,7 +94,7 @@ class BonehFranklinIbe(IbeScheme):
         if master_public.is_identity():
             raise CryptoError("master public key is the identity point")
         r = int.from_bytes(random_bytes(32), "big") % CURVE_ORDER or 1
-        u = g2_generator().scalar_mul(r)
+        u = g2_generator_mul(r)
         shared = pairing(_hash_identity(identity).scalar_mul(r), master_public).to_bytes()
         header = u.to_bytes()
         key = _derive_seal_key(shared, header)
