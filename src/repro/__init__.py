@@ -19,7 +19,7 @@ The top-level package lazily exposes the pieces most users need:
 * :mod:`repro.net` -- the transport layer: framed RPCs over either a
   zero-latency in-process dispatch or a discrete-event simulated network.
 * :mod:`repro.sim` -- the scenario harness driving whole deployments over
-  the simulated network (``python -m repro.sim --list``).
+  the simulated network (``python -m repro.sim list``).
 
 See README.md for a quickstart and DESIGN.md for the full system inventory.
 """

@@ -1,19 +1,19 @@
-"""Reporting helpers shared by the benchmark harness and scenario runner.
-
-Every benchmark prints the rows/series the corresponding paper figure or
-table reports, side by side with the paper's headline numbers, so the
-benchmark output can be pasted into EXPERIMENTS.md directly.  The same
-data is also written as machine-readable ``BENCH_<name>.json`` files (see
-:func:`write_json_report`) so the performance trajectory can be tracked
-across PRs by diffing artifacts instead of scraping stdout.
+"""Reporting shared by the benchmark files, the scenario CLI and the
+experiment engine: a fixed-width table for the terminal and one writer that
+puts every machine-readable result in ``BENCH_<name>.json`` under one
+self-describing envelope, so two runs can be diffed without the code.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
+import platform
+import subprocess
 from pathlib import Path
+
+#: Version of the ``BENCH_<name>.json`` envelope.
+SCHEMA = 2
 
 
 def format_table(headers: list[str], rows: list[list], title: str | None = None) -> str:
@@ -31,60 +31,72 @@ def format_table(headers: list[str], rows: list[list], title: str | None = None)
     return "\n".join(lines)
 
 
-def print_figure_series(title: str, x_label: str, series: dict[str, list[tuple[float, float]]]) -> str:
-    """Render a figure's data series as aligned text columns."""
-    lines = [title]
-    for name, points in series.items():
-        lines.append(f"  series: {name}")
-        for x, y in points:
-            lines.append(f"    {x_label}={x:<12g} value={y:.3f}")
-    text = "\n".join(lines)
-    print(text)
-    return text
+def _checkout_root() -> Path | None:
+    """The repository root when this module runs from a src-layout checkout
+    (``<root>/src/repro/bench/reporting.py`` with ``pyproject.toml`` beside
+    ``src/``); None for a regular install under ``site-packages``."""
+    src = Path(__file__).resolve().parents[2]
+    if src.name == "src" and (src.parent / "pyproject.toml").is_file():
+        return src.parent
+    return None
 
 
-# --------------------------------------------------------------------------- #
-# Machine-readable results
-# --------------------------------------------------------------------------- #
 def results_dir() -> Path:
-    """Where JSON results land: ``$BENCH_RESULTS_DIR`` or ``benchmarks/results``.
-
-    The default is anchored on the repository root (three levels above this
-    module in the src layout), not the process CWD, so results do not
-    scatter when pytest is invoked from elsewhere.
-    """
+    """Where JSON results land: ``$BENCH_RESULTS_DIR``, else
+    ``benchmarks/results`` under the checkout (so results do not scatter when
+    pytest is invoked from elsewhere), else under the CWD when the package is
+    installed and there is no checkout to anchor on."""
     configured = os.environ.get("BENCH_RESULTS_DIR")
     if configured:
         return Path(configured)
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+    return (_checkout_root() or Path.cwd()) / "benchmarks" / "results"
 
 
-def write_json_report(name: str, data, directory: Path | str | None = None) -> Path:
-    """Write ``BENCH_<name>.json`` with a stable envelope around ``data``.
+def environment() -> dict:
+    """What two records need to carry to be diffed without the code (the
+    benchmark ladder's ``environment`` keys)."""
+    root = _checkout_root()
+    sha = None
+    if root is not None and (root / ".git").exists():
+        try:
+            sha = subprocess.run(
+                ["git", "-C", str(root), "rev-parse", "HEAD"],
+                capture_output=True, text=True, timeout=10, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            pass
+    try:
+        import cryptography
 
-    ``data`` is any JSON-serializable value (benchmarks typically pass
-    ``{"headers": [...], "rows": [...]}``; the scenario runner passes a full
-    :meth:`~repro.sim.scenario.ScenarioResult.to_dict`).  Returns the path
-    written so callers can print it.
+        cryptography_version = cryptography.__version__
+    except ImportError:
+        cryptography_version = None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "cryptography": cryptography_version,
+        "platform": platform.platform(),
+        "nproc": os.cpu_count() or 1,
+    }
+
+
+def write_json_report(name: str, data, **header) -> Path:
+    """Write ``BENCH_<name>.json``: ``data`` inside the one envelope.
+
+    ``data`` is any JSON-serializable value (benchmarks pass
+    ``{"headers": [...], "rows": [...]}``, an experiment passes its sections);
+    ``header`` adds envelope keys beside it (an experiment's ``seed`` and
+    resolved ``axes``).  Returns the path written.
     """
-    target_dir = Path(directory) if directory is not None else results_dir()
+    target_dir = results_dir()
     target_dir.mkdir(parents=True, exist_ok=True)
     path = target_dir / f"BENCH_{name}.json"
     envelope = {
-        "name": name,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "data": data,
+        "name": name, "schema": SCHEMA, **header,
+        "environment": environment(), "data": data,
     }
     path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
-
-
-def table_report(headers: list[str], rows: list[list], title: str | None = None) -> dict:
-    """The JSON counterpart of :func:`format_table`'s output."""
-    report = {"headers": list(headers), "rows": [list(row) for row in rows]}
-    if title:
-        report["title"] = title
-    return report
 
 
 def emit_table(
@@ -103,7 +115,9 @@ def emit_table(
     with capsys.disabled():
         print()
         print(format_table(headers, rows, title=title))
-    report = table_report(headers, rows, title)
+    report = {"headers": list(headers), "rows": [list(row) for row in rows]}
+    if title:
+        report["title"] = title
     if extra:
         report.update(extra)
     return write_json_report(name, report)

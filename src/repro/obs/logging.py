@@ -84,8 +84,9 @@ def log_fields(**fields: Any) -> str:
 
 
 def progress_printer():
-    """Where sweep CLIs send their progress lines: the ``repro.sim`` logger
-    when ``--log-level`` configured one, else plain ``print``."""
+    """Where ``python -m repro.sim sweep`` sends its progress lines: the
+    ``repro.sim`` logger when ``--log-level`` configured one, else plain
+    ``print``."""
     if _configured:
         logger = get_logger("sim")
         return lambda message: logger.info(message)

@@ -6,10 +6,14 @@ geo-distribution) spin up a deployment on a
 :class:`~repro.net.simulated.SimulatedNetwork`, run protocol rounds, and
 report per-round latency, bandwidth, and failure statistics.
 
-Run ``python -m repro.sim --list`` to enumerate scenarios, or::
+Run ``python -m repro.sim list`` to enumerate scenarios and experiments, or::
 
     from repro.sim import run_scenario
     result = run_scenario("baseline", num_clients=500)
+
+Experiments (one scenario over declared axes) are
+:mod:`repro.sim.experiments`, run by :func:`repro.sim.experiment.run_experiment`
+or ``python -m repro.sim sweep NAME``; this package does not import them.
 """
 
 from repro.sim.scenario import (
@@ -20,13 +24,6 @@ from repro.sim.scenario import (
     with_overrides,
 )
 from repro.sim.scenarios import SCENARIOS, make_scenario, run_scenario, scenario_names
-from repro.sim.sweep import (
-    ShardSweepResult,
-    SweepPoint,
-    SweepResult,
-    run_shard_sweep,
-    run_sweep,
-)
 
 __all__ = [
     "RoundStats",
@@ -34,13 +31,8 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "ScenarioSpec",
-    "ShardSweepResult",
-    "SweepPoint",
-    "SweepResult",
     "make_scenario",
     "run_scenario",
-    "run_shard_sweep",
-    "run_sweep",
     "scenario_names",
     "with_overrides",
 ]

@@ -1,469 +1,222 @@
 """CLI for the scenario harness: ``python -m repro.sim``.
 
-Examples::
+Three subcommands::
 
-    python -m repro.sim --list
-    python -m repro.sim --scenario baseline --clients 500
-    python -m repro.sim --scenario straggler_mix --clients 100 --json out.json
-    python -m repro.sim --scenario pipelined_rounds --clients 100
-    python -m repro.sim --sweep --sweep-clients 40,80 --sweep-latency-ms 40,200
-    python -m repro.sim --scenario sharded_entry --shards 4 --zipf 1.2
-    python -m repro.sim --sweep-shards --sweep-zipf 0,1.2
-    python -m repro.sim --sweep-shards 1,2,4 --sweep-cdn-egress 0,1
-    python -m repro.sim --scenario metropolis          # 10k clients, accelerated
-    python -m repro.sim --scenario megacity            # 100k clients, fluid links
-    python -m repro.sim --scenario megacity --fidelity slotted  # exact client links
-    python -m repro.sim --sweep-crypto pure,accelerated --sweep-crypto-clients 100,400
-    python -m repro.sim --sweep-fidelity --sweep-fidelity-clients 100,300
-    python -m repro.sim --scenario baseline --runtime asyncio   # real TCP sockets
-    python -m repro.sim --scenario baseline --runtime mp --mp-workers 2
-    python -m repro.sim --sweep-runtime --sweep-runtime-clients 24
+    python -m repro.sim list                     # scenarios and experiments
+    python -m repro.sim run SCENARIO [--FIELD VALUE ...]
+    python -m repro.sim sweep EXPERIMENT [--FIELD VALUE[,VALUE...] ...]
 
-``--sweep`` runs the scenario over a clients x link-latency grid, once with
-the sequential round driver and once pipelined, and writes the comparison
-(round throughput and speedup per grid point) to ``BENCH_sweep.json`` for
-trend tracking across PRs.  ``--sweep-shards`` runs the sharded entry tier
-over a shard-count x Zipf-skew grid (plus an ingress batch comparison and an
-optional ``--sweep-cdn-egress`` axis) and writes ``BENCH_shard.json``.
-``--sweep-crypto`` microbenchmarks every available crypto backend and runs a
-backend x client-count scenario grid into ``BENCH_crypto.json``.
-``--sweep-fidelity`` runs the simulator-core fidelity grid (``slotted`` vs
-``fluid``) and writes ``BENCH_net.json`` -- measuring fluid's divergence
-from the slotted reference and what each costs the host.
-``--sweep-runtime`` runs the deployment-runtime grid (``sim`` vs ``asyncio``
-vs ``mp``) plus a crypto-backend leg on real sockets and writes
-``BENCH_runtime.json`` -- asserting result parity across runtimes and
-recording real wall-clock per round stage.
+Every scalar :class:`~repro.sim.scenario.ScenarioSpec` field is a flag under
+its own name (``num_clients`` -> ``--num-clients``); an ``int | None`` field
+takes an integer or ``none``, a ``bool`` field ``on``/``off``.  Examples::
 
-Observability flags (single-run mode)::
+    python -m repro.sim run baseline --num-clients 500
+    python -m repro.sim run straggler_mix --num-clients 100 --json out.json
+    python -m repro.sim run sharded_entry --entry-shards 4 --zipf-alpha 1.2
+    python -m repro.sim run client_churn --retry-horizon none
+    python -m repro.sim run metropolis           # 10k clients, accelerated
+    python -m repro.sim run megacity --fidelity slotted  # exact client links
+    python -m repro.sim run baseline --runtime mp --mp-workers 2
+    python -m repro.sim sweep pipelining --num-clients 40,80 --latency-ms 40,200
+    python -m repro.sim sweep shards --entry-shards 1,2,4 --cdn-egress-mbps 0,1
+    python -m repro.sim sweep crypto --crypto-backend pure,accelerated
+    python -m repro.sim sweep fidelity --num-clients 100,300
+    python -m repro.sim sweep runtime --num-clients 24 --mp-workers 2
+    python -m repro.sim sweep privacy --noise-b 0.05,1 --privacy-trials 8
 
-    python -m repro.sim --scenario metropolis --trace trace.json
-    python -m repro.sim --scenario baseline --dashboard 8350
-    python -m repro.sim --scenario baseline --log-level debug
+``sweep`` runs one of the declared experiments
+(:mod:`repro.sim.experiments`) and writes ``BENCH_<experiment>.json``.  A
+flag that names an axis of the experiment takes a comma list and *is* that
+axis; any other field flag takes one value and applies to every point, under
+each section's fixed workload.  A broken check of the experiment exits 1
+(after the record is written); an unknown scenario, experiment, field or
+value exits 2.
 
-``--trace PATH`` records per-stage round spans (announce / submit / mix /
-scan), shard and ingress spans, and crypto-engine batch spans, then writes a
-Chrome/Perfetto ``trace_event`` file to PATH, a raw span dump next to it
-(``PATH`` with a ``.jsonl`` suffix), and a wall-clock attribution report to
-``BENCH_trace.json``.  ``--dashboard PORT`` serves a live HTML dashboard
-(Server-Sent Events) with run/pause/step control while the scenario runs.
-``--log-level LEVEL`` routes structured per-event logs to stderr.
+Observability flags (``run`` only; ``--help`` says what each writes)::
+
+    python -m repro.sim run metropolis --trace trace.json
+    python -m repro.sim run baseline --dashboard 8350
+    python -m repro.sim run baseline --log-level debug
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import shutil
 import sys
+from functools import partial
 
-from repro.bench.reporting import format_table
+from repro.bench.reporting import format_table, write_json_report
+from repro.errors import ConfigurationError
+from repro.sim.experiment import SPEC_FIELDS, emit_record, run_experiment
+from repro.sim.experiments import EXPERIMENTS
+from repro.sim.scenario import ScenarioSpec
 from repro.sim.scenarios import SCENARIOS, make_scenario, scenario_names
 
 
+class UsageError(Exception):
+    """A bad command line: one line on stderr, exit status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+_SWITCH = {"on": True, "true": True, "off": False, "false": False}
+_KINDS = {"int": int, "float": float, "str": str, "bool": lambda text: _SWITCH[text.lower()]}
+
+
+def _convert(name: str, kind: str, convert, optional: bool, text: str):
+    if optional and text.lower() == "none":
+        return None
+    try:
+        return convert(text)
+    except (ValueError, KeyError):
+        raise UsageError(
+            f"--{name.replace('_', '-')}: expected {kind}{' or none' if optional else ''}, got {text!r}"
+        ) from None
+
+
+def flag_parsers() -> dict:
+    """name -> text parser for every flag generated from a declaration: each
+    scalar ``ScenarioSpec`` field, by its annotation (``LinkSpec`` fields
+    have no flag), plus the derived axes of the registered experiments."""
+    parsers = {}
+    for spec_field in dataclasses.fields(ScenarioSpec):
+        kind, _, rest = spec_field.type.partition(" | ")
+        if kind in _KINDS:
+            parsers[spec_field.name] = partial(
+                _convert, spec_field.name, kind, _KINDS[kind], rest == "None"
+            )
+    for experiment in EXPERIMENTS.values():
+        for section in experiment.sections:
+            for axis in section.axes:
+                if axis.apply is not None:
+                    parsers[axis.name] = partial(
+                        _convert, axis.name, axis.parse.__name__, axis.parse, False
+                    )
+    return parsers
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro.sim",
-        description="Run an Alpenhorn deployment scenario on the simulated network.",
+        description="Run an Alpenhorn deployment scenario, or a declared experiment over it.",
     )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        help="scenario name (see --list); default baseline, or pipelined_rounds with --sweep",
+    common = _Parser(add_help=False)
+    common.add_argument("--json", metavar="PATH", help="also write the result (or record) to PATH")
+    common.add_argument(
+        "--log-level",
+        choices=("debug", "info", "warning", "error"),
+        help="route structured per-round (and, at debug, per-event) logs to stderr",
     )
-    parser.add_argument("--list", action="store_true", help="list scenarios and exit")
-    parser.add_argument("--clients", type=int, default=None, help="number of simulated clients")
-    parser.add_argument("--addfriend-rounds", type=int, default=None)
-    parser.add_argument("--dialing-rounds", type=int, default=None)
-    parser.add_argument("--friend-pairs", type=int, default=None)
-    parser.add_argument("--mix-servers", type=int, default=None)
-    parser.add_argument("--pkg-servers", type=int, default=None)
-    parser.add_argument("--seed", default=None, help="deterministic scenario seed")
-    parser.add_argument("--json", default=None, metavar="PATH", help="also write the result as JSON")
-    parser.add_argument(
-        "--pipelined",
-        choices=("on", "off"),
-        default=None,
-        help="override the scenario's round driver (overlapped vs sequential rounds)",
-    )
-    parser.add_argument(
-        "--retry-horizon",
-        type=int,
-        default=None,
-        metavar="K",
-        help="re-enqueue friend requests unconfirmed K add-friend rounds "
-        "after submission (0 disables retry)",
-    )
-    parser.add_argument(
-        "--pkg-fanout",
-        choices=("parallel", "sequential"),
-        default=None,
-        help="how clients issue per-PKG RPCs (default: the scenario's, normally parallel)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the entry/CDN tier into N mailbox-range shards (1 = classic)",
-    )
-    parser.add_argument(
-        "--ingress-batch",
-        type=int,
-        default=None,
-        metavar="B",
-        help="envelopes per SubmitBatch frame at each shard's ingress proxy",
-    )
-    parser.add_argument(
-        "--zipf",
-        type=float,
-        default=None,
-        metavar="A",
-        help="Zipf(A) mailbox-skew for the client population (sharded runs)",
-    )
-    parser.add_argument(
-        "--access-mbps",
-        type=float,
-        default=None,
-        metavar="MBPS",
-        help="shared ingress capacity of each entry endpoint's access link",
-    )
-    parser.add_argument(
-        "--redial-attempts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="dialing outbox: total dials per call before giving up "
-        "(0 disables; calls of aborted rounds then fail terminally)",
-    )
-    parser.add_argument(
-        "--crypto-backend",
-        default=None,
-        metavar="NAME",
-        help="crypto engine for the symmetric/X25519 hot path "
-        "(pure, accelerated, parallel; default: the scenario's, normally pure)",
-    )
-    parser.add_argument(
-        "--fidelity",
-        choices=("slotted", "fluid"),
-        default=None,
-        help="simulator-core fidelity: slotted delivery with per-frame "
-        "jitter/loss draws (default), or fluid-flow client links",
-    )
-    parser.add_argument(
-        "--runtime",
-        choices=("sim", "asyncio", "mp"),
-        default=None,
-        help="deployment runtime: discrete-event simulation (default), real "
-        "localhost TCP sockets in-process, or sockets plus mix servers in "
-        "spawned worker processes",
-    )
-    parser.add_argument(
-        "--mp-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="--runtime mp: worker process count (default: one per mix server)",
-    )
-    parser.add_argument(
-        "--attestation-backend",
-        choices=("bls", "simulated"),
-        default=None,
-        help="PKG attestation scheme (default: the scenario's, normally simulated)",
-    )
-    parser.add_argument(
-        "--cdn-egress-mbps",
-        type=float,
-        default=None,
-        metavar="MBPS",
-        help="shared egress capacity of each CDN endpoint's access link "
-        "(0 = uncapped)",
-    )
-    parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run a clients x link-latency grid (sequential vs pipelined) "
-        "and write BENCH_sweep.json; --scenario defaults to pipelined_rounds",
-    )
-    parser.add_argument(
-        "--sweep-clients",
-        default="40,80",
-        metavar="N,N,...",
-        help="comma-separated client counts for --sweep (default: 40,80)",
-    )
-    parser.add_argument(
-        "--sweep-latency-ms",
-        default="40,200",
-        metavar="MS,MS,...",
-        help="comma-separated client link latencies for --sweep (default: 40,200)",
-    )
-    parser.add_argument(
-        "--sweep-retry-horizon",
-        default="0,2",
-        metavar="K,K,...",
-        help="retry-horizon axis for --sweep: client_churn liveness per horizon "
-        "(0 = retry off; empty string skips the axis; default: 0,2)",
-    )
-    parser.add_argument(
-        "--sweep-fanout-pkgs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="PKG count for the sequential-vs-parallel fan-out comparison "
-        "in --sweep (0 skips it; default: 4)",
-    )
-    parser.add_argument(
-        "--sweep-shards",
-        nargs="?",
-        const="1,2,4",
-        default=None,
-        metavar="N,N,...",
-        help="run the sharded_entry scenario over these shard counts (and the "
-        "--sweep-zipf skews) and write BENCH_shard.json; default grid 1,2,4",
-    )
-    parser.add_argument(
-        "--sweep-zipf",
-        default="0,1.2",
-        metavar="A,A,...",
-        help="Zipf mailbox-skew axis for --sweep-shards (default: 0,1.2)",
-    )
-    parser.add_argument(
-        "--sweep-batch",
-        default="1,16",
-        metavar="B,B,...",
-        help="ingress batch sizes compared at the largest shard count in "
-        "--sweep-shards (empty string skips; default: 1,16)",
-    )
-    parser.add_argument(
-        "--sweep-access-mbps",
-        type=float,
-        default=0.5,
-        metavar="MBPS",
-        help="per-shard access-link ingress capacity for --sweep-shards",
-    )
-    parser.add_argument(
-        "--sweep-cdn-egress",
-        nargs="?",
-        const="0,1",
-        default=None,
-        metavar="MBPS,MBPS,...",
-        help="add a CDN-egress axis to --sweep-shards: per-CDN-shard egress "
-        "caps whose scan-stage latency is compared across the shard grid "
-        "(0 = uncapped baseline; default caps 0,1)",
-    )
-    parser.add_argument(
-        "--sweep-crypto",
-        nargs="?",
-        const="pure,accelerated,parallel",
-        default=None,
-        metavar="NAME,NAME,...",
-        help="run the crypto-engine sweep (per-op microbenchmarks plus a "
-        "backend x client grid) and write BENCH_crypto.json; unavailable "
-        "backends are skipped",
-    )
-    parser.add_argument(
-        "--sweep-crypto-clients",
-        default="100,400",
-        metavar="N,N,...",
-        help="client counts for the --sweep-crypto grid (default: 100,400)",
-    )
-    parser.add_argument(
-        "--sweep-fidelity",
-        nargs="?",
-        const="slotted,fluid",
-        default=None,
-        metavar="F,F,...",
-        help="run the simulator-core fidelity grid (slotted/fluid) "
-        "and write BENCH_net.json; default grid slotted,fluid",
-    )
-    parser.add_argument(
-        "--sweep-fidelity-clients",
-        default="100,300",
-        metavar="N,N,...",
-        help="client counts for the --sweep-fidelity grid (default: 100,300)",
-    )
-    parser.add_argument(
-        "--sweep-runtime",
-        nargs="?",
-        const="sim,asyncio,mp",
-        default=None,
-        metavar="R,R,...",
-        help="run the deployment-runtime grid (sim/asyncio/mp x clients, plus "
-        "a crypto-backend leg on the asyncio runtime) and write "
-        "BENCH_runtime.json; default grid sim,asyncio,mp",
-    )
-    parser.add_argument(
-        "--sweep-runtime-clients",
-        default="24,60",
-        metavar="N,N,...",
-        help="client counts for the --sweep-runtime grid (default: 24,60)",
-    )
-    parser.add_argument(
-        "--noise-mu",
-        type=float,
-        default=None,
-        metavar="MU",
-        help="per-server, per-mailbox noise mean (default: the scenario's)",
-    )
-    parser.add_argument(
-        "--noise-b",
-        type=float,
-        default=None,
-        metavar="B",
-        help="per-server Laplace noise scale (default: the scenario's, or "
-        "derived from --privacy-budget)",
-    )
-    parser.add_argument(
-        "--privacy-budget",
-        type=int,
-        default=None,
-        metavar="ACTIONS",
-        help="lifetime action budget the run claims to protect at "
-        "(eps=ln 2, delta=1e-4); derives the noise scale when --noise-b is "
-        "unset and records a consistency warning when both are given",
-    )
-    parser.add_argument(
-        "--sweep-privacy",
-        nargs="?",
-        const="0.05,0.5,1,4",
-        default=None,
-        metavar="B,B,...",
-        help="run the paired passive-observer distinguishing audit over these "
-        "Laplace noise scales (plus a ledger leg on the baseline scenario) "
-        "and write BENCH_privacy.json; default grid 0.05,0.5,1,4 -- the "
-        "0.05 point is deliberately under-noised so the analytic bound's "
-        "degradation is visible",
-    )
-    parser.add_argument(
-        "--privacy-trials",
-        type=int,
-        default=24,
-        metavar="N",
-        help="paired trials per arm per --sweep-privacy grid point "
-        "(half calibrate the distinguisher, half evaluate it; default: 24)",
-    )
-    parser.add_argument(
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser("list", help="list the scenarios and the experiments with their axes")
+    run = commands.add_parser("run", parents=[common], help="run one scenario")
+    run.add_argument("scenario", help="scenario name (see list)")
+    run.add_argument(
         "--trace",
-        default=None,
         metavar="PATH",
-        help="record per-stage/crypto/shard spans and write a Chrome trace_event "
-        "file to PATH (plus PATH.jsonl raw spans and BENCH_trace.json "
-        "wall-clock attribution); single-run mode only",
+        help="record per-stage round, shard, ingress and crypto-batch spans; write a "
+        "Chrome/Perfetto trace_event file to PATH (plus PATH.jsonl raw spans and "
+        "BENCH_trace.json wall-clock attribution)",
     )
-    parser.add_argument(
+    run.add_argument(
         "--dashboard",
         type=int,
-        default=None,
         metavar="PORT",
-        help="serve a live dashboard (SSE) on 127.0.0.1:PORT during the run "
-        "with run/pause/step control (0 = any free port); single-run mode only",
+        help="serve a live dashboard (SSE) on 127.0.0.1:PORT during the run with "
+        "run/pause/step control (0 = any free port)",
     )
-    parser.add_argument(
+    run.add_argument(
         "--dashboard-paused",
         action="store_true",
         help="start the --dashboard run paused (press Run or Step in the UI)",
     )
-    parser.add_argument(
-        "--log-level",
-        default=None,
-        metavar="LEVEL",
-        choices=("debug", "info", "warning", "error"),
-        help="route structured per-round (and, at debug, per-event) logs to stderr",
-    )
+    sweep = commands.add_parser("sweep", parents=[common], help="run one experiment")
+    sweep.add_argument("experiment", help="experiment name (see list)")
+    for name in flag_parsers():
+        # a derived axis (latency_ms, privacy_trials) only means something to a sweep
+        for command in (run, sweep) if name in SPEC_FIELDS else (sweep,):
+            command.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                metavar="VALUE" if command is run else "VALUE[,VALUE...]",
+                help=(
+                    f"ScenarioSpec.{name}: {ScenarioSpec.__dataclass_fields__[name].type}"
+                    if name in SPEC_FIELDS
+                    else f"the {name} axis"
+                ),
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-
-    if args.log_level:
-        from repro.obs.logging import configure_logging
-
-        configure_logging(args.log_level)
-
-    if args.list:
-        for name in scenario_names():
-            _, spec = SCENARIOS[name]
-            print(f"{name:16s} {spec.description}")
-        return 0
-
-    overrides = {}
-    if args.clients is not None:
-        overrides["num_clients"] = args.clients
-    if args.addfriend_rounds is not None:
-        overrides["addfriend_rounds"] = args.addfriend_rounds
-    if args.dialing_rounds is not None:
-        overrides["dialing_rounds"] = args.dialing_rounds
-    if args.friend_pairs is not None:
-        overrides["friend_pairs"] = args.friend_pairs
-    if args.mix_servers is not None:
-        overrides["num_mix_servers"] = args.mix_servers
-    if args.pkg_servers is not None:
-        overrides["num_pkg_servers"] = args.pkg_servers
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.pipelined is not None:
-        overrides["pipelined"] = args.pipelined == "on"
-    if args.retry_horizon is not None:
-        overrides["retry_horizon"] = args.retry_horizon or None
-    if args.pkg_fanout is not None:
-        overrides["pkg_fanout"] = args.pkg_fanout
-    if args.shards is not None:
-        overrides["entry_shards"] = args.shards
-    if args.ingress_batch is not None:
-        overrides["ingress_batch_size"] = args.ingress_batch
-    if args.zipf is not None:
-        overrides["zipf_alpha"] = args.zipf
-    if args.access_mbps is not None:
-        overrides["shard_access_mbps"] = args.access_mbps
-    if args.redial_attempts is not None:
-        overrides["redial_attempts"] = args.redial_attempts or None
-    if args.crypto_backend is not None:
-        overrides["crypto_backend"] = args.crypto_backend
-    if args.cdn_egress_mbps is not None:
-        overrides["cdn_egress_mbps"] = args.cdn_egress_mbps
-    if args.fidelity is not None:
-        overrides["fidelity"] = args.fidelity
-    if args.attestation_backend is not None:
-        overrides["attestation_backend"] = args.attestation_backend
-    if args.runtime is not None:
-        overrides["runtime"] = args.runtime
-    if args.mp_workers is not None:
-        overrides["mp_workers"] = args.mp_workers
-    if args.noise_mu is not None:
-        overrides["noise_mu"] = args.noise_mu
-    if args.noise_b is not None:
-        overrides["noise_b"] = args.noise_b
-    if args.privacy_budget is not None:
-        overrides["privacy_budget"] = args.privacy_budget
-
-    sweeping = args.sweep_crypto is not None or args.sweep_shards is not None
-    sweeping = sweeping or args.sweep_cdn_egress is not None or args.sweep
-    sweeping = sweeping or args.sweep_fidelity is not None
-    sweeping = sweeping or args.sweep_runtime is not None
-    sweeping = sweeping or args.sweep_privacy is not None
-    if sweeping and (args.trace or args.dashboard is not None):
-        print("note: --trace/--dashboard apply to single runs only; ignored with sweeps")
-        args.trace = None
-        args.dashboard = None
-
-    if args.sweep_privacy is not None:
-        return run_privacy_sweep_cli(args, overrides)
-    if args.sweep_runtime is not None:
-        return run_runtime_sweep_cli(args, overrides)
-    if args.sweep_fidelity is not None:
-        return run_fidelity_sweep_cli(args, overrides)
-    if args.sweep_crypto is not None:
-        return run_crypto_sweep_cli(args, overrides)
-    if args.sweep_shards is not None or args.sweep_cdn_egress is not None:
-        return run_shard_sweep_cli(args, overrides)
-    if args.sweep:
-        return run_sweep_cli(args, overrides)
-
     try:
-        scenario = make_scenario(args.scenario or "baseline", **overrides)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        args = build_parser().parse_args(argv)
+        if args.command == "list":
+            return list_cli()
+        if args.log_level:
+            from repro.obs.logging import configure_logging
+
+            configure_logging(args.log_level)
+        parsers = flag_parsers()
+        given = {
+            name: getattr(args, name)
+            for name in parsers
+            if getattr(args, name, None) is not None
+        }
+        if args.command == "run":
+            return run_cli(args, {name: parsers[name](text) for name, text in given.items()})
+        return sweep_cli(args, given, parsers)
+    except (UsageError, ConfigurationError, ValueError) as exc:
+        # ConfigurationError: e.g. a topology-sculpting scenario asked to run
+        # on a real runtime; ValueError: e.g. Zipf skew without a pinned
+        # mailbox count, or too few audit trials.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def list_cli() -> int:
+    print("scenarios (python -m repro.sim run NAME):")
+    for name in scenario_names():
+        print(f"  {name:22s} {SCENARIOS[name][1].description}")
+    print("experiments (python -m repro.sim sweep NAME), sections and default axes:")
+    for experiment in EXPERIMENTS.values():
+        print("\n".join("  " + line for line in experiment.describe()))
+    return 0
+
+
+def sweep_cli(args, given: dict, parsers: dict) -> int:
+    from repro.obs.logging import progress_printer
+
+    experiment = EXPERIMENTS.get(args.experiment)
+    if experiment is None:
+        raise UsageError(
+            f"unknown experiment {args.experiment!r}; choose from {sorted(EXPERIMENTS)}"
+        )
+    overrides = {}
+    for name, text in given.items():
+        if experiment.axis(name) is not None:
+            overrides[name] = [parsers[name](v.strip()) for v in text.split(",") if v.strip()]
+        else:
+            overrides[name] = parsers[name](text)
+    record = run_experiment(experiment, overrides, progress=progress_printer())
+    path = emit_record(record)
+    print(f"wrote {path}")
+    if args.json:
+        shutil.copyfile(path, args.json)
+        print(f"wrote {args.json}")
+    return 1 if record["failed_checks"] else 0
+
+
+def run_cli(args, overrides: dict) -> int:
+    if args.scenario not in SCENARIOS:
+        raise UsageError(f"unknown scenario {args.scenario!r}; choose from {scenario_names()}")
+    scenario = make_scenario(args.scenario, **overrides)
 
     if args.log_level:
         from repro.obs.logging import EventLogMonitor
@@ -486,17 +239,11 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.obs.trace import NullTracer, Tracer, active_tracer, set_active_tracer
 
-    from repro.errors import ConfigurationError
-
     previous_tracer = active_tracer()
     tracer = Tracer() if args.trace else NullTracer()
     set_active_tracer(tracer)
     try:
         result = scenario.run()
-    except ConfigurationError as exc:
-        # e.g. a topology-sculpting scenario asked to run on a real runtime
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     finally:
         set_active_tracer(previous_tracer)
         if dashboard is not None:
@@ -504,7 +251,22 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.trace:
         write_trace_outputs(args.trace, tracer, result)
+    print_result(result)
+    if args.trace:
+        privacy_path = write_json_report(
+            "privacy", {"ledger": result.privacy, "audit": None}
+        )
+        print(f"wrote {privacy_path}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {args.json}")
+    return 0
 
+
+def print_result(result) -> None:
+    """The per-round table and the one-line summaries of a single run."""
     headers, rows = result.table()
     print(
         format_table(
@@ -557,42 +319,10 @@ def main(argv: list[str] | None = None) -> int:
             f"(achieved eps={check['achieved_epsilon']:.3f})"
         )
 
-    if args.trace:
-        from repro.bench.reporting import write_json_report
-
-        privacy_path = write_json_report(
-            "privacy", {"ledger": result.privacy, "audit": None}
-        )
-        print(f"wrote {privacy_path}")
-
-    from repro.bench.history import append_history
-
-    append_history(
-        kind="scenario",
-        name=result.name,
-        wall_seconds=result.wall_seconds,
-        stats={
-            "clients": result.spec.num_clients,
-            "rounds": len(result.rounds),
-            "friendships_confirmed": result.friendships_confirmed,
-            "calls_delivered": result.calls_delivered,
-            "total_bytes_sent": result.total_bytes_sent,
-        },
-    )
-
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
 
 def write_trace_outputs(path: str, tracer, result) -> None:
     """Write the Chrome trace, the raw span dump, and ``BENCH_trace.json``."""
     from pathlib import Path
-
-    from repro.bench.reporting import write_json_report
 
     trace_path = Path(path)
     tracer.write_chrome_trace(trace_path)
@@ -638,358 +368,6 @@ def write_trace_outputs(path: str, tracer, result) -> None:
             f"runtime attribution: {len(runtime)} endpoints, propagation "
             f"{propagation['resolved']}/{propagation['serve']} rpc.serve spans linked"
         )
-
-
-def run_crypto_sweep_cli(args, overrides: dict) -> int:
-    from repro.sim.crypto_sweep import emit_crypto_report, run_crypto_sweep
-
-    ignored = [
-        flag
-        for flag, key in (
-            ("--clients", "num_clients"),
-            ("--crypto-backend", "crypto_backend"),
-            ("--pipelined", "pipelined"),
-        )
-        if overrides.pop(key, None) is not None
-    ]
-    if ignored:
-        print(
-            f"note: {', '.join(ignored)} ignored with --sweep-crypto "
-            "(the grid supplies backends and client counts)"
-        )
-    try:
-        backends = [v.strip() for v in args.sweep_crypto.split(",") if v.strip()]
-        clients = [int(v) for v in args.sweep_crypto_clients.split(",") if v.strip()]
-    except ValueError:
-        print(
-            "error: --sweep-crypto-clients must be comma-separated integers",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario:
-        overrides["scenario"] = args.scenario
-    from repro.errors import ConfigurationError
-
-    from repro.obs.logging import progress_printer
-
-    try:
-        result = run_crypto_sweep(
-            backends=backends, clients=clients, progress=progress_printer(), **overrides
-        )
-    except (ConfigurationError, KeyError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    path = emit_crypto_report(result)
-    print(f"wrote {path}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def run_shard_sweep_cli(args, overrides: dict) -> int:
-    from repro.sim.sweep import emit_shard_report, run_shard_sweep
-
-    ignored = [
-        flag
-        for flag, key in (
-            ("--shards", "entry_shards"),
-            ("--zipf", "zipf_alpha"),
-            ("--ingress-batch", "ingress_batch_size"),
-            ("--access-mbps", "shard_access_mbps"),
-            ("--cdn-egress-mbps", "cdn_egress_mbps"),
-            ("--pipelined", "pipelined"),
-            ("--retry-horizon", "retry_horizon"),
-        )
-        if overrides.pop(key, None) is not None
-    ]
-    if ignored:
-        print(
-            f"note: {', '.join(ignored)} ignored with --sweep-shards "
-            "(the grid supplies shard counts, skews, batch sizes, and capacity)"
-        )
-    clients = overrides.pop("num_clients", None) or 80
-    try:
-        # --sweep-cdn-egress alone implies the default shard grid.
-        shard_counts = [
-            int(v) for v in (args.sweep_shards or "1,2,4").split(",") if v.strip()
-        ]
-        zipf_alphas = [float(v) for v in args.sweep_zipf.split(",") if v.strip()]
-        batch_sizes = [int(v) for v in args.sweep_batch.split(",") if v.strip()]
-        cdn_egress = [
-            float(v) for v in (args.sweep_cdn_egress or "").split(",") if v.strip()
-        ]
-    except ValueError:
-        print(
-            "error: --sweep-shards / --sweep-zipf / --sweep-batch / "
-            "--sweep-cdn-egress must be comma-separated numbers",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.obs.logging import progress_printer
-
-    result = run_shard_sweep(
-        shard_counts=shard_counts,
-        zipf_alphas=zipf_alphas,
-        clients=clients,
-        access_mbps=args.sweep_access_mbps,
-        batch_sizes=batch_sizes,
-        cdn_egress_mbps=cdn_egress,
-        progress=progress_printer(),
-        **overrides,
-    )
-    path = emit_shard_report(result)
-    print(f"wrote {path}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def run_privacy_sweep_cli(args, overrides: dict) -> int:
-    """--sweep-privacy: the paired audit grid plus a baseline ledger leg."""
-    from repro.bench.history import append_history
-    from repro.bench.reporting import write_json_report
-    from repro.sim.privacy_sweep import audit_table, run_privacy_sweep
-    from repro.sim.scenarios import run_scenario
-
-    ignored = [
-        flag
-        for flag, key in (
-            ("--noise-b", "noise_b"),
-            ("--seed", "seed"),
-            ("--pipelined", "pipelined"),
-        )
-        if overrides.pop(key, None) is not None
-    ]
-    if ignored:
-        print(
-            f"note: {', '.join(ignored)} ignored with --sweep-privacy "
-            "(the grid supplies noise scales, the harness supplies seeds)"
-        )
-    try:
-        grid = [float(v) for v in args.sweep_privacy.split(",") if v.strip()]
-    except ValueError:
-        print(
-            "error: --sweep-privacy must be comma-separated noise scales",
-            file=sys.stderr,
-        )
-        return 2
-    if not grid or args.privacy_trials < 4:
-        print(
-            "error: --sweep-privacy needs at least one noise scale and "
-            "--privacy-trials >= 4",
-            file=sys.stderr,
-        )
-        return 2
-    ledger_clients = overrides.pop("num_clients", None) or 40
-    noise_mu = overrides.pop("noise_mu", None)
-    overrides.pop("privacy_budget", None)
-    audit_overrides = dict(overrides)
-    if noise_mu is not None:
-        audit_overrides["noise_mu"] = noise_mu
-    for key in ("addfriend_rounds", "dialing_rounds", "friend_pairs"):
-        audit_overrides.pop(key, None)  # the audit scenarios fix their shape
-
-    print(
-        f"privacy audit: {len(grid)} noise scales x {args.privacy_trials} "
-        "paired trials per arm (this runs 2 scenarios per trial)"
-    )
-    import time
-
-    sweep_started = time.perf_counter()
-    audit = run_privacy_sweep(grid, trials=args.privacy_trials, **audit_overrides)
-    headers, rows = audit_table(audit)
-    print(format_table(headers, rows, title="empirical advantage vs analytic bound"))
-
-    ledger_result = run_scenario("baseline", num_clients=ledger_clients, **overrides)
-    report = {"ledger": ledger_result.privacy, "audit": audit}
-    path = write_json_report("privacy", report)
-    print(f"wrote {path}")
-    if not audit["all_within_bound"]:
-        print(
-            "error: empirical advantage exceeded the analytic bound -- "
-            "the DP accounting or the noise pipeline is broken",
-            file=sys.stderr,
-        )
-        return 1
-    append_history(
-        kind="sweep",
-        name="privacy",
-        wall_seconds=time.perf_counter() - sweep_started,
-        stats={
-            "grid": grid,
-            "trials_per_arm": args.privacy_trials,
-            "all_within_bound": audit["all_within_bound"],
-        },
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def run_runtime_sweep_cli(args, overrides: dict) -> int:
-    from repro.sim.sweep import emit_runtime_report, run_runtime_sweep
-
-    ignored = [
-        flag
-        for flag, key in (
-            ("--clients", "num_clients"),
-            ("--runtime", "runtime"),
-        )
-        if overrides.pop(key, None) is not None
-    ]
-    if ignored:
-        print(
-            f"note: {', '.join(ignored)} ignored with --sweep-runtime "
-            "(the grid supplies runtimes and client counts)"
-        )
-    mp_workers = overrides.pop("mp_workers", 0)
-    scenario = args.scenario or "baseline"
-    try:
-        runtimes = [v.strip() for v in args.sweep_runtime.split(",") if v.strip()]
-        clients = [int(v) for v in args.sweep_runtime_clients.split(",") if v.strip()]
-    except ValueError:
-        print(
-            "error: --sweep-runtime-clients must be comma-separated integers",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.errors import ConfigurationError
-    from repro.obs.logging import progress_printer
-
-    try:
-        result = run_runtime_sweep(
-            runtimes=runtimes,
-            client_counts=clients,
-            scenario=scenario,
-            mp_workers=mp_workers,
-            progress=progress_printer(),
-            **overrides,
-        )
-    except (ConfigurationError, KeyError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    path = emit_runtime_report(result)
-    print(f"wrote {path}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def run_fidelity_sweep_cli(args, overrides: dict) -> int:
-    from repro.sim.sweep import emit_fidelity_report, run_fidelity_sweep
-
-    ignored = [
-        flag
-        for flag, key in (
-            ("--clients", "num_clients"),
-            ("--fidelity", "fidelity"),
-        )
-        if overrides.pop(key, None) is not None
-    ]
-    if ignored:
-        print(
-            f"note: {', '.join(ignored)} ignored with --sweep-fidelity "
-            "(the grid supplies fidelities and client counts)"
-        )
-    scenario = args.scenario or "baseline"
-    try:
-        fidelities = [v.strip() for v in args.sweep_fidelity.split(",") if v.strip()]
-        clients = [int(v) for v in args.sweep_fidelity_clients.split(",") if v.strip()]
-    except ValueError:
-        print(
-            "error: --sweep-fidelity-clients must be comma-separated integers",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.obs.logging import progress_printer
-
-    try:
-        result = run_fidelity_sweep(
-            client_counts=clients,
-            fidelities=fidelities,
-            scenario=scenario,
-            progress=progress_printer(),
-            **overrides,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    path = emit_fidelity_report(result)
-    print(f"wrote {path}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def run_sweep_cli(args, overrides: dict) -> int:
-    from repro.sim.sweep import emit_sweep_report, run_sweep
-
-    ignored = [
-        flag
-        for flag, key in (
-            ("--clients", "num_clients"),
-            ("--pipelined", "pipelined"),
-            ("--retry-horizon", "retry_horizon"),
-            ("--pkg-fanout", "pkg_fanout"),
-        )
-        if overrides.pop(key, None) is not None
-    ]
-    if ignored:
-        print(
-            f"note: {', '.join(ignored)} ignored with --sweep "
-            "(the grid supplies client counts and both drivers; the retry and "
-            "fan-out axes have their own flags)"
-        )
-    scenario = args.scenario or "pipelined_rounds"
-    try:
-        clients = [int(v) for v in args.sweep_clients.split(",") if v]
-        latencies = [float(v) for v in args.sweep_latency_ms.split(",") if v]
-        retry_horizons = [int(v) for v in args.sweep_retry_horizon.split(",") if v.strip()]
-    except ValueError:
-        print(
-            "error: --sweep-clients / --sweep-latency-ms / --sweep-retry-horizon "
-            "must be comma-separated numbers",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.obs.logging import progress_printer
-
-    try:
-        result = run_sweep(
-            scenario=scenario,
-            clients=clients,
-            latencies_ms=latencies,
-            retry_horizons=retry_horizons,
-            fanout_pkgs=args.sweep_fanout_pkgs or None,
-            progress=progress_printer(),
-            **overrides,
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    path = emit_sweep_report(result)
-    print(f"wrote {path}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,33 +1,17 @@
-"""The crypto-engine sweep: backend x client-count grid (``--sweep-crypto``).
+"""Per-operation crypto-engine microbenchmarks (the ``crypto`` experiment's
+``per_op`` section, and ``benchmarks/bench_client_cpu.py``).
 
-Two sections land in ``BENCH_crypto.json``:
-
-* **per-op microbenchmarks** -- µs per AEAD seal/open, X25519 shared
-  secret, and public-key derivation for every *available* backend, single
-  and batched, measured on the add-friend request size.  The headline
-  ratio (accelerated vs pure seal/open) is what justifies gating a real
-  deployment on the optional ``cryptography`` package.
-* **scenario grid** -- the ``baseline`` scenario at each (backend,
-  clients) point, recording wall-clock seconds, simulated round latency,
-  and round throughput.  This is where the per-op win becomes a
-  scenario-scale win: the pure backend's ~1.3 ms seals dominate wall-clock
-  from a few hundred clients, the accelerated backend holds to the
-  simulator's own overhead out past 10k (the ``metropolis`` scenario).
-
-Backends that are registered but unavailable (``accelerated`` without the
-``cryptography`` package) are skipped with a note rather than failing the
-sweep, so the same CLI invocation works on a stdlib-only host.
+µs per AEAD seal/open, X25519 shared secret and public-key derivation for one
+backend, single and batched, measured on the add-friend request size.  The
+headline ratio (accelerated vs pure seal/open) is what justifies gating a real
+deployment on the optional ``cryptography`` package.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-from repro.bench.reporting import format_table, table_report, write_json_report
-from repro.crypto.engine import backend_available, get_backend, registered_backends
-from repro.errors import ConfigurationError
-from repro.sim.scenario import ScenarioResult
+from repro.crypto.engine import get_backend
 
 #: The fixed-size add-friend request body (AlpenhornConfig default): the
 #: payload AEAD ops on the hot path actually see.
@@ -84,175 +68,3 @@ def measure_per_op(backend_name: str, payload_size: int = PAYLOAD_SIZE, batch: i
         "open_many_us_per_op": round(open_many_s / batch * 1e6, 3),
         "shared_secret_many_us_per_op": round(secret_many_s / batch * 1e6, 3),
     }
-
-
-@dataclass
-class CryptoPoint:
-    """One grid cell: the baseline scenario under one backend/client count."""
-
-    backend: str
-    num_clients: int
-    result: ScenarioResult
-
-    def row(self) -> list:
-        overall = self.result.throughput.get("overall", {})
-        latencies = self.result.round_latencies()
-        mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
-        return [
-            self.backend,
-            self.num_clients,
-            f"{self.result.wall_seconds:.1f}",
-            f"{mean_latency:.3f}",
-            f"{overall.get('rounds_per_sec', 0.0):.3f}",
-            self.result.friendships_confirmed,
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "num_clients": self.num_clients,
-            "wall_seconds": round(self.result.wall_seconds, 3),
-            "completed": True,
-            "result": self.result.to_dict(),
-        }
-
-
-@dataclass
-class CryptoSweepResult:
-    """Everything one crypto sweep produced (lands in BENCH_crypto.json)."""
-
-    per_op: list[dict] = field(default_factory=list)
-    points: list[CryptoPoint] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-
-    PER_OP_HEADERS = [
-        "backend", "seal us", "open us", "x25519 us", "pubkey us",
-        "batch seal us", "batch open us", "batch x25519 us",
-    ]
-    GRID_HEADERS = ["backend", "clients", "wall s", "round s", "rounds/s", "friendships"]
-
-    def _per_op(self, backend: str) -> dict | None:
-        for entry in self.per_op:
-            if entry["backend"] == backend:
-                return entry
-        return None
-
-    def speedup(self, op: str = "seal_us", versus: str = "accelerated") -> float:
-        """Per-op speedup of ``versus`` over the pure reference (0 if absent)."""
-        pure, other = self._per_op("pure"), self._per_op(versus)
-        if not pure or not other or not other[op]:
-            return 0.0
-        return pure[op] / other[op]
-
-    def per_op_table(self) -> tuple[list[str], list[list]]:
-        rows = [
-            [
-                entry["backend"],
-                f"{entry['seal_us']:.1f}",
-                f"{entry['open_us']:.1f}",
-                f"{entry['shared_secret_us']:.1f}",
-                f"{entry['public_key_us']:.1f}",
-                f"{entry['seal_many_us_per_op']:.1f}",
-                f"{entry['open_many_us_per_op']:.1f}",
-                f"{entry['shared_secret_many_us_per_op']:.1f}",
-            ]
-            for entry in self.per_op
-        ]
-        return list(self.PER_OP_HEADERS), rows
-
-    def grid_table(self) -> tuple[list[str], list[list]]:
-        return list(self.GRID_HEADERS), [point.row() for point in self.points]
-
-    def to_report(self) -> dict:
-        headers, rows = self.per_op_table()
-        report = table_report(
-            headers, rows, title="crypto engine per-op cost (µs; batch = amortized per op)"
-        )
-        report["per_op"] = self.per_op
-        report["grid"] = [point.to_dict() for point in self.points]
-        report["skipped_backends"] = self.skipped
-        report["aead_seal_speedup_accelerated_vs_pure"] = round(self.speedup("seal_us"), 2)
-        report["aead_open_speedup_accelerated_vs_pure"] = round(self.speedup("open_us"), 2)
-        report["x25519_speedup_accelerated_vs_pure"] = round(
-            self.speedup("shared_secret_us"), 2
-        )
-        report["max_completed_clients"] = max(
-            (point.num_clients for point in self.points), default=0
-        )
-        return report
-
-
-def run_crypto_sweep(
-    backends: list[str] | None = None,
-    clients: list[int] | None = None,
-    scenario: str = "baseline",
-    progress=None,
-    **overrides,
-) -> CryptoSweepResult:
-    """Microbench every available backend, then run the scenario grid.
-
-    Unavailable backends are skipped (recorded in ``skipped``), so the same
-    grid runs on stdlib-only hosts and on hosts with ``cryptography``.
-    ``overrides`` are forwarded to every scenario run (round counts, seeds,
-    links...); the default workload is one add-friend and one dialing round
-    so a 10k-client point stays a single-figure-minutes affair.
-    """
-    from repro.sim.scenarios import run_scenario
-
-    backends = backends if backends else ["pure", "accelerated", "parallel"]
-    clients = clients if clients else [100, 400]
-    overrides.setdefault("addfriend_rounds", 1)
-    overrides.setdefault("dialing_rounds", 1)
-    seed = overrides.pop("seed", "crypto-sweep")
-
-    result = CryptoSweepResult()
-    usable: list[str] = []
-    for backend in backends:
-        if backend not in registered_backends():
-            # A typo must fail loudly, not produce an empty-but-green report;
-            # only *registered* backends missing their optional dependency
-            # are skippable.
-            raise ConfigurationError(
-                f"unknown crypto backend {backend!r}; registered: {registered_backends()}"
-            )
-        if not backend_available(backend):
-            result.skipped.append(backend)
-            if progress:
-                progress(f"crypto sweep: backend {backend!r} unavailable; skipped")
-            continue
-        usable.append(backend)
-        if progress:
-            progress(f"crypto sweep: per-op microbench [{backend}]")
-        result.per_op.append(measure_per_op(backend))
-
-    for backend in usable:
-        for num_clients in clients:
-            if progress:
-                progress(f"crypto sweep: {scenario} @ {num_clients} clients [{backend}]")
-            run = run_scenario(
-                scenario,
-                num_clients=num_clients,
-                crypto_backend=backend,
-                seed=f"{seed}/{backend}/{num_clients}",
-                **overrides,
-            )
-            result.points.append(
-                CryptoPoint(backend=backend, num_clients=num_clients, result=run)
-            )
-    return result
-
-
-def emit_crypto_report(result: CryptoSweepResult, name: str = "crypto") -> str:
-    """Print the crypto tables and write ``BENCH_<name>.json``; returns the path."""
-    headers, rows = result.per_op_table()
-    print(format_table(headers, rows, title="crypto engine per-op cost (µs)"))
-    if result.points:
-        headers, rows = result.grid_table()
-        print(format_table(headers, rows, title="crypto engine scenario grid"))
-    if result.skipped:
-        print(f"skipped unavailable backends: {', '.join(result.skipped)}")
-    seal, open_ = result.speedup("seal_us"), result.speedup("open_us")
-    if seal:
-        print(f"accelerated vs pure: seal {seal:.0f}x, open {open_:.0f}x")
-    path = write_json_report(name, result.to_report())
-    return str(path)

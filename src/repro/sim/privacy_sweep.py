@@ -22,9 +22,10 @@ direction that makes ``advantage <= bound`` a sound check -- an empirical
 value above the bound is a real violation, never sampling noise at the
 95% level.
 
-``--sweep-privacy`` runs the audit over a noise-scale grid (including a
-deliberately under-noised point where the bound visibly degrades toward 1)
-and writes the empirical-vs-bound table into ``BENCH_privacy.json``.
+The ``privacy`` experiment (:mod:`repro.sim.experiments`) runs
+:func:`run_privacy_audit` over a noise-scale grid (including a deliberately
+under-noised point where the bound visibly degrades toward 1) and writes the
+empirical-vs-bound table into ``BENCH_privacy.json``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ from repro.analysis.dp import (
 )
 from repro.obs.privacy import PassiveObserver
 from repro.sim.scenarios import make_scenario
-
-#: The default ``--sweep-privacy`` grid of Laplace scales b.  0.05 is the
-#: deliberately under-noised point: eps = 2/0.05 = 40 per observation, so
-#: the analytic bound saturates at ~1 and the run records how little the
-#: configuration promises.
-DEFAULT_NOISE_SCALES = (0.05, 0.5, 1.0, 4.0)
 
 #: Two-sided confidence level for the Hoeffding certification.
 CONFIDENCE_ALPHA = 0.05
@@ -152,35 +147,3 @@ def run_privacy_audit(
         "mean_statistic_idle": sum(idle) / len(idle),
         "within_bound": advantage_certified <= bound + 1e-9,
     }
-
-
-def run_privacy_sweep(
-    noise_scales=DEFAULT_NOISE_SCALES, trials: int = 24, **overrides
-) -> dict:
-    """The full empirical-vs-bound table over the noise grid."""
-    points = [run_privacy_audit(b, trials=trials, **overrides) for b in noise_scales]
-    return {
-        "experiment": "paired passive-observer distinguishing trials",
-        "statistic": "total published (noisy) mailbox messages, one add-friend round",
-        "confidence": 1 - CONFIDENCE_ALPHA,
-        "trials_per_arm": trials,
-        "points": points,
-        "all_within_bound": all(p["within_bound"] for p in points),
-    }
-
-
-def audit_table(audit: dict) -> tuple[list[str], list[list]]:
-    """(headers, rows) for :func:`repro.bench.reporting.format_table`."""
-    headers = ["b", "eps/obs", "bound", "empirical (cert)", "raw", "within"]
-    rows = [
-        [
-            f"{p['noise_scale']:g}",
-            f"{p['epsilon']:.2f}",
-            f"{p['advantage_bound']:.4f}",
-            f"{p['advantage']:.4f}",
-            f"{p['advantage_raw']:.4f}",
-            "yes" if p["within_bound"] else "NO",
-        ]
-        for p in audit["points"]
-    ]
-    return headers, rows

@@ -102,8 +102,8 @@ class ScenarioSpec:
     #: aborts (None = a dead round's calls fail terminally).
     redial_attempts: int | None = None
     #: Crypto engine for the symmetric/X25519 hot path ("pure",
-    #: "accelerated", "parallel"; see repro.crypto.engine) -- the knob the
-    #: --sweep-crypto grid varies.
+    #: "accelerated", "parallel"; see repro.crypto.engine) -- the axis the
+    #: ``crypto`` experiment varies.
     crypto_backend: str = "pure"
     #: Shared egress capacity of each CDN endpoint's access link in Mbit/s
     #: (0 = uncapped).  Applied to every CDN shard -- or to the single
@@ -111,7 +111,7 @@ class ScenarioSpec:
     #: CDN tier the same measurable way the submit stage queues behind the
     #: entry tier.
     cdn_egress_mbps: float = 0.0
-    #: Simulator-core fidelity (the --sweep-fidelity axis):
+    #: Simulator-core fidelity (the ``fidelity`` experiment's axis):
     #:
     #: * ``"slotted"`` -- round stages as client waves over columnar frame
     #:   storage with per-(destination, slot) coalesced delivery; every
@@ -120,7 +120,7 @@ class ScenarioSpec:
     #:   frames move as deterministic flows with no per-frame jitter/drop
     #:   draws (a bounded-divergence approximation for 100k-client runs).
     fidelity: str = "slotted"
-    #: Deployment runtime (the --runtime axis):
+    #: Deployment runtime (the ``runtime`` experiment's axis):
     #:
     #: * ``"sim"``     -- the discrete-event SimulatedNetwork with this
     #:   scenario's topology (links, jitter, partitions); the clock is
@@ -289,12 +289,16 @@ class ScenarioResult:
     def rounds_for(self, protocol: str) -> list[RoundStats]:
         return [r for r in self.rounds if r.protocol == protocol]
 
-    def mean_submit_stage(self, protocol: str = "add-friend") -> float:
-        """Mean announce+submit stage time over the protocol's live rounds."""
-        stages = [
-            r.submit_stage_s for r in self.rounds if r.protocol == protocol and not r.aborted
+    def stage_mean(self, stage: str = "latency_s", protocol: str | None = None) -> float:
+        """Mean of one :class:`RoundStats` timing (``latency_s``,
+        ``submit_stage_s``, ``mix_stage_s``, ``scan_stage_s``) over the live
+        rounds -- of one protocol, or of the whole run."""
+        values = [
+            getattr(r, stage)
+            for r in self.rounds
+            if not r.aborted and (protocol is None or r.protocol == protocol)
         ]
-        return sum(stages) / len(stages) if stages else 0.0
+        return sum(values) / len(values) if values else 0.0
 
     def mean_scan_stage(self, protocol: str = "add-friend") -> float:
         """Mean mix+scan share of round latency over the live rounds.
@@ -342,7 +346,7 @@ class ScenarioResult:
             "runtime": self.spec.runtime,
             "mp_workers": self.spec.mp_workers,
             "attestation_backend": self.spec.attestation_backend,
-            "addfriend_submit_stage_s": round(self.mean_submit_stage("add-friend"), 6),
+            "addfriend_submit_stage_s": round(self.stage_mean("submit_stage_s", "add-friend"), 6),
             "addfriend_scan_stage_s": round(self.mean_scan_stage("add-friend"), 6),
             "throughput": self.throughput,
             "friend_requests": self.friend_requests,

@@ -22,23 +22,25 @@ answered with EC2 machines:
   N+1's announce+submit runs while round N is still mixing and being
   scanned, so throughput is bounded by the slowest stage rather than the
   sum of stages.  Run it with ``pipelined=False`` for the sequential
-  baseline the speedup is measured against (``python -m repro.sim --sweep``
-  does both and reports the ratio).
+  baseline the speedup is measured against (``python -m repro.sim sweep
+  pipelining`` does both and reports the ratio).
 * ``sharded_entry`` -- the ``repro.cluster`` tier: N mailbox-range entry/CDN
   shards behind capacity-limited access links, ingress envelope batching,
   and an optional Zipf(α) mailbox-skewed client population.  The
-  ``--sweep-shards`` grid measures submit-stage scaling with shard count
-  and per-shard load imbalance under skew (``BENCH_shard.json``).
+  ``shards`` experiment measures submit-stage scaling with shard count
+  and per-shard load imbalance under skew (``BENCH_shards.json``).
 * ``metropolis`` -- 10,000 clients on the ``accelerated`` crypto engine:
-  the scale the pluggable engine (``--sweep-crypto``, ``BENCH_crypto.json``)
-  buys over the pure-Python hot path.
+  the scale the pluggable engine (the ``crypto`` experiment,
+  ``BENCH_crypto.json``) buys over the pure-Python hot path.
 * ``megacity`` -- 100,000 clients: round stages as client waves over
-  columnar frames, slotted delivery, and fluid-flow client links (``--sweep-fidelity`` measures what each fidelity level
-  costs and how far ``fluid`` diverges; ``BENCH_net.json``).
+  columnar frames, slotted delivery, and fluid-flow client links (the
+  ``fidelity`` experiment measures what each fidelity level costs and how
+  far ``fluid`` diverges; ``BENCH_fidelity.json``).
 
 ``run_scenario("name", num_clients=500)`` is the programmatic entry point;
-``python -m repro.sim`` is the CLI (``--sweep`` runs a clients x latency
-grid and writes ``BENCH_sweep.json``).
+``python -m repro.sim run NAME`` is the CLI; ``python -m repro.sim sweep
+EXPERIMENT`` runs a declared experiment over a scenario
+(:mod:`repro.sim.experiments`) and writes ``BENCH_<experiment>.json``.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ class ShardedEntryScenario(Scenario):
     (the shared uplink a real front-end has), so the submit stage queues
     behind it: with one entry server the whole population serializes
     through one access link, with N shards through N.  Submit-stage
-    latency then scales down with the shard count -- the measurement
-    ``--sweep-shards`` tracks -- while ingress batching (``SubmitBatch``
+    latency then scales down with the shard count -- the measurement the
+    ``shards`` experiment tracks -- while ingress batching (``SubmitBatch``
     frames of ``spec.ingress_batch_size`` envelopes) amortizes per-frame
     overhead on that contended link.
 
@@ -234,7 +236,7 @@ class MegacityScenario(Scenario):
     spec default) so the bulk traffic moves as deterministic flows with no
     per-frame jitter draws.  ``--fidelity slotted`` keeps full per-frame
     stochastic fidelity at roughly the same cost if the divergence (see
-    ``--sweep-fidelity``) matters for the measurement at hand.
+    the ``fidelity`` experiment) matters for the measurement at hand.
 
     Two rounds per protocol (the minimum for confirmations and dial
     delivery) with 5,000 friend pairs keep a 100k run in single-figure
@@ -293,8 +295,8 @@ class PassiveObserverScenario(Scenario):
     regardless, the two arms are wire-identical: the only signal a passive
     observer gets is the published noisy mailbox counts, where acting adds
     one message on top of the Laplace noise.  The audit harness
-    (:mod:`repro.sim.privacy_sweep`) runs many paired trials over a noise
-    grid and compares the empirical advantage to ``(e^eps - 1)/(e^eps + 1)``.
+    (:mod:`repro.sim.privacy_sweep`, the ``privacy`` experiment) runs many
+    paired trials over a noise grid and compares the empirical advantage to ``(e^eps - 1)/(e^eps + 1)``.
     """
 
     target_acts = True

@@ -627,24 +627,3 @@ class TestShardedScenario:
             make_scenario(
                 "sharded_entry", entry_shards=2, zipf_alpha=1.0, fixed_mailbox_count=None
             )
-
-    def test_shard_sweep_writes_the_report(self, tmp_path, monkeypatch, capsys):
-        from repro.sim.sweep import emit_shard_report, run_shard_sweep
-
-        monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path))
-        result = run_shard_sweep(
-            shard_counts=[1, 2],
-            zipf_alphas=[0.0],
-            clients=8,
-            access_mbps=0.0,
-            batch_sizes=[1],
-            addfriend_rounds=1,
-            dialing_rounds=0,
-            friend_pairs=2,
-            seed="t-sweep",
-        )
-        assert len(result.points) == 2
-        assert len(result.batch_points) == 1
-        path = emit_shard_report(result)
-        assert path.endswith("BENCH_shard.json")
-        assert (tmp_path / "BENCH_shard.json").exists()

@@ -1,0 +1,451 @@
+"""The experiment engine, its six declarations, and the CLI derived from
+``ScenarioSpec``.
+
+``experiment_vectors.json`` holds the deterministic values the six
+hand-rolled sweep families produced at the last commit that had them; every
+declaration is held to them exactly (wall-clock columns and real-runtime
+stage times are not pinned).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.sim.__main__ import build_parser, flag_parsers, main
+from repro.sim.experiment import Axis, Column, Experiment, Section, emit_record, run_experiment
+from repro.sim.experiments import EXPERIMENTS
+from repro.sim.scenario import ScenarioSpec, with_overrides
+from repro.sim.scenarios import run_scenario
+
+REPO = Path(__file__).resolve().parents[1]
+VECTORS = json.loads((Path(__file__).parent / "experiment_vectors.json").read_text())
+
+
+@pytest.fixture
+def results(tmp_path, monkeypatch):
+    """Where BENCH_*.json lands for this test."""
+    monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path))
+    return tmp_path
+
+
+def with_workload(experiment: Experiment, key: str, **workload) -> Experiment:
+    """``experiment`` with one section's fixed workload shrunk to test size."""
+    sections = tuple(
+        dataclasses.replace(s, workload={**s.workload, **workload}) if s.key == key else s
+        for s in experiment.sections
+    )
+    return dataclasses.replace(experiment, sections=sections)
+
+
+def assert_pinned(points: list[dict], pinned: list[dict]) -> None:
+    assert len(points) == len(pinned)
+    for point, expected in zip(points, pinned):
+        for key, value in expected.items():
+            if key == "total_bytes" and key not in point:
+                assert point["result"]["total_bytes_sent"] == value, (key, expected)
+            else:
+                assert point[key] == value, (key, expected)
+
+
+def read_record(results: Path, name: str) -> dict:
+    record = json.loads((results / f"BENCH_{name}.json").read_text())
+    assert record["name"] == name and record["schema"] == 2
+    assert set(record["environment"]) == {"git_sha", "python", "cryptography", "platform", "nproc"}
+    assert set(record["axes"]) == set(record["data"])
+    return record
+
+
+# --------------------------------------------------------------------------- #
+# The six declarations reproduce the parent commit's numbers
+# --------------------------------------------------------------------------- #
+class TestPinnedNumbers:
+    def test_pipelining(self, results):
+        pinned = VECTORS["pipelining"]
+        experiment = with_workload(
+            with_workload(EXPERIMENTS["pipelining"], "retry",
+                          num_clients=10, friend_pairs=3, addfriend_rounds=4),
+            "fanout", num_clients=8, friend_pairs=2, addfriend_rounds=1,
+        )
+        record = run_experiment(
+            experiment,
+            dict(num_clients=[8], latency_ms=[20.0, 60.0], retry_horizon=[None, 1],
+                 num_pkg_servers=[3], addfriend_rounds=1, dialing_rounds=2,
+                 friend_pairs=2, seed="t-sweep"),
+        )
+        data = record["data"]
+        for key in ("grid", "retry", "fanout"):
+            assert_pinned(data[key]["points"], pinned[key])
+        # the fixed workloads won over --addfriend-rounds 1 / --friend-pairs 2
+        assert [p["requests"] for p in data["retry"]["points"]] == [3, 3]
+        assert all(p["result"]["pipelined"] is False for p in data["fanout"]["points"])
+        pipelined = [p for p in data["grid"]["points"] if p["pipelined"]]
+        assert len(pipelined) == 2 and all(p["dialing_speedup"] > 1.2 for p in pipelined)
+        assert data["fanout"]["points"][1]["submit_speedup"] > 1.5
+        assert record["axes"]["retry"] == {"retry_horizon": [None, 1]}
+        assert record["failed_checks"] == []
+        for section in data.values():
+            assert all(len(row) == len(section["headers"]) for row in section["rows"])
+
+    def test_shards(self, results):
+        pinned = VECTORS["shards"]
+        record = run_experiment(
+            EXPERIMENTS["shards"],
+            dict(entry_shards=[1, 2], zipf_alpha=[0.0, 1.2], ingress_batch_size=[1, 16],
+                 cdn_egress_mbps=[0.0, 1.0], num_clients=8, friend_pairs=2,
+                 addfriend_rounds=1, dialing_rounds=0, seed="t-shards"),
+        )
+        data = record["data"]
+        for key in ("grid", "batching", "cdn_egress"):
+            assert_pinned(data[key]["points"], pinned[key])
+        # 1 shard x skew is skipped; batching runs at the largest shard count only
+        assert [(p["entry_shards"], p["zipf_alpha"]) for p in data["grid"]["points"]] == [
+            (1, 0.0), (2, 0.0), (2, 1.2),
+        ]
+        assert {p["entry_shards"] for p in data["batching"]["points"]} == {2}
+        assert (
+            data["grid"]["submit_stage_speedup_at_max_shards"]
+            == pinned["submit_stage_speedup_at_max_shards"]
+        )
+        # the column says what it holds: latency - submit is mix *and* scan
+        assert "af mix+scan s" in data["cdn_egress"]["headers"]
+
+    def test_shards_cdn_section_is_off_by_default(self):
+        section = next(s for s in EXPERIMENTS["shards"].sections if s.key == "cdn_egress")
+        assert section.axes[0].values == ()
+
+    def test_fidelity_through_the_cli(self, results, capsys):
+        pinned = VECTORS["fidelity"]
+        status = main(["sweep", "fidelity", "--num-clients", "12", "--friend-pairs", "3",
+                       "--addfriend-rounds", "1", "--dialing-rounds", "2", "--seed", "t-fsweep"])
+        assert status == 0
+        record = read_record(results, "fidelity")
+        assert record["seed"] == "t-fsweep"
+        assert record["axes"]["grid"] == {"num_clients": [12], "fidelity": ["slotted", "fluid"]}
+        grid = record["data"]["grid"]
+        assert_pinned(grid["points"], pinned["grid"])
+        slotted, fluid = grid["points"]
+        assert (slotted["latency_divergence"], slotted["delivery_divergence"]) == (None, None)
+        assert fluid["delivery_divergence"] == 0
+        assert 0.0 < grid["max_fluid_latency_divergence"] < 0.5
+        assert grid["max_fluid_latency_divergence"] == pinned["max_fluid_latency_divergence"]
+        assert set(grid["wall_seconds_by_fidelity"]) == {"slotted", "fluid"}
+        out = capsys.readouterr().out
+        assert "simulator-core fidelity" in out and "BENCH_fidelity.json" in out
+
+    def test_crypto(self, results, monkeypatch):
+        import repro.sim.experiments as declarations
+
+        monkeypatch.setattr(
+            declarations, "backend_available", lambda name: name != "accelerated"
+        )
+        record = run_experiment(
+            EXPERIMENTS["crypto"],
+            dict(crypto_backend=["pure", "accelerated"], num_clients=[8],
+                 friend_pairs=2, seed="t-crypto"),
+        )
+        data = record["data"]
+        assert_pinned(data["grid"]["points"], VECTORS["crypto"]["grid"])
+        # registered but unavailable: skipped and recorded, in every section
+        assert data["per_op"]["skipped"] == {"crypto_backend": ["accelerated"]}
+        assert data["grid"]["skipped"] == {"crypto_backend": ["accelerated"]}
+        assert record["axes"]["grid"]["crypto_backend"] == ["pure"]
+        per_op = data["per_op"]["points"][0]
+        assert per_op["crypto_backend"] == "pure" and per_op["seal_us"] > 0
+        assert per_op["shared_secret_many_us_per_op"] > 0
+        assert data["per_op"]["aead_seal_speedup_accelerated_vs_pure"] == 0.0
+        assert data["grid"]["max_completed_clients"] == 8
+
+    def test_unregistered_backend_is_an_error_in_every_backend_axis(self):
+        # ... and before anything runs: the runtime experiment's crypto leg is
+        # its second section
+        for name in ("crypto", "runtime"):
+            with pytest.raises(ConfigurationError, match="unknown crypto backend 'rot13'"):
+                run_experiment(EXPERIMENTS[name], dict(crypto_backend=["pure", "rot13"]))
+
+    def test_runtime_through_the_cli(self, results, capsys):
+        pinned = VECTORS["runtime"]
+        status = main(["sweep", "runtime", "--runtime", "sim,asyncio", "--num-clients", "8",
+                       "--crypto-backend", "pure", "--seed", "t-rsweep", "--friend-pairs", "2",
+                       "--addfriend-rounds", "2", "--dialing-rounds", "1"])
+        assert status == 0
+        record = read_record(results, "runtime")
+        assert record["failed_checks"] == []
+        grid = record["data"]["grid"]
+        assert [p["runtime"] for p in grid["points"]] == ["sim", "asyncio"]
+        assert_pinned(grid["points"], pinned["grid"])
+        assert_pinned(record["data"]["crypto_leg"]["points"], pinned["crypto_leg"])
+        assert grid["parity_ok"] is True and grid["points"][1]["parity"] is True
+        assert grid["points"][0]["friendships"] > 0
+        assert "deployment runtimes" in capsys.readouterr().out
+
+    def test_unknown_runtime_rejected(self, results, capsys):
+        status = main(["sweep", "runtime", "--runtime", "smoke-signals", "--num-clients", "8"])
+        assert status == 2
+        assert "unknown runtime" in capsys.readouterr().err
+
+    def test_privacy_record_validates(self, results):
+        from repro.obs.privacy import validate_privacy_report
+
+        experiment = with_workload(EXPERIMENTS["privacy"], "audit", num_clients=8)
+        record = run_experiment(
+            experiment,
+            dict(noise_b=[0.05], privacy_trials=[4], num_clients=8,
+                 addfriend_rounds=2, dialing_rounds=0),
+        )
+        audit = record["data"]["audit"]
+        assert_pinned(audit["points"], VECTORS["privacy"]["audit"])
+        assert audit["all_within_bound"] is VECTORS["privacy"]["all_within_bound"] is True
+        # eps = 2/0.05 = 40: the bound visibly degrades to ~1.
+        assert audit["points"][0]["advantage_bound"] > 0.99
+        assert audit["points"][0]["trials_per_arm"] == 4
+        assert audit["rows"][0][0] == "0.05" and audit["rows"][0][-1] == "yes"
+        assert record["data"]["ledger"]["protocols"]["add-friend"]["rounds"] == 2
+
+        emit_record(record)
+        assert validate_privacy_report(read_record(results, "privacy")) == []
+
+    def test_privacy_audit_needs_four_trials(self, results, capsys):
+        assert main(["sweep", "privacy", "--privacy-trials", "3"]) == 2
+        assert "at least 4 paired trials" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# The engine, on a throw-away declaration (no scenario runs)
+# --------------------------------------------------------------------------- #
+def toy_experiment(check=lambda points, axes: True) -> Experiment:
+    """Two sections over a fake runner that echoes the overrides it was given."""
+    echo = Column("doubled", "2x", lambda r, ref: 2 * r["num_clients"])
+    against = Column("vs", "vs ref", lambda r, ref: ref and r["num_clients"] / ref["num_clients"], "{:.1f}x")
+    return Experiment(
+        name="toy",
+        description="a throw-away declaration",
+        scenario="baseline",
+        seed="toy-seed",
+        defaults=dict(addfriend_rounds=7, dialing_rounds=7),
+        sections=(
+            Section(
+                key="grid",
+                title="toy grid",
+                axes=(
+                    Axis("num_clients", (2, 4)),
+                    Axis("scale", (1,), apply=lambda n: {"friend_pairs": n}, parse=int),
+                ),
+                workload=dict(dialing_rounds=0),
+                seed="{seed}/c{num_clients}",
+                reference={"num_clients": 2},
+                run=lambda scenario, **spec: dict(spec, scenario=scenario),
+                columns=(echo, against),
+                summary=lambda points: {"largest": max(p["num_clients"] for p in points)},
+                checks=(("the toy invariant", check),),
+            ),
+            Section(
+                key="backends",
+                title="toy backends",
+                axes=(Axis("crypto_backend", ("pure", "broken"), admit=lambda v: v != "broken"),),
+                run=lambda scenario, **spec: dict(spec),
+                columns=(Column("backend", "engine", lambda r, ref: r["crypto_backend"]),),
+            ),
+        ),
+    )
+
+
+class TestEngine:
+    def test_a_seventh_experiment_is_one_declaration(self, results, monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "toy", toy_experiment())
+        status = main(["sweep", "toy", "--num-clients", "3,6", "--scale", "5",
+                       "--addfriend-rounds", "1", "--dialing-rounds", "9"])
+        assert status == 0
+        record = read_record(results, "toy")
+        grid = record["data"]["grid"]
+        assert record["axes"]["grid"] == {"num_clients": [3, 6], "scale": [5]}
+        assert [p["doubled"] for p in grid["points"]] == [6, 12]
+        # derived axis applied; caller beats defaults; the fixed workload beats the caller
+        assert all(p["friend_pairs"] == 5 for p in grid["points"])
+        assert all(p["addfriend_rounds"] == 1 and p["dialing_rounds"] == 0 for p in grid["points"])
+        assert [p["seed"] for p in grid["points"]] == ["toy-seed/c3", "toy-seed/c6"]
+        assert grid["largest"] == 6 and grid["headers"] == ["num_clients", "scale", "2x", "vs ref"]
+        # reference {"num_clients": 2} is not on this grid
+        assert [p["vs"] for p in grid["points"]] == [None, None]
+        assert record["data"]["backends"]["skipped"] == {"crypto_backend": ["broken"]}
+        assert "toy grid" in capsys.readouterr().out
+
+    def test_reference_and_seed(self):
+        record = run_experiment(toy_experiment(), dict(seed="mine"))
+        first, second = record["data"]["grid"]["points"]
+        assert (first["vs"], second["vs"]) == (None, 2.0)  # None marks the reference itself
+        assert record["data"]["grid"]["rows"][0][-1] == "-"
+        assert (first["seed"], second["seed"]) == ("mine/c2", "mine/c4")
+        assert record["seed"] == "mine"
+        # a section without a template hands the caller's seed through
+        assert record["data"]["backends"]["points"][0]["seed"] == "mine"
+        assert "seed" not in run_experiment(toy_experiment())["data"]["backends"]["points"][0]
+
+    def test_failed_check_exits_one_and_still_writes_the_record(self, results, monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "toy", toy_experiment(check=lambda points, axes: False))
+        assert main(["sweep", "toy"]) == 1
+        assert read_record(results, "toy")["failed_checks"] == ["grid: the toy invariant"]
+        assert "check FAILED -- grid: the toy invariant" in capsys.readouterr().err
+
+    def test_an_empty_axis_switches_its_section_off(self):
+        record = run_experiment(toy_experiment(), dict(num_clients=[]))
+        assert record["data"]["grid"]["points"] == [] and "largest" not in record["data"]["grid"]
+        assert len(record["data"]["backends"]["points"]) == 1
+
+    def test_unknown_override_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="no axis or ScenarioSpec field named bogus"):
+            run_experiment(toy_experiment(), dict(bogus=1))
+        # another experiment's derived axis is not this one's
+        with pytest.raises(ConfigurationError, match="latency_ms"):
+            run_experiment(toy_experiment(), dict(latency_ms=[40.0]))
+
+
+# --------------------------------------------------------------------------- #
+# The CLI
+# --------------------------------------------------------------------------- #
+class TestCli:
+    KW = dict(num_clients=8, addfriend_rounds=1, dialing_rounds=1, seed="t-cli")
+
+    def test_list_names_every_scenario_and_declaration(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        for line in ("baseline", "sharded_entry", "run NAME", "sweep NAME"):
+            assert line in out
+        for experiment in EXPERIMENTS.values():
+            for line in experiment.describe():
+                assert line in out
+
+    def test_run_writes_the_scenario_result(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        status = main(["run", "baseline", "--num-clients", "8", "--addfriend-rounds", "1",
+                       "--dialing-rounds", "1", "--seed", "t-cli", "--json", str(path)])
+        assert status == 0
+        written = json.loads(path.read_text())
+        expected = json.loads(json.dumps(run_scenario("baseline", **self.KW).to_dict()))
+        for report in (written, expected):
+            report.pop("wall_seconds")
+        assert written == expected
+        out = capsys.readouterr().out
+        assert "scenario baseline: 8 clients" in out and "privacy spend" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "no_such_scenario"], "unknown scenario 'no_such_scenario'"),
+            (["sweep", "no_such_experiment"], "unknown experiment 'no_such_experiment'"),
+            (["run", "baseline", "--no-such-field", "3"], "unrecognized arguments: --no-such-field"),
+            (["sweep", "fidelity", "--latency-ms", "40"], "no axis or ScenarioSpec field named latency_ms"),
+            (["sweep", "fidelity", "--num-clients", "8,many"], "--num-clients: expected int, got 'many'"),
+            (["sweep", "fidelity", "--friend-pairs", "2,3"], "--friend-pairs: expected int or none"),
+            (["run", "baseline", "--pipelined", "maybe"], "--pipelined: expected bool"),
+            (["run", "baseline", "--latency-ms", "40"], "unrecognized arguments"),
+            (["run", "baseline", "--retry-horizon", "0"], "addfriend_retry_horizon must be >= 1"),
+            (["run", "straggler_mix", "--runtime", "asyncio", "--num-clients", "8"], "cannot run with runtime"),
+            (["frobnicate"], "invalid choice"),
+        ],
+    )
+    def test_bad_command_lines_exit_two_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_optional_int_takes_none(self):
+        args = build_parser().parse_args(
+            ["run", "client_churn", "--retry-horizon", "none", "--redial-attempts", "3",
+             "--pipelined", "on"]
+        )
+        parsers = flag_parsers()
+        assert parsers["retry_horizon"](args.retry_horizon) is None
+        assert parsers["redial_attempts"](args.redial_attempts) == 3
+        assert parsers["pipelined"](args.pipelined) is True
+
+    def test_every_scalar_spec_field_has_a_flag_that_round_trips(self):
+        """A new ScenarioSpec field can never again need a hand-written flag."""
+        samples = {"int": ("7", 7), "float": ("0.25", 0.25), "str": ("x-y", "x-y"),
+                   "bool": ("on", True)}
+        parsers = flag_parsers()
+        checked = 0
+        for spec_field in dataclasses.fields(ScenarioSpec):
+            kind, _, rest = spec_field.type.partition(" | ")
+            if kind == "LinkSpec":
+                continue  # links stay flagless
+            text, value = samples[kind]
+            flag = "--" + spec_field.name.replace("_", "-")
+            for command in (["run", "baseline"], ["sweep", "fidelity"]):
+                args = build_parser().parse_args(command + [flag, text])
+                parsed = parsers[spec_field.name](getattr(args, spec_field.name))
+                spec = with_overrides(ScenarioSpec(), **{spec_field.name: parsed})
+                assert getattr(spec, spec_field.name) == value
+            if rest == "None":
+                assert parsers[spec_field.name]("none") is None
+            checked += 1
+        assert checked == len(dataclasses.fields(ScenarioSpec)) - 2  # client_link, server_link
+
+    def test_hand_written_arguments_stay_few(self):
+        source = (REPO / "src/repro/sim/__main__.py").read_text()
+        assert source.count("add_argument(") <= 10
+        assert "--" + "sweep-" not in source and "ignored with" not in source
+
+
+# --------------------------------------------------------------------------- #
+# reporting.results_dir, README
+# --------------------------------------------------------------------------- #
+def load_copy(path: Path):
+    spec = importlib.util.spec_from_file_location("reporting_copy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestResultsDir:
+    SOURCE = REPO / "src/repro/bench/reporting.py"
+
+    def test_an_installed_copy_writes_under_the_cwd(self, tmp_path, monkeypatch):
+        installed = tmp_path / "prefix/lib/python3.11/site-packages/repro/bench"
+        installed.mkdir(parents=True)
+        shutil.copy(self.SOURCE, installed / "reporting.py")
+        monkeypatch.delenv("BENCH_RESULTS_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        module = load_copy(installed / "reporting.py")
+        assert module.results_dir() == tmp_path / "benchmarks" / "results"
+        path = module.write_json_report("probe", {"x": 1})
+        assert path == tmp_path / "benchmarks/results/BENCH_probe.json"
+        assert not (tmp_path / "prefix/lib/python3.11/benchmarks").exists()
+
+    def test_a_checkout_copy_anchors_on_the_checkout(self, tmp_path, monkeypatch):
+        checkout = tmp_path / "checkout"
+        package = checkout / "src/repro/bench"
+        package.mkdir(parents=True)
+        (checkout / "pyproject.toml").write_text("")
+        shutil.copy(self.SOURCE, package / "reporting.py")
+        monkeypatch.delenv("BENCH_RESULTS_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        module = load_copy(package / "reporting.py")
+        assert module.results_dir() == checkout / "benchmarks" / "results"
+        monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path / "elsewhere"))
+        assert module.results_dir() == tmp_path / "elsewhere"
+
+
+class TestReadme:
+    def test_experiments_table_matches_the_declarations(self):
+        readme = (REPO / "README.md").read_text()
+        start = readme.index("## Experiments")
+        section = readme[start:readme.index("\n## ", start + 1)]
+        for experiment in EXPERIMENTS.values():
+            assert f"| `{experiment.name}` |" in section
+            assert f"`BENCH_{experiment.name}.json`" in section
+            for part in experiment.sections:
+                assert f"`{part.key}`" in section
+                for axis in part.axes:
+                    values = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in axis.values)
+                    assert f"`{axis.name}={values}`" in section, (experiment.name, axis.name)
+                for message, _ in part.checks:
+                    assert message.split(" (")[0] in section, message

@@ -101,30 +101,6 @@ class TestFluidApproximation:
         assert not any(link.fluid for link in topology._pair_links.values())
 
 
-class TestFidelitySweep:
-    def test_sweep_measures_fluid_against_slotted_and_reports(self, tmp_path, monkeypatch):
-        from repro.bench.reporting import results_dir
-        from repro.sim.sweep import emit_fidelity_report, run_fidelity_sweep
-
-        monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path))
-        result = run_fidelity_sweep(client_counts=[12], friend_pairs=3,
-                                    addfriend_rounds=1, dialing_rounds=2,
-                                    seed="t-fsweep")
-        slotted, fluid = result.points
-        assert (slotted.fidelity, slotted.latency_divergence) == ("slotted", None)
-        assert (fluid.fidelity, fluid.delivery_divergence) == ("fluid", 0)
-        assert 0.0 < result.max_fluid_divergence() < 0.5
-        headers, rows = result.table()
-        assert len(rows) == 2 and len(headers) == len(rows[0])
-        path = emit_fidelity_report(result)
-        assert path == str(results_dir() / "BENCH_net.json")
-        written = json.loads((tmp_path / "BENCH_net.json").read_text())
-        assert set(written["data"]["wall_seconds_by_fidelity"]) == {"slotted", "fluid"}
-        assert written["data"]["max_fluid_latency_divergence"] == round(
-            result.max_fluid_divergence(), 6
-        )
-
-
 class TestSimulatedAttestation:
     """The simulation-only attestation oracle: same wire shape as BLS."""
 

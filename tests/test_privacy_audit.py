@@ -8,11 +8,9 @@ from repro.obs.privacy import PassiveObserver
 from repro.sim.privacy_sweep import (
     _best_threshold,
     _holdout_advantage,
-    audit_table,
     hoeffding_slack,
     run_observer_trial,
     run_privacy_audit,
-    run_privacy_sweep,
 )
 from repro.sim.scenarios import make_scenario
 
@@ -90,16 +88,3 @@ class TestPrivacyAudit:
         assert point["within_bound"] is True
         assert point["eval_trials_per_arm"] == 2
         assert point["direction"] in (1, -1)
-
-    def test_sweep_assembles_the_table(self):
-        sweep = run_privacy_sweep(noise_scales=(0.05,), trials=4, **FAST)
-        assert sweep["trials_per_arm"] == 4
-        assert len(sweep["points"]) == 1
-        under_noised = sweep["points"][0]
-        # eps = 2/0.05 = 40: the bound visibly degrades to ~1.
-        assert under_noised["advantage_bound"] > 0.99
-        assert sweep["all_within_bound"] is True
-        headers, rows = audit_table(sweep)
-        assert len(headers) == len(rows[0])
-        assert rows[0][0] == "0.05"
-        assert rows[0][-1] == "yes"

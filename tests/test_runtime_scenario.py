@@ -73,42 +73,6 @@ class TestRuntimeParity:
         assert real.calls_delivered == sim.calls_delivered
 
 
-class TestRuntimeSweep:
-    def test_sweep_asserts_parity_and_reports(self, tmp_path, monkeypatch, capsys):
-        import json
-
-        from repro.bench.reporting import results_dir
-        from repro.sim.sweep import emit_runtime_report, run_runtime_sweep
-
-        monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path))
-        result = run_runtime_sweep(
-            runtimes=["sim", "asyncio"],
-            client_counts=[8],
-            crypto_backends=["pure"],
-            seed="t-rsweep",
-            addfriend_rounds=1,
-            dialing_rounds=1,
-        )
-        assert result.parity_ok()
-        assert [p.runtime for p in result.points] == ["sim", "asyncio"]
-        assert result.points[1].parity_with_sim is True
-        headers, rows = result.table()
-        assert len(rows) == 2 and len(headers) == len(rows[0])
-        path = emit_runtime_report(result)
-        assert path == str(results_dir() / "BENCH_runtime.json")
-        written = json.loads((tmp_path / "BENCH_runtime.json").read_text())
-        assert written["data"]["parity_ok"] is True
-        assert written["data"]["points"][0]["runtime"] == "sim"
-        out = capsys.readouterr().out
-        assert "deployment-runtime grid" in out
-
-    def test_unknown_runtime_rejected(self):
-        from repro.sim.sweep import run_runtime_sweep
-
-        with pytest.raises(ConfigurationError, match="unknown runtime"):
-            run_runtime_sweep(runtimes=["sim", "smoke-signals"])
-
-
 class TestTeardown:
     def make_deployment(self, transport=None):
         return Deployment(

@@ -516,43 +516,3 @@ class TestParallelPkgFanout:
         # One concurrent phase: ~one client-link round trip, not four.
         single_rtt = 2 * 0.2
         assert elapsed < single_rtt * 2.5
-
-
-class TestSweepSections:
-    def test_sweep_records_retry_and_fanout_sections(self, tmp_path, monkeypatch):
-        from repro.sim.sweep import emit_sweep_report, run_sweep
-
-        monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path))
-        result = run_sweep(
-            clients=[8],
-            latencies_ms=[60.0],
-            addfriend_rounds=1,
-            dialing_rounds=1,
-            friend_pairs=2,
-            seed="t-sections",
-            retry_horizons=[0, 1],
-            fanout_pkgs=3,
-            retry_workload=dict(num_clients=10, friend_pairs=3, addfriend_rounds=4),
-            fanout_workload=dict(num_clients=8, friend_pairs=2, addfriend_rounds=1),
-        )
-        assert [p.retry_horizon for p in result.retry_points] == [0, 1]
-        assert result.fanout is not None and result.fanout.pkg_servers == 3
-        assert result.fanout.submit_speedup() > 1.5
-
-        report = json.loads(json.dumps(result.to_report()))
-        assert len(report["retry_points"]) == 2
-        assert report["fanout"]["submit_stage_speedup"] > 1.5
-        emit_sweep_report(result)
-        written = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-        assert written["data"]["fanout"]["pkg_servers"] == 3
-
-    def test_sweep_sections_are_optional(self):
-        from repro.sim.sweep import run_sweep
-
-        result = run_sweep(
-            clients=[8], latencies_ms=[20.0],
-            addfriend_rounds=1, dialing_rounds=1, friend_pairs=2, seed="t-bare",
-        )
-        assert result.retry_points == [] and result.fanout is None
-        report = result.to_report()
-        assert report["retry_points"] == [] and report["fanout"] is None

@@ -160,29 +160,3 @@ class TestPipelinedScenarioAndSweep:
                 assert stats["busy_s"] > 0
                 assert stats["rounds_per_sec"] > 0
             assert json.loads(json.dumps(result.to_dict()))["pipelined"] is pipelined
-
-    def test_sweep_runs_the_grid_and_reports(self, tmp_path, monkeypatch):
-        from repro.bench.reporting import results_dir
-        from repro.sim import run_sweep
-        from repro.sim.sweep import emit_sweep_report
-
-        monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path))
-        result = run_sweep(clients=[8], latencies_ms=[20.0, 60.0],
-                           addfriend_rounds=1, dialing_rounds=2,
-                           friend_pairs=2, seed="t-sweep")
-        headers, rows = result.table()
-        assert len(rows) == 2 and len(headers) == len(rows[0])
-        report = json.loads(json.dumps(result.to_report()))
-        assert [p["latency_ms"] for p in report["points"]] == [20.0, 60.0]
-        path = emit_sweep_report(result)
-        assert path == str(results_dir() / "BENCH_sweep.json")
-        written = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-        assert written["data"]["scenario"] == "pipelined_rounds"
-
-    def test_pipelining_speeds_up_rounds_on_the_grid(self):
-        from repro.sim import run_sweep
-
-        result = run_sweep(clients=[8], latencies_ms=[100.0],
-                           addfriend_rounds=1, dialing_rounds=3,
-                           friend_pairs=2, seed="t-sweep-speed")
-        assert result.points[0].speedup("dialing") > 1.2
