@@ -39,9 +39,16 @@ class PrivacyCost:
 
 
 def per_round_epsilon(laplace_scale: float, sensitivity: float = ACTION_SENSITIVITY) -> float:
-    """The epsilon of a single round's Laplace-noised observation."""
-    if laplace_scale <= 0:
-        raise ValueError("Laplace scale must be positive")
+    """The epsilon of a single round's Laplace-noised observation.
+
+    ``b = 0`` is the paper's variance-free evaluation setting (§8: "b = 0 to
+    reduce variance"): every server adds exactly ``mu`` messages, which hides
+    nothing, so the round is unprotected -- epsilon is infinite.
+    """
+    if laplace_scale < 0:
+        raise ValueError("Laplace scale must be non-negative")
+    if laplace_scale == 0:
+        return math.inf
     return sensitivity / laplace_scale
 
 

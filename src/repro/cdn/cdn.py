@@ -88,20 +88,15 @@ class Cdn:
         from repro.errors import NetworkError
         from repro.net import rpc
         from repro.net.transport import RpcResult
-        from repro.utils.serialization import Packer
 
         if request.method == "publish":
-            self.store_round(*rpc.decode_publish_request(request.payload))
+            *round_ref, mailbox_count, mailboxes = rpc.PUBLISH_REQUEST.decode(request.payload)
+            self.store_round(*round_ref, mailbox_count, rpc.mailbox_blobs(mailboxes, mailbox_count))
             return RpcResult()
-        if request.method == "mailbox_count":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
-            return RpcResult(
-                payload=Packer().u32(self.mailbox_count(protocol, round_number, client=request.src)).pack()
-            )
         if request.method == "download":
-            protocol, round_number, mailbox_id, client = rpc.decode_download_request(request.payload)
+            protocol, round_number, mailbox_id, client = rpc.DOWNLOAD_REQUEST.decode(request.payload)
             blob = self.download_blob(protocol, round_number, mailbox_id, client)
-            return RpcResult(payload=rpc.encode_download_response(blob))
+            return RpcResult(payload=rpc.DOWNLOAD_RESPONSE.encode(blob))
         raise NetworkError(f"CDN has no RPC method {request.method!r}")
 
     def round_total_bytes(self, protocol: str, round_number: int) -> int:

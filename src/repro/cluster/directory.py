@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ShardRoutingError
 from repro.mixnet.mailbox import mailbox_for_identity
-from repro.utils.serialization import Packer, Unpacker
+from repro.net.rpc import SHARD_DIRECTORY
 
 
 def balanced_ranges(mailbox_count: int, shard_count: int) -> list[tuple[int, int]]:
@@ -127,40 +127,30 @@ class ShardDirectory:
         return self.shard_for_mailbox(mailbox_for_identity(identity, self.mailbox_count))
 
     # -- wire format ---------------------------------------------------------
-    def pack_into(self, packer: Packer) -> Packer:
-        packer.str(self.protocol).u64(self.round_number).u32(self.mailbox_count)
-        packer.u32(len(self.ranges))
-        for shard in self.ranges:
-            packer.u32(shard.lo).u32(shard.hi)
-            packer.str(shard.entry).str(shard.ingress).str(shard.cdn)
-        return packer
-
-    def to_bytes(self) -> bytes:
-        return self.pack_into(Packer()).pack()
+    def to_fields(self) -> tuple:
+        """The :data:`SHARD_DIRECTORY` value: what a message embedding the
+        directory is handed (a shard's index is its position)."""
+        return (
+            self.protocol,
+            self.round_number,
+            self.mailbox_count,
+            [(s.lo, s.hi, s.entry, s.ingress, s.cdn) for s in self.ranges],
+        )
 
     @staticmethod
-    def read_from(unpacker: Unpacker) -> "ShardDirectory":
-        protocol = unpacker.str()
-        round_number = unpacker.u64()
-        mailbox_count = unpacker.u32()
-        count = unpacker.u32()
-        ranges = []
-        for index in range(count):
-            lo, hi = unpacker.u32(), unpacker.u32()
-            entry, ingress, cdn = unpacker.str(), unpacker.str(), unpacker.str()
-            ranges.append(
-                ShardRange(index=index, lo=lo, hi=hi, entry=entry, ingress=ingress, cdn=cdn)
-            )
+    def from_fields(fields: tuple) -> "ShardDirectory":
+        protocol, round_number, mailbox_count, ranges = fields
         return ShardDirectory(
             protocol=protocol,
             round_number=round_number,
             mailbox_count=mailbox_count,
-            ranges=tuple(ranges),
+            ranges=tuple(ShardRange(index, *shard) for index, shard in enumerate(ranges)),
         )
+
+    def to_bytes(self) -> bytes:
+        return SHARD_DIRECTORY.encode(*self.to_fields())
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShardDirectory":
-        unpacker = Unpacker(data)
-        directory = ShardDirectory.read_from(unpacker)
-        unpacker.done()
-        return directory
+        return ShardDirectory.from_fields(SHARD_DIRECTORY.decode(data))
+

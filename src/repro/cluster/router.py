@@ -38,9 +38,9 @@ from repro.errors import NetworkError, RoundError, UnknownRoundError
 from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import MailboxSet
 from repro.net import rpc
+from repro.net.frames import ENVELOPE_BATCH
 from repro.net.transport import BatchCall, BatchCallOutcome, Transport, concurrent_calls
 from repro.obs.trace import active_tracer
-from repro.utils.serialization import Unpacker
 
 
 class ShardRouter:
@@ -126,7 +126,7 @@ class ShardRouter:
         # abort_round needs the directory to reach the shards that already
         # opened the round and tear their state down.
         self._directories[key] = directory
-        payload = rpc.encode_open_shard_round(request_body_length, directory)
+        payload = rpc.OPEN_SHARD_ROUND.encode(request_body_length, directory.to_fields())
         try:
             with active_tracer().span(
                 "shard.open_broadcast",
@@ -170,7 +170,7 @@ class ShardRouter:
         self._announcements.pop(key, None)
         directory = self._directories.pop(key, None)
         if directory is not None:
-            payload = rpc.encode_round_ref(protocol, round_number)
+            payload = rpc.ROUND_REF.encode(protocol, round_number)
 
             def abort_endpoint(endpoint: str) -> None:
                 try:
@@ -210,7 +210,7 @@ class ShardRouter:
                 src=client_id,
                 dst=directory.shard_for_identity(client_id).ingress,
                 method="submit",
-                payload=rpc.encode_submit_request(
+                payload=rpc.SUBMIT_REQUEST.encode(
                     protocol, round_number, client_id, envelope, None
                 ),
                 start=start,
@@ -231,14 +231,13 @@ class ShardRouter:
         directory = self.directory_or_none(protocol, round_number)
         if directory is None:
             return []
-        payload = rpc.encode_round_ref(protocol, round_number)
+        payload = rpc.ROUND_REF.encode(protocol, round_number)
 
         def drain(shard):
             try:
-                result = self.transport.call(self.src, shard.ingress, "flush", payload)
+                return self._ask(shard.ingress, "flush", payload, rpc.REJECTS)
             except NetworkError:
                 return []
-            return rpc.decode_rejects(result.payload)
 
         with active_tracer().span(
             "shard.flush_drain",
@@ -255,17 +254,20 @@ class ShardRouter:
             span.set(rejected=len(rejected))
         return rejected
 
+    def _ask(self, endpoint: str, method: str, payload: bytes, reply):
+        """One shard RPC whose reply is the single field of layout ``reply``."""
+        result = self.transport.call(self.src, endpoint, method, payload)
+        return rpc.decode_reply(reply.decode, result.payload)[0]
+
     def submissions(self, protocol: str, round_number: int) -> int:
         directory = self.directory_or_none(protocol, round_number)
         if directory is None:
             return 0
-        payload = rpc.encode_round_ref(protocol, round_number)
+        payload = rpc.ROUND_REF.encode(protocol, round_number)
         counts = concurrent_calls(
             self.transport,
             [
-                lambda shard=shard: Unpacker(
-                    self.transport.call(self.src, shard.entry, "submissions", payload).payload
-                ).u32()
+                lambda shard=shard: self._ask(shard.entry, "submissions", payload, rpc.COUNT_REPLY)
                 for shard in directory.ranges
             ],
         )
@@ -279,7 +281,7 @@ class ShardRouter:
         if announcement is None:
             raise RoundError(f"{protocol} round {round_number} is not open")
         directory = self._directories[key]
-        payload = rpc.encode_round_ref(protocol, round_number)
+        payload = rpc.ROUND_REF.encode(protocol, round_number)
         with active_tracer().span(
             "shard.collect",
             category="cluster",
@@ -291,8 +293,8 @@ class ShardRouter:
             per_shard = concurrent_calls(
                 self.transport,
                 [
-                    lambda shard=shard: rpc.decode_collect_response(
-                        self.transport.call(self.src, shard.entry, "close_round", payload).payload
+                    lambda shard=shard: self._ask(
+                        shard.entry, "close_round", payload, ENVELOPE_BATCH
                     )
                     for shard in directory.ranges
                 ],
@@ -371,13 +373,13 @@ class ShardedCdnStub:
                 self.src,
                 shard.cdn,
                 "publish",
-                rpc.encode_shard_publish_request(
+                rpc.SHARD_PUBLISH_REQUEST.encode(
                     shard.lo,
                     shard.hi,
                     mailboxes.protocol,
                     mailboxes.round_number,
                     mailboxes.mailbox_count,
-                    {mid: blob for mid, blob in blobs.items() if shard.contains(mid)},
+                    [(mid, blob) for mid, blob in blobs.items() if shard.contains(mid)],
                 ),
             )
 
@@ -401,9 +403,6 @@ class ShardedCdnStub:
                 "(unknown, aborted, or evicted)"
             )
         return directory
-
-    def mailbox_count(self, protocol: str, round_number: int, client: str = "anonymous") -> int:
-        return self._round_directory(protocol, round_number).mailbox_count
 
     def download_many(
         self,

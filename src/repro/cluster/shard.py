@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cdn.cdn import Cdn
+from repro.cluster.directory import ShardDirectory
 from repro.crypto import blind
 from repro.errors import (
     NetworkError,
@@ -43,9 +44,9 @@ from repro.errors import (
 )
 from repro.mixnet.mailbox import mailbox_for_identity
 from repro.net import rpc
+from repro.net.frames import ENVELOPE_BATCH
 from repro.net.transport import RpcRequest, RpcResult, Transport
 from repro.obs.trace import active_tracer
-from repro.utils.serialization import Packer
 
 
 @dataclass
@@ -186,29 +187,30 @@ class EntryShard:
     # -- transport dispatch --------------------------------------------------
     def handle_rpc(self, request: RpcRequest) -> RpcResult:
         if request.method == "open_round":
-            body_length, directory = rpc.decode_open_shard_round(request.payload)
+            body_length, directory = rpc.OPEN_SHARD_ROUND.decode(request.payload)
+            directory = ShardDirectory.from_fields(directory)
             self.open_round(directory.protocol, directory.round_number, body_length, directory)
             return RpcResult()
         if request.method == "submit":
-            protocol, round_number, client_id, envelope, token_bytes = rpc.decode_submit_request(
+            protocol, round_number, client_id, envelope, token_bytes = rpc.SUBMIT_REQUEST.decode(
                 request.payload
             )
             token = blind.RateToken.from_bytes(token_bytes) if token_bytes is not None else None
             self.submit(protocol, round_number, client_id, envelope, rate_token=token)
             return RpcResult()
         if request.method == "submit_batch":
-            protocol, round_number, entries = rpc.decode_submit_batch_request(request.payload)
+            protocol, round_number, entries = rpc.SUBMIT_BATCH_REQUEST.decode(request.payload)
             statuses = self.submit_batch(protocol, round_number, entries)
-            return RpcResult(payload=rpc.encode_submit_batch_response(statuses))
+            return RpcResult(payload=rpc.SUBMIT_BATCH_RESPONSE.encode(statuses))
         if request.method == "submissions":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
-            return RpcResult(payload=Packer().u32(self.submissions(protocol, round_number)).pack())
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
+            return RpcResult(payload=rpc.COUNT_REPLY.encode(self.submissions(protocol, round_number)))
         if request.method == "close_round":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
             envelopes = self.collect_round(protocol, round_number)
-            return RpcResult(payload=rpc.encode_collect_response(envelopes))
+            return RpcResult(payload=ENVELOPE_BATCH.encode(envelopes))
         if request.method == "abort_round":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
             self.abort_round(protocol, round_number)
             return RpcResult()
         raise NetworkError(f"entry shard has no RPC method {request.method!r}")
@@ -292,8 +294,11 @@ class IngressProxy:
                     self.name,
                     self.shard_endpoint,
                     "submit_batch",
-                    rpc.encode_submit_batch_request(protocol, round_number, batch),
+                    rpc.SUBMIT_BATCH_REQUEST.encode(protocol, round_number, batch),
                 )
+                # An undecodable reply is a lost one: its senders retry, and
+                # the shard drops what it already holds as duplicates.
+                (statuses,) = rpc.decode_reply(rpc.SUBMIT_BATCH_RESPONSE.decode, result.payload)
             except NetworkError as exc:
                 if exc.request_delivered:
                     # Ack lost: the shard holds the envelopes; the batch stands.
@@ -302,7 +307,6 @@ class IngressProxy:
                 rejects.extend((client_id, "batch lost in transit") for client_id, _, _ in batch)
                 return
             self.batches_sent += 1
-            statuses = rpc.decode_submit_batch_response(result.payload)
             for (client_id, _, _), status in zip(batch, statuses):
                 if status in (rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_DUPLICATE):
                     continue
@@ -325,7 +329,7 @@ class IngressProxy:
     # -- transport dispatch --------------------------------------------------
     def handle_rpc(self, request: RpcRequest) -> RpcResult:
         if request.method == "submit":
-            protocol, round_number, client_id, envelope, token_bytes = rpc.decode_submit_request(
+            protocol, round_number, client_id, envelope, token_bytes = rpc.SUBMIT_REQUEST.decode(
                 request.payload
             )
             self._expire_stale(protocol, round_number)
@@ -336,11 +340,11 @@ class IngressProxy:
                 self._flush(protocol, round_number)
             return RpcResult()
         if request.method == "flush":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
             rejects = self.flush(protocol, round_number)
-            return RpcResult(payload=rpc.encode_rejects(rejects))
+            return RpcResult(payload=rpc.REJECTS.encode(rejects))
         if request.method == "abort_round":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
             self.abort_round(protocol, round_number)
             return RpcResult()
         raise NetworkError(f"ingress proxy has no RPC method {request.method!r}")
@@ -389,6 +393,10 @@ class CdnShard(Cdn):
 
     def handle_rpc(self, request):
         if request.method == "publish":
-            self.store_shard_round(*rpc.decode_shard_publish_request(request.payload))
+            lo, hi, *round_ref, mailbox_count, mailboxes = rpc.SHARD_PUBLISH_REQUEST.decode(
+                request.payload
+            )
+            blobs = rpc.mailbox_blobs(mailboxes, mailbox_count)
+            self.store_shard_round(lo, hi, *round_ref, mailbox_count, blobs)
             return RpcResult()
         return super().handle_rpc(request)

@@ -37,7 +37,7 @@ from repro.errors import CryptoError, ProtocolError
 from repro.mixnet.mailbox import COVER_MAILBOX_ID, mailbox_for_identity
 from repro.mixnet.server import encode_inner_payload
 from repro.pkg.server import extraction_request_statement
-from repro.utils.serialization import Packer, Unpacker
+from repro.utils.serialization import Bytes, Message, Rest
 
 # Both IBE backends produce a 128-byte header (uncompressed G2 point for the
 # pairing backend, same-sized opaque header for the simulated one), so the
@@ -87,21 +87,26 @@ class PreparedReply:
     dialing_round: int
 
 
+#: What add-friend IBE encrypts: the friend request, zero-padded so every
+#: request of a round has the same size.
+ADDFRIEND_PLAINTEXT = Message("addfriend_plaintext", Bytes("friend_request"), Rest("padding"))
+
+
 def padded_plaintext(request: FriendRequest, target_size: int) -> bytes:
     """Pad a serialized friend request to the round's fixed plaintext size."""
     raw = request.to_bytes()
-    body = Packer().bytes(raw).pack()
-    if len(body) > target_size:
+    size = ADDFRIEND_PLAINTEXT.fixed_size + len(raw)
+    if size > target_size:
         raise ProtocolError(
-            f"friend request ({len(body)} bytes) exceeds the configured "
+            f"friend request ({size} bytes) exceeds the configured "
             f"plaintext size ({target_size} bytes)"
         )
-    return body + b"\x00" * (target_size - len(body))
+    return ADDFRIEND_PLAINTEXT.encode(raw, bytes(target_size - size))
 
 
 def unpad_plaintext(plaintext: bytes) -> FriendRequest:
-    unpacker = Unpacker(plaintext)
-    return FriendRequest.from_bytes(unpacker.bytes())
+    raw, _padding = ADDFRIEND_PLAINTEXT.decode(plaintext)
+    return FriendRequest.from_bytes(raw)
 
 
 class AddFriendEngine:

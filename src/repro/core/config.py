@@ -64,10 +64,6 @@ class AlpenhornConfig:
     # to this length so every request in a round has identical size.
     addfriend_request_size: int = 640
 
-    # How long a client keeps trying to fetch an old mailbox before advancing
-    # its keywheels anyway (§5.1); measured in rounds here.
-    max_mailbox_lag_rounds: int = 24
-
     # Rate limiting (the §9 blinded-token DoS defence); disabled by default.
     require_rate_tokens: bool = False
     rate_tokens_per_day: int = 100
@@ -141,6 +137,10 @@ class AlpenhornConfig:
             raise ConfigurationError(
                 f"unknown attestation backend {self.attestation_backend!r}; "
                 f"registered: {registered_schemes()}"
+            )
+        if min(self.noise.addfriend_b, self.noise.dialing_b) < 0:
+            raise ConfigurationError(
+                "Laplace noise scale b must be >= 0 (0 is the variance-free evaluation setting)"
             )
         if self.num_intents < 1:
             raise ConfigurationError("need at least one dialing intent")

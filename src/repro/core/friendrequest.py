@@ -31,25 +31,31 @@ from dataclasses import dataclass
 
 from repro.crypto.attestation import DEFAULT_SCHEME, AttestationScheme
 from repro.crypto.engine import active_backend
-from repro.errors import SerializationError
 from repro.pkg.server import pkg_statement
-from repro.utils.serialization import Packer, Unpacker
+from repro.utils.serialization import U64, Bytes, Fixed, Flag, Message, Str
 
 _SENDER_SIG_DOMAIN = b"alpenhorn/friend-request/sender-sig"
+
+SENDER_STATEMENT = Message(
+    "sender_statement",
+    Bytes("domain"), Str("email"), Bytes("dialing_key"), U64("dialing_round"),
+    Flag("is_confirmation"),
+)
+#: A decrypted add-friend request (Figure 3): Ed25519 key and signature, the
+#: aggregated PKG attestation (G1), the X25519 dialing key.
+FRIEND_REQUEST = Message(
+    "friend_request",
+    Str("sender_email"), Fixed("sender_key", 32), Fixed("sender_sig", 64), Fixed("pkg_sigs", 64),
+    Fixed("dialing_key", 32), U64("dialing_round"), U64("pkg_round"), Flag("is_confirmation"),
+)
 
 
 def sender_statement(
     email: str, dialing_key: bytes, dialing_round: int, is_confirmation: bool = False
 ) -> bytes:
     """The statement covered by ``sender_sig``."""
-    return (
-        Packer()
-        .bytes(_SENDER_SIG_DOMAIN)
-        .str(email.lower())
-        .bytes(dialing_key)
-        .u64(dialing_round)
-        .u8(1 if is_confirmation else 0)
-        .pack()
+    return SENDER_STATEMENT.encode(
+        _SENDER_SIG_DOMAIN, email.lower(), dialing_key, dialing_round, is_confirmation
     )
 
 
@@ -95,37 +101,14 @@ class FriendRequest:
 
     # -- serialization ------------------------------------------------------
     def to_bytes(self) -> bytes:
-        return (
-            Packer()
-            .str(self.sender_email)
-            .fixed(self.sender_key, 32)
-            .fixed(self.sender_sig, 64)
-            .fixed(self.pkg_sigs, 64)
-            .fixed(self.dialing_key, 32)
-            .u64(self.dialing_round)
-            .u64(self.pkg_round)
-            .u8(1 if self.is_confirmation else 0)
-            .pack()
+        return FRIEND_REQUEST.encode(
+            self.sender_email, self.sender_key, self.sender_sig, self.pkg_sigs,
+            self.dialing_key, self.dialing_round, self.pkg_round, self.is_confirmation,
         )
 
     @staticmethod
     def from_bytes(data: bytes) -> "FriendRequest":
-        unpacker = Unpacker(data)
-        try:
-            request = FriendRequest(
-                sender_email=unpacker.str(),
-                sender_key=unpacker.fixed(32),
-                sender_sig=unpacker.fixed(64),
-                pkg_sigs=unpacker.fixed(64),
-                dialing_key=unpacker.fixed(32),
-                dialing_round=unpacker.u64(),
-                pkg_round=unpacker.u64(),
-                is_confirmation=bool(unpacker.u8()),
-            )
-            unpacker.done()
-        except SerializationError:
-            raise
-        return request
+        return FriendRequest(*FRIEND_REQUEST.decode(data))
 
     def wire_size(self) -> int:
         return len(self.to_bytes())

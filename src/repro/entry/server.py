@@ -15,7 +15,7 @@ blind-signature rate token per submitted request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.crypto import blind
 from repro.errors import NetworkError, RateLimitError, RoundError
@@ -23,7 +23,6 @@ from repro.mixnet.chain import MixChain, RoundResult
 from repro.net import rpc
 from repro.net.transport import RpcRequest, RpcResult
 from repro.pkg.coordinator import PkgCoordinator
-from repro.utils.serialization import Packer
 
 
 @dataclass
@@ -181,36 +180,37 @@ class EntryServer:
     def handle_rpc(self, request: RpcRequest) -> RpcResult:
         """Serve one framed RPC (see ``repro/net/rpc.py`` for the layouts)."""
         if request.method == "announce_round":
-            protocol, round_number, mailbox_count, body_length = rpc.decode_announce_request(
+            protocol, round_number, mailbox_count, body_length = rpc.ANNOUNCE_REQUEST.decode(
                 request.payload
             )
             announcement = self.announce_round(protocol, round_number, mailbox_count, body_length)
             pkg_publics: list[bytes] = []
             if announcement.pkg_public_keys:
                 pkg_publics = self.pkg_coordinator.round_keys(round_number).encoded_public_keys
+            directory = announcement.shard_directory
             return RpcResult(
-                payload=rpc.encode_announce_response(
-                    announcement.mix_public_keys,
+                payload=rpc.ANNOUNCE_RESPONSE.encode(
                     announcement.mailbox_count,
                     announcement.request_body_length,
-                    announcement.shard_directory,
+                    announcement.mix_public_keys,
+                    directory and directory.to_fields(),
                     pkg_publics,
                 )
             )
         if request.method == "submit":
-            protocol, round_number, client_id, envelope, token_bytes = rpc.decode_submit_request(
+            protocol, round_number, client_id, envelope, token_bytes = rpc.SUBMIT_REQUEST.decode(
                 request.payload
             )
             token = blind.RateToken.from_bytes(token_bytes) if token_bytes is not None else None
             self.submit(protocol, round_number, client_id, envelope, rate_token=token)
             return RpcResult()
         if request.method == "submissions":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
-            return RpcResult(payload=Packer().u32(self.submissions(protocol, round_number)).pack())
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
+            return RpcResult(payload=rpc.COUNT_REPLY.encode(self.submissions(protocol, round_number)))
         if request.method == "close_round":
-            protocol, round_number = rpc.decode_round_ref(request.payload)
+            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
             result = self.close_round(protocol, round_number)
             # The mailboxes go entry -> CDN; the coordinator gets statistics.
             self.cdn.publish(result.mailboxes)
-            return RpcResult(payload=rpc.encode_round_counts(result))
+            return RpcResult(payload=rpc.ROUND_COUNTS.encode(*astuple(result.counts())))
         raise NetworkError(f"entry server has no RPC method {request.method!r}")

@@ -27,7 +27,7 @@ from repro.mixnet.mailbox import (
     MailboxSet,
 )
 from repro.mixnet.noise import NoiseConfig
-from repro.mixnet.server import MixServer, MixServerStats, decode_inner_payload
+from repro.mixnet.server import INNER_PAYLOAD, MixServer, MixServerStats
 from repro.errors import SerializationError
 
 
@@ -185,7 +185,7 @@ class MixChain:
         tokens_by_mailbox: dict[int, list[bytes]] = {}
         for payload in batch:
             try:
-                mailbox_id, body = decode_inner_payload(payload)
+                mailbox_id, body = INNER_PAYLOAD.decode(payload)
             except SerializationError:
                 dropped += 1
                 continue

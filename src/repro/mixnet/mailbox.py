@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.primitives.bloom import BloomFilter
-from repro.utils.serialization import Packer, Unpacker
+from repro.utils.serialization import U32, Bytes, List, Message
 
 # Requests destined to this ID are cover traffic and are dropped by the last
 # mix server after being carried (indistinguishably) through the chain.
@@ -27,6 +27,14 @@ COVER_MAILBOX_ID = 0xFFFFFFFF
 # so that roughly this many real requests land in each one.
 DEFAULT_ADDFRIEND_TARGET_PER_MAILBOX = 12_000
 DEFAULT_DIALING_TARGET_PER_MAILBOX = 75_000
+
+ADDFRIEND_MAILBOX = Message(
+    "addfriend_mailbox", U32("mailbox_id"), List("ciphertexts", Bytes("ciphertext"))
+)
+DIALING_MAILBOX = Message(
+    "dialing_mailbox", U32("mailbox_id"), U32("token_count"), Bytes("bloom"),
+    note="bloom is the Bloom filter encoding below",
+)
 
 
 def mailbox_for_identity(identity: str, mailbox_count: int) -> int:
@@ -63,19 +71,11 @@ class AddFriendMailbox:
         return len(self.ciphertexts)
 
     def to_bytes(self) -> bytes:
-        packer = Packer().u32(self.mailbox_id).u32(len(self.ciphertexts))
-        for ciphertext in self.ciphertexts:
-            packer.bytes(ciphertext)
-        return packer.pack()
+        return ADDFRIEND_MAILBOX.encode(self.mailbox_id, self.ciphertexts)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AddFriendMailbox":
-        unpacker = Unpacker(data)
-        mailbox_id = unpacker.u32()
-        count = unpacker.u32()
-        ciphertexts = [unpacker.bytes() for _ in range(count)]
-        unpacker.done()
-        return AddFriendMailbox(mailbox_id=mailbox_id, ciphertexts=ciphertexts)
+        return AddFriendMailbox(*ADDFRIEND_MAILBOX.decode(data))
 
 
 @dataclass
@@ -99,16 +99,12 @@ class DialingMailbox:
         return self.bloom.size_bytes()
 
     def to_bytes(self) -> bytes:
-        return Packer().u32(self.mailbox_id).u32(self.token_count).bytes(self.bloom.to_bytes()).pack()
+        return DIALING_MAILBOX.encode(self.mailbox_id, self.token_count, self.bloom.to_bytes())
 
     @staticmethod
     def from_bytes(data: bytes) -> "DialingMailbox":
-        unpacker = Unpacker(data)
-        mailbox_id = unpacker.u32()
-        token_count = unpacker.u32()
-        bloom = BloomFilter.from_bytes(unpacker.bytes())
-        unpacker.done()
-        return DialingMailbox(mailbox_id=mailbox_id, bloom=bloom, token_count=token_count)
+        mailbox_id, token_count, bloom = DIALING_MAILBOX.decode(data)
+        return DialingMailbox(mailbox_id, BloomFilter.from_bytes(bloom), token_count)
 
 
 def decode_mailbox(protocol: str, mailbox_id: int, blob: bytes | None):

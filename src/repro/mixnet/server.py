@@ -20,7 +20,7 @@ from repro.obs.trace import active_tracer
 from repro.mixnet.onion import OnionKeyPair, unwrap_layers, wrap_onion_many
 from repro.errors import RoundError
 from repro.utils.rng import DeterministicRng, random_bytes
-from repro.utils.serialization import Packer
+from repro.utils.serialization import U32, Bytes, Message
 
 
 @dataclass
@@ -32,19 +32,9 @@ class MixServerStats:
     noise_added: int = 0
 
 
-def encode_inner_payload(mailbox_id: int, body: bytes) -> bytes:
-    """The innermost plaintext: destination mailbox plus the request body."""
-    return Packer().u32(mailbox_id).bytes(body).pack()
-
-
-def decode_inner_payload(payload: bytes) -> tuple[int, bytes]:
-    from repro.utils.serialization import Unpacker
-
-    unpacker = Unpacker(payload)
-    mailbox_id = unpacker.u32()
-    body = unpacker.bytes()
-    unpacker.done()
-    return mailbox_id, body
+#: The innermost plaintext: destination mailbox plus the request body.
+INNER_PAYLOAD = Message("inner_payload", U32("mailbox_id"), Bytes("body"))
+encode_inner_payload = INNER_PAYLOAD.encode
 
 
 class MixServer:
@@ -175,30 +165,35 @@ class MixServer:
             (
                 round_number,
                 protocol,
-                envelopes,
-                downstream_publics,
                 mailbox_count,
-                noise_config,
                 noise_body_length,
-            ) = rpc.decode_process_batch_request(request.payload)
+                *noise,
+                downstream_publics,
+                envelopes,
+            ) = rpc.PROCESS_BATCH_REQUEST.decode(request.payload)
             batch = self.process_batch(
                 round_number=round_number,
                 protocol=protocol,
                 envelopes=envelopes,
                 downstream_publics=downstream_publics,
                 mailbox_count=mailbox_count,
-                noise_config=noise_config,
+                noise_config=NoiseConfig(*noise),
                 noise_body_length=noise_body_length,
             )
-            return RpcResult(payload=rpc.encode_process_batch_response(batch, self.last_stats))
-
-        protocol, round_number = rpc.decode_round_ref(request.payload)
-        if request.method == "open_round":
-            return RpcResult(payload=Packer().bytes(self.open_round(protocol, round_number)).pack())
-        if request.method == "round_public_key":
+            stats = self.last_stats
             return RpcResult(
-                payload=Packer().bytes(self.round_public_key(protocol, round_number)).pack()
+                payload=rpc.PROCESS_BATCH_RESPONSE.encode(
+                    stats.received, stats.dropped, stats.noise_added, batch
+                )
             )
+
+        protocol, round_number = rpc.ROUND_REF.decode(request.payload)
+        if request.method == "open_round":
+            key = self.open_round(protocol, round_number)
+            return RpcResult(payload=rpc.ROUND_KEY_REPLY.encode(key))
+        if request.method == "round_public_key":
+            key = self.round_public_key(protocol, round_number)
+            return RpcResult(payload=rpc.ROUND_KEY_REPLY.encode(key))
         if request.method == "close_round":
             self.close_round(protocol, round_number)
             return RpcResult()

@@ -2,12 +2,11 @@
 
 Every message a :class:`~repro.net.transport.Transport` carries is one
 *frame*: a small header (magic, kind, message id, source, destination,
-method) followed by a method-specific payload, all encoded with the same
-canonical :class:`~repro.utils.serialization.Packer` format the protocol
-messages themselves use.  The framing is what the simulated network charges
-against link bandwidth, so the header is deliberately compact.  The helpers
-at the bottom encode the recurring compound payloads (envelope batches,
-public-key lists).
+method) followed by a method-specific payload, declared -- like the protocol
+messages themselves -- as a :class:`~repro.utils.serialization.Message`.  The
+framing is what the simulated network charges against link bandwidth, so the
+header is deliberately compact.  The mix-chain hop payload (an envelope
+batch) is at the bottom.
 """
 
 from __future__ import annotations
@@ -16,13 +15,21 @@ from array import array
 from dataclasses import dataclass
 
 from repro.errors import SerializationError
-from repro.utils.serialization import Packer, Unpacker
+from repro.utils.serialization import U8, U64, Bytes, Fixed, List, Message, Str
 
 FRAME_MAGIC = b"ANH1"
 
 KIND_REQUEST = 0
 KIND_RESPONSE = 1
 KIND_ERROR = 2
+
+FRAME = Message(
+    "frame",
+    Fixed("magic", 4), U8("kind"), U64("msg_id"), Str("src"), Str("dst"), Str("method"),
+    Bytes("payload"),
+    note=f"magic is `{FRAME_MAGIC.decode()}`; kind is {KIND_REQUEST} request, "
+    f"{KIND_RESPONSE} response, {KIND_ERROR} error",
+)
 
 
 @dataclass(frozen=True)
@@ -37,50 +44,28 @@ class Frame:
     payload: bytes
 
     def to_bytes(self) -> bytes:
-        return (
-            Packer()
-            .fixed(FRAME_MAGIC, 4)
-            .u8(self.kind)
-            .u64(self.msg_id)
-            .str(self.src)
-            .str(self.dst)
-            .str(self.method)
-            .bytes(self.payload)
-            .pack()
+        return FRAME.encode(
+            FRAME_MAGIC, self.kind, self.msg_id, self.src, self.dst, self.method, self.payload
         )
 
     @staticmethod
     def from_bytes(data: bytes) -> "Frame":
-        unpacker = Unpacker(data)
-        magic = unpacker.fixed(4)
+        magic, kind, *fields = FRAME.decode(data)
         if magic != FRAME_MAGIC:
             raise SerializationError(f"bad frame magic {magic!r}")
-        kind = unpacker.u8()
         if kind not in (KIND_REQUEST, KIND_RESPONSE, KIND_ERROR):
             raise SerializationError(f"unknown frame kind {kind}")
-        frame = Frame(
-            kind=kind,
-            msg_id=unpacker.u64(),
-            src=unpacker.str(),
-            dst=unpacker.str(),
-            method=unpacker.str(),
-            payload=unpacker.bytes(),
-        )
-        unpacker.done()
-        return frame
-
-
-# magic(4) + kind(1) + msg_id(8) + three length prefixes(4 each) + the
-# payload's length prefix(4).  Kept closed-form: the transports compute this
-# on every message, and packing a throwaway frame there is pure-Python hot
-# path (a test pins it against the actual codec).
-_FRAME_FIXED_OVERHEAD = 4 + 1 + 8 + 3 * 4 + 4
+        return Frame(kind, *fields)
 
 
 def frame_overhead(src: str, dst: str, method: str) -> int:
-    """Header bytes a frame adds on top of its payload."""
+    """Header bytes a frame adds on top of its payload.
+
+    Closed-form -- the transports compute this on every message -- from the
+    declaration's own fixed size, so it cannot drift from the codec.
+    """
     return (
-        _FRAME_FIXED_OVERHEAD
+        FRAME.fixed_size
         + len(src.encode("utf-8"))
         + len(dst.encode("utf-8"))
         + len(method.encode("utf-8"))
@@ -200,27 +185,15 @@ def decode_wire_length(prefix: bytes) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Compound payload helpers shared by several RPCs
+# The mix-chain hop payload
 # --------------------------------------------------------------------------- #
-def pack_bytes_list(packer: Packer, items: list[bytes]) -> Packer:
-    """A u32 count followed by length-prefixed byte strings."""
-    packer.u32(len(items))
-    for item in items:
-        packer.bytes(item)
-    return packer
-
-
-def unpack_bytes_list(unpacker: Unpacker) -> list[bytes]:
-    return [unpacker.bytes() for _ in range(unpacker.u32())]
+ENVELOPE_BATCH = Message("envelope_batch", List("envelopes", Bytes("envelope")))
 
 
 def encode_envelope_batch(envelopes: list[bytes]) -> bytes:
-    """The mix-chain hop payload: a batch of onion envelopes."""
-    return pack_bytes_list(Packer(), envelopes).pack()
+    """A batch of onion envelopes."""
+    return ENVELOPE_BATCH.encode(envelopes)
 
 
 def decode_envelope_batch(data: bytes) -> list[bytes]:
-    unpacker = Unpacker(data)
-    batch = unpack_bytes_list(unpacker)
-    unpacker.done()
-    return batch
+    return ENVELOPE_BATCH.decode(data)[0]

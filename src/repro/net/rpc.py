@@ -1,4 +1,4 @@
-"""Client-side RPC stubs and the payload codecs both sides share.
+"""Client-side RPC stubs and the payload layouts both sides share.
 
 Each stub presents the same Python surface as the server object it fronts
 (:class:`~repro.entry.server.EntryServer`, :class:`~repro.pkg.server.PkgServer`,
@@ -7,24 +7,30 @@ deployment can hand a stub anywhere a direct reference used to go.  The stub
 encodes arguments into a framed payload, issues one :meth:`Transport.call`,
 and decodes the response; the server's ``handle_rpc`` does the inverse.
 
-Payload layouts live in the ``encode_*`` / ``decode_*`` helpers below so the
-two directions cannot drift apart; ``docs/wire.md`` tabulates them.  A client
-wave's reply (``extract``, ``download``) or a round-control reply the
-coordinator cannot decode is that call's :class:`~repro.errors.NetworkError`
-(:func:`decode_reply`), the same rule the real transports apply to an
-undecodable frame: one bad reply fails one caller, not the wave.
+Every payload is a :class:`~repro.utils.serialization.Message` declared
+below -- one description the codec, ``docs/wire.md`` (``python -m
+repro.net.wiredoc``) and the fuzzer are all derived from -- and
+:data:`METHODS` says which method carries which.  Both directions call
+``MSG.encode(...)`` / ``MSG.decode(payload)``; every reply a stub decodes goes
+through :func:`decode_reply`, so a reply that cannot be decoded is that call's
+:class:`~repro.errors.NetworkError` -- the same rule the real transports apply
+to an undecodable frame: one bad reply fails one caller (a client in a wave,
+or the round the control call belongs to), never something else.
 """
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 from repro.errors import CryptoError, NetworkError, SerializationError
 from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import decode_mailbox
 from repro.mixnet.noise import NoiseConfig
 from repro.mixnet.server import MixServerStats
-from repro.net.frames import pack_bytes_list, unpack_bytes_list
+from repro.net.frames import ENVELOPE_BATCH
 from repro.net.transport import BatchCall, BatchCallOutcome, Transport
-from repro.utils.serialization import Packer, Unpacker
+from repro.obs.distributed import PING_REPLY
+from repro.utils.serialization import F64, U8, U32, U64, Bytes, Flag, List, Message, Opt, Str
 
 
 def decode_reply(decode, payload: bytes, *args):
@@ -36,94 +42,131 @@ def decode_reply(decode, payload: bytes, *args):
 
 
 # --------------------------------------------------------------------------- #
-# Payload codecs (request direction unless suffixed _response)
+# Payload layouts
 # --------------------------------------------------------------------------- #
-def encode_round_ref(protocol: str, round_number: int) -> bytes:
-    return Packer().str(protocol).u64(round_number).pack()
+ROUND_REF = Message("round_ref", Str("protocol"), U64("round"))
+#: A PKG numbers add-friend rounds only.
+PKG_ROUND_REF = Message("pkg_round_ref", U64("round"))
+COUNT_REPLY = Message("count_reply", U32("count"))
+FLAG_REPLY = Message("flag_reply", Flag("value"))
+ROUND_KEY_REPLY = Message("round_key_reply", Bytes("key"), note="a mix server's X25519 round key (32)")
+
+#: Who owns which mailbox range this round
+#: (:class:`~repro.cluster.directory.ShardDirectory`); a shard's index is its
+#: position.  Self-describing, so a shard can validate routing without any
+#: other per-round state.  Declared here, not beside the class:
+#: ``repro.cluster`` imports this module.
+SHARD_DIRECTORY = Message(
+    "shard_directory",
+    Str("protocol"), U64("round"), U32("mailbox_count"),
+    List("ranges", U32("lo"), U32("hi"), Str("entry"), Str("ingress"), Str("cdn")),
+)
+
+ANNOUNCE_REQUEST = Message(
+    "announce_request", *ROUND_REF.fields, U32("mailbox_count"), U32("body_length")
+)
+ANNOUNCE_RESPONSE = Message(
+    "announce_response",
+    U32("mailbox_count"), U32("body_length"), List("mix_keys", Bytes("key")),
+    Opt(SHARD_DIRECTORY), List("pkg_keys", Bytes("key")),
+    note="mix keys are 32 bytes each; pkg keys are the PKGs' encoded round master "
+    "public keys (128 each; none for dialing)",
+)
+
+_SUBMISSION = (Str("client"), Bytes("envelope"), Opt(Bytes("rate_token")))
+SUBMIT_REQUEST = Message("submit_request", *ROUND_REF.fields, *_SUBMISSION)
+#: Many clients' envelopes under one frame overhead (ingress proxy -> shard).
+SUBMIT_BATCH_REQUEST = Message(
+    "submit_batch_request", *ROUND_REF.fields, List("entries", *_SUBMISSION)
+)
+SUBMIT_BATCH_RESPONSE = Message(
+    "submit_batch_response", List("statuses", U8("status")),
+    note="one `SUBMIT_*` status per envelope, in order",
+)
+#: The round-open broadcast from the router to one entry shard.
+OPEN_SHARD_ROUND = Message("open_shard_round", U32("body_length"), SHARD_DIRECTORY)
+#: An ingress proxy's flush response.
+REJECTS = Message("rejects", List("rejects", Str("client"), Str("reason")))
+
+#: A round's ``MailboxSet`` on the wire; :func:`mailbox_blobs` checks the ids.
+PUBLISH_REQUEST = Message(
+    "publish_request",
+    *ROUND_REF.fields, U32("mailbox_count"), List("mailboxes", U32("mailbox_id"), Bytes("mailbox")),
+)
+#: One CDN shard's slice of a publish: its ``[lo, hi)`` range first.
+SHARD_PUBLISH_REQUEST = Message(
+    "shard_publish_request", U32("lo"), U32("hi"), *PUBLISH_REQUEST.fields
+)
+DOWNLOAD_REQUEST = Message(
+    "download_request", *ROUND_REF.fields, U32("mailbox_id"), Str("client")
+)
+DOWNLOAD_RESPONSE = Message(
+    "download_response", Opt(Bytes("mailbox")),
+    note="a mailbox's stored bytes; flag 0 is the empty-mailbox marker",
+)
+
+#: The ``close_round`` reply (:class:`~repro.mixnet.chain.RoundCounts`):
+#: round statistics, never the mailboxes.
+ROUND_COUNTS = Message(
+    "round_counts",
+    U32("submitted"), U32("delivered_real"), U32("dropped"), U32("noise_added"),
+    U32("cover_dropped"), List("per_server_noise", U32("noise")),
+    List("mailbox_counts", U32("messages")),
+)
+PROCESS_BATCH_REQUEST = Message(
+    "process_batch_request",
+    U64("round"), Str("protocol"), U32("mailbox_count"), U32("noise_body_length"),
+    F64("addfriend_mu"), F64("addfriend_b"), F64("dialing_mu"), F64("dialing_b"),
+    List("downstream_keys", Bytes("key")), List("envelopes", Bytes("envelope")),
+)
+PROCESS_BATCH_RESPONSE = Message(
+    "process_batch_response",
+    U32("received"), U32("dropped"), U32("noise_added"), List("envelopes", Bytes("envelope")),
+)
+
+REGISTRATION_REQUEST = Message(
+    "registration_request", Str("email"), Bytes("blob"),
+    note="blob is the signing key, the confirmation token or the deregistration signature",
+)
+EXTRACT_REQUEST = Message("extract_request", Str("email"), U64("round"), Bytes("signature"))
+#: An :class:`~repro.pkg.server.ExtractionResponse`, both shares in their
+#: scheme encodings (64 bytes each).
+EXTRACTION_RESPONSE = Message(
+    "extraction_response",
+    Str("pkg"), U64("round"), Bytes("identity_key_share"), Bytes("attestation_share"),
+)
 
 
-def decode_round_ref(payload: bytes) -> tuple[str, int]:
-    unpacker = Unpacker(payload)
-    protocol, round_number = unpacker.str(), unpacker.u64()
-    unpacker.done()
-    return protocol, round_number
-
-
-def encode_announce_request(
-    protocol: str, round_number: int, mailbox_count: int, request_body_length: int
-) -> bytes:
-    return (
-        Packer()
-        .str(protocol)
-        .u64(round_number)
-        .u32(mailbox_count)
-        .u32(request_body_length)
-        .pack()
-    )
-
-
-def decode_announce_request(payload: bytes) -> tuple[str, int, int, int]:
-    unpacker = Unpacker(payload)
-    out = (unpacker.str(), unpacker.u64(), unpacker.u32(), unpacker.u32())
-    unpacker.done()
-    return out
-
-
-def encode_announce_response(
-    mix_public_keys: list[bytes],
-    mailbox_count: int,
-    request_body_length: int,
-    shard_directory=None,
-    pkg_public_keys: list[bytes] = (),
-) -> bytes:
-    """``pkg_public_keys`` are the PKGs' encoded round master public keys."""
-    packer = Packer().u32(mailbox_count).u32(request_body_length)
-    pack_bytes_list(packer, mix_public_keys)
-    if shard_directory is None:
-        packer.u8(0)
-    else:
-        shard_directory.pack_into(packer.u8(1))
-    return pack_bytes_list(packer, pkg_public_keys).pack()
-
-
-def decode_announce_response(payload: bytes) -> tuple[list[bytes], int, int, object, list[bytes]]:
-    from repro.cluster.directory import ShardDirectory
-
-    unpacker = Unpacker(payload)
-    mailbox_count = unpacker.u32()
-    request_body_length = unpacker.u32()
-    mix_publics = unpack_bytes_list(unpacker)
-    directory = ShardDirectory.read_from(unpacker) if unpacker.flag() else None
-    pkg_publics = unpack_bytes_list(unpacker)
-    unpacker.done()
-    return mix_publics, mailbox_count, request_body_length, directory, pkg_publics
-
-
-def encode_submit_request(
-    protocol: str,
-    round_number: int,
-    client_id: str,
-    envelope: bytes,
-    rate_token_bytes: bytes | None,
-) -> bytes:
-    packer = Packer().str(protocol).u64(round_number).str(client_id).bytes(envelope)
-    if rate_token_bytes is None:
-        packer.u8(0)
-    else:
-        packer.u8(1).bytes(rate_token_bytes)
-    return packer.pack()
-
-
-def decode_submit_request(payload: bytes) -> tuple[str, int, str, bytes, bytes | None]:
-    unpacker = Unpacker(payload)
-    protocol = unpacker.str()
-    round_number = unpacker.u64()
-    client_id = unpacker.str()
-    envelope = unpacker.bytes()
-    token = unpacker.bytes() if unpacker.flag() else None
-    unpacker.done()
-    return protocol, round_number, client_id, envelope, token
-
+#: The method table -- ``(endpoint kinds, methods, request, response)`` -- that
+#: ``docs/wire.md`` prints and the fail-closed tests iterate.  A layout is a
+#: :class:`Message`, ``None`` for an empty payload, or a string naming a value
+#: that is sent raw.
+METHODS = (
+    (("entry",), ("announce_round",), ANNOUNCE_REQUEST, ANNOUNCE_RESPONSE),
+    (("entry", "ingress", "entry shard"), ("submit",), SUBMIT_REQUEST, None),
+    (("entry", "entry shard"), ("submissions",), ROUND_REF, COUNT_REPLY),
+    (("entry",), ("close_round",), ROUND_REF, ROUND_COUNTS),
+    (("mix",), ("open_round", "round_public_key"), ROUND_REF, ROUND_KEY_REPLY),
+    (("mix",), ("close_round",), ROUND_REF, None),
+    (("mix",), ("process_batch",), PROCESS_BATCH_REQUEST, PROCESS_BATCH_RESPONSE),
+    (("pkg",), ("begin_registration", "confirm_registration", "deregister"),
+     REGISTRATION_REQUEST, None),
+    (("pkg",), ("extract",), EXTRACT_REQUEST, EXTRACTION_RESPONSE),
+    (("pkg",), ("open_round", "round_public_key"), PKG_ROUND_REF, "master public key"),
+    (("pkg",), ("close_round",), PKG_ROUND_REF, None),
+    (("pkg",), ("has_master_secret",), PKG_ROUND_REF, FLAG_REPLY),
+    (("cdn",), ("publish",), PUBLISH_REQUEST, None),
+    (("cdn", "cdn shard"), ("download",), DOWNLOAD_REQUEST, DOWNLOAD_RESPONSE),
+    (("cdn shard",), ("publish",), SHARD_PUBLISH_REQUEST, None),
+    (("entry shard",), ("open_round",), OPEN_SHARD_ROUND, None),
+    (("entry shard",), ("submit_batch",), SUBMIT_BATCH_REQUEST, SUBMIT_BATCH_RESPONSE),
+    (("entry shard",), ("close_round",), ROUND_REF, ENVELOPE_BATCH),
+    (("entry shard", "ingress"), ("abort_round",), ROUND_REF, None),
+    (("ingress",), ("flush",), ROUND_REF, REJECTS),
+    (("worker",), ("__runtime_ping__",), None, PING_REPLY),
+    (("worker",), ("__runtime_telemetry__",), None, "`WorkerTelemetry.to_payload()` as UTF-8 JSON"),
+    (("worker",), ("__runtime_shutdown__",), None, None),
+)
 
 # -- sharded entry tier (repro.cluster) ------------------------------------ #
 #: Per-envelope acceptance statuses an entry shard reports for a batch.
@@ -140,298 +183,19 @@ SUBMIT_STATUS_REASONS = {
 }
 
 
-def encode_open_shard_round(request_body_length: int, directory) -> bytes:
-    """Round-open broadcast from the router to one entry shard.
-
-    The directory is self-describing (protocol, round, mailbox count,
-    every shard's range), so a shard can validate routing without any
-    other per-round state.
-    """
-    return directory.pack_into(Packer().u32(request_body_length)).pack()
-
-
-def decode_open_shard_round(payload: bytes):
-    from repro.cluster.directory import ShardDirectory
-
-    unpacker = Unpacker(payload)
-    request_body_length = unpacker.u32()
-    directory = ShardDirectory.read_from(unpacker)
-    unpacker.done()
-    return request_body_length, directory
-
-
-def encode_submit_batch_request(
-    protocol: str,
-    round_number: int,
-    entries: list[tuple[str, bytes, bytes | None]],
-) -> bytes:
-    """One ``SubmitBatch`` frame: many clients' envelopes, one frame overhead."""
-    packer = Packer().str(protocol).u64(round_number).u32(len(entries))
-    for client_id, envelope, token_bytes in entries:
-        packer.str(client_id).bytes(envelope)
-        if token_bytes is None:
-            packer.u8(0)
-        else:
-            packer.u8(1).bytes(token_bytes)
-    return packer.pack()
-
-
-def decode_submit_batch_request(
-    payload: bytes,
-) -> tuple[str, int, list[tuple[str, bytes, bytes | None]]]:
-    unpacker = Unpacker(payload)
-    protocol = unpacker.str()
-    round_number = unpacker.u64()
-    count = unpacker.u32()
-    entries = []
-    for _ in range(count):
-        client_id = unpacker.str()
-        envelope = unpacker.bytes()
-        token = unpacker.bytes() if unpacker.flag() else None
-        entries.append((client_id, envelope, token))
-    unpacker.done()
-    return protocol, round_number, entries
-
-
-def encode_submit_batch_response(statuses: list[int]) -> bytes:
-    packer = Packer().u32(len(statuses))
-    for status in statuses:
-        packer.u8(status)
-    return packer.pack()
-
-
-def decode_submit_batch_response(payload: bytes) -> list[int]:
-    unpacker = Unpacker(payload)
-    statuses = [unpacker.u8() for _ in range(unpacker.u32())]
-    unpacker.done()
-    return statuses
-
-
-def encode_rejects(rejects: list[tuple[str, str]]) -> bytes:
-    """An ingress proxy's flush response: (client id, reason) per reject."""
-    packer = Packer().u32(len(rejects))
-    for client_id, reason in rejects:
-        packer.str(client_id).str(reason)
-    return packer.pack()
-
-
-def decode_rejects(payload: bytes) -> list[tuple[str, str]]:
-    unpacker = Unpacker(payload)
-    rejects = [(unpacker.str(), unpacker.str()) for _ in range(unpacker.u32())]
-    unpacker.done()
-    return rejects
-
-
-def encode_collect_response(envelopes: list[bytes]) -> bytes:
-    """An entry shard's close_round response: its collected envelopes."""
-    return pack_bytes_list(Packer(), envelopes).pack()
-
-
-def decode_collect_response(payload: bytes) -> list[bytes]:
-    unpacker = Unpacker(payload)
-    envelopes = unpack_bytes_list(unpacker)
-    unpacker.done()
-    return envelopes
-
-
-def encode_publish_request(
-    protocol: str, round_number: int, mailbox_count: int, blobs: dict[int, bytes]
-) -> bytes:
-    """A round's ``MailboxSet`` on the wire: round ref + ``(id, mailbox bytes)`` list."""
-    packer = Packer().str(protocol).u64(round_number).u32(mailbox_count).u32(len(blobs))
-    for mailbox_id, blob in blobs.items():
-        packer.u32(mailbox_id).bytes(blob)
-    return packer.pack()
-
-
-def decode_publish_request(payload: bytes) -> tuple[str, int, int, dict[int, bytes]]:
-    unpacker = Unpacker(payload)
-    protocol, round_number, mailbox_count = unpacker.str(), unpacker.u64(), unpacker.u32()
+def mailbox_blobs(mailboxes: list[tuple[int, bytes]], mailbox_count: int) -> dict[int, bytes]:
+    """A decoded publish list as the ``{mailbox id: bytes}`` a CDN stores."""
     blobs: dict[int, bytes] = {}
-    for _ in range(unpacker.u32()):
-        mailbox_id = unpacker.u32()
+    for mailbox_id, blob in mailboxes:
         if mailbox_id in blobs or mailbox_id >= mailbox_count:
             raise SerializationError(f"duplicate or out-of-range mailbox id {mailbox_id}")
-        blobs[mailbox_id] = unpacker.bytes()
-    unpacker.done()
-    return protocol, round_number, mailbox_count, blobs
+        blobs[mailbox_id] = blob
+    return blobs
 
 
-def encode_shard_publish_request(lo: int, hi: int, *mailbox_set) -> bytes:
-    """One CDN shard's slice of a publish: its ``[lo, hi)`` range, then the
-    :func:`encode_publish_request` fields."""
-    return Packer().u32(lo).u32(hi).pack() + encode_publish_request(*mailbox_set)
-
-
-def decode_shard_publish_request(payload: bytes) -> tuple[int, int, str, int, int, dict[int, bytes]]:
-    unpacker = Unpacker(payload)
-    lo, hi = unpacker.u32(), unpacker.u32()
-    return (lo, hi, *decode_publish_request(unpacker.fixed(unpacker.remaining())))
-
-
-def encode_round_counts(counts: RoundCounts) -> bytes:
-    """The ``close_round`` reply: round statistics, never the mailboxes."""
-    packer = (
-        Packer()
-        .u32(counts.submitted)
-        .u32(counts.delivered_real)
-        .u32(counts.dropped)
-        .u32(counts.noise_added)
-        .u32(counts.cover_dropped)
-    )
-    for vector in (counts.per_server_noise, counts.mailbox_counts):
-        packer.u32(len(vector))
-        for value in vector:
-            packer.u32(value)
-    return packer.pack()
-
-
-def decode_round_counts(payload: bytes) -> RoundCounts:
-    unpacker = Unpacker(payload)
-    scalars = [unpacker.u32() for _ in range(5)]
-    vectors = [[unpacker.u32() for _ in range(unpacker.u32())] for _ in range(2)]
-    unpacker.done()
-    return RoundCounts(*scalars, *vectors)
-
-
-def encode_process_batch_request(
-    round_number: int,
-    protocol: str,
-    envelopes: list[bytes],
-    downstream_publics: list[bytes],
-    mailbox_count: int,
-    noise_config: NoiseConfig,
-    noise_body_length: int,
-) -> bytes:
-    packer = (
-        Packer()
-        .u64(round_number)
-        .str(protocol)
-        .u32(mailbox_count)
-        .u32(noise_body_length)
-        .f64(noise_config.addfriend_mu)
-        .f64(noise_config.addfriend_b)
-        .f64(noise_config.dialing_mu)
-        .f64(noise_config.dialing_b)
-    )
-    pack_bytes_list(packer, downstream_publics)
-    pack_bytes_list(packer, envelopes)
-    return packer.pack()
-
-
-def decode_process_batch_request(
-    payload: bytes,
-) -> tuple[int, str, list[bytes], list[bytes], int, NoiseConfig, int]:
-    unpacker = Unpacker(payload)
-    round_number = unpacker.u64()
-    protocol = unpacker.str()
-    mailbox_count = unpacker.u32()
-    noise_body_length = unpacker.u32()
-    noise_config = NoiseConfig(
-        addfriend_mu=unpacker.f64(),
-        addfriend_b=unpacker.f64(),
-        dialing_mu=unpacker.f64(),
-        dialing_b=unpacker.f64(),
-    )
-    downstream_publics = unpack_bytes_list(unpacker)
-    envelopes = unpack_bytes_list(unpacker)
-    unpacker.done()
-    return (
-        round_number,
-        protocol,
-        envelopes,
-        downstream_publics,
-        mailbox_count,
-        noise_config,
-        noise_body_length,
-    )
-
-
-def encode_process_batch_response(batch: list[bytes], stats: MixServerStats) -> bytes:
-    packer = Packer().u32(stats.received).u32(stats.dropped).u32(stats.noise_added)
-    return pack_bytes_list(packer, batch).pack()
-
-
-def decode_process_batch_response(payload: bytes) -> tuple[list[bytes], MixServerStats]:
-    unpacker = Unpacker(payload)
-    stats = MixServerStats(
-        received=unpacker.u32(), dropped=unpacker.u32(), noise_added=unpacker.u32()
-    )
-    batch = unpack_bytes_list(unpacker)
-    unpacker.done()
-    return batch, stats
-
-
-def encode_registration_request(email: str, blob: bytes) -> bytes:
-    return Packer().str(email).bytes(blob).pack()
-
-
-def decode_registration_request(payload: bytes) -> tuple[str, bytes]:
-    unpacker = Unpacker(payload)
-    out = (unpacker.str(), unpacker.bytes())
-    unpacker.done()
-    return out
-
-
-def encode_extract_request(email: str, round_number: int, signature: bytes) -> bytes:
-    return Packer().str(email).u64(round_number).bytes(signature).pack()
-
-
-def decode_extract_request(payload: bytes) -> tuple[str, int, bytes]:
-    unpacker = Unpacker(payload)
-    out = (unpacker.str(), unpacker.u64(), unpacker.bytes())
-    unpacker.done()
-    return out
-
-
-def encode_extraction_response(response, ibe, attestation) -> bytes:
-    """An :class:`~repro.pkg.server.ExtractionResponse`: the identity-key share
-    and the attestation share in their scheme encodings (64 bytes each)."""
-    return (
-        Packer()
-        .str(response.pkg_name)
-        .u64(response.round_number)
-        .bytes(ibe.private_key_to_bytes(response.private_key_share))
-        .bytes(attestation.to_bytes(response.attestation))
-        .pack()
-    )
-
-
-def decode_extraction_response(payload: bytes, identity: str, ibe, attestation):
-    from repro.pkg.server import ExtractionResponse
-
-    unpacker = Unpacker(payload)
-    pkg_name, round_number = unpacker.str(), unpacker.u64()
-    share = ibe.private_key_from_bytes(identity, unpacker.bytes())
-    attested = attestation.from_bytes(unpacker.bytes())
-    unpacker.done()
-    return ExtractionResponse(
-        pkg_name=pkg_name, round_number=round_number, private_key_share=share, attestation=attested
-    )
-
-
-def encode_download_request(protocol: str, round_number: int, mailbox_id: int, client: str) -> bytes:
-    return Packer().str(protocol).u64(round_number).u32(mailbox_id).str(client).pack()
-
-
-def decode_download_request(payload: bytes) -> tuple[str, int, int, str]:
-    unpacker = Unpacker(payload)
-    out = (unpacker.str(), unpacker.u64(), unpacker.u32(), unpacker.str())
-    unpacker.done()
-    return out
-
-
-def encode_download_response(blob: bytes | None) -> bytes:
-    """A mailbox's stored bytes, or the empty-mailbox marker."""
-    if blob is None:
-        return Packer().u8(0).pack()
-    return Packer().u8(1).bytes(blob).pack()
-
-
-def decode_download_response(payload: bytes, protocol: str, mailbox_id: int):
-    unpacker = Unpacker(payload)
-    blob = unpacker.bytes() if unpacker.flag() else None
-    unpacker.done()
+def mailbox_reply(payload: bytes, protocol: str, mailbox_id: int):
+    """A ``download`` reply as the mailbox object (an empty one for the marker)."""
+    (blob,) = DOWNLOAD_RESPONSE.decode(payload)
     return decode_mailbox(protocol, mailbox_id, blob)
 
 
@@ -450,7 +214,7 @@ def download_wave(
             src=client,
             dst=endpoint_for(mailbox_id),
             method="download",
-            payload=encode_download_request(protocol, round_number, mailbox_id, client),
+            payload=DOWNLOAD_REQUEST.encode(protocol, round_number, mailbox_id, client),
         )
         for mailbox_id, client in items
     ]
@@ -461,9 +225,7 @@ def download_wave(
             continue
         try:
             payload = outcome.result.payload
-            results.append(
-                (decode_reply(decode_download_response, payload, protocol, mailbox_id), None)
-            )
+            results.append((decode_reply(mailbox_reply, payload, protocol, mailbox_id), None))
         except NetworkError as exc:
             results.append((None, exc))
     return results
@@ -491,16 +253,13 @@ class EntryStub:
         mailbox_count: int,
         request_body_length: int,
     ):
+        from repro.cluster.directory import ShardDirectory
         from repro.entry.server import RoundAnnouncement
 
-        result = self.transport.call(
-            self.src,
-            self.endpoint,
-            "announce_round",
-            encode_announce_request(protocol, round_number, mailbox_count, request_body_length),
-        )
-        mix_publics, final_mailbox_count, body_length, directory, pkg_publics = decode_reply(
-            decode_announce_response, result.payload
+        request = ANNOUNCE_REQUEST.encode(protocol, round_number, mailbox_count, request_body_length)
+        result = self.transport.call(self.src, self.endpoint, "announce_round", request)
+        final_mailbox_count, body_length, mix_publics, directory, pkg_publics = decode_reply(
+            ANNOUNCE_RESPONSE.decode, result.payload
         )
         return RoundAnnouncement(
             protocol=protocol,
@@ -511,7 +270,7 @@ class EntryStub:
             ],
             mailbox_count=final_mailbox_count,
             request_body_length=body_length,
-            shard_directory=directory,
+            shard_directory=directory and ShardDirectory.from_fields(directory),
         )
 
     def submit(
@@ -523,12 +282,8 @@ class EntryStub:
         rate_token=None,
     ) -> None:
         token_bytes = rate_token.to_bytes() if rate_token is not None else None
-        self.transport.call(
-            client_id,
-            self.endpoint,
-            "submit",
-            encode_submit_request(protocol, round_number, client_id, envelope, token_bytes),
-        )
+        request = SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope, token_bytes)
+        self.transport.call(client_id, self.endpoint, "submit", request)
 
     def submit_many(
         self,
@@ -547,7 +302,7 @@ class EntryStub:
                 src=client_id,
                 dst=self.endpoint,
                 method="submit",
-                payload=encode_submit_request(protocol, round_number, client_id, envelope, None),
+                payload=SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope, None),
                 start=start,
             )
             for client_id, envelope, start in entries
@@ -566,16 +321,16 @@ class EntryStub:
 
     def submissions(self, protocol: str, round_number: int) -> int:
         result = self.transport.call(
-            self.src, self.endpoint, "submissions", encode_round_ref(protocol, round_number)
+            self.src, self.endpoint, "submissions", ROUND_REF.encode(protocol, round_number)
         )
-        return Unpacker(result.payload).u32()
+        return decode_reply(COUNT_REPLY.decode, result.payload)[0]
 
     def close_round(self, protocol: str, round_number: int) -> RoundCounts:
         """Mix the round; the entry server publishes the mailboxes itself."""
         result = self.transport.call(
-            self.src, self.endpoint, "close_round", encode_round_ref(protocol, round_number)
+            self.src, self.endpoint, "close_round", ROUND_REF.encode(protocol, round_number)
         )
-        return decode_reply(decode_round_counts, result.payload)
+        return RoundCounts(*decode_reply(ROUND_COUNTS.decode, result.payload))
 
 
 class MixStub:
@@ -588,14 +343,18 @@ class MixStub:
 
     def _round_call(self, method: str, protocol: str, round_number: int) -> bytes:
         return self.transport.call(
-            self.src, self.name, method, encode_round_ref(protocol, round_number)
+            self.src, self.name, method, ROUND_REF.encode(protocol, round_number)
         ).payload
 
+    def _round_key(self, method: str, protocol: str, round_number: int) -> bytes:
+        reply = self._round_call(method, protocol, round_number)
+        return decode_reply(ROUND_KEY_REPLY.decode, reply)[0]
+
     def open_round(self, protocol: str, round_number: int) -> bytes:
-        return Unpacker(self._round_call("open_round", protocol, round_number)).bytes()
+        return self._round_key("open_round", protocol, round_number)
 
     def round_public_key(self, protocol: str, round_number: int) -> bytes:
-        return Unpacker(self._round_call("round_public_key", protocol, round_number)).bytes()
+        return self._round_key("round_public_key", protocol, round_number)
 
     def close_round(self, protocol: str, round_number: int) -> None:
         self._round_call("close_round", protocol, round_number)
@@ -610,21 +369,13 @@ class MixStub:
         noise_config: NoiseConfig,
         noise_body_length: int,
     ) -> tuple[list[bytes], MixServerStats]:
-        result = self.transport.call(
-            self.src,
-            self.name,
-            "process_batch",
-            encode_process_batch_request(
-                round_number,
-                protocol,
-                envelopes,
-                downstream_publics,
-                mailbox_count,
-                noise_config,
-                noise_body_length,
-            ),
+        request = PROCESS_BATCH_REQUEST.encode(
+            round_number, protocol, mailbox_count, noise_body_length,
+            *astuple(noise_config), downstream_publics, envelopes,
         )
-        return decode_process_batch_response(result.payload)
+        result = self.transport.call(self.src, self.name, "process_batch", request)
+        *stats, batch = decode_reply(PROCESS_BATCH_RESPONSE.decode, result.payload)
+        return batch, MixServerStats(*stats)
 
 
 class PkgStub:
@@ -662,20 +413,16 @@ class PkgStub:
     # -- registration (src = the registering client) -----------------------
     def begin_registration(self, email: str, signing_key: bytes, now: float) -> None:
         self.transport.call(
-            email, self.name, "begin_registration", encode_registration_request(email, signing_key)
+            email, self.name, "begin_registration", REGISTRATION_REQUEST.encode(email, signing_key)
         )
 
     def confirm_registration(self, email: str, token: str, now: float) -> None:
-        self.transport.call(
-            email,
-            self.name,
-            "confirm_registration",
-            encode_registration_request(email, token.encode("utf-8")),
-        )
+        request = REGISTRATION_REQUEST.encode(email, token.encode("utf-8"))
+        self.transport.call(email, self.name, "confirm_registration", request)
 
     def deregister(self, email: str, signature: bytes, now: float) -> None:
         self.transport.call(
-            email, self.name, "deregister", encode_registration_request(email, signature)
+            email, self.name, "deregister", REGISTRATION_REQUEST.encode(email, signature)
         )
 
     # -- extraction (src = the extracting client) --------------------------
@@ -692,22 +439,32 @@ class PkgStub:
             src=email,
             dst=self.name,
             method="extract",
-            payload=encode_extract_request(email, round_number, request_signature),
+            payload=EXTRACT_REQUEST.encode(email, round_number, request_signature),
             start=start,
         )
 
     def extraction_response(self, payload: bytes, email: str):
         """Decode an ``extract`` reply into ``email``'s ExtractionResponse."""
-        return decode_reply(
-            decode_extraction_response, payload, email.lower(), self.ibe, self.attestation
-        )
+        from repro.pkg.server import ExtractionResponse
+
+        def decode(payload: bytes) -> ExtractionResponse:
+            pkg_name, round_number, share, attested = EXTRACTION_RESPONSE.decode(payload)
+            share = self.ibe.private_key_from_bytes(email.lower(), share)
+            return ExtractionResponse(
+                pkg_name, round_number, share, self.attestation.from_bytes(attested)
+            )
+
+        return decode_reply(decode, payload)
 
     # -- round lifecycle (src = the control plane, see ``control_src``) ----
+    def _round_call(self, method: str, round_number: int) -> bytes:
+        return self.transport.call(
+            self.control_src, self.name, method, PKG_ROUND_REF.encode(round_number)
+        ).payload
+
     def _master_public(self, method: str, round_number: int):
-        result = self.transport.call(
-            self.control_src, self.name, method, Packer().u64(round_number).pack()
-        )
-        return decode_reply(self.ibe.master_public_from_bytes, result.payload)
+        reply = self._round_call(method, round_number)
+        return decode_reply(self.ibe.master_public_from_bytes, reply)
 
     def open_round(self, round_number: int):
         return self._master_public("open_round", round_number)
@@ -716,15 +473,11 @@ class PkgStub:
         return self._master_public("round_public_key", round_number)
 
     def close_round(self, round_number: int) -> None:
-        self.transport.call(
-            self.control_src, self.name, "close_round", Packer().u64(round_number).pack()
-        )
+        self._round_call("close_round", round_number)
 
     def has_master_secret(self, round_number: int) -> bool:
-        result = self.transport.call(
-            self.control_src, self.name, "has_master_secret", Packer().u64(round_number).pack()
-        )
-        return Unpacker(result.payload).flag()
+        reply = self._round_call("has_master_secret", round_number)
+        return decode_reply(FLAG_REPLY.decode, reply)[0]
 
 
 class CdnStub:
@@ -736,21 +489,11 @@ class CdnStub:
 
     def publish(self, mailboxes) -> None:
         """Called by the entry server, which ran the mix chain."""
-        self.transport.call(
-            "entry",
-            self.endpoint,
-            "publish",
-            encode_publish_request(
-                mailboxes.protocol, mailboxes.round_number, mailboxes.mailbox_count,
-                mailboxes.blobs(),
-            ),
+        request = PUBLISH_REQUEST.encode(
+            mailboxes.protocol, mailboxes.round_number, mailboxes.mailbox_count,
+            list(mailboxes.blobs().items()),
         )
-
-    def mailbox_count(self, protocol: str, round_number: int, client: str = "anonymous") -> int:
-        result = self.transport.call(
-            client, self.endpoint, "mailbox_count", encode_round_ref(protocol, round_number)
-        )
-        return Unpacker(result.payload).u32()
+        self.transport.call("entry", self.endpoint, "publish", request)
 
     def download_many(
         self, protocol: str, round_number: int, items: list[tuple[int, str]]

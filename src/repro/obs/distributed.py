@@ -7,9 +7,8 @@ pieces that bridge them, in the spirit of Dapper-style context propagation:
 * :class:`TraceContext` — the trailer every runtime RPC carries on the wire
   (trace id, parent span id, origin endpoint, origin pid), so the server
   side can record an ``rpc.serve`` span linked to the client's ``rpc.call``
-  span.  :func:`write_context` / :func:`read_context` serialize it onto the
-  existing :class:`~repro.utils.serialization.Packer` envelope; the trailer
-  is optional and absent bytes decode as "no context".
+  span.  :data:`TRACE_CONTEXT` is its layout; :mod:`repro.runtime.wire`
+  declares it an optional trailer, and absent bytes decode as "no context".
 * :func:`estimate_clock_offset` — workers and the coordinator each run
   their own ``time.perf_counter`` (arbitrary epoch per process), so worker
   span timestamps are meaningless until shifted.  The mp transport pings
@@ -30,29 +29,28 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
-from ..utils.serialization import Packer, Unpacker
+from ..utils.serialization import F64, U64, Message, Str
 from .metrics import MetricsRegistry
 from .trace import Tracer
 
 __all__ = [
+    "PING_REPLY",
+    "TRACE_CONTEXT",
     "TraceContext",
     "WorkerTelemetry",
-    "decode_ping_reply",
-    "encode_ping_reply",
     "estimate_clock_offset",
     "merge_worker_metrics",
-    "read_context",
+    "ping_reply",
     "rss_bytes",
     "runtime_attribution",
-    "write_context",
 ]
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The trace-context trailer carried by runtime wire messages."""
+class TraceContext(NamedTuple):
+    """The trace-context trailer carried by runtime wire messages: the value
+    of :data:`TRACE_CONTEXT`."""
 
     trace: str
     span_id: int
@@ -60,35 +58,10 @@ class TraceContext:
     pid: int
 
 
-def write_context(packer: Packer, context: TraceContext | None) -> Packer:
-    """Append the optional trace trailer: a presence flag, then the fields."""
-    if context is None:
-        return packer.u8(0)
-    return (
-        packer.u8(1)
-        .str(context.trace)
-        .u64(context.span_id)
-        .str(context.origin)
-        .u64(context.pid)
-    )
-
-
-def read_context(unpacker: Unpacker) -> TraceContext | None:
-    """Read the trailer written by :func:`write_context`.
-
-    Tolerates its complete absence (a message from a peer that predates the
-    trailer) by treating "no bytes left" as "no context".
-    """
-    if not unpacker.remaining():
-        return None
-    if not unpacker.flag():
-        return None
-    return TraceContext(
-        trace=unpacker.str(),
-        span_id=unpacker.u64(),
-        origin=unpacker.str(),
-        pid=unpacker.u64(),
-    )
+TRACE_CONTEXT = Message(
+    "trace_context", Str("trace"), U64("span_id"), Str("origin"), U64("pid"),
+    note="sent only when the sender traces; never charged to bandwidth",
+)
 
 
 # ----------------------------------------------------------------------
@@ -116,19 +89,12 @@ def estimate_clock_offset(samples: list[tuple[float, float, float]]) -> float:
     return offset
 
 
-def encode_ping_reply() -> bytes:
-    """The worker's clock-ping reply: its clock, RSS, and pid."""
-    return Packer().f64(time.perf_counter()).u64(rss_bytes()).u64(os.getpid()).pack()
+#: A worker's clock-ping reply: its clock, RSS, and pid.
+PING_REPLY = Message("ping_reply", F64("clock"), U64("rss"), U64("pid"))
 
 
-def decode_ping_reply(payload: bytes) -> tuple[float, int, int]:
-    """Decode :func:`encode_ping_reply` -> ``(worker_t, rss_bytes, pid)``."""
-    unpacker = Unpacker(payload)
-    worker_t = unpacker.f64()
-    rss = unpacker.u64()
-    pid = unpacker.u64()
-    unpacker.done()
-    return worker_t, rss, pid
+def ping_reply() -> bytes:
+    return PING_REPLY.encode(time.perf_counter(), rss_bytes(), os.getpid())
 
 
 def rss_bytes() -> int:

@@ -58,6 +58,7 @@ from repro.obs.logging import get_logger
 
 __all__ = [
     "PAPER_ACTION_BUDGETS",
+    "UNPROTECTED",
     "PassiveObserver",
     "PrivacyLedger",
     "PrivacyLedgerMonitor",
@@ -67,6 +68,10 @@ __all__ = [
     "validate_privacy_file",
     "validate_privacy_report",
 ]
+
+#: What the ledger says of a round run at ``b = 0`` (§8: "b = 0 to reduce
+#: variance"): deterministic noise protects nothing, so epsilon is infinite.
+UNPROTECTED = "variance-free evaluation setting (b = 0): no Laplace noise, epsilon is infinite"
 
 #: The §8.1 lifetime action budgets: 900 add-friend requests and 26,000
 #: calls stay under (epsilon = ln 2, delta = 1e-4) at the paper's scales.
@@ -99,7 +104,9 @@ class PrivacyRoundRecord:
         return sum(self.mailbox_counts)
 
     def to_dict(self) -> dict:
+        flag = {"unprotected": UNPROTECTED} if self.laplace_scale == 0 else {}
         return {
+            **flag,
             "protocol": self.protocol,
             "round": self.round_number,
             "laplace_scale": self.laplace_scale,
@@ -186,7 +193,9 @@ class PrivacyLedger:
                     per_server[index] += noise
             scales = sorted({r.laplace_scale for r in records})
             mu = records[-1].noise_mu
+            flag = {"unprotected": UNPROTECTED} if scales[0] == 0 else {}
             summary[protocol] = {
+                **flag,
                 "rounds": len(records),
                 "laplace_scale": scales[0] if len(scales) == 1 else min(scales),
                 "laplace_scales": scales,
@@ -502,9 +511,10 @@ def validate_privacy_report(payload: Any) -> list[str]:
     """Schema/invariant checks over a privacy report; returns problems.
 
     Checks: cumulative epsilon is monotone nondecreasing and re-derivable
-    from :func:`~repro.analysis.dp.privacy_cost`, every noise count is
-    nonnegative, and every audit point's empirical advantage respects the
-    analytic bound.
+    from :func:`~repro.analysis.dp.privacy_cost`, an infinite epsilon appears
+    only where the recorded scale is ``b = 0`` (and is flagged there), every
+    noise count is nonnegative, and every audit point's empirical advantage
+    respects the analytic bound.
     """
     problems: list[str] = []
     if not is_privacy_report(payload):
@@ -541,8 +551,22 @@ def validate_privacy_report(payload: Any) -> list[str]:
                 )
         if series and not math.isclose(epsilon, series[-1], rel_tol=1e-9, abs_tol=1e-12):
             problems.append(f"{prefix}: epsilon {epsilon} != last series entry {series[-1]}")
+        # An unbounded spend is a b = 0 run saying so, and nothing else.
+        if (epsilon == math.inf) != (0 in scales) or (0 in scales) != ("unprotected" in summary):
+            problems.append(
+                f"{prefix}: epsilon {epsilon} at scales {scales}: infinite epsilon, a round at "
+                "b = 0 and the 'unprotected' flag go together"
+            )
 
     for row in ledger.get("rounds", []):
+        unprotected = row.get("laplace_scale") == 0
+        if (row.get("epsilon_round") == math.inf) != unprotected or unprotected != (
+            "unprotected" in row
+        ):
+            problems.append(
+                f"ledger round {row.get('protocol')}/{row.get('round')}: infinite epsilon, "
+                "b = 0 and the 'unprotected' flag go together"
+            )
         if row.get("noise_added", 0) < 0 or any(
             noise < 0 for noise in row.get("per_server_noise", [])
         ):

@@ -28,29 +28,30 @@ from repro.errors import ExtractionError, NetworkError, RoundError
 from repro.net import rpc
 from repro.net.transport import RpcRequest, RpcResult
 from repro.pkg.registration import RegistrationManager
-from repro.utils.serialization import Packer, Unpacker
+from repro.utils.serialization import U64, Bytes, Message, Str
+
+
+# The signed statements; ``domain`` separates them.
+PKG_STATEMENT = Message(
+    "pkg_statement", Str("domain"), Str("email"), Bytes("signing_key"), U64("round")
+)
+EXTRACTION_REQUEST_STATEMENT = Message(
+    "extraction_request_statement", Str("domain"), Str("email"), U64("round")
+)
+DEREGISTER_STATEMENT = Message("deregister_statement", Str("domain"), Str("email"))
 
 
 def pkg_statement(email: str, signing_key: bytes, round_number: int) -> bytes:
     """The statement each PKG signs when handing out a round key (§4.5)."""
-    return (
-        Packer()
-        .str("alpenhorn/pkg-attestation")
-        .str(email.lower())
-        .bytes(signing_key)
-        .u64(round_number)
-        .pack()
+    return PKG_STATEMENT.encode(
+        "alpenhorn/pkg-attestation", email.lower(), signing_key, round_number
     )
 
 
 def extraction_request_statement(email: str, round_number: int) -> bytes:
     """The statement a user signs to authenticate a key-extraction request."""
-    return (
-        Packer()
-        .str("alpenhorn/extraction-request")
-        .str(email.lower())
-        .u64(round_number)
-        .pack()
+    return EXTRACTION_REQUEST_STATEMENT.encode(
+        "alpenhorn/extraction-request", email.lower(), round_number
     )
 
 
@@ -103,14 +104,14 @@ class PkgServer:
         record = self.registration.lookup(email)
         if record is None:
             raise ExtractionError(f"{email} is not registered")
-        statement = Packer().str("alpenhorn/deregister").str(email.lower()).pack()
+        statement = self.deregistration_statement(email)
         if not active_backend().ed25519_verify(record.signing_key, statement, signature):
             raise ExtractionError("deregistration signature invalid")
         self.registration.deregister(email, now)
 
     @staticmethod
     def deregistration_statement(email: str) -> bytes:
-        return Packer().str("alpenhorn/deregister").str(email.lower()).pack()
+        return DEREGISTER_STATEMENT.encode("alpenhorn/deregister", email.lower())
 
     # -- round lifecycle ----------------------------------------------------
     def open_round(self, round_number: int, seed: bytes | None = None):
@@ -184,25 +185,30 @@ class PkgServer:
         a networked PKG trusts its own clock, not one claimed by the client.
         """
         if request.method == "begin_registration":
-            email, signing_key = rpc.decode_registration_request(request.payload)
+            email, signing_key = rpc.REGISTRATION_REQUEST.decode(request.payload)
             self.begin_registration(email, signing_key, now=request.time)
             return RpcResult()
         if request.method == "confirm_registration":
-            email, token = rpc.decode_registration_request(request.payload)
+            email, token = rpc.REGISTRATION_REQUEST.decode(request.payload)
             self.confirm_registration(email, token.decode("utf-8"), now=request.time)
             return RpcResult()
         if request.method == "deregister":
-            email, signature = rpc.decode_registration_request(request.payload)
+            email, signature = rpc.REGISTRATION_REQUEST.decode(request.payload)
             self.deregister(email, signature, now=request.time)
             return RpcResult()
         if request.method == "extract":
-            email, round_number, signature = rpc.decode_extract_request(request.payload)
+            email, round_number, signature = rpc.EXTRACT_REQUEST.decode(request.payload)
             response = self.extract(email, round_number, signature, now=request.time)
             return RpcResult(
-                payload=rpc.encode_extraction_response(response, self.ibe, self.attestation)
+                payload=rpc.EXTRACTION_RESPONSE.encode(
+                    response.pkg_name,
+                    response.round_number,
+                    self.ibe.private_key_to_bytes(response.private_key_share),
+                    self.attestation.to_bytes(response.attestation),
+                )
             )
 
-        round_number = Unpacker(request.payload).u64()
+        (round_number,) = rpc.PKG_ROUND_REF.decode(request.payload)
         if request.method == "open_round":
             public = self.open_round(round_number)
             return RpcResult(payload=self.ibe.master_public_to_bytes(public))
@@ -213,5 +219,5 @@ class PkgServer:
             self.close_round(round_number)
             return RpcResult()
         if request.method == "has_master_secret":
-            return RpcResult(payload=Packer().u8(1 if self.has_master_secret(round_number) else 0).pack())
+            return RpcResult(payload=rpc.FLAG_REPLY.encode(self.has_master_secret(round_number)))
         raise NetworkError(f"PKG {self.name} has no RPC method {request.method!r}")

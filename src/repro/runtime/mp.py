@@ -40,11 +40,12 @@ from typing import Any
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.frames import KIND_RESPONSE, Frame
+from repro.net.rpc import decode_reply
 from repro.obs.distributed import (
+    PING_REPLY,
     WorkerTelemetry,
-    decode_ping_reply,
-    encode_ping_reply,
     estimate_clock_offset,
+    ping_reply,
     rss_bytes,
 )
 from repro.obs.logging import configure_logging, configured_level, get_logger
@@ -200,7 +201,7 @@ async def _worker_async(
         frame = message.frame
         payload = b""
         if frame.method == PING_METHOD:
-            payload = encode_ping_reply()
+            payload = ping_reply()
         elif frame.method == TELEMETRY_METHOD:
             payload = json.dumps(collect_telemetry()).encode("utf-8")
         elif frame.method == SHUTDOWN_METHOD:
@@ -349,7 +350,7 @@ class MultiprocessTransport(AsyncioTransport):
                 t0 = time.perf_counter()
                 result = self._call("runtime", contact, PING_METHOD, b"", 10.0)
                 t1 = time.perf_counter()
-                worker_t, rss, pid = decode_ping_reply(result.payload)
+                worker_t, rss, pid = decode_reply(PING_REPLY.decode, result.payload)
                 samples.append((t0, t1, worker_t))
                 info["rss"] = rss
                 info["pid"] = pid

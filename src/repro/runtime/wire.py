@@ -24,8 +24,20 @@ from dataclasses import dataclass
 import repro.errors as errors_module
 from repro.errors import RemoteCallError
 from repro.net.frames import Frame
-from repro.obs.distributed import TraceContext, read_context, write_context
-from repro.utils.serialization import Packer, Unpacker
+from repro.obs.distributed import TRACE_CONTEXT, TraceContext
+from repro.utils.serialization import Bytes, Message, Opt, Str, Trailing
+
+# The two tolerated short forms, declared: a peer that never writes the trace
+# flag, and an error payload from a sender that predates the endpoint field.
+WIRE_BODY = Message(
+    "wire_body", Bytes("frame"), Trailing(Opt(TRACE_CONTEXT)),
+    note="the context is never charged to bandwidth",
+)
+ERROR_PAYLOAD = Message(
+    "error_payload", Str("class"), Str("message"), Trailing(Str("endpoint"), ""),
+    note="the payload of a kind-2 frame; classes of `repro.errors` rebuild exactly, "
+    "others as `RemoteCallError`",
+)
 
 
 @dataclass(frozen=True)
@@ -38,17 +50,12 @@ class WireMessage:
 
 def encode_message(frame: Frame, trace: TraceContext | None = None) -> bytes:
     """Encode one frame (+ trace context) into a wire body (no length prefix)."""
-    return write_context(Packer().bytes(frame.to_bytes()), trace).pack()
+    return WIRE_BODY.encode(frame.to_bytes(), trace)
 
 
 def decode_message(body: bytes) -> WireMessage:
-    unpacker = Unpacker(body)
-    frame = Frame.from_bytes(unpacker.bytes())
-    # The context is optional both ways: absent bytes (a peer that never
-    # writes it) and a 0 presence flag both decode to "no context".
-    trace = read_context(unpacker)
-    unpacker.done()
-    return WireMessage(frame=frame, trace=trace)
+    frame, trace = WIRE_BODY.decode(body)
+    return WireMessage(Frame.from_bytes(frame), trace and TraceContext(*trace))
 
 
 # --------------------------------------------------------------------------- #
@@ -67,7 +74,7 @@ _ERROR_TYPES: dict[str, type] = {
 def encode_error(exc: BaseException, endpoint: str = "") -> bytes:
     """The payload of a ``KIND_ERROR`` frame: class name + message + the
     endpoint whose handler raised it."""
-    return Packer().str(type(exc).__name__).str(str(exc)).str(endpoint).pack()
+    return ERROR_PAYLOAD.encode(type(exc).__name__, str(exc), endpoint)
 
 
 def decode_error(payload: bytes) -> Exception:
@@ -84,13 +91,7 @@ def decode_error(payload: bytes) -> Exception:
     unknown classes become :class:`~repro.errors.RemoteCallError` with the
     endpoint folded into the message.
     """
-    unpacker = Unpacker(payload)
-    name = unpacker.str()
-    message = unpacker.str()
-    # Optional on the wire: error payloads from a sender that predates the
-    # endpoint field simply run out of bytes here.
-    endpoint = unpacker.str() if unpacker.remaining() else ""
-    unpacker.done()
+    name, message, endpoint = ERROR_PAYLOAD.decode(payload)
     error_type = _ERROR_TYPES.get(name)
     if error_type is None:
         where = f" (from {endpoint})" if endpoint else ""

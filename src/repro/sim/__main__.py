@@ -50,6 +50,7 @@ from functools import partial
 
 from repro.bench.reporting import format_table, write_json_report
 from repro.errors import ConfigurationError
+from repro.obs.privacy import UNPROTECTED
 from repro.sim.experiment import SPEC_FIELDS, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
 from repro.sim.scenario import ScenarioSpec
@@ -307,9 +308,12 @@ def print_result(result) -> None:
         spend = "  ".join(
             f"{proto}: eps={row['epsilon']:.3f} over {row['rounds']} rounds "
             f"(b={row['laplace_scale']:g}, delta={row['delta']:g})"
+            + (" UNPROTECTED" if "unprotected" in row else "")
             for proto, row in sorted(protocols.items())
         )
         print(f"privacy spend: {spend}")
+        if any("unprotected" in row for row in protocols.values()):
+            print(f"privacy: UNPROTECTED = {UNPROTECTED}")
     check = result.privacy.get("budget_check")
     if check and not check["consistent"]:
         print(

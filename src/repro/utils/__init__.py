@@ -7,7 +7,7 @@ from repro.utils.bytes import (
     xor_bytes,
     hexlify,
 )
-from repro.utils.serialization import Packer, Unpacker
+from repro.utils.serialization import Message
 from repro.utils.rng import DeterministicRng
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "bytes_to_int",
     "xor_bytes",
     "hexlify",
-    "Packer",
-    "Unpacker",
+    "Message",
     "DeterministicRng",
 ]

@@ -167,8 +167,9 @@ class TestDifferentialPrivacy:
 
     def test_per_round_epsilon(self):
         assert per_round_epsilon(2.0) == pytest.approx(1.0)
+        assert per_round_epsilon(0) == math.inf  # variance-free evaluation setting: unprotected
         with pytest.raises(ValueError):
-            per_round_epsilon(0)
+            per_round_epsilon(-1.0)
 
     def test_noise_floor_delta_small_at_paper_parameters(self):
         """With mu ~10x b, the probability the noise bottoms out is tiny."""
@@ -181,8 +182,9 @@ class TestDifferentialPrivacy:
             privacy_cost(0, 100)
         with pytest.raises(ValueError):
             laplace_scale_for_budget(0)
+        assert privacy_cost(10, 0).epsilon == math.inf  # b = 0 is unprotected, not invalid
         with pytest.raises(ValueError):
-            privacy_cost(10, 0)
+            privacy_cost(10, -1.0)
         with pytest.raises(ValueError):
             privacy_cost(-1, 100)
         with pytest.raises(ValueError):
@@ -242,9 +244,14 @@ class TestPrivacyAccountant:
             PrivacyAccountant(delta=1.0)
         accountant = PrivacyAccountant()
         with pytest.raises(ValueError):
-            accountant.record(0)
+            accountant.record(-1.0)
         with pytest.raises(ValueError):
             accountant.record(406.0, actions=0)
+
+    def test_a_round_without_laplace_noise_spends_everything(self):
+        accountant = PrivacyAccountant()
+        assert accountant.record(0).epsilon == math.inf
+        assert accountant.record(406.0).epsilon == math.inf  # and nothing buys it back
 
 
 class TestDistinguishingAdvantage:

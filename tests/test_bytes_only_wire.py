@@ -7,7 +7,11 @@
   the mailboxes hold;
 * a reply a client cannot decode -- garbage from the CDN, a truncated PKG
   reply, a Bloom filter declaring 2**32 - 1 hashes -- fails that client's
-  stage and nobody else's.
+  stage and nobody else's;
+* every method of ``rpc.METHODS`` fails closed: a request with a trailing byte
+  is refused by its handler, and a reply that cannot be decoded -- client wave
+  or server to server -- is a ``NetworkError`` that fails its caller or aborts
+  the round, after which the next round runs clean.
 """
 
 from __future__ import annotations
@@ -18,18 +22,23 @@ from collections import defaultdict
 import pytest
 
 from repro.cdn.cdn import Cdn
+from repro.cluster.shard import CdnShard, EntryShard, IngressProxy
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
+from repro.crypto.ibe import SimulatedIbe
+from repro.entry.server import EntryServer
 from repro.errors import NetworkError, SerializationError
 from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import decode_mailbox, mailbox_for_identity
+from repro.mixnet.server import MixServer
 from repro.net import DirectTransport, LinkSpec, NetworkTopology, SimulatedNetwork, rpc
 from repro.net.frames import frame_overhead
 from repro.net.transport import RpcResult, normalize_response
 from repro.pkg.server import PkgServer
 from repro.primitives.bloom import MAX_NUM_HASHES, BloomFilter, optimal_parameters
 from repro.runtime import AsyncioTransport
-from repro.utils.serialization import Packer
+from repro.utils.serialization import Message
+from wire_oracle import Packer, vector_bytes
 
 EMAILS = [f"user{i}@example.org" for i in range(6)]
 MAILBOXES = 3
@@ -70,19 +79,23 @@ def make_deployment(transport, **config) -> Deployment:
     return deployment
 
 
-def corrupt_replies(monkeypatch, server_class, method, victim, corrupt):
+def corrupt_replies(monkeypatch, server_class, method, victim, corrupt, limit=None):
     """Make ``server_class`` answer ``method`` requests matching ``victim`` with
-    ``corrupt(reply payload)``.  Patched on the class, before the deployment
-    registers the bound handler with its transport."""
+    ``corrupt(reply payload)`` -- the first ``limit`` of them, or all.  Patched
+    on the class, before the deployment registers the bound handler with its
+    transport.  Returns the list of payloads it corrupted."""
     original = server_class.handle_rpc
+    corrupted: list[bytes] = []
 
     def handle_rpc(self, request):
-        result = original(self, request)
-        if request.method == method and victim(request):
+        result = normalize_response(original(self, request))
+        if request.method == method and victim(request) and len(corrupted) != limit:
+            corrupted.append(result.payload)
             return RpcResult(payload=corrupt(result.payload))
         return result
 
     monkeypatch.setattr(server_class, "handle_rpc", handle_rpc)
+    return corrupted
 
 
 class TestBytesAreMeasured:
@@ -159,7 +172,8 @@ class TestMailboxesCrossOnce:
         deployment = make_deployment(DirectTransport())
         counts = deployment.run_dialing_round().mix_result
         servers = deployment.config.num_mix_servers
-        assert len(rpc.encode_round_counts(counts)) == 5 * 4 + 4 * (1 + servers) + 4 * (1 + MAILBOXES)
+        encoded = rpc.ROUND_COUNTS.encode(*dataclasses.astuple(counts))
+        assert len(encoded) == 5 * 4 + 4 * (1 + servers) + 4 * (1 + MAILBOXES)
 
     def test_sharded_tier_publishes_once_per_cdn_shard(self):
         deployment = make_deployment(DirectTransport(), entry_shards=2)
@@ -222,7 +236,7 @@ class TestOneBadReplyFailsOneCaller:
         victim_box = mailbox_for_identity(EMAILS[0], MAILBOXES)
 
         def for_victim_box(request):
-            return rpc.decode_download_request(request.payload)[2] == victim_box
+            return rpc.DOWNLOAD_REQUEST.decode(request.payload)[2] == victim_box
 
         corrupt_replies(
             monkeypatch, Cdn, "download", for_victim_box,
@@ -271,3 +285,97 @@ class TestOneBadReplyFailsOneCaller:
         transport.register("entry", lambda request: RpcResult(payload=b"\x00\x01"))
         with pytest.raises(NetworkError, match="undecodable reply"):
             rpc.EntryStub(transport).close_round("dialing", 1)
+
+
+# --------------------------------------------------------------------------- #
+# Every method of the table fails closed
+# --------------------------------------------------------------------------- #
+#: endpoint kind -> (an endpoint of that kind, the class serving it, sharded tier?)
+ENDPOINT_KINDS = {
+    "entry": ("entry", EntryServer, False),
+    "mix": ("mix0", MixServer, False),
+    "pkg": ("pkg0", PkgServer, False),
+    "cdn": ("cdn", Cdn, False),
+    "entry shard": ("entry0", EntryShard, True),
+    "ingress": ("ingress0", IngressProxy, True),
+    "cdn shard": ("cdn0", CdnShard, True),
+}
+SERVED = [
+    (kind, method, request, response)
+    for kinds, methods, request, response in rpc.METHODS
+    for kind in kinds
+    for method in methods
+    if kind in ENDPOINT_KINDS  # a worker's control methods take no payload and need real processes
+]
+#: Replies no round path asks for: their stubs are driven directly below.
+OFF_ROUND = {("mix", "round_public_key"), ("pkg", "round_public_key"), ("pkg", "has_master_secret")}
+#: The one reply whose loss is not a failure: `flush` returns the rejects of a
+#: batch the proxy already sent; the router skips a proxy whose reply it cannot
+#: read exactly as it skips an unreachable one.
+SWALLOWED = {("ingress", "flush")}
+CORRUPTIONS = {"truncated": lambda payload: payload[:-1], "garbage": lambda payload: b"\xff" * 5}
+
+
+def method_ids(cases):
+    return [f"{kind}-{method}".replace(" ", "_") for kind, method, *_ in cases]
+
+
+class TestEveryMethodFailsClosed:
+    def test_the_table_names_every_served_kind(self):
+        kinds = {kind for kinds, *_ in rpc.METHODS for kind in kinds}
+        assert kinds == set(ENDPOINT_KINDS) | {"worker"}
+
+    WITH_REQUEST = [case for case in SERVED if isinstance(case[2], Message)]
+
+    @pytest.mark.parametrize("kind,method,request_layout,_response", WITH_REQUEST,
+                             ids=method_ids(WITH_REQUEST))
+    def test_a_request_with_a_trailing_byte_is_refused(self, kind, method, request_layout, _response):
+        endpoint, _server, sharded = ENDPOINT_KINDS[kind]
+        deployment = make_deployment(DirectTransport(), entry_shards=2 if sharded else 1)
+        valid = vector_bytes(request_layout)[0]
+        request_layout.decode(valid)
+        with pytest.raises(SerializationError, match="trailing"):
+            deployment.transport.call("coordinator", endpoint, method, valid + b"\x00")
+
+    WITH_REPLY = [case for case in SERVED if case[3] is not None and case[:2] not in OFF_ROUND]
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("kind,method,_request,_response", WITH_REPLY, ids=method_ids(WITH_REPLY))
+    def test_a_malformed_reply_fails_its_caller_or_aborts_the_round_and_the_next_round_is_clean(
+        self, monkeypatch, kind, method, _request, _response, corruption
+    ):
+        _endpoint, server, sharded = ENDPOINT_KINDS[kind]
+        corrupted = corrupt_replies(
+            monkeypatch, server, method, lambda request: True, CORRUPTIONS[corruption], limit=1
+        )
+        deployment = make_deployment(
+            DirectTransport(), entry_shards=2 if sharded else 1, ingress_batch_size=2
+        )
+        deployment.session(EMAILS[0]).add_friend(EMAILS[1])
+        protocol = "add-friend" if kind == "pkg" else "dialing"
+        aborted, failures = False, 0
+        try:
+            failures = deployment.run_rounds(protocol, 1)[0].failures
+        except NetworkError as exc:
+            assert "undecodable reply" in str(exc)
+            aborted = True
+        assert len(corrupted) == 1, "the round never asked for this reply"
+        # Whatever the layer, the only way out is the NetworkError that aborts
+        # the round or fails one caller (a summary with failures).
+        assert aborted or failures > 0 or (kind, method) in SWALLOWED, (aborted, failures)
+        summary = deployment.run_rounds(protocol, 1)[0]
+        assert summary.failures == 0 and summary.participants == len(EMAILS)
+
+    def test_off_round_stubs_fail_closed_too(self):
+        transport = DirectTransport()
+        for name in ("mix0", "pkg0"):
+            transport.register(name, lambda request: RpcResult(payload=b"\x02\x00"))
+        mix = rpc.MixStub(transport, "mix0")
+        pkg = rpc.PkgStub(transport, "pkg0", SimulatedIbe(), None, None)
+        for call in (
+            lambda: mix.round_public_key("dialing", 1),
+            lambda: pkg.round_public_key(1),
+            lambda: pkg.has_master_secret(1),
+        ):
+            with pytest.raises(NetworkError, match="undecodable reply"):
+                call()

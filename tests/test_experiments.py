@@ -12,12 +12,14 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.privacy import validate_privacy_report
 from repro.sim.__main__ import build_parser, flag_parsers, main
 from repro.sim.experiment import Axis, Column, Experiment, Section, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
@@ -356,6 +358,29 @@ class TestCli:
         assert message in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_the_papers_variance_free_setting_runs_and_is_recorded_unprotected(
+        self, tmp_path, results, capsys
+    ):
+        """Section 8: "b = 0 to reduce variance".  The ledger used to die on it."""
+        argv = ["run", "baseline", "--num-clients", "8", "--addfriend-rounds", "1",
+                "--dialing-rounds", "1", "--seed", "t-cli", "--noise-b"]
+        assert main([*argv, "0", "--trace", str(tmp_path / "trace.json")]) == 0
+        out = capsys.readouterr().out
+        assert "eps=inf" in out and "UNPROTECTED" in out
+        report = json.loads((results / "BENCH_privacy.json").read_text())
+        assert validate_privacy_report(report) == []
+        rounds = report["data"]["ledger"]["rounds"]
+        assert rounds and all(
+            row["epsilon_round"] == math.inf and "unprotected" in row for row in rounds
+        )
+        # The validator takes an infinite epsilon only from a record that says b = 0 ...
+        for row in rounds:
+            row["laplace_scale"] = 1.0
+        assert len(validate_privacy_report(report)) >= len(rounds)
+        # ... and a negative scale never runs.
+        assert main([*argv, "-1"]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_optional_int_takes_none(self):
         args = build_parser().parse_args(

@@ -29,7 +29,7 @@ from repro.mixnet.onion import (
     wrap_onion,
     wrap_onion_many,
 )
-from repro.mixnet.server import MixServer, decode_inner_payload, encode_inner_payload
+from repro.mixnet.server import INNER_PAYLOAD, MixServer, encode_inner_payload
 from repro.utils.rng import DeterministicRng
 
 
@@ -175,7 +175,7 @@ class TestMailboxRouting:
 
     def test_inner_payload_roundtrip(self):
         encoded = encode_inner_payload(7, b"body")
-        assert decode_inner_payload(encoded) == (7, b"body")
+        assert INNER_PAYLOAD.decode(encoded) == (7, b"body")
 
     def test_message_counts_is_the_observable_vector(self):
         """The per-mailbox count vector the privacy ledger records: message
@@ -227,7 +227,7 @@ class TestMixServer:
         assert len(out) == 40
         assert server.last_stats.noise_added == 40
         # Noise is well-formed and spread across all mailboxes.
-        mailboxes = {decode_inner_payload(payload)[0] for payload in out}
+        mailboxes = {INNER_PAYLOAD.decode(payload)[0] for payload in out}
         assert mailboxes == {0, 1, 2, 3}
 
     def test_drop_all_noise_switch(self):

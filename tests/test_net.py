@@ -17,8 +17,9 @@ from repro.net import (
 )
 from repro.net.frames import decode_envelope_batch, encode_envelope_batch
 from repro.net.transport import BatchCall, RpcResult
+from repro.obs.distributed import PING_REPLY
 from repro.utils.rng import DeterministicRng
-from repro.utils.serialization import Packer, Unpacker
+from wire_oracle import Packer
 
 
 class TestFrames:
@@ -50,7 +51,9 @@ class TestFrames:
 
     def test_f64_wire_roundtrip(self):
         for value in (0.0, 1.5, -2.25, 4000.0, 1e-10):
-            assert Unpacker(Packer().f64(value).pack()).f64() == value
+            encoded = PING_REPLY.encode(value, 0, 0)
+            assert encoded == Packer().f64(value).u64(0).u64(0).pack()
+            assert PING_REPLY.decode(encoded) == (value, 0, 0)
 
 
 class TestEventScheduler:

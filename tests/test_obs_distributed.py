@@ -17,14 +17,13 @@ from repro.errors import RemoteCallError, RoundError
 from repro.net.frames import Frame, KIND_REQUEST
 from repro.net.transport import BatchCall, RpcResult
 from repro.obs.distributed import (
+    TRACE_CONTEXT,
     TraceContext,
     WorkerTelemetry,
     estimate_clock_offset,
     merge_worker_metrics,
-    read_context,
     rss_bytes,
     runtime_attribution,
-    write_context,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
@@ -34,7 +33,7 @@ from repro.obs.trace import (
     validate_trace_events,
 )
 from repro.runtime import AsyncioTransport, MultiprocessTransport, mix_endpoint_spec, wire
-from repro.utils.serialization import Packer, Unpacker
+from wire_oracle import Packer
 
 
 @pytest.fixture
@@ -60,12 +59,14 @@ class TestTraceContextWire:
     @settings(max_examples=50)
     def test_trailer_roundtrip(self, trace, span_id, origin, pid):
         context = TraceContext(trace=trace, span_id=span_id, origin=origin, pid=pid)
-        packed = write_context(Packer(), context).pack()
-        assert read_context(Unpacker(packed)) == context
+        packed = TRACE_CONTEXT.encode(*context)
+        assert packed == Packer().str(trace).u64(span_id).str(origin).u64(pid).pack()
+        assert TraceContext(*TRACE_CONTEXT.decode(packed)) == context
 
     def test_absent_trailer_reads_as_none(self):
-        assert read_context(Unpacker(b"")) is None
-        assert read_context(Unpacker(Packer().u8(0).pack())) is None
+        frame_only = Packer().bytes(make_frame().to_bytes())
+        assert wire.decode_message(frame_only.pack()).trace is None
+        assert wire.decode_message(frame_only.u8(0).pack()).trace is None
 
     @given(
         span_id=st.integers(min_value=0, max_value=2**64 - 1),

@@ -272,7 +272,7 @@ class TestAckLostSubmits:
         alice.call("bob@example.org")
 
         transport.lose_submit_ack_for.add("alice@example.org")
-        for _ in range(deployment.config.max_mailbox_lag_rounds):
+        for _ in range(24):
             summary = deployment.run_dialing_round()
             if alice.dialing.pending_in_queue() == 0:
                 break

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import SerializationError
 from repro.utils.bytes import bytes_to_int, constant_time_equal, hexlify, int_to_bytes, xor_bytes
 from repro.utils.rng import DeterministicRng, random_bytes
-from repro.utils.serialization import Packer, Unpacker
+from wire_oracle import Packer, Unpacker
 
 
 class TestBytes:

@@ -1,16 +1,27 @@
 """The wire: message bodies, stream framing and error replies
 (:mod:`repro.runtime.wire` + the stream framing helpers in
-:mod:`repro.net.frames`), and every payload codec an RPC rides on
-(:mod:`repro.net.rpc`, the mailbox and Bloom decoders) -- round trips on
-both IBE backends and both attestation schemes, and decoder fuzzing:
-arbitrary or mutated bytes decode to a canonically re-encodable value or
-raise ``SerializationError``/``CryptoError``, nothing else, in bounded time."""
+:mod:`repro.net.frames`), and the message table every byte layout is declared
+in (:mod:`repro.utils.serialization`):
+
+* the table reproduces, both ways, the bytes the hand-written codecs it
+  replaced produced at the last commit that had them (``wire_vectors.json``);
+* the codec of every declared message equals the field-by-field
+  ``Packer``/``Unpacker`` interpretation of the same declaration
+  (:mod:`wire_oracle`), on accepted and on rejected inputs;
+* decoder fuzzing over the registry -- no hand-kept list: arbitrary or mutated
+  bytes decode to a canonically re-encodable value or raise
+  ``SerializationError``/``CryptoError``, nothing else, in bounded time; the
+  crypto value encodings and the value classes that add checks on top of a
+  layout are registered by hand beside it;
+* ``docs/wire.md`` is what the table generates."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,15 +29,21 @@ from hypothesis import given, settings, strategies as st
 import repro.net.frames as frames_module
 from repro.cdn.cdn import Cdn
 from repro.cluster.directory import ShardDirectory
+from repro.core.friendrequest import FriendRequest
 from repro.crypto import bls
 from repro.crypto.attestation import ATTESTATION_SIZE, get_scheme, registered_schemes
 from repro.crypto.ibe import BonehFranklinIbe, SimulatedIbe
-from repro.errors import CryptoError, RemoteCallError, RoundError, SerializationError
+from repro.errors import (
+    CryptoError,
+    NetworkError,
+    RemoteCallError,
+    RoundError,
+    SerializationError,
+)
 from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import AddFriendMailbox, DialingMailbox, MailboxSet, decode_mailbox
-from repro.mixnet.noise import NoiseConfig
-from repro.mixnet.server import MixServerStats
 from repro.net import DirectTransport, Frame, LinkSpec, NetworkTopology, SimulatedNetwork, rpc
+from repro.net import wiredoc
 from repro.net.frames import (
     KIND_ERROR,
     KIND_REQUEST,
@@ -41,7 +58,8 @@ from repro.obs.distributed import TraceContext
 from repro.pkg.server import ExtractionResponse
 from repro.primitives.bloom import BloomFilter
 from repro.runtime import wire
-from repro.utils.serialization import Packer
+from repro.utils.serialization import Message, Str, Trailing
+from wire_oracle import VECTORS, Packer, oracle_decode, oracle_encode, values, vector_bytes
 
 names = st.text(min_size=0, max_size=24)
 payloads = st.binary(max_size=128)
@@ -150,11 +168,133 @@ class TestCrossTransportByteIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# Payload codecs: round trips and decoder fuzzing
+# The message table: vectors, the oracle, decoder fuzzing
 # --------------------------------------------------------------------------- #
+REPO = Path(__file__).resolve().parents[1]
+#: Every message any module of the package declares.
+MESSAGES = [message for _, message in sorted(wiredoc.load_messages().items())]
+per_message = pytest.mark.parametrize("message", MESSAGES, ids=lambda message: message.name)
+
 IDENTITY = "alice@example.org"
 IBE_BACKENDS = {"simulated": SimulatedIbe(), "bn254": BonehFranklinIbe()}
 ATTESTATIONS = {name: get_scheme(name) for name in registered_schemes()}
+
+
+def from_json(value):
+    """A vector's ``values``: bytes are ``{"b": hex}``, tuples are lists."""
+    if isinstance(value, dict):
+        return bytes.fromhex(value["b"])
+    if isinstance(value, list):
+        return [from_json(item) for item in value]
+    return value
+
+
+def to_json(value):
+    if isinstance(value, bytes):
+        return {"b": value.hex()}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    return value
+
+
+class TestWireVectors:
+    """Byte-identical wire: the table against the hand-written functions'
+    bytes, generated at the parent commit (see the file's ``_about``)."""
+
+    @per_message
+    def test_every_layout_has_vectors(self, message):
+        assert len(vector_bytes(message)) >= 2
+
+    def test_every_vector_names_a_layout(self):
+        assert {v["message"] for v in VECTORS} == {message.name for message in MESSAGES}
+
+    @pytest.mark.parametrize(
+        "vector", VECTORS, ids=[f"{v['message']}-{i}" for i, v in enumerate(VECTORS)]
+    )
+    def test_the_table_reproduces_the_bytes_both_ways(self, vector):
+        message = wiredoc.MESSAGES[vector["message"]]
+        encoded = bytes.fromhex(vector["hex"])
+        assert message.encode(*from_json(vector["values"])) == encoded
+        assert to_json(message.decode(encoded)) == vector["values"]
+
+    def test_extraction_vectors_decode_on_their_backends(self):
+        """The key material in the vectors is real: every IBE x attestation pair."""
+        seen = set()
+        for vector in VECTORS:
+            if vector["message"] != "extraction_response":
+                continue
+            ibe_name, scheme_name = vector["backends"]
+            stub = rpc.PkgStub(None, "pkg", IBE_BACKENDS[ibe_name], ATTESTATIONS[scheme_name], None)
+            response = stub.extraction_response(bytes.fromhex(vector["hex"]), IDENTITY)
+            assert response.pkg_name == vector["values"][0]
+            seen.add((ibe_name, scheme_name))
+        assert seen == {(i, a) for i in IBE_BACKENDS for a in ATTESTATIONS}
+
+
+class TestDeclarations:
+    def test_a_name_is_one_layout(self):
+        again = Message("round_ref", *rpc.ROUND_REF.fields)  # what a re-imported module does
+        assert again.encode("dialing", 1) == rpc.ROUND_REF.encode("dialing", 1)
+        with pytest.raises(ValueError, match="already declared"):
+            Message("round_ref", *rpc.ROUND_REF.fields[:1])
+        assert wiredoc.MESSAGES["round_ref"] is rpc.ROUND_REF
+
+    def test_only_the_last_field_may_be_open_ended(self):
+        with pytest.raises(ValueError, match="open-ended"):
+            Message("never_registered", Trailing(Str("first"), ""), Str("second"))
+        assert "never_registered" not in wiredoc.MESSAGES
+
+
+def outcome(function, *args):
+    """What a codec made of its input: the value's ``repr`` (NaN-safe), or that
+    it refused."""
+    try:
+        return repr(function(*args))
+    except SerializationError:
+        return SerializationError
+
+
+def mutations(sample: bytes, data, kinds=("truncate", "byte", "count")) -> bytes:
+    """One mutation of a valid encoding: a truncation, a replaced byte, or four
+    bytes of 0xff (a hostile length or count wherever one sits)."""
+    index = data.draw(st.integers(min_value=0, max_value=len(sample) - 1))
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return sample[:index]
+    if kind == "byte":
+        byte = data.draw(st.integers(min_value=0, max_value=255))
+        return sample[:index] + bytes([byte]) + sample[index + 1:]
+    return sample[:index] + b"\xff" * 4 + sample[index + 4:]
+
+
+class TestTableEqualsOracle:
+    """The table's codec against an independent reading of it: same bytes, same
+    values, same refusals as ``Packer``/``Unpacker`` taken field by field."""
+
+    @per_message
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_encode(self, message, data):
+        # Integers are drawn two past their range either side: a refusal must
+        # be a refusal on both sides.
+        fields = data.draw(values(message, slack=2))
+        assert outcome(message.encode, *fields) == outcome(oracle_encode, message, fields)
+
+    @per_message
+    @settings(max_examples=25)
+    @given(blob=st.binary(max_size=200))
+    def test_decode_of_arbitrary_bytes(self, message, blob):
+        assert outcome(message.decode, blob) == outcome(oracle_decode, message, blob)
+
+    @per_message
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_decode_of_mutated_encodings(self, message, data):
+        fields = data.draw(values(message))
+        encoded = message.encode(*fields)
+        assert message.decode(encoded) == fields == oracle_decode(message, encoded)
+        mutated = mutations(encoded, data)
+        assert outcome(message.decode, mutated) == outcome(oracle_decode, message, mutated)
 
 
 @functools.cache
@@ -168,9 +308,10 @@ def key_material(ibe_name: str, attestation_name: str, index: int):
     return master.public, ibe.extract(master.secret, IDENTITY), attested
 
 
-def star(encode):
-    """Adapt an ``encode(*fields)`` to the tuple its decoder returns."""
-    return lambda fields: encode(*fields)
+def canonical(message: Message) -> bool:
+    """Every accepted byte string is the only encoding of its value: no field
+    is declared as one a sender may leave off."""
+    return not any(isinstance(field, Trailing) for field in message.fields)
 
 
 @dataclass(frozen=True)
@@ -179,16 +320,30 @@ class Codec:
     decode: Callable[[bytes], object]
     #: Re-encodes a value ``decode`` returned.
     encode: Callable[[object], bytes]
-    #: Valid encodings, the seeds of the mutation fuzzing.
+    #: Valid encodings.
     samples: tuple[bytes, ...]
     #: Every accepted input is the only encoding of its value.
     strict: bool = True
+    #: How ``decode`` refuses.
+    refusals: tuple[type, ...] = (SerializationError, CryptoError)
+    #: More valid encodings, the seeds of the mutation fuzzing with ``samples``.
+    generated: object = st.nothing()
+
+    @staticmethod
+    def of(message: Message) -> "Codec":
+        """A declared message's case: everything comes from the declaration
+        (and the parent's vectors)."""
+        return Codec(
+            message.name, message.decode, lambda fields: message.encode(*fields),
+            tuple(vector_bytes(message)), strict=canonical(message),
+            generated=values(message).map(lambda fields: message.encode(*fields)),
+        )
 
     def check(self, data: bytes) -> None:
         """``data`` is rejected cleanly or decodes to a canonical value."""
         try:
             value = self.decode(data)
-        except (SerializationError, CryptoError):
+        except self.refusals:
             return
         canonical = self.encode(value)
         if self.strict:
@@ -202,84 +357,47 @@ def _bloom(tokens=(b"t" * 32, b"u" * 32)) -> BloomFilter:
     return bloom
 
 
-def _codecs() -> list[Codec]:
+def _by_hand() -> list[Codec]:
+    """What the registry cannot cover: the crypto value encodings (not table
+    layouts), and the value classes whose ``from_bytes`` adds checks on top of
+    a layout (a frame's magic and kind, a mailbox's Bloom filter, a share's
+    curve point) -- the layouts themselves are in the registry."""
     directory = ShardDirectory.build("add-friend", 3, 8, 2)
     addfriend_box = AddFriendMailbox(2, [b"c" * 40, b"d" * 40])
     dialing_box = DialingMailbox.build(1, [b"t" * 32])
-    blobs = {0: addfriend_box.to_bytes(), 5: b""}
     frame = Frame(KIND_RESPONSE, 9, "entry", "coordinator", "close_round", b"\x00" * 12)
     trace = TraceContext(trace="t1", span_id=4, origin="entry", pid=77)
+    request = FriendRequest(IDENTITY, b"k" * 32, b"s" * 64, b"p" * 64, b"d" * 32, 12, 3, True)
     codecs = [
-        Codec("round_ref", rpc.decode_round_ref, star(rpc.encode_round_ref),
-              (rpc.encode_round_ref("dialing", 4),)),
-        Codec("announce_request", rpc.decode_announce_request, star(rpc.encode_announce_request),
-              (rpc.encode_announce_request("add-friend", 2, 8, 640),)),
-        Codec("announce_response", rpc.decode_announce_response, star(rpc.encode_announce_response),
-              (rpc.encode_announce_response([b"m" * 32], 8, 640, None, [b"p" * 128, b"q" * 128]),
-               rpc.encode_announce_response([b"m" * 32], 8, 640, directory))),
-        Codec("submit_request", rpc.decode_submit_request, star(rpc.encode_submit_request),
-              (rpc.encode_submit_request("dialing", 3, IDENTITY, b"e" * 60, None),
-               rpc.encode_submit_request("dialing", 3, IDENTITY, b"e" * 60, b"token"))),
-        Codec("open_shard_round", rpc.decode_open_shard_round, star(rpc.encode_open_shard_round),
-              (rpc.encode_open_shard_round(640, directory),)),
-        Codec("submit_batch_request", rpc.decode_submit_batch_request,
-              star(rpc.encode_submit_batch_request),
-              (rpc.encode_submit_batch_request(
-                  "dialing", 3, [(IDENTITY, b"e" * 60, None), ("bob@x.org", b"f" * 60, b"tok")]),)),
-        Codec("submit_batch_response", rpc.decode_submit_batch_response,
-              rpc.encode_submit_batch_response, (rpc.encode_submit_batch_response([0, 2, 4]),)),
-        Codec("rejects", rpc.decode_rejects, rpc.encode_rejects,
-              (rpc.encode_rejects([(IDENTITY, "rate token rejected")]),)),
-        Codec("collect_response", rpc.decode_collect_response, rpc.encode_collect_response,
-              (rpc.encode_collect_response([b"e" * 60, b"f" * 60]),)),
-        Codec("publish_request", rpc.decode_publish_request, star(rpc.encode_publish_request),
-              (rpc.encode_publish_request("add-friend", 3, 8, blobs),)),
-        Codec("shard_publish_request", rpc.decode_shard_publish_request,
-              star(rpc.encode_shard_publish_request),
-              (rpc.encode_shard_publish_request(0, 6, "add-friend", 3, 8, blobs),)),
-        Codec("round_counts", rpc.decode_round_counts, rpc.encode_round_counts,
-              (rpc.encode_round_counts(RoundCounts(16, 14, 1, 9, 2, [3, 6], [5, 0, 11])),)),
-        Codec("process_batch_request", rpc.decode_process_batch_request,
-              star(rpc.encode_process_batch_request),
-              (rpc.encode_process_batch_request(
-                  3, "dialing", [b"e" * 60], [b"k" * 32], 4, NoiseConfig(), 32),)),
-        Codec("process_batch_response", rpc.decode_process_batch_response,
-              star(rpc.encode_process_batch_response),
-              (rpc.encode_process_batch_response([b"e" * 28], MixServerStats(3, 1, 2)),)),
-        Codec("registration_request", rpc.decode_registration_request,
-              star(rpc.encode_registration_request),
-              (rpc.encode_registration_request(IDENTITY, b"k" * 32),)),
-        Codec("extract_request", rpc.decode_extract_request, star(rpc.encode_extract_request),
-              (rpc.encode_extract_request(IDENTITY, 7, b"s" * 64),)),
-        Codec("download_request", rpc.decode_download_request, star(rpc.encode_download_request),
-              (rpc.encode_download_request("dialing", 3, 1, IDENTITY),)),
-        Codec("shard_directory", ShardDirectory.from_bytes, ShardDirectory.to_bytes,
-              (directory.to_bytes(),)),
-        Codec("addfriend_mailbox", AddFriendMailbox.from_bytes, AddFriendMailbox.to_bytes,
-              (addfriend_box.to_bytes(),)),
-        Codec("dialing_mailbox", DialingMailbox.from_bytes, DialingMailbox.to_bytes,
-              (dialing_box.to_bytes(),)),
         Codec("bloom", BloomFilter.from_bytes, BloomFilter.to_bytes, (_bloom().to_bytes(),)),
-        Codec("frame", Frame.from_bytes, Frame.to_bytes, (frame.to_bytes(),)),
+        Codec("Frame", Frame.from_bytes, Frame.to_bytes, (frame.to_bytes(),)),
         # An absent trace flag and an absent error endpoint are tolerated.
-        Codec("wire_message", wire.decode_message, lambda m: wire.encode_message(m.frame, m.trace),
+        Codec("wire.decode_message", wire.decode_message,
+              lambda m: wire.encode_message(m.frame, m.trace),
               (wire.encode_message(frame), wire.encode_message(frame, trace)), strict=False),
-        Codec("wire_error", wire.decode_error,
+        Codec("wire.decode_error", wire.decode_error,
               lambda exc: wire.encode_error(exc, exc.remote_endpoint),
               (wire.encode_error(RoundError("round 3 is closed"), "entry"),
                wire.encode_error(ValueError("bad input"), "mix0")), strict=False),
+        Codec("ShardDirectory", ShardDirectory.from_bytes, ShardDirectory.to_bytes,
+              (directory.to_bytes(),)),
+        Codec("AddFriendMailbox", AddFriendMailbox.from_bytes, AddFriendMailbox.to_bytes,
+              (addfriend_box.to_bytes(),)),
+        Codec("DialingMailbox", DialingMailbox.from_bytes, DialingMailbox.to_bytes,
+              (dialing_box.to_bytes(),)),
+        Codec("FriendRequest", FriendRequest.from_bytes, FriendRequest.to_bytes,
+              (request.to_bytes(),)),
     ]
     for protocol, box in (("add-friend", addfriend_box), ("dialing", dialing_box)):
         codecs.append(Codec(
-            f"mailbox[{protocol}]", functools.partial(decode_mailbox, protocol, box.mailbox_id),
+            f"decode_mailbox[{protocol}]", functools.partial(decode_mailbox, protocol, box.mailbox_id),
             lambda mailbox: mailbox.to_bytes(), (box.to_bytes(),)))
         # The empty-mailbox marker decodes to an empty mailbox, which has bytes.
         codecs.append(Codec(
-            f"download_response[{protocol}]",
-            lambda data, protocol=protocol, box=box: rpc.decode_download_response(
-                data, protocol, box.mailbox_id),
-            lambda mailbox: rpc.encode_download_response(mailbox.to_bytes()),
-            (rpc.encode_download_response(box.to_bytes()), rpc.encode_download_response(None)),
+            f"mailbox_reply[{protocol}]",
+            lambda data, protocol=protocol, box=box: rpc.mailbox_reply(data, protocol, box.mailbox_id),
+            lambda mailbox: rpc.DOWNLOAD_RESPONSE.encode(mailbox.to_bytes()),
+            (rpc.DOWNLOAD_RESPONSE.encode(box.to_bytes()), rpc.DOWNLOAD_RESPONSE.encode(None)),
             strict=False))
     for ibe_name, ibe in IBE_BACKENDS.items():
         public, share, _attested = key_material(ibe_name, "simulated", 0)
@@ -290,15 +408,17 @@ def _codecs() -> list[Codec]:
             f"private_key[{ibe_name}]", functools.partial(ibe.private_key_from_bytes, IDENTITY),
             ibe.private_key_to_bytes, (ibe.private_key_to_bytes(share),)))
         for scheme_name, scheme in ATTESTATIONS.items():
+            # The stub's decode: the layout, then both shares' own decoders;
+            # what it cannot decode is the caller's NetworkError.
+            stub = rpc.PkgStub(None, "pkg0", ibe, scheme, None)
             codecs.append(Codec(
                 f"extraction_response[{ibe_name}-{scheme_name}]",
-                lambda data, ibe=ibe, scheme=scheme: rpc.decode_extraction_response(
-                    data, IDENTITY, ibe, scheme),
-                lambda response, ibe=ibe, scheme=scheme: rpc.encode_extraction_response(
-                    response, ibe, scheme),
-                (rpc.encode_extraction_response(
+                functools.partial(stub.extraction_response, email=IDENTITY),
+                lambda response, ibe=ibe, scheme=scheme: extraction_reply(response, ibe, scheme),
+                (extraction_reply(
                     ExtractionResponse("pkg0", 7, *key_material(ibe_name, scheme_name, 0)[1:]),
-                    ibe, scheme),)))
+                    ibe, scheme),),
+                refusals=(NetworkError,)))
     for scheme_name, scheme in ATTESTATIONS.items():
         attested = key_material("simulated", scheme_name, 0)[2]
         codecs.append(Codec(
@@ -307,24 +427,26 @@ def _codecs() -> list[Codec]:
     return codecs
 
 
-CODECS = _codecs()
+def extraction_reply(response: ExtractionResponse, ibe, scheme) -> bytes:
+    """An ``extract`` reply as ``PkgServer.handle_rpc`` encodes it."""
+    return rpc.EXTRACTION_RESPONSE.encode(
+        response.pkg_name, response.round_number,
+        ibe.private_key_to_bytes(response.private_key_share), scheme.to_bytes(response.attestation),
+    )
+
+
+CODECS = [Codec.of(message) for message in MESSAGES] + _by_hand()
 per_codec = pytest.mark.parametrize("codec", CODECS, ids=lambda codec: codec.name)
 
 
 class TestDecoderFuzzing:
     """Every decoder fails closed: a canonical value, ``SerializationError`` or
-    ``CryptoError`` -- within the hypothesis deadline -- for any input."""
+    ``CryptoError`` -- within the hypothesis deadline -- for any input.  The
+    registry *is* the list of layouts; only what sits on top of one, or beside
+    it (crypto encodings), is registered by hand."""
 
-    def test_every_rpc_decoder_is_fuzzed(self):
-        fuzzed = {codec.decode for codec in CODECS}
-        unfuzzed = [
-            name for name, value in vars(rpc).items()
-            if name.startswith("decode_") and name != "decode_reply" and value not in fuzzed
-        ]
-        # The decoders that take context arguments are fuzzed through closures.
-        assert unfuzzed == [
-            "decode_mailbox", "decode_extraction_response", "decode_download_response"
-        ]
+    def test_only_the_declared_short_forms_are_not_canonical(self):
+        assert [m.name for m in MESSAGES if not canonical(m)] == ["error_payload", "wire_body"]
 
     @per_codec
     def test_samples_are_valid(self, codec):
@@ -342,24 +464,25 @@ class TestDecoderFuzzing:
     @settings(max_examples=60)
     @given(data=st.data())
     def test_mutated_valid_encodings(self, codec, data):
-        sample = data.draw(st.sampled_from(codec.samples))
-        index = data.draw(st.integers(min_value=0, max_value=len(sample) - 1))
-        if data.draw(st.booleans()):
-            mutated = sample[:index]
-        else:
-            byte = data.draw(st.integers(min_value=0, max_value=255))
-            mutated = sample[:index] + bytes([byte]) + sample[index + 1:]
-        codec.check(mutated)
+        sample = data.draw(st.sampled_from(codec.samples) | codec.generated)
+        codec.check(mutations(sample, data, kinds=("truncate", "byte")))
+
+    @per_codec
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_a_hostile_count_anywhere(self, codec, data):
+        sample = data.draw(st.sampled_from(codec.samples) | codec.generated)
+        codec.check(mutations(sample, data, kinds=("count",)))
 
     def test_a_hostile_length_or_count_costs_nothing(self):
         # 2**32 - 1 declared items / bytes with none following: rejected on
         # the first missing one, not after allocating or looping for them.
         huge = b"\xff\xff\xff\xff"
         for decode, data in (
-            (rpc.decode_submit_batch_response, huge),
-            (rpc.decode_collect_response, huge),
-            (rpc.decode_round_counts, bytes(20) + huge),
-            (rpc.decode_publish_request, rpc.encode_round_ref("dialing", 1) + huge + huge),
+            (rpc.SUBMIT_BATCH_RESPONSE.decode, huge),
+            (frames_module.ENVELOPE_BATCH.decode, huge),
+            (rpc.ROUND_COUNTS.decode, bytes(20) + huge),
+            (rpc.PUBLISH_REQUEST.decode, rpc.ROUND_REF.encode("dialing", 1) + huge + huge),
             (AddFriendMailbox.from_bytes, bytes(4) + huge),
             (Frame.from_bytes, b"ANH1" + bytes(9) + huge),
         ):
@@ -376,6 +499,16 @@ blob_maps = st.integers(min_value=1, max_value=64).flatmap(
 )
 
 
+def publish(protocol, round_number, mailbox_count, blobs: dict) -> tuple:
+    """A ``MailboxSet``'s publish fields, as ``CdnStub.publish`` passes them."""
+    return protocol, round_number, mailbox_count, list(blobs.items())
+
+
+def published(protocol, round_number, mailbox_count, mailboxes) -> tuple:
+    """The decoded fields, as ``Cdn.handle_rpc`` hands them to ``store_round``."""
+    return protocol, round_number, mailbox_count, rpc.mailbox_blobs(mailboxes, mailbox_count)
+
+
 class TestNewCodecRoundTrips:
     """Each value that used to ride beside the frame survives its byte layout."""
 
@@ -384,22 +517,29 @@ class TestNewCodecRoundTrips:
         st.lists(u32s, max_size=4), st.lists(u32s, max_size=16),
     ))
     def test_round_counts(self, counts):
-        assert rpc.decode_round_counts(rpc.encode_round_counts(counts)) == counts
+        encoded = rpc.ROUND_COUNTS.encode(*dataclasses.astuple(counts))
+        assert RoundCounts(*rpc.ROUND_COUNTS.decode(encoded)) == counts
 
     @given(protocol=names, round_number=u64s, mailboxes=blob_maps, lo=u32s, hi=u32s)
     def test_mailbox_set(self, protocol, round_number, mailboxes, lo, hi):
         fields = (protocol, round_number, *mailboxes)
-        assert rpc.decode_publish_request(rpc.encode_publish_request(*fields)) == fields
-        sharded = (lo, hi, *fields)
-        assert rpc.decode_shard_publish_request(
-            rpc.encode_shard_publish_request(*sharded)) == sharded
+        assert published(*rpc.PUBLISH_REQUEST.decode(rpc.PUBLISH_REQUEST.encode(*publish(*fields)))) == fields
+        sharded = rpc.SHARD_PUBLISH_REQUEST.decode(
+            rpc.SHARD_PUBLISH_REQUEST.encode(lo, hi, *publish(*fields)))
+        assert (*sharded[:2], *published(*sharded[2:])) == (lo, hi, *fields)
+
+    def test_a_duplicate_or_out_of_range_mailbox_id_is_refused(self):
+        for mailboxes in ([(1, b"a"), (1, b"b")], [(2, b"a")]):
+            encoded = rpc.PUBLISH_REQUEST.encode("dialing", 3, 2, mailboxes)
+            with pytest.raises(SerializationError):
+                published(*rpc.PUBLISH_REQUEST.decode(encoded))
 
     def test_mailbox_set_is_the_blobs_the_cdn_stores(self):
         mailboxes = MailboxSet(round_number=3, protocol="dialing", mailbox_count=2)
         mailboxes.dialing[1] = DialingMailbox.build(1, [b"t" * 32])
         cdn = Cdn()
-        cdn.handle_rpc(RpcRequest("entry", "cdn", "publish", rpc.encode_publish_request(
-            "dialing", 3, 2, mailboxes.blobs())))
+        cdn.handle_rpc(RpcRequest("entry", "cdn", "publish", rpc.PUBLISH_REQUEST.encode(
+            *publish("dialing", 3, 2, mailboxes.blobs()))))
         assert cdn.download_blob("dialing", 3, 1, IDENTITY) == mailboxes.dialing[1].to_bytes()
         assert cdn.download_blob("dialing", 3, 0, IDENTITY) is None
         assert cdn.mailbox_count("dialing", 3) == 2
@@ -407,22 +547,22 @@ class TestNewCodecRoundTrips:
     @given(mix=st.lists(payloads, max_size=3), count=u32s, body=u32s,
            pkg=st.lists(payloads, max_size=3))
     def test_announce_response_pkg_keys(self, mix, count, body, pkg):
-        fields = (mix, count, body, None, pkg)
-        assert rpc.decode_announce_response(rpc.encode_announce_response(*fields)) == fields
+        fields = (count, body, mix, None, pkg)
+        assert rpc.ANNOUNCE_RESPONSE.decode(rpc.ANNOUNCE_RESPONSE.encode(*fields)) == fields
 
     @given(mailbox_id=u32s, ciphertexts=st.lists(payloads, max_size=4))
     def test_download_response_addfriend(self, mailbox_id, ciphertexts):
         box = AddFriendMailbox(mailbox_id, ciphertexts)
-        reply = rpc.encode_download_response(box.to_bytes())
-        assert rpc.decode_download_response(reply, "add-friend", mailbox_id) == box
+        reply = rpc.DOWNLOAD_RESPONSE.encode(box.to_bytes())
+        assert rpc.mailbox_reply(reply, "add-friend", mailbox_id) == box
 
     @given(mailbox_id=u32s, tokens=st.lists(st.binary(min_size=32, max_size=32), max_size=4))
     def test_download_response_dialing(self, mailbox_id, tokens):
         box = DialingMailbox.build(mailbox_id, tokens)
-        reply = rpc.encode_download_response(box.to_bytes())
-        decoded = rpc.decode_download_response(reply, "dialing", mailbox_id)
+        reply = rpc.DOWNLOAD_RESPONSE.encode(box.to_bytes())
+        decoded = rpc.mailbox_reply(reply, "dialing", mailbox_id)
         assert decoded == box and all(token in decoded for token in tokens)
-        empty = rpc.decode_download_response(rpc.encode_download_response(None), "dialing", mailbox_id)
+        empty = rpc.mailbox_reply(rpc.DOWNLOAD_RESPONSE.encode(None), "dialing", mailbox_id)
         assert empty == DialingMailbox.build(mailbox_id, [])
 
     @pytest.mark.parametrize("attestation_name", sorted(ATTESTATIONS))
@@ -438,6 +578,23 @@ class TestNewCodecRoundTrips:
         encoded = scheme.to_bytes(attested)
         assert len(encoded) == ATTESTATION_SIZE and scheme.from_bytes(encoded) == attested
         response = ExtractionResponse(pkg, round_number, share, attested)
-        payload = rpc.encode_extraction_response(response, ibe, scheme)
-        assert rpc.decode_extraction_response(payload, IDENTITY, ibe, scheme) == response
+        payload = extraction_reply(response, ibe, scheme)
+        stub = rpc.PkgStub(None, pkg, ibe, scheme, None)
+        assert stub.extraction_response(payload, IDENTITY) == response
         assert len(payload) == 4 + len(pkg.encode()) + 8 + (4 + 64) + (4 + 64)
+
+
+class TestWireDoc:
+    def test_docs_wire_md_is_what_the_table_generates(self):
+        """``python -m repro.net.wiredoc > docs/wire.md`` after changing a layout."""
+        assert (REPO / "docs" / "wire.md").read_text() == wiredoc.generate()
+
+    def test_the_constants_are_printed_not_typed(self):
+        doc = wiredoc.generate()
+        assert f"≤ {MAX_WIRE_MESSAGE_BYTES // 2**20} MiB" in doc
+        assert f"| {frames_module.FRAME.fixed_size} + " in doc
+        assert "mailbox_count`" in doc and "· `mailbox_count`" not in doc  # a field, not a method
+
+    def test_frame_overhead_is_the_declarations_fixed_size(self):
+        frame = Frame(KIND_REQUEST, 1, "a@x", "entry", "submit", b"")
+        assert frames_module.frame_overhead("a@x", "entry", "submit") == len(frame.to_bytes())
