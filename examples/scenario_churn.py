@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.bench.reporting import format_table
 from repro.net.links import LinkSpec
+from repro.obs.record import round_table
 from repro.sim import run_scenario
 
 
@@ -25,7 +26,7 @@ def main() -> None:
         seed="churn-example",
     )
 
-    headers, rows = result.table()
+    headers, rows = round_table([stats.to_dict() for stats in result.rounds])
     print(format_table(headers, rows, title="client_churn: 80 clients, 25% offline per round"))
     print()
     requests = result.friend_requests

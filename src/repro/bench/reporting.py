@@ -7,13 +7,57 @@ self-describing envelope, so two runs can be diffed without the code.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import subprocess
 from pathlib import Path
 
-#: Version of the ``BENCH_<name>.json`` envelope.
-SCHEMA = 2
+#: Version of the ``BENCH_<name>.json`` envelope and of the run record inside
+#: it (3: a run is one record -- ``metrics`` is gone, an infinite epsilon is
+#: the string ``"inf"``, ``run --json`` writes the envelope).
+SCHEMA = 3
+
+
+def dumps(value, **kwargs) -> str:
+    """The one JSON writer: RFC 8259 only.  An infinite epsilon (a round at
+    ``b = 0``; the ``unprotected`` flag beside it is the marker) is written as
+    the string ``"inf"``; any other non-finite float raises."""
+
+    def finite(item):
+        if isinstance(item, float) and item == math.inf:
+            return "inf"
+        if isinstance(item, dict):
+            return {key: finite(entry) for key, entry in item.items()}
+        if isinstance(item, (list, tuple)):
+            return [finite(entry) for entry in item]
+        return item
+
+    return json.dumps(finite(value), allow_nan=False, **kwargs)
+
+
+def read_json_report(path: str | Path) -> dict:
+    """Read what :func:`dumps` wrote: strict JSON, with ``"inf"`` under an
+    ``epsilon*`` key read back as ``math.inf``."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+    def infinite(value):
+        return math.inf if value == "inf" else value
+
+    def restore(pairs):
+        record = dict(pairs)
+        for key, value in record.items():
+            if "epsilon" in key:
+                record[key] = (
+                    [infinite(entry) for entry in value] if isinstance(value, list) else infinite(value)
+                )
+        return record
+
+    return json.loads(
+        Path(path).read_text(encoding="utf-8"), parse_constant=reject, object_pairs_hook=restore
+    )
 
 
 def format_table(headers: list[str], rows: list[list], title: str | None = None) -> str:
@@ -80,22 +124,26 @@ def environment() -> dict:
     }
 
 
-def write_json_report(name: str, data, **header) -> Path:
-    """Write ``BENCH_<name>.json``: ``data`` inside the one envelope.
+def write_json_report(name: str, data, path: str | Path | None = None, **header) -> Path:
+    """Write ``data`` inside the one envelope, to ``path`` or (by default) to
+    ``BENCH_<name>.json`` in :func:`results_dir`.
 
     ``data`` is any JSON-serializable value (benchmarks pass
-    ``{"headers": [...], "rows": [...]}``, an experiment passes its sections);
-    ``header`` adds envelope keys beside it (an experiment's ``seed`` and
-    resolved ``axes``).  Returns the path written.
+    ``{"headers": [...], "rows": [...]}``, an experiment passes its sections,
+    a scenario run its record); ``header`` adds envelope keys beside it (an
+    experiment's ``seed`` and resolved ``axes``, a run's ``seed`` and
+    ``spec``).  Returns the path written.
     """
-    target_dir = results_dir()
-    target_dir.mkdir(parents=True, exist_ok=True)
-    path = target_dir / f"BENCH_{name}.json"
+    if path is None:
+        target_dir = results_dir()
+        target_dir.mkdir(parents=True, exist_ok=True)
+        path = target_dir / f"BENCH_{name}.json"
     envelope = {
         "name": name, "schema": SCHEMA, **header,
         "environment": environment(), "data": data,
     }
-    path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.write_text(dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 

@@ -82,8 +82,8 @@ class Deployment:
         from repro.obs.trace import active_tracer
 
         self.crypto = get_backend(self.config.crypto_backend)
-        # Under an active tracer (python -m repro.sim --trace) the engine is
-        # wrapped so every op feeds wall-clock attribution and batch calls
+        # Under an active tracer (``repro.sim run SCENARIO --trace PATH``) the
+        # engine is wrapped so every op feeds wall-clock attribution and batch calls
         # become trace spans; the tracer's simulated clock is this
         # deployment's transport clock from here on.  Untraced runs skip
         # both, keeping the crypto hot path at zero overhead.

@@ -484,6 +484,16 @@ class SimulatedNetwork(Transport):
     def now(self) -> float:
         return self.scheduler.now
 
+    def snapshot(self) -> dict:
+        scheduler = self.scheduler
+        return {
+            "heap_size": scheduler.max_heap_size,
+            "slot_events": scheduler.slot_events,
+            "slotted_items": scheduler.slotted_items,
+            "events_processed": scheduler.events_processed,
+            "frames_in_flight_peak": self.frames_in_flight_peak,
+        }
+
     def advance(self, seconds: float) -> None:
         self.scheduler.advance(seconds)
 

@@ -351,6 +351,12 @@ class Transport(ABC):
     def advance(self, seconds: float) -> None:
         """Move the clock forward (e.g. the gap between scheduled rounds)."""
 
+    def snapshot(self) -> dict:
+        """The transport's own live gauges, for a run record's ``net`` section
+        (the simulated network: scheduler counters; the real runtimes:
+        per-endpoint queue/connection gauges).  The base has none."""
+        return {}
+
     def close(self) -> None:
         """Release transport-held resources (sockets, loops, workers).
 

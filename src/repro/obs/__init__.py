@@ -1,48 +1,48 @@
-"""repro.obs: the unified observability layer (tracing, metrics, dashboard).
+"""repro.obs: the observability layer -- one run record and its views.
 
-Three concerns, one package, threaded through every tier:
+A scenario run is one self-describing record (``ScenarioResult`` /
+``RoundStats``, written by ``run --json`` inside the ``BENCH_*.json``
+envelope); everything here either fills it or renders it:
 
 * :mod:`repro.obs.trace` -- per-stage round tracing.  A :class:`Tracer`
   records spans over *two* clocks (the deployment's simulated clock and the
-  host's wall clock) and exports them as JSONL plus Chrome/Perfetto
-  ``trace_event`` JSON, so a scenario round renders as a flame chart and
-  wall time is attributable to transport vs crypto vs plain Python churn.
-* :mod:`repro.obs.metrics` -- a lightweight counter/gauge/histogram
-  registry that subsumes the harness's ad-hoc accounting
-  (``TransportStats``, shard loads, outbox depth, per-op crypto timings)
-  into one snapshot that lands in ``ScenarioResult`` and ``BENCH_*.json``.
-* :mod:`repro.obs.dashboard` -- a stdlib-only live dashboard
-  (``http.server`` + Server-Sent Events) streaming round/stage/shard stats
-  and EventBus activity to a single-file web UI with run/pause/step.
+  host's wall clock), folds them into the stage x category self-time report
+  and per-op crypto cost of the record's ``trace`` section, and exports them
+  as JSONL plus Chrome/Perfetto ``trace_event`` JSON, so a scenario round
+  renders as a flame chart.
 * :mod:`repro.obs.distributed` -- the cross-process pieces for the real
   runtimes: the trace-context trailer RPCs carry on the wire, ping-based
-  clock alignment for spawned workers, the worker telemetry payload, and
-  per-endpoint runtime attribution (network / queue / handler / crypto).
+  clock alignment for spawned workers, the worker telemetry payload (spans
+  and RSS), and per-endpoint runtime attribution (network / queue / handler
+  / crypto) from the spans the workers ship.
+* :mod:`repro.obs.privacy` -- the (epsilon, delta) ledger the scenario driver
+  feeds one row per round, the record's ``privacy`` section, and the passive
+  observer of the audit.
+* :mod:`repro.obs.record` -- the record read back: ``validate`` (one schema,
+  privacy invariants, trace coverage) and ``explain`` (the run's printed
+  summary, offline).
+* :mod:`repro.obs.logging` and :mod:`repro.obs.dashboard` -- the live views:
+  a structured stderr log stream and a stdlib-only dashboard (``http.server``
+  + Server-Sent Events, run/pause/step), both functions of the
+  ``RoundStats``/``ScenarioResult`` handed over ``Scenario.monitors``.
 
 The tracer follows the crypto engine's activation pattern: a process-wide
 active tracer (:func:`active_tracer`) that defaults to a no-op
 :class:`NullTracer`, so instrumented hot paths cost one attribute check
-when tracing is off.  ``python -m repro.sim --trace PATH`` enables it for a
-scenario run; ``python -m repro.obs validate PATH`` checks an emitted trace
-against the trace-event schema (CI does both).
+when tracing is off.  ``python -m repro.sim run SCENARIO --trace PATH``
+enables it for a scenario run; ``python -m repro.obs validate PATH...``
+checks the record and the emitted trace (CI does both).
 """
 
 from repro.obs.distributed import (
     TraceContext,
     WorkerTelemetry,
     estimate_clock_offset,
-    merge_worker_metrics,
     runtime_attribution,
 )
 from repro.obs.logging import configure_logging, configured_level, get_logger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.privacy import (
-    PassiveObserver,
-    PrivacyLedger,
-    PrivacyLedgerMonitor,
-    validate_privacy_file,
-    validate_privacy_report,
-)
+from repro.obs.privacy import PassiveObserver, PrivacyLedger
+from repro.obs.record import render, validate_record
 from repro.obs.trace import (
     NullTracer,
     Span,
@@ -51,18 +51,12 @@ from repro.obs.trace import (
     propagation_coverage,
     set_active_tracer,
     validate_trace_events,
-    validate_trace_file,
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NullTracer",
     "PassiveObserver",
     "PrivacyLedger",
-    "PrivacyLedgerMonitor",
     "Span",
     "TraceContext",
     "Tracer",
@@ -72,12 +66,10 @@ __all__ = [
     "configured_level",
     "estimate_clock_offset",
     "get_logger",
-    "merge_worker_metrics",
     "propagation_coverage",
+    "render",
     "runtime_attribution",
     "set_active_tracer",
-    "validate_privacy_file",
-    "validate_privacy_report",
+    "validate_record",
     "validate_trace_events",
-    "validate_trace_file",
 ]

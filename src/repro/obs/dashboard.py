@@ -1,8 +1,8 @@
 """The live scenario dashboard: stdlib ``http.server`` + Server-Sent Events.
 
-``python -m repro.sim --dashboard PORT`` starts a :class:`DashboardServer`
-in a background thread and attaches a :class:`DashboardMonitor` to the
-scenario.  The server exposes:
+``python -m repro.sim run SCENARIO --dashboard PORT`` starts a
+:class:`DashboardServer` in a background thread and attaches a
+:class:`DashboardMonitor` to the scenario.  The server exposes:
 
 * ``/`` -- a single-file web UI (no external assets) that connects an
   ``EventSource`` to ``/events`` and renders live round/stage/shard stats,
@@ -22,7 +22,6 @@ condition variable for the gate, per-subscriber queues for fan-out.
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 from collections import deque
@@ -30,6 +29,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
+from repro.analysis.dp import distinguishing_advantage
+from repro.bench.reporting import dumps
 from repro.obs.logging import get_logger
 
 __all__ = ["DashboardMonitor", "DashboardServer"]
@@ -194,7 +195,7 @@ class _DashboardHandler(BaseHTTPRequestHandler):
         self.dashboard.log.debug("http %s", format % args)
 
     def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -259,7 +260,7 @@ class _DashboardHandler(BaseHTTPRequestHandler):
             self.dashboard.unsubscribe(subscriber)
 
     def _write_event(self, event: dict) -> None:
-        payload = json.dumps(event)
+        payload = dumps(event)
         self.wfile.write(
             f"id: {event['seq']}\nevent: {event['type']}\ndata: {payload}\n\n".encode("utf-8")
         )
@@ -269,21 +270,22 @@ class _DashboardHandler(BaseHTTPRequestHandler):
 class DashboardMonitor:
     """The scenario monitor feeding a :class:`DashboardServer`.
 
-    Attached via ``Scenario.monitors``; publishes scenario lifecycle,
-    per-round stats (with the new stage split), per-shard loads, and
-    EventBus activity counts, and holds each round at the server's
-    run/pause/step gate.
+    Attached via ``Scenario.monitors``; a view of the run record: it publishes
+    the spec, each round's :class:`~repro.sim.scenario.RoundStats` (the stage
+    split, session-event counts, shard loads, transport gauges, the privacy
+    ledger row) and the finished result, reading nothing but what it is
+    handed, and holds each round at the server's run/pause/step gate.
     """
 
     def __init__(self, server: DashboardServer, paused: bool = False) -> None:
         self.server = server
-        self._event_counts: dict[str, int] = {}
+        self._runtime = "sim"
         if paused:
             server.request("pause")
 
     # -- scenario monitor hooks --------------------------------------------
     def on_start(self, deployment, net, spec) -> None:
-        deployment.sessions.add_tap(self._count_event)
+        self._runtime = spec.runtime
         self.server.publish(
             "scenario_started",
             name=spec.name,
@@ -292,7 +294,7 @@ class DashboardMonitor:
             dialing_rounds=spec.dialing_rounds,
             mix_servers=spec.num_mix_servers,
             entry_shards=spec.entry_shards,
-            crypto_backend=deployment.crypto.name,
+            crypto_backend=spec.crypto_backend,
             pipelined=spec.pipelined,
             fidelity=spec.fidelity,
         )
@@ -304,32 +306,35 @@ class DashboardMonitor:
         )
 
     def on_round(self, stats, deployment) -> None:
-        self.server.publish("round", clock=deployment.clock, **stats.to_dict())
-        if self._event_counts:
-            self.server.publish("events", **self._event_counts)
-        cluster = getattr(deployment, "cluster", None)
-        if cluster is not None:
-            report = cluster.load_report()
+        self.server.publish("round", clock=stats.clock, **stats.to_dict())
+        if stats.events:
+            self.server.publish("events", **stats.events)
+        if stats.shards:
+            self.server.publish("shards", **stats.shards)
+        if stats.net:
+            # The simulated network's scheduler gauges, or a real runtime's
+            # per-endpoint executor/connection/in-flight gauges (and worker
+            # RSS under mp) for the Runtime panel.
+            if self._runtime == "sim":
+                self.server.publish("net", **stats.net)
+            else:
+                self.server.publish("runtime", endpoints=stats.net)
+        row = stats.privacy
+        if row:
+            observed = row["observed_messages"]
             self.server.publish(
-                "shards",
-                submissions_by_shard=report["submissions_by_shard"],
-                imbalance=report["imbalance"],
+                "privacy",
+                protocol=stats.protocol,
+                round=stats.round_number,
+                epsilon=row["epsilon_cumulative"],
+                delta=row["delta"],
+                epsilon_round=row["epsilon_round"],
+                noise_added=row["noise_added"],
+                per_server_noise=row["per_server_noise"],
+                noise_fraction=round(row["noise_added"] / observed, 4) if observed else 0.0,
+                advantage_bound=distinguishing_advantage(row["epsilon_cumulative"]),
+                per_shard_noise=row["per_shard_noise"],
             )
-        transport = getattr(deployment, "transport", None)
-        scheduler = getattr(transport, "scheduler", None)
-        if scheduler is not None:
-            self.server.publish(
-                "net",
-                heap_size=scheduler.max_heap_size,
-                slot_events=scheduler.slot_events,
-                slotted_items=scheduler.slotted_items,
-                frames_in_flight_peak=transport.frames_in_flight_peak,
-            )
-        # Real runtimes: per-endpoint executor/connection/in-flight gauges
-        # (and worker RSS under mp) for the Runtime panel.
-        snapshot = getattr(transport, "runtime_snapshot", None)
-        if snapshot is not None:
-            self.server.publish("runtime", endpoints=snapshot())
 
     def on_finish(self, result) -> None:
         self.server.publish(
@@ -342,9 +347,6 @@ class DashboardMonitor:
             total_bytes_sent=result.total_bytes_sent,
             wall_seconds=round(result.wall_seconds, 3),
         )
-
-    def _count_event(self, event) -> None:
-        self._event_counts[event.type] = self._event_counts.get(event.type, 0) + 1
 
 
 _PAGE = """<!doctype html>
@@ -457,7 +459,8 @@ _PAGE = """<!doctype html>
     $('privacy').className = '';
     $('privacy').innerHTML = Object.keys(privacyState).sort().map(p => {
       const s = privacyState[p];
-      const gauge = Math.min(140, 140 * s.epsilon / Math.max(s.epsilon, 5));
+      const eps = s.epsilon === 'inf' ? Infinity : s.epsilon;  // b = 0: unprotected
+      const gauge = eps === Infinity ? 140 : Math.min(140, 140 * eps / Math.max(eps, 5));
       const noiseBars = (s.per_server_noise || []).map((n, i) =>
         'mix' + i + ' <span class="bar" style="width:'
         + Math.min(120, n) + 'px"></span> ' + n).join(' \\u00b7 ');
@@ -467,7 +470,7 @@ _PAGE = """<!doctype html>
         : '';
       return '<div style="margin-bottom:.5em"><b>' + p + '</b> round ' + s.round
         + ' \\u00b7 \\u03b5 <span class="bar" style="width:' + gauge + 'px"></span> '
-        + s.epsilon.toFixed(3) + ' (\\u03b4=' + s.delta + ', bound '
+        + (eps === Infinity ? '\\u221e' : eps.toFixed(3)) + ' (\\u03b4=' + s.delta + ', bound '
         + s.advantage_bound.toFixed(3) + ')'
         + '<br>noise fraction ' + (100 * s.noise_fraction).toFixed(1)
         + '% \\u00b7 ' + noiseBars + shardBars + '</div>';

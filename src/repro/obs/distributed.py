@@ -15,13 +15,12 @@ pieces that bridge them, in the spirit of Dapper-style context propagation:
   each worker a few times at the port-map handshake; the minimum-RTT sample
   gives the least-skewed midpoint estimate (classic NTP-style reasoning).
 * :class:`WorkerTelemetry` — the payload a worker's ``collect_telemetry``
-  control RPC ships back: drained spans, a metrics snapshot, and process
-  vitals (RSS).  :func:`merge_worker_metrics` folds the snapshot into the
-  coordinator registry under the ``endpoint.<name>.`` prefix.
+  control RPC ships back: drained spans and process vitals (RSS).
 * :func:`runtime_attribution` — per-endpoint wall buckets
   (network / queue-wait / handler / crypto) computed from the merged
-  ``rpc.call`` / ``rpc.serve`` span pairs; lands in ``BENCH_trace.json``
-  for real-runtime traced runs.
+  ``rpc.call`` / ``rpc.serve`` span pairs; :func:`trace_section` puts it,
+  with the tracer's own report and the stage coverage, in a traced run
+  record's ``trace`` section.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from ..utils.serialization import F64, U64, Message, Str
-from .metrics import MetricsRegistry
-from .trace import Tracer
+from .trace import Tracer, propagation_coverage
 
 __all__ = [
     "PING_REPLY",
@@ -41,10 +39,10 @@ __all__ = [
     "TraceContext",
     "WorkerTelemetry",
     "estimate_clock_offset",
-    "merge_worker_metrics",
     "ping_reply",
     "rss_bytes",
     "runtime_attribution",
+    "trace_section",
 ]
 
 
@@ -121,7 +119,6 @@ class WorkerTelemetry:
     label: str
     endpoints: list[str]
     spans: list[dict[str, Any]]
-    metrics: dict[str, Any]
     rss: int = 0
 
     def to_payload(self) -> dict[str, Any]:
@@ -130,7 +127,6 @@ class WorkerTelemetry:
             "label": self.label,
             "endpoints": self.endpoints,
             "spans": self.spans,
-            "metrics": self.metrics,
             "rss": self.rss,
         }
 
@@ -141,19 +137,8 @@ class WorkerTelemetry:
             label=str(payload.get("label", "")),
             endpoints=list(payload.get("endpoints", [])),
             spans=list(payload.get("spans", [])),
-            metrics=dict(payload.get("metrics", {})),
             rss=int(payload.get("rss", 0)),
         )
-
-
-def merge_worker_metrics(registry: MetricsRegistry, telemetry: WorkerTelemetry) -> None:
-    """Fold a worker snapshot into the coordinator registry.
-
-    Worker metric names already lead with the endpoint name
-    (``mix0.rpcs``, ...), so the fixed ``endpoint.`` prefix yields the
-    documented ``endpoint.<name>.<metric>`` namespace.
-    """
-    registry.merge_snapshot(telemetry.metrics, prefix="endpoint.")
 
 
 # ----------------------------------------------------------------------
@@ -225,3 +210,26 @@ def runtime_attribution(tracer: Tracer) -> dict[str, dict[str, float]]:
         for key in ("network_s", "queue_s", "handler_s", "crypto_s"):
             entry[key] = round(entry[key], 6)
     return dict(sorted(buckets.items()))
+
+
+def trace_section(tracer: Tracer, round_latency_s: float) -> dict[str, Any]:
+    """A traced run record's ``trace`` section.
+
+    The tracer's report (stage totals, stage x category self time, per-op
+    crypto cost), ``coverage`` (the stage spans' simulated durations against
+    the measured round latency; 1.0 when they tile it) and, on the real
+    runtimes, the per-endpoint ``runtime`` attribution plus ``propagation``
+    (how many ``rpc.serve`` spans resolved a remote parent).
+    """
+    section = tracer.report()
+    stage_sim = sum(stage["sim_s"] for stage in section["stages"].values())
+    section["coverage"] = {
+        "stage_sim_s": stage_sim,
+        "round_latency_s": round_latency_s,
+        "fraction": (stage_sim / round_latency_s) if round_latency_s else 1.0,
+    }
+    runtime = runtime_attribution(tracer)
+    if runtime:
+        section["runtime"] = runtime
+        section["propagation"] = propagation_coverage(tracer.to_trace_events())
+    return section

@@ -5,8 +5,8 @@ CryptoBackend` and reports to the active tracer: batch calls (the mix peel's
 ``open_many``, noise generation's ``seal_many``, ...) become *kept* spans
 with item counts, single-item ops feed wall-clock attribution only (they run
 thousands of times per round; keeping a span each would swamp the trace).
-Per-op call/item/wall totals accumulate in :attr:`op_stats` for the metrics
-snapshot.
+The tracer folds every crypto span into per-op call/item/wall totals
+(``Tracer.report()["crypto_ops"]``).
 
 ``Deployment`` installs the wrapper only when the active tracer is enabled,
 so untraced runs pay nothing on the crypto hot path.
@@ -19,33 +19,7 @@ from typing import Any, Sequence
 from repro.crypto.engine import CryptoBackend, KeypairExchange, OpenItem, SealItem, SecretItem
 from repro.obs.trace import CATEGORY_CRYPTO, active_tracer
 
-__all__ = ["CryptoOpStats", "InstrumentedCryptoBackend"]
-
-
-class CryptoOpStats:
-    """Per-operation call/item/wall-seconds accumulators."""
-
-    __slots__ = ("calls", "items", "wall_s")
-
-    def __init__(self) -> None:
-        self.calls: dict[str, int] = {}
-        self.items: dict[str, int] = {}
-        self.wall_s: dict[str, float] = {}
-
-    def record(self, op: str, items: int, wall: float) -> None:
-        self.calls[op] = self.calls.get(op, 0) + 1
-        self.items[op] = self.items.get(op, 0) + items
-        self.wall_s[op] = self.wall_s.get(op, 0.0) + wall
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        return {
-            op: {
-                "calls": self.calls[op],
-                "items": self.items[op],
-                "wall_s": round(self.wall_s[op], 6),
-            }
-            for op in sorted(self.calls)
-        }
+__all__ = ["InstrumentedCryptoBackend"]
 
 
 class InstrumentedCryptoBackend(CryptoBackend):
@@ -54,7 +28,6 @@ class InstrumentedCryptoBackend(CryptoBackend):
     def __init__(self, inner: CryptoBackend) -> None:
         self.inner = inner
         self.name = inner.name
-        self.op_stats = CryptoOpStats()
 
     def __repr__(self) -> str:
         return f"<InstrumentedCryptoBackend over {self.inner!r}>"
@@ -67,7 +40,6 @@ class InstrumentedCryptoBackend(CryptoBackend):
             return func(*args)
         finally:
             tracer.end(span)
-            self.op_stats.record(op, 1, span.wall_end - span.wall_start)
 
     def shared_secret(self, private_key: bytes, peer_public_key: bytes) -> bytes:
         return self._single("shared_secret", self.inner.shared_secret, private_key, peer_public_key)
@@ -108,7 +80,6 @@ class InstrumentedCryptoBackend(CryptoBackend):
             return func(items)
         finally:
             tracer.end(span)
-            self.op_stats.record(op, len(items), span.wall_end - span.wall_start)
 
     def seal_many(self, items: Sequence[SealItem]) -> list[bytes]:
         return self._batch("seal_many", self.inner.seal_many, items)

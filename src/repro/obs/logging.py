@@ -1,12 +1,12 @@
 """Structured stderr logging for the scenario harness.
 
-``python -m repro.sim --log-level LEVEL`` routes harness output through
-here instead of scattered ``print``\\ s: one ``repro`` logger hierarchy, a
-single stderr handler, and ``key=value`` structured suffixes built by
-:func:`log_fields`.  :class:`EventLogMonitor` is a scenario monitor that
-logs round results at INFO and every session :class:`~repro.api.events.
-SessionEvent` at DEBUG (via :meth:`~repro.api.session.SessionRegistry.
-add_tap`).
+``python -m repro.sim run SCENARIO --log-level LEVEL`` routes harness output
+through here instead of scattered ``print``\\ s: one ``repro`` logger
+hierarchy, a single stderr handler, and ``key=value`` structured suffixes
+built by :func:`log_fields`.  :class:`EventLogMonitor` is a view of the run
+record on the scenario's monitor seam: it logs each round's
+:class:`~repro.sim.scenario.RoundStats` at INFO and every session
+:class:`~repro.api.events.SessionEvent` at DEBUG, from what it is handed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = ["EventLogMonitor", "configure_logging", "configured_level", "get_logg
 
 ROOT_LOGGER = "repro"
 
-_configured = False
 _configured_level: str | None = None
 
 
@@ -37,7 +36,7 @@ def configure_logging(
     ``process=<name>`` field — spawned runtime workers set it to their
     worker label so interleaved multi-process stderr stays attributable.
     """
-    global _configured, _configured_level
+    global _configured_level
     numeric = logging.getLevelName(level.upper())
     if not isinstance(numeric, int):
         raise ValueError(f"unknown log level {level!r}")
@@ -55,13 +54,8 @@ def configure_logging(
         )
     )
     root.addHandler(handler)
-    _configured = True
     _configured_level = level.lower()
     return root
-
-
-def logging_configured() -> bool:
-    return _configured
 
 
 def configured_level() -> str | None:
@@ -87,7 +81,7 @@ def progress_printer():
     """Where ``python -m repro.sim sweep`` sends its progress lines: the
     ``repro.sim`` logger when ``--log-level`` configured one, else plain
     ``print``."""
-    if _configured:
+    if _configured_level:
         logger = get_logger("sim")
         return lambda message: logger.info(message)
     return print
@@ -108,12 +102,10 @@ class EventLogMonitor:
                 clients=spec.num_clients,
                 addfriend_rounds=spec.addfriend_rounds,
                 dialing_rounds=spec.dialing_rounds,
-                crypto=deployment.crypto.name,
+                crypto=spec.crypto_backend,
                 shards=spec.entry_shards or None,
             ),
         )
-        if self.log.isEnabledFor(logging.DEBUG):
-            deployment.sessions.add_tap(self._log_event)
 
     def before_round(self, deployment, protocol: str, round_index: int) -> None:
         self.log.debug("round starting %s", log_fields(protocol=protocol, index=round_index))
@@ -135,20 +127,10 @@ class EventLogMonitor:
             ),
         )
         # Deliveries may arrive as per-(link, slot) batches rather than one
-        # event per frame; report the scheduler-level aggregates instead of
+        # event per frame; report the transport's own aggregates instead of
         # assuming frame granularity.
-        transport = getattr(deployment, "transport", None)
-        scheduler = getattr(transport, "scheduler", None)
-        if scheduler is not None and self.log.isEnabledFor(logging.DEBUG):
-            self.log.debug(
-                "net %s",
-                log_fields(
-                    heap_size=scheduler.max_heap_size,
-                    slot_events=scheduler.slot_events,
-                    slotted_items=scheduler.slotted_items,
-                    frames_peak=transport.frames_in_flight_peak,
-                ),
-            )
+        if stats.net and self.log.isEnabledFor(logging.DEBUG):
+            self.log.debug("net %s", log_fields(**stats.net))
 
     def on_finish(self, result) -> None:
         self.log.info(
@@ -164,7 +146,9 @@ class EventLogMonitor:
             ),
         )
 
-    def _log_event(self, event) -> None:
+    def on_event(self, event) -> None:
+        if not self.log.isEnabledFor(logging.DEBUG):
+            return
         self.log.debug(
             "event %s",
             log_fields(

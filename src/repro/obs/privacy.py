@@ -1,7 +1,6 @@
 """Privacy observability: the live (epsilon, delta) ledger and the passive audit.
 
-The third observability domain beside tracing and metrics.  Alpenhorn's
-guarantee is about what the *observable* metadata leaks -- the noisy mailbox
+Alpenhorn's guarantee is about what the *observable* metadata leaks -- the noisy mailbox
 counts published every round (§6, §8.1) -- yet time/bytes observability says
 nothing about it.  This module connects :mod:`repro.analysis.dp` to what a
 run actually emits:
@@ -12,23 +11,23 @@ run actually emits:
   spend per protocol through :class:`~repro.analysis.dp.PrivacyAccountant`
   (advanced composition).  The cumulative epsilon after ``k`` rounds at
   scale ``b`` equals ``analysis.dp.privacy_cost(k, b)`` to the last float.
-* :class:`PrivacyLedgerMonitor` -- the scenario monitor that feeds the
-  ledger, tracks per-client action budgets (the §8.1 add-friend/dialing
-  budgets) through the sessions' EventBus-fed counters, checks the
+* :func:`run_report` -- a scenario run's ``privacy`` section: the ledger the
+  driver fed one row per round, per-client action budgets (the §8.1
+  add-friend/dialing budgets, from the sessions' EventBus-fed counters), the
+  noise-traffic share, per-shard expected noise, and the check of the
   configured noise against a stated ``ScenarioSpec.privacy_budget``
-  (warn-and-record, never hard-fail: adversarial scenarios deliberately
-  under-noise), and optionally streams ``privacy`` events to the live
-  dashboard.
+  (:func:`budget_consistency`; warn-and-record, never hard-fail: adversarial
+  scenarios deliberately under-noise).
 * :class:`PassiveObserver` -- a monitor that sees only what a network tap
   sees: per-endpoint frame/byte counts from ``TransportStats`` plus the
   published noisy mailbox counts.  The paired-scenario audit harness
   (:mod:`repro.sim.privacy_sweep`) runs it over "target acts" vs "target
   idle" trials and compares the empirical distinguishing advantage against
   the analytic bound ``(e^eps - 1)/(e^eps + 1)``.
-* :func:`validate_privacy_report` -- schema checks for ``BENCH_privacy.json``
-  (epsilon monotone, noise nonnegative, cumulative epsilon re-derivable,
-  empirical advantage within the bound), run by ``python -m repro.obs
-  validate``.
+* :func:`validate_ledger` / :func:`validate_audit` -- the privacy invariants
+  of a record (epsilon monotone, noise nonnegative, cumulative epsilon
+  re-derivable, empirical advantage within the bound), run by ``python -m
+  repro.obs validate``.
 
 Per-shard noise is reported as the *expected* uniform split of each round's
 total noise over the shard's mailbox range -- deliberately: the coordinator
@@ -38,35 +37,29 @@ server's noise (that split staying server-private is part of the design).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
+from dataclasses import dataclass
 
 from repro.analysis.dp import (
     ACTION_SENSITIVITY,
     PrivacyAccountant,
     PrivacyCost,
-    distinguishing_advantage,
     laplace_scale_for_budget,
     noise_floor_delta,
     per_round_epsilon,
     privacy_cost,
 )
-from repro.obs.logging import get_logger
 
 __all__ = [
     "PAPER_ACTION_BUDGETS",
     "UNPROTECTED",
     "PassiveObserver",
     "PrivacyLedger",
-    "PrivacyLedgerMonitor",
     "PrivacyRoundRecord",
     "budget_consistency",
-    "is_privacy_report",
-    "validate_privacy_file",
-    "validate_privacy_report",
+    "run_report",
+    "validate_audit",
+    "validate_ledger",
 ]
 
 #: What the ledger says of a round run at ``b = 0`` (§8: "b = 0 to reduce
@@ -134,6 +127,10 @@ class PrivacyLedger:
         self.sensitivity = sensitivity
         self.records: list[PrivacyRoundRecord] = []
         self._accountants: dict[str, PrivacyAccountant] = {}
+        #: protocol -> per shard: expected noise, published messages (sharded
+        #: runs only).
+        self._shard_noise: dict[str, list[float]] = {}
+        self._shard_observed: dict[str, list[int]] = {}
 
     def accountant(self, protocol: str) -> PrivacyAccountant:
         accountant = self._accountants.get(protocol)
@@ -152,8 +149,15 @@ class PrivacyLedger:
         per_server_noise: list[int],
         mailbox_counts: list[int],
         delivered_real: int = 0,
+        shard_ranges=(),
     ) -> PrivacyRoundRecord:
-        """Account one published round; returns the ledger row appended."""
+        """Account one published round; returns the ledger row appended.
+
+        ``shard_ranges`` is the round's shard directory ranges on a sharded
+        run: the round's noise is then also split per shard, as the *expected*
+        uniform share of each shard's mailbox range (the exact split stays
+        server-private by design), beside the observed per-shard counts.
+        """
         if any(noise < 0 for noise in per_server_noise):
             raise ValueError("per-server noise counts cannot be negative")
         spend = self.accountant(protocol).record(laplace_scale)
@@ -171,7 +175,26 @@ class PrivacyLedger:
             delta=spend.delta,
         )
         self.records.append(record)
+        if shard_ranges:
+            noise = self._shard_noise.setdefault(protocol, [0.0] * len(shard_ranges))
+            observed = self._shard_observed.setdefault(protocol, [0] * len(shard_ranges))
+            total_mailboxes = max(1, len(mailbox_counts))
+            for index, shard in enumerate(shard_ranges):
+                observed[index] += sum(mailbox_counts[shard.lo : shard.hi])
+                noise[index] += record.noise_added * shard.width() / total_mailboxes
         return record
+
+    def expected_noise_by_shard(self, protocol: str) -> list[float]:
+        return list(self._shard_noise.get(protocol, []))
+
+    def per_shard_report(self) -> dict:
+        return {
+            protocol: {
+                "expected_noise_by_shard": [round(x, 2) for x in noise],
+                "observed_by_shard": list(self._shard_observed[protocol]),
+            }
+            for protocol, noise in sorted(self._shard_noise.items())
+        }
 
     def spend(self, protocol: str) -> PrivacyCost:
         return self.accountant(protocol).spend()
@@ -251,185 +274,74 @@ def budget_consistency(
     }
 
 
-class PrivacyLedgerMonitor:
-    """The scenario monitor feeding a :class:`PrivacyLedger`.
-
-    Attached to every :class:`~repro.sim.scenario.Scenario` (the ledger is
-    cheap: a handful of floats per round).  Beyond the per-round records it
-    tracks per-client action budgets through ``ClientSession.action_counts``
-    (fed by the sessions' EventBus ``request_submitted`` / ``call_placed``
-    flow), evaluates the ``privacy_budget`` consistency check at start, and
-    publishes ``privacy`` events to a live dashboard when one is attached
-    (``server``).
-    """
-
-    def __init__(
-        self,
-        delta: float = 1e-4,
-        budgets: dict[str, int] | None = None,
-        server=None,
-    ) -> None:
-        self.ledger = PrivacyLedger(delta=delta)
-        self.budgets = dict(budgets) if budgets is not None else dict(PAPER_ACTION_BUDGETS)
-        self.server = server
-        self.budget_check: dict | None = None
-        self.log = get_logger("privacy")
-        self._deployment = None
-        self._net = None
-        self._spec = None
-        self._per_shard: dict[str, list[float]] = {}
-
-    # -- scenario monitor hooks --------------------------------------------
-    def on_start(self, deployment, net, spec) -> None:
-        self._deployment = deployment
-        self._net = net
-        self._spec = spec
-        protected = getattr(spec, "privacy_budget", None)
-        if protected:
-            noise = deployment.config.noise
-            mu, b = noise.parameters_for("add-friend")
-            self.budget_check = budget_consistency(
-                protected, b, mu, delta=self.ledger.delta
-            )
-            if not self.budget_check["consistent"]:
-                self.log.warning(
-                    "configured noise b=%.3f is below the b=%.3f the stated "
-                    "budget of %d actions prescribes (under-noised %.1fx); "
-                    "recording, not failing",
-                    b,
-                    self.budget_check["prescribed_b"],
-                    protected,
-                    self.budget_check["under_noised_factor"],
-                )
-
-    def on_round(self, stats, deployment) -> None:
-        if stats.aborted:
-            return  # an aborted round publishes no mailboxes: nothing observed
-        mu, b = deployment.config.noise.parameters_for(stats.protocol)
-        record = self.ledger.record_round(
-            protocol=stats.protocol,
-            round_number=stats.round_number,
-            laplace_scale=b,
-            noise_mu=mu,
-            per_server_noise=list(stats.per_server_noise),
-            mailbox_counts=list(stats.mailbox_counts),
-            delivered_real=stats.delivered_real,
-        )
-        self._accumulate_per_shard(record, deployment)
-        if self.server is not None:
-            spend = self.ledger.spend(stats.protocol)
-            observed = record.observed_messages
-            self.server.publish(
-                "privacy",
-                protocol=stats.protocol,
-                round=stats.round_number,
-                epsilon=spend.epsilon,
-                delta=spend.delta,
-                epsilon_round=record.epsilon_round,
-                noise_added=record.noise_added,
-                per_server_noise=record.per_server_noise,
-                noise_fraction=round(record.noise_added / observed, 4) if observed else 0.0,
-                advantage_bound=distinguishing_advantage(spend.epsilon),
-                per_shard_noise=self._per_shard.get(stats.protocol, []),
-            )
-
-    # -- per-shard observability (preps ROADMAP item 3) --------------------
-    def _accumulate_per_shard(self, record: PrivacyRoundRecord, deployment) -> None:
-        cluster = getattr(deployment, "cluster", None)
-        if cluster is None:
-            return
-        directory = cluster.directory_or_none(record.protocol, record.round_number)
-        if directory is None:
-            return
-        shard_count = directory.shard_count
-        noise = self._per_shard.setdefault(record.protocol, [0.0] * shard_count)
-        observed = self._per_shard.setdefault(
-            f"{record.protocol}/observed", [0.0] * shard_count
-        )
-        counts = record.mailbox_counts
-        total_mailboxes = max(1, len(counts))
-        for index, shard in enumerate(directory.ranges):
-            observed[index] += sum(counts[shard.lo : min(shard.hi, len(counts))])
-            # Expected uniform split of the round's noise over this shard's
-            # mailbox range; the exact split stays server-private by design.
-            noise[index] += record.noise_added * shard.width() / total_mailboxes
-
-    def per_shard_report(self) -> dict:
-        if not self._per_shard:
-            return {}
-        report: dict[str, dict] = {}
-        for protocol in sorted(k for k in self._per_shard if "/" not in k):
-            report[protocol] = {
-                "expected_noise_by_shard": [round(x, 2) for x in self._per_shard[protocol]],
-                "observed_by_shard": [
-                    int(x) for x in self._per_shard.get(f"{protocol}/observed", [])
-                ],
-            }
-        return report
-
-    # -- report assembly ----------------------------------------------------
-    def action_budget_report(self) -> dict:
-        """Per-client action spend vs the §8.1 lifetime budgets."""
-        report: dict[str, dict] = {}
-        sessions = getattr(self._deployment, "sessions", None)
-        counts_by_protocol: dict[str, list[int]] = {}
-        if sessions is not None:
-            for session in sessions:
-                for protocol, count in session.action_counts.items():
-                    counts_by_protocol.setdefault(protocol, []).append(count)
-        for protocol, budget in sorted(self.budgets.items()):
-            counts = counts_by_protocol.get(protocol, [])
-            spent_max = max(counts, default=0)
-            report[protocol] = {
-                "budget": budget,
-                "actions_total": sum(counts),
-                "actions_max_per_client": spent_max,
-                "budget_remaining_min": budget - spent_max,
-                "clients_over_budget": sum(1 for c in counts if c > budget),
-            }
-        return report
-
-    def noise_traffic_report(self) -> dict:
-        """Noise volume as a share of delivered messages and wire bytes.
-
-        The byte share is an estimate: noise envelopes are indistinguishable
-        on the wire (by design), so their bytes are attributed as
-        ``noise count x fixed body length`` per protocol -- a lower bound
-        that ignores per-hop onion overhead.
-        """
-        from repro.core.addfriend import addfriend_body_length
-        from repro.core.dialtoken import DIAL_TOKEN_SIZE
-
-        body_lengths = {"dialing": DIAL_TOKEN_SIZE}
-        config = getattr(self._deployment, "config", None)
-        if config is not None:
-            body_lengths["add-friend"] = addfriend_body_length(config.addfriend_request_size)
-        noise_bytes = 0
-        noise_total = 0
-        real_total = 0
-        for protocol, summary in self.ledger.protocol_summary().items():
-            noise_total += summary["noise_total"]
-            real_total += summary["delivered_real"]
-            noise_bytes += summary["noise_total"] * body_lengths.get(protocol, 0)
-        delivered = noise_total + real_total
-        bytes_sent = self._net.stats.bytes_sent if self._net is not None else 0
-        return {
-            "noise_envelopes": noise_total,
-            "real_envelopes": real_total,
-            "noise_fraction_of_delivered": round(noise_total / delivered, 6) if delivered else 0.0,
-            "noise_bytes_estimate": noise_bytes,
-            "total_bytes_sent": bytes_sent,
-            "noise_share_of_bytes": round(noise_bytes / bytes_sent, 6) if bytes_sent else 0.0,
+def action_budget_report(sessions, budgets: dict[str, int]) -> dict:
+    """Per-client action spend vs the §8.1 lifetime budgets."""
+    counts_by_protocol: dict[str, list[int]] = {}
+    for session in sessions:
+        for protocol, count in session.action_counts.items():
+            counts_by_protocol.setdefault(protocol, []).append(count)
+    report: dict[str, dict] = {}
+    for protocol, budget in sorted(budgets.items()):
+        counts = counts_by_protocol.get(protocol, [])
+        spent_max = max(counts, default=0)
+        report[protocol] = {
+            "budget": budget,
+            "actions_total": sum(counts),
+            "actions_max_per_client": spent_max,
+            "budget_remaining_min": budget - spent_max,
+            "clients_over_budget": sum(1 for c in counts if c > budget),
         }
+    return report
 
-    def report(self) -> dict:
-        """The full ledger report (the ``ledger`` half of BENCH_privacy)."""
-        report = self.ledger.report()
-        report["budget_check"] = self.budget_check
-        report["action_budgets"] = self.action_budget_report()
-        report["noise_traffic"] = self.noise_traffic_report()
-        report["per_shard"] = self.per_shard_report()
-        return report
+
+def noise_traffic_report(protocols: dict, addfriend_request_size: int, bytes_sent: int) -> dict:
+    """Noise volume as a share of delivered messages and wire bytes.
+
+    The byte share is an estimate: noise envelopes are indistinguishable
+    on the wire (by design), so their bytes are attributed as
+    ``noise count x fixed body length`` per protocol -- a lower bound
+    that ignores per-hop onion overhead.
+    """
+    from repro.core.addfriend import addfriend_body_length
+    from repro.core.dialtoken import DIAL_TOKEN_SIZE
+
+    body_lengths = {
+        "dialing": DIAL_TOKEN_SIZE,
+        "add-friend": addfriend_body_length(addfriend_request_size),
+    }
+    noise_total = sum(summary["noise_total"] for summary in protocols.values())
+    real_total = sum(summary["delivered_real"] for summary in protocols.values())
+    noise_bytes = sum(
+        summary["noise_total"] * body_lengths.get(protocol, 0)
+        for protocol, summary in protocols.items()
+    )
+    delivered = noise_total + real_total
+    return {
+        "noise_envelopes": noise_total,
+        "real_envelopes": real_total,
+        "noise_fraction_of_delivered": round(noise_total / delivered, 6) if delivered else 0.0,
+        "noise_bytes_estimate": noise_bytes,
+        "total_bytes_sent": bytes_sent,
+        "noise_share_of_bytes": round(noise_bytes / bytes_sent, 6) if bytes_sent else 0.0,
+    }
+
+
+def run_report(
+    ledger: PrivacyLedger,
+    sessions,
+    addfriend_request_size: int,
+    bytes_sent: int,
+    budget_check: dict | None = None,
+) -> dict:
+    """A scenario run's ``privacy`` section, from the ledger its driver fed."""
+    report = ledger.report()
+    report["budget_check"] = budget_check
+    report["action_budgets"] = action_budget_report(sessions, PAPER_ACTION_BUDGETS)
+    report["noise_traffic"] = noise_traffic_report(
+        report["protocols"], addfriend_request_size, bytes_sent
+    )
+    report["per_shard"] = ledger.per_shard_report()
+    return report
 
 
 class PassiveObserver:
@@ -498,36 +410,19 @@ class PassiveObserver:
 # --------------------------------------------------------------------------- #
 # Report validation (python -m repro.obs validate)
 # --------------------------------------------------------------------------- #
-def is_privacy_report(payload: Any) -> bool:
-    """Does this JSON look like a ``BENCH_privacy.json`` envelope?"""
-    return (
-        isinstance(payload, dict)
-        and payload.get("name") == "privacy"
-        and isinstance(payload.get("data"), dict)
-    )
-
-
-def validate_privacy_report(payload: Any) -> list[str]:
-    """Schema/invariant checks over a privacy report; returns problems.
+def validate_ledger(ledger: dict) -> list[str]:
+    """Invariant checks over a ledger report (a run record's ``privacy``
+    section, the privacy experiment's ``ledger``); returns problems.
 
     Checks: cumulative epsilon is monotone nondecreasing and re-derivable
     from :func:`~repro.analysis.dp.privacy_cost`, an infinite epsilon appears
-    only where the recorded scale is ``b = 0`` (and is flagged there), every
-    noise count is nonnegative, and every audit point's empirical advantage
-    respects the analytic bound.
+    only where the recorded scale is ``b = 0`` (and is flagged there), and
+    every noise count is nonnegative.
     """
     problems: list[str] = []
-    if not is_privacy_report(payload):
-        return ["not a privacy report: expected envelope {name: 'privacy', data: {...}}"]
-    data = payload["data"]
-    ledger = data.get("ledger")
-    if not isinstance(ledger, dict):
-        problems.append("missing ledger section")
-        ledger = {}
-
     delta = ledger.get("delta")
     if not isinstance(delta, (int, float)) or not 0 < delta < 1:
-        problems.append(f"ledger delta must be in (0, 1), got {delta!r}")
+        return [f"ledger delta must be in (0, 1), got {delta!r}"]
     sensitivity = ledger.get("sensitivity", ACTION_SENSITIVITY)
 
     for protocol, summary in (ledger.get("protocols") or {}).items():
@@ -578,42 +473,38 @@ def validate_privacy_report(payload: Any) -> list[str]:
                 f"ledger round {row.get('protocol')}/{row.get('round')}: "
                 "negative observed message count"
             )
-
-    audit = data.get("audit")
-    if audit is not None:
-        points = audit.get("points", [])
-        if not isinstance(points, list):
-            problems.append("audit.points must be a list")
-            points = []
-        within = True
-        for point in points:
-            label = f"audit point noise_scale={point.get('noise_scale')}"
-            bound = point.get("advantage_bound")
-            advantage = point.get("advantage")
-            if not isinstance(bound, (int, float)) or not 0 <= bound <= 1 + 1e-9:
-                problems.append(f"{label}: advantage bound {bound!r} outside [0, 1]")
-                continue
-            if not isinstance(advantage, (int, float)) or advantage < 0:
-                problems.append(f"{label}: bad empirical advantage {advantage!r}")
-                continue
-            if advantage > bound + 1e-9:
-                within = False
-                problems.append(
-                    f"{label}: empirical advantage {advantage:.4f} exceeds "
-                    f"the analytic bound {bound:.4f}"
-                )
-        if points and bool(audit.get("all_within_bound")) != within:
-            problems.append(
-                f"audit.all_within_bound says {audit.get('all_within_bound')} "
-                f"but the points say {within}"
-            )
     return problems
 
 
-def validate_privacy_file(path: str | Path) -> list[str]:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable privacy report: {exc}"]
-    return validate_privacy_report(payload)
+def validate_audit(audit: dict) -> list[str]:
+    """Every audit point's empirical advantage respects the analytic bound,
+    and ``all_within_bound`` says what the points say; returns problems."""
+    problems: list[str] = []
+    points = audit.get("points", [])
+    if not isinstance(points, list):
+        problems.append("audit.points must be a list")
+        points = []
+    within = True
+    for point in points:
+        label = f"audit point noise_scale={point.get('noise_scale')}"
+        bound = point.get("advantage_bound")
+        advantage = point.get("advantage")
+        if not isinstance(bound, (int, float)) or not 0 <= bound <= 1 + 1e-9:
+            problems.append(f"{label}: advantage bound {bound!r} outside [0, 1]")
+            continue
+        if not isinstance(advantage, (int, float)) or advantage < 0:
+            problems.append(f"{label}: bad empirical advantage {advantage!r}")
+            continue
+        if advantage > bound + 1e-9:
+            within = False
+            problems.append(
+                f"{label}: empirical advantage {advantage:.4f} exceeds "
+                f"the analytic bound {bound:.4f}"
+            )
+    if points and bool(audit.get("all_within_bound")) != within:
+        problems.append(
+            f"audit.all_within_bound says {audit.get('all_within_bound')} "
+            f"but the points say {within}"
+        )
+    return problems
+

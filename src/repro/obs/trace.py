@@ -31,7 +31,7 @@ Exports: :meth:`Tracer.write_jsonl` (one span dict per line),
 :meth:`Tracer.write_chrome_trace` (Chrome/Perfetto ``trace_event`` JSON
 with a simulated-time timeline and a wall-clock flame chart as two
 processes), and :meth:`Tracer.report` (the attribution summary that lands
-in ``BENCH_trace.json``).  :func:`validate_trace_events` checks an emitted
+in a run record's ``trace`` section).  :func:`validate_trace_events` checks an emitted
 trace for schema problems; CI runs it via ``python -m repro.obs validate``.
 """
 
@@ -59,7 +59,6 @@ __all__ = [
     "propagation_coverage",
     "set_active_tracer",
     "validate_trace_events",
-    "validate_trace_file",
 ]
 
 CATEGORY_STAGE = "stage"
@@ -228,6 +227,8 @@ class Tracer:
         self._attribution: dict[str, dict[str, float]] = {}
         # (protocol/stage) key -> aggregate sim/wall/bytes/count totals.
         self._stage_totals: dict[str, dict[str, float]] = {}
+        # crypto op name -> [calls, items, wall seconds], from crypto spans.
+        self._crypto_ops: dict[str, list] = {}
         #: Spans harvested from worker processes (plain ``Span.to_dict``
         #: dicts, wall clocks already aligned to this process's
         #: ``time.perf_counter`` timeline) plus per-pid process labels.
@@ -365,10 +366,6 @@ class Tracer:
             **args,
         )
 
-    def measure(self, category: str):
-        """An unkept span that only feeds wall-clock attribution."""
-        return self.span(category, category=category, keep=False)
-
     # ------------------------------------------------------------------
     # distributed runs: spans harvested from worker processes
 
@@ -435,6 +432,11 @@ class Tracer:
             bucket_key, category = key, CATEGORY_OTHER
         else:
             bucket_key, category = self._enclosing_stage(), span.category
+            if category == CATEGORY_CRYPTO:
+                op = self._crypto_ops.setdefault(span.name, [0, 0, 0.0])
+                op[0] += 1
+                op[1] += span.args.get("count", 1)
+                op[2] += span.wall_duration
         bucket = self._attribution.setdefault(bucket_key, {})
         bucket[category] = bucket.get(category, 0.0) + span.self_wall
 
@@ -569,11 +571,12 @@ class Tracer:
         return path
 
     def report(self) -> dict[str, Any]:
-        """Stage totals plus per-stage wall-clock attribution.
+        """Stage totals, per-stage wall-clock attribution, per-op crypto cost.
 
-        This is the payload recorded as ``BENCH_trace.json``: for every
-        ``protocol/stage`` key, the simulated and wall durations, bytes
-        moved, and the breakdown of wall self time by category.
+        The core of a run record's ``trace`` section: for every
+        ``protocol/stage`` key the simulated and wall durations, bytes moved
+        and the breakdown of wall self time by category; for every crypto
+        engine op its calls, items and wall seconds.
         """
         stages = {
             key: {
@@ -594,6 +597,10 @@ class Tracer:
             "stages": stages,
             "attribution": attribution,
             "category_totals": {c: round(w, 6) for c, w in sorted(category_totals.items())},
+            "crypto_ops": {
+                op: {"calls": calls, "items": items, "wall_s": round(wall, 6)}
+                for op, (calls, items, wall) in sorted(self._crypto_ops.items())
+            },
             "span_count": len(self.spans),
         }
 
@@ -621,11 +628,8 @@ class NullTracer:
     def stage(self, name: str, protocol: str, round_number: int, **args: Any):
         return self.span(name)
 
-    def measure(self, category: str):
-        return self.span(category)
-
     def report(self) -> dict[str, Any]:
-        return {"stages": {}, "attribution": {}, "category_totals": {}, "span_count": 0}
+        return {"stages": {}, "attribution": {}, "category_totals": {}, "crypto_ops": {}, "span_count": 0}
 
 
 _NULL_TRACER = NullTracer()
@@ -762,19 +766,6 @@ def propagation_coverage(events: Any) -> dict[str, Any]:
         "resolved": resolved,
         "fraction": (resolved / serve) if serve else 1.0,
     }
-
-
-def validate_trace_file(path: str | Path, min_propagation: float | None = None) -> list[str]:
-    """Validate a trace file (either ``{"traceEvents": [...]}`` or a bare
-    JSON array, both of which Perfetto accepts)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable or malformed JSON: {exc}"]
-    if isinstance(payload, dict):
-        payload = payload.get("traceEvents")
-    return validate_trace_events(payload, min_propagation=min_propagation)
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,6 @@ from repro.obs.distributed import (
     rss_bytes,
 )
 from repro.obs.logging import configure_logging, configured_level, get_logger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer
 from repro.runtime import wire
 from repro.runtime.transport import AsyncioTransport, serve_connection, serve_wire_message
@@ -62,7 +61,7 @@ SHUTDOWN_METHOD = "__runtime_shutdown__"
 #: sampled a few times at startup for the clock-offset estimate.
 PING_METHOD = "__runtime_ping__"
 #: Telemetry harvest: replies with :meth:`WorkerTelemetry.to_payload` as
-#: JSON bytes (drained spans + metrics snapshot + vitals).
+#: JSON bytes (drained spans + vitals).
 TELEMETRY_METHOD = "__runtime_telemetry__"
 
 #: Clock pings sent per worker at the port-map handshake.
@@ -73,8 +72,8 @@ _PING_SAMPLES = 5
 class WorkerOptions:
     """Observability switches the parent forwards to a spawned worker."""
 
-    #: Install a worker-local ``Tracer`` + ``MetricsRegistry`` and answer
-    #: ``collect_telemetry`` harvests with real content.
+    #: Install a worker-local ``Tracer`` and answer ``collect_telemetry``
+    #: harvests with its spans.
     telemetry: bool = False
     #: The coordinator's trace id, so worker spans tie to the same run.
     trace_id: str = ""
@@ -144,13 +143,11 @@ async def _worker_async(
         # stays attributable.
         configure_logging(options.log_level, process=label)
     tracer: Tracer | None = None
-    registry: MetricsRegistry | None = None
     if options.telemetry:
         tracer = Tracer()
         if options.trace_id:
             tracer.trace_id = options.trace_id
         set_active_tracer(tracer)
-        registry = MetricsRegistry()
 
     handlers = {}
     for spec in specs:
@@ -175,24 +172,8 @@ async def _worker_async(
             label=label,
             endpoints=sorted(handlers),
             spans=tracer.drain_spans() if tracer is not None else [],
-            metrics=registry.snapshot() if registry is not None else {},
             rss=rss_bytes(),
         ).to_payload()
-
-    def make_serve(name: str):
-        handler = handlers[name]
-
-        def serve(message: wire.WireMessage, queue_s: float) -> bytes:
-            started = time.perf_counter()
-            reply = serve_wire_message(message, handler, clock, name, queue_s)
-            if registry is not None:
-                registry.count(f"{name}.rpcs")
-                registry.observe(f"{name}.queue_s", queue_s)
-                registry.observe(f"{name}.handler_s", time.perf_counter() - started)
-                registry.count(f"{name}.bytes_in", len(message.frame.payload))
-            return reply
-
-        return serve
 
     def control(message: wire.WireMessage) -> bytes | None:
         """Control RPCs answer inline on the loop: the ping must not queue
@@ -218,8 +199,11 @@ async def _worker_async(
 
     servers = []
     ports: dict[str, int] = {}
-    for name in handlers:
-        def on_connection(reader, writer, serve=make_serve(name)):
+    for name, handler in handlers.items():
+        def serve(message: wire.WireMessage, queue_s: float, name=name, handler=handler) -> bytes:
+            return serve_wire_message(message, handler, clock, name, queue_s)
+
+        def on_connection(reader, writer, serve=serve):
             return serve_connection(reader, writer, executor, serve, control)
 
         server = await asyncio.start_server(on_connection, host=host, port=0)
@@ -259,27 +243,19 @@ class MultiprocessTransport(AsyncioTransport):
         worker_specs: list[list[EndpointSpec]],
         host: str = "127.0.0.1",
         start_timeout_s: float = 60.0,
-        telemetry: bool | None = None,
-        log_level: str | None = None,
     ) -> None:
         super().__init__(host=host, start_timeout_s=start_timeout_s)
-        #: Defaults track the parent's observability state: telemetry is on
-        #: exactly when a tracer is active, and workers inherit whatever
-        #: level ``configure_logging`` was last given.
+        #: Workers track the parent's observability state: telemetry is on
+        #: exactly when a tracer is active, and they log at whatever level
+        #: ``configure_logging`` was last given.
         tracer = active_tracer()
-        if telemetry is None:
-            telemetry = bool(getattr(tracer, "enabled", False))
-        if log_level is None:
-            log_level = configured_level()
-        self._telemetry = telemetry
+        self._telemetry = tracer.enabled
         self._processes: list = []
         #: One (process, any endpoint it serves) pair per worker, for the
         #: graceful shutdown RPC.
         self._worker_contacts: list[tuple[object, str]] = []
         #: Contact endpoint -> {pid, label, endpoints, offset_s, rss}.
         self._worker_info: dict[str, dict[str, Any]] = {}
-        #: Worker label -> latest (cumulative) metrics snapshot harvested.
-        self.worker_metrics: dict[str, dict[str, Any]] = {}
         context = multiprocessing.get_context("spawn")
         # (process, its end of the port-map pipe, specs, options) per worker.
         started: list[tuple] = []
@@ -291,9 +267,9 @@ class MultiprocessTransport(AsyncioTransport):
                 if not specs:
                     raise ConfigurationError("a worker process needs at least one endpoint")
                 options = WorkerOptions(
-                    telemetry=telemetry,
+                    telemetry=self._telemetry,
                     trace_id=getattr(tracer, "trace_id", ""),
-                    log_level=log_level,
+                    log_level=configured_level(),
                     label=f"worker-{index}",
                 )
                 parent_conn, child_conn = context.Pipe()
@@ -320,7 +296,7 @@ class MultiprocessTransport(AsyncioTransport):
                     "offset_s": 0.0,
                     "rss": 0,
                 }
-            if telemetry:
+            if self._telemetry:
                 self._align_clocks(tracer)
         except Exception:
             self.close()
@@ -355,16 +331,13 @@ class MultiprocessTransport(AsyncioTransport):
                 info["rss"] = rss
                 info["pid"] = pid
             info["offset_s"] = estimate_clock_offset(samples)
-            if getattr(tracer, "enabled", False):
-                tracer.add_remote_process(info["pid"], info["label"], info["endpoints"])
+            tracer.add_remote_process(info["pid"], info["label"], info["endpoints"])
 
     def harvest_telemetry(self) -> list[WorkerTelemetry]:
-        """Pull spans + metrics from every live worker into the parent.
+        """Pull spans and RSS from every live worker into the parent.
 
-        Spans land in the active tracer (wall clocks aligned); metric
-        snapshots replace the previous harvest (they are cumulative on the
-        worker side).  Safe to call repeatedly — workers drain spans, so
-        each span ships exactly once.
+        Spans land in the active tracer (wall clocks aligned).  Safe to call
+        repeatedly — workers drain spans, so each span ships exactly once.
         """
         if not self._telemetry or self._closed:
             return []
@@ -380,7 +353,7 @@ class MultiprocessTransport(AsyncioTransport):
             info = self._worker_info.get(contact, {})
             try:
                 telemetry = WorkerTelemetry.from_payload(json.loads(result.payload))
-                if getattr(tracer, "enabled", False) and telemetry.spans:
+                if tracer.enabled and telemetry.spans:
                     tracer.add_remote_spans(
                         telemetry.pid, telemetry.spans, info.get("offset_s", 0.0)
                     )
@@ -389,13 +362,14 @@ class MultiprocessTransport(AsyncioTransport):
                 logger.warning("skipping malformed telemetry from %s: %s", contact, exc)
                 continue
             info["rss"] = telemetry.rss
-            if telemetry.metrics:
-                self.worker_metrics[telemetry.label] = telemetry.metrics
             harvested.append(telemetry)
         return harvested
 
-    def runtime_snapshot(self) -> dict[str, dict[str, float]]:
-        snapshot = super().runtime_snapshot()
+    def snapshot(self) -> dict[str, dict[str, float]]:
+        """The endpoint gauges plus each worker's RSS; on a traced run it
+        first harvests the workers (their spans so far, and that RSS)."""
+        self.harvest_telemetry()
+        snapshot = super().snapshot()
         for info in self._worker_info.values():
             snapshot[f"worker:{info['label']}"] = {
                 "rss_mib": round(info.get("rss", 0) / 2**20, 1),

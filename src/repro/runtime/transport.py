@@ -296,7 +296,7 @@ class AsyncioTransport(Transport):
         #: concurrently calling handler threads.
         self._send_lock = threading.Lock()
         #: Destination -> requests currently awaiting a reply (loop thread
-        #: only); feeds :meth:`runtime_snapshot`.
+        #: only); feeds :meth:`snapshot`.
         self._in_flight: dict[str, int] = {}
         self._epoch = time.monotonic()
         self._closed = False
@@ -587,8 +587,8 @@ class AsyncioTransport(Transport):
         time.sleep(seconds)
 
     # -- live visibility ------------------------------------------------------
-    def runtime_snapshot(self) -> dict[str, dict[str, float]]:
-        """Per-endpoint live gauges for the dashboard's Runtime panel.
+    def snapshot(self) -> dict[str, dict[str, float]]:
+        """Per-endpoint live gauges (the dashboard's Runtime panel).
 
         ``queue_depth`` is the handler executor's backlog, ``in_flight``
         outstanding requests *to* the endpoint, ``connections`` idle pooled

@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import shutil
 import sys
 from functools import partial
 
-from repro.bench.reporting import format_table, write_json_report
+from repro.bench.reporting import write_json_report
 from repro.errors import ConfigurationError
-from repro.obs.privacy import UNPROTECTED
+from repro.obs.record import render
 from repro.sim.experiment import SPEC_FIELDS, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
 from repro.sim.scenario import ScenarioSpec
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run an Alpenhorn deployment scenario, or a declared experiment over it.",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="also write the result (or record) to PATH")
+    common.add_argument("--json", metavar="PATH", help="also write the record to PATH")
     common.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
@@ -122,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="record per-stage round, shard, ingress and crypto-batch spans; write a "
-        "Chrome/Perfetto trace_event file to PATH (plus PATH.jsonl raw spans and "
-        "BENCH_trace.json wall-clock attribution)",
+        "Chrome/Perfetto trace_event file to PATH (plus PATH.jsonl raw spans), and give "
+        "the run record its trace section (without --json it lands in BENCH_run.json)",
     )
     run.add_argument(
         "--dashboard",
@@ -233,7 +232,6 @@ def run_cli(args, overrides: dict) -> int:
         scenario.monitors.append(
             DashboardMonitor(dashboard, paused=args.dashboard_paused)
         )
-        scenario.privacy.server = dashboard  # stream privacy events too
         print(f"dashboard: {dashboard.url}  (run/pause/step from the page)")
         if args.dashboard_paused:
             print("dashboard: starting paused; press Run or Step to begin")
@@ -250,128 +248,18 @@ def run_cli(args, overrides: dict) -> int:
         if dashboard is not None:
             dashboard.stop()
 
+    record = result.to_dict()
+    print(render(record))
     if args.trace:
-        write_trace_outputs(args.trace, tracer, result)
-    print_result(result)
-    if args.trace:
-        privacy_path = write_json_report(
-            "privacy", {"ledger": result.privacy, "audit": None}
-        )
-        print(f"wrote {privacy_path}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        trace_path = tracer.write_chrome_trace(args.trace)
+        jsonl_path = tracer.write_jsonl(trace_path.with_suffix(".jsonl"))
+        print(f"wrote {trace_path} ({len(tracer.spans)} spans), {jsonl_path}")
+    if args.json or args.trace:
+        # The one record of the run: where --json says, else (traced) BENCH_run.json.
+        spec = dataclasses.asdict(result.spec)
+        path = write_json_report("run", record, path=args.json, seed=spec["seed"], spec=spec)
+        print(f"wrote {path}")
     return 0
-
-
-def print_result(result) -> None:
-    """The per-round table and the one-line summaries of a single run."""
-    headers, rows = result.table()
-    print(
-        format_table(
-            headers,
-            rows,
-            title=(
-                f"scenario {result.name}: {result.spec.num_clients} clients, "
-                f"{result.spec.num_mix_servers} mix / {result.spec.num_pkg_servers} pkg servers"
-            ),
-        )
-    )
-    print(
-        f"friendships={result.friendships_confirmed} calls={result.calls_delivered} "
-        f"traffic={result.total_bytes_sent / 2**20:.2f} MiB in {result.total_messages_sent} msgs "
-        f"(wall {result.wall_seconds:.1f}s)"
-    )
-    overall = result.throughput.get("overall")
-    if overall:
-        driver = "pipelined" if result.spec.pipelined else "sequential"
-        print(
-            f"throughput ({driver} driver): {overall['rounds_per_sec']:.3f} rounds/s "
-            f"over {overall['rounds']} rounds in {overall['busy_s']:.2f}s simulated"
-        )
-    requests = result.friend_requests
-    if requests.get("total"):
-        initial = requests["initial"]
-        retry = result.spec.retry_horizon
-        print(
-            f"friend requests ({'retry K=' + str(retry) if retry else 'no retry'}): "
-            f"{requests['confirmed']}/{requests['total']} confirmed, "
-            f"{requests['retries']} retries; initial pairs "
-            f"{initial['confirmed']}/{initial['total']} "
-            f"({initial['confirmed_fraction'] * 100:.0f}%)"
-        )
-
-    protocols = result.privacy.get("protocols", {})
-    if protocols:
-        spend = "  ".join(
-            f"{proto}: eps={row['epsilon']:.3f} over {row['rounds']} rounds "
-            f"(b={row['laplace_scale']:g}, delta={row['delta']:g})"
-            + (" UNPROTECTED" if "unprotected" in row else "")
-            for proto, row in sorted(protocols.items())
-        )
-        print(f"privacy spend: {spend}")
-        if any("unprotected" in row for row in protocols.values()):
-            print(f"privacy: UNPROTECTED = {UNPROTECTED}")
-    check = result.privacy.get("budget_check")
-    if check and not check["consistent"]:
-        print(
-            f"privacy budget WARNING: configured b={check['configured_b']:g} is "
-            f"{check['under_noised_factor']:g}x under the b={check['prescribed_b']:.1f} "
-            f"that {check['protected_actions']} actions prescribe "
-            f"(achieved eps={check['achieved_epsilon']:.3f})"
-        )
-
-
-def write_trace_outputs(path: str, tracer, result) -> None:
-    """Write the Chrome trace, the raw span dump, and ``BENCH_trace.json``."""
-    from pathlib import Path
-
-    trace_path = Path(path)
-    tracer.write_chrome_trace(trace_path)
-    jsonl_path = trace_path.with_suffix(".jsonl")
-    tracer.write_jsonl(jsonl_path)
-
-    report = tracer.report()
-    total_latency = sum(r.latency_s for r in result.rounds)
-    stage_sim = sum(stage["sim_s"] for stage in report["stages"].values())
-    report["scenario"] = {
-        "name": result.name,
-        "clients": result.spec.num_clients,
-        "rounds": len(result.rounds),
-        "wall_seconds": result.wall_seconds,
-    }
-    report["coverage"] = {
-        "stage_sim_s": stage_sim,
-        "round_latency_s": total_latency,
-        "fraction": (stage_sim / total_latency) if total_latency else 1.0,
-    }
-    # Real runtimes (asyncio/mp): per-endpoint wall buckets from the merged
-    # rpc.call/rpc.serve pairs, plus how many serve spans resolved a remote
-    # parent (the propagation health of the trace-context trailer).
-    runtime = {}
-    if hasattr(tracer, "remote_spans"):
-        from repro.obs.distributed import runtime_attribution
-        from repro.obs.trace import propagation_coverage
-
-        runtime = runtime_attribution(tracer)
-        if runtime:
-            report["runtime"] = runtime
-            report["propagation"] = propagation_coverage(tracer.to_trace_events())
-    bench_path = write_json_report("trace", report)
-    print(f"wrote {trace_path} ({report['span_count']} spans), {jsonl_path}")
-    print(
-        f"wrote {bench_path}: stage coverage "
-        f"{report['coverage']['fraction'] * 100:.1f}% of "
-        f"{total_latency:.1f}s simulated round latency"
-    )
-    if runtime:
-        propagation = report["propagation"]
-        print(
-            f"runtime attribution: {len(runtime)} endpoints, propagation "
-            f"{propagation['resolved']}/{propagation['serve']} rpc.serve spans linked"
-        )
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ from repro.mixnet.noise import NoiseConfig
 from repro.net.links import LinkSpec, NetworkTopology
 from repro.net.simulated import SimulatedNetwork
 from repro.net.transport import Transport
+from repro.obs.distributed import trace_section
+from repro.obs.logging import get_logger
+from repro.obs.privacy import PrivacyLedger, budget_consistency, run_report
+from repro.obs.trace import active_tracer
 
 
 @dataclass(frozen=True)
@@ -201,6 +205,20 @@ class RoundStats:
     #: The published per-mailbox message counts -- the round's *observable*
     #: vector, noise included (what a passive adversary conditions on).
     mailbox_counts: list[int] = field(default_factory=list)
+    # What the driver sampled when the round completed (cumulative over the
+    # run so far); the live views render these and nothing else.
+    #: The deployment clock.
+    clock: float = 0.0
+    #: ``Transport.snapshot()``: scheduler gauges on the simulated network,
+    #: per-endpoint gauges on the real runtimes.
+    net: dict = field(default_factory=dict)
+    #: Session events by type.
+    events: dict = field(default_factory=dict)
+    #: ``submissions_by_shard`` and ``imbalance`` (sharded runs only).
+    shards: dict = field(default_factory=dict)
+    #: The round's privacy-ledger row plus the cumulative ``delta`` and
+    #: ``per_shard_noise`` (empty for an aborted round: nothing was published).
+    privacy: dict = field(default_factory=dict)
 
     @staticmethod
     def from_summary(summary: RoundSummary) -> "RoundStats":
@@ -243,10 +261,26 @@ class RoundStats:
             "per_server_noise": list(self.per_server_noise),
         }
 
+    def gauges(self) -> dict:
+        """The sampled half of the row (its ledger row is ``privacy.rounds``'s)."""
+        return {
+            "clock": self.clock,
+            "net": self.net,
+            "events": self.events,
+            "shards": self.shards,
+            "per_shard_noise": self.privacy.get("per_shard_noise", []),
+        }
+
 
 @dataclass
 class ScenarioResult:
-    """Everything one scenario run produced."""
+    """The run record: everything one scenario run produced, each fact once.
+
+    ``to_dict()`` is what ``run --json`` writes (inside
+    :func:`repro.bench.reporting.write_json_report`'s envelope) and what
+    ``python -m repro.obs validate | explain`` read back; the log stream, the
+    dashboard and the printed summary are views of it.
+    """
 
     name: str
     spec: ScenarioSpec
@@ -277,14 +311,19 @@ class ScenarioResult:
     #: per RPC method, so bandwidth attribution no longer re-derives bytes
     #: from call counts times assumed frame sizes.
     bytes_by_method: dict = field(default_factory=dict)
-    #: The cross-tier metrics snapshot (see :mod:`repro.obs.metrics`):
-    #: transport totals, per-shard loads, outbox depth, round-stage
-    #: histograms, and per-op crypto timings when the engine was traced.
-    metrics: dict = field(default_factory=dict)
     #: The privacy ledger's report (see :mod:`repro.obs.privacy`): per-
     #: protocol cumulative (epsilon, delta) spend, noise telemetry, action
     #: budgets, and the budget-consistency check.
     privacy: dict = field(default_factory=dict)
+    #: The session layer at the end of the run: ``count``, ``outbox_depth``
+    #: (requests still pending), ``events`` by type.
+    sessions: dict = field(default_factory=dict)
+    #: The transport's final ``snapshot()``.
+    net: dict = field(default_factory=dict)
+    #: Traced runs only (see :func:`repro.obs.distributed.trace_section`):
+    #: stage totals, stage x category wall self time, per-op crypto cost,
+    #: stage coverage, per-endpoint runtime attribution and propagation.
+    trace: dict = field(default_factory=dict)
 
     def rounds_for(self, protocol: str) -> list[RoundStats]:
         return [r for r in self.rounds if r.protocol == protocol]
@@ -353,32 +392,12 @@ class ScenarioResult:
             "shard_loads": self.shard_loads,
             "calls_by_method": self.calls_by_method,
             "bytes_by_method": self.bytes_by_method,
-            "metrics": self.metrics,
             "privacy": self.privacy,
+            "round_gauges": [r.gauges() for r in self.rounds],
+            "sessions": self.sessions,
+            "net": self.net,
+            **({"trace": self.trace} if self.trace else {}),
         }
-
-    def table(self) -> tuple[list[str], list[list]]:
-        """(headers, rows) for :func:`repro.bench.reporting.format_table`."""
-        headers = [
-            "protocol", "round", "online", "submitted", "failed",
-            "mailboxes", "real", "noise", "latency s", "MiB",
-        ]
-        rows = [
-            [
-                r.protocol,
-                r.round_number,
-                r.participants,
-                r.submissions,
-                r.failures,
-                r.mailbox_count,
-                r.delivered_real,
-                r.noise_added,
-                "aborted" if r.aborted else f"{r.latency_s:.3f}",
-                f"{r.bytes_sent / 2**20:.2f}",
-            ]
-            for r in self.rounds
-        ]
-        return headers, rows
 
 
 class Scenario:
@@ -392,21 +411,24 @@ class Scenario:
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        #: Observability monitors (duck-typed; see ``_notify``).  Hooks:
+        #: Observability monitors (duck-typed; see ``_notify``): the one seam
+        #: the record reaches its live views through.  Hooks:
         #: ``on_start(deployment, net, spec)`` once the deployment is
         #: populated, ``before_round(deployment, protocol, round_index)``
         #: just before each round (where a dashboard's pause/step gate
-        #: blocks), ``on_round(stats, deployment)`` after each round
-        #: (aborted ones included), ``on_finish(result)`` at the end.
+        #: blocks), ``on_event(event)`` per session event,
+        #: ``on_round(stats, deployment)`` after each round (aborted ones
+        #: included) with the round's finished :class:`RoundStats`,
+        #: ``on_finish(result)`` at the end.  A view reads only the spec, the
+        #: ``RoundStats`` and the ``ScenarioResult`` it is handed.
         self.monitors: list = []
-        #: The always-on privacy ledger monitor: every run accounts its
-        #: (epsilon, delta) spend, whether or not anyone asked (privacy
-        #: observability is not opt-in).  Its report lands in
-        #: ``ScenarioResult.privacy``.
-        from repro.obs.privacy import PrivacyLedgerMonitor
-
-        self.privacy = PrivacyLedgerMonitor()
-        self.monitors.append(self.privacy)
+        #: The always-on privacy ledger: every run accounts its (epsilon,
+        #: delta) spend, whether or not anyone asked (privacy observability
+        #: is not opt-in).  The driver feeds it one row per published round;
+        #: its report lands in ``ScenarioResult.privacy``.
+        self.ledger = PrivacyLedger()
+        #: Session events by type, so far (the driver taps the registry once).
+        self.event_counts: dict[str, int] = {}
         #: Handles for the pre-run friendship pairs (queued via sessions).
         self.request_handles: list = []
         #: Handles for requests queued mid-run (e.g. a churn scenario's late
@@ -623,6 +645,8 @@ class Scenario:
         try:
             self.configure(deployment, net)
             self.populate(deployment)
+            deployment.sessions.add_tap(self._on_event)
+            budget_check = self._check_privacy_budget(deployment)
             self._notify("on_start", deployment, net, self.spec)
 
             result = ScenarioResult(name=self.spec.name, spec=self.spec)
@@ -642,107 +666,90 @@ class Scenario:
             result.total_messages_sent = net.stats.messages_sent
             result.calls_by_method = dict(net.stats.calls_by_method)
             result.bytes_by_method = dict(net.stats.bytes_by_method)
-            cluster = getattr(deployment, "cluster", None)
-            if cluster is not None:
-                result.shard_loads = cluster.load_report()
-            result.privacy = self.privacy.report()
-            result.metrics = self._collect_metrics(deployment, net, result)
+            if deployment.cluster is not None:
+                result.shard_loads = deployment.cluster.load_report()
+            result.privacy = run_report(
+                self.ledger,
+                deployment.sessions,
+                deployment.config.addfriend_request_size,
+                net.stats.bytes_sent,
+                budget_check,
+            )
+            result.sessions = {
+                "count": len(deployment.sessions),
+                "outbox_depth": sum(len(s.pending_requests()) for s in deployment.sessions),
+                "events": dict(self.event_counts),
+            }
+            result.net = net.snapshot()
         finally:
             deployment.close()
         result.wall_seconds = time.perf_counter() - started
+        tracer = active_tracer()
+        if tracer.enabled:
+            # After close(): an mp transport's last harvest happens there.
+            result.trace = trace_section(tracer, sum(r.latency_s for r in result.rounds))
         self._notify("on_finish", result)
         return result
 
-    def _collect_metrics(self, deployment: Deployment, net: Transport, result: ScenarioResult) -> dict:
-        """Snapshot the run into a :class:`~repro.obs.metrics.MetricsRegistry`.
+    def _on_event(self, event) -> None:
+        self.event_counts[event.type] = self.event_counts.get(event.type, 0) + 1
+        self._notify("on_event", event)
 
-        Subsumes the ad-hoc accounting scattered across tiers: transport
-        totals and per-method breakdowns, per-shard submission loads,
-        session outbox depth, per-stage round latencies, and -- when the
-        crypto engine ran instrumented (``--trace``) -- per-op timings.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        stats = net.stats
-        registry.count("transport.messages_sent", stats.messages_sent)
-        registry.count("transport.bytes_sent", stats.bytes_sent)
-        registry.count_mapping("transport.bytes", stats.bytes_by_method)
-        registry.count_mapping("transport.calls", stats.calls_by_method)
-        # Real runtimes (asyncio/mp) have no event scheduler or in-flight
-        # frame accounting; their metrics are the transport totals above.
-        scheduler = getattr(net, "scheduler", None)
-        if scheduler is not None:
-            registry.set_gauge("scheduler.heap_size", scheduler.max_heap_size)
-            registry.set_gauge("scheduler.slot_events", scheduler.slot_events)
-            registry.set_gauge("scheduler.slotted_items", scheduler.slotted_items)
-            registry.count("scheduler.events_processed", scheduler.events_processed)
-        frames_peak = getattr(net, "frames_in_flight_peak", None)
-        if frames_peak is not None:
-            registry.set_gauge("net.frames_in_flight", frames_peak)
-        registry.set_gauge("sessions.count", len(deployment.sessions))
-        registry.set_gauge(
-            "sessions.outbox_depth",
-            sum(len(s.pending_requests()) for s in deployment.sessions),
-        )
-        for stats_row in result.rounds:
-            if stats_row.aborted:
-                registry.count(f"rounds.aborted.{stats_row.protocol}")
-                continue
-            proto = stats_row.protocol
-            registry.observe(f"round.latency_s.{proto}", stats_row.latency_s)
-            registry.observe(f"round.submit_stage_s.{proto}", stats_row.submit_stage_s)
-            registry.observe(f"round.mix_stage_s.{proto}", stats_row.mix_stage_s)
-            registry.observe(f"round.scan_stage_s.{proto}", stats_row.scan_stage_s)
-            registry.count(f"round.failures.{proto}", stats_row.failures)
-        # Privacy observability (repro.obs.privacy): noise telemetry and the
-        # ledger's cumulative spend, surfaced beside the performance metrics.
-        per_server_totals: dict[int, int] = {}
-        for stats_row in result.rounds:
-            if stats_row.aborted:
-                continue
-            registry.count(f"mix.noise.count.{stats_row.protocol}", stats_row.noise_added)
-            for server_index, drawn in enumerate(stats_row.per_server_noise):
-                per_server_totals[server_index] = per_server_totals.get(server_index, 0) + drawn
-        for server_index, total in per_server_totals.items():
-            registry.count(f"mix.noise.per_server.{server_index}", total)
-        privacy = result.privacy
-        if privacy:
-            traffic = privacy.get("noise_traffic", {})
-            registry.set_gauge(
-                "mix.noise.share_of_bytes", traffic.get("noise_share_of_bytes", 0.0)
+    def _check_privacy_budget(self, deployment: Deployment) -> dict | None:
+        """The startup check of the configured noise against a stated
+        ``privacy_budget``: warn and record, never fail (adversarial scenarios
+        under-noise on purpose)."""
+        protected = self.spec.privacy_budget
+        if not protected:
+            return None
+        mu, b = deployment.config.noise.parameters_for("add-friend")
+        check = budget_consistency(protected, b, mu, delta=self.ledger.delta)
+        if not check["consistent"]:
+            get_logger("privacy").warning(
+                "configured noise b=%.3f is below the b=%.3f the stated "
+                "budget of %d actions prescribes (under-noised %.1fx); "
+                "recording, not failing",
+                b, check["prescribed_b"], protected, check["under_noised_factor"],
             )
-            for protocol, summary in privacy.get("protocols", {}).items():
-                registry.set_gauge(f"privacy.epsilon.{protocol}", summary["epsilon"])
-                registry.set_gauge(f"privacy.delta.{protocol}", summary["delta"])
-                registry.set_gauge(f"privacy.rounds.{protocol}", summary["rounds"])
-        shard_loads = result.shard_loads.get("submissions_by_shard")
-        if shard_loads:
-            for shard_index, load in enumerate(shard_loads):
-                registry.set_gauge(f"cluster.shard_load.{shard_index}", load)
-            registry.set_gauge("cluster.imbalance", result.shard_loads.get("imbalance", 0.0))
-        op_stats = getattr(deployment.crypto, "op_stats", None)
-        if op_stats is not None:
-            for op, row in op_stats.snapshot().items():
-                registry.count(f"crypto.calls.{op}", row["calls"])
-                registry.count(f"crypto.items.{op}", row["items"])
-                registry.count(f"crypto.wall_s.{op}", row["wall_s"])
-        # Multiprocess runtime: pull the final worker snapshots and merge
-        # them under the endpoint.<name>. namespace.  Worker registries are
-        # cumulative, so only the latest harvest per worker is merged.
-        self._harvest_telemetry(net)
-        worker_metrics = getattr(net, "worker_metrics", None)
-        if worker_metrics:
-            for worker_snapshot in worker_metrics.values():
-                registry.merge_snapshot(worker_snapshot, prefix="endpoint.")
-        return registry.snapshot()
+        return check
 
-    @staticmethod
-    def _harvest_telemetry(net: Transport) -> None:
-        """Pull worker spans/metrics into the parent (mp runtime only)."""
-        harvest = getattr(net, "harvest_telemetry", None)
-        if harvest is not None:
-            harvest()
+    def _record_round(
+        self, deployment: Deployment, net: Transport, result: ScenarioResult, stats: RoundStats
+    ) -> None:
+        """Finish a round's row -- the gauges sampled now, its ledger row --
+        append it to the record and hand it to the views."""
+        stats.clock = deployment.clock
+        stats.net = net.snapshot()
+        stats.events = dict(self.event_counts)
+        shard_ranges = ()
+        if deployment.cluster is not None:
+            loads = deployment.cluster.load_report()
+            stats.shards = {
+                "submissions_by_shard": loads["submissions_by_shard"],
+                "imbalance": loads["imbalance"],
+            }
+            directory = deployment.cluster.directory_or_none(stats.protocol, stats.round_number)
+            if directory is not None:
+                shard_ranges = directory.ranges
+        if not stats.aborted:  # an aborted round publishes no mailboxes: nothing observed
+            mu, b = deployment.config.noise.parameters_for(stats.protocol)
+            row = self.ledger.record_round(
+                protocol=stats.protocol,
+                round_number=stats.round_number,
+                laplace_scale=b,
+                noise_mu=mu,
+                per_server_noise=stats.per_server_noise,
+                mailbox_counts=stats.mailbox_counts,
+                delivered_real=stats.delivered_real,
+                shard_ranges=shard_ranges,
+            )
+            stats.privacy = {
+                **row.to_dict(),
+                "delta": row.delta,
+                "per_shard_noise": self.ledger.expected_noise_by_shard(stats.protocol),
+            }
+        result.rounds.append(stats)
+        self._notify("on_round", stats, deployment)
 
     def _friend_request_stats(self) -> dict:
         """Liveness accounting over the handles this scenario queued."""
@@ -821,11 +828,9 @@ class Scenario:
             # already in flight, so after_round effects (healing, load
             # shifts) reach the round after that -- the closest a pipelined
             # deployment can get to "just after a round completes".
-            result.rounds.append(RoundStats.from_summary(summary))
             if not summary.aborted:
                 self.after_round(deployment, net, summary)
-            self._notify("on_round", result.rounds[-1], deployment)
-            self._harvest_telemetry(net)
+            self._record_round(deployment, net, result, RoundStats.from_summary(summary))
 
         started_clock = deployment.clock
         deployment.run_rounds(
@@ -871,27 +876,23 @@ class Scenario:
             )
             busy = deployment.clock - round_started  # the abort's own cost
             deployment.advance_clock(duration)
-            result.rounds.append(
-                RoundStats(
-                    protocol=protocol,
-                    round_number=round_number,
-                    participants=online,
-                    submissions=0,
-                    failures=online,
-                    mailbox_count=0,
-                    delivered_real=0,
-                    noise_added=0,
-                    latency_s=0.0,
-                    bytes_sent=0,
-                    aborted=True,
-                )
+            aborted = RoundStats(
+                protocol=protocol,
+                round_number=round_number,
+                participants=online,
+                submissions=0,
+                failures=online,
+                mailbox_count=0,
+                delivered_real=0,
+                noise_added=0,
+                latency_s=0.0,
+                bytes_sent=0,
+                aborted=True,
             )
-            self._notify("on_round", result.rounds[-1], deployment)
+            self._record_round(deployment, net, result, aborted)
             return busy
-        result.rounds.append(RoundStats.from_summary(summary))
         self.after_round(deployment, net, summary)
-        self._notify("on_round", result.rounds[-1], deployment)
-        self._harvest_telemetry(net)
+        self._record_round(deployment, net, result, RoundStats.from_summary(summary))
         return summary.latency_s
 
 

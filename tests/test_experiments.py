@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.privacy import validate_privacy_report
+from repro.bench.reporting import SCHEMA, read_json_report
+from repro.obs.record import validate_record
 from repro.sim.__main__ import build_parser, flag_parsers, main
 from repro.sim.experiment import Axis, Column, Experiment, Section, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
@@ -57,8 +58,8 @@ def assert_pinned(points: list[dict], pinned: list[dict]) -> None:
 
 
 def read_record(results: Path, name: str) -> dict:
-    record = json.loads((results / f"BENCH_{name}.json").read_text())
-    assert record["name"] == name and record["schema"] == 2
+    record = read_json_report(results / f"BENCH_{name}.json")
+    assert record["name"] == name and record["schema"] == SCHEMA
     assert set(record["environment"]) == {"git_sha", "python", "cryptography", "platform", "nproc"}
     assert set(record["axes"]) == set(record["data"])
     return record
@@ -193,8 +194,6 @@ class TestPinnedNumbers:
         assert "unknown runtime" in capsys.readouterr().err
 
     def test_privacy_record_validates(self, results):
-        from repro.obs.privacy import validate_privacy_report
-
         experiment = with_workload(EXPERIMENTS["privacy"], "audit", num_clients=8)
         record = run_experiment(
             experiment,
@@ -211,7 +210,7 @@ class TestPinnedNumbers:
         assert record["data"]["ledger"]["protocols"]["add-friend"]["rounds"] == 2
 
         emit_record(record)
-        assert validate_privacy_report(read_record(results, "privacy")) == []
+        assert validate_record(read_record(results, "privacy")) == []
 
     def test_privacy_audit_needs_four_trials(self, results, capsys):
         assert main(["sweep", "privacy", "--privacy-trials", "3"]) == 2
@@ -328,11 +327,13 @@ class TestCli:
         status = main(["run", "baseline", "--num-clients", "8", "--addfriend-rounds", "1",
                        "--dialing-rounds", "1", "--seed", "t-cli", "--json", str(path)])
         assert status == 0
-        written = json.loads(path.read_text())
+        written = read_json_report(path)
+        assert written["schema"] == SCHEMA and written["seed"] == "t-cli"
+        assert written["spec"]["num_clients"] == 8 and "git_sha" in written["environment"]
         expected = json.loads(json.dumps(run_scenario("baseline", **self.KW).to_dict()))
-        for report in (written, expected):
+        for report in (written["data"], expected):
             report.pop("wall_seconds")
-        assert written == expected
+        assert written["data"] == expected
         out = capsys.readouterr().out
         assert "scenario baseline: 8 clients" in out and "privacy spend" in out
 
@@ -368,16 +369,18 @@ class TestCli:
         assert main([*argv, "0", "--trace", str(tmp_path / "trace.json")]) == 0
         out = capsys.readouterr().out
         assert "eps=inf" in out and "UNPROTECTED" in out
-        report = json.loads((results / "BENCH_privacy.json").read_text())
-        assert validate_privacy_report(report) == []
-        rounds = report["data"]["ledger"]["rounds"]
+        # a traced run without --json: its one record is BENCH_run.json
+        assert sorted(p.name for p in results.iterdir()) == ["BENCH_run.json", "trace.json", "trace.jsonl"]
+        report = read_json_report(results / "BENCH_run.json")
+        assert validate_record(report) == []
+        rounds = report["data"]["privacy"]["rounds"]
         assert rounds and all(
             row["epsilon_round"] == math.inf and "unprotected" in row for row in rounds
         )
         # The validator takes an infinite epsilon only from a record that says b = 0 ...
         for row in rounds:
             row["laplace_scale"] = 1.0
-        assert len(validate_privacy_report(report)) >= len(rounds)
+        assert len(validate_record(report)) >= len(rounds)
         # ... and a negative scale never runs.
         assert main([*argv, "-1"]) == 2
         assert "must be >= 0" in capsys.readouterr().err

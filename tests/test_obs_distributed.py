@@ -19,13 +19,10 @@ from repro.net.transport import BatchCall, RpcResult
 from repro.obs.distributed import (
     TRACE_CONTEXT,
     TraceContext,
-    WorkerTelemetry,
     estimate_clock_offset,
-    merge_worker_metrics,
     rss_bytes,
     runtime_attribution,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     Tracer,
     propagation_coverage,
@@ -268,24 +265,7 @@ class TestValidatorExtensions:
 
 
 class TestWorkerTelemetry:
-    def test_merge_worker_metrics_prefixes_names(self):
-        registry = MetricsRegistry()
-        telemetry = WorkerTelemetry(
-            pid=1, label="worker-0", endpoints=["mix0"],
-            spans=[],
-            metrics={
-                "counters": {"mix0.rpcs": 4, "mix0.bytes_in": 128},
-                "gauges": {},
-                "histograms": {"mix0.handler_s": {"count": 4, "sum": 0.4,
-                                                  "min": 0.05, "max": 0.2, "mean": 0.1}},
-            },
-        )
-        merge_worker_metrics(registry, telemetry)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["endpoint.mix0.rpcs"] == 4
-        assert snapshot["histograms"]["endpoint.mix0.handler_s"]["count"] == 4
-
-    def test_mp_worker_metrics_merged_after_close(self, tracer):
+    def test_mp_worker_spans_merged_after_close(self, tracer):
         from repro.net.rpc import MixStub
 
         specs = [[mix_endpoint_spec("mix0", "seed/mix/0")]]
@@ -303,12 +283,9 @@ class TestWorkerTelemetry:
         assert all(s["pid"] == harvested[0].pid for s in tracer.remote_spans)
         # The worker process is declared for the merged export.
         assert tracer.remote_processes[harvested[0].pid]["endpoints"] == ["mix0"]
-        # Metrics snapshots merge under the endpoint.<name>. prefix.
-        registry = MetricsRegistry()
-        for snapshot in transport.worker_metrics.values():
-            registry.merge_snapshot(snapshot, prefix="endpoint.")
-        merged = registry.snapshot()
-        assert merged["counters"]["endpoint.mix0.rpcs"] >= 1
+        # The per-endpoint numbers are runtime_attribution's, from those spans
+        # (a run record's trace.runtime.<endpoint>.rpcs).
+        assert runtime_attribution(tracer)["mix0"]["rpcs"] >= 1
         # Export validates, one process per OS pid.
         events = tracer.to_trace_events()
         assert validate_trace_events(events, min_propagation=0.95) == []
@@ -322,6 +299,5 @@ class TestWorkerTelemetry:
         try:
             MixStub(transport, "mix0", src="entry").open_round("dialing", 1)
             assert transport.harvest_telemetry() == []
-            assert transport.worker_metrics == {}
         finally:
             transport.close()

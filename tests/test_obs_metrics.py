@@ -1,4 +1,6 @@
-"""Tests for repro.obs.metrics and the structured-logging helpers."""
+"""Tests for the structured-logging helpers (the metrics registry this file
+also covered is gone: tests/test_run_record.py holds every fact it published
+to the record path that now carries it)."""
 
 from __future__ import annotations
 
@@ -8,79 +10,6 @@ import logging
 import pytest
 
 from repro.obs.logging import configure_logging, get_logger, log_fields
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-
-class TestCounter:
-    def test_increments_accumulate(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == pytest.approx(3.5)
-
-    def test_rejects_negative_amounts(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1)
-
-
-class TestGauge:
-    def test_set_and_inc_move_both_directions(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.inc(-3)
-        assert gauge.value == 7
-
-
-class TestHistogram:
-    def test_summary_statistics(self):
-        histogram = Histogram("h")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        assert histogram.to_dict() == {
-            "count": 3,
-            "sum": pytest.approx(6.0),
-            "min": 1.0,
-            "max": 3.0,
-            "mean": pytest.approx(2.0),
-        }
-
-    def test_empty_histogram_is_all_zero(self):
-        assert Histogram("h").to_dict()["count"] == 0
-        assert Histogram("h").mean == 0.0
-
-
-class TestMetricsRegistry:
-    def test_get_or_create_returns_the_same_instance(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
-
-    def test_shorthands(self):
-        registry = MetricsRegistry()
-        registry.count("hits", 2)
-        registry.set_gauge("depth", 5)
-        registry.observe("latency", 0.25)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["hits"] == 2
-        assert snapshot["gauges"]["depth"] == 5
-        assert snapshot["histograms"]["latency"]["count"] == 1
-
-    def test_count_mapping_prefixes_every_key(self):
-        registry = MetricsRegistry()
-        registry.count_mapping("transport.bytes", {"submit": 10, "scan": 20})
-        counters = registry.snapshot()["counters"]
-        assert counters == {"transport.bytes.scan": 20, "transport.bytes.submit": 10}
-
-    def test_snapshot_is_sorted_and_json_safe(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.count("b")
-        registry.count("a")
-        snapshot = registry.snapshot()
-        assert list(snapshot["counters"]) == ["a", "b"]
-        json.dumps(snapshot)  # must not raise
 
 
 class TestLogging:

@@ -1,21 +1,16 @@
-"""Tests for the privacy observability layer: ledger, monitor, validator."""
+"""Tests for the privacy observability layer: ledger, run report, validator."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
 
 from repro.analysis.dp import privacy_cost
-from repro.obs.privacy import (
-    PAPER_ACTION_BUDGETS,
-    PrivacyLedger,
-    budget_consistency,
-    is_privacy_report,
-    validate_privacy_file,
-    validate_privacy_report,
-)
+from repro.bench.reporting import SCHEMA, dumps
+from repro.obs.__main__ import main as obs_main
+from repro.obs.privacy import PAPER_ACTION_BUDGETS, PrivacyLedger, budget_consistency
+from repro.obs.record import validate_record
 from repro.sim.scenarios import make_scenario, run_scenario
 
 
@@ -97,7 +92,8 @@ class TestBudgetConsistency:
 
 
 def _report_from_ledger(ledger: PrivacyLedger, audit=None) -> dict:
-    return {"name": "privacy", "data": {"ledger": ledger.report(), "audit": audit}}
+    """The privacy experiment's envelope: a ledger report beside an audit."""
+    return {"name": "privacy", "schema": SCHEMA, "data": {"ledger": ledger.report(), "audit": audit}}
 
 
 def _small_ledger() -> PrivacyLedger:
@@ -109,19 +105,18 @@ def _small_ledger() -> PrivacyLedger:
 
 class TestValidatePrivacyReport:
     def test_clean_report_passes(self):
-        assert validate_privacy_report(_report_from_ledger(_small_ledger())) == []
+        assert validate_record(_report_from_ledger(_small_ledger())) == []
 
-    def test_not_a_privacy_report(self):
-        assert not is_privacy_report({"name": "trace", "data": {}})
-        assert is_privacy_report(_report_from_ledger(_small_ledger()))
-        problems = validate_privacy_report({"name": "trace", "data": {}})
-        assert problems and "not a privacy report" in problems[0]
+    def test_not_a_record(self):
+        problems = validate_record({"name": "trace", "data": {}})
+        assert problems and "unknown schema" in problems[0]
+        assert validate_record({"schema": SCHEMA, "data": [1]}) == ["envelope carries no data object"]
 
     def test_tampered_epsilon_series_flagged(self):
         report = _report_from_ledger(_small_ledger())
         series = report["data"]["ledger"]["protocols"]["add-friend"]["epsilon_series"]
         series[1], series[2] = series[2], series[1]  # break monotonicity
-        problems = validate_privacy_report(report)
+        problems = validate_record(report)
         assert any("monotone" in p for p in problems)
 
     def test_tampered_cumulative_epsilon_flagged(self):
@@ -129,13 +124,13 @@ class TestValidatePrivacyReport:
         summary = report["data"]["ledger"]["protocols"]["add-friend"]
         summary["epsilon"] = summary["epsilon"] * 2
         summary["epsilon_series"][-1] = summary["epsilon"]
-        problems = validate_privacy_report(report)
+        problems = validate_record(report)
         assert any("does not match" in p for p in problems)
 
     def test_negative_noise_in_rounds_flagged(self):
         report = _report_from_ledger(_small_ledger())
         report["data"]["ledger"]["rounds"][0]["per_server_noise"] = [-2, 1]
-        problems = validate_privacy_report(report)
+        problems = validate_record(report)
         assert any("negative noise" in p for p in problems)
 
     def test_audit_advantage_over_bound_flagged(self):
@@ -145,7 +140,7 @@ class TestValidatePrivacyReport:
             ],
             "all_within_bound": True,
         }
-        problems = validate_privacy_report(_report_from_ledger(_small_ledger(), audit))
+        problems = validate_record(_report_from_ledger(_small_ledger(), audit))
         assert any("exceeds" in p for p in problems)
         assert any("all_within_bound" in p for p in problems)
 
@@ -156,14 +151,15 @@ class TestValidatePrivacyReport:
             ],
             "all_within_bound": True,
         }
-        assert validate_privacy_report(_report_from_ledger(_small_ledger(), audit)) == []
+        assert validate_record(_report_from_ledger(_small_ledger(), audit)) == []
 
-    def test_validate_file(self, tmp_path):
+    def test_validate_file(self, tmp_path, capsys):
         path = tmp_path / "BENCH_privacy.json"
-        path.write_text(json.dumps(_report_from_ledger(_small_ledger())))
-        assert validate_privacy_file(path) == []
+        path.write_text(dumps(_report_from_ledger(_small_ledger())))
+        assert obs_main(["validate", str(path)]) == 0
         path.write_text("{not json")
-        assert validate_privacy_file(path)
+        assert obs_main(["validate", str(path)]) == 1
+        assert "INVALID" in capsys.readouterr().out
 
 
 class _BudgetTamper:
@@ -201,18 +197,7 @@ class TestScenarioIntegration:
             assert summary["epsilon"] == expected
 
     def test_report_validates(self, result):
-        payload = {"name": "privacy", "data": {"ledger": result.privacy, "audit": None}}
-        assert validate_privacy_report(payload) == []
-
-    def test_noise_metrics_published(self, result):
-        counters = result.metrics["counters"]
-        gauges = result.metrics["gauges"]
-        assert counters["mix.noise.count.add-friend"] > 0
-        assert any(k.startswith("mix.noise.per_server.") for k in counters)
-        assert 0.0 <= gauges["mix.noise.share_of_bytes"] <= 1.0
-        assert gauges["privacy.epsilon.add-friend"] == pytest.approx(
-            result.privacy["protocols"]["add-friend"]["epsilon"]
-        )
+        assert validate_record({"schema": SCHEMA, "data": result.to_dict()}) == []
 
     def test_noise_traffic_report(self, result):
         traffic = result.privacy["noise_traffic"]

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs.__main__ import validate_file
 from repro.obs.trace import (
     CATEGORY_CRYPTO,
     CATEGORY_STAGE,
@@ -17,7 +18,6 @@ from repro.obs.trace import (
     active_tracer,
     set_active_tracer,
     validate_trace_events,
-    validate_trace_file,
 )
 
 
@@ -153,7 +153,7 @@ class TestChromeExport:
     def test_trace_file_roundtrip(self, tracer, clock, tmp_path):
         self.build(tracer, clock)
         path = tracer.write_chrome_trace(tmp_path / "trace.json")
-        assert validate_trace_file(path) == []
+        assert validate_file(path, None) == []
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
 
@@ -203,7 +203,7 @@ class TestValidator:
     def test_validate_file_flags_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        assert validate_trace_file(path)
+        assert validate_file(path, None)
 
 
 class TestActiveTracer:
@@ -283,12 +283,13 @@ class TestScenarioIntegration:
             tiles = stats.submit_stage_s + stats.mix_stage_s + stats.scan_stage_s
             assert tiles == pytest.approx(stats.latency_s, rel=1e-6)
 
-    def test_scenario_result_records_metrics_and_bytes_by_method(self, traced_result):
-        _, result = traced_result
+    def test_scenario_result_records_trace_and_bytes_by_method(self, traced_result):
+        tracer, result = traced_result
         assert result.bytes_by_method
         assert sum(result.bytes_by_method.values()) == result.total_bytes_sent
-        counters = result.metrics["counters"]
-        assert counters["transport.messages_sent"] == result.total_messages_sent
-        assert any(name.startswith("crypto.calls.") for name in counters)
-        histograms = result.metrics["histograms"]
-        assert histograms["round.latency_s.add-friend"]["count"] == 2
+        assert sum(result.calls_by_method.values()) == result.total_messages_sent
+        # The traced run's record carries the tracer's own report, crypto ops folded in.
+        assert result.trace["stages"] == tracer.report()["stages"]
+        assert result.trace["crypto_ops"]["open_many"]["items"] > 0
+        assert abs(result.trace["coverage"]["fraction"] - 1.0) <= 0.05
+        assert len(result.rounds_for("add-friend")) == 2

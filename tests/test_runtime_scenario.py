@@ -50,20 +50,16 @@ class TestRuntimeParity:
         assert real.calls_by_method == sim.calls_by_method
         assert real.total_messages_sent == sim.total_messages_sent
 
-    def test_metrics_transport_counters_match_sim(self):
-        """The transport.* counters in the metrics snapshot are protocol
-        facts (message and byte totals per method), not timing facts, so
-        they must match byte-for-byte across runtimes."""
+    def test_transport_totals_match_sim(self):
+        """The record's transport totals are protocol facts (message and
+        byte totals per method), not timing facts, so they must match
+        byte-for-byte across runtimes."""
         sim = run_scenario("baseline", **SMALL)
         real = run_scenario("baseline", runtime="asyncio", **SMALL)
-
-        def transport_counters(result):
-            counters = result.metrics.get("counters", {})
-            return {k: v for k, v in counters.items() if k.startswith("transport.")}
-
-        sim_counters = transport_counters(sim)
-        assert sim_counters  # the snapshot actually carries transport totals
-        assert transport_counters(real) == sim_counters
+        assert sim.bytes_by_method  # the record actually carries transport totals
+        assert real.bytes_by_method == sim.bytes_by_method
+        assert real.calls_by_method == sim.calls_by_method
+        assert real.total_bytes_sent == sim.total_bytes_sent
 
     @pytest.mark.slow
     def test_mp_matches_sim(self):

@@ -206,7 +206,7 @@ class TestAsyncioTransport:
         outcomes = transport.call_batch(echo_wave("server", 300))
         elapsed = time.monotonic() - started
         assert [o.result.payload for o in outcomes] == [bytes([i % 256]) for i in range(300)]
-        assert transport.runtime_snapshot()["server"]["connections"] == 1
+        assert transport.snapshot()["server"]["connections"] == 1
         assert elapsed < 0.9
 
     def test_wave_isolates_per_call_failures(self, transport):
@@ -430,7 +430,7 @@ class TestMultiprocessTransport:
 
     @pytest.mark.parametrize(
         "malformed",
-        [b"", b"\x80\x04not json", b"[1, 2]", b'{"pid": "x"}', b'{"spans": [3]}', b'{"metrics": 7}'],
+        [b"", b"\x80\x04not json", b"[1, 2]", b'{"pid": "x"}', b'{"spans": [3]}'],
     )
     def test_malformed_telemetry_skips_that_worker(self, scripted_peers, monkeypatch, malformed):
         """A worker is a socket, not a trusted object: its harvest is JSON
@@ -442,7 +442,7 @@ class TestMultiprocessTransport:
         good = WorkerTelemetry(
             pid=4242, label="worker-1", endpoints=["mix1"],
             spans=[{"name": "rpc.serve", "cat": "rpc", "wall_start": 1.0, "wall_dur": 0.5}],
-            metrics={"counters": {"mix1.rpcs": 3}}, rss=1 << 20,
+            rss=1 << 20,
         )
 
         def worker(telemetry_payload):
@@ -461,14 +461,13 @@ class TestMultiprocessTransport:
         )
         tracer = Tracer()
         previous = set_active_tracer(tracer)
-        transport = MultiprocessTransport([], telemetry=True)
+        transport = MultiprocessTransport([])  # telemetry: a tracer is active
         try:
             scripted_peers(transport, "mix0", worker(malformed))
             scripted_peers(transport, "mix1", worker(json.dumps(good.to_payload()).encode()))
             transport._worker_contacts += [(alive, "mix0"), (alive, "mix1")]
             assert transport.harvest_telemetry() == [good]
             assert len(warnings) == 1 and "mix0" in warnings[0]
-            assert transport.worker_metrics == {"worker-1": good.metrics}
             assert [span["pid"] for span in tracer.remote_spans] == [4242]
         finally:
             transport.close()
