@@ -37,11 +37,11 @@ def main() -> None:
           f"{stolen_wheel['bob@example.org'].round_number}")
 
     print("\n== recovery ==")
-    alice.recover_from_compromise(deployment.pkgs, deployment.email_network, now=deployment.clock)
+    alice.recover_from_compromise(deployment.pkg_stubs, deployment.email_network)
     print(f"  deregistered and rotated the signing key: {alice.my_signing_key().hex()[:16]}...")
     print(f"  waiting out the {LOCKOUT_SECONDS // 86400}-day lockout...")
     deployment.advance_clock(LOCKOUT_SECONDS + 1)
-    alice.register(deployment.pkgs, deployment.email_network, now=deployment.clock)
+    alice.register(deployment.pkg_stubs, deployment.email_network)
     print("  re-registered with the new key")
 
     bob.remove_friend("alice@example.org")

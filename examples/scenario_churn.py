@@ -1,7 +1,7 @@
 """Scenario harness end-to-end: client churn on a simulated WAN.
 
 Runs the ``client_churn`` scenario -- a quarter of clients offline each
-round, late joiners registering mid-run -- on the discrete-event network and
+round, late joiners registering mid-run -- on the simulated network and
 prints the per-round latencies and traffic the harness measured, plus the
 effect of making every client's access link slower.
 

@@ -17,7 +17,7 @@ The top-level package lazily exposes the pieces most users need:
 * :mod:`repro.analysis` -- the bandwidth / latency / differential-privacy
   models used to regenerate the paper's evaluation figures.
 * :mod:`repro.net` -- the transport layer: framed RPCs over either a
-  zero-latency in-process dispatch or a discrete-event simulated network.
+  zero-latency in-process dispatch or a simulated network.
 * :mod:`repro.sim` -- the scenario harness driving whole deployments over
   the simulated network (``python -m repro.sim list``).
 

@@ -146,10 +146,6 @@ class VuvuzelaMessenger:
             )
         return self.adopt_placed_call(handle.placed)
 
-    def adopt_incoming_call(self, incoming: IncomingCall) -> Conversation:
-        """Callee side: accept an incoming call into a conversation."""
-        return self._start_conversation(incoming.caller, incoming.session_key, slot=1)
-
     def _start_conversation(self, peer: str, session_key: bytes, slot: int) -> Conversation:
         conversation = Conversation(peer=peer, session_key=session_key, slot=slot)
         self.conversations[peer] = conversation

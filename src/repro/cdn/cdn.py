@@ -55,9 +55,6 @@ class Cdn:
             raise UnknownRoundError(f"no published {protocol} mailboxes for round {round_number}")
         return self._mailbox_counts[key]
 
-    def has_round(self, protocol: str, round_number: int) -> bool:
-        return (protocol, round_number) in self._store
-
     def download_blob(self, protocol: str, round_number: int, mailbox_id: int, client: str = "anonymous") -> bytes | None:
         """Fetch one mailbox's serialized bytes; ``None`` if it is empty.
 
@@ -98,9 +95,3 @@ class Cdn:
             blob = self.download_blob(protocol, round_number, mailbox_id, client)
             return RpcResult(payload=rpc.DOWNLOAD_RESPONSE.encode(blob))
         raise NetworkError(f"CDN has no RPC method {request.method!r}")
-
-    def round_total_bytes(self, protocol: str, round_number: int) -> int:
-        key = (protocol, round_number)
-        if key not in self._store:
-            raise UnknownRoundError(f"no published {protocol} mailboxes for round {round_number}")
-        return sum(len(blob) for blob in self._store[key].values())

@@ -39,8 +39,15 @@ from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import MailboxSet
 from repro.net import rpc
 from repro.net.frames import ENVELOPE_BATCH
-from repro.net.transport import BatchCall, BatchCallOutcome, Transport, concurrent_calls
+from repro.net.transport import BatchCall, BatchCallOutcome, Transport, raise_first_error
 from repro.obs.trace import active_tracer
+
+
+def _reply(outcome: BatchCallOutcome, layout):
+    """One wave outcome's reply -- the single field of ``layout`` -- or its error, raised."""
+    if outcome.error is not None:
+        raise outcome.error
+    return rpc.decode_reply(layout.decode, outcome.result.payload)[0]
 
 
 class ShardRouter:
@@ -136,14 +143,8 @@ class ShardRouter:
                 round=round_number,
                 shards=self.shard_count,
             ):
-                concurrent_calls(
-                    self.transport,
-                    [
-                        lambda shard=shard: self.transport.call(
-                            self.src, shard.entry, "open_round", payload
-                        )
-                        for shard in directory.ranges
-                    ],
+                raise_first_error(
+                    self._wave([shard.entry for shard in directory.ranges], "open_round", payload)
                 )
         except NetworkError:
             # A shard that cannot learn about the round would silently
@@ -170,24 +171,17 @@ class ShardRouter:
         self._announcements.pop(key, None)
         directory = self._directories.pop(key, None)
         if directory is not None:
-            payload = rpc.ROUND_REF.encode(protocol, round_number)
-
-            def abort_endpoint(endpoint: str) -> None:
-                try:
-                    self.transport.call(self.src, endpoint, "abort_round", payload)
-                except NetworkError:
-                    pass  # unreachable shards expire the round on later activity
-
-            # Concurrent like every other shard broadcast: an abort under
+            # One wave like every other shard broadcast: an abort under
             # partition must cost one retry budget, not 2*S serial ones.
-            concurrent_calls(
-                self.transport,
-                [
-                    lambda endpoint=endpoint: abort_endpoint(endpoint)
-                    for shard in directory.ranges
-                    for endpoint in (shard.entry, shard.ingress)
-                ],
+            outcomes = self._wave(
+                [e for shard in directory.ranges for e in (shard.entry, shard.ingress)],
+                "abort_round",
+                rpc.ROUND_REF.encode(protocol, round_number),
             )
+            for outcome in outcomes:
+                # Unreachable shards expire the round on later activity.
+                if outcome.error is not None and not isinstance(outcome.error, NetworkError):
+                    raise outcome.error
         self.mix_chain.close_round(protocol, round_number)
         if protocol == "add-friend" and self.pkg_coordinator is not None:
             self.pkg_coordinator.close_round(round_number)
@@ -231,14 +225,6 @@ class ShardRouter:
         directory = self.directory_or_none(protocol, round_number)
         if directory is None:
             return []
-        payload = rpc.ROUND_REF.encode(protocol, round_number)
-
-        def drain(shard):
-            try:
-                return self._ask(shard.ingress, "flush", payload, rpc.REJECTS)
-            except NetworkError:
-                return []
-
         with active_tracer().span(
             "shard.flush_drain",
             category="cluster",
@@ -247,31 +233,36 @@ class ShardRouter:
             round=round_number,
             shards=self.shard_count,
         ) as span:
-            results = concurrent_calls(
-                self.transport, [lambda shard=shard: drain(shard) for shard in directory.ranges]
+            outcomes = self._wave(
+                [shard.ingress for shard in directory.ranges],
+                "flush",
+                rpc.ROUND_REF.encode(protocol, round_number),
             )
-            rejected = [reject for rejects in results for reject in rejects]
+            rejected: list[tuple[str, str]] = []
+            for outcome in outcomes:
+                try:
+                    rejected += _reply(outcome, rpc.REJECTS)
+                except NetworkError:
+                    pass  # unreachable proxy, or a garbled reply: see above
             span.set(rejected=len(rejected))
         return rejected
 
-    def _ask(self, endpoint: str, method: str, payload: bytes, reply):
-        """One shard RPC whose reply is the single field of layout ``reply``."""
-        result = self.transport.call(self.src, endpoint, method, payload)
-        return rpc.decode_reply(reply.decode, result.payload)[0]
+    def _wave(self, endpoints: list[str], method: str, payload: bytes) -> list[BatchCallOutcome]:
+        """The same control RPC to every endpoint, as one wave."""
+        return self.transport.call_batch(
+            [BatchCall(self.src, endpoint, method, payload) for endpoint in endpoints]
+        )
 
     def submissions(self, protocol: str, round_number: int) -> int:
         directory = self.directory_or_none(protocol, round_number)
         if directory is None:
             return 0
-        payload = rpc.ROUND_REF.encode(protocol, round_number)
-        counts = concurrent_calls(
-            self.transport,
-            [
-                lambda shard=shard: self._ask(shard.entry, "submissions", payload, rpc.COUNT_REPLY)
-                for shard in directory.ranges
-            ],
+        outcomes = self._wave(
+            [shard.entry for shard in directory.ranges],
+            "submissions",
+            rpc.ROUND_REF.encode(protocol, round_number),
         )
-        return sum(counts)
+        return sum(_reply(outcome, rpc.COUNT_REPLY) for outcome in outcomes)
 
     # -- closing a round ------------------------------------------------------
     def close_round(self, protocol: str, round_number: int) -> RoundCounts:
@@ -290,15 +281,12 @@ class ShardRouter:
             round=round_number,
             shards=self.shard_count,
         ) as span:
-            per_shard = concurrent_calls(
-                self.transport,
-                [
-                    lambda shard=shard: self._ask(
-                        shard.entry, "close_round", payload, ENVELOPE_BATCH
-                    )
-                    for shard in directory.ranges
-                ],
-            )
+            per_shard = [
+                _reply(outcome, ENVELOPE_BATCH)
+                for outcome in self._wave(
+                    [shard.entry for shard in directory.ranges], "close_round", payload
+                )
+            ]
             self.load_by_round[key] = [len(envelopes) for envelopes in per_shard]
             merged = [envelope for envelopes in per_shard for envelope in envelopes]
             span.set(envelopes=len(merged))
@@ -364,12 +352,11 @@ class ShardedCdnStub:
     def publish(self, mailboxes: MailboxSet) -> None:
         directory = self.router.directory(mailboxes.protocol, mailboxes.round_number)
         blobs = mailboxes.blobs()
-
-        def publish_range(shard):
-            # Empty subsets are published too: a shard must know the round
-            # exists so an empty mailbox stays distinguishable from an
-            # unknown round (see CdnShard.download_blob).
-            self.transport.call(
+        # Empty subsets are published too: a shard must know the round
+        # exists so an empty mailbox stays distinguishable from an unknown
+        # round (see CdnShard.download_blob).
+        calls = [
+            BatchCall(
                 self.src,
                 shard.cdn,
                 "publish",
@@ -382,11 +369,9 @@ class ShardedCdnStub:
                     [(mid, blob) for mid, blob in blobs.items() if shard.contains(mid)],
                 ),
             )
-
-        concurrent_calls(
-            self.transport,
-            [lambda shard=shard: publish_range(shard) for shard in directory.ranges],
-        )
+            for shard in directory.ranges
+        ]
+        raise_first_error(self.transport.call_batch(calls))
 
     def _round_directory(self, protocol: str, round_number: int):
         """The round's directory, or the same error the single CDN raises.

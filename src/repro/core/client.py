@@ -33,7 +33,7 @@ from repro.core.keywheel import Keywheel
 from repro.crypto.attestation import get_scheme
 from repro.crypto.ibe.anytrust import AnytrustIbe
 from repro.errors import ProtocolError
-from repro.net.transport import concurrent_calls, shared_transport
+from repro.net.transport import raise_first_error
 from repro.pkg.server import PkgServer
 
 
@@ -93,30 +93,25 @@ class Client:
         """``MySigningKey()``: the long-term public key to share out-of-band."""
         return self.identity.signing_public
 
-    def register(self, pkgs: list, email_network, now: float = 0.0) -> None:
+    def register(self, pkg_stubs: list, email_network) -> None:
         """``Register()``: prove ownership of the email address to every PKG.
 
-        ``pkgs`` are :class:`~repro.pkg.server.PkgServer` objects or the
-        transport stubs a deployment hands out (same surface either way).
-        The client reads the confirmation token each PKG emailed to its
-        address and echoes it back, after which the address is locked to the
-        client's long-term signing key (§4.6).
+        ``pkg_stubs`` are the :class:`~repro.net.rpc.PkgStub`\\ s a deployment
+        hands out.  The client reads the confirmation token each PKG emailed
+        to its address and echoes it back, after which the address is locked
+        to the client's long-term signing key (§4.6).  Each PKG stamps the
+        request with its own clock on arrival.
 
-        The per-PKG RPCs are independent, so each leg (begin, confirm) fans
-        out to every PKG in one concurrent transport phase: registration
-        costs two round trips to the slowest PKG, not 2N sequential trips.
+        The per-PKG RPCs are independent, so each leg (begin, confirm) is one
+        wave to every PKG: registration costs two round trips to the slowest
+        PKG, not 2N sequential trips.
         """
-        transport = self._fanout_transport(pkgs)
-        concurrent_calls(
-            transport,
-            [
-                lambda p=pkg: p.begin_registration(self.email, self.identity.signing_public, now)
-                for pkg in pkgs
-            ],
+        self._registration_leg(
+            pkg_stubs, "begin_registration", [self.identity.signing_public] * len(pkg_stubs)
         )
         tokens = []
         inbox = email_network.read_inbox(self.email)
-        for pkg in pkgs:
+        for pkg in pkg_stubs:
             token = None
             for message in reversed(inbox):
                 if message.sender.startswith(pkg.name):
@@ -124,21 +119,23 @@ class Client:
                     break
             if token is None:
                 raise ProtocolError(f"no confirmation email from {pkg.name} for {self.email}")
-            tokens.append(token)
-        concurrent_calls(
-            transport,
-            [
-                lambda p=pkg, t=token: p.confirm_registration(self.email, t, now)
-                for pkg, token in zip(pkgs, tokens)
-            ],
-        )
+            tokens.append(token.encode("utf-8"))
+        self._registration_leg(pkg_stubs, "confirm_registration", tokens)
         self.registered = True
 
-    def _fanout_transport(self, pkgs: list):
-        """The transport for a concurrent per-PKG fan-out (None = sequential)."""
-        if self.config.pkg_fanout != "parallel":
-            return None
-        return shared_transport(pkgs)
+    def _registration_leg(self, pkg_stubs: list, method: str, blobs: list[bytes]) -> None:
+        """One registration RPC at every PKG: a wave, or under
+        ``pkg_fanout="sequential"`` single calls one after another."""
+        calls = [
+            stub.registration_call(method, self.email, blob)
+            for stub, blob in zip(pkg_stubs, blobs)
+        ]
+        transport = pkg_stubs[0].transport
+        if self.config.pkg_fanout == "parallel":
+            raise_first_error(transport.call_batch(calls))
+        else:
+            for call in calls:
+                transport.call(call.src, call.dst, call.method, call.payload)
 
     def add_friend(self, email: str, their_signing_key: bytes | None = None) -> QueuedFriendRequest:
         """``AddFriend()``: queue a friend request for the next add-friend round.
@@ -184,7 +181,7 @@ class Client:
     # ------------------------------------------------------------------ #
     # Compromise recovery (§9)
     # ------------------------------------------------------------------ #
-    def recover_from_compromise(self, pkgs: list[PkgServer], email_network, now: float) -> None:
+    def recover_from_compromise(self, pkg_stubs: list, email_network) -> None:
         """Deregister, rotate the signing key, re-register, and drop keywheels.
 
         After recovery the user re-runs ``add_friend`` with each friend to
@@ -193,10 +190,7 @@ class Client:
         ``their_signing_key`` when re-adding).
         """
         signature = self.identity.sign(PkgServer.deregistration_statement(self.email))
-        concurrent_calls(
-            self._fanout_transport(pkgs),
-            [lambda p=pkg: p.deregister(self.email, signature, now) for pkg in pkgs],
-        )
+        self._registration_leg(pkg_stubs, "deregister", [signature] * len(pkg_stubs))
         old_friends = [friend.email for friend in self.address_book.friends()]
         self.identity = self.identity.rotate()
         self.address_book = AddressBook()

@@ -13,7 +13,7 @@ the real wire-format bytes the library produces.  With the default
 clock is logical (it only advances between rounds), matching the seed's
 behavior exactly.  Handing in a :class:`~repro.net.simulated.SimulatedNetwork`
 instead makes the same deployment run on modelled links: the clock then
-advances from scheduler events, so each :class:`RoundSummary` reports a
+advances with every message delivery, so each :class:`RoundSummary` reports a
 meaningful end-to-end ``latency_s``.
 """
 
@@ -269,7 +269,7 @@ class Deployment:
             incoming_call=incoming_call,
         )
         if register:
-            client.register(self.pkg_stubs, self.email_network, now=self.clock)
+            client.register(self.pkg_stubs, self.email_network)
         self.clients[email] = client
         return client
 
@@ -311,8 +311,8 @@ class Deployment:
 
         Under :class:`DirectTransport` this is the seed's logical clock
         (moved only by :meth:`advance_clock`); under a simulated network it
-        is the discrete-event scheduler's clock, which also advances with
-        every message delivery.
+        is the simulated clock, which also advances with every message
+        delivery.
         """
         return self.transport.now()
 

@@ -569,11 +569,3 @@ def hash_to_g1(message: bytes, domain: bytes = b"repro/bn254/hash-to-g1") -> G1P
             # Cofactor of G1 is 1, so any curve point is in the right group.
             return point
         counter += 1
-
-
-def random_g1_scalar(rng_bytes: bytes) -> int:
-    """Reduce 32+ bytes of randomness into a nonzero scalar mod the group order."""
-    scalar = int.from_bytes(rng_bytes, "big") % CURVE_ORDER
-    if scalar == 0:
-        scalar = 1
-    return scalar

@@ -154,12 +154,3 @@ class MailboxSet:
                 if 0 <= mid < self.mailbox_count:
                     counts[mid] = mailbox.token_count
         return counts
-
-    def mailbox_for(self, identity: str):
-        """The mailbox a given identity should download this round."""
-        mailbox_id = mailbox_for_identity(identity, self.mailbox_count)
-        if self.protocol == "add-friend":
-            return self.addfriend.get(mailbox_id, AddFriendMailbox(mailbox_id=mailbox_id))
-        if mailbox_id in self.dialing:
-            return self.dialing[mailbox_id]
-        return DialingMailbox.build(mailbox_id, [])

@@ -5,8 +5,8 @@ the project's canonical wire format) from *how* the messages travel:
 
 * :class:`~repro.net.transport.DirectTransport` -- zero-latency in-process
   dispatch, behaviorally identical to the seed's direct method calls;
-* :class:`~repro.net.simulated.SimulatedNetwork` -- a discrete-event
-  simulation with per-link latency, bandwidth, jitter, loss, and partitions,
+* :class:`~repro.net.simulated.SimulatedNetwork` -- a simulated clock moved
+  by per-link latency, bandwidth, jitter, loss, and partition models,
   which is what the scenario harness in :mod:`repro.sim` runs on.
 """
 

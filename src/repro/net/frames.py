@@ -11,7 +11,6 @@ batch) is at the bottom.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from repro.errors import SerializationError
@@ -70,71 +69,6 @@ def frame_overhead(src: str, dst: str, method: str) -> int:
         + len(dst.encode("utf-8"))
         + len(method.encode("utf-8"))
     )
-
-
-class FrameBatch:
-    """Columnar (struct-of-arrays) storage for a batch of in-flight frames.
-
-    The batched delivery path keeps a whole wave of frames as parallel
-    columns -- endpoint strings, payload refs, numeric sizes and deadlines in
-    ``array('d')``/``array('q')`` -- instead of one :class:`Frame` object per
-    message, so scheduling loops touch flat sequences with no per-frame
-    allocation.  A real :class:`Frame` is only :meth:`materialize`\\ d lazily
-    at RPC dispatch, and only when a consumer actually asks for one; the
-    handler hot path reads the columns directly.
-
-    Wire-size accounting matches the per-frame path bit for bit: payload
-    length + :func:`frame_overhead`, with the overhead memoized per
-    ``(src, dst, method)`` triple so the string encodes run once per route
-    rather than once per frame.
-    """
-
-    __slots__ = (
-        "srcs",
-        "dsts",
-        "methods",
-        "payloads",
-        "wire_sizes",
-        "deadlines",
-        "_overheads",
-    )
-
-    def __init__(self) -> None:
-        self.srcs: list[str] = []
-        self.dsts: list[str] = []
-        self.methods: list[str] = []
-        self.payloads: list[bytes] = []
-        self.wire_sizes = array("q")
-        self.deadlines = array("d")
-        self._overheads: dict[tuple[str, str, str], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.srcs)
-
-    def append(self, src: str, dst: str, method: str, payload: bytes) -> int:
-        """Add one frame; returns its column index."""
-        route = (src, dst, method)
-        overhead = self._overheads.get(route)
-        if overhead is None:
-            overhead = self._overheads[route] = frame_overhead(src, dst, method)
-        self.srcs.append(src)
-        self.dsts.append(dst)
-        self.methods.append(method)
-        self.payloads.append(payload)
-        self.wire_sizes.append(len(payload) + overhead)
-        self.deadlines.append(0.0)
-        return len(self.srcs) - 1
-
-    def materialize(self, index: int, msg_id: int = 0, kind: int = KIND_REQUEST) -> Frame:
-        """Build the per-frame object for one entry (RPC dispatch only)."""
-        return Frame(
-            kind=kind,
-            msg_id=msg_id,
-            src=self.srcs[index],
-            dst=self.dsts[index],
-            method=self.methods[index],
-            payload=self.payloads[index],
-        )
 
 
 # --------------------------------------------------------------------------- #

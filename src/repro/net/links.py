@@ -33,10 +33,9 @@ class LinkSpec:
     bandwidth_bps: float = 0.0  # 0 means infinite (no serialization delay)
     jitter_s: float = 0.0
     drop_rate: float = 0.0
-    #: Opt-in fluid-flow approximation: batched bulk transfers over this link
-    #: skip per-frame jitter and loss draws and move as a deterministic flow
-    #: (base latency + size/bandwidth, serialized through any shared access
-    #: link).  Single control RPCs always keep full per-frame fidelity.
+    #: Opt-in fluid-flow approximation: every message over this link skips
+    #: its jitter and loss draws and moves as a deterministic flow (base
+    #: latency + size/bandwidth, serialized through any shared access link).
     fluid: bool = False
 
     def __post_init__(self) -> None:
@@ -100,9 +99,6 @@ class NetworkTopology:
         self._partitioned_endpoints: set[str] = set()
 
     # -- configuration ------------------------------------------------------
-    def set_default(self, spec: LinkSpec) -> None:
-        self.default = spec
-
     def set_link(self, a: str, b: str, spec: LinkSpec) -> None:
         self._pair_links[_pair(a, b)] = spec
 
@@ -110,14 +106,8 @@ class NetworkTopology:
         """Make every path touching ``name`` behave like ``spec`` (straggler)."""
         self._endpoint_links[name] = spec
 
-    def clear_endpoint(self, name: str) -> None:
-        self._endpoint_links.pop(name, None)
-
     def assign_region(self, name: str, region: str) -> None:
         self._regions[name] = region
-
-    def region_of(self, name: str) -> str | None:
-        return self._regions.get(name)
 
     def set_region_link(self, region_a: str, region_b: str, spec: LinkSpec) -> None:
         self._region_links[_pair(region_a, region_b)] = spec

@@ -5,7 +5,10 @@ Each stub presents the same Python surface as the server object it fronts
 :class:`~repro.mixnet.server.MixServer`, :class:`~repro.cdn.cdn.Cdn`), so the
 deployment can hand a stub anywhere a direct reference used to go.  The stub
 encodes arguments into a framed payload, issues one :meth:`Transport.call`,
-and decodes the response; the server's ``handle_rpc`` does the inverse.
+and decodes the response; the server's ``handle_rpc`` does the inverse.  An
+RPC that only ever goes out as one wave across many callers or endpoints
+(``extract``, the registration legs, ``submit``, ``download``) has a
+:class:`BatchCall` builder or a ``*_many`` method instead of a single call.
 
 Every payload is a :class:`~repro.utils.serialization.Message` declared
 below -- one description the codec, ``docs/wire.md`` (``python -m
@@ -411,18 +414,16 @@ class PkgStub:
         return self._bls_public_key
 
     # -- registration (src = the registering client) -----------------------
-    def begin_registration(self, email: str, signing_key: bytes, now: float) -> None:
-        self.transport.call(
-            email, self.name, "begin_registration", REGISTRATION_REQUEST.encode(email, signing_key)
-        )
-
-    def confirm_registration(self, email: str, token: str, now: float) -> None:
-        request = REGISTRATION_REQUEST.encode(email, token.encode("utf-8"))
-        self.transport.call(email, self.name, "confirm_registration", request)
-
-    def deregister(self, email: str, signature: bytes, now: float) -> None:
-        self.transport.call(
-            email, self.name, "deregister", REGISTRATION_REQUEST.encode(email, signature)
+    def registration_call(self, method: str, email: str, blob: bytes) -> BatchCall:
+        """A ``begin_registration`` / ``confirm_registration`` / ``deregister``
+        RPC as a :class:`BatchCall` (``blob``: the signing key, the UTF-8
+        confirmation token, the deregistration signature); the client issues
+        one wave per leg across all PKGs."""
+        return BatchCall(
+            src=email,
+            dst=self.name,
+            method=method,
+            payload=REGISTRATION_REQUEST.encode(email, blob),
         )
 
     # -- extraction (src = the extracting client) --------------------------

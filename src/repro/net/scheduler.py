@@ -1,200 +1,84 @@
-"""A discrete-event scheduler: the clock of the simulated network.
+"""The clock of the simulated network.
 
-Time is a float (seconds).  Events are (time, sequence, callback) triples in
-a heap; running the scheduler pops events in time order, advances ``now`` to
-each event's time, and invokes the callback.  Callbacks may schedule further
-events (a delivered request whose handler issues nested RPCs does exactly
-that), so :meth:`run_until` is re-entrant: an event callback that needs to
-wait for a later event simply runs the loop again from inside itself.
-
-Two delivery granularities coexist:
-
-* :meth:`schedule` -- one heap event per callback (the per-frame path).
-* :meth:`schedule_slotted` -- items arriving for the same ``key`` within the
-  same time slot (``slot_width_s`` wide) coalesce into **one** heap event
-  that fires with the whole batch, collapsing heap size from O(frames) to
-  O(keys x active slots).  Each item keeps its exact timestamp; slotting
-  batches the heap bookkeeping, never the physics.
+Time is a float (seconds).  :class:`~repro.net.simulated.SimulatedNetwork`
+delivers every message by delay arithmetic and only ever *moves* this clock
+(:meth:`seek`, :meth:`rewind`, :meth:`fast_forward`, :meth:`advance`); it
+schedules nothing.  The small event heap (:meth:`schedule`, :meth:`step`,
+:meth:`run_until_idle`) is kept for its two remaining drivers: the benchmark
+ladder's ``net.scheduler_events_per_s`` probe and the per-frame reference
+network in ``tests/per_frame_network.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable
-
-#: Default coalescing window for slotted delivery.  10 ms is well under any
-#: configured link latency, so a slot never spans two logically distinct
-#: delivery waves.
-DEFAULT_SLOT_WIDTH_S = 0.010
-
-
-@dataclass(order=True)
-class Event:
-    """One scheduled callback; ordered by (time, seq) for deterministic ties."""
-
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _SlotBatch:
-    """Items coalesced behind one slotted heap event: (timestamp, item) pairs."""
-
-    __slots__ = ("items",)
-
-    def __init__(self) -> None:
-        self.items: list[tuple[float, object]] = []
 
 
 class EventScheduler:
-    """Minimal discrete-event loop driving :class:`SimulatedNetwork`."""
+    """A simulated clock, plus a minimal (time, sequence, callback) heap."""
 
-    def __init__(self, start: float = 0.0, slot_width_s: float = DEFAULT_SLOT_WIDTH_S) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.now: float = start
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.events_processed = 0
-        self.slot_width_s = slot_width_s
-        self._slots: dict[tuple[object, int], _SlotBatch] = {}
-        #: Peak heap occupancy and slotted-delivery counters, exported as the
-        #: ``scheduler.*`` metrics gauges.
-        self.max_heap_size = 0
-        self.slot_events = 0
-        self.slotted_items = 0
 
-    def heap_size(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(time=self.now + delay, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        if len(self._heap) > self.max_heap_size:
-            self.max_heap_size = len(self._heap)
-        return event
-
-    def schedule_slotted(
-        self,
-        key: object,
-        time: float,
-        item: object,
-        on_batch: Callable[[list[tuple[float, object]]], None],
-    ) -> None:
-        """Coalesce ``item`` into the (key, slot) batch event covering ``time``.
-
-        ``time`` is absolute.  The first item of a (key, slot) pair pushes one
-        heap event at that item's timestamp (clamped to the present); further
-        items for the same pair ride the existing event for free.  When the
-        event fires, ``on_batch`` receives every coalesced ``(time, item)``
-        pair -- items enqueued after the slot fired start a fresh batch.
-        """
-        slot = int(time // self.slot_width_s) if self.slot_width_s > 0.0 else 0
-        slot_key = (key, slot)
-        batch = self._slots.get(slot_key)
-        if batch is None:
-            batch = _SlotBatch()
-            self._slots[slot_key] = batch
-            event = Event(
-                time=max(time, self.now),
-                seq=self._seq,
-                callback=lambda: on_batch(self._slots.pop(slot_key).items),
-            )
-            self._seq += 1
-            heapq.heappush(self._heap, event)
-            if len(self._heap) > self.max_heap_size:
-                self.max_heap_size = len(self._heap)
-            self.slot_events += 1
-        batch.items.append((time, item))
-        self.slotted_items += 1
-
-    def pending(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    def step(self) -> bool:
-        """Run the next event; returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            # Events scheduled in the past (by a re-entrant caller that already
-            # advanced the clock) run "now": simulated time never moves backward.
-            self.now = max(self.now, event.time)
-            self.events_processed += 1
-            event.callback()
-            return True
-        return False
-
-    def run_until(self, predicate: Callable[[], bool]) -> None:
-        """Process events in time order until ``predicate()`` holds."""
-        while not predicate():
-            if not self.step():
-                raise RuntimeError(
-                    "event heap drained before the awaited event fired"
-                )
-
-    def run_until_idle(self) -> None:
-        while self.step():
-            pass
-
+    # -- the clock -------------------------------------------------------------
     def rewind(self, to_time: float) -> None:
         """Move the clock backwards to ``to_time`` (phase bookkeeping only).
 
         A :class:`~repro.net.simulated._SimulatedPhase` restarts each of its
-        logically concurrent tasks at the phase's start time; this is the
-        one legitimate way time moves backwards.  Pending events keep their
-        absolute times -- an event now "in the future" again simply fires
-        when the clock catches back up, and :meth:`step` never runs an event
-        before its time twice.
+        logically concurrent tasks at the phase's start time, and a call
+        whose deadline expired is clamped back to it; these are the
+        legitimate ways time moves backwards.
         """
         if to_time > self.now:
             raise ValueError("rewind cannot move the clock forward")
         self.now = to_time
 
     def seek(self, to_time: float) -> None:
-        """Set the clock to an arbitrary batch-task timestamp.
+        """Set the clock to an arbitrary wave-task timestamp.
 
-        The batched-delivery analogue of :meth:`rewind`: a transport batch
-        processes logically concurrent frames one after another, each at its
-        own arrival instant, so the clock legitimately hops both backwards
-        and forwards between them.  Only valid inside a phase (the enclosing
-        :class:`~repro.net.simulated._SimulatedPhase` restores order at
-        exit); pending events keep their absolute times, exactly as with
-        :meth:`rewind`.
+        A delivery wave processes logically concurrent frames one after
+        another, each at its own arrival instant, so the clock legitimately
+        hops both backwards and forwards between them; the wave ends by
+        seeking to its latest finisher.
         """
         self.now = to_time
 
     def fast_forward(self, to_time: float) -> None:
-        """Jump the clock forward to ``to_time`` without draining events.
-
-        Used at phase exit: the phase ends at its latest finisher, and any
-        events stragglers left in the heap still fire in order the next time
-        the loop runs (step() clamps their time to the new present).
-        """
+        """Jump the clock forward to ``to_time`` (a phase ends at its latest finisher)."""
         if to_time < self.now:
             raise ValueError("fast_forward cannot move the clock backwards")
         self.now = to_time
 
     def advance(self, seconds: float) -> None:
-        """Jump the clock forward, draining any events due in between."""
+        """Jump the clock forward by ``seconds``."""
         if seconds < 0:
             raise ValueError("cannot advance time backwards")
-        deadline = self.now + seconds
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                # Discard here rather than via step(): step() would run the
-                # *next* live event even if it is due after the deadline.
-                heapq.heappop(self._heap)
-                continue
-            if head.time > deadline:
-                break
-            self.step()
-        self.now = deadline
+        self.now += seconds
+
+    # -- the event heap (benchmark probe and test oracle only) -----------------
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` to run ``delay`` seconds from now."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        heapq.heappush(self._heap, (self.now + delay, self._seq, callback))
+        self._seq += 1
+
+    def step(self) -> bool:
+        """Run the next event (ties in schedule order); False when the heap is empty."""
+        if not self._heap:
+            return False
+        time, _seq, callback = heapq.heappop(self._heap)
+        # An event scheduled before a rewind-and-advance runs "now":
+        # simulated time never moves backward by running an event.
+        self.now = max(self.now, time)
+        self.events_processed += 1
+        callback()
+        return True
+
+    def run_until_idle(self) -> None:
+        while self.step():
+            pass

@@ -14,8 +14,8 @@ name and issue framed RPCs:
 Two implementations exist: :class:`DirectTransport` here (zero latency,
 preserves the seed deployment's timing exactly -- the logical clock only
 moves when :meth:`advance` is called) and
-:class:`~repro.net.simulated.SimulatedNetwork` (discrete-event simulation
-with per-link latency/bandwidth/jitter/loss models).
+:class:`~repro.net.simulated.SimulatedNetwork` (a simulated clock moved by
+per-link latency/bandwidth/jitter/loss models).
 
 An RPC carries exactly its ``payload`` bytes in each direction; what a
 transport charges to bandwidth is ``len(payload)`` plus the frame header
@@ -92,6 +92,14 @@ class BatchCallOutcome:
         return self.error is None
 
 
+def raise_first_error(outcomes: list[BatchCallOutcome]) -> None:
+    """For a fan-out that needs every call to succeed: raise the wave's first
+    error -- after the wave, so every endpoint was contacted."""
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
+
+
 def normalize_response(raw: "RpcResult | bytes | None") -> RpcResult:
     if raw is None:
         return RpcResult()
@@ -164,38 +172,6 @@ class Phase:
 
     def __exit__(self, *exc) -> bool:
         return False
-
-
-def concurrent_calls(transport: "Transport | None", tasks: list) -> list:
-    """Run thunks as one concurrent phase on ``transport``.
-
-    The client-side fan-out primitive: a client issuing the same RPC to N
-    independent servers (per-round PKG key extraction, registration at every
-    PKG) opens N connections at once, so the stage costs the *slowest*
-    server's round trip instead of the sum of all of them.  With
-    ``transport=None`` (plain server objects, no wire) the tasks simply run
-    in order, which is also the behavior under ``pkg_fanout="sequential"``
-    -- the configuration the fan-out speedup is measured against.
-
-    Exceptions propagate exactly as in a sequential loop: the first failing
-    task aborts the fan-out (its phase still closes).
-    """
-    if transport is None:
-        return [task() for task in tasks]
-    with transport.phase() as phase:
-        return [phase.run(task) for task in tasks]
-
-
-def shared_transport(stubs: list) -> "Transport | None":
-    """The transport a list of client-side stubs talks through, if any.
-
-    Plain server objects (unit tests hand those in) have no ``transport``
-    attribute and get ``None``, which makes :func:`concurrent_calls` fall
-    back to a sequential loop.
-    """
-    if not stubs:
-        return None
-    return getattr(stubs[0], "transport", None)
 
 
 class Transport(ABC):
@@ -304,7 +280,7 @@ class Transport(ABC):
 
         The base implementation advances the transport clock, which is a
         no-op wait under :class:`DirectTransport`'s logical time and a
-        deterministic scheduler jump under the simulated network.  Real
+        deterministic clock jump under the simulated network.  Real
         transports override this with an actual sleep.
         """
         self.advance(seconds)
@@ -320,7 +296,7 @@ class Transport(ABC):
         what :class:`DirectTransport` wants.  ``start`` overrides are
         meaningless without a simulated clock and are ignored here;
         :class:`~repro.net.simulated.SimulatedNetwork` overrides this with
-        slotted columnar delivery that honors them.
+        its delivery wave, which honors them.
         """
         outcomes: list[BatchCallOutcome] = []
         for call in calls:
@@ -353,7 +329,7 @@ class Transport(ABC):
 
     def snapshot(self) -> dict:
         """The transport's own live gauges, for a run record's ``net`` section
-        (the simulated network: scheduler counters; the real runtimes:
+        (the simulated network: wave and clock counters; the real runtimes:
         per-endpoint queue/connection gauges).  The base has none."""
         return {}
 

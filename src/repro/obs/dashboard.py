@@ -312,7 +312,7 @@ class DashboardMonitor:
         if stats.shards:
             self.server.publish("shards", **stats.shards)
         if stats.net:
-            # The simulated network's scheduler gauges, or a real runtime's
+            # The simulated network's wave gauges, or a real runtime's
             # per-endpoint executor/connection/in-flight gauges (and worker
             # RSS under mp) for the Runtime panel.
             if self._runtime == "sim":
@@ -389,7 +389,7 @@ _PAGE = """<!doctype html>
 <h2>Shard load</h2>
 <div id="shards" class="muted">unsharded deployment</div>
 <h2>Simulator core</h2>
-<div id="net" class="muted">no scheduler stats yet</div>
+<div id="net" class="muted">no network stats yet</div>
 <h2>Runtime</h2>
 <div id="runtime" class="muted">simulated transport (no live endpoints)</div>
 <h2>Privacy</h2>
@@ -438,9 +438,7 @@ _PAGE = """<!doctype html>
   source.addEventListener('net', (e) => {
     const d = JSON.parse(e.data).data;
     $('net').className = '';
-    $('net').textContent = 'scheduler heap peak ' + d.heap_size + ' \\u00b7 slot events '
-      + d.slot_events + ' (' + d.slotted_items + ' frames batched) \\u00b7 frames in flight peak '
-      + d.frames_in_flight_peak;
+    $('net').textContent = 'largest delivery wave: ' + d.frames_in_flight_peak + ' calls';
   });
   source.addEventListener('runtime', (e) => {
     const d = JSON.parse(e.data).data.endpoints;

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from ..utils.serialization import F64, U64, Message, Str
-from .trace import Tracer, propagation_coverage
+from .trace import CATEGORY_STAGE, Tracer, propagation_coverage
 
 __all__ = [
     "PING_REPLY",
@@ -212,17 +212,27 @@ def runtime_attribution(tracer: Tracer) -> dict[str, dict[str, float]]:
     return dict(sorted(buckets.items()))
 
 
-def trace_section(tracer: Tracer, round_latency_s: float) -> dict[str, Any]:
+def trace_section(tracer: Tracer, rounds) -> dict[str, Any]:
     """A traced run record's ``trace`` section.
 
     The tracer's report (stage totals, stage x category self time, per-op
     crypto cost), ``coverage`` (the stage spans' simulated durations against
-    the measured round latency; 1.0 when they tile it) and, on the real
-    runtimes, the per-endpoint ``runtime`` attribution plus ``propagation``
-    (how many ``rpc.serve`` spans resolved a remote parent).
+    the measured round latency, both over the run's completed ``rounds``;
+    1.0 when they tile it) and, on the real runtimes, the per-endpoint
+    ``runtime`` attribution plus ``propagation`` (how many ``rpc.serve``
+    spans resolved a remote parent).
     """
     section = tracer.report()
-    stage_sim = sum(stage["sim_s"] for stage in section["stages"].values())
+    # An aborted round records no latency, so the stage spans it got through
+    # before failing must not count either.
+    latency = {(r.protocol, r.round_number): r.latency_s for r in rounds if not r.aborted}
+    stage_sim = sum(
+        span.sim_duration
+        for span in tracer.spans
+        if span.category == CATEGORY_STAGE
+        and (span.args.get("protocol"), span.args.get("round")) in latency
+    )
+    round_latency_s = sum(latency.values())
     section["coverage"] = {
         "stage_sim_s": stage_sim,
         "round_latency_s": round_latency_s,

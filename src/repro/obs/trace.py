@@ -1,7 +1,7 @@
 """Per-stage round tracing over two clocks, exportable to Perfetto.
 
 A :class:`Span` measures one operation on both the deployment's *simulated*
-clock (what the discrete-event scheduler says the operation took) and the
+clock (what the simulated network's clock says the operation took) and the
 host's *wall* clock (what it actually cost to execute).  The two disagree
 on purpose: under :class:`~repro.net.simulated.SimulatedNetwork` a server
 handler runs at a single simulated instant yet burns real CPU, and
@@ -19,13 +19,12 @@ Span categories:
   (``announce`` / ``submit`` / ``mix`` / ``scan``), one track per protocol.
   Their simulated durations tile ``RoundSummary.latency_s`` exactly in
   sequential mode.
-* ``transport`` -- one (unkept) span per RPC; feeds attribution only.
+* ``transport`` -- one (unkept) span per RPC or per ``call_batch`` wave;
+  feeds attribution only.
 * ``crypto`` -- engine ops via ``InstrumentedCryptoBackend``; batch calls
   are kept as real spans, single ops feed attribution only.
 * ``mix`` / ``cluster`` -- ``MixServer.process_batch``, shard-router
   broadcasts/collects, and ``IngressProxy`` flushes.
-* ``scheduler`` -- slot scheduling/draining inside batched delivery waves
-  (``SimulatedNetwork.call_batch``); attribution only.
 
 Exports: :meth:`Tracer.write_jsonl` (one span dict per line),
 :meth:`Tracer.write_chrome_trace` (Chrome/Perfetto ``trace_event`` JSON
@@ -49,7 +48,6 @@ from typing import Any, Callable, Iterator
 __all__ = [
     "CATEGORY_CRYPTO",
     "CATEGORY_RPC",
-    "CATEGORY_SCHEDULER",
     "CATEGORY_STAGE",
     "CATEGORY_TRANSPORT",
     "NullTracer",
@@ -66,9 +64,6 @@ CATEGORY_TRANSPORT = "transport"
 CATEGORY_CRYPTO = "crypto"
 CATEGORY_MIX = "mix"
 CATEGORY_CLUSTER = "cluster"
-#: Discrete-event bookkeeping inside batched delivery (slot scheduling and
-#: draining); previously hidden inside "transport"/"other".
-CATEGORY_SCHEDULER = "scheduler"
 #: Real-runtime RPC spans: client-side ``rpc.call`` and server-side
 #: ``rpc.serve`` pairs linked by the wire's trace-context trailer (see
 #: :mod:`repro.obs.distributed`).

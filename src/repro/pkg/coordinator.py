@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.hashing import hmac_sha256, sha256
+from repro.crypto.hashing import hmac_sha256
 from repro.errors import NetworkError, ProtocolError, RoundError
 from repro.pkg.server import PkgServer
 from repro.utils.rng import random_bytes
@@ -32,10 +32,6 @@ class RoundMasterKeys:
     commitments: list[bytes]
     #: ``public_keys`` in their wire encoding (what the commitments bind).
     encoded_public_keys: list[bytes]
-
-    def aggregate_bytes(self) -> bytes:
-        return sha256(b"".join(c for c in self.commitments))
-
 
 @dataclass
 class PkgCoordinator:

@@ -99,11 +99,6 @@ class BloomFilter:
             self.add(element)
 
     # -- accounting ------------------------------------------------------
-    @property
-    def approximate_items(self) -> int:
-        """Number of elements added (exact for this in-process filter)."""
-        return self._count
-
     def size_bytes(self) -> int:
         """Serialized size, which is what a client downloads."""
         return 12 + len(self._bits)

@@ -117,16 +117,16 @@ class ScenarioSpec:
     cdn_egress_mbps: float = 0.0
     #: Simulator-core fidelity (the ``fidelity`` experiment's axis):
     #:
-    #: * ``"slotted"`` -- round stages as client waves over columnar frame
-    #:   storage with per-(destination, slot) coalesced delivery; every
-    #:   frame keeps its own jitter/drop draws (the per-message keyed rng);
+    #: * ``"slotted"`` -- the exact tier (the name is historical: nothing
+    #:   is slotted any more): every frame keeps its own jitter/drop draws
+    #:   (the per-message keyed rng);
     #: * ``"fluid"``   -- ``"slotted"`` plus fluid-flow client links: bulk
     #:   frames move as deterministic flows with no per-frame jitter/drop
     #:   draws (a bounded-divergence approximation for 100k-client runs).
     fidelity: str = "slotted"
     #: Deployment runtime (the ``runtime`` experiment's axis):
     #:
-    #: * ``"sim"``     -- the discrete-event SimulatedNetwork with this
+    #: * ``"sim"``     -- the SimulatedNetwork with this
     #:   scenario's topology (links, jitter, partitions); the clock is
     #:   simulated time;
     #: * ``"asyncio"`` -- every endpoint behind a real localhost TCP socket
@@ -491,9 +491,9 @@ class Scenario:
     def build_topology(self) -> NetworkTopology:
         client_link = self.spec.client_link
         if self.spec.fidelity == "fluid":
-            # Fluid fidelity moves the client bulk traffic as deterministic
-            # flows; the server mesh keeps per-frame fidelity (control RPCs
-            # are few and their loss/retry behavior matters).
+            # Fluid fidelity moves everything on a client link as a
+            # deterministic flow; the server mesh keeps per-frame fidelity
+            # (control RPCs are few and their loss/retry behavior matters).
             client_link = replace(client_link, fluid=True)
         topology = NetworkTopology(default=client_link)
         servers = self.server_endpoints()
@@ -687,7 +687,7 @@ class Scenario:
         tracer = active_tracer()
         if tracer.enabled:
             # After close(): an mp transport's last harvest happens there.
-            result.trace = trace_section(tracer, sum(r.latency_s for r in result.rounds))
+            result.trace = trace_section(tracer, result.rounds)
         self._notify("on_finish", result)
         return result
 

@@ -32,8 +32,8 @@ answered with EC2 machines:
 * ``metropolis`` -- 10,000 clients on the ``accelerated`` crypto engine:
   the scale the pluggable engine (the ``crypto`` experiment,
   ``BENCH_crypto.json``) buys over the pure-Python hot path.
-* ``megacity`` -- 100,000 clients: round stages as client waves over
-  columnar frames, slotted delivery, and fluid-flow client links (the
+* ``megacity`` -- 100,000 clients: round stages as client waves and
+  fluid-flow client links (the
   ``fidelity`` experiment measures what each fidelity level costs and how
   far ``fluid`` diverges; ``BENCH_fidelity.json``).
 
@@ -230,11 +230,10 @@ class MegacityScenario(Scenario):
 
     Reachable because a round stage is one wave over the population: every
     client's envelope is built through one crypto-engine batch per round,
-    frames live in columnar storage instead of per-frame
-    ``Frame``/``Event`` objects, arrivals coalesce into per-(destination,
-    slot) heap events, and the client links run in ``fluid`` mode (its
-    spec default) so the bulk traffic moves as deterministic flows with no
-    per-frame jitter draws.  ``--fidelity slotted`` keeps full per-frame
+    a wave's frames are priced by delay arithmetic with no per-frame
+    object, and the client links run in ``fluid`` mode (its spec default)
+    so the bulk traffic moves as deterministic flows with no per-frame
+    jitter draws.  ``--fidelity slotted`` keeps full per-frame
     stochastic fidelity at roughly the same cost if the divergence (see
     the ``fidelity`` experiment) matters for the measurement at hand.
 

@@ -16,13 +16,6 @@ def random_bytes(n: int) -> bytes:
     return secrets.token_bytes(n)
 
 
-def random_int_below(bound: int) -> int:
-    """Uniform random integer in ``[0, bound)`` from the OS CSPRNG."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return secrets.randbelow(bound)
-
-
 class DeterministicRng:
     """A seeded, hash-based byte stream for reproducible simulations.
 

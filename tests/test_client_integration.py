@@ -248,7 +248,7 @@ class TestRemoveAndRecover:
         deployment.run_addfriend_round()
         old_key = alice.my_signing_key()
 
-        alice.recover_from_compromise(deployment.pkgs, deployment.email_network, now=deployment.clock)
+        alice.recover_from_compromise(deployment.pkg_stubs, deployment.email_network)
         assert alice.my_signing_key() != old_key
         assert alice.friends() == []
 
@@ -258,9 +258,9 @@ class TestRemoveAndRecover:
         from repro.pkg.registration import LOCKOUT_SECONDS
 
         with pytest.raises(LockoutError):
-            alice.register(deployment.pkgs, deployment.email_network, now=deployment.clock)
+            alice.register(deployment.pkg_stubs, deployment.email_network)
         deployment.advance_clock(LOCKOUT_SECONDS + 1)
-        alice.register(deployment.pkgs, deployment.email_network, now=deployment.clock)
+        alice.register(deployment.pkg_stubs, deployment.email_network)
         # Bob removes the stale friendship and they re-run add-friend.
         bob.remove_friend("alice@example.org")
         deployment.session("alice@example.org").add_friend("bob@example.org")

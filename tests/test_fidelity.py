@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.crypto.engine import available_backends
+from repro.net.links import LinkSpec
 from repro.sim import make_scenario, run_scenario
 
 #: SHA-256 of ``json.dumps(result.to_dict(), sort_keys=True)`` minus
@@ -59,10 +60,18 @@ class TestSlottedTier:
                               addfriend_rounds=1, dialing_rounds=1, seed="t-default")
         assert result.to_dict()["fidelity"] == "slotted"
 
-    def test_slotted_actually_batches(self):
-        slotted = run_scenario("baseline", fidelity="slotted", **self.KW)
-        assert slotted.net["slotted_items"] > 0
-        assert slotted.net["frames_in_flight_peak"] > 1
+    def test_rounds_are_waves_and_no_event_is_ever_scheduled(self):
+        """Delivery is delay arithmetic on every path: whole-round client
+        waves, the sharded tier's fan-outs and ingress flushes, pipelined
+        rounds, retransmissions on lossy links, registration and churn."""
+        lossy = LinkSpec.of(latency_ms=40, bandwidth_mbps=50, jitter_ms=10, drop_rate=0.1)
+        for result in (
+            run_scenario("baseline", fidelity="slotted", **self.KW),
+            run_scenario("sharded_entry", num_clients=16, pipelined=True),
+            run_scenario("client_churn", client_link=lossy, **self.KW),
+        ):
+            assert result.net["events_processed"] == 0
+            assert result.net["frames_in_flight_peak"] >= 16 * 3 // 4  # a whole-round wave
 
     @pytest.mark.parametrize("fidelity", ["perfect", "frames"])
     def test_unknown_fidelity_rejected(self, fidelity):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.errors import NetworkError, PartitionError, ProtocolError, SerializationError
@@ -19,6 +21,7 @@ from repro.net.frames import decode_envelope_batch, encode_envelope_batch
 from repro.net.transport import BatchCall, RpcResult
 from repro.obs.distributed import PING_REPLY
 from repro.utils.rng import DeterministicRng
+from per_frame_network import PerFrameNetwork
 from wire_oracle import Packer
 
 
@@ -74,34 +77,20 @@ class TestEventScheduler:
         sched.run_until_idle()
         assert fired == [1, 2]
 
-    def test_advance_drains_due_events(self):
+    def test_clock_moves_run_no_events(self):
         sched = EventScheduler()
         fired = []
-        sched.schedule(1.0, lambda: fired.append("due"))
-        sched.schedule(5.0, lambda: fired.append("future"))
+        sched.schedule(1.0, lambda: fired.append("pending"))
         sched.advance(2.0)
-        assert fired == ["due"]
-        assert sched.now == 2.0
-        assert sched.pending() == 1
-
-    def test_cancelled_event_does_not_fire(self):
-        sched = EventScheduler()
-        fired = []
-        event = sched.schedule(1.0, lambda: fired.append("no"))
-        event.cancel()
-        sched.run_until_idle()
-        assert fired == []
-
-    def test_advance_skips_cancelled_head_without_running_future_events(self):
-        sched = EventScheduler()
-        fired = []
-        due_but_cancelled = sched.schedule(1.0, lambda: fired.append("cancelled"))
-        due_but_cancelled.cancel()
-        sched.schedule(10.0, lambda: fired.append("future"))
-        sched.advance(2.0)
-        assert fired == []          # the t=10 event must not fire early
-        assert sched.now == 2.0     # and time must not jump past the deadline
-        assert sched.pending() == 1
+        sched.rewind(0.5)
+        sched.fast_forward(3.0)
+        sched.seek(1.5)
+        assert (fired, sched.now, sched.events_processed) == ([], 1.5, 0)
+        for move, bad in ((sched.advance, -1.0), (sched.rewind, 2.0), (sched.fast_forward, 1.0)):
+            with pytest.raises(ValueError):
+                move(bad)
+        sched.run_until_idle()  # an event due in the clock's past runs "now"
+        assert (fired, sched.now, sched.events_processed) == (["pending"], 1.5, 1)
 
 
 class TestLinkModels:
@@ -272,32 +261,66 @@ class TestSimulatedNetwork:
         assert result.payload == b"data"
         assert result.latency_s == pytest.approx(0.4)  # two nested round trips
 
+    def test_a_handler_can_start_a_wave_inside_a_wave(self):
+        """Waves are re-entrant: no per-wave state outlives or leaks between them."""
+        net = SimulatedNetwork(topology=NetworkTopology(default=LinkSpec(latency_s=0.1)), seed="w")
+        net.register("backend", lambda request: b"data")
+        handled_at, nested_end = {}, {}
+
+        def frontend(request):
+            handled_at[request.src] = net.now()
+            inner = net.call_batch(
+                [
+                    BatchCall("frontend", "backend", "fetch", start=request.time + 0.01 * k)
+                    for k in range(3)
+                ]
+            )
+            nested_end[request.src] = net.now()
+            return b"".join(outcome.result.payload for outcome in inner)
+
+        net.register("frontend", frontend)
+        starts = {f"c{i}": 0.02 * i for i in range(5)}
+        outer = net.call_batch(
+            [BatchCall(src, "frontend", "get", start=start) for src, start in starts.items()]
+        )
+        for (src, start), outcome in zip(starts.items(), outer):
+            assert outcome.result.payload == b"data" * 3
+            # The outer wave's seek to this call's arrival was not disturbed
+            # by the nested waves of the calls dispatched before it ...
+            assert handled_at[src] == pytest.approx(start + 0.1)
+            assert nested_end[src] == pytest.approx(start + 0.1 + 0.02 + 0.2)
+            # ... and its reply left when its own nested wave ended.
+            assert outcome.finished_at >= nested_end[src]
+            assert outcome.finished_at == pytest.approx(nested_end[src] + 0.1)
+        assert net.now() == max(outcome.finished_at for outcome in outer)
+        assert net.frames_in_flight_peak == 5
+        assert net.scheduler.events_processed == 0
+
 
 class TestCallBatchEqualsPhaseOfCalls:
     """``call_batch`` is a phase of single calls, delivered another way.
 
-    The wave is the only path the round engine drives, so the single
-    ``call`` -- one scheduler event per frame hop -- is kept as the reference
-    it must agree with exactly: same payloads, errors and retry-safety tags,
-    same per-call finish times, same traffic accounting, same final clock.
+    The wave is the network's only delivery path (a ``call`` is a wave of
+    one), so the per-frame path it replaced -- one scheduler event per frame
+    hop, ``tests/per_frame_network.py`` -- is kept as the reference it must
+    agree with exactly: same payloads, errors and retry-safety tags, same
+    per-call finish times, same traffic accounting, same final clock.
     """
 
     SENDERS = [f"c{i}@x.org" for i in range(40)]
     CUT = "c7@x.org"        # partitioned from the server
     REJECTED = "c11@x.org"  # the handler refuses this one (error reply path)
 
-    def make_net(self) -> SimulatedNetwork:
+    def make_net(self, network=SimulatedNetwork) -> SimulatedNetwork:
         link = LinkSpec.of(latency_ms=30, bandwidth_mbps=10, jitter_ms=20, drop_rate=0.2)
         # Two attempts at 20 % drop: ~4 % of messages are lost for good, so
         # the run has lost requests and lost acknowledgements, not just retries.
-        net = SimulatedNetwork(
-            topology=NetworkTopology(default=link), seed="wave", max_attempts=2
-        )
+        net = network(topology=NetworkTopology(default=link), seed="wave", max_attempts=2)
         net.topology.partition(self.CUT, "server")
         net.set_access_link("server", ingress_mbps=0.5, egress_mbps=0.5)
 
         def handler(request):
-            if request.src == self.REJECTED:
+            if request.src == self.REJECTED or request.payload.startswith(b"!"):
                 raise ProtocolError("refused")
             return RpcResult(payload=request.payload[::-1] * 3)
 
@@ -341,7 +364,7 @@ class TestCallBatchEqualsPhaseOfCalls:
 
     @pytest.mark.parametrize("offsets", [False, True], ids=["same-start", "start-offsets"])
     def test_wave_equals_the_same_calls_one_by_one(self, offsets):
-        one_by_one = self.make_net()
+        one_by_one = self.make_net(PerFrameNetwork)
         one_by_one.advance(5.0)
         singles = []
 
@@ -373,6 +396,53 @@ class TestCallBatchEqualsPhaseOfCalls:
         assert {tag for name, _, tag in errors if name == "NetworkError"} == {True, False}
         assert expected["messages_dropped"] > 0
         assert sum(error is None for _, error, _ in expected["outcomes"]) > 20
+
+    def test_a_call_equals_the_same_call_frame_by_frame(self):
+        """The single-call inputs of the same table: every sender calls eight
+        times in turn -- plain, refused (``!``), and under a deadline that
+        some exchanges outlive."""
+
+        def run(net: SimulatedNetwork) -> list[tuple]:
+            net.advance(5.0)
+            seen = []
+            for k in range(8):
+                for sender in self.SENDERS:
+                    payload = (b"!" if k in (4, 6) else b"") + sender.encode() * (1 + k)
+                    try:
+                        result = net.call(
+                            sender, "server", "put", payload, timeout_s=0.12 if k % 2 else None
+                        )
+                        seen.append((result, None, net.now()))
+                    except Exception as exc:  # noqa: BLE001 - compared against the oracle's
+                        seen.append((None, exc, net.now()))
+            return seen
+
+        frame_by_frame, wave = self.make_net(PerFrameNetwork), self.make_net()
+        expected, got = run(frame_by_frame), run(wave)
+        assert self.observed(wave, got) == self.observed(frame_by_frame, expected)
+        assert [r and r.latency_s for r, _, _ in got] == [r and r.latency_s for r, _, _ in expected]
+
+        def failures(seen: list[tuple]) -> list[tuple]:
+            return [
+                (type(e).__name__, e.request_delivered, type(e.__cause__).__name__)
+                for _, e, _ in seen
+                if isinstance(e, NetworkError)
+            ]
+
+        kinds = failures(got)
+        assert kinds == failures(expected)
+        # Every failure class of a single call occurred: (error, tag, cause).
+        assert {
+            ("NetworkError", False, "NoneType"),  # lost request
+            ("NetworkError", True, "NoneType"),  # lost acknowledgement
+            ("NetworkError", False, "ProtocolError"),  # refused, error reply lost: untagged
+            ("PartitionError", False, "NoneType"),
+            ("TransportTimeoutError", True, "NoneType"),  # deadline expired, handler ran
+            ("TransportTimeoutError", False, "NetworkError"),  # ... on a lost request
+            ("TransportTimeoutError", True, "NetworkError"),  # ... on a lost acknowledgement
+        } <= set(kinds)
+        assert sum(result is not None for result, _, _ in got) > 100
+        assert wave.scheduler.events_processed == 0 < frame_by_frame.scheduler.events_processed
 
 
 class TestDeploymentOverSimulatedNetwork:
@@ -470,6 +540,43 @@ class TestDeploymentOverSimulatedNetwork:
         aborted = deployment.addfriend_round
         assert all(not mix.has_round_key("add-friend", aborted) for mix in deployment.mix_servers)
         assert not deployment.pkgs[0].has_master_secret(aborted)
+
+    def test_a_failed_open_broadcast_still_reaches_and_aborts_every_shard(self):
+        """A fan-out is a wave: one unreachable shard fails the round, not the
+        contact with the others.  Every other shard saw ``open_round`` then
+        ``abort_round`` and holds nothing, and no round secret survives.
+        (At the parent the erasure half held too; what failed is "shards
+        after the failed one were contacted": its fan-out stopped at the
+        first failing call, so entry1 and entry2 only ever saw the abort.)
+        """
+        seen: list[tuple[str, str]] = []
+
+        class Recording(SimulatedNetwork):
+            def register(self, name, handler):
+                def recording(request):
+                    seen.append((name, request.method))
+                    return handler(request)
+
+                super().register(name, recording)
+
+        topo = NetworkTopology(default=LinkSpec.of(latency_ms=10, bandwidth_mbps=100))
+        config = replace(AlpenhornConfig.for_tests(backend="simulated"), entry_shards=3)
+        deployment = Deployment(config, seed="fanout", transport=Recording(topo, seed="fanout/net"))
+        deployment.create_client("alice@example.org")
+        topo.partition("coordinator", "entry0")
+        del seen[:]
+        with pytest.raises(PartitionError):
+            deployment.entry_stub.announce_round("add-friend", 1, 4, 64)
+        for shard in deployment.entry_shard_servers[1:]:
+            assert [m for name, m in seen if name == shard.name] == ["open_round", "abort_round"]
+            assert shard.submissions("add-friend", 1) == 0 and not shard._open_rounds
+        assert [m for name, m in seen if name == "entry0"] == []
+        assert {name for name, m in seen if m == "abort_round"} == {
+            "entry1", "entry2", "ingress0", "ingress1", "ingress2"
+        }
+        assert deployment.cluster.directory_or_none("add-friend", 1) is None
+        assert all(not mix.has_round_key("add-friend", 1) for mix in deployment.mix_servers)
+        assert all(not pkg.has_master_secret(1) for pkg in deployment.pkgs)
 
     def test_chain_does_not_refetch_round_keys_per_hop(self):
         deployment = self.make_deployment(latency_ms=10, seed="keycache")

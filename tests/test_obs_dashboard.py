@@ -192,8 +192,8 @@ class TestLiveScenarioScrape:
 
         The before_round/on_round hooks fire at stage boundaries, not per
         frame, so the published stream -- pipelined rounds included -- has
-        one round event per round with monotonic clocks, and the scheduler
-        aggregates are reported.
+        one round event per round with monotonic clocks, and the largest
+        delivery wave is reported.
         """
         from repro.sim.scenarios import make_scenario
 
@@ -212,8 +212,7 @@ class TestLiveScenarioScrape:
         clocks = [e["data"]["clock"] for e in slotted if e["type"] == "round"]
         assert clocks == sorted(clocks) and len(clocks) == 4
         net = [e["data"] for e in slotted if e["type"] == "net"]
-        assert net and net[-1]["slotted_items"] > 0
-        assert net[-1]["frames_in_flight_peak"] > 0
+        assert net and net[-1]["frames_in_flight_peak"] >= 12 * 3 // 4  # a whole-round wave
 
     def test_monitor_paused_holds_the_first_round_until_stepped(self):
         from repro.sim.scenarios import make_scenario

@@ -258,6 +258,22 @@ class TestScenarioIntegration:
         total_latency = sum(r.latency_s for r in result.rounds)
         assert stage_sim == pytest.approx(total_latency, rel=0.05)
 
+    @pytest.mark.parametrize("scenario", ["baseline", "pkg_failure"])
+    def test_coverage_counts_the_same_rounds_on_both_sides(self, scenario):
+        """Sequential rounds on ``sim`` tile exactly -- also when a round
+        aborts after its announce span was recorded (``pkg_failure``)."""
+        from repro.sim.scenarios import make_scenario
+
+        previous = set_active_tracer(Tracer())
+        try:
+            result = make_scenario(scenario, num_clients=16).run()
+        finally:
+            set_active_tracer(previous)
+        assert any(r.aborted for r in result.rounds) == (scenario == "pkg_failure")
+        coverage = result.trace["coverage"]
+        assert coverage["round_latency_s"] == sum(r.latency_s for r in result.rounds)
+        assert abs(coverage["fraction"] - 1.0) <= 1e-4
+
     def test_emitted_trace_is_schema_valid(self, traced_result):
         tracer, _ = traced_result
         assert validate_trace_events(tracer.to_trace_events()) == []

@@ -170,7 +170,7 @@ class TestAnnouncedBodyLength:
         for name in ("ext-a@example.org", "ext-b@example.org"):
             deployment.email_network.ensure_provider(name)
             client = Client(email=name, config=deployment.config, ibe=deployment.ibe)
-            client.register(deployment.pkg_stubs, deployment.email_network, now=0.0)
+            client.register(deployment.pkg_stubs, deployment.email_network)
             external.append(client)
         external[0].add_friend(external[1].email)
 

@@ -149,9 +149,6 @@ def parent_catalogue(deployment, net, result, tracer=None) -> dict:
     names = {
         "transport.messages_sent": stats.messages_sent,
         "transport.bytes_sent": stats.bytes_sent,
-        "scheduler.heap_size": net.scheduler.max_heap_size,
-        "scheduler.slot_events": net.scheduler.slot_events,
-        "scheduler.slotted_items": net.scheduler.slotted_items,
         "scheduler.events_processed": net.scheduler.events_processed,
         "net.frames_in_flight": net.frames_in_flight_peak,
         "sessions.count": len(deployment.sessions),
@@ -215,9 +212,6 @@ RECORD_PATHS = {
     "transport.bytes_sent": lambda r: r["total_bytes_sent"],
     "transport.bytes.<x>": lambda r, x: r["bytes_by_method"][x],
     "transport.calls.<x>": lambda r, x: r["calls_by_method"][x],
-    "scheduler.heap_size": lambda r: r["net"]["heap_size"],
-    "scheduler.slot_events": lambda r: r["net"]["slot_events"],
-    "scheduler.slotted_items": lambda r: r["net"]["slotted_items"],
     "scheduler.events_processed": lambda r: r["net"]["events_processed"],
     "net.frames_in_flight": lambda r: r["net"]["frames_in_flight_peak"],
     "sessions.count": lambda r: r["sessions"]["count"],

@@ -510,7 +510,7 @@ class TestParallelPkgFanout:
         deployment.create_client("alice@x.org")
         alice = deployment.client("alice@x.org")
         before = deployment.clock
-        alice.recover_from_compromise(deployment.pkg_stubs, deployment.email_network, now=before)
+        alice.recover_from_compromise(deployment.pkg_stubs, deployment.email_network)
         elapsed = deployment.clock - before
         assert deployment.transport.stats.calls_by_method["deregister"] == 2 * 4
         # One concurrent phase: ~one client-link round trip, not four.
