@@ -21,7 +21,8 @@ The top-level package lazily exposes the pieces most users need:
 * :mod:`repro.sim` -- the scenario harness driving whole deployments over
   the simulated network (``python -m repro.sim list``).
 
-See README.md for a quickstart and DESIGN.md for the full system inventory.
+See README.md for a quickstart; its Architecture and Layout sections are the
+system inventory.
 """
 
 __version__ = "0.2.0"

@@ -13,7 +13,8 @@ three-region EC2 testbed.  This package provides:
 
 Each model is parameterised by explicit per-operation costs so that both the
 paper's constants and the constants measured from this pure-Python
-implementation can be plugged in (EXPERIMENTS.md reports both).
+implementation can be plugged in; ``python -m repro.sim sweep paper`` tabulates
+them beside the paper's own numbers (README, Experiments).
 """
 
 from repro.analysis.sizes import WireSizes

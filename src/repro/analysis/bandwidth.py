@@ -98,23 +98,3 @@ def dialing_bandwidth(
         upload_bytes=upload_bytes,
         bytes_per_second=per_round / round_duration_seconds,
     )
-
-
-def figure6_series(round_durations_hours: list[float], user_counts: list[int]) -> dict[int, list[BandwidthPoint]]:
-    """The Figure 6 data: one bandwidth curve per user-count."""
-    series: dict[int, list[BandwidthPoint]] = {}
-    for users in user_counts:
-        series[users] = [
-            addfriend_bandwidth(users, hours * 3600) for hours in round_durations_hours
-        ]
-    return series
-
-
-def figure7_series(round_durations_minutes: list[float], user_counts: list[int]) -> dict[int, list[BandwidthPoint]]:
-    """The Figure 7 data: one bandwidth curve per user-count."""
-    series: dict[int, list[BandwidthPoint]] = {}
-    for users in user_counts:
-        series[users] = [
-            dialing_bandwidth(users, minutes * 60) for minutes in round_durations_minutes
-        ]
-    return series

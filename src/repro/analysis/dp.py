@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.mixnet import noise
+
 # The count sensitivity of one user action on the observable mailbox counts.
 ACTION_SENSITIVITY = 2.0
 
@@ -100,14 +102,14 @@ def paper_noise_parameters() -> dict[str, dict[str, float]]:
     dialing_b = laplace_scale_for_budget(actions=26_000)
     return {
         "add-friend": {
-            "paper_mu": 4_000,
-            "paper_b": 406,
+            "paper_mu": noise.DEFAULT_ADDFRIEND_NOISE_MU,
+            "paper_b": noise.DEFAULT_ADDFRIEND_NOISE_B,
             "derived_b": addfriend_b,
             "protected_actions": 900,
         },
         "dialing": {
-            "paper_mu": 25_000,
-            "paper_b": 2_183,
+            "paper_mu": noise.DEFAULT_DIALING_NOISE_MU,
+            "paper_b": noise.DEFAULT_DIALING_NOISE_B,
             "derived_b": dialing_b,
             "protected_actions": 26_000,
         },

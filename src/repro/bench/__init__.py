@@ -1,10 +1,9 @@
-"""Benchmark support: workload generators and table/JSON reporting."""
+"""Benchmark support: Zipf workloads and table/JSON reporting."""
 
-from repro.bench.workloads import WorkloadGenerator, zipf_recipient_weights
+from repro.bench.workloads import zipf_recipient_weights
 from repro.bench.reporting import format_table
 
 __all__ = [
-    "WorkloadGenerator",
     "zipf_recipient_weights",
     "format_table",
 ]

@@ -1,7 +1,7 @@
-"""Reporting shared by the benchmark files, the scenario CLI and the
-experiment engine: a fixed-width table for the terminal and one writer that
-puts every machine-readable result in ``BENCH_<name>.json`` under one
-self-describing envelope, so two runs can be diffed without the code.
+"""Reporting shared by the scenario CLI and the experiment engine: a
+fixed-width table for the terminal and one writer that puts every
+machine-readable result in ``BENCH_<name>.json`` under one self-describing
+envelope, so two runs can be diffed without the code.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def write_json_report(name: str, data, path: str | Path | None = None, **header)
     """Write ``data`` inside the one envelope, to ``path`` or (by default) to
     ``BENCH_<name>.json`` in :func:`results_dir`.
 
-    ``data`` is any JSON-serializable value (benchmarks pass
-    ``{"headers": [...], "rows": [...]}``, an experiment passes its sections,
+    ``data`` is any JSON-serializable value (an experiment passes its sections,
     a scenario run its record); ``header`` adds envelope keys beside it (an
     experiment's ``seed`` and resolved ``axes``, a run's ``seed`` and
     ``spec``).  Returns the path written.
@@ -145,27 +144,3 @@ def write_json_report(name: str, data, path: str | Path | None = None, **header)
     path = Path(path)
     path.write_text(dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
-
-
-def emit_table(
-    capsys,
-    name: str,
-    headers: list[str],
-    rows: list[list],
-    title: str | None = None,
-    extra: dict | None = None,
-) -> Path:
-    """What every benchmark report does: print the paper-style table to the
-    live terminal and write its JSON counterpart as ``BENCH_<name>.json``.
-
-    ``extra`` merges additional machine-readable keys (raw measurements,
-    derived ratios) into the JSON next to the table."""
-    with capsys.disabled():
-        print()
-        print(format_table(headers, rows, title=title))
-    report = {"headers": list(headers), "rows": [list(row) for row in rows]}
-    if title:
-        report["title"] = title
-    if extra:
-        report.update(extra)
-    return write_json_report(name, report)

@@ -1,11 +1,6 @@
-"""Workload generation for the evaluation (§8.1 and §8.4 of the paper).
-
-The paper's experiments use a fixed mix: every online client submits one
-request per round, 5% of which are real; recipients are chosen uniformly or
-from a Zipf distribution (the §8.4 skew experiment, where at s = 2 the top
-ten users receive 94% of all requests).  The generator reproduces that mix
-at whatever scale the simulation runs at and reports per-mailbox loads the
-analytic models can consume.
+"""Skewed workloads for the evaluation (§8.4 of the paper): Zipf recipient
+weights (at s = 2 the top ten users receive 94% of all requests) and a client
+population whose mailbox placement is Zipf-skewed across entry shards.
 """
 
 from __future__ import annotations
@@ -30,65 +25,6 @@ def zipf_recipient_weights(population: int, s: float) -> list[float]:
 def top_k_share(weights: list[float], k: int) -> float:
     """Fraction of requests received by the k most popular users."""
     return sum(sorted(weights, reverse=True)[:k])
-
-
-@dataclass
-class WorkloadGenerator:
-    """Generates request workloads for simulations and analytic models."""
-
-    population: int
-    active_fraction: float = 0.05
-    zipf_s: float = 0.0
-    seed: str = "workload"
-
-    def __post_init__(self) -> None:
-        self.rng = DeterministicRng(self.seed)
-        self._weights = zipf_recipient_weights(self.population, self.zipf_s)
-        self._cumulative: list[float] = []
-        running = 0.0
-        for weight in self._weights:
-            running += weight
-            self._cumulative.append(running)
-
-    # -- basic mix ----------------------------------------------------------
-    def real_request_count(self) -> int:
-        """How many of the population's requests are real this round."""
-        return int(self.population * self.active_fraction)
-
-    def cover_request_count(self) -> int:
-        return self.population - self.real_request_count()
-
-    def user_email(self, rank: int) -> str:
-        return f"user{rank}@example.org"
-
-    # -- recipient sampling -----------------------------------------------------
-    def sample_recipient_rank(self) -> int:
-        """Draw a recipient rank from the configured popularity distribution."""
-        u = self.rng.uniform()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo + 1
-
-    def sample_recipients(self, count: int | None = None) -> list[str]:
-        count = count if count is not None else self.real_request_count()
-        return [self.user_email(self.sample_recipient_rank()) for _ in range(count)]
-
-    # -- per-mailbox loads ---------------------------------------------------------
-    def mailbox_loads(self, mailbox_count: int, count: int | None = None) -> list[int]:
-        """How many real requests land in each mailbox this round."""
-        loads = [0] * mailbox_count
-        for recipient in self.sample_recipients(count):
-            loads[mailbox_for_identity(recipient, mailbox_count)] += 1
-        return loads
-
-    def top_10_share(self) -> float:
-        """The §8.4 statistic: share of requests received by the top 10 users."""
-        return top_k_share(self._weights, 10)
 
 
 @dataclass

@@ -3,16 +3,14 @@
 The paper's prototype offloads mailbox distribution to a commercial CDN
 (§7); the mailbox contents are public state, so the CDN needs no trust.
 This in-process stand-in stores the serialized mailboxes per
-``(protocol, round, mailbox id)`` and tracks how many bytes each client
-downloaded, which feeds the bandwidth accounting in the benchmarks.
+``(protocol, round, mailbox id)``; what each client downloaded is measured on
+the wire (``Transport.stats``).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.errors import UnknownRoundError
-from repro.mixnet.mailbox import MailboxSet, decode_mailbox
+from repro.mixnet.mailbox import MailboxSet
 
 
 class Cdn:
@@ -23,8 +21,6 @@ class Cdn:
         # (protocol, round) -> {mailbox_id: serialized mailbox}
         self._store: dict[tuple[str, int], dict[int, bytes]] = {}
         self._mailbox_counts: dict[tuple[str, int], int] = {}
-        self.bytes_served: int = 0
-        self.downloads_by_client: dict[str, int] = defaultdict(int)
 
     # -- publication (called by the entry server after a round) -----------
     def publish(self, mailboxes: MailboxSet) -> None:
@@ -67,17 +63,7 @@ class Cdn:
         key = (protocol, round_number)
         if key not in self._store:
             raise UnknownRoundError(f"no published {protocol} mailboxes for round {round_number}")
-        blob = self._store[key].get(mailbox_id)
-        if blob is None:
-            return None
-        self.bytes_served += len(blob)
-        self.downloads_by_client[client] += len(blob)
-        return blob
-
-    def download(self, protocol: str, round_number: int, mailbox_id: int, client: str = "anonymous"):
-        """Fetch one mailbox; returns the deserialized mailbox object."""
-        blob = self.download_blob(protocol, round_number, mailbox_id, client)
-        return decode_mailbox(protocol, mailbox_id, blob)
+        return self._store[key].get(mailbox_id)
 
     # -- transport dispatch --------------------------------------------------
     def handle_rpc(self, request):

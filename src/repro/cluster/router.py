@@ -80,7 +80,6 @@ class ShardRouter:
         #: Per-shard accepted-envelope counts recorded at each close; feeds
         #: the load-imbalance reporting of the shard benchmarks.
         self.load_by_round: dict[tuple[str, int], list[int]] = {}
-        self.batches_processed = 0
         #: The CDN tier: whoever ran the mix chain publishes its mailboxes.
         self.cdn = ShardedCdnStub(transport, self, src=src)
 
@@ -302,7 +301,6 @@ class ShardRouter:
         # Forward secrecy, same as the single entry server: mix round keys
         # are erased as soon as the merged batch has been processed.
         self.mix_chain.close_round(protocol, round_number)
-        self.batches_processed += 1
         self.cdn.publish(result.mailboxes)
         return result.counts()
 

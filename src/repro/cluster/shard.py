@@ -79,8 +79,6 @@ class EntryShard:
         self.index = index
         self.rate_limit_verifier = rate_limit_verifier
         self._open_rounds: dict[tuple[str, int], _ShardRound] = {}
-        self.batches_received = 0
-        self.envelopes_accepted = 0
         self.rounds_expired = 0
 
     # -- round lifecycle (driven by the router) ----------------------------
@@ -146,7 +144,6 @@ class EntryShard:
                 return rpc.SUBMIT_RATE_LIMITED
         open_round.submitted_by.add(client_id)
         open_round.envelopes.append(envelope)
-        self.envelopes_accepted += 1
         return rpc.SUBMIT_ACCEPTED
 
     def submit(
@@ -178,7 +175,6 @@ class EntryShard:
         entries: list[tuple[str, bytes, bytes | None]],
     ) -> list[int]:
         """Accept a ``SubmitBatch`` frame; one status per envelope, in order."""
-        self.batches_received += 1
         return [
             self._accept(protocol, round_number, client_id, envelope, token_bytes)
             for client_id, envelope, token_bytes in entries
@@ -254,7 +250,6 @@ class IngressProxy:
         self.batch_size = batch_size
         self._buffers: dict[tuple[str, int], list[tuple[str, bytes, bytes | None]]] = {}
         self._rejects: dict[tuple[str, int], list[tuple[str, str]]] = {}
-        self.batches_sent = 0
         self.rounds_expired = 0
 
     def _expire_stale(self, protocol: str, round_number: int) -> None:
@@ -302,11 +297,9 @@ class IngressProxy:
             except NetworkError as exc:
                 if exc.request_delivered:
                     # Ack lost: the shard holds the envelopes; the batch stands.
-                    self.batches_sent += 1
                     return
                 rejects.extend((client_id, "batch lost in transit") for client_id, _, _ in batch)
                 return
-            self.batches_sent += 1
             for (client_id, _, _), status in zip(batch, statuses):
                 if status in (rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_DUPLICATE):
                     continue

@@ -124,18 +124,12 @@ class Client:
         self.registered = True
 
     def _registration_leg(self, pkg_stubs: list, method: str, blobs: list[bytes]) -> None:
-        """One registration RPC at every PKG: a wave, or under
-        ``pkg_fanout="sequential"`` single calls one after another."""
+        """One registration RPC at every PKG, as one wave."""
         calls = [
             stub.registration_call(method, self.email, blob)
             for stub, blob in zip(pkg_stubs, blobs)
         ]
-        transport = pkg_stubs[0].transport
-        if self.config.pkg_fanout == "parallel":
-            raise_first_error(transport.call_batch(calls))
-        else:
-            for call in calls:
-                transport.call(call.src, call.dst, call.method, call.payload)
+        raise_first_error(pkg_stubs[0].transport.call_batch(calls))
 
     def add_friend(self, email: str, their_signing_key: bytes | None = None) -> QueuedFriendRequest:
         """``AddFriend()``: queue a friend request for the next add-friend round.

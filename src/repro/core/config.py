@@ -5,9 +5,9 @@ servers and PKGs, round durations, noise volumes, mailbox sizing targets,
 the Bloom filter false-positive rate, and the number of dialing intents the
 application uses (§5.3).  ``ibe_backend`` selects between the real
 pairing-based IBE and the oracle-based simulation backend used for
-large-scale benchmarks (see DESIGN.md §2); ``crypto_backend`` selects the
-symmetric/X25519 engine every hot path runs on (see
-:mod:`repro.crypto.engine`).
+large-scale scenario runs (README, "Choosing a crypto backend");
+``crypto_backend`` selects the symmetric/X25519 engine every hot path runs
+on (see :mod:`repro.crypto.engine`).
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ class AlpenhornConfig:
     # protocol-scale simulation; same wire sizes, no security).  See
     # repro.crypto.attestation.
     attestation_backend: str = "bls"
-
-    # How a client issues its per-round PKG RPCs (key extraction,
-    # registration): "parallel" fans them out in one concurrent transport
-    # phase (the stage costs the slowest PKG, not the sum); "sequential"
-    # keeps the historical one-at-a-time loop, retained so the fan-out
-    # speedup stays measurable.
-    pkg_fanout: str = "parallel"
 
     # Sender-side retry (ClientSession outbox): re-enqueue a friend request
     # still unconfirmed this many add-friend rounds after its last
@@ -150,10 +143,6 @@ class AlpenhornConfig:
             raise ConfigurationError("add-friend request size too small to hold a request")
         if self.addfriend_round_duration <= 0 or self.dialing_round_duration <= 0:
             raise ConfigurationError("round durations must be positive")
-        if self.pkg_fanout not in ("parallel", "sequential"):
-            raise ConfigurationError(
-                f"unknown pkg_fanout {self.pkg_fanout!r}; expected 'parallel' or 'sequential'"
-            )
         if self.addfriend_retry_horizon is not None and self.addfriend_retry_horizon < 1:
             raise ConfigurationError("addfriend_retry_horizon must be >= 1 (or None)")
         if self.dialing_redial_attempts is not None and self.dialing_redial_attempts < 1:

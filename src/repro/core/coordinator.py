@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, NetworkError
 from repro.mixnet.chain import MixChain
 from repro.mixnet.server import MixServer
 from repro.net.rpc import CdnStub, EntryStub, PkgStub
-from repro.net.transport import DirectTransport, Transport
+from repro.net.transport import DirectTransport, Phase, Transport
 from repro.pkg.coordinator import PkgCoordinator
 from repro.pkg.server import PkgServer
 from repro.utils.rng import DeterministicRng
@@ -380,11 +380,13 @@ class Deployment:
         confirmation) rides round N+2 -- one round later than under the
         sequential driver.
 
-        Unlike the single-round drivers, no inter-round gap is inserted --
-        rounds are driven as fast as the network allows, which is what a
-        throughput measurement wants.  A round whose announce or control
-        plane fails is recorded as an aborted summary rather than raised, so
-        one bad round does not tear down the rest of the schedule.
+        Pipelined rounds are driven as fast as the network allows, which is
+        what a throughput measurement wants; with ``pipelined=False`` each
+        round is drained before the next starts and, like the single-round
+        drivers, followed by the protocol's round duration.  A round whose
+        announce or control plane fails is recorded as an aborted summary
+        rather than raised (the single-round drivers raise), so one bad round
+        does not tear down the rest of the schedule.
 
         ``participants_for(round_index)`` supplies each round's online set
         (``None`` means every client).  ``on_summary(summary)`` fires as
@@ -397,6 +399,8 @@ class Deployment:
         summaries: list[RoundSummary] = []
 
         def record(summary: RoundSummary) -> None:
+            if not pipelined:
+                self.advance_clock(engine.driver.round_duration())
             summaries.append(summary)
             if on_summary is not None:
                 on_summary(summary)
@@ -407,7 +411,10 @@ class Deployment:
             previous = pending
             next_pending: PendingRound | None = None
             finished: RoundSummary | None = None
-            with self.transport.phase() as phase:
+            # Only overlapped stages share a transport phase (each restarts at
+            # the phase's t0); a sequential round's is the inline one, so
+            # what participants_for itself costs stays on the clock.
+            with self.transport.phase() if pipelined else Phase() as phase:
                 if started < count:
                     participants = participants_for(started) if participants_for else None
                     started += 1

@@ -259,19 +259,16 @@ class AddFriendDriver(ProtocolDriver):
         One :class:`~repro.net.transport.BatchCall` wave per PKG (every
         client's extraction at that PKG), then one onion-wrapping batch over
         all inner payloads, then one entry-submission wave -- each client's
-        submission starting when its own extractions finished.  With
-        ``pkg_fanout="parallel"`` a client's extractions all start at the
-        stage's t0 (the stage costs the slowest PKG); with ``"sequential"``
-        each starts when the previous PKG answered (the sum).  A client
-        whose extraction fails skips its remaining PKGs and never builds a
-        payload; a lost submission surfaces as that client's error; a lost
-        acknowledgement counts as delivered.
+        submission starting when its own extractions finished.  A client's
+        extractions all start at the stage's t0 (the stage costs the slowest
+        PKG, not the sum).  A client whose extraction fails skips its
+        remaining PKGs and never builds a payload; a lost submission surfaces
+        as that client's error; a lost acknowledgement counts as delivered.
         """
         dep = self.dep
         round_number = announcement.round_number
         transport = dep.transport
         t0 = dep.clock
-        parallel = dep.config.pkg_fanout == "parallel"
         ready = [t0] * len(clients)
         errors: dict[int, Exception] = {}
         latest = t0
@@ -283,9 +280,8 @@ class AddFriendDriver(ProtocolDriver):
             for i, client in enumerate(clients):
                 if i in errors:
                     continue
-                start = t0 if parallel else ready[i]
                 calls.append(
-                    pkg.extract_call(client.email, round_number, signatures[i], start=start)
+                    pkg.extract_call(client.email, round_number, signatures[i], start=t0)
                 )
                 indices.append(i)
             for i, outcome in zip(indices, transport.call_batch(calls)):
@@ -302,7 +298,7 @@ class AddFriendDriver(ProtocolDriver):
                 except NetworkError as exc:
                     errors[i] = exc
                     continue
-                ready[i] = max(ready[i], outcome.finished_at) if parallel else outcome.finished_at
+                ready[i] = max(ready[i], outcome.finished_at)
         survivors = [i for i in range(len(clients)) if i not in errors]
         inners = []
         for i in survivors:

@@ -66,7 +66,6 @@ class EntryServer:
         #: publishes, so mailboxes cross the wire once, entry -> CDN.
         self.cdn = cdn
         self._open_rounds: dict[tuple[str, int], _OpenRound] = {}
-        self.batches_processed = 0
 
     # -- round lifecycle ---------------------------------------------------
     def announce_round(
@@ -163,7 +162,6 @@ class EntryServer:
         # batch has been processed; PKG master secrets are erased by the
         # deployment once clients have fetched their round keys.
         self.mix_chain.close_round(protocol, round_number)
-        self.batches_processed += 1
         return result
 
     def abort_round(self, protocol: str, round_number: int) -> None:

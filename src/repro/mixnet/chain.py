@@ -107,7 +107,6 @@ class MixChain:
             if not self.servers:
                 raise MixnetError("mix chain needs at least one server")
             self._handles = [_LocalMixHandle(server) for server in self.servers]
-        self.last_round_stats: list[MixServerStats] = []
         # Round public keys collected at open_round, so run_round does not
         # re-fetch every downstream key on every hop (O(m^2) RPCs otherwise).
         # Keyed by (protocol, round_number): the two protocols run
@@ -158,7 +157,6 @@ class MixChain:
         if publics is None:
             publics = self.round_public_keys(protocol, round_number)
         per_server_noise: list[int] = []
-        round_stats: list[MixServerStats] = []
         dropped = 0
         for index, handle in enumerate(self._handles):
             downstream = publics[index + 1 :]
@@ -171,10 +169,8 @@ class MixChain:
                 noise_config=self.noise_config,
                 noise_body_length=payload_body_length,
             )
-            round_stats.append(stats)
             per_server_noise.append(stats.noise_added)
             dropped += stats.dropped
-        self.last_round_stats = round_stats
 
         # After the last server the batch holds plaintext inner payloads.
         mailboxes = MailboxSet(

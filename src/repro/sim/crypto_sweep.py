@@ -1,5 +1,5 @@
 """Per-operation crypto-engine microbenchmarks (the ``crypto`` experiment's
-``per_op`` section, and ``benchmarks/bench_client_cpu.py``).
+``per_op`` section).
 
 µs per AEAD seal/open, X25519 shared secret and public-key derivation for one
 backend, single and batched, measured on the add-friend request size.  The

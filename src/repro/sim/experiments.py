@@ -6,8 +6,7 @@ the axis's own name), which fixed workload and per-point seed, which point is
 the reference, which values to report and which invariants fail the run.
 
 * ``pipelining`` -- sequential vs pipelined rounds over clients x link
-  latency, friend-request liveness per retry horizon (``client_churn``), and
-  sequential vs parallel per-PKG client RPCs.
+  latency, and friend-request liveness per retry horizon (``client_churn``).
 * ``shards``     -- the sharded entry/CDN tier: submit-stage scaling over
   shards x Zipf skew, ingress batch sizes at the largest shard count, and
   (when ``cdn_egress_mbps`` values are given) the download-side mirror.
@@ -20,6 +19,9 @@ the reference, which values to report and which invariants fail the run.
   a crypto-backend leg timed on real cores.
 * ``privacy``    -- the paired passive-observer audit against the analytic
   distinguishing bound, plus one baseline run's privacy ledger.
+* ``paper``      -- section 8 itself: the figures and tables of the paper's
+  evaluation from the analytic models, the paper's own number beside each
+  (declared in :mod:`repro.sim.paper`).
 
 Adding an experiment is adding an entry to :data:`EXPERIMENTS`; the CLI
 derives its flags from the declarations.
@@ -32,6 +34,7 @@ from repro.errors import ConfigurationError
 from repro.net.links import LinkSpec
 from repro.sim.crypto_sweep import measure_per_op
 from repro.sim.experiment import Axis, Column, Experiment, Section
+from repro.sim.paper import SECTION8
 from repro.sim.privacy_sweep import CONFIDENCE_ALPHA, run_privacy_audit
 
 
@@ -132,7 +135,7 @@ CALLS = Column("calls", "calls", lambda r, _: r.calls_delivered)
 # --------------------------------------------------------------------------- #
 PIPELINING = Experiment(
     name="pipelining",
-    description="sequential vs pipelined rounds; retry liveness; PKG fan-out",
+    description="sequential vs pipelined rounds; retry liveness",
     scenario="pipelined_rounds",
     seed="sweep",
     sections=(
@@ -166,20 +169,6 @@ PIPELINING = Experiment(
                 Column("retries", "retries", initial("retries")),
                 Column("addfriend_rounds_run", "af rounds", lambda r, _: len(r.rounds_for("add-friend"))),
                 TRAFFIC,
-            ),
-        ),
-        Section(
-            key="fanout",
-            title="add-friend submit stage: sequential vs parallel PKG fan-out",
-            axes=(Axis("num_pkg_servers", (4,)), Axis("pkg_fanout", ("sequential", "parallel"))),
-            workload=dict(
-                num_clients=24, friend_pairs=6, addfriend_rounds=2, dialing_rounds=0, pipelined=False
-            ),
-            seed="{seed}/fanout",
-            reference={"pkg_fanout": "sequential"},
-            columns=(
-                AF_SUBMIT,
-                Column("submit_speedup", "submit speedup", versus(SUBMIT), "{:.2f}x"),
             ),
         ),
     ),
@@ -530,5 +519,5 @@ PRIVACY = Experiment(
 )
 
 EXPERIMENTS: dict[str, Experiment] = {
-    e.name: e for e in (PIPELINING, SHARDS, CRYPTO, FIDELITY, RUNTIME, PRIVACY)
+    e.name: e for e in (PIPELINING, SHARDS, CRYPTO, FIDELITY, RUNTIME, PRIVACY, SECTION8)
 }

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment, RoundSummary
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import ConfigurationError
 from repro.mixnet.noise import NoiseConfig
 from repro.net.links import LinkSpec, NetworkTopology
 from repro.net.simulated import SimulatedNetwork
@@ -74,19 +74,15 @@ class ScenarioSpec:
     addfriend_target_per_mailbox: int = 16
     dialing_target_per_mailbox: int = 16
     seed: str = "scenario"
-    #: Drive rounds through ``Deployment.run_rounds``: back-to-back rounds
-    #: with round N+1's announce+submit overlapping round N's mix+scan.
-    #: ``False`` keeps the sequential one-round-at-a-time driver.
+    #: ``Deployment.run_rounds(pipelined=...)``: back-to-back rounds with
+    #: round N+1's announce+submit overlapping round N's mix+scan.
+    #: ``False`` drains each round and waits out its duration before the next.
     pipelined: bool = False
     #: Sender-side retry: re-enqueue friend requests still unconfirmed this
     #: many add-friend rounds after their last submission (None = off, the
     #: paper's bare-library behavior).  Friendships are queued through
     #: ClientSession, so handles report per-request liveness either way.
     retry_horizon: int | None = None
-    #: How clients issue per-round PKG RPCs: "parallel" (one concurrent
-    #: fan-out phase) or "sequential" (the historical loop, kept so the
-    #: fan-out speedup stays measurable).
-    pkg_fanout: str = "parallel"
     #: Sharded entry/CDN tier (repro.cluster): number of mailbox-range
     #: shards.  1 keeps the classic single EntryServer/Cdn wiring.
     entry_shards: int = 1
@@ -374,7 +370,6 @@ class ScenarioResult:
             "wall_seconds": round(self.wall_seconds, 3),
             "pipelined": self.spec.pipelined,
             "retry_horizon": self.spec.retry_horizon,
-            "pkg_fanout": self.spec.pkg_fanout,
             "entry_shards": self.spec.entry_shards,
             "ingress_batch_size": self.spec.ingress_batch_size,
             "zipf_alpha": self.spec.zipf_alpha,
@@ -554,7 +549,6 @@ class Scenario:
             dialing_target_per_mailbox=spec.dialing_target_per_mailbox,
             bloom_false_positive_rate=1e-6,
             num_intents=3,
-            pkg_fanout=spec.pkg_fanout,
             addfriend_retry_horizon=spec.retry_horizon,
             dialing_redial_attempts=spec.redial_attempts,
             entry_shards=spec.entry_shards,
@@ -778,17 +772,37 @@ class Scenario:
         result: ScenarioResult,
     ) -> None:
         """Drive all of one protocol's rounds and record their throughput."""
-        if self.spec.pipelined:
-            busy = self._drive_pipelined(deployment, net, protocol, count, result)
-        else:
-            # Sequential rounds never overlap, so the time spent driving is
-            # the sum of the per-round costs (idle gaps excluded, aborted
-            # rounds' announce/submit time included -- the same accounting
-            # the pipelined path's clock-delta measurement uses).
-            busy = sum(
-                self._drive_round(deployment, net, protocol, index, result)
-                for index in range(count)
-            )
+
+        def participants_for(round_index: int):
+            self._notify("before_round", deployment, protocol, round_index)
+            self.before_round(deployment, net, protocol, round_index)
+            return self.participants(deployment, protocol, round_index)
+
+        latencies = []
+
+        def on_summary(summary: RoundSummary) -> None:
+            # Under pipelining this fires mid-pipeline: the next round is
+            # already in flight, so after_round effects (healing, load
+            # shifts) reach the round after that -- the closest a pipelined
+            # deployment can get to "just after a round completes".
+            if not summary.aborted:
+                self.after_round(deployment, net, summary)
+            latencies.append(summary.latency_s)
+            self._record_round(deployment, net, result, RoundStats.from_summary(summary))
+
+        started_clock = deployment.clock
+        deployment.run_rounds(
+            protocol,
+            count,
+            participants_for=participants_for,
+            pipelined=self.spec.pipelined,
+            on_summary=on_summary,
+        )
+        # Sequential rounds never overlap, so their busy time is the sum of
+        # the per-round costs (the inter-round gaps excluded, an aborted
+        # round's announce/submit time included); overlapped rounds have no
+        # gaps and their busy time is the clock's.
+        busy = deployment.clock - started_clock if self.spec.pipelined else sum(latencies)
         completed = sum(
             1 for r in result.rounds if r.protocol == protocol and not r.aborted
         )
@@ -807,93 +821,6 @@ class Scenario:
             "busy_s": round(busy, 6),
             "rounds_per_sec": round(rounds / busy, 6) if busy > 0 else 0.0,
         }
-
-    def _drive_pipelined(
-        self,
-        deployment: Deployment,
-        net: Transport,
-        protocol: str,
-        count: int,
-        result: ScenarioResult,
-    ) -> float:
-        """Drive ``count`` overlapped rounds; returns simulated busy time."""
-
-        def participants_for(round_index: int):
-            self._notify("before_round", deployment, protocol, round_index)
-            self.before_round(deployment, net, protocol, round_index)
-            return self.participants(deployment, protocol, round_index)
-
-        def on_summary(summary: RoundSummary) -> None:
-            # Fires as each round completes, mid-pipeline: the next round is
-            # already in flight, so after_round effects (healing, load
-            # shifts) reach the round after that -- the closest a pipelined
-            # deployment can get to "just after a round completes".
-            if not summary.aborted:
-                self.after_round(deployment, net, summary)
-            self._record_round(deployment, net, result, RoundStats.from_summary(summary))
-
-        started_clock = deployment.clock
-        deployment.run_rounds(
-            protocol,
-            count,
-            participants_for=participants_for,
-            pipelined=True,
-            on_summary=on_summary,
-        )
-        return deployment.clock - started_clock
-
-    def _drive_round(
-        self,
-        deployment: Deployment,
-        net: Transport,
-        protocol: str,
-        round_index: int,
-        result: ScenarioResult,
-    ) -> float:
-        """Drive one sequential round; returns the simulated time it cost
-        (the inter-round idle gap excluded)."""
-        self._notify("before_round", deployment, protocol, round_index)
-        self.before_round(deployment, net, protocol, round_index)
-        participants = self.participants(deployment, protocol, round_index)
-        online = len(participants) if participants is not None else len(deployment.clients)
-        round_started = deployment.clock
-        try:
-            if protocol == "add-friend":
-                summary = deployment.run_addfriend_round(participants)
-            else:
-                summary = deployment.run_dialing_round(participants)
-        except NetworkError:
-            # The round could not even be announced (e.g. a PKG is down
-            # during commit-reveal): the entry server skips the round and
-            # the deployment waits out the round duration.
-            round_number = (
-                deployment.addfriend_round if protocol == "add-friend" else deployment.dialing_round
-            )
-            duration = (
-                deployment.config.addfriend_round_duration
-                if protocol == "add-friend"
-                else deployment.config.dialing_round_duration
-            )
-            busy = deployment.clock - round_started  # the abort's own cost
-            deployment.advance_clock(duration)
-            aborted = RoundStats(
-                protocol=protocol,
-                round_number=round_number,
-                participants=online,
-                submissions=0,
-                failures=online,
-                mailbox_count=0,
-                delivered_real=0,
-                noise_added=0,
-                latency_s=0.0,
-                bytes_sent=0,
-                aborted=True,
-            )
-            self._record_round(deployment, net, result, aborted)
-            return busy
-        self.after_round(deployment, net, summary)
-        self._record_round(deployment, net, result, RoundStats.from_summary(summary))
-        return summary.latency_s
 
 
 def with_overrides(spec: ScenarioSpec, **overrides) -> ScenarioSpec:

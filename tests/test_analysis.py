@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.bandwidth import addfriend_bandwidth, dialing_bandwidth, figure6_series, figure7_series
+from repro.analysis.bandwidth import addfriend_bandwidth, dialing_bandwidth
 from repro.analysis.dp import (
     PrivacyAccountant,
     distinguishing_advantage,
@@ -82,13 +82,6 @@ class TestBandwidthModel:
         point = addfriend_bandwidth(100_000, 3600)
         assert point.mailbox_count == 1
         assert point.mailbox_bytes < 7.4e6
-
-    def test_series_helpers_cover_all_points(self):
-        fig6 = figure6_series([1, 2, 4], [100_000, 1_000_000])
-        assert set(fig6) == {100_000, 1_000_000}
-        assert all(len(points) == 3 for points in fig6.values())
-        fig7 = figure7_series([1, 5, 10], [1_000_000])
-        assert len(fig7[1_000_000]) == 3
 
 
 class TestLatencyModel:

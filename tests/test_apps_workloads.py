@@ -1,4 +1,4 @@
-"""Tests for the application integrations (§8.5) and workload generators."""
+"""Tests for the application integrations (§8.5) and the Zipf workload weights."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.pond_panda import MeetingPointServer, PandaExchange, bootstrap_panda_from_call
 from repro.apps.vuvuzela import VuvuzelaConversationService, VuvuzelaMessenger
-from repro.bench.workloads import WorkloadGenerator, top_k_share, zipf_recipient_weights
+from repro.bench.workloads import top_k_share, zipf_recipient_weights
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.errors import ProtocolError
@@ -119,29 +119,7 @@ class TestWorkloads:
 
     def test_paper_top10_share_at_s2(self):
         """§8.4: at s = 2 the top 10 users receive 94.2% of requests."""
-        generator = WorkloadGenerator(population=100_000, zipf_s=2.0)
-        assert 0.91 < generator.top_10_share() < 0.96
-
-    def test_request_mix_is_5_percent_real(self):
-        generator = WorkloadGenerator(population=10_000)
-        assert generator.real_request_count() == 500
-        assert generator.cover_request_count() == 9_500
-
-    def test_mailbox_loads_sum_to_real_requests(self):
-        generator = WorkloadGenerator(population=2_000, zipf_s=1.0, seed="loads")
-        loads = generator.mailbox_loads(mailbox_count=5)
-        assert sum(loads) == generator.real_request_count()
-        assert len(loads) == 5
-
-    def test_skewed_loads_are_more_unbalanced(self):
-        uniform = WorkloadGenerator(population=5_000, zipf_s=0.0, seed="u").mailbox_loads(8)
-        skewed = WorkloadGenerator(population=5_000, zipf_s=2.0, seed="s").mailbox_loads(8)
-        assert max(skewed) - min(skewed) > max(uniform) - min(uniform)
-
-    def test_deterministic_given_seed(self):
-        a = WorkloadGenerator(population=1_000, zipf_s=1.0, seed="x").sample_recipients(50)
-        b = WorkloadGenerator(population=1_000, zipf_s=1.0, seed="x").sample_recipients(50)
-        assert a == b
+        assert 0.91 < top_k_share(zipf_recipient_weights(100_000, 2.0), 10) < 0.96
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

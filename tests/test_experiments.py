@@ -1,10 +1,11 @@
-"""The experiment engine, its six declarations, and the CLI derived from
+"""The experiment engine, its seven declarations, and the CLI derived from
 ``ScenarioSpec``.
 
 ``experiment_vectors.json`` holds the deterministic values the six
-hand-rolled sweep families produced at the last commit that had them; every
-declaration is held to them exactly (wall-clock columns and real-runtime
-stage times are not pinned).
+hand-rolled sweep families produced at the last commit that had them, and
+``paper_vectors.json`` those of the eleven ``benchmarks/bench_*.py`` files the
+``paper`` declaration replaced; every declaration is held to them exactly
+(wall-clock columns and real-runtime stage times are not pinned).
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from repro.obs.record import validate_record
 from repro.sim.__main__ import build_parser, flag_parsers, main
 from repro.sim.experiment import Axis, Column, Experiment, Section, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
+from repro.sim.paper import NEAR_PAPER, PAPER
 from repro.sim.scenario import ScenarioSpec, with_overrides
 from repro.sim.scenarios import run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 VECTORS = json.loads((Path(__file__).parent / "experiment_vectors.json").read_text())
+PAPER_VECTORS = json.loads((Path(__file__).parent / "paper_vectors.json").read_text())
 
 
 @pytest.fixture
@@ -72,25 +75,20 @@ class TestPinnedNumbers:
     def test_pipelining(self, results):
         pinned = VECTORS["pipelining"]
         experiment = with_workload(
-            with_workload(EXPERIMENTS["pipelining"], "retry",
-                          num_clients=10, friend_pairs=3, addfriend_rounds=4),
-            "fanout", num_clients=8, friend_pairs=2, addfriend_rounds=1,
+            EXPERIMENTS["pipelining"], "retry", num_clients=10, friend_pairs=3, addfriend_rounds=4
         )
         record = run_experiment(
             experiment,
             dict(num_clients=[8], latency_ms=[20.0, 60.0], retry_horizon=[None, 1],
-                 num_pkg_servers=[3], addfriend_rounds=1, dialing_rounds=2,
-                 friend_pairs=2, seed="t-sweep"),
+                 addfriend_rounds=1, dialing_rounds=2, friend_pairs=2, seed="t-sweep"),
         )
         data = record["data"]
-        for key in ("grid", "retry", "fanout"):
+        for key in ("grid", "retry"):
             assert_pinned(data[key]["points"], pinned[key])
         # the fixed workloads won over --addfriend-rounds 1 / --friend-pairs 2
         assert [p["requests"] for p in data["retry"]["points"]] == [3, 3]
-        assert all(p["result"]["pipelined"] is False for p in data["fanout"]["points"])
         pipelined = [p for p in data["grid"]["points"] if p["pipelined"]]
         assert len(pipelined) == 2 and all(p["dialing_speedup"] > 1.2 for p in pipelined)
-        assert data["fanout"]["points"][1]["submit_speedup"] > 1.5
         assert record["axes"]["retry"] == {"retry_horizon": [None, 1]}
         assert record["failed_checks"] == []
         for section in data.values():
@@ -215,6 +213,93 @@ class TestPinnedNumbers:
     def test_privacy_audit_needs_four_trials(self, results, capsys):
         assert main(["sweep", "privacy", "--privacy-trials", "3"]) == 2
         assert "at least 4 paired trials" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# Section 8 of the paper: the seventh declaration
+# --------------------------------------------------------------------------- #
+def only(experiment: Experiment, *keys: str) -> Experiment:
+    """``experiment`` cut down to the named sections (the same Section objects)."""
+    return dataclasses.replace(
+        experiment, sections=tuple(s for s in experiment.sections if s.key in keys)
+    )
+
+
+MODELLED = ("fig6", "fig7", "fig8", "fig9", "fig10", "skew_sizes", "mailboxes", "dp",
+            "ibe_strength", "bloom", "mailbox_policy")
+
+
+class TestPaperDeclaration:
+    @pytest.fixture(scope="class")
+    def record(self):
+        return run_experiment(EXPERIMENTS["paper"])
+
+    def test_every_number_of_the_deleted_benchmark_files(self, record):
+        checked = 0
+        for key, pinned in PAPER_VECTORS.items():
+            if key == "_about":
+                continue
+            section, axes = record["data"][key], pinned["axes"]
+            assert section["headers"][: len(axes)] == axes
+            rows = {
+                tuple(row[: len(axes)]): dict(zip(section["headers"], row))
+                for row in section["rows"]
+            }
+            assert len(rows) == len(pinned["rows"]), key  # the deleted file's grid is the default
+            for expected in pinned["rows"]:
+                row = rows[tuple(expected[name] for name in axes)]
+                for header in expected.keys() - set(axes):
+                    assert row[header] == expected[header], (key, expected, header)
+                    checked += 1
+        assert checked == 379 and f"{checked} values" in PAPER_VECTORS["_about"]
+        assert record["failed_checks"] == []
+
+    def test_the_paper_column_is_the_one_table(self, record):
+        quoted = {}
+        for key, section in record["data"].items():
+            for point in section["points"]:
+                if point.get("paper") is not None:
+                    quoted[(key, *(point[name] for name in record["axes"][key]))] = point["paper"]
+        assert quoted == {
+            at: ", ".join(quote for _, quote, _, _ in quotes) for at, quotes in PAPER.items()
+        }
+        fig8 = record["data"]["fig8"]
+        assert fig8["headers"][-1] == "paper"
+        assert [row[-1] for row in fig8["rows"]].count("-") == len(fig8["rows"]) - 1
+
+    def test_measured_sections_report_and_pin_only_the_exact_part(self, record):
+        anytrust, extraction = record["data"]["anytrust"], record["data"]["extraction"]
+        assert all(p["anytrust_ms"] > 0 and p["onion_ms"] > 0 for p in anytrust["points"])
+        assert [p["pkgs"] for p in extraction["points"]] == [3, 10]
+        assert all(p["median_ms"] > 0 for p in extraction["points"])
+        # reported beside the paper's 4.9 / 5.2 ms, held to no window
+        assert not any(message == NEAR_PAPER for message, _ in
+                       next(s for s in EXPERIMENTS["paper"].sections if s.key == "extraction").checks)
+
+    def test_the_record_is_one_schema_3_envelope(self, record, results):
+        emit_record(record)
+        assert [p.name for p in results.iterdir()] == ["BENCH_paper.json"]
+        assert validate_record(read_record(results, "paper")) == []
+
+    def test_a_check_can_fail(self, results, monkeypatch, capsys):
+        """The model's 130.6 s outside a narrowed window around the paper's 152 s."""
+        monkeypatch.setitem(EXPERIMENTS, "paper", only(EXPERIMENTS["paper"], "fig8"))
+        assert main(["sweep", "paper"]) == 0
+        monkeypatch.setitem(PAPER, ("fig8", 3, 10_000_000), (("total_s", "152 s", 140, 160),))
+        assert main(["sweep", "paper"]) == 1
+        assert f"check FAILED -- fig8: {NEAR_PAPER}" in capsys.readouterr().err
+        assert read_record(results, "paper")["failed_checks"] == [f"fig8: {NEAR_PAPER}"]
+
+    def test_an_override_that_drops_a_checked_point_holds_vacuously(self, results, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "paper", only(EXPERIMENTS["paper"], *MODELLED))
+        status = main(["sweep", "paper", "--users", "1000000", "--servers", "3,5", "--zipf-s", "1",
+                       "--ibe-factor", "2,4", "--mailboxes", "8,2", "--protocol", "dialing"])
+        assert status == 0
+        record = read_record(results, "paper")
+        assert record["axes"]["fig8"] == {"servers": [3, 5], "users": [1000000]}
+        assert record["axes"]["fig6"]["users"] == [1000000]
+        assert all(p["paper"] is None for p in record["data"]["fig8"]["points"])
+        assert record["data"]["mailboxes"]["points"][0]["paper"] == "7.4 MB"
 
 
 # --------------------------------------------------------------------------- #

@@ -271,7 +271,11 @@ class TestScenarioIntegration:
             set_active_tracer(previous)
         assert any(r.aborted for r in result.rounds) == (scenario == "pkg_failure")
         coverage = result.trace["coverage"]
-        assert coverage["round_latency_s"] == sum(r.latency_s for r in result.rounds)
+        # the aborted row carries the abort's own measured latency; coverage
+        # counts the completed rounds on both sides
+        assert coverage["round_latency_s"] == sum(
+            r.latency_s for r in result.rounds if not r.aborted
+        )
         assert abs(coverage["fraction"] - 1.0) <= 1e-4
 
     def test_emitted_trace_is_schema_valid(self, traced_result):

@@ -41,7 +41,7 @@ def make_deployment(seed: str = "session-test", retry: int | None = None, **conf
 
 
 def make_sim_deployment(
-    pkgs: int = 2, fanout: str = "parallel", latency_ms: float = 200, seed: str = "session-sim"
+    pkgs: int = 2, latency_ms: float = 200, seed: str = "session-sim"
 ) -> Deployment:
     servers = (
         ["entry", "cdn", "coordinator"]
@@ -54,7 +54,6 @@ def make_sim_deployment(
             topology.set_link(a, b, LinkSpec.of(latency_ms=2, bandwidth_mbps=1000))
     net = SimulatedNetwork(topology=topology, seed=f"{seed}/net")
     config = AlpenhornConfig.for_tests(num_pkg_servers=pkgs, backend="simulated")
-    config.pkg_fanout = fanout
     return Deployment(config, seed=seed, transport=net)
 
 
@@ -357,8 +356,7 @@ class TestAbortedRoundHandles:
     def drive_to_abort(self, retry: int | None):
         from repro.errors import NetworkError
 
-        deployment = make_sim_deployment(pkgs=2, fanout="parallel", latency_ms=20,
-                                         seed=f"abort-{retry}")
+        deployment = make_sim_deployment(pkgs=2, latency_ms=20, seed=f"abort-{retry}")
         deployment.config.addfriend_retry_horizon = retry
         deployment.create_client("alice@x.org")
         deployment.create_client("bob@x.org")
@@ -441,8 +439,8 @@ class TestCallbackBridge:
 class TestParallelPkgFanout:
     """RPC counts scale with PKG count; simulated wall-clock must not."""
 
-    def one_round(self, pkgs: int, fanout: str):
-        deployment = make_sim_deployment(pkgs=pkgs, fanout=fanout, seed=f"fan-{fanout}")
+    def one_round(self, pkgs: int):
+        deployment = make_sim_deployment(pkgs=pkgs, seed="fan-parallel")
         for i in range(4):
             deployment.create_client(f"u{i}@x.org")
         deployment.client("u0@x.org").add_friend("u1@x.org")
@@ -450,8 +448,8 @@ class TestParallelPkgFanout:
         return deployment, summary
 
     def test_extraction_rpcs_scale_but_submit_stage_does_not(self):
-        dep2, round2 = self.one_round(2, "parallel")
-        dep4, round4 = self.one_round(4, "parallel")
+        dep2, round2 = self.one_round(2)
+        dep4, round4 = self.one_round(4)
         # Linear RPC fan-out: one extract per client per PKG (the stats
         # record both directions, so 2 messages per RPC)...
         assert dep2.transport.stats.calls_by_method["extract"] == 2 * 4 * 2
@@ -459,21 +457,11 @@ class TestParallelPkgFanout:
         # ...but the concurrent phase keeps the submit stage flat.
         assert round4.submit_stage_s < round2.submit_stage_s * 1.25
 
-    def test_sequential_fanout_still_scales_linearly(self):
-        _, round2 = self.one_round(2, "sequential")
-        _, round4 = self.one_round(4, "sequential")
-        assert round4.submit_stage_s > round2.submit_stage_s * 1.5
-
-    def test_parallel_beats_sequential_at_4_pkgs(self):
-        _, sequential = self.one_round(4, "sequential")
-        _, parallel = self.one_round(4, "parallel")
-        assert sequential.submit_stage_s > parallel.submit_stage_s * 1.5
-
-    def test_sequential_wave_skips_remaining_pkgs_after_a_failed_extraction(self):
+    def test_wave_skips_remaining_pkgs_after_a_failed_extraction(self):
         """One client cut off from the second of three PKGs: it stops
-        extracting there and fails alone; everyone else pays the PKG round
-        trips one after another."""
-        deployment = make_sim_deployment(pkgs=3, fanout="sequential", seed="fan-cut")
+        extracting there and fails alone; everyone else pays one PKG round
+        trip, not three."""
+        deployment = make_sim_deployment(pkgs=3, seed="fan-cut")
         clients = [deployment.create_client(f"u{i}@x.org") for i in range(4)]
         cut = clients[0]
         cut.add_friend("u1@x.org")
@@ -486,13 +474,13 @@ class TestParallelPkgFanout:
         assert deployment.transport.stats.calls_by_method["extract"] == 2 * (4 + 3 + 3)
         assert cut.addfriend.pending_in_queue() == 1
         assert not cut.addfriend.has_round_keys(summary.round_number)
-        # Three extraction round trips in series, then the submission's: four
-        # client-link round trips of 2 x 200 ms (parallel fan-out pays two).
-        assert 4 * 0.4 < summary.submit_stage_s < 4 * 0.4 + 0.1
+        # The extraction round trips overlap, then the submission's: two
+        # client-link round trips of 2 x 200 ms.
+        assert 2 * 0.4 < summary.submit_stage_s < 2 * 0.4 + 0.1
 
     def test_registration_fans_out_too(self):
         def registration_cost(pkgs: int) -> tuple[float, int]:
-            deployment = make_sim_deployment(pkgs=pkgs, fanout="parallel", seed="reg")
+            deployment = make_sim_deployment(pkgs=pkgs, seed="reg")
             before = deployment.clock
             deployment.create_client("alice@x.org")
             return (
@@ -506,7 +494,7 @@ class TestParallelPkgFanout:
         assert cost4 < cost2 * 1.25
 
     def test_recovery_deregisters_all_pkgs_concurrently(self):
-        deployment = make_sim_deployment(pkgs=4, fanout="parallel", seed="recover")
+        deployment = make_sim_deployment(pkgs=4, seed="recover")
         deployment.create_client("alice@x.org")
         alice = deployment.client("alice@x.org")
         before = deployment.clock
