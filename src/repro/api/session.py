@@ -40,9 +40,7 @@ class ClientSession:
     ``retry_horizon``: re-enqueue a friend request still unconfirmed this
     many add-friend rounds after its last submission (``None`` disables
     retry, matching the paper's bare library).  ``max_attempts`` bounds the
-    total submissions per request -- the natural bound is the client's
-    rate-token budget (§9), and :class:`SessionRegistry` defaults it to
-    ``rate_tokens_per_day`` when the deployment enforces rate tokens.
+    total submissions per request.
     ``redial_attempts`` is the dialing-side outbox: a call whose round
     aborted is re-dialed next round (deduped by (friend, intent)) until it
     has entered that many rounds in total; ``None`` keeps a dead round's
@@ -470,8 +468,8 @@ class SessionRegistry:
         """The session for ``client``, created on first use.
 
         Creation defaults come from the deployment's config:
-        ``retry_horizon`` from ``addfriend_retry_horizon`` and, when rate
-        tokens are enforced, ``max_attempts`` from ``rate_tokens_per_day``.
+        ``retry_horizon`` from ``addfriend_retry_horizon`` and
+        ``redial_attempts`` from ``dialing_redial_attempts``.
         An existing session is returned as-is (kwargs ignored).
         """
         session = self._by_email.get(client.email)
@@ -479,8 +477,6 @@ class SessionRegistry:
             config = self.dep.config
             kwargs.setdefault("retry_horizon", config.addfriend_retry_horizon)
             kwargs.setdefault("redial_attempts", config.dialing_redial_attempts)
-            if config.require_rate_tokens:
-                kwargs.setdefault("max_attempts", config.rate_tokens_per_day)
             session = ClientSession(client, **kwargs)
             for tap in self._taps:
                 session.events.subscribe_all(tap)

@@ -20,21 +20,14 @@ class Cdn:
         self.retained_rounds = retained_rounds
         # (protocol, round) -> {mailbox_id: serialized mailbox}
         self._store: dict[tuple[str, int], dict[int, bytes]] = {}
-        self._mailbox_counts: dict[tuple[str, int], int] = {}
 
     # -- publication (called by the entry server after a round) -----------
     def publish(self, mailboxes: MailboxSet) -> None:
-        self.store_round(
-            mailboxes.protocol, mailboxes.round_number, mailboxes.mailbox_count, mailboxes.blobs()
-        )
+        self.store_round(mailboxes.protocol, mailboxes.round_number, mailboxes.blobs())
 
-    def store_round(
-        self, protocol: str, round_number: int, mailbox_count: int, blobs: dict[int, bytes]
-    ) -> None:
+    def store_round(self, protocol: str, round_number: int, blobs: dict[int, bytes]) -> None:
         """Store one round's serialized mailboxes as received (no re-encoding)."""
-        key = (protocol, round_number)
-        self._store[key] = blobs
-        self._mailbox_counts[key] = mailbox_count
+        self._store[(protocol, round_number)] = blobs
         self._evict_old(protocol)
 
     def _evict_old(self, protocol: str) -> None:
@@ -42,15 +35,8 @@ class Cdn:
         while len(rounds) > self.retained_rounds:
             oldest = rounds.pop(0)
             self._store.pop((protocol, oldest), None)
-            self._mailbox_counts.pop((protocol, oldest), None)
 
     # -- queries (made by clients) ------------------------------------------
-    def mailbox_count(self, protocol: str, round_number: int, client: str = "anonymous") -> int:
-        key = (protocol, round_number)
-        if key not in self._mailbox_counts:
-            raise UnknownRoundError(f"no published {protocol} mailboxes for round {round_number}")
-        return self._mailbox_counts[key]
-
     def download_blob(self, protocol: str, round_number: int, mailbox_id: int, client: str = "anonymous") -> bytes | None:
         """Fetch one mailbox's serialized bytes; ``None`` if it is empty.
 
@@ -74,7 +60,7 @@ class Cdn:
 
         if request.method == "publish":
             *round_ref, mailbox_count, mailboxes = rpc.PUBLISH_REQUEST.decode(request.payload)
-            self.store_round(*round_ref, mailbox_count, rpc.mailbox_blobs(mailboxes, mailbox_count))
+            self.store_round(*round_ref, rpc.mailbox_blobs(mailboxes, mailbox_count))
             return RpcResult()
         if request.method == "download":
             protocol, round_number, mailbox_id, client = rpc.DOWNLOAD_REQUEST.decode(request.payload)

@@ -1,33 +1,34 @@
-"""repro.cluster: the horizontally sharded entry/CDN tier.
+"""repro.cluster: the entry/CDN front tier, split by mailbox range.
 
 The paper's deployment sketch (§7) scales the untrusted front tier
 horizontally: clients talk to whichever front-end owns their mailbox, while
-the mixnet stays a single chain.  This package reproduces that split:
+the mixnet stays a single chain and the round itself stays one round.  This
+package holds *where the envelopes wait*; the round lifecycle lives once,
+in :class:`~repro.entry.server.EntryServer`, at every shard count:
 
 * :mod:`repro.cluster.directory` -- the per-round :class:`ShardDirectory`
-  mapping contiguous mailbox-ID ranges to shard endpoints;
+  mapping contiguous mailbox-ID ranges to shard endpoints, and
+  :func:`front_endpoints`, the front's endpoint names at any shard count;
 * :mod:`repro.cluster.shard` -- the per-shard servers: :class:`EntryShard`
-  (submission buffering for its range), :class:`IngressProxy` (``SubmitBatch``
-  envelope batching at the shard's access link), and :class:`CdnShard`
-  (mailbox serving for its range);
-* :mod:`repro.cluster.router` -- the coordinator-side :class:`ShardRouter`
-  (opens rounds once, routes submissions, merges per-shard batches into one
-  mix run) and :class:`ShardedCdnStub` (publish fan-out, download routing).
+  (submission buffering for its range; the one-shard front is an in-process
+  ``EntryShard`` owning every mailbox), :class:`IngressProxy`
+  (``SubmitBatch`` envelope batching at the shard's access link), and
+  :class:`CdnShard` (mailbox serving for its range), plus
+  :class:`ShardedCdnStub` (publish fan-out, download routing).
 
-``AlpenhornConfig.entry_shards > 1`` activates the tier; the default of 1
-keeps the original single :class:`~repro.entry.server.EntryServer` /
-:class:`~repro.cdn.cdn.Cdn` wiring untouched.
+``AlpenhornConfig.entry_shards > 1`` puts the front behind N
+``entry{i}``/``ingress{i}``/``cdn{i}`` endpoints, with the entry server in
+the coordinator's process.
 """
 
-from repro.cluster.directory import ShardDirectory, ShardRange, balanced_ranges
-from repro.cluster.router import ShardedCdnStub, ShardRouter
-from repro.cluster.shard import CdnShard, EntryShard, IngressProxy
+from repro.cluster.directory import ShardDirectory, ShardRange, balanced_ranges, front_endpoints
+from repro.cluster.shard import CdnShard, EntryShard, IngressProxy, ShardedCdnStub
 
 __all__ = [
     "ShardDirectory",
     "ShardRange",
     "balanced_ranges",
-    "ShardRouter",
+    "front_endpoints",
     "ShardedCdnStub",
     "EntryShard",
     "IngressProxy",

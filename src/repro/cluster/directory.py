@@ -1,14 +1,14 @@
 """The shard directory: who owns which mailbox range this round.
 
-The sharded entry/CDN tier (see :mod:`repro.cluster`) splits each round's
+The entry/CDN front tier (see :mod:`repro.cluster`) splits each round's
 mailbox-ID space ``[0, K)`` into one contiguous range per shard.  A
-:class:`ShardDirectory` is built by the :class:`~repro.cluster.router.ShardRouter`
-when a round opens and is announced to clients alongside the
-:class:`~repro.entry.server.RoundAnnouncement`: a client computes its own
-mailbox ID (``H(email) mod K``) and routes its submission and its mailbox
-download to the shard whose range contains it.  Because ``K`` is chosen per
-round, the directory is per-round state -- which is also what makes shard
-rebalancing (a ROADMAP follow-on) a pure directory change.
+:class:`ShardDirectory` is built by the :class:`~repro.entry.server.EntryServer`
+when a round opens and, with more than one shard, is announced to clients
+alongside the :class:`~repro.entry.server.RoundAnnouncement`: a client
+computes its own mailbox ID (``H(email) mod K``) and routes its submission
+and its mailbox download to the shard whose range contains it.  Because
+``K`` is chosen per round, the directory is per-round state -- which is also
+what makes shard rebalancing (a ROADMAP follow-on) a pure directory change.
 
 Ranges are balanced to within one mailbox: with ``K`` mailboxes over ``S``
 shards the first ``K mod S`` shards own ``ceil(K/S)`` mailboxes and the rest
@@ -41,16 +41,15 @@ def balanced_ranges(mailbox_count: int, shard_count: int) -> list[tuple[int, int
     return ranges
 
 
-def entry_shard_name(index: int) -> str:
-    return f"entry{index}"
+def front_endpoints(shard_count: int) -> list[tuple[str, str, str]]:
+    """Each front shard's ``(entry, ingress, cdn)`` endpoint names.
 
-
-def ingress_proxy_name(index: int) -> str:
-    return f"ingress{index}"
-
-
-def cdn_shard_name(index: int) -> str:
-    return f"cdn{index}"
+    One shard is the entry server itself: clients submit to ``entry`` and
+    download from ``cdn``.  N shards are ``entry{i}``/``ingress{i}``/``cdn{i}``.
+    """
+    if shard_count == 1:
+        return [("entry", "entry", "cdn")]
+    return [(f"entry{i}", f"ingress{i}", f"cdn{i}") for i in range(shard_count)]
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class ShardRange:
 
 @dataclass(frozen=True)
 class ShardDirectory:
-    """The per-round routing table clients and the router share."""
+    """The per-round routing table clients and the entry server share."""
 
     protocol: str
     round_number: int
@@ -85,15 +84,10 @@ class ShardDirectory:
         protocol: str, round_number: int, mailbox_count: int, shard_count: int
     ) -> "ShardDirectory":
         ranges = tuple(
-            ShardRange(
-                index=index,
-                lo=lo,
-                hi=hi,
-                entry=entry_shard_name(index),
-                ingress=ingress_proxy_name(index),
-                cdn=cdn_shard_name(index),
+            ShardRange(index, lo, hi, *names)
+            for index, ((lo, hi), names) in enumerate(
+                zip(balanced_ranges(mailbox_count, shard_count), front_endpoints(shard_count))
             )
-            for index, (lo, hi) in enumerate(balanced_ranges(mailbox_count, shard_count))
         )
         return ShardDirectory(
             protocol=protocol,

@@ -1,14 +1,14 @@
-"""The shard servers of the sharded entry/CDN tier.
+"""The shard servers of the entry/CDN front tier, and the CDN facade over them.
 
 Three server roles live here, each bound to its own transport endpoint:
 
-* :class:`EntryShard` -- one slice of the entry tier.  It owns a contiguous
-  mailbox-ID range per round (told to it by the router at round open),
-  buffers the envelopes of the clients whose own mailbox falls in that
-  range, and hands them back when the router closes the round.  Unlike the
-  single :class:`~repro.entry.server.EntryServer` it never touches the mix
-  chain or the PKGs -- round control lives in the
-  :class:`~repro.cluster.router.ShardRouter`.
+* :class:`EntryShard` -- one slice of the entry tier: where envelopes wait.
+  It owns a contiguous mailbox-ID range per round (told to it by the entry
+  server at round open), buffers the envelopes of the clients whose own
+  mailbox falls in that range, and hands them back when the entry server
+  closes the round.  It never touches the mix chain or the PKGs -- round
+  control lives in the :class:`~repro.entry.server.EntryServer`, whose
+  one-shard front is an in-process ``EntryShard`` owning all of ``[0, K)``.
 * :class:`IngressProxy` -- the shard's access-link aggregation point.
   Clients submit to the proxy; the proxy coalesces envelopes into
   ``SubmitBatch`` frames of up to ``batch_size`` toward its shard, paying
@@ -21,6 +21,8 @@ Three server roles live here, each bound to its own transport endpoint:
   in its published range and answers downloads for them; a download for a
   mailbox outside the range raises :class:`~repro.errors.ShardRoutingError`
   (a routing bug must surface loudly, never read as silent no-mail).
+
+:class:`ShardedCdnStub` is the client/entry-server side of the CDN shards.
 
 Rate limiting: every shard holds a reference to the *same*
 :class:`~repro.crypto.blind.TokenVerifier` (modelling the replicated
@@ -42,10 +44,10 @@ from repro.errors import (
     ShardRoutingError,
     UnknownRoundError,
 )
-from repro.mixnet.mailbox import mailbox_for_identity
+from repro.mixnet.mailbox import MailboxSet, mailbox_for_identity
 from repro.net import rpc
 from repro.net.frames import ENVELOPE_BATCH
-from repro.net.transport import RpcRequest, RpcResult, Transport
+from repro.net.transport import BatchCall, RpcRequest, RpcResult, Transport, raise_first_error
 from repro.obs.trace import active_tracer
 
 
@@ -81,7 +83,7 @@ class EntryShard:
         self._open_rounds: dict[tuple[str, int], _ShardRound] = {}
         self.rounds_expired = 0
 
-    # -- round lifecycle (driven by the router) ----------------------------
+    # -- round lifecycle (driven by the entry server) ----------------------
     def open_round(self, protocol: str, round_number: int, request_body_length: int, directory) -> None:
         """Accept submissions for a round; idempotent (pipelined re-opens)."""
         key = (protocol, round_number)
@@ -129,11 +131,14 @@ class EntryShard:
         open_round = self._open_rounds.get((protocol, round_number))
         if open_round is None:
             return rpc.SUBMIT_ROUND_NOT_OPEN
-        mailbox_id = mailbox_for_identity(client_id, open_round.mailbox_count)
-        if not open_round.lo <= mailbox_id < open_round.hi:
-            return rpc.SUBMIT_WRONG_SHARD
+        # A shard owning all of [0, K) owns every client: skip the hash.
+        if open_round.hi - open_round.lo != open_round.mailbox_count:
+            mailbox_id = mailbox_for_identity(client_id, open_round.mailbox_count)
+            if not open_round.lo <= mailbox_id < open_round.hi:
+                return rpc.SUBMIT_WRONG_SHARD
         if client_id in open_round.submitted_by:
-            # One request per client per round, same as the single server.
+            # One request per client per round: duplicates are dropped, which
+            # also defeats naive replay flooding.
             return rpc.SUBMIT_DUPLICATE
         if self.rate_limit_verifier is not None:
             if token_bytes is None:
@@ -186,13 +191,6 @@ class EntryShard:
             body_length, directory = rpc.OPEN_SHARD_ROUND.decode(request.payload)
             directory = ShardDirectory.from_fields(directory)
             self.open_round(directory.protocol, directory.round_number, body_length, directory)
-            return RpcResult()
-        if request.method == "submit":
-            protocol, round_number, client_id, envelope, token_bytes = rpc.SUBMIT_REQUEST.decode(
-                request.payload
-            )
-            token = blind.RateToken.from_bytes(token_bytes) if token_bytes is not None else None
-            self.submit(protocol, round_number, client_id, envelope, rate_token=token)
             return RpcResult()
         if request.method == "submit_batch":
             protocol, round_number, entries = rpc.SUBMIT_BATCH_REQUEST.decode(request.payload)
@@ -361,12 +359,13 @@ class CdnShard(Cdn):
         self, lo: int, hi: int, protocol: str, round_number: int,
         mailbox_count: int, blobs: dict[int, bytes],
     ) -> None:
+        """Store one round's ``[lo, hi)`` slice, given the publish's fields in
+        order; ``mailbox_count`` is held to the blob ids when the publish is
+        decoded (:func:`rpc.mailbox_blobs`), not here."""
         self._ranges[(protocol, round_number)] = (lo, hi)
-        self.store_round(protocol, round_number, mailbox_count, blobs)
-        # Base eviction pruned _store/_mailbox_counts; keep ranges aligned.
-        self._ranges = {
-            key: bounds for key, bounds in self._ranges.items() if key in self._mailbox_counts
-        }
+        self.store_round(protocol, round_number, blobs)
+        # Base eviction pruned _store; keep ranges aligned.
+        self._ranges = {key: bounds for key, bounds in self._ranges.items() if key in self._store}
 
     def download_blob(
         self, protocol: str, round_number: int, mailbox_id: int, client: str = "anonymous"
@@ -393,3 +392,70 @@ class CdnShard(Cdn):
             self.store_shard_round(lo, hi, *round_ref, mailbox_count, blobs)
             return RpcResult()
         return super().handle_rpc(request)
+
+
+class ShardedCdnStub:
+    """The client/entry-server-side CDN facade over the CDN shards.
+
+    Presents the exact :class:`~repro.net.rpc.CdnStub` surface; routes every
+    download to the CDN shard owning the mailbox (per the round's directory,
+    which it asks the entry server for) and fans a round's publish out so
+    each shard stores only its range.
+    """
+
+    def __init__(self, transport: Transport, entry, src: str = "coordinator") -> None:
+        self.transport = transport
+        self.entry = entry
+        self.src = src
+
+    def publish(self, mailboxes: MailboxSet) -> None:
+        directory = self.entry.directory(mailboxes.protocol, mailboxes.round_number)
+        blobs = mailboxes.blobs()
+        # Empty subsets are published too: a shard must know the round
+        # exists so an empty mailbox stays distinguishable from an unknown
+        # round (see CdnShard.download_blob).
+        calls = [
+            BatchCall(
+                self.src,
+                shard.cdn,
+                "publish",
+                rpc.SHARD_PUBLISH_REQUEST.encode(
+                    shard.lo,
+                    shard.hi,
+                    mailboxes.protocol,
+                    mailboxes.round_number,
+                    mailboxes.mailbox_count,
+                    [(mid, blob) for mid, blob in blobs.items() if shard.contains(mid)],
+                ),
+            )
+            for shard in directory.ranges
+        ]
+        raise_first_error(self.transport.call_batch(calls))
+
+    def download_many(
+        self,
+        protocol: str,
+        round_number: int,
+        items: list[tuple[int, str]],
+    ) -> list[tuple[object, Exception | None]]:
+        """One download wave, each mailbox routed to its owning CDN shard.
+
+        Same contract as :meth:`~repro.net.rpc.CdnStub.download_many`.  A
+        round the entry server no longer has a directory for raises
+        :class:`UnknownRoundError` up front: directory retention matches the
+        CDN shards' round retention, so the round is unknown, aborted or
+        already evicted shard-side -- the single CDN's error contract.
+        """
+        directory = self.entry.directory_or_none(protocol, round_number)
+        if directory is None:
+            raise UnknownRoundError(
+                f"no published {protocol} mailboxes for round {round_number} "
+                "(unknown, aborted, or evicted)"
+            )
+        return rpc.download_wave(
+            self.transport,
+            protocol,
+            round_number,
+            items,
+            lambda mailbox_id: directory.shard_for_mailbox(mailbox_id).cdn,
+        )

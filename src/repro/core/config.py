@@ -2,8 +2,8 @@
 
 The knobs mirror the parameters the paper's evaluation varies: number of mix
 servers and PKGs, round durations, noise volumes, mailbox sizing targets,
-the Bloom filter false-positive rate, and the number of dialing intents the
-application uses (§5.3).  ``ibe_backend`` selects between the real
+and the number of dialing intents the application uses (§5.3); dialing
+mailboxes are built at the paper's Bloom false-positive rate of 1e-10.  ``ibe_backend`` selects between the real
 pairing-based IBE and the oracle-based simulation backend used for
 large-scale scenario runs (README, "Choosing a crypto backend");
 ``crypto_backend`` selects the symmetric/X25519 engine every hot path runs
@@ -57,16 +57,11 @@ class AlpenhornConfig:
     dialing_target_per_mailbox: int = DEFAULT_DIALING_TARGET_PER_MAILBOX
 
     # Dialing parameters.
-    bloom_false_positive_rate: float = 1e-10
     num_intents: int = 10  # §8.1: "the maximum number of intents was 10"
 
     # Add-friend request body: the friend request plus IBE overhead is padded
     # to this length so every request in a round has identical size.
     addfriend_request_size: int = 640
-
-    # Rate limiting (the §9 blinded-token DoS defence); disabled by default.
-    require_rate_tokens: bool = False
-    rate_tokens_per_day: int = 100
 
     # PKG attestation scheme for the PKGSigs field (§4.5): "bls" (the real
     # multi-signature, the default) or "simulated" (hash-based oracle for
@@ -86,11 +81,12 @@ class AlpenhornConfig:
     # live dials for one intent).  None keeps the handle's terminal FAILED.
     dialing_redial_attempts: int | None = None
 
-    # Sharded entry/CDN tier (repro.cluster).  entry_shards > 1 splits the
-    # front tier into that many EntryShard/CdnShard pairs, each owning a
-    # contiguous mailbox-ID range behind its own transport endpoints, with
-    # the ShardRouter as the coordinator-side control plane.  The default of
-    # 1 keeps the original single EntryServer/Cdn wiring byte-for-byte.
+    # Entry/CDN front tier (repro.cluster): where envelopes wait.  The
+    # EntryServer runs every round at any count; 1 is its in-process front
+    # (the "entry"/"cdn" endpoints), N > 1 splits the front into N
+    # EntryShard/IngressProxy/CdnShard triples, each owning a contiguous
+    # mailbox-ID range behind its own transport endpoints, with the entry
+    # server in the coordinator's process.
     entry_shards: int = 1
 
     # How many client envelopes each shard's ingress proxy coalesces into
@@ -137,8 +133,6 @@ class AlpenhornConfig:
             )
         if self.num_intents < 1:
             raise ConfigurationError("need at least one dialing intent")
-        if not 0 < self.bloom_false_positive_rate < 1:
-            raise ConfigurationError("Bloom false-positive rate must be in (0, 1)")
         if self.addfriend_request_size < 256:
             raise ConfigurationError("add-friend request size too small to hold a request")
         if self.addfriend_round_duration <= 0 or self.dialing_round_duration <= 0:
@@ -164,6 +158,5 @@ class AlpenhornConfig:
             noise=NoiseConfig(2, 0, 2, 0),
             addfriend_target_per_mailbox=16,
             dialing_target_per_mailbox=16,
-            bloom_false_positive_rate=1e-6,
             num_intents=3,
         )

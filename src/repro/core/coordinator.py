@@ -20,6 +20,8 @@ meaningful end-to-end ``latency_s``.
 from __future__ import annotations
 
 from repro.cdn.cdn import Cdn
+from repro.cluster.directory import front_endpoints
+from repro.cluster.shard import CdnShard, EntryShard, IngressProxy, ShardedCdnStub
 from repro.core.client import Client
 from repro.core.config import AlpenhornConfig
 from repro.core.roundengine import (
@@ -119,7 +121,6 @@ class Deployment:
             MixServer(f"mix{i}", rng=DeterministicRng(f"{seed}/mix/{i}"), engine=self.crypto)
             for i in range(self.config.num_mix_servers)
         ]
-        self.cdn = Cdn() if self.config.entry_shards == 1 else None
 
         # Bind every server to its transport endpoint, then build the
         # stubs everything else uses to reach them.
@@ -127,14 +128,14 @@ class Deployment:
             self.transport.register(pkg.name, pkg.handle_rpc)
         for mix in self.mix_servers:
             self.transport.register(mix.name, mix.handle_rpc)
-        if self.cdn is not None:
-            self.transport.register("cdn", self.cdn.handle_rpc)
 
-        # With a sharded entry tier, round control runs in the coordinator
-        # process (the ShardRouter) instead of the entry server's, so the
-        # mix-chain and PKG round-lifecycle RPCs originate there.
-        sharded = self.config.entry_shards > 1
-        control_src = "coordinator" if sharded else "entry"
+        # One shard: the entry server is the ``entry`` endpoint, and its
+        # in-process front holds the envelopes.  N shards: the envelopes wait
+        # at N shard endpoints and the entry server runs in the coordinator's
+        # process, so the mix-chain and PKG round-lifecycle RPCs originate
+        # there.
+        shard_count = self.config.entry_shards
+        control_src = "entry" if shard_count == 1 else "coordinator"
         self.pkg_stubs = [
             PkgStub(
                 self.transport,
@@ -154,17 +155,39 @@ class Deployment:
             server_names=[mix.name for mix in self.mix_servers],
             driver_src=control_src,
         )
-        if sharded:
-            self._build_shard_tier()
-        else:
-            self.cdn_stub = CdnStub(self.transport)
-            self.entry = EntryServer(self.mix_chain, self.pkg_coordinator, cdn=self.cdn_stub)
+        self.entry = EntryServer(
+            self.mix_chain,
+            self.pkg_coordinator,
+            transport=self.transport,
+            shard_count=shard_count,
+            src=control_src,
+        )
+        self.cdn: Cdn | None = None
+        self.entry_shard_servers: list[EntryShard] = []
+        self.ingress_proxies: list[IngressProxy] = []
+        self.cdn_shards: list[CdnShard] = []
+        if shard_count == 1:
+            self.cdn = Cdn()
+            self.transport.register("cdn", self.cdn.handle_rpc)
             self.transport.register("entry", self.entry.handle_rpc)
+            self.cdn_stub = CdnStub(self.transport)
             self.entry_stub = EntryStub(self.transport, ibe=self._ibe_backend)
-            self.cluster = None
-            self.entry_shard_servers = []
-            self.ingress_proxies = []
-            self.cdn_shards = []
+        else:
+            for index, (entry, ingress, cdn) in enumerate(front_endpoints(shard_count)):
+                shard = EntryShard(entry, index)
+                proxy = IngressProxy(
+                    ingress, entry, self.transport, batch_size=self.config.ingress_batch_size
+                )
+                cdn_shard = CdnShard(cdn, index)
+                for server in (shard, proxy, cdn_shard):
+                    self.transport.register(server.name, server.handle_rpc)
+                self.entry_shard_servers.append(shard)
+                self.ingress_proxies.append(proxy)
+                self.cdn_shards.append(cdn_shard)
+            # The round engine drives the in-process entry server directly.
+            self.cdn_stub = ShardedCdnStub(self.transport, self.entry)
+            self.entry_stub = self.entry
+        self.entry.cdn = self.cdn_stub
 
         # Clients, their sessions, and round counters.  The session registry
         # receives the round engines' lifecycle feed (see repro.api.session);
@@ -185,55 +208,6 @@ class Deployment:
             "add-friend": RoundEngine(self, AddFriendDriver(self)),
             "dialing": RoundEngine(self, DialingDriver(self)),
         }
-
-    # ------------------------------------------------------------------ #
-    # The sharded entry/CDN tier (repro.cluster)
-    # ------------------------------------------------------------------ #
-    def _build_shard_tier(self) -> None:
-        """Stand up N EntryShard/IngressProxy/CdnShard triples and the router.
-
-        The router doubles as both the operator surface (``self.entry``:
-        abort_round) and the round driver's stub (``self.entry_stub``:
-        announce/submit/submissions/close plus the batch flush hook), so
-        the round engine is oblivious to sharding.
-        """
-        from repro.cluster.directory import (
-            cdn_shard_name,
-            entry_shard_name,
-            ingress_proxy_name,
-        )
-        from repro.cluster.router import ShardRouter
-        from repro.cluster.shard import CdnShard, EntryShard, IngressProxy
-
-        shard_count = self.config.entry_shards
-        self.entry_shard_servers = []
-        self.ingress_proxies = []
-        self.cdn_shards = []
-        for index in range(shard_count):
-            shard = EntryShard(entry_shard_name(index), index)
-            proxy = IngressProxy(
-                ingress_proxy_name(index),
-                shard.name,
-                self.transport,
-                batch_size=self.config.ingress_batch_size,
-            )
-            cdn_shard = CdnShard(cdn_shard_name(index), index)
-            self.transport.register(shard.name, shard.handle_rpc)
-            self.transport.register(proxy.name, proxy.handle_rpc)
-            self.transport.register(cdn_shard.name, cdn_shard.handle_rpc)
-            self.entry_shard_servers.append(shard)
-            self.ingress_proxies.append(proxy)
-            self.cdn_shards.append(cdn_shard)
-
-        self.cluster = ShardRouter(
-            self.transport,
-            self.mix_chain,
-            self.pkg_coordinator,
-            shard_count=shard_count,
-        )
-        self.entry = self.cluster
-        self.entry_stub = self.cluster
-        self.cdn_stub = self.cluster.cdn
 
     # ------------------------------------------------------------------ #
     # Client management
@@ -279,7 +253,7 @@ class Deployment:
     def session(self, email: str, **kwargs):
         """The :class:`~repro.api.session.ClientSession` for a client.
 
-        Created on first use (defaults -- retry horizon, rate-token bound --
+        Created on first use (defaults -- retry horizon, redial attempts --
         come from the deployment config; ``kwargs`` override them at
         creation only).  This is the preferred application surface; the
         client's raw Figure-1 methods stay available underneath it.

@@ -9,19 +9,39 @@ aggregate all client envelopes into a single batch handed to the first mix
 server.  The entry server is untrusted: it sees only onion-encrypted,
 fixed-size envelopes, one per client per round.
 
-As an extension (§9, "DoS attacks"), the entry server can require a valid
+The paper's deployment sketch scales only *where the envelopes wait*: the
+untrusted front tier, split by mailbox range (see :mod:`repro.cluster`).
+So :class:`EntryServer` runs every round's lifecycle once, at any shard
+count -- open the mix chain and the PKG commit-reveal, build the round's
+:class:`~repro.cluster.directory.ShardDirectory`, collect, mix once,
+publish, erase -- and only its *front* changes: one in-process
+:class:`~repro.cluster.shard.EntryShard` owning all of ``[0, K)``, or N
+``entry{i}``/``ingress{i}``/``cdn{i}`` shard endpoints reached in waves.
+
+As an extension (§9, "DoS attacks"), the front can require a valid
 blind-signature rate token per submitted request.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
+from repro.cluster.directory import ShardDirectory
+from repro.cluster.shard import EntryShard
 from repro.crypto import blind
-from repro.errors import NetworkError, RateLimitError, RoundError
-from repro.mixnet.chain import MixChain, RoundResult
+from repro.errors import NetworkError, RoundError
+from repro.mixnet.chain import MixChain, RoundCounts, RoundResult
 from repro.net import rpc
-from repro.net.transport import RpcRequest, RpcResult
+from repro.net.frames import ENVELOPE_BATCH
+from repro.net.transport import (
+    BatchCall,
+    BatchCallOutcome,
+    RpcRequest,
+    RpcResult,
+    Transport,
+    raise_first_error,
+)
+from repro.obs.trace import active_tracer
 from repro.pkg.coordinator import PkgCoordinator
 
 
@@ -35,21 +55,28 @@ class RoundAnnouncement:
     pkg_public_keys: list
     mailbox_count: int
     request_body_length: int
-    #: With a sharded entry/CDN tier (see ``repro.cluster``), the per-round
-    #: routing table: which shard owns which contiguous mailbox-ID range.
-    #: ``None`` under the default single entry server / single CDN.
+    #: With a sharded front (see ``repro.cluster``), the per-round routing
+    #: table: which shard owns which contiguous mailbox-ID range.  ``None``
+    #: with one shard, where every client submits to the entry server itself.
     shard_directory: object = None
 
 
-@dataclass
-class _OpenRound:
-    announcement: RoundAnnouncement
-    envelopes: list[bytes] = field(default_factory=list)
-    submitted_by: set[str] = field(default_factory=set)
+def _reply(outcome: BatchCallOutcome, layout):
+    """One wave outcome's reply -- the single field of ``layout`` -- or its error, raised."""
+    if outcome.error is not None:
+        raise outcome.error
+    return rpc.decode_reply(layout.decode, outcome.result.payload)[0]
 
 
 class EntryServer:
     """Coordinates rounds for both protocols and feeds batches to the mixnet."""
+
+    #: How many rounds' directories (and per-shard load records) stay
+    #: resolvable per protocol.  Matches the CDN's default
+    #: ``retained_rounds``: once a round's mailboxes are evicted there,
+    #: routing to them is moot, and a directory miss can uniformly mean
+    #: "unknown or evicted round".
+    RETAINED_DIRECTORIES = 32
 
     def __init__(
         self,
@@ -57,15 +84,73 @@ class EntryServer:
         pkg_coordinator: PkgCoordinator | None = None,
         rate_limit_verifier: blind.TokenVerifier | None = None,
         cdn=None,
+        transport: Transport | None = None,
+        shard_count: int = 1,
+        src: str = "entry",
     ) -> None:
+        if shard_count < 1:
+            raise ValueError("need at least one shard")
         self.mix_chain = mix_chain
         self.pkg_coordinator = pkg_coordinator
-        self.rate_limit_verifier = rate_limit_verifier
-        #: Where the ``close_round`` RPC publishes the round's mailboxes (a
-        #: :class:`~repro.net.rpc.CdnStub`): whoever ran the mix chain
-        #: publishes, so mailboxes cross the wire once, entry -> CDN.
+        #: Where :meth:`close_round` publishes the round's mailboxes (a
+        #: :class:`~repro.net.rpc.CdnStub` or a
+        #: :class:`~repro.cluster.shard.ShardedCdnStub`): whoever ran the mix
+        #: chain publishes, so mailboxes cross the wire once.  ``None``: the
+        #: caller gets the :class:`RoundResult` and publishes it itself.
         self.cdn = cdn
-        self._open_rounds: dict[tuple[str, int], _OpenRound] = {}
+        #: Carries the waves to a sharded front, issued from ``src`` (the
+        #: coordinator's process, where a sharded entry server runs).
+        self.transport = transport
+        self.shard_count = shard_count
+        self.src = src
+        #: The one in-process front shard, or ``None`` when the front is
+        #: ``shard_count`` shard endpoints.  It expires a round whose close
+        #: or abort never arrived (``EntryShard.RETAINED_ROUNDS``).
+        self.front = EntryShard("entry", 0, rate_limit_verifier) if shard_count == 1 else None
+        self._announcements: dict[tuple[str, int], RoundAnnouncement] = {}
+        self._directories: dict[tuple[str, int], ShardDirectory] = {}
+        #: Per-shard accepted-envelope counts recorded at each close; feeds
+        #: the load-imbalance reporting of the shard benchmarks.
+        self.load_by_round: dict[tuple[str, int], list[int]] = {}
+
+    # -- directory access ----------------------------------------------------
+    def directory(self, protocol: str, round_number: int) -> ShardDirectory:
+        directory = self._directories.get((protocol, round_number))
+        if directory is None:
+            raise RoundError(
+                f"no shard directory for {protocol} round {round_number} "
+                "(round never announced, or evicted)"
+            )
+        return directory
+
+    def directory_or_none(self, protocol: str, round_number: int) -> ShardDirectory | None:
+        return self._directories.get((protocol, round_number))
+
+    def _prune(self, protocol: str, round_number: int) -> None:
+        """Forget what the front itself has expired, and old directories."""
+        horizon = round_number - EntryShard.RETAINED_ROUNDS
+        for key in [k for k in self._announcements if k[0] == protocol and k[1] < horizon]:
+            del self._announcements[key]
+        rounds = sorted(r for (p, r) in self._directories if p == protocol)
+        for oldest in rounds[: -self.RETAINED_DIRECTORIES]:
+            self._directories.pop((protocol, oldest), None)
+            self.load_by_round.pop((protocol, oldest), None)
+
+    def _wave(self, endpoints: list[str], method: str, payload: bytes) -> list[BatchCallOutcome]:
+        """The same control RPC to every shard endpoint, as one wave."""
+        return self.transport.call_batch(
+            [BatchCall(self.src, endpoint, method, payload) for endpoint in endpoints]
+        )
+
+    def _span(self, name: str, protocol: str, round_number: int):
+        return active_tracer().span(
+            name,
+            category="cluster",
+            track=self.src,
+            protocol=protocol,
+            round=round_number,
+            shards=self.shard_count,
+        )
 
     # -- round lifecycle ---------------------------------------------------
     def announce_round(
@@ -75,23 +160,37 @@ class EntryServer:
         mailbox_count: int,
         request_body_length: int,
     ) -> RoundAnnouncement:
-        """Open a round: collect server round keys and publish the parameters."""
+        """Open a round: collect server round keys, open the front, and
+        publish the parameters."""
         key = (protocol, round_number)
-        if key in self._open_rounds:
-            return self._open_rounds[key].announcement
+        if key in self._announcements:
+            return self._announcements[key]
 
         pkg_publics: list = []
         try:
             mix_publics = self.mix_chain.open_round(protocol, round_number)
             if protocol == "add-friend" and self.pkg_coordinator is not None:
                 pkg_publics = list(self.pkg_coordinator.open_round(round_number).public_keys)
+            directory = ShardDirectory.build(protocol, round_number, mailbox_count, self.shard_count)
+            # Registered *before* the front opens: if a shard cannot be
+            # told, abort_round needs the directory to reach the shards
+            # that already opened the round and tear their state down.
+            self._directories[key] = directory
+            if self.front is not None:
+                self.front.open_round(protocol, round_number, request_body_length, directory)
+            else:
+                payload = rpc.OPEN_SHARD_ROUND.encode(request_body_length, directory.to_fields())
+                with self._span("shard.open_broadcast", protocol, round_number):
+                    entries = [shard.entry for shard in directory.ranges]
+                    raise_first_error(self._wave(entries, "open_round", payload))
         except Exception:
-            # The round cannot open (e.g. a server is unreachable during
-            # key setup).  Erase whatever round secrets were already
-            # generated -- leaving them live would defeat the forward
-            # secrecy the close path exists to provide.  Mix round keys are
-            # namespaced by (protocol, round), so a failed *dialing* announce
-            # cannot poison the same-numbered add-friend round's keys.
+            # The round cannot open (a server unreachable during key setup,
+            # or a shard that would silently reject its clients all round
+            # long).  Erase whatever round secrets were already generated --
+            # leaving them live would defeat the forward secrecy the close
+            # path exists to provide.  Mix round keys are namespaced by
+            # (protocol, round), so a failed *dialing* announce cannot
+            # poison the same-numbered add-friend round's keys.
             self.abort_round(protocol, round_number)
             raise
 
@@ -102,15 +201,44 @@ class EntryServer:
             pkg_public_keys=pkg_publics,
             mailbox_count=mailbox_count,
             request_body_length=request_body_length,
+            shard_directory=directory if self.front is None else None,
         )
-        self._open_rounds[key] = _OpenRound(announcement=announcement)
+        self._announcements[key] = announcement
+        self._prune(protocol, round_number)
         return announcement
 
     def current_announcement(self, protocol: str, round_number: int) -> RoundAnnouncement:
         key = (protocol, round_number)
-        if key not in self._open_rounds:
+        if key not in self._announcements:
             raise RoundError(f"{protocol} round {round_number} is not open")
-        return self._open_rounds[key].announcement
+        return self._announcements[key]
+
+    def abort_round(self, protocol: str, round_number: int) -> None:
+        """Tear down a round that cannot complete: drop its envelopes on
+        every shard and erase every server-side round secret.  Idempotent;
+        used by the deployment operator when the round's control plane fails
+        mid-flight, so a stuck round can never retain envelopes or keys
+        indefinitely."""
+        key = (protocol, round_number)
+        self._announcements.pop(key, None)
+        directory = self._directories.pop(key, None)
+        if self.front is not None:
+            self.front.abort_round(protocol, round_number)
+        elif directory is not None:
+            # One wave like every other shard broadcast: an abort under
+            # partition must cost one retry budget, not 2*S serial ones.
+            outcomes = self._wave(
+                [e for shard in directory.ranges for e in (shard.entry, shard.ingress)],
+                "abort_round",
+                rpc.ROUND_REF.encode(protocol, round_number),
+            )
+            for outcome in outcomes:
+                # Unreachable shards expire the round on later activity.
+                if outcome.error is not None and not isinstance(outcome.error, NetworkError):
+                    raise outcome.error
+        self.mix_chain.close_round(protocol, round_number)
+        if protocol == "add-friend" and self.pkg_coordinator is not None:
+            self.pkg_coordinator.close_round(round_number)
 
     # -- request submission ---------------------------------------------------
     def submit(
@@ -121,40 +249,108 @@ class EntryServer:
         envelope: bytes,
         rate_token: blind.RateToken | None = None,
     ) -> None:
-        """Accept one fixed-size envelope from a client for an open round."""
-        key = (protocol, round_number)
-        if key not in self._open_rounds:
-            raise RoundError(f"{protocol} round {round_number} is not open")
-        open_round = self._open_rounds[key]
-        if client_id in open_round.submitted_by:
-            # One request per client per round: duplicates are dropped, which
-            # also defeats naive replay flooding.
-            return
-        if self.rate_limit_verifier is not None:
-            if rate_token is None:
-                raise RateLimitError("round requires a rate token")
-            self.rate_limit_verifier.spend(rate_token)
-        open_round.submitted_by.add(client_id)
-        open_round.envelopes.append(envelope)
+        """Accept one fixed-size envelope into the in-process front (one
+        shard; a sharded front's clients submit to their shard's ingress)."""
+        self.front.submit(protocol, round_number, client_id, envelope, rate_token)
+
+    def submit_many(
+        self,
+        protocol: str,
+        round_number: int,
+        entries: list[tuple[str, bytes, float | None]],
+    ) -> list[BatchCallOutcome]:
+        """One submit wave, each envelope routed to its owning shard's ingress.
+
+        Same contract as :meth:`~repro.net.rpc.EntryStub.submit_many`:
+        ``(client_id, envelope, start_time)`` per entry, outcomes in order.
+        """
+        directory = self.directory(protocol, round_number)
+        calls = [
+            BatchCall(
+                src=client_id,
+                dst=directory.shard_for_identity(client_id).ingress,
+                method="submit",
+                payload=rpc.SUBMIT_REQUEST.encode(
+                    protocol, round_number, client_id, envelope, None
+                ),
+                start=start,
+            )
+            for client_id, envelope, start in entries
+        ]
+        return self.transport.call_batch(calls)
+
+    def flush_submissions(self, protocol: str, round_number: int) -> list[tuple[str, str]]:
+        """Drain every ingress proxy's remainder; returns the round's rejects.
+
+        Called by the round engine at the end of the submit stage (inside
+        the stage's transport phase, so the flush frames land in the stage's
+        simulated interval).  The in-process front answers every submission
+        itself, so it has nothing buffered.  An unreachable proxy is skipped:
+        its buffered envelopes are lost with it, and their senders -- like
+        any client whose ack was lost -- fall back to the session retry
+        machinery.
+        """
+        directory = self.directory_or_none(protocol, round_number)
+        if self.front is not None or directory is None:
+            return []
+        with self._span("shard.flush_drain", protocol, round_number) as span:
+            outcomes = self._wave(
+                [shard.ingress for shard in directory.ranges],
+                "flush",
+                rpc.ROUND_REF.encode(protocol, round_number),
+            )
+            rejected: list[tuple[str, str]] = []
+            for outcome in outcomes:
+                try:
+                    rejected += _reply(outcome, rpc.REJECTS)
+                except NetworkError:
+                    pass  # unreachable proxy, or a garbled reply: see above
+            span.set(rejected=len(rejected))
+        return rejected
 
     def submissions(self, protocol: str, round_number: int) -> int:
-        key = (protocol, round_number)
-        if key not in self._open_rounds:
+        if self.front is not None:
+            return self.front.submissions(protocol, round_number)
+        directory = self.directory_or_none(protocol, round_number)
+        if directory is None:
             return 0
-        return len(self._open_rounds[key].envelopes)
+        outcomes = self._wave(
+            [shard.entry for shard in directory.ranges],
+            "submissions",
+            rpc.ROUND_REF.encode(protocol, round_number),
+        )
+        return sum(_reply(outcome, rpc.COUNT_REPLY) for outcome in outcomes)
 
     # -- closing a round ----------------------------------------------------------
-    def close_round(self, protocol: str, round_number: int) -> RoundResult:
-        """Hand the batch to the mix chain and return the resulting mailboxes."""
+    def close_round(self, protocol: str, round_number: int) -> RoundCounts | RoundResult:
+        """Collect the front's batch, mix it once, and publish the mailboxes.
+
+        Returns the round's statistics once published to ``self.cdn``; with
+        no CDN, the :class:`RoundResult` itself, mailboxes included.
+        """
         key = (protocol, round_number)
-        if key not in self._open_rounds:
+        announcement = self._announcements.get(key)
+        if announcement is None:
             raise RoundError(f"{protocol} round {round_number} is not open")
-        open_round = self._open_rounds.pop(key)
-        announcement = open_round.announcement
+        if self.front is not None:
+            per_shard = [self.front.collect_round(protocol, round_number)]
+        else:
+            endpoints = [shard.entry for shard in self._directories[key].ranges]
+            payload = rpc.ROUND_REF.encode(protocol, round_number)
+            with self._span("shard.collect", protocol, round_number) as span:
+                per_shard = [
+                    _reply(outcome, ENVELOPE_BATCH)
+                    for outcome in self._wave(endpoints, "close_round", payload)
+                ]
+                span.set(envelopes=sum(len(envelopes) for envelopes in per_shard))
+        self.load_by_round[key] = [len(envelopes) for envelopes in per_shard]
+
+        self._announcements.pop(key)
         result = self.mix_chain.run_round(
             round_number=round_number,
             protocol=protocol,
-            envelopes=open_round.envelopes,
+            # Shard order, arrival order within a shard.
+            envelopes=[envelope for envelopes in per_shard for envelope in envelopes],
             mailbox_count=announcement.mailbox_count,
             payload_body_length=announcement.request_body_length,
         )
@@ -162,17 +358,42 @@ class EntryServer:
         # batch has been processed; PKG master secrets are erased by the
         # deployment once clients have fetched their round keys.
         self.mix_chain.close_round(protocol, round_number)
-        return result
+        if self.cdn is None:
+            return result
+        self.cdn.publish(result.mailboxes)
+        return result.counts()
 
-    def abort_round(self, protocol: str, round_number: int) -> None:
-        """Tear down a round that cannot complete: drop its batch and erase
-        every server-side round secret.  Idempotent; used by the deployment
-        operator when the round's control plane fails mid-flight, so a stuck
-        round can never retain envelopes or keys indefinitely."""
-        self._open_rounds.pop((protocol, round_number), None)
-        self.mix_chain.close_round(protocol, round_number)
-        if protocol == "add-friend" and self.pkg_coordinator is not None:
-            self.pkg_coordinator.close_round(round_number)
+    # -- benchmarking ---------------------------------------------------------
+    def load_report(self) -> dict:
+        """Per-shard load and imbalance over every closed round.
+
+        ``imbalance`` is ``max(shard load) / mean(shard load)``: 1.0 is a
+        perfectly balanced tier, ``shard_count`` is everything on one shard.
+        Empty for the one-shard front: it has no balance to report.
+        """
+        if self.front is not None:
+            return {}
+        totals = [0] * self.shard_count
+        per_round = []
+        for (protocol, round_number), loads in sorted(self.load_by_round.items()):
+            for index, load in enumerate(loads):
+                totals[index] += load
+            total = sum(loads)
+            per_round.append(
+                {
+                    "protocol": protocol,
+                    "round": round_number,
+                    "loads": list(loads),
+                    "imbalance": round(max(loads) * len(loads) / total, 4) if total else 1.0,
+                }
+            )
+        grand_total = sum(totals)
+        return {
+            "shards": self.shard_count,
+            "submissions_by_shard": totals,
+            "imbalance": round(max(totals) * len(totals) / grand_total, 4) if grand_total else 1.0,
+            "per_round": per_round,
+        }
 
     # -- transport dispatch --------------------------------------------------
     def handle_rpc(self, request: RpcRequest) -> RpcResult:
@@ -207,8 +428,7 @@ class EntryServer:
             return RpcResult(payload=rpc.COUNT_REPLY.encode(self.submissions(protocol, round_number)))
         if request.method == "close_round":
             protocol, round_number = rpc.ROUND_REF.decode(request.payload)
-            result = self.close_round(protocol, round_number)
             # The mailboxes go entry -> CDN; the coordinator gets statistics.
-            self.cdn.publish(result.mailboxes)
-            return RpcResult(payload=rpc.ROUND_COUNTS.encode(*astuple(result.counts())))
+            counts = self.close_round(protocol, round_number)
+            return RpcResult(payload=rpc.ROUND_COUNTS.encode(*astuple(counts)))
         raise NetworkError(f"entry server has no RPC method {request.method!r}")

@@ -100,8 +100,7 @@ class MixChain:
             if not names:
                 raise MixnetError("mix chain needs at least one server")
             # driver_src names the process driving the chain: the entry
-            # server by default, the coordinator when the entry tier is
-            # sharded and round control moves to the ShardRouter.
+            # server's, which with a sharded front is the coordinator's.
             self._handles = [MixStub(transport, name, src=driver_src) for name in names]
         else:
             if not self.servers:
@@ -146,7 +145,6 @@ class MixChain:
         envelopes: list[bytes],
         mailbox_count: int,
         payload_body_length: int,
-        bloom_false_positive_rate: float = 1e-10,
     ) -> RoundResult:
         """Push a batch through every server and build the round's mailboxes."""
         if protocol not in ("add-friend", "dialing"):
@@ -202,9 +200,7 @@ class MixChain:
         if protocol == "dialing":
             for mailbox_id in range(mailbox_count):
                 tokens = tokens_by_mailbox.get(mailbox_id, [])
-                mailboxes.dialing[mailbox_id] = DialingMailbox.build(
-                    mailbox_id, tokens, bloom_false_positive_rate
-                )
+                mailboxes.dialing[mailbox_id] = DialingMailbox.build(mailbox_id, tokens)
         else:
             for mailbox_id in range(mailbox_count):
                 mailboxes.addfriend.setdefault(

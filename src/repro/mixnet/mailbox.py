@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.primitives.bloom import BloomFilter
+from repro.primitives.bloom import DEFAULT_FALSE_POSITIVE_RATE, BloomFilter
 from repro.utils.serialization import U32, Bytes, List, Message
 
 # Requests destined to this ID are cover traffic and are dropped by the last
@@ -87,7 +87,9 @@ class DialingMailbox:
     token_count: int = 0
 
     @staticmethod
-    def build(mailbox_id: int, tokens: list[bytes], false_positive_rate: float = 1e-10) -> "DialingMailbox":
+    def build(
+        mailbox_id: int, tokens: list[bytes], false_positive_rate: float = DEFAULT_FALSE_POSITIVE_RATE
+    ) -> "DialingMailbox":
         bloom = BloomFilter.for_expected_items(max(len(tokens), 1), false_positive_rate)
         bloom.update(tokens)
         return DialingMailbox(mailbox_id=mailbox_id, bloom=bloom, token_count=len(tokens))

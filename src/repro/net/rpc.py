@@ -86,7 +86,7 @@ SUBMIT_BATCH_RESPONSE = Message(
     "submit_batch_response", List("statuses", U8("status")),
     note="one `SUBMIT_*` status per envelope, in order",
 )
-#: The round-open broadcast from the router to one entry shard.
+#: The round-open broadcast from the entry server to one entry shard.
 OPEN_SHARD_ROUND = Message("open_shard_round", U32("body_length"), SHARD_DIRECTORY)
 #: An ingress proxy's flush response.
 REJECTS = Message("rejects", List("rejects", Str("client"), Str("reason")))
@@ -146,7 +146,7 @@ EXTRACTION_RESPONSE = Message(
 #: that is sent raw.
 METHODS = (
     (("entry",), ("announce_round",), ANNOUNCE_REQUEST, ANNOUNCE_RESPONSE),
-    (("entry", "ingress", "entry shard"), ("submit",), SUBMIT_REQUEST, None),
+    (("entry", "ingress"), ("submit",), SUBMIT_REQUEST, None),
     (("entry", "entry shard"), ("submissions",), ROUND_REF, COUNT_REPLY),
     (("entry",), ("close_round",), ROUND_REF, ROUND_COUNTS),
     (("mix",), ("open_round", "round_public_key"), ROUND_REF, ROUND_KEY_REPLY),
@@ -174,7 +174,7 @@ METHODS = (
 # -- sharded entry tier (repro.cluster) ------------------------------------ #
 #: Per-envelope acceptance statuses an entry shard reports for a batch.
 SUBMIT_ACCEPTED = 0
-SUBMIT_DUPLICATE = 1  # dropped silently, like the single-shard entry server
+SUBMIT_DUPLICATE = 1  # dropped silently: the client's first envelope stands
 SUBMIT_RATE_LIMITED = 2
 SUBMIT_WRONG_SHARD = 3
 SUBMIT_ROUND_NOT_OPEN = 4
@@ -315,10 +315,10 @@ class EntryStub:
     def flush_submissions(self, protocol: str, round_number: int) -> list[tuple[str, str]]:
         """The end-of-stage drain: ``(client_id, reason)`` per late reject.
 
-        The single entry server answers every submission itself, so there is
-        nothing buffered and no RPC; the sharded tier's
-        :meth:`~repro.cluster.router.ShardRouter.flush_submissions` drains
-        its ingress proxies here.
+        The entry server's in-process front answers every submission itself,
+        so there is nothing buffered and no RPC; with a sharded front,
+        :meth:`~repro.entry.server.EntryServer.flush_submissions` drains the
+        ingress proxies here.
         """
         return []
 
@@ -386,9 +386,9 @@ class PkgStub:
 
     Registration and extraction calls originate from the client whose email
     appears in the request; round-lifecycle calls originate from
-    ``control_src`` -- the entry server by default (which runs the
-    commit-reveal coordinator), or the coordinator process when a sharded
-    entry tier moves round control there.  The ``ibe`` backend reference, the
+    ``control_src`` -- the entry server, which runs the commit-reveal
+    coordinator: ``entry`` by default, the coordinator process when the
+    entry server runs there over a sharded front.  The ``ibe`` backend reference, the
     ``attestation`` scheme and the long-term ``bls_public_key`` mirror what a
     real client ships with in its configuration.
     """

@@ -23,8 +23,8 @@ Span categories:
   feeds attribution only.
 * ``crypto`` -- engine ops via ``InstrumentedCryptoBackend``; batch calls
   are kept as real spans, single ops feed attribution only.
-* ``mix`` / ``cluster`` -- ``MixServer.process_batch``, shard-router
-  broadcasts/collects, and ``IngressProxy`` flushes.
+* ``mix`` / ``cluster`` -- ``MixServer.process_batch``, the entry
+  server's shard broadcasts/collects, and ``IngressProxy`` flushes.
 
 Exports: :meth:`Tracer.write_jsonl` (one span dict per line),
 :meth:`Tracer.write_chrome_trace` (Chrome/Perfetto ``trace_event`` JSON

@@ -22,7 +22,7 @@ crypto backend)`` -- the same derivation
 :class:`~repro.core.coordinator.Deployment` uses, so a worker's mix server
 is byte-identical to the in-parent one it replaces.  Tiers that touch
 shared in-process substrates (PKGs and the out-of-band email network, the
-shard router's round state) stay in the parent by design.
+entry server's round state) stay in the parent by design.
 """
 
 from __future__ import annotations

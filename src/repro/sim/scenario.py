@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.cluster.directory import front_endpoints
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment, RoundSummary
 from repro.errors import ConfigurationError
@@ -83,13 +84,14 @@ class ScenarioSpec:
     #: paper's bare-library behavior).  Friendships are queued through
     #: ClientSession, so handles report per-request liveness either way.
     retry_horizon: int | None = None
-    #: Sharded entry/CDN tier (repro.cluster): number of mailbox-range
-    #: shards.  1 keeps the classic single EntryServer/Cdn wiring.
+    #: Entry/CDN front tier (repro.cluster): number of mailbox-range shards
+    #: the envelopes wait at.  The one EntryServer runs every round at any
+    #: count; 1 is its in-process front behind the "entry"/"cdn" endpoints.
     entry_shards: int = 1
     #: Envelopes per SubmitBatch frame at each shard's ingress proxy.
     ingress_batch_size: int = 16
     #: Zipf exponent for the mailbox-skew client population (0 = uniform;
-    #: only meaningful with entry_shards > 1 and a fixed mailbox count).
+    #: only meaningful with several entry shards and a fixed mailbox count).
     zipf_alpha: float = 0.0
     #: Shared ingress capacity of each entry endpoint's access link in
     #: Mbit/s (0 = uncapped).  Applied to every entry shard -- or to the
@@ -298,7 +300,7 @@ class ScenarioResult:
     #: machinery is judged on).
     friend_requests: dict = field(default_factory=dict)
     #: Per-shard submission loads and imbalance (sharded runs only; see
-    #: :meth:`repro.cluster.router.ShardRouter.load_report`).
+    #: :meth:`repro.entry.server.EntryServer.load_report`).
     shard_loads: dict = field(default_factory=dict)
     #: Snapshot of ``TransportStats.calls_by_method`` -- how many frames of
     #: each RPC rode the wire (the ingress-batching measurement).
@@ -459,25 +461,10 @@ class Scenario:
         # "coordinator" is the round driver, which runs in the entry
         # server's process: its control RPCs ride the server mesh, not a
         # client WAN link (otherwise every round's measured latency would
-        # carry phantom announce/close round-trips).  With a sharded entry
-        # tier the front endpoints are the per-shard entry/ingress/cdn
-        # triples instead of the single entry/cdn pair.
-        if self.spec.entry_shards > 1:
-            from repro.cluster.directory import (
-                cdn_shard_name,
-                entry_shard_name,
-                ingress_proxy_name,
-            )
-
-            front = [
-                name(index)
-                for index in range(self.spec.entry_shards)
-                for name in (entry_shard_name, ingress_proxy_name, cdn_shard_name)
-            ]
-        else:
-            front = ["entry", "cdn"]
+        # carry phantom announce/close round-trips).
+        front = front_endpoints(self.spec.entry_shards)
         return (
-            front
+            list(dict.fromkeys(name for names in front for name in names))
             + ["coordinator"]
             + [f"mix{i}" for i in range(self.spec.num_mix_servers)]
             + [f"pkg{i}" for i in range(self.spec.num_pkg_servers)]
@@ -547,7 +534,6 @@ class Scenario:
             noise=NoiseConfig(noise_mu, noise_b, noise_mu, noise_b),
             addfriend_target_per_mailbox=spec.addfriend_target_per_mailbox,
             dialing_target_per_mailbox=spec.dialing_target_per_mailbox,
-            bloom_false_positive_rate=1e-6,
             num_intents=3,
             addfriend_retry_horizon=spec.retry_horizon,
             dialing_redial_attempts=spec.redial_attempts,
@@ -574,24 +560,12 @@ class Scenario:
         submit stage behind entry ingress, and of the scan stage behind CDN
         egress).
         """
-        mbps = self.spec.shard_access_mbps
-        if mbps > 0:
-            if self.spec.entry_shards > 1:
-                from repro.cluster.directory import entry_shard_name
-
-                for index in range(self.spec.entry_shards):
-                    net.set_access_link(entry_shard_name(index), ingress_mbps=mbps)
-            else:
-                net.set_access_link("entry", ingress_mbps=mbps)
-        egress = self.spec.cdn_egress_mbps
-        if egress > 0:
-            if self.spec.entry_shards > 1:
-                from repro.cluster.directory import cdn_shard_name
-
-                for index in range(self.spec.entry_shards):
-                    net.set_access_link(cdn_shard_name(index), egress_mbps=egress)
-            else:
-                net.set_access_link("cdn", egress_mbps=egress)
+        mbps, egress = self.spec.shard_access_mbps, self.spec.cdn_egress_mbps
+        for entry, _ingress, cdn in front_endpoints(self.spec.entry_shards):
+            if mbps > 0:
+                net.set_access_link(entry, ingress_mbps=mbps)
+            if egress > 0:
+                net.set_access_link(cdn, egress_mbps=egress)
 
     # -- population --------------------------------------------------------
     def client_email(self, index: int) -> str:
@@ -660,8 +634,7 @@ class Scenario:
             result.total_messages_sent = net.stats.messages_sent
             result.calls_by_method = dict(net.stats.calls_by_method)
             result.bytes_by_method = dict(net.stats.bytes_by_method)
-            if deployment.cluster is not None:
-                result.shard_loads = deployment.cluster.load_report()
+            result.shard_loads = deployment.entry.load_report()
             result.privacy = run_report(
                 self.ledger,
                 deployment.sessions,
@@ -716,13 +689,13 @@ class Scenario:
         stats.net = net.snapshot()
         stats.events = dict(self.event_counts)
         shard_ranges = ()
-        if deployment.cluster is not None:
-            loads = deployment.cluster.load_report()
+        loads = deployment.entry.load_report()
+        if loads:  # a sharded front
             stats.shards = {
                 "submissions_by_shard": loads["submissions_by_shard"],
                 "imbalance": loads["imbalance"],
             }
-            directory = deployment.cluster.directory_or_none(stats.protocol, stats.round_number)
+            directory = deployment.entry.directory_or_none(stats.protocol, stats.round_number)
             if directory is not None:
                 shard_ranges = directory.ranges
         if not stats.aborted:  # an aborted round publishes no mailboxes: nothing observed

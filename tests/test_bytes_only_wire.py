@@ -310,7 +310,7 @@ SERVED = [
 #: Replies no round path asks for: their stubs are driven directly below.
 OFF_ROUND = {("mix", "round_public_key"), ("pkg", "round_public_key"), ("pkg", "has_master_secret")}
 #: The one reply whose loss is not a failure: `flush` returns the rejects of a
-#: batch the proxy already sent; the router skips a proxy whose reply it cannot
+#: batch the proxy already sent; the entry server skips a proxy whose reply it cannot
 #: read exactly as it skips an unreachable one.
 SWALLOWED = {("ingress", "flush")}
 CORRUPTIONS = {"truncated": lambda payload: payload[:-1], "garbage": lambda payload: b"\xff" * 5}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.shard import EntryShard
 from repro.crypto import blind, bls
 from repro.entry.server import EntryServer
 from repro.errors import NetworkError, RateLimitError, RoundError
@@ -72,6 +73,21 @@ class TestRoundLifecycle:
         entry.submit("dialing", 1, "alice", b"first")
         entry.submit("dialing", 1, "alice", b"replayed")
         assert entry.submissions("dialing", 1) == 1
+
+    def test_unclosed_round_expires_with_the_front(self):
+        """A round whose close or abort never arrives must not retain its
+        envelopes: the server inherits its front's expiry, announcements
+        included."""
+        entry, _ = make_entry()
+        entry.announce_round("dialing", 1, 1, 32)
+        entry.submit("dialing", 1, "alice", b"envelope")
+        entry.announce_round("dialing", 1 + EntryShard.RETAINED_ROUNDS, 1, 32)
+        assert entry.submissions("dialing", 1) == 1  # still inside the horizon
+        entry.announce_round("dialing", 1 + EntryShard.RETAINED_ROUNDS + 1, 1, 32)
+        assert entry.submissions("dialing", 1) == 0
+        assert ("dialing", 1) not in entry._announcements
+        with pytest.raises(RoundError):
+            entry.close_round("dialing", 1)
 
     def test_round_cannot_be_reused_after_close(self):
         entry, _ = make_entry()

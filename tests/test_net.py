@@ -446,12 +446,13 @@ class TestCallBatchEqualsPhaseOfCalls:
 
 
 class TestDeploymentOverSimulatedNetwork:
-    def make_deployment(self, latency_ms: float, seed: str = "sim-deploy") -> Deployment:
+    def make_deployment(
+        self, latency_ms: float, seed: str = "sim-deploy", entry_shards: int = 1
+    ) -> Deployment:
         topo = NetworkTopology(default=LinkSpec.of(latency_ms=latency_ms, bandwidth_mbps=100))
         net = SimulatedNetwork(topology=topo, seed=f"{seed}/net")
-        return Deployment(
-            AlpenhornConfig.for_tests(backend="simulated"), seed=seed, transport=net
-        )
+        config = replace(AlpenhornConfig.for_tests(backend="simulated"), entry_shards=entry_shards)
+        return Deployment(config, seed=seed, transport=net)
 
     def test_round_reports_nonzero_latency_and_bytes(self):
         deployment = self.make_deployment(latency_ms=30)
@@ -502,10 +503,12 @@ class TestDeploymentOverSimulatedNetwork:
         summary = deployment.run_addfriend_round()
         assert summary.failures == 0
 
-    def test_control_plane_failure_aborts_round_and_erases_secrets(self):
+    @pytest.mark.parametrize("entry_shards", [1, 3])
+    def test_control_plane_failure_aborts_round_and_erases_secrets(self, entry_shards):
         """If the entry/CDN control RPCs fail after submissions, the round is
-        torn down: no retained envelopes, no live round keys anywhere."""
-        deployment = self.make_deployment(latency_ms=10, seed="ctl-abort")
+        torn down: no retained envelopes, no live round keys anywhere -- one
+        lifecycle, whichever front holds the envelopes."""
+        deployment = self.make_deployment(latency_ms=10, seed="ctl-abort", entry_shards=entry_shards)
         alice = deployment.create_client("alice@example.org")
         deployment.create_client("bob@example.org")
         alice.add_friend("bob@example.org")
@@ -528,11 +531,12 @@ class TestDeploymentOverSimulatedNetwork:
         deployment.run_addfriend_round()
         deployment.run_addfriend_round()
 
-    def test_aborted_round_erases_partially_opened_keys(self):
+    @pytest.mark.parametrize("entry_shards", [1, 3])
+    def test_aborted_round_erases_partially_opened_keys(self, entry_shards):
         """If announce fails partway (a PKG is partitioned during
         commit-reveal), the servers that already opened the round must erase
         its secrets -- forward secrecy holds even for rounds that never ran."""
-        deployment = self.make_deployment(latency_ms=10, seed="abort-fs")
+        deployment = self.make_deployment(latency_ms=10, seed="abort-fs", entry_shards=entry_shards)
         deployment.create_client("alice@example.org")
         deployment.transport.topology.partition_endpoint("pkg1")
         with pytest.raises(NetworkError):
@@ -574,7 +578,7 @@ class TestDeploymentOverSimulatedNetwork:
         assert {name for name, m in seen if m == "abort_round"} == {
             "entry1", "entry2", "ingress0", "ingress1", "ingress2"
         }
-        assert deployment.cluster.directory_or_none("add-friend", 1) is None
+        assert deployment.entry.directory_or_none("add-friend", 1) is None
         assert all(not mix.has_round_key("add-friend", 1) for mix in deployment.mix_servers)
         assert all(not pkg.has_master_secret(1) for pkg in deployment.pkgs)
 

@@ -177,8 +177,8 @@ def parent_catalogue(deployment, net, result, tracer=None) -> dict:
         names[f"privacy.delta.{protocol}"] = spend["delta"]
         names[f"privacy.rounds.{protocol}"] = len(rows)
     names.update({f"mix.noise.per_server.{i}": total for i, total in per_server.items()})
-    if deployment.cluster is not None:
-        loads = deployment.cluster.load_report()
+    if deployment.entry.front is None:  # a sharded front
+        loads = deployment.entry.load_report()
         names.update(
             {f"cluster.shard_load.{i}": load for i, load in enumerate(loads["submissions_by_shard"])}
         )

@@ -7,7 +7,7 @@ Covers the contracts the api_redesign introduced:
 * friend-request liveness under churn -- retry recovers a request delivered
   into a round its recipient missed; without retry the test demonstrates
   the loss the paper accepts,
-* the retry budget (max_attempts / rate tokens) terminating a hopeless
+* the retry budget (max_attempts) terminating a hopeless
   request,
 * the client-internal CallbackBridge keeping the single-slot callbacks,
 * the parallel per-PKG fan-out: RPC *counts* still scale linearly in PKG
@@ -273,14 +273,6 @@ class TestRetryLiveness:
         assert alice.events.last("request_failed") is not None
         # The outbox stopped: no queued request lingers.
         assert alice.client.addfriend.pending_in_queue() == 0
-
-    def test_rate_token_config_bounds_attempts(self):
-        deployment = make_deployment(
-            "retry-ratelimit", retry=1, require_rate_tokens=True, rate_tokens_per_day=3
-        )
-        deployment.create_client("alice@x.org")
-        session = deployment.session("alice@x.org")
-        assert session.max_attempts == 3
 
     def test_churn_scenario_liveness_with_and_without_retry(self):
         """Always-online senders: 100% confirmed with retry, loss without."""

@@ -542,7 +542,6 @@ class TestNewCodecRoundTrips:
             *publish("dialing", 3, 2, mailboxes.blobs()))))
         assert cdn.download_blob("dialing", 3, 1, IDENTITY) == mailboxes.dialing[1].to_bytes()
         assert cdn.download_blob("dialing", 3, 0, IDENTITY) is None
-        assert cdn.mailbox_count("dialing", 3) == 2
 
     @given(mix=st.lists(payloads, max_size=3), count=u32s, body=u32s,
            pkg=st.lists(payloads, max_size=3))
