@@ -11,9 +11,8 @@ Run with:  PYTHONPATH=src python examples/scenario_churn.py
 
 from __future__ import annotations
 
-from repro.bench.reporting import format_table
 from repro.net.links import LinkSpec
-from repro.obs.record import round_table
+from repro.obs.record import format_table, round_table
 from repro.sim import run_scenario
 
 

@@ -1,10 +1,11 @@
-"""repro.api: the embeddable client session API.
+"""repro.api: the client session API.
 
-The redesigned Figure-1 surface: a :class:`ClientSession` per client that
+The Figure-1 surface: every client owns one :class:`ClientSession`, which
 returns typed, observable handles (:class:`FriendRequestHandle`,
 :class:`CallHandle`), publishes lifecycle events on an :class:`EventBus`,
-and runs sender-side retry for unconfirmed friend requests.  Obtain sessions
-from a deployment::
+carries the ``NewFriend`` policy (``accept_friend``) and the received calls,
+and runs sender-side retry for unconfirmed friend requests.  A deployment
+hands it out::
 
     session = deployment.session("alice@example.org")
     handle = session.add_friend("bob@example.org")
@@ -16,7 +17,7 @@ See README.md ("Embedding the client") for the full walkthrough.
 
 from repro.api.events import EventBus, SessionEvent
 from repro.api.handles import CallHandle, FriendRequestHandle, RequestState
-from repro.api.session import ClientSession, SessionRegistry
+from repro.api.session import ClientSession
 
 __all__ = [
     "CallHandle",
@@ -25,5 +26,4 @@ __all__ = [
     "FriendRequestHandle",
     "RequestState",
     "SessionEvent",
-    "SessionRegistry",
 ]

@@ -6,8 +6,9 @@ friend request's lifecycle (was it submitted? delivered? ever confirmed?),
 learn when the library re-sends an unconfirmed request, and wire several
 independent components to the same client without fighting over one callback
 slot.  :class:`EventBus` provides that surface -- typed, multi-subscriber,
-and recordable -- and subsumes the old single-slot callbacks
-(:class:`~repro.core.callbacks.CallbackBridge`).
+and recordable.  ``IncomingCall`` is its ``call_received`` event; the
+``NewFriend`` decision is the session's ``accept_friend`` policy, and its
+outcome is the ``friend_request_received`` event.
 
 Event types emitted by a :class:`~repro.api.session.ClientSession`:
 
@@ -19,7 +20,7 @@ Event types emitted by a :class:`~repro.api.session.ClientSession`:
 ``request_requeued``        the entry tier's batch flush lost the envelope;
                             back in the queue (attempt not counted)
 ``request_failed``          retry budget exhausted; the outbox gave up
-``friend_request_received`` an incoming request decrypted (``sender``, ``accepted``)
+``friend_request_received`` an incoming request decrypted (``email``, ``accepted``)
 ``friend_request_declined`` we declined an incoming request
 ``friend_request_rejected`` an incoming request failed verification (``reason``)
 ``friend_confirmed``        the handshake completed (``email``, ``round``)

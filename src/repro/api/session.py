@@ -1,94 +1,89 @@
-"""The embeddable client session: typed handles, events, and sender retry.
+"""The client session: typed handles, events, and sender retry.
 
-:class:`ClientSession` is the redesigned Figure-1 surface.  Where the raw
-:class:`~repro.core.client.Client` exposes fire-and-forget ``add_friend`` /
-``call``, a session returns :class:`~repro.api.handles.FriendRequestHandle`
-and :class:`~repro.api.handles.CallHandle` objects whose lifecycle the round
+:class:`ClientSession` is the client API.  Every
+:class:`~repro.core.client.Client` owns exactly one, built with it as
+``client.session`` (``Deployment.session(email)`` returns it).  Where the
+client's own ``add_friend`` / ``call`` are fire-and-forget, a session returns
+:class:`~repro.api.handles.FriendRequestHandle` and
+:class:`~repro.api.handles.CallHandle` objects whose lifecycle the round
 engine advances, and publishes every observable state change on an
-:class:`~repro.api.events.EventBus`.  The session also runs the *outbox
-state machine* the paper leaves to applications: a friend request still
-unconfirmed ``retry_horizon`` add-friend rounds after its last submission is
-re-enqueued automatically (a request delivered into a round its recipient
-missed is unrecoverable -- the recipient never held that round's IBE key --
-so sender-side retry is the only liveness mechanism).
+:class:`~repro.api.events.EventBus`.  The paper's two Figure-1 callbacks are
+the session's too: ``accept_friend`` is the ``NewFriend`` policy, and every
+``IncomingCall`` is recorded (:meth:`ClientSession.received_calls`) and
+published as ``call_received``.
 
-:class:`SessionRegistry` is the deployment-side counterpart: it owns the
-sessions of one deployment and receives the per-round callbacks from
-:class:`~repro.core.roundengine.RoundEngine` (what was submitted, what each
-round delivered, which scans produced confirmations), translating them into
-handle transitions and bus events.  Clients without a session are untouched
--- the legacy driver surface keeps working, it just has nobody to tell.
+The session also runs the *outbox state machine* the paper leaves to
+applications: a friend request still unconfirmed ``retry_horizon``
+add-friend rounds after its last submission is re-enqueued automatically (a
+request delivered into a round its recipient missed is unrecoverable -- the
+recipient never held that round's IBE key -- so sender-side retry is the
+only liveness mechanism).
+
+The client's scan paths and :class:`~repro.core.roundengine.RoundEngine`
+call the session directly (what was submitted, what each round delivered,
+which scans produced confirmations, which rounds aborted); those hooks are
+the underscored methods below.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.api.events import EventBus, SessionEvent
+from repro.api.events import EventBus
 from repro.api.handles import CallHandle, FriendRequestHandle, RequestState
 from repro.core.addfriend import QueuedFriendRequest
-from repro.core.client import Client
 from repro.core.dialtoken import IncomingCall
 from repro.errors import ProtocolError
+from repro.obs.privacy import PAPER_ACTION_BUDGETS
 
-__all__ = ["ClientSession", "SessionRegistry"]
+if TYPE_CHECKING:  # the client builds its session: no import cycle at load time
+    from repro.core.client import Client
+
+__all__ = ["ClientSession"]
 
 
 class ClientSession:
     """One application's view of its embedded Alpenhorn client.
 
-    ``retry_horizon``: re-enqueue a friend request still unconfirmed this
-    many add-friend rounds after its last submission (``None`` disables
-    retry, matching the paper's bare library).  ``max_attempts`` bounds the
-    total submissions per request.
-    ``redial_attempts`` is the dialing-side outbox: a call whose round
-    aborted is re-dialed next round (deduped by (friend, intent)) until it
-    has entered that many rounds in total; ``None`` keeps a dead round's
-    calls terminally FAILED, the paper's bare-library behavior.
-    ``accept_friend(email, signing_key) -> bool`` replaces the legacy
-    ``new_friend`` callback; omitted, every request is accepted.
+    The outbox reads the client's :class:`~repro.core.config.AlpenhornConfig`:
+    ``retry_horizon`` (``addfriend_retry_horizon``) re-enqueues a friend
+    request still unconfirmed this many add-friend rounds after its last
+    submission (``None`` disables retry, matching the paper's bare library);
+    ``redial_attempts`` (``dialing_redial_attempts``) re-dials a call whose
+    round aborted (deduped by (friend, intent)) until it has entered that
+    many rounds in total (``None`` keeps a dead round's calls terminally
+    FAILED, the paper's bare-library behavior).
+
+    Two plain attributes are the application's to set:
+    ``accept_friend(email, signing_key) -> bool`` is the ``NewFriend``
+    policy (``None``: every request is accepted), and ``max_attempts``
+    bounds the total submissions per friend request (``None``: unbounded).
     """
 
-    def __init__(
-        self,
-        client: Client,
-        *,
-        retry_horizon: int | None = None,
-        max_attempts: int | None = None,
-        redial_attempts: int | None = None,
-        accept_friend: Callable[[str, bytes], bool] | None = None,
-    ) -> None:
+    def __init__(self, client: Client) -> None:
         self.client = client
         self.events = EventBus()
-        self.retry_horizon = retry_horizon
-        self.max_attempts = max_attempts
-        self.redial_attempts = redial_attempts
+        self.accept_friend: Callable[[str, bytes], bool] | None = None
+        self.max_attempts: int | None = None
         self._requests: dict[str, FriendRequestHandle] = {}
         self._calls: list[CallHandle] = []
+        #: Every call received, in arrival order (the bus history is capped).
+        self._received: list[IncomingCall] = []
         #: Privacy-relevant actions this session actually submitted: real
         #: friend requests and placed dials (cover traffic excluded).  The
         #: privacy ledger reads these against the §8.1 lifetime budgets.
         self.action_counts: dict[str, int] = {"add-friend": 0, "dialing": 0}
         #: Lifetime budgets the counts are judged against; crossing one
         #: emits a ``privacy_budget_exceeded`` event on this session's bus.
-        from repro.obs.privacy import PAPER_ACTION_BUDGETS
-
         self.action_budgets: dict[str, int] = dict(PAPER_ACTION_BUDGETS)
-        if accept_friend is not None:
-            client.callbacks.new_friend = accept_friend
-        # The bridge tap turns the client's callback invocations into bus
-        # events (friend_request_received, call_received).  Chain rather
-        # than overwrite, so a second session over the same client (e.g. a
-        # directly constructed one next to the registry's) never silently
-        # disconnects the first.
-        previous_tap = client.callbacks.tap
 
-        def tap(kind: str, payload: dict) -> None:
-            if previous_tap is not None:
-                previous_tap(kind, payload)
-            self._tap(kind, payload)
+    @property
+    def retry_horizon(self) -> int | None:
+        return self.client.config.addfriend_retry_horizon
 
-        client.callbacks.tap = tap
+    @property
+    def redial_attempts(self) -> int | None:
+        return self.client.config.dialing_redial_attempts
 
     # ------------------------------------------------------------------ #
     # The application-facing API
@@ -149,7 +144,7 @@ class ClientSession:
         return list(self._calls)
 
     def received_calls(self) -> list[IncomingCall]:
-        return self.client.received_calls()
+        return list(self._received)
 
     def __repr__(self) -> str:
         return f"ClientSession({self.email!r}, requests={len(self._requests)})"
@@ -176,28 +171,31 @@ class ClientSession:
             )
 
     # ------------------------------------------------------------------ #
-    # Bridge tap: scan-time callbacks -> bus events
+    # Scan-time hooks (the client's mailbox scans)
     # ------------------------------------------------------------------ #
-    def _tap(self, kind: str, payload: dict) -> None:
-        if kind == "friend_request_received":
-            self.events.emit(
-                "friend_request_received",
-                email=payload["email"],
-                signing_key=payload["signing_key"],
-                accepted=payload["accepted"],
-            )
-        elif kind == "call_received":
-            call: IncomingCall = payload["call"]
-            self.events.emit(
-                "call_received",
-                email=call.caller,
-                round_number=call.round_number,
-                call=call,
-            )
+    def _on_friend_request(self, email: str, signing_key: bytes) -> bool:
+        """An incoming request decrypted and verified: apply the policy."""
+        accepted = self.accept_friend is None or bool(self.accept_friend(email, signing_key))
+        self.events.emit(
+            "friend_request_received", email=email, signing_key=signing_key, accepted=accepted
+        )
+        return accepted
+
+    def _on_incoming_call(self, call: IncomingCall) -> None:
+        self._received.append(call)
+        self.events.emit(
+            "call_received", email=call.caller, round_number=call.round_number, call=call
+        )
 
     # ------------------------------------------------------------------ #
-    # Round-engine feed (via SessionRegistry)
+    # Round-engine feed
     # ------------------------------------------------------------------ #
+    def _submitted(self, protocol: str, round_number: int) -> None:
+        if protocol == "add-friend":
+            self._addfriend_submitted(round_number)
+        else:
+            self._dialing_submitted(round_number)
+
     def _addfriend_submitted(self, round_number: int) -> None:
         consumed = self.client.addfriend.last_consumed
         if consumed is None or consumed.is_reply:
@@ -221,6 +219,9 @@ class ClientSession:
         built = self.client.dialing.last_built
         if built is None:
             return
+        # Every real dial counts against the budget, whether it was placed
+        # through a handle or through the client's bare ``call``.
+        self._note_action("dialing", round_number)
         outgoing, placed = built
         for handle in self._calls:
             if handle.outgoing is outgoing and handle.state is RequestState.QUEUED:
@@ -228,7 +229,6 @@ class ClientSession:
                 handle.round_submitted = round_number
                 handle.placed = placed
                 handle.attempts += 1
-                self._note_action("dialing", round_number)
                 self.events.emit(
                     "call_placed",
                     email=handle.friend,
@@ -380,8 +380,8 @@ class ClientSession:
                     round_number=round_number,
                     reason=event.get("reason"),
                 )
-            # "accepted" already surfaced as friend_request_received via the
-            # bridge tap at scan time; nothing handle-side to do.
+            # "accepted" already surfaced as friend_request_received at scan
+            # time (_on_friend_request); nothing handle-side to do.
 
     def _confirm(self, email: str, round_number: int, keywheel_round: int | None) -> None:
         handle = self._requests.get(email.lower())
@@ -437,103 +437,3 @@ class ClientSession:
                 round_number=round_number,
                 attempts=handle.attempts,
             )
-
-
-class SessionRegistry:
-    """All sessions of one deployment, fed by the round engine.
-
-    The engine does not know about sessions per se; it reports what happened
-    (submissions, deliveries, scan events, aborts) and the registry routes
-    each fact to the session of the client it concerns.  Deployments without
-    sessions pay nothing: every hook is a dictionary miss.
-    """
-
-    def __init__(self, deployment) -> None:
-        self.dep = deployment
-        self._by_email: dict[str, ClientSession] = {}
-        self._taps: list[Callable] = []
-
-    def add_tap(self, handler: Callable) -> None:
-        """Subscribe ``handler(event)`` to every session's bus, including
-        sessions created later.  This is the hook the observability layer
-        (dashboard monitors, ``--log-level`` event logging) uses to watch a
-        whole deployment's EventBus activity without enumerating sessions.
-        """
-        self._taps.append(handler)
-        for session in self._by_email.values():
-            session.events.subscribe_all(handler)
-
-    # -- session management -------------------------------------------------
-    def ensure(self, client: Client, **kwargs) -> ClientSession:
-        """The session for ``client``, created on first use.
-
-        Creation defaults come from the deployment's config:
-        ``retry_horizon`` from ``addfriend_retry_horizon`` and
-        ``redial_attempts`` from ``dialing_redial_attempts``.
-        An existing session is returned as-is (kwargs ignored).
-        """
-        session = self._by_email.get(client.email)
-        if session is None:
-            config = self.dep.config
-            kwargs.setdefault("retry_horizon", config.addfriend_retry_horizon)
-            kwargs.setdefault("redial_attempts", config.dialing_redial_attempts)
-            session = ClientSession(client, **kwargs)
-            for tap in self._taps:
-                session.events.subscribe_all(tap)
-            self._by_email[client.email] = session
-        return session
-
-    def get(self, client: Client) -> ClientSession | None:
-        return self._by_email.get(client.email)
-
-    def __len__(self) -> int:
-        return len(self._by_email)
-
-    def __iter__(self):
-        return iter(self._by_email.values())
-
-    # -- round-engine hooks -------------------------------------------------
-    def note_submitted(self, protocol: str, client: Client, round_number: int) -> None:
-        session = self._by_email.get(client.email)
-        if session is None:
-            return
-        if protocol == "add-friend":
-            session._addfriend_submitted(round_number)
-        else:
-            session._dialing_submitted(round_number)
-
-    def note_submission_revoked(self, protocol: str, client: Client, round_number: int) -> None:
-        """An acked submission was reported lost by the ingress-batch flush."""
-        session = self._by_email.get(client.email)
-        if session is not None:
-            session._submission_revoked(protocol, round_number)
-
-    def round_finished(
-        self,
-        protocol: str,
-        round_number: int,
-        participated: list[Client],
-        events_by_client: dict[str, list],
-    ) -> None:
-        for client in participated:
-            session = self._by_email.get(client.email)
-            if session is not None:
-                session._round_delivered(protocol, round_number)
-        if protocol == "add-friend":
-            for client in participated:
-                session = self._by_email.get(client.email)
-                if session is not None:
-                    session._apply_scan_events(
-                        round_number, events_by_client.get(client.email, [])
-                    )
-            # The retry pass runs for every session, online or not: an
-            # offline sender's re-enqueued request simply waits in its queue
-            # until the client next participates.
-            for session in self._by_email.values():
-                session._retry_pass(round_number)
-
-    def round_aborted(self, protocol: str, round_number: int, participated: list[Client]) -> None:
-        for client in participated:
-            session = self._by_email.get(client.email)
-            if session is not None:
-                session._round_aborted(protocol, round_number)

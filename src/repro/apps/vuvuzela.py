@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.api.handles import CallHandle, FriendRequestHandle
 from repro.api.session import ClientSession
-from repro.core.client import Client
 from repro.core.dialtoken import IncomingCall, PlacedCall
 from repro.crypto.aead import open_sealed, seal
 from repro.crypto.hashing import hkdf
@@ -76,63 +75,30 @@ class VuvuzelaMessenger:
     This is the shape of the §8.5 integration: the application keeps its own
     conversation protocol and swaps its bootstrap for Alpenhorn's
     ``AddFriend``/``Call``, wiring ``IncomingCall`` to conversation setup.
-
-    Preferred construction is over a
-    :class:`~repro.api.session.ClientSession`: the messenger then subscribes
-    to ``call_received`` on the session's event bus (leaving the legacy
-    callback slot free) and ``addfriend`` / ``call`` return the session's
-    typed handles.  A bare :class:`~repro.core.client.Client` still works
-    through the legacy single-slot callback.
+    The messenger wraps a client's
+    :class:`~repro.api.session.ClientSession`: it subscribes to
+    ``call_received`` on the session's event bus, and ``addfriend`` /
+    ``call`` return the session's typed handles.
     """
 
-    def __init__(
-        self, client: Client | ClientSession, service: VuvuzelaConversationService
-    ) -> None:
+    def __init__(self, session: ClientSession, service: VuvuzelaConversationService) -> None:
         self.service = service
         self.conversations: dict[str, Conversation] = {}
-        if isinstance(client, ClientSession):
-            self.session: ClientSession | None = client
-            self.client = client.client
-            self.session.events.subscribe("call_received", self._on_call_event)
-        else:
-            self.session = None
-            self.client = client
-            # Register our callback on top of whatever the application installed.
-            previous = self.client.callbacks.incoming_call
-            self.client.callbacks.incoming_call = self._wrap_incoming(previous)
+        self.session = session
+        session.events.subscribe("call_received", self._on_call_event)
 
     # -- Alpenhorn-facing side -------------------------------------------
-    def _wrap_incoming(self, previous):
-        def handler(caller: str, intent: int, session_key: bytes) -> None:
-            self._start_conversation(caller, session_key, slot=1)
-            if previous is not None:
-                previous(caller, intent, session_key)
-
-        return handler
-
     def _on_call_event(self, event) -> None:
         call: IncomingCall = event["call"]
         self._start_conversation(call.caller, call.session_key, slot=1)
 
-    def addfriend(self, email: str, their_key: bytes | None = None) -> FriendRequestHandle | None:
-        """The ``/addfriend`` command added to the Vuvuzela client.
+    def addfriend(self, email: str, their_key: bytes | None = None) -> FriendRequestHandle:
+        """The ``/addfriend`` command added to the Vuvuzela client."""
+        return self.session.add_friend(email, their_key)
 
-        Over a session, returns the request's lifecycle handle.
-        """
-        if self.session is not None:
-            return self.session.add_friend(email, their_key)
-        self.client.add_friend(email, their_key)
-        return None
-
-    def call(self, email: str, intent: int = 0) -> CallHandle | None:
-        """The ``/call`` command added to the Vuvuzela client.
-
-        Over a session, returns the call's lifecycle handle.
-        """
-        if self.session is not None:
-            return self.session.call(email, intent)
-        self.client.call(email, intent)
-        return None
+    def call(self, email: str, intent: int = 0) -> CallHandle:
+        """The ``/call`` command added to the Vuvuzela client."""
+        return self.session.call(email, intent)
 
     def adopt_placed_call(self, placed: PlacedCall) -> Conversation:
         """Caller side: once the call went out, open the conversation."""

@@ -2,10 +2,11 @@
 
 This package implements the paper's primary contribution: the client-side
 add-friend and dialing protocols, the keywheel, and the Figure-1 API
-(``register`` / ``add_friend`` / ``call`` plus the ``NewFriend`` and
-``IncomingCall`` callbacks), together with a :class:`Deployment` that wires
-clients to the PKG, mixnet, entry and CDN substrates and drives everything
-in rounds.
+(``register`` / ``add_friend`` / ``call``; the ``NewFriend`` and
+``IncomingCall`` callbacks live on each client's one
+:class:`~repro.api.session.ClientSession`), together with a
+:class:`Deployment` that wires clients to the PKG, mixnet, entry and CDN
+substrates and drives everything in rounds.
 """
 
 from repro.core.config import AlpenhornConfig

@@ -337,15 +337,16 @@ class AddFriendEngine:
         round_number: int,
         ciphertexts: list[bytes],
         aggregate_pkg_public,
-        accept_new_friend,
+        accept_friend,
         current_dialing_round: int,
     ) -> list[dict]:
         """Try to decrypt and process every ciphertext in the mailbox.
 
-        ``accept_new_friend(email, signing_key) -> bool`` is the application
-        callback.  Returns a list of event dicts describing what happened
-        (confirmations, new friendships, declines, rejections); the client
-        turns these into API-level effects.
+        ``accept_friend(email, signing_key) -> bool`` is the client
+        session's accept hook, which applies its ``accept_friend`` policy
+        and publishes the request.  Returns a list of event dicts describing
+        what happened (confirmations, new friendships, declines,
+        rejections); the session turns these into API-level effects.
         """
         material = self._round_keys.get(round_number)
         if material is None:
@@ -357,7 +358,7 @@ class AddFriendEngine:
             if request is None:
                 continue
             event = self._process_request(
-                request, aggregate_pkg_public, accept_new_friend, current_dialing_round
+                request, aggregate_pkg_public, accept_friend, current_dialing_round
             )
             if event is not None:
                 events.append(event)
@@ -381,7 +382,7 @@ class AddFriendEngine:
         self,
         request: FriendRequest,
         aggregate_pkg_public,
-        accept_new_friend,
+        accept_friend,
         current_dialing_round: int,
     ) -> dict | None:
         sender = request.sender_email.lower()
@@ -451,7 +452,7 @@ class AddFriendEngine:
             return {"type": "duplicate", "email": sender}
 
         # A brand-new incoming request: ask the application.
-        if not accept_new_friend(sender, request.sender_key):
+        if not accept_friend(sender, request.sender_key):
             self.address_book.upsert_friend(
                 sender, state=FriendshipState.REQUEST_RECEIVED, signing_key=request.sender_key
             )

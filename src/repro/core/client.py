@@ -8,7 +8,10 @@ the same surface the paper's Go library exposes:
 * :meth:`my_signing_key` -- the long-term key to print on a business card,
 * :meth:`add_friend`     -- queue a friend request to an email address,
 * :meth:`call`           -- queue a call to an established friend,
-* callbacks ``new_friend`` and ``incoming_call`` supplied at construction.
+* :attr:`session`        -- the client's one
+  :class:`~repro.api.session.ClientSession`, which holds the paper's two
+  callbacks: the ``NewFriend`` policy (``session.accept_friend``) and every
+  ``IncomingCall`` (``call_received`` on ``session.events``).
 
 The client is driven in rounds by a :class:`~repro.core.coordinator.Deployment`
 (or by an application's own loop).  The round driver owns every RPC and the
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.core.addfriend import AddFriendEngine, QueuedFriendRequest
 from repro.core.addressbook import AddressBook, FriendshipState
-from repro.core.callbacks import CallbackBridge, IncomingCallCallback, NewFriendCallback
 from repro.core.config import AlpenhornConfig
 from repro.core.dialing import DialingEngine
 from repro.core.dialtoken import IncomingCall, OutgoingCall, PlacedCall
@@ -59,15 +61,16 @@ class Client:
         email: str,
         config: AlpenhornConfig,
         ibe: AnytrustIbe,
-        new_friend: NewFriendCallback | None = None,
-        incoming_call: IncomingCallCallback | None = None,
         signing_seed: bytes | None = None,
     ) -> None:
+        # Imported here: repro.api.session imports repro.core, so a
+        # module-level import would close a cycle at load time.
+        from repro.api.session import ClientSession
+
         self.config = config
         self.identity = UserIdentity.create(email, seed=signing_seed)
         self.address_book = AddressBook()
         self.keywheel = Keywheel()
-        self.callbacks = CallbackBridge(new_friend=new_friend, incoming_call=incoming_call)
         self.ibe = ibe
         self.attestation = get_scheme(config.attestation_backend)
         self.addfriend = AddFriendEngine(
@@ -81,6 +84,7 @@ class Client:
         self.dialing = DialingEngine(keywheel=self.keywheel, num_intents=config.num_intents)
         self.stats = ClientStats()
         self.registered = False
+        self.session = ClientSession(self)
 
     # ------------------------------------------------------------------ #
     # Figure 1 API
@@ -170,7 +174,7 @@ class Client:
         return list(self.dialing.placed_calls)
 
     def received_calls(self) -> list[IncomingCall]:
-        return list(self.callbacks.calls_received)
+        return self.session.received_calls()
 
     # ------------------------------------------------------------------ #
     # Compromise recovery (§9)
@@ -246,7 +250,7 @@ class Client:
             round_number=round_number,
             ciphertexts=mailbox.ciphertexts,
             aggregate_pkg_public=aggregate,
-            accept_new_friend=self.callbacks.on_new_friend,
+            accept_friend=self.session._on_friend_request,
             current_dialing_round=current_dialing_round,
         )
         self.addfriend.erase_round_keys(round_number)
@@ -271,7 +275,7 @@ class Client:
         self.stats.bloom_bytes_downloaded += mailbox.size_bytes()
         calls = self.dialing.scan_mailbox(round_number, mailbox)
         for call in calls:
-            self.callbacks.on_incoming_call(call)
+            self.session._on_incoming_call(call)
         self.dialing.finish_round(round_number)
         return calls
 

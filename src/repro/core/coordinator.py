@@ -189,15 +189,10 @@ class Deployment:
             self.entry_stub = self.entry
         self.entry.cdn = self.cdn_stub
 
-        # Clients, their sessions, and round counters.  The session registry
-        # receives the round engines' lifecycle feed (see repro.api.session);
-        # clients that never asked for a session are untouched by it.  The
-        # import is local to keep repro.core importable without repro.api
-        # (and vice versa) at module-load time.
-        from repro.api.session import SessionRegistry
-
+        # Clients (each owns its session), the deployment-wide event
+        # subscribers (see subscribe_all), and round counters.
         self.clients: dict[str, Client] = {}
-        self.sessions = SessionRegistry(self)
+        self._subscribers: list = []
         self.addfriend_round = 0
         self.dialing_round = 0
         self.round_summaries: list[RoundSummary] = []
@@ -222,43 +217,36 @@ class Deployment:
 
         set_active_backend(self.crypto)
 
-    def create_client(
-        self,
-        email: str,
-        new_friend=None,
-        incoming_call=None,
-        register: bool = True,
-    ) -> Client:
-        """Create (and by default register) a client for an email address."""
+    def create_client(self, email: str) -> Client:
+        """Create and register a client for an email address."""
         self._activate_engine()
         email = email.lower()
         if email in self.clients:
             raise ConfigurationError(f"a client for {email} already exists")
         self.email_network.ensure_provider(email)
-        client = Client(
-            email=email,
-            config=self.config,
-            ibe=self.ibe,
-            new_friend=new_friend,
-            incoming_call=incoming_call,
-        )
-        if register:
-            client.register(self.pkg_stubs, self.email_network)
+        client = Client(email=email, config=self.config, ibe=self.ibe)
+        client.register(self.pkg_stubs, self.email_network)
+        for handler in self._subscribers:
+            client.session.events.subscribe_all(handler)
         self.clients[email] = client
         return client
 
     def client(self, email: str) -> Client:
         return self.clients[email.lower()]
 
-    def session(self, email: str, **kwargs):
-        """The :class:`~repro.api.session.ClientSession` for a client.
+    def session(self, email: str):
+        """The client's :class:`~repro.api.session.ClientSession` (its one
+        application surface; the raw Figure-1 methods sit underneath)."""
+        return self.client(email).session
 
-        Created on first use (defaults -- retry horizon, redial attempts --
-        come from the deployment config; ``kwargs`` override them at
-        creation only).  This is the preferred application surface; the
-        client's raw Figure-1 methods stay available underneath it.
-        """
-        return self.sessions.ensure(self.client(email), **kwargs)
+    def subscribe_all(self, handler) -> None:
+        """Subscribe ``handler(event)`` to every client's session bus,
+        including clients created later.  This is how the observability
+        layer (dashboard monitors, ``--log-level`` event logging) watches a
+        whole deployment without enumerating sessions."""
+        self._subscribers.append(handler)
+        for client in self.clients.values():
+            client.session.events.subscribe_all(handler)
 
     def _resolve_participants(self, participants) -> list[Client]:
         """Normalize a participant list (emails or clients) to clients.

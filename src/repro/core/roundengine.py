@@ -23,8 +23,10 @@ round's participants; a single client is a wave of one.
   by the slowest stage instead of the sum of stages.
 
 The engine never imports :class:`~repro.core.coordinator.Deployment`; it
-talks to it duck-typed (clients, stubs, clock, entry server, session
-registry), which keeps the module cycle-free.
+talks to it duck-typed (clients, stubs, clock, entry server), which keeps
+the module cycle-free.  It feeds each client's session directly: what was
+submitted, what each round delivered, which scans confirmed, which rounds
+aborted.
 """
 
 from __future__ import annotations
@@ -499,7 +501,6 @@ class RoundEngine:
         # Every online client participates every round (cover traffic
         # included); clients act concurrently, so the phase's duration is
         # the slowest participant's, not the sum.
-        sessions = self.dep.sessions
         submit_bytes_before = self.dep.transport.stats.bytes_sent
         submit_span = tracer.start(
             "submit",
@@ -515,7 +516,7 @@ class RoundEngine:
                 for client, error in outcomes:
                     if error is None:
                         pending.participated.append(client)
-                        sessions.note_submitted(driver.protocol, client, round_number)
+                        client.session._submitted(driver.protocol, round_number)
                     else:
                         pending.failures += 1
                         driver.submit_failed(client, round_number)
@@ -534,7 +535,7 @@ class RoundEngine:
                     pending.participated.remove(client)
                     pending.failures += 1
                     driver.submit_revoked(client, round_number)
-                    sessions.note_submission_revoked(driver.protocol, client, round_number)
+                    client.session._submission_revoked(driver.protocol, round_number)
             pending.submitted_at = self.dep.clock
             pending.bytes_accum = self.dep.transport.stats.bytes_sent - bytes_before
         finally:
@@ -574,7 +575,8 @@ class RoundEngine:
             # like any mixnet round that dies mid-flight.
             self.dep.entry.abort_round(driver.protocol, round_number)
             driver.round_aborted(pending.participated, round_number)
-            self.dep.sessions.round_aborted(driver.protocol, round_number, pending.participated)
+            for client in pending.participated:
+                client.session._round_aborted(driver.protocol, round_number)
             pending.bytes_accum += self.dep.transport.stats.bytes_sent - bytes_before
             tracer.end(
                 mix_span,
@@ -615,12 +617,20 @@ class RoundEngine:
                     elif events:
                         events_by_client[client.email] = events
             driver.after_scan(round_number)
-            # Feed the session layer: handles submitted into this round are
-            # now delivered, scan events may confirm them, and the retry
-            # pass re-enqueues what stayed unconfirmed past the horizon.
-            self.dep.sessions.round_finished(
-                driver.protocol, round_number, pending.participated, events_by_client
-            )
+            # Feed the sessions: handles submitted into this round are now
+            # delivered, scan events may confirm them, and the retry pass
+            # re-enqueues what stayed unconfirmed past the horizon -- for
+            # every client, online or not: an offline sender's re-enqueued
+            # request simply waits in its queue until it next participates.
+            for client in pending.participated:
+                client.session._round_delivered(driver.protocol, round_number)
+            if driver.protocol == "add-friend":
+                for client in pending.participated:
+                    client.session._apply_scan_events(
+                        round_number, events_by_client.get(client.email, [])
+                    )
+                for client in self.dep.clients.values():
+                    client.session._retry_pass(round_number)
         finally:
             tracer.end(
                 scan_span,

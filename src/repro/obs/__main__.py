@@ -24,8 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.reporting import read_json_report
-from repro.obs.record import render, validate_record
+from repro.obs.record import read_json_report, render, validate_record
 from repro.obs.trace import validate_trace_events
 
 

@@ -30,7 +30,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from repro.analysis.dp import distinguishing_advantage
-from repro.bench.reporting import dumps
+from repro.obs.record import dumps
 from repro.obs.logging import get_logger
 
 __all__ = ["DashboardMonitor", "DashboardServer"]

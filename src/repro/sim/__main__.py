@@ -47,9 +47,8 @@ import shutil
 import sys
 from functools import partial
 
-from repro.bench.reporting import write_json_report
 from repro.errors import ConfigurationError
-from repro.obs.record import render
+from repro.obs.record import render, write_json_report
 from repro.sim.experiment import SPEC_FIELDS, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
 from repro.sim.scenario import ScenarioSpec

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.bench.reporting import format_table, write_json_report
+from repro.obs.record import format_table, write_json_report
 from repro.errors import ConfigurationError
 from repro.sim.scenario import ScenarioSpec
 from repro.sim.scenarios import run_scenario

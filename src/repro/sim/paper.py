@@ -18,7 +18,7 @@ from repro.analysis.bandwidth import addfriend_bandwidth, dialing_bandwidth
 from repro.analysis.dp import paper_noise_parameters, privacy_cost
 from repro.analysis.latency import CostModel, LatencyModel, zipf_mailbox_loads
 from repro.analysis.sizes import WireSizes
-from repro.bench.workloads import top_k_share, zipf_recipient_weights
+from repro.sim.workloads import top_k_share, zipf_recipient_weights
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.crypto.ibe import AnytrustIbe, BonehFranklinIbe, IbeCiphertext

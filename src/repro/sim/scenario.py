@@ -275,7 +275,7 @@ class ScenarioResult:
     """The run record: everything one scenario run produced, each fact once.
 
     ``to_dict()`` is what ``run --json`` writes (inside
-    :func:`repro.bench.reporting.write_json_report`'s envelope) and what
+    :func:`repro.obs.record.write_json_report`'s envelope) and what
     ``python -m repro.obs validate | explain`` read back; the log stream, the
     dashboard and the printed summary are views of it.
     """
@@ -613,7 +613,7 @@ class Scenario:
         try:
             self.configure(deployment, net)
             self.populate(deployment)
-            deployment.sessions.add_tap(self._on_event)
+            deployment.subscribe_all(self._on_event)
             budget_check = self._check_privacy_budget(deployment)
             self._notify("on_start", deployment, net, self.spec)
 
@@ -635,16 +635,17 @@ class Scenario:
             result.calls_by_method = dict(net.stats.calls_by_method)
             result.bytes_by_method = dict(net.stats.bytes_by_method)
             result.shard_loads = deployment.entry.load_report()
+            sessions = [client.session for client in deployment.clients.values()]
             result.privacy = run_report(
                 self.ledger,
-                deployment.sessions,
+                sessions,
                 deployment.config.addfriend_request_size,
                 net.stats.bytes_sent,
                 budget_check,
             )
             result.sessions = {
-                "count": len(deployment.sessions),
-                "outbox_depth": sum(len(s.pending_requests()) for s in deployment.sessions),
+                "count": len(sessions),
+                "outbox_depth": sum(len(s.pending_requests()) for s in sessions),
                 "events": dict(self.event_counts),
             }
             result.net = net.snapshot()

@@ -191,7 +191,7 @@ class ShardedEntryScenario(Scenario):
     overhead on that contended link.
 
     ``spec.zipf_alpha > 0`` skews the client population's mailbox placement
-    (see :class:`~repro.bench.workloads.ZipfMailboxWorkload`), producing the
+    (see :class:`~repro.sim.workloads.ZipfMailboxWorkload`), producing the
     per-shard load imbalance the paper's skew experiment (§8.4) studies at
     the mailbox level.  Requires ``spec.fixed_mailbox_count`` so placement
     is stable across rounds.
@@ -202,7 +202,7 @@ class ShardedEntryScenario(Scenario):
         self._emails: dict[int, str] = {}
         self._workload = None
         if spec.entry_shards > 1 and spec.zipf_alpha > 0:
-            from repro.bench.workloads import ZipfMailboxWorkload
+            from repro.sim.workloads import ZipfMailboxWorkload
 
             if spec.fixed_mailbox_count is None:
                 raise ValueError(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.pond_panda import MeetingPointServer, PandaExchange, bootstrap_panda_from_call
 from repro.apps.vuvuzela import VuvuzelaConversationService, VuvuzelaMessenger
-from repro.bench.workloads import top_k_share, zipf_recipient_weights
+from repro.sim.workloads import top_k_share, zipf_recipient_weights
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.errors import ProtocolError
@@ -19,8 +19,8 @@ def messaging_pair():
     alice = deployment.create_client("alice@example.org")
     bob = deployment.create_client("bob@example.org")
     service = VuvuzelaConversationService()
-    alice_app = VuvuzelaMessenger(alice, service)
-    bob_app = VuvuzelaMessenger(bob, service)
+    alice_app = VuvuzelaMessenger(alice.session, service)
+    bob_app = VuvuzelaMessenger(bob.session, service)
     alice_app.addfriend("bob@example.org")
     deployment.run_addfriend_round()
     deployment.run_addfriend_round()

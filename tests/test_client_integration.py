@@ -51,8 +51,8 @@ class TestAddFriendFlow:
 
     def test_new_friend_callback_saw_request(self, befriended):
         _, _, bob = befriended
-        assert ("alice@example.org", pytest.approx) != []
-        assert any(email == "alice@example.org" for email, _ in bob.callbacks.friend_requests_seen)
+        received = bob.session.events.history("friend_request_received")
+        assert any(event.email == "alice@example.org" for event in received)
 
     def test_cover_traffic_sent_when_idle(self, befriended):
         deployment, alice, _ = befriended
@@ -126,18 +126,19 @@ class TestDecline:
     def test_declined_request_creates_no_keywheel(self):
         config = AlpenhornConfig.for_tests()
         deployment = Deployment(config, seed="decline")
-        deployment.create_client("alice@example.org")
-        deployment.create_client("bob@example.org", new_friend=lambda email, key: False)
-        deployment.client("alice@example.org").add_friend("bob@example.org")
+        alice = deployment.create_client("alice@example.org")
+        bob = deployment.create_client("bob@example.org")
+        deployment.session("bob@example.org").accept_friend = lambda email, key: False
+        alice.add_friend("bob@example.org")
         deployment.run_addfriend_round()
         deployment.run_addfriend_round()
-        alice = deployment.client("alice@example.org")
-        bob = deployment.client("bob@example.org")
         assert bob.friends() == []
         assert alice.friends() == []
         assert not bob.keywheel.has_friend("alice@example.org")
-        # Bob still remembers that a request arrived.
+        # Bob still remembers that a request arrived, and his bus says he declined it.
         assert bob.address_book.friend("alice@example.org").state is FriendshipState.REQUEST_RECEIVED
+        received = bob.session.events.last("friend_request_received")
+        assert received.email == "alice@example.org" and received["accepted"] is False
 
 
 class TestSimultaneousAdd:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api.handles import RequestState
-from repro.bench.workloads import ZipfMailboxWorkload
+from repro.sim.workloads import ZipfMailboxWorkload
 from repro.cluster.directory import ShardDirectory, balanced_ranges
 from repro.cluster.shard import CdnShard, EntryShard, IngressProxy
 from repro.core.config import AlpenhornConfig

@@ -88,22 +88,3 @@ class TestUnsubscribe:
         bus.emit("other")
         assert order == ["typed", "all", "all"]
 
-
-class TestRegistryTaps:
-    def test_add_tap_reaches_existing_and_future_sessions(self):
-        from repro.api.session import SessionRegistry
-
-        class _FakeSession:
-            def __init__(self) -> None:
-                self.events = EventBus()
-
-        registry = SessionRegistry.__new__(SessionRegistry)
-        registry._by_email = {}
-        registry._taps = []
-        existing = _FakeSession()
-        registry._by_email["alice@example.org"] = existing
-
-        seen = []
-        registry.add_tap(seen.append)
-        existing.events.emit("tick", round_number=1)
-        assert [e.round_number for e in seen] == [1]

@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.bench.reporting import SCHEMA, read_json_report
-from repro.obs.record import validate_record
+from repro.obs.record import SCHEMA, read_json_report, validate_record
 from repro.sim.__main__ import build_parser, flag_parsers, main
 from repro.sim.experiment import Axis, Column, Experiment, Section, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
@@ -512,22 +511,22 @@ class TestCli:
 # reporting.results_dir, README
 # --------------------------------------------------------------------------- #
 def load_copy(path: Path):
-    spec = importlib.util.spec_from_file_location("reporting_copy", path)
+    spec = importlib.util.spec_from_file_location("record_copy", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 class TestResultsDir:
-    SOURCE = REPO / "src/repro/bench/reporting.py"
+    SOURCE = REPO / "src/repro/obs/record.py"
 
     def test_an_installed_copy_writes_under_the_cwd(self, tmp_path, monkeypatch):
-        installed = tmp_path / "prefix/lib/python3.11/site-packages/repro/bench"
+        installed = tmp_path / "prefix/lib/python3.11/site-packages/repro/obs"
         installed.mkdir(parents=True)
-        shutil.copy(self.SOURCE, installed / "reporting.py")
+        shutil.copy(self.SOURCE, installed / "record.py")
         monkeypatch.delenv("BENCH_RESULTS_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
-        module = load_copy(installed / "reporting.py")
+        module = load_copy(installed / "record.py")
         assert module.results_dir() == tmp_path / "benchmarks" / "results"
         path = module.write_json_report("probe", {"x": 1})
         assert path == tmp_path / "benchmarks/results/BENCH_probe.json"
@@ -535,13 +534,13 @@ class TestResultsDir:
 
     def test_a_checkout_copy_anchors_on_the_checkout(self, tmp_path, monkeypatch):
         checkout = tmp_path / "checkout"
-        package = checkout / "src/repro/bench"
+        package = checkout / "src/repro/obs"
         package.mkdir(parents=True)
         (checkout / "pyproject.toml").write_text("")
-        shutil.copy(self.SOURCE, package / "reporting.py")
+        shutil.copy(self.SOURCE, package / "record.py")
         monkeypatch.delenv("BENCH_RESULTS_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
-        module = load_copy(package / "reporting.py")
+        module = load_copy(package / "record.py")
         assert module.results_dir() == checkout / "benchmarks" / "results"
         monkeypatch.setenv("BENCH_RESULTS_DIR", str(tmp_path / "elsewhere"))
         assert module.results_dir() == tmp_path / "elsewhere"

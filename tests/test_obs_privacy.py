@@ -7,10 +7,9 @@ import math
 import pytest
 
 from repro.analysis.dp import privacy_cost
-from repro.bench.reporting import SCHEMA, dumps
 from repro.obs.__main__ import main as obs_main
 from repro.obs.privacy import PAPER_ACTION_BUDGETS, PrivacyLedger, budget_consistency
-from repro.obs.record import validate_record
+from repro.obs.record import SCHEMA, dumps, validate_record
 from repro.sim.scenarios import make_scenario, run_scenario
 
 
@@ -162,20 +161,26 @@ class TestValidatePrivacyReport:
         assert "INVALID" in capsys.readouterr().out
 
 
-class _BudgetTamper:
+class _KeepDeployment:
+    """Monitor that keeps the run's live deployment."""
+
+    deployment = None
+
+    def on_start(self, deployment, net, spec):
+        self.deployment = deployment
+
+
+class _BudgetTamper(_KeepDeployment):
     """Monitor that zeroes every session's budget and records the events."""
 
     def __init__(self):
         self.events = []
-        self.deployment = None
 
     def on_start(self, deployment, net, spec):
-        self.deployment = deployment
-        for session in deployment.sessions:
-            session.action_budgets["add-friend"] = 0
-            session.events.subscribe(
-                "privacy_budget_exceeded", self.events.append
-            )
+        super().on_start(deployment, net, spec)
+        for client in deployment.clients.values():
+            client.session.action_budgets["add-friend"] = 0
+            client.session.events.subscribe("privacy_budget_exceeded", self.events.append)
 
 
 class TestScenarioIntegration:
@@ -212,6 +217,19 @@ class TestScenarioIntegration:
         assert budgets["add-friend"]["actions_max_per_client"] >= 1
         assert budgets["add-friend"]["clients_over_budget"] == 0
 
+    def test_every_real_dial_counts_against_the_dialing_budget(self):
+        """Scenarios dial through the client's bare ``call`` (no handle):
+        those dials are actions the §8.1 budget protects all the same."""
+        keep = _KeepDeployment()
+        scenario = make_scenario(
+            "baseline", num_clients=12, friend_pairs=3, addfriend_rounds=2, dialing_rounds=2,
+        )
+        scenario.monitors.append(keep)
+        result = scenario.run()
+        placed = sum(len(c.placed_calls()) for c in keep.deployment.clients.values())
+        assert placed > 0
+        assert result.privacy["action_budgets"]["dialing"]["actions_total"] == placed
+
     def test_round_records_carry_observations(self, result):
         rows = result.privacy["rounds"]
         assert all(row["observed_messages"] >= row["noise_added"] >= 0 for row in rows)
@@ -229,8 +247,8 @@ class TestScenarioIntegration:
         # queued senders at minimum), never for cover-only participation.
         acted = sum(
             1
-            for session in tamper.deployment.sessions
-            if session.action_counts["add-friend"] > 0
+            for client in tamper.deployment.clients.values()
+            if client.session.action_counts["add-friend"] > 0
         )
         assert acted >= 2
         assert len(tamper.events) == acted

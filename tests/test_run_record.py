@@ -20,11 +20,10 @@ import urllib.request
 
 import pytest
 
-from repro.bench.reporting import SCHEMA, dumps, read_json_report
 from repro.obs.__main__ import main as obs_main
 from repro.obs.dashboard import DashboardMonitor, DashboardServer
 from repro.obs.logging import EventLogMonitor
-from repro.obs.record import validate_record
+from repro.obs.record import SCHEMA, dumps, read_json_report, validate_record
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer
 from repro.sim.__main__ import main as sim_main
 from repro.sim.scenarios import make_scenario
@@ -146,13 +145,14 @@ def parent_catalogue(deployment, net, result, tracer=None) -> dict:
     """The flat ``metrics`` catalogue as the parent commit computed it, from
     the live objects it scraped (the oracle this table is held to)."""
     stats = net.stats
+    sessions = [client.session for client in deployment.clients.values()]
     names = {
         "transport.messages_sent": stats.messages_sent,
         "transport.bytes_sent": stats.bytes_sent,
         "scheduler.events_processed": net.scheduler.events_processed,
         "net.frames_in_flight": net.frames_in_flight_peak,
-        "sessions.count": len(deployment.sessions),
-        "sessions.outbox_depth": sum(len(s.pending_requests()) for s in deployment.sessions),
+        "sessions.count": len(sessions),
+        "sessions.outbox_depth": sum(len(s.pending_requests()) for s in sessions),
         "mix.noise.share_of_bytes": result.privacy["noise_traffic"]["noise_share_of_bytes"],
     }
     names.update({f"transport.bytes.{m}": v for m, v in stats.bytes_by_method.items()})

@@ -9,7 +9,8 @@ Covers the contracts the api_redesign introduced:
   the loss the paper accepts,
 * the retry budget (max_attempts) terminating a hopeless
   request,
-* the client-internal CallbackBridge keeping the single-slot callbacks,
+* one session per client: every client's bus carries its scan-time events,
+  a deployment-wide subscriber reaches late clients, and one bus fans out,
 * the parallel per-PKG fan-out: RPC *counts* still scale linearly in PKG
   count (TransportStats.calls_by_method) while the stage's simulated
   wall-clock no longer does.
@@ -22,7 +23,6 @@ import json
 import pytest
 
 from repro.api import EventBus, RequestState
-from repro.core.callbacks import CallbackBridge
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.errors import ProtocolError
@@ -263,7 +263,8 @@ class TestRetryLiveness:
         deployment = make_deployment("retry-budget", retry=1)
         deployment.create_client("alice@x.org")
         deployment.create_client("bob@x.org")
-        alice = deployment.session("alice@x.org", max_attempts=2)
+        alice = deployment.session("alice@x.org")
+        alice.max_attempts = 2
         handle = alice.add_friend("bob@x.org")
         # Bob never comes online: every delivery is into a missed round.
         for _ in range(6):
@@ -384,7 +385,8 @@ class TestLateConfirmation:
         deployment = make_deployment("late-confirm", retry=1)
         deployment.create_client("alice@x.org")
         deployment.create_client("bob@x.org")
-        alice = deployment.session("alice@x.org", max_attempts=1)
+        alice = deployment.session("alice@x.org")
+        alice.max_attempts = 1
         handle = alice.add_friend("bob@x.org")
         deployment.run_addfriend_round()  # bob accepts, queues his reply
         # Bob offline: the reply stalls, the budget (1 attempt) expires.
@@ -395,37 +397,69 @@ class TestLateConfirmation:
         assert alice.client.friends() == ["bob@x.org"]
 
 
-class TestTapChaining:
-    def test_second_session_does_not_disconnect_the_first(self):
-        from repro.api import ClientSession
+def befriend(deployment, a: str, b: str) -> None:
+    deployment.client(a).add_friend(b)
+    deployment.run_addfriend_round()
+    deployment.run_addfriend_round()
 
-        deployment = make_deployment("tap-chain")
+
+class TestOneSessionPerClient:
+    def test_a_client_nobody_asked_for_still_publishes_its_scan_events(self):
+        deployment = make_deployment("one-session")
+        alice = deployment.create_client("alice@x.org")
+        bob = deployment.create_client("bob@x.org")
+        befriend(deployment, "alice@x.org", "bob@x.org")
+        alice.call("bob@x.org")
+        while alice.dialing.pending_in_queue():
+            deployment.run_dialing_round()
+        assert bob.session is deployment.session("bob@x.org")
+        received = bob.session.events.last("friend_request_received")
+        assert received.email == "alice@x.org" and received["accepted"] is True
+        call = bob.session.events.last("call_received")
+        assert call["call"] is bob.received_calls()[-1]
+        assert call.email == "alice@x.org"
+
+    def test_the_deployment_wide_subscriber_reaches_a_later_client(self):
+        deployment = make_deployment("subscribe-late")
         deployment.create_client("alice@x.org")
-        bob_client = deployment.create_client("bob@x.org")
-        direct = ClientSession(bob_client)          # app-constructed session
-        registry = deployment.session("bob@x.org")  # registry session
-        assert direct is not registry
+        seen = []
+        deployment.subscribe_all(seen.append)
+        deployment.create_client("bob@x.org")  # created after the subscription
         deployment.session("alice@x.org").add_friend("bob@x.org")
         deployment.run_addfriend_round()
-        for session in (direct, registry):
-            event = session.events.last("friend_request_received")
-            assert event is not None and event.email == "alice@x.org"
+        assert ("friend_request_received", "alice@x.org") in [(e.type, e.email) for e in seen]
+        assert seen[0].type == "request_queued"
 
+    def test_two_subscribers_to_one_call_received_both_fire(self):
+        deployment = make_deployment("two-subscribers")
+        alice = deployment.create_client("alice@x.org")
+        deployment.create_client("bob@x.org")
+        befriend(deployment, "alice@x.org", "bob@x.org")
+        bob = deployment.session("bob@x.org")
+        first, second = [], []
+        bob.events.subscribe("call_received", first.append)
+        bob.events.subscribe("call_received", second.append)
+        alice.call("bob@x.org")
+        while alice.dialing.pending_in_queue():
+            deployment.run_dialing_round()
+        assert len(first) == len(second) == 1
+        assert first[0] is second[0]
 
-class TestCallbackBridge:
-    def test_bridge_records_and_returns_the_applications_decision(self):
-        callbacks = CallbackBridge(new_friend=lambda email, key: False)
-        assert callbacks.on_new_friend("eve@x.org", b"\x01" * 32) is False
-        assert callbacks.friend_requests_seen == [("eve@x.org", b"\x01" * 32)]
-
-    def test_legacy_client_callbacks_still_recording(self):
-        """Clients constructed the old way keep the recording bridge."""
-        deployment = make_deployment("shim-bridge")
-        deployment.create_client("alice@x.org")
+    def test_received_calls_are_uncapped_and_survive_recovery(self):
+        deployment = make_deployment("received-record")
+        alice = deployment.create_client("alice@x.org")
         bob = deployment.create_client("bob@x.org")
-        deployment.client("alice@x.org").add_friend("bob@x.org")
-        deployment.run_addfriend_round()
-        assert any(email == "alice@x.org" for email, _ in bob.callbacks.friend_requests_seen)
+        befriend(deployment, "alice@x.org", "bob@x.org")
+        alice.session.events = EventBus(max_history=1)  # the bus forgets; the record must not
+        for intent in (0, 1):
+            bob.call("alice@x.org", intent)
+            while bob.dialing.pending_in_queue():
+                deployment.run_dialing_round()
+        received = alice.received_calls()
+        assert [call.intent for call in received] == [0, 1]
+        assert len(alice.session.events.history()) == 1
+        alice.recover_from_compromise(deployment.pkg_stubs, deployment.email_network)
+        assert alice.received_calls() == received
 
 
 class TestParallelPkgFanout:
