@@ -22,8 +22,8 @@ def main() -> None:
     deployment = Deployment(config, seed="quickstart")
 
     print("== Registration (Register) ==")
-    alice = deployment.create_client("alice@example.org")
-    bob = deployment.create_client("bob@example.org")
+    # One begin wave and one confirm wave register both clients at every PKG.
+    alice, bob = deployment.create_clients(["alice@example.org", "bob@example.org"])
     print(f"  alice registered, signing key {alice.my_signing_key().hex()[:16]}...")
     print(f"  bob   registered, signing key {bob.my_signing_key().hex()[:16]}...")
 

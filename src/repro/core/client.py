@@ -4,7 +4,9 @@ A :class:`Client` owns a user identity, an address book, a keywheel table,
 and the add-friend / dialing engines.  Applications interact with it through
 the same surface the paper's Go library exposes:
 
-* :meth:`register`       -- create the account (email confirmation at every PKG),
+* :meth:`register`       -- create the account (email confirmation at every PKG;
+  :func:`register_clients` brings any number of clients up in the same two
+  waves),
 * :meth:`my_signing_key` -- the long-term key to print on a business card,
 * :meth:`add_friend`     -- queue a friend request to an email address,
 * :meth:`call`           -- queue a call to an established friend,
@@ -36,6 +38,7 @@ from repro.crypto.attestation import get_scheme
 from repro.crypto.ibe.anytrust import AnytrustIbe
 from repro.errors import ProtocolError
 from repro.net.transport import raise_first_error
+from repro.pkg.registration import confirmation_sender
 from repro.pkg.server import PkgServer
 
 
@@ -101,39 +104,10 @@ class Client:
         """``Register()``: prove ownership of the email address to every PKG.
 
         ``pkg_stubs`` are the :class:`~repro.net.rpc.PkgStub`\\ s a deployment
-        hands out.  The client reads the confirmation token each PKG emailed
-        to its address and echoes it back, after which the address is locked
-        to the client's long-term signing key (§4.6).  Each PKG stamps the
-        request with its own clock on arrival.
-
-        The per-PKG RPCs are independent, so each leg (begin, confirm) is one
-        wave to every PKG: registration costs two round trips to the slowest
-        PKG, not 2N sequential trips.
+        hands out.  This is :func:`register_clients` for one client: two
+        waves, begin then confirm, each to every PKG at once.
         """
-        self._registration_leg(
-            pkg_stubs, "begin_registration", [self.identity.signing_public] * len(pkg_stubs)
-        )
-        tokens = []
-        inbox = email_network.read_inbox(self.email)
-        for pkg in pkg_stubs:
-            token = None
-            for message in reversed(inbox):
-                if message.sender.startswith(pkg.name):
-                    token = message.body
-                    break
-            if token is None:
-                raise ProtocolError(f"no confirmation email from {pkg.name} for {self.email}")
-            tokens.append(token.encode("utf-8"))
-        self._registration_leg(pkg_stubs, "confirm_registration", tokens)
-        self.registered = True
-
-    def _registration_leg(self, pkg_stubs: list, method: str, blobs: list[bytes]) -> None:
-        """One registration RPC at every PKG, as one wave."""
-        calls = [
-            stub.registration_call(method, self.email, blob)
-            for stub, blob in zip(pkg_stubs, blobs)
-        ]
-        raise_first_error(pkg_stubs[0].transport.call_batch(calls))
+        register_clients([self], pkg_stubs, email_network)
 
     def add_friend(self, email: str, their_signing_key: bytes | None = None) -> QueuedFriendRequest:
         """``AddFriend()``: queue a friend request for the next add-friend round.
@@ -188,7 +162,8 @@ class Client:
         ``their_signing_key`` when re-adding).
         """
         signature = self.identity.sign(PkgServer.deregistration_statement(self.email))
-        self._registration_leg(pkg_stubs, "deregister", [signature] * len(pkg_stubs))
+        (outcomes,) = _pkg_wave(pkg_stubs, "deregister", [(self.email, [signature] * len(pkg_stubs))])
+        raise_first_error(outcomes)
         old_friends = [friend.email for friend in self.address_book.friends()]
         self.identity = self.identity.rotate()
         self.address_book = AddressBook()
@@ -281,3 +256,69 @@ class Client:
 
     def __repr__(self) -> str:
         return f"Client({self.email!r}, friends={len(self.keywheel)})"
+
+
+def register_clients(clients: list[Client], pkg_stubs: list, email_network) -> None:
+    """``Register()`` for any number of clients, in two waves (§4.6).
+
+    One ``begin_registration`` wave carries every (client, PKG) pair, and each
+    PKG emails a confirmation token to the address.  Every client reads its
+    tokens from its inbox, and one ``confirm_registration`` wave echoes them
+    all back, after which each address is locked to its client's long-term
+    signing key.  Each PKG stamps a request with its own clock on arrival.
+
+    Outcomes are per client: a client whose every leg succeeded is marked
+    ``registered``; one whose begin leg failed, or whose token is missing,
+    sits out the confirm wave.  After both waves the first failed client's
+    error is raised.
+    """
+    failed: dict[Client, Exception] = {}
+    tokens: dict[Client, list[bytes]] = {}
+    begin = [(client.email, [client.identity.signing_public] * len(pkg_stubs)) for client in clients]
+    for client, outcomes in zip(clients, _pkg_wave(pkg_stubs, "begin_registration", begin)):
+        try:
+            raise_first_error(outcomes)
+            tokens[client] = _confirmation_tokens(client.email, pkg_stubs, email_network)
+        except Exception as exc:  # noqa: BLE001 - one client's failure is its own
+            failed[client] = exc
+    confirm = [(client.email, blobs) for client, blobs in tokens.items()]
+    for client, outcomes in zip(tokens, _pkg_wave(pkg_stubs, "confirm_registration", confirm)):
+        try:
+            raise_first_error(outcomes)
+        except Exception as exc:  # noqa: BLE001 - one client's failure is its own
+            failed[client] = exc
+        else:
+            client.registered = True
+    for client in clients:
+        if client in failed:
+            raise failed[client]
+
+
+def _confirmation_tokens(email: str, pkg_stubs: list, email_network) -> list[bytes]:
+    """The newest token each PKG emailed to ``email``, in ``pkg_stubs`` order."""
+    newest = {message.sender: message.body for message in email_network.read_inbox(email)}
+    tokens = []
+    for pkg in pkg_stubs:
+        token = newest.get(confirmation_sender(pkg.name))
+        if token is None:
+            raise ProtocolError(f"no confirmation email from {pkg.name} for {email}")
+        tokens.append(token.encode("utf-8"))
+    return tokens
+
+
+def _pkg_wave(pkg_stubs: list, method: str, requests: list[tuple[str, list[bytes]]]) -> list:
+    """One registration RPC per (request, PKG) pair, as one wave.
+
+    ``requests`` are ``(email, blobs)`` with one blob per PKG; returns each
+    request's outcomes, one per PKG.  No requests, no wave.
+    """
+    calls = [
+        stub.registration_call(method, email, blob)
+        for email, blobs in requests
+        for stub, blob in zip(pkg_stubs, blobs)
+    ]
+    if not calls:
+        return []
+    outcomes = pkg_stubs[0].transport.call_batch(calls)
+    width = len(pkg_stubs)
+    return [outcomes[start : start + width] for start in range(0, len(outcomes), width)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.cdn.cdn import Cdn
 from repro.cluster.directory import front_endpoints
 from repro.cluster.shard import CdnShard, EntryShard, IngressProxy, ShardedCdnStub
-from repro.core.client import Client
+from repro.core.client import Client, register_clients
 from repro.core.config import AlpenhornConfig
 from repro.core.roundengine import (
     AddFriendDriver,
@@ -217,19 +217,40 @@ class Deployment:
 
         set_active_backend(self.crypto)
 
-    def create_client(self, email: str) -> Client:
-        """Create and register a client for an email address."""
+    def create_clients(self, emails: list[str]) -> list[Client]:
+        """Create and register a client for each email address, in order.
+
+        Registration is two transport waves for any number of clients: every
+        client's begin leg at every PKG, then every confirm leg
+        (:func:`~repro.core.client.register_clients`).  A client whose
+        registration failed is not added; the others are, and the first
+        failure is raised afterwards.
+        """
         self._activate_engine()
-        email = email.lower()
-        if email in self.clients:
-            raise ConfigurationError(f"a client for {email} already exists")
-        self.email_network.ensure_provider(email)
-        client = Client(email=email, config=self.config, ibe=self.ibe)
-        client.register(self.pkg_stubs, self.email_network)
-        for handler in self._subscribers:
-            client.session.events.subscribe_all(handler)
-        self.clients[email] = client
-        return client
+        emails = [email.lower() for email in emails]
+        taken = set(self.clients)
+        for email in emails:
+            if email in taken:
+                raise ConfigurationError(f"a client for {email} already exists")
+            taken.add(email)
+        clients = []
+        for email in emails:
+            self.email_network.ensure_provider(email)
+            clients.append(Client(email=email, config=self.config, ibe=self.ibe))
+        try:
+            register_clients(clients, self.pkg_stubs, self.email_network)
+        finally:
+            for client in clients:
+                if client.registered:
+                    for handler in self._subscribers:
+                        client.session.events.subscribe_all(handler)
+                    self.clients[client.email] = client
+        return clients
+
+    def create_client(self, email: str) -> Client:
+        """Create and register one client: ``create_clients([email])[0]``
+        (two waves, like any number of clients)."""
+        return self.create_clients([email])[0]
 
     def client(self, email: str) -> Client:
         return self.clients[email.lower()]

@@ -30,6 +30,12 @@ from repro.utils.rng import DeterministicRng, random_bytes
 LOCKOUT_SECONDS = 30 * 24 * 3600
 
 
+def confirmation_sender(pkg_name: str) -> str:
+    """The address a PKG's confirmation emails come from; a client matches it
+    exactly (``pkg1`` must not take ``pkg10``'s token)."""
+    return f"{pkg_name}@alpenhorn-pkg"
+
+
 @dataclass
 class AccountRecord:
     """State a PKG keeps for one registered email address."""
@@ -94,7 +100,7 @@ class RegistrationManager:
         )
         self.email_network.ensure_provider(email)
         self.email_network.send(
-            sender=f"{self.pkg_name}@alpenhorn-pkg",
+            sender=confirmation_sender(self.pkg_name),
             recipient=email,
             subject="Alpenhorn registration confirmation",
             body=token,

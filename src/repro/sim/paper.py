@@ -231,7 +231,7 @@ def key_extraction(pkgs: int) -> dict:
     the protocol work, not the pairing), median of 50."""
     config = AlpenhornConfig.for_tests(num_pkg_servers=pkgs, backend="simulated")
     with Deployment(config, seed="extraction") as deployment:
-        client = deployment.create_client("alice@example.org")
+        (client,) = deployment.create_clients(["alice@example.org"])
         for pkg in deployment.pkgs:
             pkg.open_round(1)
 

@@ -572,8 +572,7 @@ class Scenario:
         return f"user{index}@sim.example.org"
 
     def populate(self, deployment: Deployment) -> None:
-        for i in range(self.spec.num_clients):
-            deployment.create_client(self.client_email(i))
+        deployment.create_clients([self.client_email(i) for i in range(self.spec.num_clients)])
         self.queue_friendships(deployment)
 
     def queue_friendships(self, deployment: Deployment) -> None:

@@ -88,14 +88,11 @@ class ClientChurnScenario(Scenario):
     def before_round(self, deployment, net, protocol, round_index) -> None:
         if protocol != "add-friend" or round_index == 0:
             return
-        for _ in range(self.joins_per_round):
-            email = f"late{self._joined}@sim.example.org"
-            self._joined += 1
-            deployment.create_client(email)
+        joiners = [f"late{self._joined + i}@sim.example.org" for i in range(self.joins_per_round)]
+        self._joined += self.joins_per_round
+        for client in deployment.create_clients(joiners):
             # Late joiners immediately want in: befriend an anchor user.
-            self.extra_handles.append(
-                deployment.session(email).add_friend(self.client_email(0))
-            )
+            self.extra_handles.append(client.session.add_friend(self.client_email(0)))
 
 
 class StragglerMixScenario(Scenario):

@@ -13,7 +13,8 @@ Covers the contracts the api_redesign introduced:
   a deployment-wide subscriber reaches late clients, and one bus fans out,
 * the parallel per-PKG fan-out: RPC *counts* still scale linearly in PKG
   count (TransportStats.calls_by_method) while the stage's simulated
-  wall-clock no longer does.
+  wall-clock no longer does; bring-up is two waves for any client count,
+  with per-client outcomes.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ import json
 import pytest
 
 from repro.api import EventBus, RequestState
+from repro.core.client import Client
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
-from repro.errors import ProtocolError
+from repro.errors import LockoutError, ProtocolError
 from repro.net.links import LinkSpec, NetworkTopology
 from repro.net.simulated import SimulatedNetwork
+from repro.net.transport import DirectTransport
+from repro.runtime import AsyncioTransport
 from repro.sim.scenarios import run_scenario
 
 
@@ -55,6 +59,20 @@ def make_sim_deployment(
     net = SimulatedNetwork(topology=topology, seed=f"{seed}/net")
     config = AlpenhornConfig.for_tests(num_pkg_servers=pkgs, backend="simulated")
     return Deployment(config, seed=seed, transport=net)
+
+
+def count_waves(transport) -> list[int]:
+    """Record the size of every ``call_batch`` wave ``transport`` issues from
+    here on."""
+    waves: list[int] = []
+    issue = transport.call_batch
+
+    def counting(calls):
+        waves.append(len(calls))
+        return issue(calls)
+
+    transport.call_batch = counting
+    return waves
 
 
 class TestEventBus:
@@ -504,6 +522,43 @@ class TestParallelPkgFanout:
         # client-link round trips of 2 x 200 ms.
         assert 2 * 0.4 < summary.submit_stage_s < 2 * 0.4 + 0.1
 
+    @pytest.mark.parametrize("runtime", ["direct", "sim", "asyncio"])
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_any_number_of_clients_registers_in_two_waves(self, runtime, count):
+        """Bring-up is one begin wave and one confirm wave, each carrying
+        every (client, PKG) pair, whatever the client count."""
+        transports = {"direct": DirectTransport, "sim": SimulatedNetwork, "asyncio": AsyncioTransport}
+        config = AlpenhornConfig.for_tests(num_pkg_servers=3, backend="simulated")
+        with Deployment(config, seed="two-waves", transport=transports[runtime]()) as deployment:
+            waves = count_waves(deployment.transport)
+            clients = deployment.create_clients([f"u{i}@x.org" for i in range(count)])
+            assert waves == [3 * count, 3 * count]
+            assert all(client.registered for client in clients)
+            assert list(deployment.clients) == [client.email for client in clients]
+            waves.clear()
+            deployment.create_client("late@x.org")
+            assert waves == [3, 3]
+
+    def test_refused_client_leaves_the_rest_of_its_batch_registered(self):
+        """One refused registration fails alone: the other clients of the
+        wave are registered and added, befriend each other in an add-friend
+        round, and the refusal is raised after both waves."""
+        deployment = make_sim_deployment(pkgs=3, seed="partial")
+        # Someone else already holds carol's address at every PKG.
+        squatter = Client("carol@x.org", config=deployment.config, ibe=deployment.ibe)
+        squatter.register(deployment.pkg_stubs, deployment.email_network)
+        waves = count_waves(deployment.transport)
+        with pytest.raises(LockoutError):
+            deployment.create_clients(["alice@x.org", "carol@x.org", "bob@x.org"])
+        # carol sits out the confirm wave.
+        assert waves == [3 * 3, 3 * 2]
+        assert list(deployment.clients) == ["alice@x.org", "bob@x.org"]
+        assert all(client.registered for client in deployment.clients.values())
+        request = deployment.session("alice@x.org").add_friend("bob@x.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        assert request.confirmed
+
     def test_registration_fans_out_too(self):
         def registration_cost(pkgs: int) -> tuple[float, int]:
             deployment = make_sim_deployment(pkgs=pkgs, seed="reg")
@@ -518,6 +573,14 @@ class TestParallelPkgFanout:
         cost4, begins4 = registration_cost(4)
         assert (begins2, begins4) == (2 * 2, 2 * 4)  # both directions recorded
         assert cost4 < cost2 * 1.25
+
+    def test_eleven_pkgs_each_get_their_own_token(self):
+        """``pkg1`` must not echo ``pkg10``'s token: a sender is matched
+        exactly, not by prefix."""
+        deployment = make_deployment(seed="eleven-pkgs", num_pkg_servers=11)
+        alice = deployment.create_client("alice@x.org")
+        assert alice.registered
+        assert all(pkg.registration.is_registered("alice@x.org") for pkg in deployment.pkgs)
 
     def test_recovery_deregisters_all_pkgs_concurrently(self):
         deployment = make_sim_deployment(pkgs=4, seed="recover")
