@@ -38,9 +38,9 @@ class AlpenhornConfig:
     ibe_backend: str = "bn254"
 
     # Crypto engine for the symmetric/X25519 hot path (onion layers, AEAD
-    # seals, key exchange): "pure" (stdlib-only reference, the default),
-    # "accelerated" (optional `cryptography` package), or "parallel"
-    # (multiprocessing fan-out for the batch APIs).  See repro.crypto.engine.
+    # seals, key exchange): "pure" (stdlib-only reference, the default) or
+    # "accelerated" (optional `cryptography` package).  See
+    # repro.crypto.engine.
     crypto_backend: str = "pure"
 
     # Round durations in seconds (§8.2: hours for add-friend, minutes for

@@ -306,16 +306,14 @@ class Deployment:
     # Teardown
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release runtime resources: the transport, then the crypto engine.
+        """Release runtime resources by closing the transport.
 
-        Idempotent.  The in-process transports make this a cheap no-op
-        chain; the real runtimes (:mod:`repro.runtime`) tear down their
-        sockets, event-loop thread, and worker processes here, and a crypto
-        backend holding a worker pool (``parallel``) terminates it -- the
-        shared backend instance recreates its pool lazily if used again.
+        Idempotent.  The in-process transports make this a cheap no-op; the
+        real runtimes (:mod:`repro.runtime`) tear down their sockets,
+        event-loop thread, and worker processes here.  The crypto engine
+        holds nothing between calls, so it has nothing to release.
         """
         self.transport.close()
-        self.crypto.close()
 
     def __enter__(self) -> "Deployment":
         return self

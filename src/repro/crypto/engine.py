@@ -14,19 +14,18 @@ benchmark ladder).  This module makes that cost a *choice* instead of a
 ceiling:
 
 * ``"pure"`` -- the stdlib-only reference implementation (the default, and
-  the byte-exactness oracle every other backend is tested against),
+  the byte-exactness oracle ``accelerated`` is tested against),
 * ``"accelerated"`` -- the optional ``cryptography`` package's ChaCha20-
   Poly1305 and X25519 (OpenSSL-backed) when importable; never a hard
   dependency, selecting it without the package installed is a
-  :class:`~repro.errors.ConfigurationError`,
-* ``"parallel"`` -- a multiprocessing wrapper that fans the *batch* calls
-  across cores (the mix peel is embarrassingly parallel); single-item calls
-  delegate to its inner backend (accelerated when available, else pure).
+  :class:`~repro.errors.ConfigurationError`.
 
-All backends are byte-identical for fixed keys and nonces: ``seal`` is the
+Both backends are byte-identical for fixed keys and nonces: ``seal`` is the
 RFC 8439 AEAD returning ``nonce || ciphertext || tag``, ``shared_secret``
 is RFC 7748 X25519, so tier-1 passes -- and deployments interoperate --
-under any of them.
+under either of them.  Multi-core mix work is not a backend: on
+``runtime=mp`` each mix server peels in its own worker process
+(:mod:`repro.runtime.mp`).
 
 A :class:`CryptoBackend` adds batch variants (``seal_many``, ``open_many``,
 ``shared_secret_many``, ``public_key_many``, ``keypair_exchange_many``)
@@ -54,10 +53,7 @@ helpers follow along.
 
 from __future__ import annotations
 
-import atexit
-import os
 from contextlib import contextmanager
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.crypto import ed25519, x25519
@@ -81,11 +77,11 @@ def _check_x25519_length(what: str, value: bytes) -> None:
 
 
 def _fill_nonces(items: Iterable[SealItem]) -> list[SealItem]:
-    """Draw the missing nonces up front, from the parent process's CSPRNG.
+    """Draw the missing nonces up front, through this module's ``random_bytes``.
 
-    Batch sealing must produce the same boxes no matter which backend -- or
-    which worker process -- executes it, so randomness never happens inside
-    a fan-out.
+    Every batch seal draws its nonces here, in item order, before any box is
+    sealed -- so a seeded ``random_bytes`` (the onion wrap's test vectors
+    patch this module's) fixes the exact bytes of a batch.
     """
     return [
         (key, plaintext, associated_data, nonce if nonce is not None else random_bytes(NONCE_SIZE))
@@ -186,10 +182,6 @@ class CryptoBackend:
             [(private_key, peer_public_key) for private_key in private_keys]
         )
         return list(zip(publics, secrets))
-
-    # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        """Release backend resources (worker pools); idempotent."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -416,149 +408,6 @@ class AcceleratedBackend(CryptoBackend):
 
 
 # ---------------------------------------------------------------------------
-# The parallel backend: fan batch calls across a worker pool.
-#
-# Workers are plain module-level functions (picklable) operating on a
-# per-process backend instance built once by the pool initializer.
-# ---------------------------------------------------------------------------
-_WORKER_BACKEND: CryptoBackend | None = None
-
-
-def _parallel_worker_init(inner_name: str) -> None:
-    global _WORKER_BACKEND
-    _WORKER_BACKEND = get_backend(inner_name)
-
-
-def _worker_seal_chunk(chunk: list[SealItem]) -> list[bytes]:
-    return _WORKER_BACKEND.seal_many(chunk)
-
-
-def _worker_open_chunk(chunk: list[OpenItem]) -> list[bytes | None]:
-    return _WORKER_BACKEND.open_many(chunk)
-
-
-def _worker_secret_chunk(chunk: list[SecretItem]) -> list[bytes | None]:
-    return _WORKER_BACKEND.shared_secret_many(chunk)
-
-
-def _worker_public_chunk(chunk: list[bytes]) -> list[bytes]:
-    return _WORKER_BACKEND.public_key_many(chunk)
-
-
-def _worker_keypair_chunk(peer_public_key: bytes, chunk: list[bytes]) -> list[KeypairExchange]:
-    return _WORKER_BACKEND.keypair_exchange_many(chunk, peer_public_key)
-
-
-def _chunked(items: list, chunks: int) -> list[list]:
-    """Split ``items`` into at most ``chunks`` contiguous, near-even slices."""
-    chunks = max(1, min(chunks, len(items)))
-    base, extra = divmod(len(items), chunks)
-    out, lo = [], 0
-    for index in range(chunks):
-        hi = lo + base + (1 if index < extra else 0)
-        out.append(items[lo:hi])
-        lo = hi
-    return out
-
-
-class ParallelBackend(CryptoBackend):
-    """Fan the batch APIs across cores; delegate single ops to an inner backend.
-
-    The mix peel is embarrassingly parallel: every envelope decrypts under
-    its own derived key.  Nonces for ``seal_many`` are drawn in the parent
-    (see :func:`_fill_nonces`), so results are byte-identical to running the
-    inner backend serially.  Batches smaller than ``min_batch`` -- and any
-    batch on a single-core host -- skip the pool entirely, keeping IPC
-    overhead off small deployments.
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        inner: str | None = None,
-        workers: int | None = None,
-        min_batch: int = 64,
-    ) -> None:
-        if inner is None:
-            inner = "accelerated" if accelerated_available() else "pure"
-        self.inner_name = inner
-        self._inner = get_backend(inner)
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.min_batch = min_batch
-        self._pool = None
-
-    # -- single ops: the pool buys nothing ---------------------------------
-    def shared_secret(self, private_key: bytes, peer_public_key: bytes) -> bytes:
-        return self._inner.shared_secret(private_key, peer_public_key)
-
-    def public_key(self, private_key: bytes) -> bytes:
-        return self._inner.public_key(private_key)
-
-    def seal(self, key, plaintext, associated_data=b"", nonce=None) -> bytes:
-        return self._inner.seal(key, plaintext, associated_data, nonce)
-
-    def open_sealed(self, key, sealed, associated_data=b"") -> bytes:
-        return self._inner.open_sealed(key, sealed, associated_data)
-
-    def ed25519_sign(self, private_key: bytes, message: bytes) -> bytes:
-        return self._inner.ed25519_sign(private_key, message)
-
-    def ed25519_verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        return self._inner.ed25519_verify(public_key, message, signature)
-
-    def ed25519_public_key(self, private_key: bytes) -> bytes:
-        return self._inner.ed25519_public_key(private_key)
-
-    # -- batch ops: fan out ------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-
-            self._pool = multiprocessing.get_context().Pool(
-                processes=self.workers,
-                initializer=_parallel_worker_init,
-                initargs=(self.inner_name,),
-            )
-            atexit.register(self.close)
-        return self._pool
-
-    def _fan_out(self, worker: Callable, items: list, serial: Callable):
-        if len(items) < self.min_batch or self.workers <= 1:
-            return serial(items)
-        chunks = _chunked(items, self.workers * 2)
-        results = self._ensure_pool().map(worker, chunks)
-        return [value for chunk in results for value in chunk]
-
-    def seal_many(self, items: Sequence[SealItem]) -> list[bytes]:
-        return self._fan_out(_worker_seal_chunk, _fill_nonces(items), self._inner.seal_many)
-
-    def open_many(self, items: Sequence[OpenItem]) -> list[bytes | None]:
-        return self._fan_out(_worker_open_chunk, list(items), self._inner.open_many)
-
-    def shared_secret_many(self, pairs: Sequence[SecretItem]) -> list[bytes | None]:
-        return self._fan_out(_worker_secret_chunk, list(pairs), self._inner.shared_secret_many)
-
-    def public_key_many(self, private_keys: Sequence[bytes]) -> list[bytes]:
-        return self._fan_out(_worker_public_chunk, list(private_keys), self._inner.public_key_many)
-
-    def keypair_exchange_many(
-        self, private_keys: Sequence[bytes], peer_public_key: bytes
-    ) -> list[KeypairExchange]:
-        return self._fan_out(
-            partial(_worker_keypair_chunk, peer_public_key),
-            list(private_keys),
-            lambda keys: self._inner.keypair_exchange_many(keys, peer_public_key),
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-
-# ---------------------------------------------------------------------------
 # Registry and the process-wide active backend
 # ---------------------------------------------------------------------------
 _FACTORIES: dict[str, Callable[[], CryptoBackend]] = {}
@@ -609,8 +458,9 @@ def available_backends() -> list[str]:
 def get_backend(name: str | CryptoBackend) -> CryptoBackend:
     """Resolve a backend name (or pass an instance through) to an instance.
 
-    Instances are process-wide singletons so the parallel backend's worker
-    pool is shared by everything that selects it.
+    Instances are process-wide singletons, so a name always resolves to the
+    same object: ``deployment.crypto is get_backend(name)``, and
+    :func:`use_backend` restores exactly the instance it replaced.
     """
     if isinstance(name, CryptoBackend):
         return name
@@ -659,4 +509,3 @@ def use_backend(backend: str | CryptoBackend):
 
 register_backend("pure", PureBackend)
 register_backend("accelerated", AcceleratedBackend, available=accelerated_available)
-register_backend("parallel", ParallelBackend)

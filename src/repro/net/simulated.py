@@ -226,7 +226,7 @@ class SimulatedNetwork(Transport):
         natural end (handler side effects included -- a real server acts
         even when its caller has given up), then the caller-visible clock
         is clamped back to the deadline it stopped waiting at, so the
-        mapping is deterministic and composes with retry backoff.
+        mapping is deterministic.
         """
         clock = self.scheduler
         deadline = None if timeout_s is None else clock.now + timeout_s

@@ -33,10 +33,6 @@ from repro.errors import NetworkError
 from repro.net.frames import Frame, KIND_REQUEST, frame_overhead
 from repro.obs.trace import active_tracer
 
-#: First retry wait for :meth:`Transport.call` with ``max_retries`` set;
-#: subsequent attempts double it (exponential backoff).
-DEFAULT_RETRY_BACKOFF_S = 0.25
-
 
 @dataclass
 class RpcRequest:
@@ -218,8 +214,6 @@ class Transport(ABC):
         payload: bytes = b"",
         *,
         timeout_s: float | None = None,
-        max_retries: int = 0,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     ) -> RpcResult:
         """Send one request and block until the response arrives.
 
@@ -228,12 +222,10 @@ class Transport(ABC):
         :class:`~repro.errors.TransportTimeoutError` (the simulated network
         maps the deadline onto the simulated clock, real transports onto
         wall time; :class:`DirectTransport` is zero-latency and never
-        expires).  ``max_retries`` re-issues a call that failed with a
-        :class:`NetworkError` up to that many extra times, waiting
-        ``retry_backoff_s * 2**attempt`` between attempts -- except when the
-        failure is tagged ``request_delivered`` (the server acted, only the
-        ack was lost): a blind re-send could double-apply, so those always
-        surface to the caller, who owns the dedup decision.
+        expires).  A failed call is never re-sent: the first
+        :class:`NetworkError` surfaces to the caller, tagged
+        ``request_delivered`` when the server acted and only the ack was
+        lost, so the caller owns any retry and dedup decision.
 
         When tracing is active every RPC is measured as a ``transport``-
         category span (attribution only, not kept in the trace -- a round
@@ -242,48 +234,12 @@ class Transport(ABC):
         """
         tracer = active_tracer()
         if not tracer.enabled:
-            return self._call_retrying(
-                src, dst, method, payload, timeout_s, max_retries, retry_backoff_s
-            )
+            return self._call(src, dst, method, payload, timeout_s)
         span = tracer.start(method, category="transport", keep=False)
         try:
-            return self._call_retrying(
-                src, dst, method, payload, timeout_s, max_retries, retry_backoff_s
-            )
+            return self._call(src, dst, method, payload, timeout_s)
         finally:
             tracer.end(span)
-
-    def _call_retrying(
-        self,
-        src: str,
-        dst: str,
-        method: str,
-        payload: bytes,
-        timeout_s: float | None,
-        max_retries: int,
-        retry_backoff_s: float,
-    ) -> RpcResult:
-        if max_retries <= 0:
-            return self._call(src, dst, method, payload, timeout_s)
-        attempt = 0
-        while True:
-            try:
-                return self._call(src, dst, method, payload, timeout_s)
-            except NetworkError as exc:
-                if exc.request_delivered or attempt >= max_retries:
-                    raise
-                self._retry_wait(retry_backoff_s * (2.0 ** attempt))
-                attempt += 1
-
-    def _retry_wait(self, seconds: float) -> None:
-        """Let the backoff interval pass on this transport's clock.
-
-        The base implementation advances the transport clock, which is a
-        no-op wait under :class:`DirectTransport`'s logical time and a
-        deterministic clock jump under the simulated network.  Real
-        transports override this with an actual sleep.
-        """
-        self.advance(seconds)
 
     def call_batch(self, calls: "list[BatchCall]") -> "list[BatchCallOutcome]":
         """Issue a wave of logically concurrent calls; never raises per-call.

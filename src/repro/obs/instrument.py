@@ -103,7 +103,3 @@ class InstrumentedCryptoBackend(CryptoBackend):
             lambda keys: self.inner.keypair_exchange_many(keys, peer_public_key),
             private_keys,
         )
-
-    # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        self.inner.close()

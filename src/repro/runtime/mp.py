@@ -16,19 +16,21 @@ are all started before the first port map is awaited, so their interpreter
 start-up and ``repro`` imports overlap.
 
 The default placement puts **mix servers** in workers: they are the
-crypto hot path the ``parallel``/multi-core story is about, they make no
-outgoing calls, and they reconstruct deterministically from ``(name, rng seed,
-crypto backend)`` -- the same derivation
-:class:`~repro.core.coordinator.Deployment` uses, so a worker's mix server
-is byte-identical to the in-parent one it replaces.  Tiers that touch
-shared in-process substrates (PKGs and the out-of-band email network, the
-entry server's round state) stay in the parent by design.
+crypto hot path, so this is where a deployment's multi-core mix work runs
+(each server peels on its own core), they make no outgoing calls, and they
+reconstruct deterministically from ``(name, rng seed, crypto backend)`` --
+the same derivation :class:`~repro.core.coordinator.Deployment` uses, so a
+worker's mix server is byte-identical to the in-parent one it replaces.
+Tiers that touch shared in-process substrates (PKGs and the out-of-band
+email network, the entry server's round state) stay in the parent by design.
+
+Workers are daemonic: a transport that is never closed still has its
+workers terminated and reaped by :mod:`multiprocessing` at interpreter exit.
 """
 
 from __future__ import annotations
 
 import asyncio
-import atexit
 import contextlib
 import json
 import multiprocessing
@@ -274,7 +276,9 @@ class MultiprocessTransport(AsyncioTransport):
                 )
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
-                    target=worker_main, args=(list(specs), child_conn, host, options)
+                    target=worker_main,
+                    args=(list(specs), child_conn, host, options),
+                    daemon=True,
                 )
                 process.start()
                 child_conn.close()
@@ -304,10 +308,6 @@ class MultiprocessTransport(AsyncioTransport):
         finally:
             for _process, parent_conn, _specs, _options in started:
                 parent_conn.close()
-        # Workers are non-daemonic (the parallel crypto backend may need its
-        # own pool inside one); make sure an unclosed transport still reaps
-        # them at interpreter exit.
-        atexit.register(self.close)
 
     def worker_count(self) -> int:
         return len(self._processes)
@@ -397,4 +397,3 @@ class MultiprocessTransport(AsyncioTransport):
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)
-        atexit.unregister(self.close)

@@ -577,14 +577,10 @@ class AsyncioTransport(Transport):
         """A deliberate no-op: wall time cannot be scheduled forward.
 
         Inter-round gaps and retry-backoff bookkeeping are simulated-clock
-        concepts; a real deployment just keeps going.  (Backoff waits go
-        through :meth:`_retry_wait`, which really sleeps.)
+        concepts; a real deployment just keeps going.
         """
         if seconds < 0:
             raise ValueError("cannot advance time backwards")
-
-    def _retry_wait(self, seconds: float) -> None:
-        time.sleep(seconds)
 
     # -- live visibility ------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, float]]:

@@ -10,13 +10,13 @@ the reference, which values to report and which invariants fail the run.
 * ``shards``     -- the sharded entry/CDN tier: submit-stage scaling over
   shards x Zipf skew, ingress batch sizes at the largest shard count, and
   (when ``cdn_egress_mbps`` values are given) the download-side mirror.
-* ``crypto``     -- per-op cost of every available crypto backend, then a
-  backend x clients scenario grid.
+* ``crypto``     -- per-op cost of both crypto backends (``pure``,
+  ``accelerated``), then a backend x clients scenario grid.
 * ``fidelity``   -- ``fluid``'s bounded divergence from the ``slotted``
   simulator core, and what each costs the host.
 * ``runtime``    -- ``sim`` vs real sockets (``asyncio``) vs worker processes
-  (``mp``): the same seed must deliver the same friendships and calls; plus
-  a crypto-backend leg timed on real cores.
+  (``mp``, where each mix server peels on its own core): the same seed must
+  deliver the same friendships and calls.
 * ``privacy``    -- the paired passive-observer audit against the analytic
   distinguishing bound, plus one baseline run's privacy ledger.
 * ``paper``      -- section 8 itself: the figures and tables of the paper's
@@ -52,11 +52,7 @@ def _admit_backend(name: str) -> bool:
     return backend_available(name)
 
 
-def backends(*names: str) -> Axis:
-    return Axis("crypto_backend", names, admit=_admit_backend)
-
-
-ALL_BACKENDS = backends("pure", "accelerated", "parallel")
+ALL_BACKENDS = Axis("crypto_backend", ("pure", "accelerated"), admit=_admit_backend)
 
 
 def versus(measure, lower_is_better: bool = True):
@@ -386,9 +382,6 @@ FIDELITY = Experiment(
 # --------------------------------------------------------------------------- #
 # runtime
 # --------------------------------------------------------------------------- #
-RUNTIME_CLIENTS = Axis("num_clients", (24, 60))
-
-
 def _parity(result, reference):
     if reference is None:
         return None
@@ -405,7 +398,7 @@ def _parity(result, reference):
 # columns are not comparable across the runtime axis -- wall s and parity are.
 RUNTIME = Experiment(
     name="runtime",
-    description="sim vs asyncio vs mp at one seed: same deliveries; crypto backends on real cores",
+    description="sim vs asyncio vs mp at one seed: same deliveries",
     scenario="baseline",
     seed="runtime-sweep",
     defaults=dict(addfriend_rounds=2, dialing_rounds=2),
@@ -413,7 +406,7 @@ RUNTIME = Experiment(
         Section(
             key="grid",
             title="deployment runtimes (parity against the same-size sim point)",
-            axes=(RUNTIME_CLIENTS, Axis("runtime", ("sim", "asyncio", "mp"))),
+            axes=(Axis("num_clients", (24, 60)), Axis("runtime", ("sim", "asyncio", "mp"))),
             seed="{seed}/c{num_clients}",
             reference={"runtime": "sim"},
             columns=(
@@ -439,21 +432,6 @@ RUNTIME = Experiment(
                     "every requested runtime produced a point",
                     lambda points, axes: {p["runtime"] for p in points} == set(axes["runtime"]),
                 ),
-            ),
-        ),
-        Section(
-            key="crypto_leg",
-            title="crypto backends on the asyncio runtime at the first grid size (real wall-clock mix stage)",
-            axes=(RUNTIME_CLIENTS, backends("pure", "parallel")),
-            workload=dict(runtime="asyncio"),
-            seed="{seed}/crypto/{crypto_backend}",
-            skip=lambda point, axes: point["num_clients"] != axes["num_clients"][0],
-            columns=(
-                WALL,
-                Column("mix_stage_s", "mean mix s", stage("mix_stage_s"), "{:.3f}"),
-                MEAN_ROUND,
-                FRIENDS,
-                CALLS,
             ),
         ),
     ),

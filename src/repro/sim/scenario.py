@@ -103,9 +103,9 @@ class ScenarioSpec:
     #: Dialing outbox: total dials allowed per CallHandle when its round
     #: aborts (None = a dead round's calls fail terminally).
     redial_attempts: int | None = None
-    #: Crypto engine for the symmetric/X25519 hot path ("pure",
-    #: "accelerated", "parallel"; see repro.crypto.engine) -- the axis the
-    #: ``crypto`` experiment varies.
+    #: Crypto engine for the symmetric/X25519 hot path ("pure" or
+    #: "accelerated"; see repro.crypto.engine) -- the axis the ``crypto``
+    #: experiment varies.
     crypto_backend: str = "pure"
     #: Shared egress capacity of each CDN endpoint's access link in Mbit/s
     #: (0 = uncapped).  Applied to every CDN shard -- or to the single

@@ -39,6 +39,37 @@ def counting_accelerated():
     return backend
 
 
+def engine_names() -> list[str]:
+    """Every importable backend, then each again as ``traced-NAME``."""
+    from repro.crypto.engine import available_backends
+
+    names = available_backends()
+    return [*names, *(f"traced-{name}" for name in names)]
+
+
+@pytest.fixture
+def backend(request):
+    """The crypto engine an indirect ``backend`` parameter names.
+
+    ``traced-NAME`` is the engine a traced run computes with, in a
+    ``Deployment`` and in an ``mp`` mix worker alike: NAME wrapped in
+    ``InstrumentedCryptoBackend`` under an enabled tracer.  Vectors pinned
+    on it pin that the wrapper moves no byte and no failure."""
+    from repro.crypto.engine import get_backend
+    from repro.obs.instrument import InstrumentedCryptoBackend
+    from repro.obs.trace import Tracer, set_active_tracer
+
+    name = request.param
+    if not name.startswith("traced-"):
+        yield get_backend(name)
+        return
+    previous = set_active_tracer(Tracer())
+    try:
+        yield InstrumentedCryptoBackend(get_backend(name.removeprefix("traced-")))
+    finally:
+        set_active_tracer(previous)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--run-slow",

@@ -11,14 +11,14 @@ Three layers of assurance:
   that lets ``AlpenhornConfig.crypto_backend`` change the speed of a
   deployment without changing a single wire byte.
 * **Registry and batch semantics** -- selection errors, the active-backend
-  plumbing, positional ``None`` semantics of the batch APIs, and the
-  parallel backend's pool path.
+  plumbing, and positional ``None`` semantics of the batch APIs.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import engine_names
 from textbook_crypto import SMALL_ORDER_U
 
 from repro.crypto import engine
@@ -26,7 +26,6 @@ from repro.crypto.aead import open_sealed, pure_open_sealed, pure_seal, seal
 from repro.crypto import x25519
 from repro.crypto.chacha20 import chacha20_encrypt
 from repro.crypto.engine import (
-    ParallelBackend,
     accelerated_available,
     available_backends,
     get_backend,
@@ -42,7 +41,8 @@ def backends():
 
 
 def backend_params():
-    return pytest.mark.parametrize("backend", backends(), ids=lambda b: b.name)
+    """Each backend, bare and traced (the ``backend`` fixture in conftest)."""
+    return pytest.mark.parametrize("backend", engine_names(), indirect=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -422,43 +422,6 @@ class TestKeypairExchange:
         assert backend._private_key.loads == 4
 
 
-class TestParallelBackend:
-    def test_pool_path_matches_serial(self):
-        """Force the pool (2 workers, min_batch=1) and compare bytes."""
-        backend = ParallelBackend(workers=2, min_batch=1)
-        try:
-            key = bytes(range(32))
-            items = [
-                (key, b"msg-%d" % i, b"aad", i.to_bytes(12, "big")) for i in range(8)
-            ]
-            serial = get_backend(backend.inner_name).seal_many(items)
-            assert backend.seal_many(items) == serial
-            opened = backend.open_many([(key, box, b"aad") for box in serial])
-            assert opened == [b"msg-%d" % i for i in range(8)]
-            private = bytes(range(32))
-            peer = backend.public_key(bytes(range(1, 33)))
-            assert backend.shared_secret_many([(private, peer)] * 4) == [
-                backend.shared_secret(private, peer)
-            ] * 4
-            privates = [bytes([i]) * 32 for i in range(1, 9)]
-            assert backend.keypair_exchange_many(privates, peer) == get_backend(
-                "pure"
-            ).keypair_exchange_many(privates, peer)
-            with pytest.raises(CryptoError):  # raised in a worker, re-raised here
-                backend.keypair_exchange_many(privates, b"short")
-        finally:
-            backend.close()
-
-    def test_small_batches_skip_the_pool(self):
-        backend = ParallelBackend(workers=2, min_batch=64)
-        key = bytes(range(32))
-        assert backend.seal_many([(key, b"m", b"", bytes(12))]) == [
-            backend.seal(key, b"m", b"", bytes(12))
-        ]
-        assert backend._pool is None  # never spun up
-        backend.close()
-
-
 # --------------------------------------------------------------------------- #
 # Registry, selection, and config plumbing
 # --------------------------------------------------------------------------- #
@@ -466,6 +429,14 @@ class TestRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(ConfigurationError):
             get_backend("nonesuch")
+
+    def test_exactly_two_backends(self):
+        """One path per backend: the stdlib reference and OpenSSL."""
+        from repro.core.config import AlpenhornConfig
+
+        assert engine.registered_backends() == ["accelerated", "pure"]
+        with pytest.raises(ConfigurationError, match="unknown crypto backend"):
+            AlpenhornConfig(crypto_backend="parallel")
 
     def test_instances_are_singletons(self):
         assert get_backend("pure") is get_backend("pure")
@@ -492,7 +463,7 @@ class TestRegistry:
 
         config = AlpenhornConfig.for_tests()
         assert config.crypto_backend == "pure"
-        config.crypto_backend = "parallel"
+        config.crypto_backend = "accelerated"
         config.validate()
         with pytest.raises(ConfigurationError):
             AlpenhornConfig.for_tests().__class__(crypto_backend="nonesuch")

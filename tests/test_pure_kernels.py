@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textbook_crypto as textbook
+from conftest import engine_names
 from repro.crypto import chacha20, ed25519, x25519
 from repro.crypto.aead import pure_open_sealed, pure_seal
-from repro.crypto.engine import available_backends, get_backend
 from repro.crypto.poly1305 import poly1305_mac
 from repro.errors import CryptoError
 
@@ -35,9 +35,8 @@ counters = st.sampled_from([0, 1, 2**32 - 2])
 
 
 def backend_params():
-    return pytest.mark.parametrize(
-        "backend", [get_backend(name) for name in available_backends()], ids=lambda b: b.name
-    )
+    """Each backend, bare and traced (the ``backend`` fixture in conftest)."""
+    return pytest.mark.parametrize("backend", engine_names(), indirect=True)
 
 
 # --------------------------------------------------------------------------- #

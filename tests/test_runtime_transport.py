@@ -9,7 +9,10 @@ import itertools
 import json
 import logging
 import multiprocessing
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -414,6 +417,33 @@ class TestMultiprocessTransport:
         with pytest.raises(EOFError):  # the dead worker's port-map pipe
             MultiprocessTransport(specs)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    def test_unclosed_transport_workers_are_reaped_at_exit(self):
+        """Workers are daemonic: an interpreter that never calls ``close()``
+        still exits promptly, and its worker dies with it."""
+        import repro
+
+        child = (
+            "import multiprocessing\n"
+            "from repro.runtime import MultiprocessTransport, mix_endpoint_spec\n"
+            "transport = MultiprocessTransport([[mix_endpoint_spec('mix0', 'seed/mix/0')]])\n"
+            "(worker,) = multiprocessing.active_children()\n"
+            "print(worker.pid, flush=True)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        pid = int(done.stdout.split()[0])
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("malformed", [OVERSIZE_PREFIX, GARBAGE_BODY])

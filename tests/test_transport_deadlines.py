@@ -1,4 +1,4 @@
-"""RPC deadlines and bounded retry on :meth:`Transport.call`."""
+"""RPC deadlines on :meth:`Transport.call`, which never retries."""
 
 from __future__ import annotations
 
@@ -25,41 +25,26 @@ def flaky_handler(failures: int, *, request_delivered: bool = False):
 
 
 class TestRetry:
-    def test_retry_recovers_from_transient_faults(self):
-        transport = DirectTransport()
-        handler, attempts = flaky_handler(2)
-        transport.register("server", handler)
-        result = transport.call("client", "server", "ping", max_retries=3)
-        assert result.payload == b"ok"
-        assert len(attempts) == 3
-        # Exponential backoff passed on the transport clock: 0.25 + 0.5.
-        assert transport.now() == pytest.approx(0.75)
-
-    def test_retries_exhausted_reraises(self):
-        transport = DirectTransport()
-        handler, attempts = flaky_handler(10)
-        transport.register("server", handler)
-        with pytest.raises(NetworkError):
-            transport.call("client", "server", "ping", max_retries=2)
-        assert len(attempts) == 3
+    """``Transport.call`` never re-sends: the first failure surfaces."""
 
     def test_no_retries_by_default(self):
         transport = DirectTransport()
         handler, attempts = flaky_handler(1)
         transport.register("server", handler)
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError) as excinfo:
             transport.call("client", "server", "ping")
+        assert excinfo.value.request_delivered is False
         assert len(attempts) == 1
+        assert transport.now() == 0.0  # no backoff passed on the clock
 
     def test_delivered_failures_never_retried(self):
-        # The server acted and only the ack was lost: a blind re-send could
-        # double-apply, so the failure surfaces on the first attempt even
-        # with retries budgeted.
+        # The server acted and only the ack was lost: the failure carries
+        # that tag to the caller, who owns any re-send and dedup decision.
         transport = DirectTransport()
         handler, attempts = flaky_handler(10, request_delivered=True)
         transport.register("server", handler)
         with pytest.raises(NetworkError) as excinfo:
-            transport.call("client", "server", "ping", max_retries=5)
+            transport.call("client", "server", "ping")
         assert excinfo.value.request_delivered is True
         assert len(attempts) == 1
 
