@@ -16,12 +16,12 @@ takes an integer or ``none``, a ``bool`` field ``on``/``off``.  Examples::
     python -m repro.sim run client_churn --retry-horizon none
     python -m repro.sim run metropolis           # 10k clients, accelerated
     python -m repro.sim run megacity --fidelity slotted  # exact client links
-    python -m repro.sim run baseline --runtime mp --mp-workers 2
+    python -m repro.sim run baseline --runtime mp  # a worker per mix server
     python -m repro.sim sweep pipelining --num-clients 40,80 --latency-ms 40,200
     python -m repro.sim sweep shards --entry-shards 1,2,4 --cdn-egress-mbps 0,1
     python -m repro.sim sweep crypto --crypto-backend pure,accelerated
     python -m repro.sim sweep fidelity --num-clients 100,300
-    python -m repro.sim sweep runtime --num-clients 24 --mp-workers 2
+    python -m repro.sim sweep runtime --num-clients 24
     python -m repro.sim sweep privacy --noise-b 0.05,1 --privacy-trials 8
 
 ``sweep`` runs one of the declared experiments
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         return sweep_cli(args, given, parsers)
     except (UsageError, ConfigurationError, ValueError) as exc:
         # ConfigurationError: e.g. a topology-sculpting scenario asked to run
-        # on a real runtime; ValueError: e.g. Zipf skew without a pinned
+        # on a real runtime, or Zipf skew over one shard; ValueError: e.g. Zipf skew without a pinned
         # mailbox count, or too few audit trials.
         print(f"error: {exc}", file=sys.stderr)
         return 2

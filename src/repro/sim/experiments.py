@@ -461,8 +461,9 @@ PRIVACY = Experiment(
                 Axis("noise_b", (0.05, 0.5, 1.0, 4.0)),
                 Axis("privacy_trials", (24,), apply=lambda n: {"trials": n}, parse=int),
             ),
-            # the audit scenarios fix their own shape
-            workload=dict(num_clients=16, friend_pairs=None, addfriend_rounds=1, dialing_rounds=0),
+            # the audit scenarios fix their own shape (each arm's
+            # friend_pairs is pinned by run_observer_trial)
+            workload=dict(num_clients=16, addfriend_rounds=1, dialing_rounds=0),
             run=_audit,
             columns=(
                 Column("epsilon", "eps/obs", item("epsilon"), "{:.2f}"),

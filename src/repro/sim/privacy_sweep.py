@@ -47,14 +47,18 @@ CONFIDENCE_ALPHA = 0.05
 def run_observer_trial(
     acts: bool, noise_b: float, trial: int, **overrides
 ) -> float:
-    """One arm of one paired trial; returns the observer's test statistic."""
+    """One arm of one paired trial; returns the observer's test statistic.
+
+    The arm is pinned here, whatever ``overrides`` say: the target ``user0``
+    queues one request to ``user1`` (acts) or nothing (idle).
+    """
     name = "passive_observer" if acts else "passive_observer_idle"
     arm = "acts" if acts else "idle"
     scenario = make_scenario(
         name,
         seed=f"privacy-audit/{noise_b}/{trial}/{arm}",
         noise_b=noise_b,
-        **overrides,
+        **{**overrides, "friend_pairs": 1 if acts else 0},
     )
     observer = PassiveObserver()
     scenario.monitors.append(observer)

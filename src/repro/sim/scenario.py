@@ -7,12 +7,13 @@ on it, populates clients and friendships, drives N add-friend and dialing
 rounds, and collects per-round latency/bandwidth/failure statistics into a
 :class:`ScenarioResult`.
 
-Subclasses customize behavior through four hooks:
+A named scenario is a spec row (:mod:`repro.sim.scenarios`); only a fault
+injector subclasses :class:`Scenario`, through three hooks:
 
 * :meth:`Scenario.configure` -- one-time topology/deployment mutation,
 * :meth:`Scenario.participants` -- which clients are online for a round,
-* :meth:`Scenario.before_round` / :meth:`Scenario.after_round` -- per-round
-  fault injection (partitions, load spikes) and measurements.
+* :meth:`Scenario.before_round` -- per-round fault injection (partitions,
+  load spikes).
 
 Scenarios always use the ``simulated`` IBE backend: they measure the
 *system* (round structure, batching, links), not the pairing arithmetic,
@@ -39,6 +40,7 @@ from repro.obs.distributed import trace_section
 from repro.obs.logging import get_logger
 from repro.obs.privacy import PrivacyLedger, budget_consistency, run_report
 from repro.obs.trace import active_tracer
+from repro.sim.workloads import ZipfMailboxWorkload
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,6 @@ class ScenarioSpec:
     num_pkg_servers: int = 2
     #: Default link for client <-> server paths.
     client_link: LinkSpec = field(default_factory=lambda: LinkSpec.of(latency_ms=40, bandwidth_mbps=50, jitter_ms=10))
-    #: Link between any two servers (entry, mixes, PKGs, CDN).
-    server_link: LinkSpec = field(default_factory=lambda: LinkSpec.of(latency_ms=2, bandwidth_mbps=1000))
     #: Per-server, per-mailbox noise (mu, b) -- kept small so simulations
     #: at hundreds of clients stay CI-feasible.  ``None`` defers to
     #: ``privacy_budget`` (which derives b via
@@ -72,8 +72,6 @@ class ScenarioSpec:
     #: when ``noise_b`` is unset, and checked against the configured scale
     #: (warn-and-record) when both are given.
     privacy_budget: int | None = None
-    addfriend_target_per_mailbox: int = 16
-    dialing_target_per_mailbox: int = 16
     seed: str = "scenario"
     #: ``Deployment.run_rounds(pipelined=...)``: back-to-back rounds with
     #: round N+1's announce+submit overlapping round N's mix+scan.
@@ -90,8 +88,9 @@ class ScenarioSpec:
     entry_shards: int = 1
     #: Envelopes per SubmitBatch frame at each shard's ingress proxy.
     ingress_batch_size: int = 16
-    #: Zipf exponent for the mailbox-skew client population (0 = uniform;
-    #: only meaningful with several entry shards and a fixed mailbox count).
+    #: Zipf exponent for the mailbox-skew client population (0 = uniform).
+    #: Above 0 it needs several entry shards and a fixed mailbox count, and
+    #: the scenario refuses to construct without them.
     zipf_alpha: float = 0.0
     #: Shared ingress capacity of each entry endpoint's access link in
     #: Mbit/s (0 = uncapped).  Applied to every entry shard -- or to the
@@ -100,9 +99,6 @@ class ScenarioSpec:
     shard_access_mbps: float = 0.0
     #: Pin every round's mailbox count (required for stable Zipf skew).
     fixed_mailbox_count: int | None = None
-    #: Dialing outbox: total dials allowed per CallHandle when its round
-    #: aborts (None = a dead round's calls fail terminally).
-    redial_attempts: int | None = None
     #: Crypto engine for the symmetric/X25519 hot path ("pure" or
     #: "accelerated"; see repro.crypto.engine) -- the axis the ``crypto``
     #: experiment varies.
@@ -130,16 +126,14 @@ class ScenarioSpec:
     #: * ``"asyncio"`` -- every endpoint behind a real localhost TCP socket
     #:   in this process (:class:`~repro.runtime.transport.AsyncioTransport`);
     #:   the clock is wall time, so stage latencies are real;
-    #: * ``"mp"``      -- ``asyncio`` plus the mix servers rebuilt in
-    #:   spawned worker processes, so the mix/crypto hot path runs on
+    #: * ``"mp"``      -- ``asyncio`` plus each mix server rebuilt in its own
+    #:   spawned worker process, so the mix/crypto hot path runs on
     #:   separate cores.
     #:
     #: Real runtimes have no modelled topology: link specs, fidelity, and
     #: access-link caps do not apply, and scenarios that sculpt the
     #: topology (``requires_simulated_network``) refuse to run on them.
     runtime: str = "sim"
-    #: ``runtime="mp"`` only: worker process count (0 = one per mix server).
-    mp_workers: int = 0
     #: PKG attestation scheme ("bls" = real BLS aggregate signatures,
     #: "simulated" = hash-based stand-in with identical wire sizes).
     #: Scenarios measure the system, not the pairing arithmetic -- same
@@ -380,7 +374,8 @@ class ScenarioResult:
             "crypto_backend": self.spec.crypto_backend,
             "fidelity": self.spec.fidelity,
             "runtime": self.spec.runtime,
-            "mp_workers": self.spec.mp_workers,
+            # the worker processes the run used: one per mix server on mp
+            "mp_workers": self.spec.num_mix_servers if self.spec.runtime == "mp" else 0,
             "attestation_backend": self.spec.attestation_backend,
             "addfriend_submit_stage_s": round(self.stage_mean("submit_stage_s", "add-friend"), 6),
             "addfriend_scan_stage_s": round(self.mean_scan_stage("add-friend"), 6),
@@ -405,9 +400,35 @@ class Scenario:
     #: topology to sculpt.  They set this and ``build`` refuses
     #: ``spec.runtime != "sim"`` with a ConfigurationError.
     requires_simulated_network = False
+    #: Link between any two servers (entry, mixes, PKGs, CDN).
+    server_link = LinkSpec.of(latency_ms=2, bandwidth_mbps=1000)
+    #: Real requests per mailbox the round sizes its mailbox count for, both
+    #: protocols -- small, so a few hundred clients still fill several.
+    target_per_mailbox = 16
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
+        #: Zipf-skewed mailbox placement (``spec.zipf_alpha > 0``): the
+        #: workload draws a shard per new index, so each email is kept.
+        self._zipf = None
+        self._emails: dict[int, str] = {}
+        if spec.zipf_alpha > 0:
+            if spec.entry_shards < 2:
+                raise ConfigurationError(
+                    f"zipf_alpha={spec.zipf_alpha:g} needs entry_shards > 1 (got "
+                    f"{spec.entry_shards}): one shard has no placement to skew"
+                )
+            if spec.fixed_mailbox_count is None:
+                raise ValueError(
+                    "zipf_alpha > 0 needs fixed_mailbox_count: mailbox placement "
+                    "must be stable across rounds for the skew to mean anything"
+                )
+            self._zipf = ZipfMailboxWorkload(
+                shard_count=spec.entry_shards,
+                mailbox_count=spec.fixed_mailbox_count,
+                alpha=spec.zipf_alpha,
+                seed=f"{spec.seed}/{spec.name}/zipf",
+            )
         #: Observability monitors (duck-typed; see ``_notify``): the one seam
         #: the record reaches its live views through.  Hooks:
         #: ``on_start(deployment, net, spec)`` once the deployment is
@@ -447,15 +468,6 @@ class Scenario:
     def before_round(self, deployment: Deployment, net: Transport, protocol: str, round_index: int) -> None:
         """Fault injection / load changes just before a round starts."""
 
-    def after_round(self, deployment: Deployment, net: Transport, summary: RoundSummary) -> None:
-        """Measurements / healing just after a round completes.
-
-        Under the pipelined driver the next round is already in flight when
-        this fires, so effects applied here (healing, load changes) reach
-        the round *after* the in-flight one; aborted rounds skip the hook
-        on both drive paths.
-        """
-
     # -- construction ------------------------------------------------------
     def server_endpoints(self) -> list[str]:
         # "coordinator" is the round driver, which runs in the entry
@@ -481,7 +493,7 @@ class Scenario:
         servers = self.server_endpoints()
         for i, a in enumerate(servers):
             for b in servers[i + 1 :]:
-                topology.set_link(a, b, self.spec.server_link)
+                topology.set_link(a, b, self.server_link)
         return topology
 
     def build_transport(self) -> Transport:
@@ -503,17 +515,12 @@ class Scenario:
         if spec.runtime == "mp":
             from repro.runtime import MultiprocessTransport, mix_endpoint_spec
 
-            # Workers rebuild the mix servers from the exact derivation
+            # One worker per mix server, rebuilt from the exact derivation
             # Deployment itself uses: (name, rng seed, crypto backend).
-            specs = [
-                mix_endpoint_spec(
-                    f"mix{i}", f"{spec.seed}/{spec.name}/mix/{i}", spec.crypto_backend
-                )
+            return MultiprocessTransport([
+                [mix_endpoint_spec(f"mix{i}", f"{spec.seed}/{spec.name}/mix/{i}", spec.crypto_backend)]
                 for i in range(spec.num_mix_servers)
-            ]
-            workers = spec.mp_workers if spec.mp_workers > 0 else len(specs)
-            workers = max(1, min(workers, len(specs)))
-            return MultiprocessTransport([specs[i::workers] for i in range(workers)])
+            ])
         raise ConfigurationError(
             f"unknown runtime {spec.runtime!r}: expected sim, asyncio, or mp"
         )
@@ -532,11 +539,10 @@ class Scenario:
             ibe_backend="simulated",
             crypto_backend=spec.crypto_backend,
             noise=NoiseConfig(noise_mu, noise_b, noise_mu, noise_b),
-            addfriend_target_per_mailbox=spec.addfriend_target_per_mailbox,
-            dialing_target_per_mailbox=spec.dialing_target_per_mailbox,
+            addfriend_target_per_mailbox=self.target_per_mailbox,
+            dialing_target_per_mailbox=self.target_per_mailbox,
             num_intents=3,
             addfriend_retry_horizon=spec.retry_horizon,
-            dialing_redial_attempts=spec.redial_attempts,
             entry_shards=spec.entry_shards,
             ingress_batch_size=spec.ingress_batch_size,
             fixed_mailbox_count=spec.fixed_mailbox_count,
@@ -569,7 +575,12 @@ class Scenario:
 
     # -- population --------------------------------------------------------
     def client_email(self, index: int) -> str:
-        return f"user{index}@sim.example.org"
+        if self._zipf is None:
+            return f"user{index}@sim.example.org"
+        email = self._emails.get(index)
+        if email is None:
+            email = self._emails[index] = self._zipf.email_for(index)
+        return email
 
     def populate(self, deployment: Deployment) -> None:
         deployment.create_clients([self.client_email(i) for i in range(self.spec.num_clients)])
@@ -754,12 +765,6 @@ class Scenario:
         latencies = []
 
         def on_summary(summary: RoundSummary) -> None:
-            # Under pipelining this fires mid-pipeline: the next round is
-            # already in flight, so after_round effects (healing, load
-            # shifts) reach the round after that -- the closest a pipelined
-            # deployment can get to "just after a round completes".
-            if not summary.aborted:
-                self.after_round(deployment, net, summary)
             latencies.append(summary.latency_s)
             self._record_round(deployment, net, result, RoundStats.from_summary(summary))
 

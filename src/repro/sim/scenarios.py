@@ -1,7 +1,9 @@
-"""The named scenarios the harness ships with.
+"""The named scenarios the harness ships with: one table, a row per scenario.
 
-Each scenario stresses one deployment-scale question the paper's testbed
-answered with EC2 machines:
+A row is ``name -> (class, ScenarioSpec)``.  Most rows are the base
+:class:`~repro.sim.scenario.Scenario` and differ only in their spec; a row
+has its own class only when it injects a fault the spec cannot state (a
+partition, a slow link, who is online, a burst of requests):
 
 * ``baseline`` -- steady state: every client online, uniform links.
 * ``client_churn`` -- a fraction of clients drops offline each round and
@@ -18,24 +20,46 @@ answered with EC2 machines:
   mailbox re-sizing and a bandwidth spike.
 * ``geo_distributed`` -- clients spread across regions with realistic
   inter-region latencies; servers are hosted in one region.
-* ``pipelined_rounds`` -- high-latency links with overlapped rounds: round
-  N+1's announce+submit runs while round N is still mixing and being
-  scanned, so throughput is bounded by the slowest stage rather than the
-  sum of stages.  Run it with ``pipelined=False`` for the sequential
-  baseline the speedup is measured against (``python -m repro.sim sweep
-  pipelining`` does both and reports the ratio).
-* ``sharded_entry`` -- the ``repro.cluster`` tier: N mailbox-range entry/CDN
-  shards behind capacity-limited access links, ingress envelope batching,
-  and an optional Zipf(α) mailbox-skewed client population.  The
-  ``shards`` experiment measures submit-stage scaling with shard count
+* ``pipelined_rounds`` -- 200 ms client links, where a round's submit stage
+  and its scan stage each take near half a second of simulated time, with
+  overlapped rounds: round N+1's announce+submit runs while round N is
+  still mixing and being scanned, so throughput is bounded by the slowest
+  stage rather than the sum of stages.  ``pipelined`` is the only
+  difference from the sequential baseline (``pipelined=False``), so
+  flipping it measures the speedup on identical topology and workload
+  (``python -m repro.sim sweep pipelining`` does both and reports the ratio).
+* ``sharded_entry`` -- the sharded entry/CDN tier: N mailbox-range shards,
+  each entry endpoint's ingress capped at ``shard_access_mbps`` (the shared
+  uplink a real front-end has), so the submit stage queues behind N access
+  links instead of one, and ``SubmitBatch`` frames of
+  ``ingress_batch_size`` envelopes amortize per-frame overhead on them.
+  Its eight pinned mailboxes keep placement stable across rounds, so
+  ``zipf_alpha > 0`` skews the client population across shards (§8.4; the
+  base scenario's placement, which every row with several shards honours).
+  The ``shards`` experiment measures submit-stage scaling with shard count
   and per-shard load imbalance under skew (``BENCH_shards.json``).
-* ``metropolis`` -- 10,000 clients on the ``accelerated`` crypto engine:
-  the scale the pluggable engine (the ``crypto`` experiment,
-  ``BENCH_crypto.json``) buys over the pure-Python hot path.
-* ``megacity`` -- 100,000 clients: round stages as client waves and
-  fluid-flow client links (the
-  ``fidelity`` experiment measures what each fidelity level costs and how
-  far ``fluid`` diverges; ``BENCH_fidelity.json``).
+* ``metropolis`` -- 10,000 clients on the ``accelerated`` crypto engine,
+  the scale the pluggable engine buys (the ``crypto`` experiment,
+  ``BENCH_crypto.json``): on the ``pure`` backend a population this size
+  spends minutes per round in Python ChaCha20/X25519.  On a stdlib-only
+  host run it with ``--crypto-backend pure`` (and patience); the error the
+  default raises there is the dependency gate working as intended.
+* ``megacity`` -- 100,000 clients, reachable because a round stage is one
+  wave over the population (one crypto-engine batch per round, frames
+  priced by delay arithmetic) and the client links run ``fluid``
+  (deterministic flows, no per-frame jitter draws).  ``--fidelity
+  slotted`` keeps per-frame fidelity at roughly the same cost; the
+  ``fidelity`` experiment measures what each level costs and how far
+  ``fluid`` diverges (``BENCH_fidelity.json``).
+* ``passive_observer`` / ``passive_observer_idle`` -- the two arms of the
+  paired distinguishing experiment (§6's threat model).  The target
+  ``user0`` queues one real friend request to ``user1`` (``friend_pairs=1``)
+  or stays idle (``friend_pairs=0``); every online client submits every
+  round either way, so the arms are wire-identical and a passive observer's
+  only signal is the published noisy mailbox counts.  The ``privacy``
+  experiment (:mod:`repro.sim.privacy_sweep`) runs many paired trials over
+  a noise grid and compares the empirical advantage to
+  ``(e^eps - 1)/(e^eps + 1)``.
 
 ``run_scenario("name", num_clients=500)`` is the programmatic entry point;
 ``python -m repro.sim run NAME`` is the CLI; ``python -m repro.sim sweep
@@ -50,10 +74,6 @@ from repro.net.links import LinkSpec
 from repro.net.simulated import SimulatedNetwork
 from repro.sim.scenario import Scenario, ScenarioResult, ScenarioSpec, with_overrides
 from repro.utils.rng import DeterministicRng
-
-
-class BaselineScenario(Scenario):
-    """Steady state: everyone online, uniform links."""
 
 
 class ClientChurnScenario(Scenario):
@@ -125,10 +145,8 @@ class PkgFailureScenario(Scenario):
     fail_at_round = 1  # 0-based add-friend round index
 
     def before_round(self, deployment, net, protocol, round_index) -> None:
-        # Heal in before_round rather than after_round: aborted rounds skip
-        # after_round, recovery must be observable on the very next round,
-        # and before_round is the one hook both the sequential and the
-        # pipelined drive paths call for every round.
+        # Both drive paths call before_round for every round, aborted ones
+        # included, so the heal lands on the very round after the failure.
         if protocol != "add-friend" or round_index > self.fail_at_round:
             net.topology.heal_endpoint(self.failed_pkg)
         elif round_index == self.fail_at_round:
@@ -155,107 +173,9 @@ class FlashCrowdScenario(Scenario):
         ]
         self._rng.shuffle(lonely)
         count = int(len(lonely) * self.flash_fraction) & ~1  # even
+        # Distinct clients with no friend and nothing queued: any error is real.
         for i in range(0, count, 2):
-            try:
-                lonely[i].add_friend(lonely[i + 1].email)
-            except Exception:  # already queued/friended via an earlier pair
-                continue
-
-
-class PipelinedRoundsScenario(Scenario):
-    """Back-to-back rounds on slow links, overlapped by the round engine.
-
-    Every WAN round trip costs ~2x the link latency, so at 200 ms a round's
-    submit stage and its scan stage each take near half a second of
-    simulated time.  Driving rounds through ``Deployment.run_rounds`` with
-    pipelining overlaps round N+1's announce+submit with round N's
-    mix+scan; the spec's ``pipelined`` flag is the only difference from the
-    sequential baseline, so flipping it measures the pipeline's speedup on
-    identical topology and workload.
-    """
-
-
-class ShardedEntryScenario(Scenario):
-    """The sharded entry/CDN tier under a capacity-limited access link.
-
-    Every entry endpoint's ingress is capped at ``spec.shard_access_mbps``
-    (the shared uplink a real front-end has), so the submit stage queues
-    behind it: with one entry server the whole population serializes
-    through one access link, with N shards through N.  Submit-stage
-    latency then scales down with the shard count -- the measurement the
-    ``shards`` experiment tracks -- while ingress batching (``SubmitBatch``
-    frames of ``spec.ingress_batch_size`` envelopes) amortizes per-frame
-    overhead on that contended link.
-
-    ``spec.zipf_alpha > 0`` skews the client population's mailbox placement
-    (see :class:`~repro.sim.workloads.ZipfMailboxWorkload`), producing the
-    per-shard load imbalance the paper's skew experiment (§8.4) studies at
-    the mailbox level.  Requires ``spec.fixed_mailbox_count`` so placement
-    is stable across rounds.
-    """
-
-    def __init__(self, spec: ScenarioSpec) -> None:
-        super().__init__(spec)
-        self._emails: dict[int, str] = {}
-        self._workload = None
-        if spec.entry_shards > 1 and spec.zipf_alpha > 0:
-            from repro.sim.workloads import ZipfMailboxWorkload
-
-            if spec.fixed_mailbox_count is None:
-                raise ValueError(
-                    "zipf_alpha > 0 needs fixed_mailbox_count: mailbox placement "
-                    "must be stable across rounds for the skew to mean anything"
-                )
-            self._workload = ZipfMailboxWorkload(
-                shard_count=spec.entry_shards,
-                mailbox_count=spec.fixed_mailbox_count,
-                alpha=spec.zipf_alpha,
-                seed=f"{spec.seed}/{spec.name}/zipf",
-            )
-
-    def client_email(self, index: int) -> str:
-        if self._workload is None:
-            return super().client_email(index)
-        email = self._emails.get(index)
-        if email is None:
-            email = self._emails[index] = self._workload.email_for(index)
-        return email
-
-
-class MegacityScenario(Scenario):
-    """The paper's headline scale: 100,000 clients in one deployment.
-
-    Reachable because a round stage is one wave over the population: every
-    client's envelope is built through one crypto-engine batch per round,
-    a wave's frames are priced by delay arithmetic with no per-frame
-    object, and the client links run in ``fluid`` mode (its spec default)
-    so the bulk traffic moves as deterministic flows with no per-frame
-    jitter draws.  ``--fidelity slotted`` keeps full per-frame
-    stochastic fidelity at roughly the same cost if the divergence (see
-    the ``fidelity`` experiment) matters for the measurement at hand.
-
-    Two rounds per protocol (the minimum for confirmations and dial
-    delivery) with 5,000 friend pairs keep a 100k run in single-figure
-    minutes on the accelerated crypto engine.
-    """
-
-
-class MetropolisScenario(Scenario):
-    """A city-scale population: 10,000 clients in one deployment.
-
-    The scenario that motivated the pluggable crypto engine: with the pure
-    backend a population this size spends minutes per round inside
-    ~1.3 ms-per-seal Python ChaCha20/X25519; under the ``accelerated``
-    backend (its spec default) the same workload is bounded by the
-    event simulator, not the crypto.  Run it on a stdlib-only host with
-    ``--crypto-backend pure`` (and patience) -- the error raised by the
-    default selection is the dependency gate working as intended.
-
-    The workload keeps the per-client story of ``baseline`` (disjoint
-    friend pairs, then one direction dials) at 25x its default scale; two
-    rounds per protocol (the minimum for confirmations and dial delivery)
-    keep a 10k run in single-figure minutes.
-    """
+            lonely[i].add_friend(lonely[i + 1].email)
 
 
 class GeoDistributedScenario(Scenario):
@@ -282,38 +202,9 @@ class GeoDistributedScenario(Scenario):
             net.topology.assign_region(self.client_email(index), region)
 
 
-class PassiveObserverScenario(Scenario):
-    """One arm of the paired distinguishing experiment (§6's threat model).
-
-    A target client either queues one real friend request ("acts") or stays
-    idle; every other client -- and, when idle, the target too -- submits
-    only cover traffic.  Since every online client participates every round
-    regardless, the two arms are wire-identical: the only signal a passive
-    observer gets is the published noisy mailbox counts, where acting adds
-    one message on top of the Laplace noise.  The audit harness
-    (:mod:`repro.sim.privacy_sweep`, the ``privacy`` experiment) runs many
-    paired trials over a noise grid and compares the empirical advantage to ``(e^eps - 1)/(e^eps + 1)``.
-    """
-
-    target_acts = True
-
-    def queue_friendships(self, deployment: Deployment) -> None:
-        if not self.target_acts:
-            return
-        a, b = self.client_email(0), self.client_email(1)
-        self.request_handles.append(deployment.session(a).add_friend(b))
-        self.sender_emails.add(a)
-
-
-class PassiveObserverIdleScenario(PassiveObserverScenario):
-    """The idle arm: the target submits cover traffic like everyone else."""
-
-    target_acts = False
-
-
 SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
     "baseline": (
-        BaselineScenario,
+        Scenario,
         ScenarioSpec(name="baseline", description="steady state, uniform links"),
     ),
     "client_churn": (
@@ -345,7 +236,7 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
         ScenarioSpec(name="geo_distributed", description="clients across three regions"),
     ),
     "metropolis": (
-        MetropolisScenario,
+        Scenario,
         ScenarioSpec(
             name="metropolis",
             description="10k clients on the accelerated crypto engine",
@@ -360,12 +251,13 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
         ),
     ),
     "megacity": (
-        MegacityScenario,
+        Scenario,
         ScenarioSpec(
             name="megacity",
             description="100k clients on fluid links and batched round stages",
             num_clients=100_000,
             friend_pairs=5_000,
+            # The minimum rounds, as metropolis: single-figure minutes at 100k.
             addfriend_rounds=2,
             dialing_rounds=2,
             crypto_backend="accelerated",
@@ -373,7 +265,7 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
         ),
     ),
     "sharded_entry": (
-        ShardedEntryScenario,
+        Scenario,
         ScenarioSpec(
             name="sharded_entry",
             description="mailbox-range sharded entry/CDN tier behind capped access links",
@@ -388,27 +280,29 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
         ),
     ),
     "passive_observer": (
-        PassiveObserverScenario,
+        Scenario,
         ScenarioSpec(
             name="passive_observer",
             description="distinguishing-audit arm: the target acts",
             num_clients=16,
+            friend_pairs=1,  # user0 -> user1
             addfriend_rounds=1,
             dialing_rounds=0,
         ),
     ),
     "passive_observer_idle": (
-        PassiveObserverIdleScenario,
+        Scenario,
         ScenarioSpec(
             name="passive_observer_idle",
             description="distinguishing-audit arm: the target stays idle",
             num_clients=16,
+            friend_pairs=0,
             addfriend_rounds=1,
             dialing_rounds=0,
         ),
     ),
     "pipelined_rounds": (
-        PipelinedRoundsScenario,
+        Scenario,
         ScenarioSpec(
             name="pipelined_rounds",
             description="overlapped rounds on 200 ms links (pipelined=False for baseline)",

@@ -622,3 +622,21 @@ class TestShardedScenario:
             make_scenario(
                 "sharded_entry", entry_shards=2, zipf_alpha=1.0, fixed_mailbox_count=None
             )
+
+    def test_zipf_over_one_shard_is_rejected(self):
+        """One shard has no placement to skew: fail closed, not silently uniform."""
+        from repro.errors import ConfigurationError
+        from repro.sim.scenarios import make_scenario
+
+        with pytest.raises(ConfigurationError, match="zipf_alpha.*entry_shards"):
+            make_scenario("sharded_entry", entry_shards=1, zipf_alpha=1.2)
+
+    def test_every_scenario_honours_zipf_placement(self):
+        """Zipf placement is the base scenario's, keyed on the spec alone."""
+        from repro.sim.scenarios import SCENARIOS, make_scenario
+
+        baseline = make_scenario("baseline", entry_shards=4, fixed_mailbox_count=8, zipf_alpha=1.2)
+        sharded = SCENARIOS["sharded_entry"][0](baseline.spec)
+        emails = [baseline.client_email(i) for i in range(16)]
+        assert emails == [sharded.client_email(i) for i in range(16)]
+        assert emails != [f"user{i}@sim.example.org" for i in range(16)]

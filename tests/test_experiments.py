@@ -468,12 +468,10 @@ class TestCli:
 
     def test_optional_int_takes_none(self):
         args = build_parser().parse_args(
-            ["run", "client_churn", "--retry-horizon", "none", "--redial-attempts", "3",
-             "--pipelined", "on"]
+            ["run", "client_churn", "--retry-horizon", "none", "--pipelined", "on"]
         )
         parsers = flag_parsers()
         assert parsers["retry_horizon"](args.retry_horizon) is None
-        assert parsers["redial_attempts"](args.redial_attempts) == 3
         assert parsers["pipelined"](args.pipelined) is True
 
     def test_every_scalar_spec_field_has_a_flag_that_round_trips(self):
@@ -496,7 +494,7 @@ class TestCli:
             if rest == "None":
                 assert parsers[spec_field.name]("none") is None
             checked += 1
-        assert checked == len(dataclasses.fields(ScenarioSpec)) - 2  # client_link, server_link
+        assert checked == len(dataclasses.fields(ScenarioSpec)) - 1  # client_link
 
     def test_hand_written_arguments_stay_few(self):
         source = (REPO / "src/repro/sim/__main__.py").read_text()

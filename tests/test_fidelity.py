@@ -32,11 +32,15 @@ from repro.sim import make_scenario, run_scenario
 #: dial began to count against the dialing budget, not only handle-placed
 #: ones: hashing with that block set back to its old zeros gave the previous
 #: four digests on both backends.
+#: The two privacy-audit arms were pinned, by the same recipe, while each
+#: still had its own ``Scenario`` subclass; as spec rows they must match.
 GOLDEN_DIGESTS = {
     "baseline": "ec454c3cf2a9522b17b3a2342be3190340e8a08abb2dfafeec2bcb2b8cea83a5",
     "sharded_entry": "8c3970d9655d0c335b10dc26a27dabe0cd505bc2ea5cd54dd715cefcc4905b6b",
     "pipelined_rounds": "7506eab2142d05752e4defb55306e8562517bccbeb9af5f38eb2181e21358ca7",
     "client_churn": "363a7cb0de962b059bd5d84f53c968c3c09ef0b88859db6063a647e0b80b937e",
+    "passive_observer": "93744b379ed152c12dd780edf33481b134d26603a05375e164eba812ee8918a6",
+    "passive_observer_idle": "5c93ccb59bad0415609e839fb4097aa0e91e713615ed20c078af4fa7e6da553e",
 }
 
 

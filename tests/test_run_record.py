@@ -336,7 +336,7 @@ class TestExplain:
     @pytest.mark.slow
     def test_mp_traced(self, tmp_path, capsys, monkeypatch):
         printed, envelope = self.explain_equals_run(
-            tmp_path, capsys, monkeypatch, "--runtime", "mp", "--mp-workers", "2", traced=True
+            tmp_path, capsys, monkeypatch, "--runtime", "mp", traced=True
         )
         assert "rpc.serve spans linked" in printed
         data = envelope["data"]

@@ -64,9 +64,10 @@ class TestRuntimeParity:
     @pytest.mark.slow
     def test_mp_matches_sim(self):
         sim = run_scenario("baseline", **SMALL)
-        real = run_scenario("baseline", runtime="mp", mp_workers=2, **SMALL)
+        real = run_scenario("baseline", runtime="mp", **SMALL)
         assert real.friendships_confirmed == sim.friendships_confirmed
         assert real.calls_delivered == sim.calls_delivered
+        assert real.to_dict()["mp_workers"] == real.spec.num_mix_servers
 
 
 class TestTeardown:

@@ -123,20 +123,14 @@ class TestFaultScenarios:
     def test_aborted_row_is_measured_on_both_drivers(self, pipelined):
         """One drive path: the aborted round's row is the engine's
         ``aborted_summary`` -- the abort's own latency and bytes -- whether or
-        not rounds overlap, and ``after_round`` never sees it."""
+        not rounds overlap."""
         scenario = make_scenario("pkg_failure", num_clients=16, seed="cmp-24", pipelined=pipelined)
-        seen = []
-        after_round = scenario.after_round
-        scenario.after_round = lambda deployment, net, summary: (
-            seen.append(summary.round_number), after_round(deployment, net, summary)
-        )
         addfriend = scenario.run().rounds_for("add-friend")
         (aborted,) = [r for r in addfriend if r.aborted]
         assert aborted.round_number == 2
         assert aborted.latency_s > 0 and aborted.submit_stage_s > 0 and aborted.bytes_sent > 0
         assert (aborted.submissions, aborted.delivered_real, aborted.mailbox_count) == (0, 0, 1)
         assert aborted.failures == aborted.participants == 16
-        assert seen[: len(addfriend) - 1] == [r.round_number for r in addfriend if not r.aborted]
 
     def test_flash_crowd_spikes_real_traffic(self):
         result = run_scenario("flash_crowd", num_clients=14, dialing_rounds=1,
