@@ -156,14 +156,6 @@ class PrivacyAccountant:
         #: Observed-round counts keyed by the Laplace scale they used.
         self._rounds_by_scale: dict[float, int] = {}
 
-    @property
-    def actions(self) -> int:
-        return sum(self._rounds_by_scale.values())
-
-    @property
-    def scales(self) -> dict[float, int]:
-        return dict(self._rounds_by_scale)
-
     def record(self, laplace_scale: float, actions: int = 1) -> PrivacyCost:
         """Account ``actions`` observations at ``laplace_scale``; returns the
         cumulative spend after recording."""
@@ -192,7 +184,7 @@ class PrivacyAccountant:
         return PrivacyCost(
             epsilon=epsilon,
             delta=self.delta,
-            actions=self.actions,
+            actions=sum(self._rounds_by_scale.values()),
             laplace_scale=min(self._rounds_by_scale),
         )
 

@@ -8,15 +8,10 @@ noise, shuffling), inter-server transfers across WAN links, mailbox
 construction, the client's download, and the client's scan (IBE trial
 decryption for add-friend, hashing against a Bloom filter for dialing).
 
-The model is parameterised by a :class:`CostModel` of per-operation costs.
-Two calibrations ship with the library:
-
-* ``CostModel.paper_go_prototype()`` -- constants from §8.2 of the paper
-  (assembly pairings: 800 IBE decryptions/sec/core, 1M hashes/sec, EC2-class
-  CPUs and WAN links), which reproduces the paper's absolute numbers, and
-* ``CostModel.measured_python(...)`` -- constants measured from this
-  implementation's microbenchmarks, which reproduces the same *shape* at
-  pure-Python speeds.
+The model is parameterised by a :class:`CostModel` of per-operation costs;
+``CostModel.paper_go_prototype()`` holds the constants from §8.2 of the paper
+(assembly pairings: 800 IBE decryptions/sec/core, 1M hashes/sec, EC2-class
+CPUs and WAN links), which reproduce the paper's absolute numbers.
 """
 
 from __future__ import annotations
@@ -64,26 +59,6 @@ class CostModel:
             wan_bandwidth_bytes_per_s=1.25e9,      # 10 Gbps
             wan_rtt=0.08,                          # Virginia <-> Ireland <-> Frankfurt
             client_download_bytes_per_s=12.5e6,    # 100 Mbps client link
-        )
-
-    @staticmethod
-    def measured_python(
-        ibe_decrypt: float,
-        onion_decrypt: float,
-        dialing_hash: float,
-        pkg_extraction: float,
-    ) -> "CostModel":
-        """A model calibrated with costs measured from this implementation."""
-        return CostModel(
-            onion_decrypt_per_request=onion_decrypt,
-            noise_generation_per_message=onion_decrypt * 2,
-            shuffle_per_request=0.5e-6,
-            ibe_decrypt=ibe_decrypt,
-            dialing_hash=dialing_hash,
-            pkg_extraction=pkg_extraction,
-            wan_bandwidth_bytes_per_s=1.25e9,
-            wan_rtt=0.08,
-            client_download_bytes_per_s=12.5e6,
         )
 
 

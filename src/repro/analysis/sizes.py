@@ -2,19 +2,15 @@
 
 The paper's numbers: an add-friend request is 244 bytes of signed fields
 plus a 64-byte (compressed BN-256) IBE ciphertext component, 308 bytes in
-total; a dial token is 256 bits; a Bloom-filter entry costs 48 bits.  Our
-implementation uses uncompressed BN254 encodings, so its requests are a bit
-larger; both layouts are modelled here so the bandwidth figures can be
-reproduced with either.
+total; a dial token is 256 bits; a Bloom-filter entry costs 48 bits.  The
+bandwidth figures are reproduced from these sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.aead import AEAD_OVERHEAD
 from repro.mixnet.onion import LAYER_OVERHEAD
-from repro.primitives.bloom import bits_per_element
 
 
 @dataclass(frozen=True)
@@ -51,18 +47,6 @@ class WireSizes:
             friend_request_fields=244,
             ibe_ciphertext_overhead=64,
             bloom_bits_per_token=48.0,
-        )
-
-    @staticmethod
-    def this_implementation(false_positive_rate: float = 1e-10) -> "WireSizes":
-        """The sizes produced by this library's (uncompressed) encodings."""
-        # FriendRequest.to_bytes() for a typical email is ~250 bytes plus the
-        # fixed-size padding negotiated per round; the IBE layer adds the
-        # 2-byte framing, a 128-byte uncompressed G2 header and AEAD overhead.
-        return WireSizes(
-            friend_request_fields=260,
-            ibe_ciphertext_overhead=2 + 128 + AEAD_OVERHEAD,
-            bloom_bits_per_token=bits_per_element(false_positive_rate),
         )
 
     def scaled_ibe(self, factor: float) -> "WireSizes":

@@ -63,21 +63,6 @@ class SessionEvent:
 EventHandler = Callable[[SessionEvent], None]
 
 
-class _Subscription:
-    """One registration of a handler.
-
-    A distinct wrapper object per ``subscribe`` call (compared by identity)
-    is what makes unsubscribe exact: subscribing the same handler twice
-    yields two independent registrations, and each unsubscribe callable
-    removes only its own.
-    """
-
-    __slots__ = ("handler",)
-
-    def __init__(self, handler: EventHandler) -> None:
-        self.handler = handler
-
-
 class EventBus:
     """Multi-subscriber event dispatch with a queryable history.
 
@@ -89,42 +74,18 @@ class EventBus:
     DEFAULT_MAX_HISTORY = 10_000
 
     def __init__(self, max_history: int = DEFAULT_MAX_HISTORY) -> None:
-        self._subscribers: dict[str, list[_Subscription]] = {}
-        self._all: list[_Subscription] = []
+        self._subscribers: dict[str, list[EventHandler]] = {}
+        self._all: list[EventHandler] = []
         self._history: deque[SessionEvent] = deque(maxlen=max_history)
 
     # -- subscription ------------------------------------------------------
-    def subscribe(self, event_type: str, handler: EventHandler) -> Callable[[], None]:
-        """Invoke ``handler(event)`` for every event of ``event_type``.
+    def subscribe(self, event_type: str, handler: EventHandler) -> None:
+        """Invoke ``handler(event)`` for every event of ``event_type``."""
+        self._subscribers.setdefault(event_type, []).append(handler)
 
-        Returns an unsubscribe callable (idempotent, and scoped to this
-        subscription: a handler subscribed twice keeps its other
-        registration).
-        """
-        handlers = self._subscribers.setdefault(event_type, [])
-        entry = _Subscription(handler)
-        handlers.append(entry)
-
-        def unsubscribe() -> None:
-            try:
-                handlers.remove(entry)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def subscribe_all(self, handler: EventHandler) -> Callable[[], None]:
+    def subscribe_all(self, handler: EventHandler) -> None:
         """Invoke ``handler`` for every event regardless of type."""
-        entry = _Subscription(handler)
-        self._all.append(entry)
-
-        def unsubscribe() -> None:
-            try:
-                self._all.remove(entry)
-            except ValueError:
-                pass
-
-        return unsubscribe
+        self._all.append(handler)
 
     # -- emission ----------------------------------------------------------
     def emit(
@@ -139,10 +100,10 @@ class EventBus:
             type=event_type, email=email, round_number=round_number, data=data
         )
         self._history.append(event)
-        for entry in list(self._subscribers.get(event_type, ())):
-            entry.handler(event)
-        for entry in list(self._all):
-            entry.handler(event)
+        for handler in list(self._subscribers.get(event_type, ())):
+            handler(event)
+        for handler in list(self._all):
+            handler(event)
         return event
 
     # -- history (what tests and simple applications poll) ------------------
@@ -150,12 +111,3 @@ class EventBus:
         if event_type is None:
             return list(self._history)
         return [e for e in self._history if e.type == event_type]
-
-    def last(self, event_type: str) -> SessionEvent | None:
-        for event in reversed(self._history):
-            if event.type == event_type:
-                return event
-        return None
-
-    def __len__(self) -> int:
-        return len(self._history)

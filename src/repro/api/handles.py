@@ -90,7 +90,7 @@ class FriendRequestHandle:
 class CallHandle:
     """One ``Call`` as the application sees it, across re-dials.
 
-    With the session's dialing retry enabled (``redial_attempts``), a call
+    With the session's dialing retry enabled (``dialing_redial_attempts``), a call
     whose round aborted returns to ``QUEUED`` and is re-dialed next round
     instead of failing terminally; ``attempts`` counts the dials.
     """
@@ -110,9 +110,6 @@ class CallHandle:
     @property
     def session_key(self) -> bytes | None:
         return self.placed.session_key if self.placed is not None else None
-
-    def done(self) -> bool:
-        return self.state in (RequestState.DELIVERED, RequestState.FAILED)
 
     def __repr__(self) -> str:
         return (

@@ -49,10 +49,10 @@ class ClientSession:
     ``retry_horizon`` (``addfriend_retry_horizon``) re-enqueues a friend
     request still unconfirmed this many add-friend rounds after its last
     submission (``None`` disables retry, matching the paper's bare library);
-    ``redial_attempts`` (``dialing_redial_attempts``) re-dials a call whose
-    round aborted (deduped by (friend, intent)) until it has entered that
-    many rounds in total (``None`` keeps a dead round's calls terminally
-    FAILED, the paper's bare-library behavior).
+    ``dialing_redial_attempts`` re-dials a call whose round aborted (deduped
+    by (friend, intent)) until it has entered that many rounds in total
+    (``None`` keeps a dead round's calls terminally FAILED, the paper's
+    bare-library behavior).
 
     Two plain attributes are the application's to set:
     ``accept_friend(email, signing_key) -> bool`` is the ``NewFriend``
@@ -81,20 +81,9 @@ class ClientSession:
     def retry_horizon(self) -> int | None:
         return self.client.config.addfriend_retry_horizon
 
-    @property
-    def redial_attempts(self) -> int | None:
-        return self.client.config.dialing_redial_attempts
-
     # ------------------------------------------------------------------ #
     # The application-facing API
     # ------------------------------------------------------------------ #
-    @property
-    def email(self) -> str:
-        return self.client.email
-
-    def my_signing_key(self) -> bytes:
-        return self.client.my_signing_key()
-
     def friends(self) -> list[str]:
         return self.client.friends()
 
@@ -130,24 +119,11 @@ class ClientSession:
         self._calls.append(handle)
         return handle
 
-    def request(self, email: str) -> FriendRequestHandle | None:
-        """The (most recent) friend-request handle for ``email``."""
-        return self._requests.get(email.lower())
-
-    def requests(self) -> list[FriendRequestHandle]:
-        return list(self._requests.values())
-
     def pending_requests(self) -> list[FriendRequestHandle]:
         return [h for h in self._requests.values() if not h.done()]
 
-    def calls(self) -> list[CallHandle]:
-        return list(self._calls)
-
     def received_calls(self) -> list[IncomingCall]:
         return list(self._received)
-
-    def __repr__(self) -> str:
-        return f"ClientSession({self.email!r}, requests={len(self._requests)})"
 
     # ------------------------------------------------------------------ #
     # Privacy budget accounting (§8.1)
@@ -296,12 +272,13 @@ class ClientSession:
     def _try_redial(self, handle: CallHandle, round_number: int) -> bool:
         """The dialing outbox: re-enqueue an aborted call for the next round.
 
-        Bounded by ``redial_attempts`` total dials and deduped by
+        Bounded by ``dialing_redial_attempts`` total dials and deduped by
         ``(friend, intent)``: if another live handle already covers the same
         intent, this one is left to fail -- a second dial would either burn
         a round slot or ring the callee twice for one intention.
         """
-        if not self.redial_attempts or handle.attempts >= self.redial_attempts:
+        limit = self.client.config.dialing_redial_attempts
+        if not limit or handle.attempts >= limit:
             return False
         for other in self._calls:
             if (

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.errors import ShardRoutingError
 from repro.mixnet.mailbox import mailbox_for_identity
-from repro.net.rpc import SHARD_DIRECTORY
 
 
 def balanced_ranges(mailbox_count: int, shard_count: int) -> list[tuple[int, int]]:
@@ -96,10 +95,6 @@ class ShardDirectory:
             ranges=ranges,
         )
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.ranges)
-
     # -- routing -----------------------------------------------------------
     def shard_for_mailbox(self, mailbox_id: int) -> ShardRange:
         """The owning shard; raises :class:`ShardRoutingError` off the map.
@@ -122,8 +117,8 @@ class ShardDirectory:
 
     # -- wire format ---------------------------------------------------------
     def to_fields(self) -> tuple:
-        """The :data:`SHARD_DIRECTORY` value: what a message embedding the
-        directory is handed (a shard's index is its position)."""
+        """The :data:`repro.net.rpc.SHARD_DIRECTORY` value: what a message
+        embedding the directory is handed (a shard's index is its position)."""
         return (
             self.protocol,
             self.round_number,
@@ -140,11 +135,4 @@ class ShardDirectory:
             mailbox_count=mailbox_count,
             ranges=tuple(ShardRange(index, *shard) for index, shard in enumerate(ranges)),
         )
-
-    def to_bytes(self) -> bytes:
-        return SHARD_DIRECTORY.encode(*self.to_fields())
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "ShardDirectory":
-        return ShardDirectory.from_fields(SHARD_DIRECTORY.decode(data))
 

@@ -131,6 +131,3 @@ class AddressBook:
 
     def pop_pending_outgoing(self, email: str) -> PendingOutgoing | None:
         return self._pending_outgoing.pop(email.lower(), None)
-
-    def pending_count(self) -> int:
-        return len(self._pending_outgoing)

@@ -254,9 +254,6 @@ class Client:
         self.dialing.finish_round(round_number)
         return calls
 
-    def __repr__(self) -> str:
-        return f"Client({self.email!r}, friends={len(self.keywheel)})"
-
 
 def register_clients(clients: list[Client], pkg_stubs: list, email_network) -> None:
     """``Register()`` for any number of clients, in two waves (§4.6).

@@ -110,9 +110,6 @@ class FriendRequest:
     def from_bytes(data: bytes) -> "FriendRequest":
         return FriendRequest(*FRIEND_REQUEST.decode(data))
 
-    def wire_size(self) -> int:
-        return len(self.to_bytes())
-
     # -- verification ----------------------------------------------------------
     def verify(
         self,

@@ -65,9 +65,6 @@ class Keywheel:
         """Erase a wheel entirely (the §3.2 'remove a friend' escape hatch)."""
         self._entries.pop(friend.lower(), None)
 
-    def friends(self) -> list[str]:
-        return sorted(self._entries)
-
     def entry(self, friend: str) -> KeywheelEntry:
         friend = friend.lower()
         if friend not in self._entries:
@@ -76,9 +73,6 @@ class Keywheel:
 
     def has_friend(self, friend: str) -> bool:
         return friend.lower() in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     # -- evolution --------------------------------------------------------
     def advance_to(self, round_number: int) -> None:

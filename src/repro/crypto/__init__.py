@@ -10,8 +10,6 @@ used to protect real traffic.
 """
 
 from repro.crypto.hashing import (
-    sha256,
-    sha512,
     hmac_sha256,
     hkdf,
     KeywheelHash,
@@ -23,7 +21,6 @@ from repro.crypto import engine
 from repro.crypto.engine import (
     CryptoBackend,
     active_backend,
-    available_backends,
     get_backend,
     registered_backends,
     set_active_backend,
@@ -34,13 +31,10 @@ __all__ = [
     "engine",
     "CryptoBackend",
     "active_backend",
-    "available_backends",
     "get_backend",
     "registered_backends",
     "set_active_backend",
     "use_backend",
-    "sha256",
-    "sha512",
     "hmac_sha256",
     "hkdf",
     "KeywheelHash",

@@ -30,7 +30,7 @@ from repro.crypto.bn254.curve import (
 )
 from repro.crypto.bn254.field import CURVE_ORDER
 from repro.crypto.bn254.pairing import multi_pairing
-from repro.errors import CryptoError, SignatureError
+from repro.errors import CryptoError
 from repro.utils.rng import random_bytes
 
 _MESSAGE_DOMAIN = b"repro/bls/message"
@@ -85,12 +85,6 @@ def verify(public: G2Point, message: bytes, signature: G1Point) -> bool:
     return result.is_one()
 
 
-def verify_strict(public: G2Point, message: bytes, signature: G1Point) -> None:
-    """Like :func:`verify` but raises :class:`SignatureError` on failure."""
-    if not verify(public, message, signature):
-        raise SignatureError("BLS signature verification failed")
-
-
 def aggregate_signatures(signatures: list[G1Point]) -> G1Point:
     """Aggregate same-message signatures into one G1 point (``PKGSigs``)."""
     if not signatures:
@@ -117,11 +111,3 @@ def signature_to_bytes(signature: G1Point) -> bytes:
 
 def signature_from_bytes(data: bytes) -> G1Point:
     return G1Point.from_bytes(data)
-
-
-def public_to_bytes(public: G2Point) -> bytes:
-    return public.to_bytes()
-
-
-def public_from_bytes(data: bytes) -> G2Point:
-    return G2Point.from_bytes(data)

@@ -128,20 +128,7 @@ class G1Point:
             return self.infinity == other.infinity
         return self.x == other.x and self.y == other.y
 
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.infinity))
-
-    def __repr__(self) -> str:
-        if self.infinity:
-            return "G1Point(infinity)"
-        return f"G1Point({self.x}, {self.y})"
-
     # -- group law ----------------------------------------------------
-    def __neg__(self) -> "G1Point":
-        if self.infinity:
-            return self
-        return G1Point(self.x, -self.y)
-
     def __add__(self, other: "G1Point") -> "G1Point":
         if self.infinity:
             return other
@@ -155,9 +142,6 @@ class G1Point:
         x3 = (slope * slope - self.x - other.x) % _P
         y3 = (slope * (self.x - x3) - self.y) % _P
         return G1Point(x3, y3)
-
-    def __sub__(self, other: "G1Point") -> "G1Point":
-        return self + (-other)
 
     def double(self) -> "G1Point":
         if self.infinity or self.y == 0:
@@ -386,14 +370,6 @@ class G2Point:
             return self.infinity == other.infinity
         return self.x == other.x and self.y == other.y
 
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.infinity))
-
-    def __repr__(self) -> str:
-        if self.infinity:
-            return "G2Point(infinity)"
-        return f"G2Point({self.x!r}, {self.y!r})"
-
     def __neg__(self) -> "G2Point":
         if self.infinity:
             return self
@@ -412,9 +388,6 @@ class G2Point:
         x3 = slope.square() - self.x - other.x
         y3 = slope * (self.x - x3) - self.y
         return G2Point(x3, y3)
-
-    def __sub__(self, other: "G2Point") -> "G2Point":
-        return self + (-other)
 
     def double(self) -> "G2Point":
         if self.infinity or self.y.is_zero():

@@ -23,7 +23,7 @@ only the ``_raw`` helpers return unreduced values, and only to a kernel.
 
 :class:`Fq2` and :class:`Fq12` are the value types the rest of the repo and
 the wire see (G2 coordinates, GT elements).  They always hold canonical
-coefficients and do their arithmetic through the kernels.  The object tower
+coefficients; ``Fq2`` does its arithmetic through the kernels.  The object tower
 these kernels replaced lives on in ``tests/textbook_crypto.py`` as the
 oracle they are tested against.  A full pairing takes under 10 ms on
 CPython.
@@ -94,38 +94,6 @@ def fq2_pow(a0: int, a1: int, exponent: int) -> tuple[int, int]:
         a0, a1 = fq2_square(a0, a1)
         exponent >>= 1
     return r0, r1
-
-
-def fq2_sqrt(a0: int, a1: int) -> tuple[int, int] | None:
-    """Square root in Fq2, or None if not a quadratic residue.
-
-    Uses the standard complex-method: for a = a0 + a1 u with u^2 = -1,
-    solve via the base-field norm.
-    """
-    a0 %= _P
-    a1 %= _P
-    if a1 == 0:
-        root = fq_sqrt(a0)
-        if root is not None:
-            return root, 0
-        # sqrt(a0) = sqrt(-a0) * u  since u^2 = -1
-        root = fq_sqrt(-a0)
-        if root is None:
-            return None
-        return 0, root
-    alpha = fq_sqrt(a0 * a0 + a1 * a1)
-    if alpha is None:
-        return None
-    half = (_P + 1) // 2
-    x0 = fq_sqrt((a0 + alpha) * half)
-    if x0 is None:
-        x0 = fq_sqrt((a0 - alpha) * half)
-        if x0 is None:
-            return None
-    x1 = a1 * fq_inv(2 * x0) % _P
-    if fq2_square(x0, x1) == (a0, a1):
-        return x0, x1
-    return None
 
 
 # Frobenius constant gamma1 = xi^((p-1)/6), an Fq2 element.  In the w-basis
@@ -227,17 +195,6 @@ def _fq6_mul_by_01_raw(a, b0, b1, b2, b3):
     m = a4 * b0
     n = a5 * b1
     return c00, c01, c10, c11, m - n + t10, (a4 + a5) * (b0 + b1) - m - n + t11
-
-
-def fq6_mul(a, b):
-    c0, c1, c2, c3, c4, c5 = _fq6_mul_raw(a, b)
-    return c0 % _P, c1 % _P, c2 % _P, c3 % _P, c4 % _P, c5 % _P
-
-
-def fq6_mul_by_01(a, b0: int, b1: int, b2: int, b3: int):
-    """Multiply by the sparse element ``(b0 + b1 u) + (b2 + b3 u) v``."""
-    c0, c1, c2, c3, c4, c5 = _fq6_mul_by_01_raw(a, b0, b1, b2, b3)
-    return c0 % _P, c1 % _P, c2 % _P, c3 % _P, c4 % _P, c5 % _P
 
 
 def fq6_inverse(a):
@@ -419,7 +376,8 @@ def fq12_frobenius(a, power: int = 1):
 
 def fq12_pow(a, exponent: int):
     """Plain square-and-multiply (``exponent >= 0``); the pairing itself
-    never calls it, the value type and the tests do."""
+    never calls it.  It is the tests' oracle for the final exponentiation's
+    addition chain and for bilinearity."""
     result = FQ12_ONE
     while exponent:
         if exponent & 1:
@@ -445,10 +403,6 @@ class Fq2:
     def zero() -> "Fq2":
         return Fq2(0, 0)
 
-    @staticmethod
-    def one() -> "Fq2":
-        return Fq2(1, 0)
-
     def __add__(self, other: "Fq2") -> "Fq2":
         return Fq2(self.c0 + other.c0, self.c1 + other.c1)
 
@@ -464,30 +418,14 @@ class Fq2:
     def square(self) -> "Fq2":
         return Fq2(*fq2_square(self.c0, self.c1))
 
-    def conjugate(self) -> "Fq2":
-        return Fq2(self.c0, -self.c1)
-
     def inverse(self) -> "Fq2":
         return Fq2(*fq2_inverse(self.c0, self.c1))
-
-    def pow(self, exponent: int) -> "Fq2":
-        return Fq2(*fq2_pow(self.c0, self.c1, exponent))
-
-    def sqrt(self) -> "Fq2 | None":
-        root = fq2_sqrt(self.c0, self.c1)
-        return None if root is None else Fq2(*root)
 
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Fq2) and self.c0 == other.c0 and self.c1 == other.c1
-
-    def __hash__(self) -> int:
-        return hash((self.c0, self.c1))
-
-    def __repr__(self) -> str:
-        return f"Fq2({self.c0}, {self.c1})"
 
 
 # Non-residue used throughout the tower.
@@ -505,54 +443,11 @@ class Fq12:
             raise CryptoError("Fq12 needs exactly 12 Fq coefficients")
         self.coeffs = tuple(coeff % _P for coeff in coeffs)
 
-    @staticmethod
-    def zero() -> "Fq12":
-        return Fq12((0,) * 12)
-
-    @staticmethod
-    def one() -> "Fq12":
-        return Fq12(FQ12_ONE)
-
-    @staticmethod
-    def from_w_coefficients(coeffs: list[Fq2]) -> "Fq12":
-        """Build an element from its six coefficients in the basis 1..w^5."""
-        if len(coeffs) != 6:
-            raise CryptoError("Fq12 needs exactly 6 Fq2 coefficients")
-        return Fq12([c for coeff in coeffs for c in (coeff.c0, coeff.c1)])
-
-    def w_coefficients(self) -> list[Fq2]:
-        c = self.coeffs
-        return [Fq2(c[k], c[k + 1]) for k in range(0, 12, 2)]
-
-    def __mul__(self, other: "Fq12") -> "Fq12":
-        return Fq12(fq12_mul(self.coeffs, other.coeffs))
-
-    def conjugate(self) -> "Fq12":
-        """The p^6-power Frobenius; the inverse inside the cyclotomic subgroup."""
-        return Fq12(fq12_conjugate(self.coeffs))
-
-    def inverse(self) -> "Fq12":
-        return Fq12(fq12_inverse(self.coeffs))
-
-    def pow(self, exponent: int) -> "Fq12":
-        if exponent < 0:
-            return Fq12(fq12_pow(fq12_inverse(self.coeffs), -exponent))
-        return Fq12(fq12_pow(self.coeffs, exponent))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def is_one(self) -> bool:
         return self.coeffs == FQ12_ONE
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Fq12) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Fq12({self.coeffs!r})"
 
     def to_bytes(self) -> bytes:
         """Canonical 384-byte encoding (12 base-field coefficients)."""

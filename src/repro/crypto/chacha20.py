@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 
 from repro.errors import CryptoError
-from repro.utils.bytes import xor_bytes
 
 KEY_SIZE = 32
 NONCE_SIZE = 12
@@ -95,11 +94,3 @@ def chacha20_stream(key: bytes, nonce: bytes, length: int, initial_counter: int 
     blocks = -(-length // BLOCK_SIZE)
     return _keystream_blocks(key, nonce, initial_counter, blocks)[:length]
 
-
-def chacha20_encrypt(key: bytes, nonce: bytes, plaintext: bytes, initial_counter: int = 0) -> bytes:
-    """Encrypt (or decrypt) by XOR with the keystream."""
-    return xor_bytes(plaintext, chacha20_stream(key, nonce, len(plaintext), initial_counter))
-
-
-# Decryption is the same XOR operation.
-chacha20_decrypt = chacha20_encrypt

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.errors import CryptoError, SignatureError
+from repro.errors import CryptoError
 from repro.utils.rng import random_bytes
 
 KEY_SIZE = 32
@@ -207,12 +207,6 @@ def public_key(private_key: bytes) -> bytes:
     return _point_compress(_base_mul(a))
 
 
-def generate_keypair() -> tuple[bytes, bytes]:
-    """Return a fresh ``(private_key, public_key)`` pair."""
-    private = generate_private_key()
-    return private, public_key(private)
-
-
 def sign(private_key: bytes, message: bytes) -> bytes:
     """Produce a 64-byte Ed25519 signature over ``message``."""
     a, prefix = _secret_expand(private_key)
@@ -240,9 +234,3 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     left = _base_mul(s)
     right = _point_add(point_r, _point_mul(h, point_a))
     return _point_equal(left, right)
-
-
-def verify_strict(public: bytes, message: bytes, signature: bytes) -> None:
-    """Like :func:`verify` but raises :class:`SignatureError` on failure."""
-    if not verify(public, message, signature):
-        raise SignatureError("Ed25519 signature verification failed")

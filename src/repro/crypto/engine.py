@@ -183,9 +183,6 @@ class CryptoBackend:
         )
         return list(zip(publics, secrets))
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
-
 
 class PureBackend(CryptoBackend):
     """The stdlib-only reference implementation (today's code, the default)."""

@@ -18,16 +18,6 @@ import hashlib
 import hmac as _hmac
 
 
-def sha256(data: bytes) -> bytes:
-    """SHA-256 digest."""
-    return hashlib.sha256(data).digest()
-
-
-def sha512(data: bytes) -> bytes:
-    """SHA-512 digest."""
-    return hashlib.sha512(data).digest()
-
-
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256."""
     return _hmac.new(key, data, hashlib.sha256).digest()

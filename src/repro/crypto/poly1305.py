@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hmac
-
 from repro.errors import CryptoError
 
 TAG_SIZE = 16
@@ -26,9 +24,3 @@ def poly1305_mac(key: bytes, message: bytes) -> bytes:
         accumulator = ((accumulator + block) * r) % _PRIME
     tag = (accumulator + s) % (1 << 128)
     return tag.to_bytes(16, "little")
-
-
-def poly1305_verify(key: bytes, message: bytes, tag: bytes) -> bool:
-    """Constant-time comparison of the expected and provided tags."""
-    expected = poly1305_mac(key, message)
-    return hmac.compare_digest(expected, tag)

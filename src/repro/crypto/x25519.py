@@ -126,9 +126,3 @@ def shared_secret(private_key: bytes, peer_public_key: bytes) -> bytes:
     if secret == b"\x00" * KEY_SIZE:
         raise CryptoError("X25519 produced the all-zero shared secret")
     return secret
-
-
-def generate_keypair() -> tuple[bytes, bytes]:
-    """Return a fresh ``(private_key, public_key)`` pair."""
-    private = generate_private_key()
-    return private, public_key(private)

@@ -2,13 +2,11 @@
 
 Alpenhorn bootstraps user identity from email (§4.6): each PKG emails a
 secret confirmation token to the address being registered, and only someone
-who can read that inbox can complete registration.  The paper's threat model
-explicitly considers compromised email providers, so the simulation models:
-
-* normal delivery to per-address inboxes,
-* an adversary with read access to selected mailboxes (a compromised
-  provider or account), used by tests of the lockout policy, and
-* delivery failure for unknown domains/addresses.
+who can read that inbox can complete registration.  The simulation models
+normal delivery to per-address inboxes and delivery failure for unknown
+domains/addresses.  An adversary that compromised a provider or account
+(the paper's threat model) reads an inbox through :meth:`EmailProvider.read_inbox`
+like its owner; the lockout tests do exactly that.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ class EmailProvider:
     """One email provider (e.g. ``example.org``) hosting many mailboxes."""
 
     domain: str
-    compromised: bool = False
     _inboxes: dict[str, list[EmailMessage]] = field(default_factory=dict)
 
     def address_belongs_here(self, address: str) -> bool:
@@ -57,12 +54,6 @@ class EmailProvider:
     def read_inbox(self, address: str) -> list[EmailMessage]:
         """Read messages as the legitimate mailbox owner."""
         return list(self._inboxes.get(address.lower(), []))
-
-    def adversary_read_inbox(self, address: str) -> list[EmailMessage]:
-        """Read messages as an adversary; only possible if compromised."""
-        if not self.compromised:
-            raise EmailDeliveryError(f"provider {self.domain} is not compromised")
-        return self.read_inbox(address)
 
 
 class EmailNetwork:

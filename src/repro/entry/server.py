@@ -207,12 +207,6 @@ class EntryServer:
         self._prune(protocol, round_number)
         return announcement
 
-    def current_announcement(self, protocol: str, round_number: int) -> RoundAnnouncement:
-        key = (protocol, round_number)
-        if key not in self._announcements:
-            raise RoundError(f"{protocol} round {round_number} is not open")
-        return self._announcements[key]
-
     def abort_round(self, protocol: str, round_number: int) -> None:
         """Tear down a round that cannot complete: drop its envelopes on
         every shard and erase every server-side round secret.  Idempotent;

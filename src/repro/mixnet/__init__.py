@@ -11,7 +11,7 @@ leaving it, and the added noise makes the observable mailbox counts
 differentially private.
 """
 
-from repro.mixnet.onion import OnionKeyPair, wrap_onion, unwrap_layer, onion_overhead
+from repro.mixnet.onion import OnionKeyPair, wrap_onion
 from repro.mixnet.server import MixServer
 from repro.mixnet.chain import MixChain, RoundResult
 from repro.mixnet.mailbox import (
@@ -27,8 +27,6 @@ from repro.mixnet.noise import NoiseConfig
 __all__ = [
     "OnionKeyPair",
     "wrap_onion",
-    "unwrap_layer",
-    "onion_overhead",
     "MixServer",
     "MixChain",
     "RoundResult",

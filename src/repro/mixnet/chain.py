@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.errors import MixnetError
+from repro.errors import MixnetError, RoundError
 from repro.mixnet.mailbox import (
     COVER_MAILBOX_ID,
     AddFriendMailbox,
@@ -40,9 +40,6 @@ class _LocalMixHandle:
 
     def open_round(self, protocol: str, round_number: int) -> bytes:
         return self.server.open_round(protocol, round_number)
-
-    def round_public_key(self, protocol: str, round_number: int) -> bytes:
-        return self.server.round_public_key(protocol, round_number)
 
     def close_round(self, protocol: str, round_number: int) -> None:
         self.server.close_round(protocol, round_number)
@@ -106,14 +103,12 @@ class MixChain:
             if not self.servers:
                 raise MixnetError("mix chain needs at least one server")
             self._handles = [_LocalMixHandle(server) for server in self.servers]
-        # Round public keys collected at open_round, so run_round does not
-        # re-fetch every downstream key on every hop (O(m^2) RPCs otherwise).
-        # Keyed by (protocol, round_number): the two protocols run
-        # independently numbered, possibly concurrent, rounds.
+        # Round public keys collected at open_round: run_round needs them
+        # to hand each server its downstream keys, so it refuses a round
+        # this chain did not open (or has closed).  Keyed by (protocol,
+        # round_number): the two protocols run independently numbered,
+        # possibly concurrent, rounds.
         self._round_publics: dict[tuple[str, int], list[bytes]] = {}
-
-    def __len__(self) -> int:
-        return len(self._handles)
 
     # -- round key management ------------------------------------------------
     def open_round(self, protocol: str, round_number: int) -> list[bytes]:
@@ -121,9 +116,6 @@ class MixChain:
         publics = [handle.open_round(protocol, round_number) for handle in self._handles]
         self._round_publics[(protocol, round_number)] = publics
         return publics
-
-    def round_public_keys(self, protocol: str, round_number: int) -> list[bytes]:
-        return [handle.round_public_key(protocol, round_number) for handle in self._handles]
 
     def close_round(self, protocol: str, round_number: int) -> None:
         """Erase the round's keys on every reachable server (best-effort:
@@ -153,7 +145,7 @@ class MixChain:
         batch = list(envelopes)
         publics = self._round_publics.get((protocol, round_number))
         if publics is None:
-            publics = self.round_public_keys(protocol, round_number)
+            raise RoundError(f"{protocol} round {round_number} is not open on this chain")
         per_server_noise: list[int] = []
         dropped = 0
         for index, handle in enumerate(self._handles):

@@ -44,16 +44,6 @@ class NoiseConfig:
             return self.dialing_mu, self.dialing_b
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    def scaled(self, factor: float) -> "NoiseConfig":
-        """Scale the noise volume (used by small-scale simulations/tests)."""
-        return NoiseConfig(
-            addfriend_mu=self.addfriend_mu * factor,
-            addfriend_b=self.addfriend_b * factor,
-            dialing_mu=self.dialing_mu * factor,
-            dialing_b=self.dialing_b * factor,
-        )
-
-
 def noise_counts_per_mailbox(
     config: NoiseConfig, protocol: str, mailbox_count: int, rng: DeterministicRng
 ) -> list[int]:

@@ -32,7 +32,7 @@ from repro.crypto import x25519
 from repro.crypto.aead import AEAD_OVERHEAD
 from repro.crypto.engine import CryptoBackend, active_backend
 from repro.crypto.hashing import hkdf
-from repro.errors import CryptoError, DecryptionError, MixnetError
+from repro.errors import MixnetError
 from repro.utils.rng import random_bytes
 
 _LAYER_KEY_INFO = b"alpenhorn/mixnet/onion-layer"
@@ -61,11 +61,6 @@ def _layer_key(shared_secret: bytes, ephemeral_public: bytes, server_public: byt
         info=_LAYER_KEY_INFO,
         length=32,
     )
-
-
-def onion_overhead(num_servers: int) -> int:
-    """Total bytes added to a payload by onion-wrapping for a chain."""
-    return num_servers * LAYER_OVERHEAD
 
 
 def wrap_onion(
@@ -106,37 +101,17 @@ def wrap_onion_many(
     return wrapped
 
 
-def unwrap_layer(
-    envelope: bytes, server_keypair: OnionKeyPair, engine: CryptoBackend | None = None
-) -> bytes:
-    """Peel one onion layer with the server's round private key.
-
-    Raises :class:`MixnetError` on malformed or undecryptable envelopes;
-    servers drop such requests rather than aborting the round.
-    """
-    engine = engine if engine is not None else active_backend()
-    if len(envelope) < LAYER_OVERHEAD:
-        raise MixnetError("onion layer too short")
-    ephemeral_public = envelope[: x25519.KEY_SIZE]
-    sealed = envelope[x25519.KEY_SIZE :]
-    try:
-        shared = engine.shared_secret(server_keypair.private, ephemeral_public)
-        key = _layer_key(shared, ephemeral_public, server_keypair.public)
-        return engine.open_sealed(key, sealed, associated_data=ephemeral_public)
-    except (CryptoError, DecryptionError) as exc:
-        raise MixnetError(f"failed to unwrap onion layer: {exc}") from exc
-
-
 def unwrap_layers(
     envelopes: list[bytes],
     server_keypair: OnionKeyPair,
     engine: CryptoBackend | None = None,
 ) -> list[bytes | None]:
-    """Peel one layer from every envelope; ``None`` marks a dropped one.
+    """Peel one layer from every envelope with the server's round private
+    key; ``None`` marks a dropped one.
 
-    The batch analogue of :func:`unwrap_layer` -- malformed or
-    undecryptable envelopes map to ``None`` instead of raising, which is
-    the semantics the mix peel wants (drop, count, continue).
+    Malformed or undecryptable envelopes map to ``None`` instead of
+    raising, which is the semantics the mix peel wants (drop, count,
+    continue): a bad request never aborts the round.
     """
     engine = engine if engine is not None else active_backend()
     parsed: list[tuple[bytes, bytes] | None] = [

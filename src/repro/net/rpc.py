@@ -155,7 +155,7 @@ METHODS = (
     (("pkg",), ("begin_registration", "confirm_registration", "deregister"),
      REGISTRATION_REQUEST, None),
     (("pkg",), ("extract",), EXTRACT_REQUEST, EXTRACTION_RESPONSE),
-    (("pkg",), ("open_round", "round_public_key"), PKG_ROUND_REF, "master public key"),
+    (("pkg",), ("open_round",), PKG_ROUND_REF, "master public key"),
     (("pkg",), ("close_round",), PKG_ROUND_REF, None),
     (("pkg",), ("has_master_secret",), PKG_ROUND_REF, FLAG_REPLY),
     (("cdn",), ("publish",), PUBLISH_REQUEST, None),
@@ -276,18 +276,6 @@ class EntryStub:
             shard_directory=directory and ShardDirectory.from_fields(directory),
         )
 
-    def submit(
-        self,
-        protocol: str,
-        round_number: int,
-        client_id: str,
-        envelope: bytes,
-        rate_token=None,
-    ) -> None:
-        token_bytes = rate_token.to_bytes() if rate_token is not None else None
-        request = SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope, token_bytes)
-        self.transport.call(client_id, self.endpoint, "submit", request)
-
     def submit_many(
         self,
         protocol: str,
@@ -297,8 +285,9 @@ class EntryStub:
         """One submit wave: ``(client_id, envelope, start_time)`` per entry.
 
         Each entry's ``start_time`` is when that client logically begins
-        (e.g. when its key extraction finished).  :meth:`submit` is the
-        single call that can also carry a §9 rate token.
+        (e.g. when its key extraction finished).  No §9 rate token rides
+        along: the ``rate_token`` field of :data:`SUBMIT_REQUEST` is sent
+        empty.
         """
         calls = [
             BatchCall(
@@ -469,9 +458,6 @@ class PkgStub:
 
     def open_round(self, round_number: int):
         return self._master_public("open_round", round_number)
-
-    def round_public_key(self, round_number: int):
-        return self._master_public("round_public_key", round_number)
 
     def close_round(self, round_number: int) -> None:
         self._round_call("close_round", round_number)

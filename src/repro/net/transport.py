@@ -83,10 +83,6 @@ class BatchCallOutcome:
     error: Exception | None = None
     finished_at: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 def raise_first_error(outcomes: list[BatchCallOutcome]) -> None:
     """For a fan-out that needs every call to succeed: raise the wave's first

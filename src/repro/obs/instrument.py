@@ -29,9 +29,6 @@ class InstrumentedCryptoBackend(CryptoBackend):
         self.inner = inner
         self.name = inner.name
 
-    def __repr__(self) -> str:
-        return f"<InstrumentedCryptoBackend over {self.inner!r}>"
-
     # -- single-item ops: attribution only ---------------------------------
     def _single(self, op: str, func, *args) -> Any:
         tracer = active_tracer()
@@ -89,9 +86,6 @@ class InstrumentedCryptoBackend(CryptoBackend):
 
     def shared_secret_many(self, pairs: Sequence[SecretItem]) -> "list[bytes | None]":
         return self._batch("shared_secret_many", self.inner.shared_secret_many, pairs)
-
-    def public_key_many(self, private_keys: Sequence[bytes]) -> list[bytes]:
-        return self._batch("public_key_many", self.inner.public_key_many, private_keys)
 
     def keypair_exchange_many(
         self, private_keys: Sequence[bytes], peer_public_key: bytes

@@ -401,11 +401,6 @@ class PassiveObserver:
             )
         return float(rounds[occurrence]["observed_messages"])
 
-    def wire_view(self, protocol: str = "add-friend", occurrence: int = 0) -> dict:
-        """The tap's traffic shape for one round: frames per method."""
-        rounds = [o for o in self.observations if o["protocol"] == protocol]
-        return dict(rounds[occurrence]["method_frames"]) if occurrence < len(rounds) else {}
-
 
 # --------------------------------------------------------------------------- #
 # Report validation (python -m repro.obs validate)

@@ -350,17 +350,6 @@ class Tracer:
         finally:
             self.end(sp)
 
-    def stage(self, name: str, protocol: str, round_number: int, **args: Any):
-        """A kept ``stage``-category span on the protocol's track."""
-        return self.span(
-            name,
-            category=CATEGORY_STAGE,
-            track=protocol,
-            protocol=protocol,
-            round=round_number,
-            **args,
-        )
-
     # ------------------------------------------------------------------
     # distributed runs: spans harvested from worker processes
 
@@ -607,9 +596,6 @@ class NullTracer:
 
     enabled = False
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
     def start(self, name: str, **kwargs: Any) -> _NullSpan:
         return NULL_SPAN
 
@@ -620,11 +606,6 @@ class NullTracer:
     def span(self, name: str, **kwargs: Any) -> Iterator[_NullSpan]:
         yield NULL_SPAN
 
-    def stage(self, name: str, protocol: str, round_number: int, **args: Any):
-        return self.span(name)
-
-    def report(self) -> dict[str, Any]:
-        return {"stages": {}, "attribution": {}, "category_totals": {}, "crypto_ops": {}, "span_count": 0}
 
 
 _NULL_TRACER = NullTracer()

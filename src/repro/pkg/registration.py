@@ -129,10 +129,6 @@ class RegistrationManager:
     def lookup(self, email: str) -> AccountRecord | None:
         return self.accounts.get(email.lower())
 
-    def is_registered(self, email: str) -> bool:
-        record = self.lookup(email)
-        return record is not None and record.deregistered_at is None
-
     # -- lifecycle -------------------------------------------------------
     def record_extraction(self, email: str, now: float) -> None:
         record = self.lookup(email)

@@ -122,12 +122,6 @@ class PkgServer:
             self._round_masters[round_number] = self.ibe.generate_master_keypair(seed)
         return self._round_masters[round_number].public
 
-    def round_public_key(self, round_number: int):
-        master = self._round_masters.get(round_number)
-        if master is None:
-            raise RoundError(f"round {round_number} is not open on {self.name}")
-        return master.public
-
     def close_round(self, round_number: int) -> None:
         """Forget the round's master secret (forward secrecy, §4.4)."""
         self._round_masters.pop(round_number, None)
@@ -211,9 +205,6 @@ class PkgServer:
         (round_number,) = rpc.PKG_ROUND_REF.decode(request.payload)
         if request.method == "open_round":
             public = self.open_round(round_number)
-            return RpcResult(payload=self.ibe.master_public_to_bytes(public))
-        if request.method == "round_public_key":
-            public = self.round_public_key(round_number)
             return RpcResult(payload=self.ibe.master_public_to_bytes(public))
         if request.method == "close_round":
             self.close_round(round_number)

@@ -1,11 +1,10 @@
 """Protocol-level data structures: Bloom filters and Laplace noise."""
 
 from repro.primitives.bloom import BloomFilter, optimal_parameters
-from repro.primitives.laplace import LaplaceNoise, sample_noise_count
+from repro.primitives.laplace import sample_noise_count
 
 __all__ = [
     "BloomFilter",
     "optimal_parameters",
-    "LaplaceNoise",
     "sample_noise_count",
 ]

@@ -41,11 +41,6 @@ def optimal_parameters(expected_items: int, false_positive_rate: float = DEFAULT
     return max(bits, 64), hashes
 
 
-def bits_per_element(false_positive_rate: float = DEFAULT_FALSE_POSITIVE_RATE) -> float:
-    """Bits each element costs at the optimal configuration."""
-    return -math.log(false_positive_rate) / (math.log(2) ** 2)
-
-
 class BloomFilter:
     """A fixed-size Bloom filter over byte-string elements.
 
@@ -102,14 +97,6 @@ class BloomFilter:
     def size_bytes(self) -> int:
         """Serialized size, which is what a client downloads."""
         return 12 + len(self._bits)
-
-    def fill_ratio(self) -> float:
-        set_bits = sum(bin(byte).count("1") for byte in self._bits)
-        return set_bits / self.num_bits
-
-    def expected_false_positive_rate(self) -> float:
-        """FP rate estimate from the actual fill ratio."""
-        return self.fill_ratio() ** self.num_hashes
 
     # -- serialization ----------------------------------------------------
     def to_bytes(self) -> bytes:

@@ -12,25 +12,7 @@ point is ``mu = 4,000 / b = 406`` per add-friend mailbox and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from repro.utils.rng import DeterministicRng
-
-
-@dataclass(frozen=True)
-class LaplaceNoise:
-    """Parameters of a server's per-mailbox noise distribution."""
-
-    mu: float
-    b: float
-
-    def sample(self, rng: DeterministicRng) -> int:
-        """Draw one noise count: round(max(0, mu + Laplace(0, b)))."""
-        return sample_noise_count(self.mu, self.b, rng)
-
-    def expected_count(self) -> float:
-        """Mean number of noise messages per mailbox (b only adds spread)."""
-        return max(0.0, self.mu)
 
 
 def sample_laplace(b: float, rng: DeterministicRng) -> float:

@@ -79,14 +79,6 @@ class ZipfMailboxWorkload:
                 return index
         return len(self._cumulative) - 1
 
-    def shard_of(self, email: str) -> int:
-        """Which shard's range the identity's mailbox falls in."""
-        mailbox_id = mailbox_for_identity(email, self.mailbox_count)
-        for index, (lo, hi) in enumerate(self._ranges):
-            if lo <= mailbox_id < hi:
-                return index
-        raise ValueError(f"mailbox {mailbox_id} outside every range")  # pragma: no cover
-
     def email_for(self, index: int) -> str:
         """The index-th client's identity (mined to the sampled shard)."""
         if self.alpha <= 0:
@@ -100,10 +92,3 @@ class ZipfMailboxWorkload:
             if lo <= mailbox_for_identity(email, self.mailbox_count) < hi:
                 return email
             suffix += 1
-
-    def shard_loads(self, emails: list[str]) -> list[int]:
-        """How many of ``emails`` each shard's range owns."""
-        loads = [0] * self.shard_count
-        for email in emails:
-            loads[self.shard_of(email)] += 1
-        return loads

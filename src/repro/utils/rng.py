@@ -65,11 +65,6 @@ class DeterministicRng:
             j = self.randint_below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return items[self.randint_below(len(items))]
-
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent child stream (e.g. one per server)."""
         child_seed = hashlib.sha256(self._seed + b"/" + label.encode("utf-8")).digest()

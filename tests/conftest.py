@@ -39,6 +39,12 @@ def counting_accelerated():
     return backend
 
 
+def keypair(scheme) -> tuple[bytes, bytes]:
+    """A fresh ``(private, public)`` pair from ``ed25519`` or ``x25519``."""
+    private = scheme.generate_private_key()
+    return private, scheme.public_key(private)
+
+
 def engine_names() -> list[str]:
     """Every importable backend, then each again as ``traced-NAME``."""
     from repro.crypto.engine import available_backends

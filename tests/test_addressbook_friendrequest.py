@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import keypair
 from repro.core.addressbook import AddressBook, FriendshipState, PendingOutgoing, TrustLevel
 from repro.core.friendrequest import FriendRequest, sender_statement
+from repro.core.identity import UserIdentity
 from repro.crypto import bls, ed25519, x25519
 from repro.errors import ProtocolError, SerializationError
 from repro.pkg.server import pkg_statement
@@ -48,7 +50,6 @@ class TestAddressBook:
             dialing_round=7,
         )
         book.add_pending_outgoing(pending)
-        assert book.pending_count() == 1
         assert book.pending_outgoing("BOB@example.org") is pending
         assert book.pop_pending_outgoing("bob@example.org") is pending
         assert book.pending_outgoing("bob@example.org") is None
@@ -66,7 +67,7 @@ class TestAddressBook:
         )
         book.remove_friend("bob@example.org")
         assert not book.has_friend("bob@example.org")
-        assert book.pending_count() == 0
+        assert book.pending_outgoing("bob@example.org") is None
 
     def test_default_trust_is_tofu(self):
         book = AddressBook()
@@ -76,11 +77,11 @@ class TestAddressBook:
 
 def build_request(num_pkgs: int = 2, round_number: int = 4, email: str = "alice@example.org"):
     """Build a verifiable friend request plus the keys needed to check it."""
-    signing_private, signing_public = ed25519.generate_keypair()
+    signing_private, signing_public = keypair(ed25519)
     pkg_keys = [bls.generate_keypair(seed=bytes([i + 1]) * 32) for i in range(num_pkgs)]
     statement = pkg_statement(email, signing_public, round_number)
     attestations = [bls.sign(kp.secret, statement) for kp in pkg_keys]
-    _, dialing_public = x25519.generate_keypair()
+    _, dialing_public = keypair(x25519)
     request = FriendRequest.build(
         sender_email=email,
         sender_signing_private=signing_private,
@@ -104,7 +105,7 @@ class TestFriendRequest:
         """The paper reports a 244-byte request before IBE; ours is within a
         small margin (field sizes differ slightly by curve encoding)."""
         request, _, _ = build_request()
-        assert 220 <= request.wire_size() <= 320
+        assert 220 <= len(request.to_bytes()) <= 320
 
     def test_valid_request_verifies(self):
         request, aggregate, _ = build_request()
@@ -144,11 +145,11 @@ class TestFriendRequest:
         """An aggregate missing one PKG's signature must not verify: this is
         what makes a single honest PKG sufficient for authentication."""
         email, round_number = "alice@example.org", 4
-        signing_private, signing_public = ed25519.generate_keypair()
+        signing_private, signing_public = keypair(ed25519)
         pkg_keys = [bls.generate_keypair() for _ in range(3)]
         statement = pkg_statement(email, signing_public, round_number)
         attestations = [bls.sign(kp.secret, statement) for kp in pkg_keys[:2]]  # one missing
-        _, dialing_public = x25519.generate_keypair()
+        _, dialing_public = keypair(x25519)
         request = FriendRequest.build(
             sender_email=email,
             sender_signing_private=signing_private,
@@ -170,3 +171,11 @@ class TestFriendRequest:
         b = sender_statement("alice@example.org", b"\x01" * 32, 5)
         assert a == b
         assert a != sender_statement("alice@example.org", b"\x01" * 32, 6)
+
+
+class TestUserIdentity:
+    def test_repr_keeps_the_signing_key_out(self):
+        identity = UserIdentity.create("Alice@Example.org", seed=b"\x07" * 32)
+        text = repr(identity)
+        assert text == "UserIdentity('alice@example.org')"
+        assert identity.signing_private.hex() not in text

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -25,11 +26,6 @@ class TestWireSizes:
         """§8.2: 244-byte request + 64-byte IBE component = 308 bytes."""
         sizes = WireSizes.paper()
         assert sizes.addfriend_mailbox_entry == 308
-
-    def test_this_implementation_is_larger_but_same_order(self):
-        ours = WireSizes.this_implementation()
-        paper = WireSizes.paper()
-        assert paper.addfriend_mailbox_entry < ours.addfriend_mailbox_entry < 2 * paper.addfriend_mailbox_entry
 
     def test_mailbox_size_1m_users(self):
         """§8.2: ~24,000 requests at 308 bytes is about 7.4 MB."""
@@ -117,9 +113,10 @@ class TestLatencyModel:
         assert skewed[2] > flat[2]
         assert skewed[0] <= flat[0] + 1e-9
 
-    def test_measured_python_costmodel_changes_scale_not_shape(self):
-        slow = LatencyModel(costs=CostModel.measured_python(
-            ibe_decrypt=0.2, onion_decrypt=3e-4, dialing_hash=3e-6, pkg_extraction=0.02
+    def test_slower_costmodel_changes_scale_not_shape(self):
+        slow = LatencyModel(costs=dataclasses.replace(
+            CostModel.paper_go_prototype(), onion_decrypt_per_request=3e-4,
+            noise_generation_per_message=6e-4, ibe_decrypt=0.2, dialing_hash=3e-6, pkg_extraction=0.02,
         ))
         fast = LatencyModel()
         assert slow.addfriend_latency(100_000, 3).total_seconds > fast.addfriend_latency(100_000, 3).total_seconds
@@ -205,8 +202,7 @@ class TestPrivacyAccountant:
         for k in range(1, 8):
             spend = accountant.record(406.0)
             assert spend.epsilon == privacy_cost(k, 406.0).epsilon
-        assert accountant.actions == 7
-        assert accountant.scales == {406.0: 7}
+        assert accountant.spend().actions == 7
 
     def test_batch_record(self):
         one_by_one = PrivacyAccountant()

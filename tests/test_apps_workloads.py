@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.pond_panda import MeetingPointServer, PandaExchange, bootstrap_panda_from_call
+from repro.api import CallHandle
+from repro.apps.pond_panda import (
+    MeetingPointServer,
+    PandaExchange,
+    bootstrap_panda_from_call,
+    bootstrap_panda_from_handles,
+)
 from repro.apps.vuvuzela import VuvuzelaConversationService, VuvuzelaMessenger
 from repro.sim.workloads import top_k_share, zipf_recipient_weights
 from repro.core.config import AlpenhornConfig
@@ -62,6 +68,17 @@ class TestVuvuzelaIntegration:
         with pytest.raises(ProtocolError):
             alice_app.send_message("stranger@example.org", "hello?")
 
+    def test_call_command_places_a_call_the_messenger_adopts(self, messaging_pair):
+        deployment, alice_app, bob_app = messaging_pair
+        handle = alice_app.call("bob@example.org", intent=1)
+        with pytest.raises(ProtocolError, match="has not gone out yet"):
+            alice_app.adopt_call_handle(handle)
+        while alice_app.session.client.dialing.pending_in_queue():
+            deployment.run_dialing_round()
+        conversation = alice_app.adopt_call_handle(handle)
+        assert conversation.session_key == handle.session_key
+        assert conversation.session_key == bob_app.conversations["alice@example.org"].session_key
+
 
 class TestPandaIntegration:
     def test_bootstrap_from_matching_session_keys(self):
@@ -105,6 +122,30 @@ class TestPandaIntegration:
         )
         assert caller.peer_payload == b"bob-pond"
         assert callee.peer_payload == b"alice-pond"
+
+    def test_bootstrap_from_handles_pairs_both_sides(self):
+        """The session-API form of the flow above: a CallHandle and the
+        callee's IncomingCall seed PANDA."""
+        deployment = Deployment(AlpenhornConfig.for_tests(backend="simulated"), seed="panda-handles")
+        deployment.create_client("alice@example.org")
+        bob = deployment.create_client("bob@example.org")
+        session = deployment.session("alice@example.org")
+        session.add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        handle = session.call("bob@example.org")
+        while session.client.dialing.pending_in_queue():
+            deployment.run_dialing_round()
+        caller, callee = bootstrap_panda_from_handles(
+            handle, bob.received_calls()[-1], b"alice-pond", b"bob-pond"
+        )
+        assert caller.peer_payload == b"bob-pond"
+        assert callee.peer_payload == b"alice-pond"
+        assert caller.pairwise_key == callee.pairwise_key
+
+    def test_bootstrap_from_handles_refuses_a_call_not_yet_placed(self):
+        with pytest.raises(ProtocolError, match="has not gone out yet"):
+            bootstrap_panda_from_handles(CallHandle("bob@example.org"), None, b"a", b"b")
 
 
 class TestWorkloads:

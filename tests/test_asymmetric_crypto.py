@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import keypair
 from repro.crypto import ed25519, x25519
-from repro.errors import CryptoError, SignatureError
+from repro.errors import CryptoError
 
 try:
     from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey as OracleEd
@@ -20,18 +21,18 @@ except Exception:  # pragma: no cover
 
 class TestX25519:
     def test_shared_secret_agreement(self):
-        alice_priv, alice_pub = x25519.generate_keypair()
-        bob_priv, bob_pub = x25519.generate_keypair()
+        alice_priv, alice_pub = keypair(x25519)
+        bob_priv, bob_pub = keypair(x25519)
         assert x25519.shared_secret(alice_priv, bob_pub) == x25519.shared_secret(bob_priv, alice_pub)
 
     def test_different_peers_different_secrets(self):
-        alice_priv, _ = x25519.generate_keypair()
-        _, bob_pub = x25519.generate_keypair()
-        _, carol_pub = x25519.generate_keypair()
+        alice_priv, _ = keypair(x25519)
+        _, bob_pub = keypair(x25519)
+        _, carol_pub = keypair(x25519)
         assert x25519.shared_secret(alice_priv, bob_pub) != x25519.shared_secret(alice_priv, carol_pub)
 
     def test_key_sizes(self):
-        priv, pub = x25519.generate_keypair()
+        priv, pub = keypair(x25519)
         assert len(priv) == 32 and len(pub) == 32
 
     def test_invalid_lengths_rejected(self):
@@ -52,7 +53,7 @@ class TestX25519:
 
     @pytest.mark.skipif(not HAVE_ORACLE, reason="cryptography oracle unavailable")
     def test_shared_secret_matches_reference(self):
-        ours_priv, ours_pub = x25519.generate_keypair()
+        ours_priv, ours_pub = keypair(x25519)
         oracle_priv = OracleX.generate()
         oracle_pub = oracle_priv.public_key().public_bytes(
             oracle_ser.Encoding.Raw, oracle_ser.PublicFormat.Raw
@@ -65,30 +66,25 @@ class TestX25519:
 
 class TestEd25519:
     def test_sign_verify_roundtrip(self):
-        priv, pub = ed25519.generate_keypair()
+        priv, pub = keypair(ed25519)
         signature = ed25519.sign(priv, b"hello")
         assert ed25519.verify(pub, b"hello", signature)
         assert not ed25519.verify(pub, b"hellO", signature)
 
     def test_signature_size(self):
-        priv, _ = ed25519.generate_keypair()
+        priv, _ = keypair(ed25519)
         assert len(ed25519.sign(priv, b"m")) == ed25519.SIGNATURE_SIZE
 
     def test_wrong_key_rejected(self):
-        priv, _ = ed25519.generate_keypair()
-        _, other_pub = ed25519.generate_keypair()
+        priv, _ = keypair(ed25519)
+        _, other_pub = keypair(ed25519)
         assert not ed25519.verify(other_pub, b"m", ed25519.sign(priv, b"m"))
 
     def test_tampered_signature_rejected(self):
-        priv, pub = ed25519.generate_keypair()
+        priv, pub = keypair(ed25519)
         signature = bytearray(ed25519.sign(priv, b"m"))
         signature[10] ^= 0x01
         assert not ed25519.verify(pub, b"m", bytes(signature))
-
-    def test_verify_strict_raises(self):
-        priv, pub = ed25519.generate_keypair()
-        with pytest.raises(SignatureError):
-            ed25519.verify_strict(pub, b"m", b"\x00" * 64)
 
     def test_malformed_inputs_return_false(self):
         assert not ed25519.verify(b"\x00" * 31, b"m", b"\x00" * 64)

@@ -93,9 +93,8 @@ def canonical(values) -> bool:
 
 def cyclotomic_element(seed) -> tuple:
     """A pseudo-random element past the easy part of the final exponentiation."""
-    f = Fq12(seed)
-    f = f.conjugate() * f.inverse()
-    return field.fq12_mul(field.fq12_frobenius(f.coeffs, 2), f.coeffs)
+    f = field.fq12_mul(field.fq12_conjugate(seed), field.fq12_inverse(seed))
+    return field.fq12_mul(field.fq12_frobenius(f, 2), f)
 
 
 # --------------------------------------------------------------------------- #
@@ -125,20 +124,6 @@ class TestFq2Kernels:
         else:
             assert field.fq2_inverse(*v) == flat_fq2(tb_fq2(*v).inverse())
 
-    @given(vectors(2), st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_sqrt(self, v, square_first):
-        """Same root (not just *a* root) as the oracle, and None together."""
-        if square_first:
-            v = field.fq2_square(*v)
-        expected = tb_fq2(*v).sqrt()
-        assert field.fq2_sqrt(*v) == (None if expected is None else flat_fq2(expected))
-
-    def test_sqrt_in_the_base_field(self):
-        for v in ((0, 0), (4, 0), (P - 4, 0), (P - 1, 0), (5, 0)):
-            expected = tb_fq2(*v).sqrt()
-            assert field.fq2_sqrt(*v) == (None if expected is None else flat_fq2(expected))
-
     @given(vectors(2), st.integers(min_value=0, max_value=2**64))
     @settings(max_examples=20, deadline=None)
     def test_pow(self, v, exponent):
@@ -151,23 +136,33 @@ class TestFq2Kernels:
         assert flat_fq2(textbook._TWIST_FROB_Y) == field.FROBENIUS_TABLES[1][3]
 
 
+def fq6_mul(a, b):
+    """The reduced product of the raw kernel ``fq12_mul`` is built from."""
+    return tuple(c % P for c in field._fq6_mul_raw(a, b))
+
+
+def fq6_mul_by_01(a, b0, b1, b2, b3):
+    """The reduced sparse product of the raw kernel the Miller line uses."""
+    return tuple(c % P for c in field._fq6_mul_by_01_raw(a, b0, b1, b2, b3))
+
+
 class TestFq6Kernels:
     @given(vectors(6), vectors(6))
     @settings(max_examples=30, deadline=None)
     def test_mul(self, a, b):
-        assert field.fq6_mul(a, b) == flat_fq6(tb_fq6(a) * tb_fq6(b))
+        assert fq6_mul(a, b) == flat_fq6(tb_fq6(a) * tb_fq6(b))
 
     @given(vectors(6, unreduced), vectors(6, unreduced))
     @settings(max_examples=20, deadline=None)
     def test_mul_unreduced_inputs(self, a, b):
-        assert field.fq6_mul(a, b) == flat_fq6(tb_fq6(a) * tb_fq6(b))
+        assert fq6_mul(a, b) == flat_fq6(tb_fq6(a) * tb_fq6(b))
 
     @given(vectors(6), vectors(4))
     @settings(max_examples=30, deadline=None)
     def test_mul_by_01(self, a, b):
         expected = tb_fq6(a).mul_by_01(tb_fq2(b[0], b[1]), tb_fq2(b[2], b[3]))
-        assert field.fq6_mul_by_01(a, *b) == flat_fq6(expected)
-        assert field.fq6_mul_by_01(a, *b) == field.fq6_mul(a, (*b, 0, 0))
+        assert fq6_mul_by_01(a, *b) == flat_fq6(expected)
+        assert fq6_mul_by_01(a, *b) == fq6_mul(a, (*b, 0, 0))
 
     @given(vectors(6))
     @settings(max_examples=40, deadline=None)
@@ -181,7 +176,7 @@ class TestFq6Kernels:
     def test_inverse_of_sparse_elements(self):
         for a in ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, P - 1), (0, 7, 0, 0, 3, 0)):
             assert field.fq6_inverse(a) == flat_fq6(tb_fq6(a).inverse())
-            assert field.fq6_mul(a, field.fq6_inverse(a)) == (1, 0, 0, 0, 0, 0)
+            assert fq6_mul(a, field.fq6_inverse(a)) == (1, 0, 0, 0, 0, 0)
 
 
 class TestFq12Kernels:
@@ -518,7 +513,7 @@ class TestSubgroupCheck:
         with pytest.raises(CryptoError, match="subgroup"):
             ibe.master_public_from_bytes(encoded)
         with pytest.raises(CryptoError, match="subgroup"):
-            bls.public_from_bytes(encoded)
+            G2Point.from_bytes(encoded)
         # an IBE header: decrypt answers None without running a pairing on it
         master = ibe.generate_master_keypair(seed=b"\x05" * 32)
         private = ibe.extract(master.secret, "victim@example.org")
@@ -548,8 +543,8 @@ class TestCanonicalForm:
             field.fq2_mul(*line),
             field.fq2_square(*line[:2]),
             field.fq2_pow(*line[:2], 5),
-            field.fq6_mul(a[:6], b[:6]),
-            field.fq6_mul_by_01(a[:6], *line),
+            fq6_mul(a[:6], b[:6]),
+            fq6_mul_by_01(a[:6], *line),
             field.fq12_mul(a, b),
             field.fq12_square(a),
             field.fq12_cyclotomic_square(a),
@@ -562,9 +557,6 @@ class TestCanonicalForm:
         ]
         if any(c % P for c in a[:2]):
             outputs.append(field.fq2_inverse(*a[:2]))
-            root = field.fq2_sqrt(*field.fq2_square(*a[:2]))
-            assert root is not None
-            outputs.append(root)
         if any(c % P for c in a[:6]):
             outputs.append(field.fq6_inverse(a[:6]))
         if any(c % P for c in a):
@@ -575,26 +567,18 @@ class TestCanonicalForm:
     @given(vectors(12, unreduced), vectors(12, unreduced))
     @settings(max_examples=25, deadline=None)
     def test_value_types_only_show_reduced_coefficients(self, a, b):
-        x, y = Fq12(a), Fq12(b)
-        values = [x, y, x * y, x.conjugate(), x.pow(5), Fq12.one(), Fq12.zero()]
-        if not x.is_zero():
-            values += [x.inverse(), x.pow(-2)]
-        for value in values:
+        for value in (Fq12(a), Fq12(b)):
             assert canonical(value.coeffs)
             assert value.to_bytes() == b"".join(c.to_bytes(32, "big") for c in value.coeffs)
-            assert all(canonical(flat_fq2(coeff)) for coeff in value.w_coefficients())
-            assert value == Fq12([c + P for c in value.coeffs])
-            assert hash(value) == hash(Fq12([c - P for c in value.coeffs]))
+            assert Fq12([c + P for c in value.coeffs]).coeffs == value.coeffs
         assert Fq12([c + P for c in field.FQ12_ONE]).is_one()
         u, v = Fq2(a[0], a[1]), Fq2(b[0], b[1])
-        fq2_values = [u, v, u + v, u - v, -u, u * v, u.square(), u.conjugate(), u.pow(3), Fq2.zero(), Fq2.one()]
+        fq2_values = [u, v, u + v, u - v, -u, u * v, u.square(), Fq2.zero(), Fq2(1)]
         if not u.is_zero():
             fq2_values.append(u.inverse())
-            fq2_values.append(u.square().sqrt())
         for value in fq2_values:
             assert canonical(flat_fq2(value))
             assert value == Fq2(value.c0 + P, value.c1 - P)
-            assert hash(value) == hash(Fq2(value.c0 - P, value.c1 + P))
 
     @given(scalars, st.integers(1, CURVE_ORDER - 1))
     @settings(max_examples=10, deadline=None)
@@ -728,13 +712,13 @@ class TestCrossVersionVectors:
         assert ibe.private_key_to_bytes(private) == vector["private_key"]
         keys = [bls.generate_keypair(seed=(tag + bytes([i])) * 8) for i in (1, 2)]
         message = b"statement signed by the " + tag
-        assert bls.public_to_bytes(bls.aggregate_publics([k.public for k in keys])) == vector["bls_public"]
+        assert bls.aggregate_publics([k.public for k in keys]).to_bytes() == vector["bls_public"]
         signature = bls.aggregate_signatures([bls.sign(k.secret, message) for k in keys])
         assert bls.signature_to_bytes(signature) == vector["bls_signature"]
         # ... and what the other side encrypted (at its own random r) opens.
         decoded = ibe.private_key_from_bytes(vector["identity"], vector["private_key"])
         ciphertext = IbeCiphertext(header=vector["header"], body=vector["body"])
         assert ibe.decrypt(decoded, ciphertext) == b"made by the " + tag
-        public = bls.public_from_bytes(vector["bls_public"])
+        public = G2Point.from_bytes(vector["bls_public"])
         assert bls.verify(public, message, bls.signature_from_bytes(vector["bls_signature"])) is True
         assert bls.verify(public, message + b"!", bls.signature_from_bytes(vector["bls_signature"])) is False

@@ -308,7 +308,7 @@ SERVED = [
     if kind in ENDPOINT_KINDS  # a worker's control methods take no payload and need real processes
 ]
 #: Replies no round path asks for: their stubs are driven directly below.
-OFF_ROUND = {("mix", "round_public_key"), ("pkg", "round_public_key"), ("pkg", "has_master_secret")}
+OFF_ROUND = {("mix", "round_public_key"), ("pkg", "has_master_secret")}
 #: The one reply whose loss is not a failure: `flush` returns the rejects of a
 #: batch the proxy already sent; the entry server skips a proxy whose reply it cannot
 #: read exactly as it skips an unreachable one.
@@ -374,7 +374,6 @@ class TestEveryMethodFailsClosed:
         pkg = rpc.PkgStub(transport, "pkg0", SimulatedIbe(), None, None)
         for call in (
             lambda: mix.round_public_key("dialing", 1),
-            lambda: pkg.round_public_key(1),
             lambda: pkg.has_master_secret(1),
         ):
             with pytest.raises(NetworkError, match="undecodable reply"):

@@ -137,7 +137,7 @@ class TestDecline:
         assert not bob.keywheel.has_friend("alice@example.org")
         # Bob still remembers that a request arrived, and his bus says he declined it.
         assert bob.address_book.friend("alice@example.org").state is FriendshipState.REQUEST_RECEIVED
-        received = bob.session.events.last("friend_request_received")
+        received = bob.session.events.history("friend_request_received")[-1]
         assert received.email == "alice@example.org" and received["accepted"] is False
 
 

@@ -24,7 +24,7 @@ from textbook_crypto import SMALL_ORDER_U
 from repro.crypto import engine
 from repro.crypto.aead import open_sealed, pure_open_sealed, pure_seal, seal
 from repro.crypto import x25519
-from repro.crypto.chacha20 import chacha20_encrypt
+from repro.crypto.chacha20 import chacha20_stream
 from repro.crypto.engine import (
     accelerated_available,
     available_backends,
@@ -32,7 +32,8 @@ from repro.crypto.engine import (
     use_backend,
 )
 from repro.errors import ConfigurationError, CryptoError, DecryptionError
-from repro.mixnet.onion import OnionKeyPair, unwrap_layer, unwrap_layers, wrap_onion, wrap_onion_many
+from repro.mixnet.onion import OnionKeyPair, unwrap_layers, wrap_onion, wrap_onion_many
+from repro.utils.bytes import xor_bytes
 
 
 def backends():
@@ -89,12 +90,10 @@ RFC8439_STREAM_CIPHERTEXT = bytes.fromhex(
 class TestRfc8439Vectors:
     def test_chacha20_encryption_vector(self):
         """§2.4.2: the bare stream cipher at counter 1."""
-        assert (
-            chacha20_encrypt(
-                RFC8439_STREAM_KEY, RFC8439_STREAM_NONCE, RFC8439_PLAINTEXT, initial_counter=1
-            )
-            == RFC8439_STREAM_CIPHERTEXT
+        stream = chacha20_stream(
+            RFC8439_STREAM_KEY, RFC8439_STREAM_NONCE, len(RFC8439_PLAINTEXT), initial_counter=1
         )
+        assert xor_bytes(RFC8439_PLAINTEXT, stream) == RFC8439_STREAM_CIPHERTEXT
 
     @backend_params()
     def test_aead_seal_vector(self, backend):
@@ -273,8 +272,8 @@ class TestCrossBackendEquality:
         for wrapper in backends():
             for peeler in backends():
                 envelope = wrap_onion(b"inner payload", publics, engine=wrapper)
-                middle = unwrap_layer(envelope, keypairs[0], engine=peeler)
-                assert unwrap_layer(middle, keypairs[1], engine=wrapper) == b"inner payload"
+                middle = unwrap_layers([envelope], keypairs[0], engine=peeler)
+                assert unwrap_layers(middle, keypairs[1], engine=wrapper) == [b"inner payload"]
 
 
 # --------------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ from repro.errors import NetworkError, RateLimitError, RoundError
 from repro.mixnet.chain import MixChain
 from repro.mixnet.noise import NoiseConfig
 from repro.mixnet.server import MixServer
-from repro.net import DirectTransport, EntryStub
+from repro.net import DirectTransport, EntryStub, rpc
 from repro.utils.rng import DeterministicRng
 
 
@@ -51,17 +51,11 @@ class TestRoundLifecycle:
         with pytest.raises(RoundError):
             entry.close_round("dialing", 7)
 
-    def test_current_announcement_unopened_raises(self):
-        entry, _ = make_entry()
-        with pytest.raises(RoundError):
-            entry.current_announcement("add-friend", 1)
-
     def test_announce_is_idempotent(self):
         entry, _ = make_entry()
         first = entry.announce_round("dialing", 1, 4, 32)
         second = entry.announce_round("dialing", 1, 9, 99)  # params ignored
         assert second is first
-        assert entry.current_announcement("dialing", 1) is first
 
     def test_submissions_of_unknown_round_is_zero(self):
         entry, _ = make_entry()
@@ -161,33 +155,40 @@ class TestEntryOverTransport:
         transport.register("entry", entry.handle_rpc)
         return entry, EntryStub(transport), verifier
 
+    @staticmethod
+    def submit(stub, client_id: str, envelope: bytes, rate_token=None) -> None:
+        """One framed ``submit`` RPC; the only way a §9 rate token travels."""
+        token = rate_token.to_bytes() if rate_token is not None else None
+        payload = rpc.SUBMIT_REQUEST.encode("dialing", 1, client_id, envelope, token)
+        stub.transport.call(client_id, stub.endpoint, "submit", payload)
+
     def test_submit_and_count_over_rpc(self):
         entry, stub, _ = self.make_networked_entry()
         entry.announce_round("dialing", 1, 1, 32)
-        stub.submit("dialing", 1, "alice@example.org", b"\x01" * 64)
+        self.submit(stub, "alice@example.org", b"\x01" * 64)
         assert stub.submissions("dialing", 1) == 1
 
     def test_rate_token_travels_the_wire(self):
         entry, stub, verifier = self.make_networked_entry(rate_limit=True)
         entry.announce_round("dialing", 1, 1, 32)
         token = mint_token(entry)
-        stub.submit("dialing", 1, "alice@example.org", b"\x01" * 64, rate_token=token)
+        self.submit(stub, "alice@example.org", b"\x01" * 64, rate_token=token)
         assert verifier.spent_count == 1
         with pytest.raises(RateLimitError):
-            stub.submit("dialing", 1, "bob@example.org", b"\x02" * 64, rate_token=token)
+            self.submit(stub, "bob@example.org", b"\x02" * 64, rate_token=token)
 
     def test_missing_token_rejected_over_rpc(self):
         entry, stub, _ = self.make_networked_entry(rate_limit=True)
         entry.announce_round("dialing", 1, 1, 32)
         with pytest.raises(RateLimitError):
-            stub.submit("dialing", 1, "alice@example.org", b"\x01" * 64)
+            self.submit(stub, "alice@example.org", b"\x01" * 64)
 
     def test_duplicate_over_rpc_does_not_burn_token(self):
         """The duplicate-before-token ordering holds on the framed path too."""
         entry, stub, verifier = self.make_networked_entry(rate_limit=True)
         entry.announce_round("dialing", 1, 1, 32)
-        stub.submit("dialing", 1, "alice@example.org", b"\x01" * 64, rate_token=mint_token(entry))
-        stub.submit("dialing", 1, "alice@example.org", b"\x02" * 64, rate_token=mint_token(entry))
+        self.submit(stub, "alice@example.org", b"\x01" * 64, rate_token=mint_token(entry))
+        self.submit(stub, "alice@example.org", b"\x02" * 64, rate_token=mint_token(entry))
         assert stub.submissions("dialing", 1) == 1
         assert verifier.spent_count == 1
 

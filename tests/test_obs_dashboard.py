@@ -13,7 +13,7 @@ import pytest
 from repro.obs.dashboard import DashboardMonitor, DashboardServer
 
 
-def _get_json(url: str, timeout: float = 5.0) -> dict:
+def _get_json(url: str | urllib.request.Request, timeout: float = 5.0) -> dict:
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
 
@@ -121,6 +121,16 @@ class TestHttpEndpoints:
         assert _get_json(server.url + "control?action=step")["mode"] == "pause"
         assert server.state()["pending_steps"] == 1
         assert _get_json(server.url + "control?action=run")["mode"] == "run"
+
+    def test_control_endpoint_accepts_post(self, server):
+        def post(action):
+            request = urllib.request.Request(server.url + f"control?action={action}", method="POST")
+            return _get_json(request)
+
+        assert post("pause")["mode"] == "pause"
+        assert post("step")["mode"] == "pause"
+        assert server.state()["pending_steps"] == 1
+        assert post("run")["mode"] == "run"
 
     def test_control_rejects_unknown_actions(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

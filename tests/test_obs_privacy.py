@@ -258,8 +258,10 @@ class TestScenarioIntegration:
         assert result.privacy["action_budgets"]["add-friend"]["clients_over_budget"] == 0
 
     def test_privacy_budget_spec_derives_noise_scale(self):
+        # budget_check compares the configured noise before any round runs,
+        # so one mix server (no downstream noise to wrap) is enough.
         scenario = make_scenario(
-            "baseline", num_clients=8, friend_pairs=2,
+            "baseline", num_clients=8, friend_pairs=2, num_mix_servers=1,
             addfriend_rounds=1, dialing_rounds=0, privacy_budget=900,
         )
         mu, b = scenario.spec.resolved_noise()

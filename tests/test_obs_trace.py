@@ -21,6 +21,13 @@ from repro.obs.trace import (
 )
 
 
+def stage(tracer, name: str, protocol: str, round_number: int, **args):
+    """A kept stage span on the protocol's track, as the round engine opens one."""
+    return tracer.span(
+        name, category=CATEGORY_STAGE, track=protocol, protocol=protocol, round=round_number, **args
+    )
+
+
 class FakeClock:
     """A manually advanced simulated clock."""
 
@@ -82,7 +89,7 @@ class TestSpanLifecycle:
 
 class TestAttribution:
     def test_non_stage_spans_bucket_under_the_enclosing_stage(self, tracer, clock):
-        with tracer.stage("submit", "add-friend", 1, bytes=100):
+        with stage(tracer, "submit", "add-friend", 1, bytes=100):
             clock.advance(0.2)
             with tracer.span("seal", category=CATEGORY_CRYPTO, keep=False):
                 pass
@@ -95,7 +102,7 @@ class TestAttribution:
         assert report["stages"]["add-friend/submit"]["sim_s"] == pytest.approx(0.2)
 
     def test_stage_self_time_is_categorised_as_other(self, tracer):
-        with tracer.stage("scan", "dialing", 3):
+        with stage(tracer, "scan", "dialing", 3):
             pass
         bucket = tracer.report()["attribution"]["dialing/scan"]
         assert set(bucket) == {"other"}
@@ -107,7 +114,7 @@ class TestAttribution:
 
     def test_stage_totals_accumulate_across_rounds(self, tracer, clock):
         for round_number in (1, 2):
-            with tracer.stage("mix", "add-friend", round_number, bytes=50):
+            with stage(tracer, "mix", "add-friend", round_number, bytes=50):
                 clock.advance(0.1)
         totals = tracer.report()["stages"]["add-friend/mix"]
         assert totals["count"] == 2
@@ -115,20 +122,20 @@ class TestAttribution:
         assert totals["sim_s"] == pytest.approx(0.2)
 
     def test_attribution_self_wall_sums_to_stage_wall(self, tracer):
-        with tracer.stage("submit", "add-friend", 1) as stage:
+        with stage(tracer, "submit", "add-friend", 1) as submit:
             with tracer.span("seal", category=CATEGORY_CRYPTO, keep=False):
                 pass
         bucket = tracer.report()["attribution"]["add-friend/submit"]
-        assert sum(bucket.values()) == pytest.approx(stage.wall_duration, abs=1e-4)
+        assert sum(bucket.values()) == pytest.approx(submit.wall_duration, abs=1e-4)
 
 
 class TestChromeExport:
     def build(self, tracer, clock):
-        with tracer.stage("submit", "add-friend", 1, bytes=7):
+        with stage(tracer, "submit", "add-friend", 1, bytes=7):
             clock.advance(0.3)
             with tracer.span("seal_many", category=CATEGORY_CRYPTO, track="crypto"):
                 clock.advance(0.0)
-        with tracer.stage("mix", "add-friend", 1):
+        with stage(tracer, "mix", "add-friend", 1):
             clock.advance(0.1)
 
     def test_export_passes_the_validator(self, tracer, clock):
@@ -227,9 +234,6 @@ class TestActiveTracer:
         null.end(span, bytes=1)
         with null.span("y"):
             pass
-        with null.stage("submit", "add-friend", 1):
-            pass
-        assert null.report()["span_count"] == 0
 
 
 class TestScenarioIntegration:

@@ -58,7 +58,7 @@ class TestPassiveObserver:
         assert obs["observed_messages"] == sum(obs["mailbox_counts"])
         assert obs["observed_messages"] > 0
         assert observer.statistic("add-friend", 0) == float(obs["observed_messages"])
-        assert observer.wire_view("add-friend", 0)
+        assert obs["method_frames"]
 
     def test_statistic_rejects_missing_round(self):
         observer = PassiveObserver()

@@ -409,6 +409,13 @@ class TestStrictJson:
             with pytest.raises(ValueError):
                 dumps({"x": bad})
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_the_reader_rejects_non_finite_tokens(self, tmp_path, token):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"epsilon": {token}}}')
+        with pytest.raises(ValueError, match="not JSON"):
+            read_json_report(path)
+
     def test_the_dashboard_stream_is_strict_json_too(self):
         server = DashboardServer()
         server.start()

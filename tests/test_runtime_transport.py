@@ -363,6 +363,24 @@ class TestMultiprocessTransport:
             transport.close()
         transport.close()  # idempotent after worker reap
 
+    def test_snapshot_reports_each_workers_rss(self):
+        """On a traced run ``snapshot()`` harvests the workers first, so each
+        worker's gauge carries the RSS it just reported."""
+        from repro.obs.trace import Tracer, set_active_tracer
+
+        previous = set_active_tracer(Tracer())
+        try:
+            with MultiprocessTransport([[mix_endpoint_spec("mix0", "seed/mix/0")]]) as transport:
+                workers = {
+                    name: gauges
+                    for name, gauges in transport.snapshot().items()
+                    if name.startswith("worker:")
+                }
+        finally:
+            set_active_tracer(previous)
+        assert list(workers) == ["worker:worker-0"]
+        assert workers["worker:worker-0"]["rss_mib"] > 0
+
     @pytest.mark.slow
     def test_two_workers_round_robin(self):
         from repro.net.rpc import MixStub

@@ -2,7 +2,7 @@
 
 Covers the contracts the api_redesign introduced:
 
-* the EventBus (subscription, unsubscription, history),
+* the EventBus (subscription, history),
 * FriendRequestHandle / CallHandle lifecycle as rounds run,
 * friend-request liveness under churn -- retry recovers a request delivered
   into a round its recipient missed; without retry the test demonstrates
@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from repro.api import EventBus, RequestState
+from repro.api import CallHandle, EventBus, RequestState
 from repro.core.client import Client
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
@@ -84,16 +84,6 @@ class TestEventBus:
         assert seen == [event]
         assert event.email == "a@x.org" and event["extra"] == 1
 
-    def test_unsubscribe_stops_delivery(self):
-        bus = EventBus()
-        seen = []
-        unsubscribe = bus.subscribe("ping", seen.append)
-        bus.emit("ping")
-        unsubscribe()
-        unsubscribe()  # idempotent
-        bus.emit("ping")
-        assert len(seen) == 1
-
     def test_subscribe_all_sees_every_type(self):
         bus = EventBus()
         seen = []
@@ -102,15 +92,15 @@ class TestEventBus:
         bus.emit("b")
         assert seen == ["a", "b"]
 
-    def test_history_filters_and_last(self):
+    def test_history_filters(self):
         bus = EventBus()
         bus.emit("a", email="1")
         bus.emit("b")
         bus.emit("a", email="2")
         assert [e.email for e in bus.history("a")] == ["1", "2"]
-        assert len(bus.history()) == 3 and len(bus) == 3
-        assert bus.last("a").email == "2"
-        assert bus.last("missing") is None
+        assert len(bus.history()) == 3
+        assert bus.history("a")[-1].email == "2"
+        assert bus.history("missing") == []
 
 
 class TestFriendRequestHandleLifecycle:
@@ -156,18 +146,26 @@ class TestFriendRequestHandleLifecycle:
 
     def test_recipient_saw_friend_request_received(self, confirmed):
         _, _, bob_session, *_ = confirmed
-        received = bob_session.events.last("friend_request_received")
+        received = bob_session.events.history("friend_request_received")[-1]
         assert received is not None
         assert received.email == "alice@x.org" and received["accepted"] is True
 
-    def test_request_accessor_and_idempotence(self):
+    def test_friends_lists_the_confirmed_friend_on_both_sides(self, confirmed):
+        _, alice, bob_session, *_ = confirmed
+        assert alice.friends() == ["bob@x.org"]
+        assert bob_session.friends() == ["alice@x.org"]
+
+    def test_repr_shows_friend_state_attempts_and_round(self, confirmed):
+        *_, handle, _ = confirmed
+        assert repr(handle) == "FriendRequestHandle('bob@x.org', confirmed, attempts=1, round=1)"
+
+    def test_add_friend_is_idempotent(self):
         deployment = make_deployment("handle-idempotent")
         deployment.create_client("alice@x.org")
         deployment.create_client("bob@x.org")
         alice = deployment.session("alice@x.org")
         handle = alice.add_friend("bob@x.org")
         assert alice.add_friend("bob@x.org") is handle  # still in flight
-        assert alice.request("bob@x.org") is handle
         assert alice.pending_requests() == [handle]
         assert alice.client.addfriend.pending_in_queue() == 1  # no duplicate queued
 
@@ -198,11 +196,17 @@ class TestCallHandleLifecycle:
         incoming = bob_client.received_calls()[-1]
         assert handle.session_key == incoming.session_key
 
-        event = bob.events.last("call_received")
+        event = bob.events.history("call_received")[-1]
         assert event is not None and event["call"].caller == "alice@x.org"
-        placed_event = alice.events.last("call_placed")
-        delivered_event = alice.events.last("call_delivered")
+        placed_event = alice.events.history("call_placed")[-1]
+        delivered_event = alice.events.history("call_delivered")[-1]
         assert placed_event.round_number == delivered_event.round_number == handle.round_submitted
+
+    def test_repr_shows_friend_intent_state_and_round(self):
+        handle = CallHandle("bob@x.org", intent=1)
+        assert repr(handle) == "CallHandle('bob@x.org', intent=1, queued, round=None)"
+        handle.state, handle.round_submitted = RequestState.DELIVERED, 3
+        assert repr(handle) == "CallHandle('bob@x.org', intent=1, delivered, round=3)"
 
     def test_call_still_validates_through_session(self):
         deployment = make_deployment("call-validate")
@@ -289,7 +293,7 @@ class TestRetryLiveness:
             deployment.run_addfriend_round(participants=["alice@x.org"])
         assert handle.state is RequestState.FAILED
         assert handle.attempts == 2  # the budget
-        assert alice.events.last("request_failed") is not None
+        assert alice.events.history("request_failed")
         # The outbox stopped: no queued request lingers.
         assert alice.client.addfriend.pending_in_queue() == 0
 
@@ -384,7 +388,7 @@ class TestAbortedRoundHandles:
     def test_abort_without_retry_fails_the_handle(self):
         _, alice, handle = self.drive_to_abort(retry=None)
         assert handle.state is RequestState.FAILED
-        failed = alice.events.last("request_failed")
+        failed = alice.events.history("request_failed")[-1]
         assert failed is not None and failed["reason"] == "round aborted"
 
     def test_abort_with_retry_recovers(self):
@@ -431,9 +435,9 @@ class TestOneSessionPerClient:
         while alice.dialing.pending_in_queue():
             deployment.run_dialing_round()
         assert bob.session is deployment.session("bob@x.org")
-        received = bob.session.events.last("friend_request_received")
+        received = bob.session.events.history("friend_request_received")[-1]
         assert received.email == "alice@x.org" and received["accepted"] is True
-        call = bob.session.events.last("call_received")
+        call = bob.session.events.history("call_received")[-1]
         assert call["call"] is bob.received_calls()[-1]
         assert call.email == "alice@x.org"
 
@@ -580,7 +584,9 @@ class TestParallelPkgFanout:
         deployment = make_deployment(seed="eleven-pkgs", num_pkg_servers=11)
         alice = deployment.create_client("alice@x.org")
         assert alice.registered
-        assert all(pkg.registration.is_registered("alice@x.org") for pkg in deployment.pkgs)
+        assert all(
+            pkg.registration.lookup("alice@x.org").deregistered_at is None for pkg in deployment.pkgs
+        )
 
     def test_recovery_deregisters_all_pkgs_concurrently(self):
         deployment = make_sim_deployment(pkgs=4, seed="recover")

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import AEAD_OVERHEAD, open_sealed, seal
-from repro.crypto.chacha20 import chacha20_encrypt, chacha20_stream
-from repro.crypto.hashing import KeywheelHash, hkdf, hmac_sha256, sha256, sha512
-from repro.crypto.poly1305 import poly1305_mac, poly1305_verify
+from repro.crypto.chacha20 import chacha20_stream
+from repro.crypto.hashing import KeywheelHash, hkdf, hmac_sha256
+from repro.crypto.poly1305 import poly1305_mac
 from repro.errors import CryptoError, DecryptionError
 
 try:
@@ -25,16 +25,6 @@ except Exception:  # pragma: no cover - oracle is optional
 
 
 class TestHashing:
-    def test_sha256_known_value(self):
-        # SHA-256 of the empty string is a standard, well-known constant.
-        assert (
-            sha256(b"").hex()
-            == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        )
-
-    def test_sha512_length(self):
-        assert len(sha512(b"abc")) == 64
-
     def test_hmac_differs_by_key(self):
         assert hmac_sha256(b"k1", b"msg") != hmac_sha256(b"k2", b"msg")
 
@@ -71,13 +61,6 @@ class TestChaCha20:
         key, nonce = b"\x01" * 32, b"\x02" * 12
         assert chacha20_stream(key, nonce, 100) == chacha20_stream(key, nonce, 100)
 
-    def test_encrypt_decrypt_roundtrip(self):
-        key, nonce = b"\x01" * 32, b"\x02" * 12
-        message = b"attack at dawn" * 5
-        ciphertext = chacha20_encrypt(key, nonce, message)
-        assert ciphertext != message
-        assert chacha20_encrypt(key, nonce, ciphertext) == message
-
     def test_counter_offsets_stream(self):
         key, nonce = b"\x01" * 32, b"\x02" * 12
         full = chacha20_stream(key, nonce, 128, initial_counter=0)
@@ -96,8 +79,8 @@ class TestPoly1305:
         key = bytes(range(32))
         tag = poly1305_mac(key, b"hello world")
         assert len(tag) == 16
-        assert poly1305_verify(key, b"hello world", tag)
-        assert not poly1305_verify(key, b"hello worlD", tag)
+        assert poly1305_mac(key, b"hello world") == tag
+        assert poly1305_mac(key, b"hello worlD") != tag
 
     def test_key_length_enforced(self):
         with pytest.raises(CryptoError):

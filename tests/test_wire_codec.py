@@ -58,7 +58,7 @@ from repro.obs.distributed import TraceContext
 from repro.pkg.server import ExtractionResponse
 from repro.primitives.bloom import BloomFilter
 from repro.runtime import wire
-from repro.utils.serialization import Message, Str, Trailing
+from repro.utils.serialization import Bytes, Fixed, List, Message, Opt, Rest, Str, Trailing, U8
 from wire_oracle import VECTORS, Packer, oracle_decode, oracle_encode, values, vector_bytes
 
 names = st.text(min_size=0, max_size=24)
@@ -244,6 +244,15 @@ class TestDeclarations:
             Message("never_registered", Trailing(Str("first"), ""), Str("second"))
         assert "never_registered" not in wiredoc.MESSAGES
 
+    def test_size_formula_is_fixed_bytes_plus_one_term_per_variable_field(self):
+        """The size column of docs/wire.md, field by field."""
+        assert Fixed("key", 32).size_formula() == "32"
+        assert Rest("body").size_formula() == "|body|"
+        assert Opt(Bytes("token")).size_formula() == "1 + [4 + |token|]"
+        assert List("ids", U8("id")).size_formula() == "4 + |ids|"
+        assert List("keys", Fixed("key", 32)).size_formula() == "4 + 32·|keys|"
+        assert List("items", Bytes("item")).size_formula() == "4 + Σ items (4 + |item|)"
+
 
 def outcome(function, *args):
     """What a codec made of its input: the value's ``repr`` (NaN-safe), or that
@@ -379,8 +388,9 @@ def _by_hand() -> list[Codec]:
               lambda exc: wire.encode_error(exc, exc.remote_endpoint),
               (wire.encode_error(RoundError("round 3 is closed"), "entry"),
                wire.encode_error(ValueError("bad input"), "mix0")), strict=False),
-        Codec("ShardDirectory", ShardDirectory.from_bytes, ShardDirectory.to_bytes,
-              (directory.to_bytes(),)),
+        Codec("ShardDirectory", lambda data: ShardDirectory.from_fields(rpc.SHARD_DIRECTORY.decode(data)),
+              lambda d: rpc.SHARD_DIRECTORY.encode(*d.to_fields()),
+              (rpc.SHARD_DIRECTORY.encode(*directory.to_fields()),)),
         Codec("AddFriendMailbox", AddFriendMailbox.from_bytes, AddFriendMailbox.to_bytes,
               (addfriend_box.to_bytes(),)),
         Codec("DialingMailbox", DialingMailbox.from_bytes, DialingMailbox.to_bytes,
