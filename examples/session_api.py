@@ -31,7 +31,7 @@ def build_deployment() -> Deployment:
             topology.set_link(a, b, LinkSpec.of(latency_ms=2, bandwidth_mbps=1000))
     net = SimulatedNetwork(topology=topology, seed="session-api/net")
     config = AlpenhornConfig.for_tests(backend="simulated")
-    config.addfriend_retry_horizon = 1  # the session outbox re-sends after 1 round
+    config.retry_horizon = 1  # the session outbox re-sends after 1 round
     return Deployment(config, seed="session-api", transport=net)
 
 

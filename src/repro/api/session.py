@@ -46,9 +46,9 @@ class ClientSession:
     """One application's view of its embedded Alpenhorn client.
 
     The outbox reads the client's :class:`~repro.core.config.AlpenhornConfig`:
-    ``retry_horizon`` (``addfriend_retry_horizon``) re-enqueues a friend
-    request still unconfirmed this many add-friend rounds after its last
-    submission (``None`` disables retry, matching the paper's bare library);
+    ``retry_horizon`` re-enqueues a friend request still unconfirmed this
+    many add-friend rounds after its last submission (``None`` disables
+    retry, matching the paper's bare library);
     ``dialing_redial_attempts`` re-dials a call whose round aborted (deduped
     by (friend, intent)) until it has entered that many rounds in total
     (``None`` keeps a dead round's calls terminally FAILED, the paper's
@@ -79,7 +79,7 @@ class ClientSession:
 
     @property
     def retry_horizon(self) -> int | None:
-        return self.client.config.addfriend_retry_horizon
+        return self.client.config.retry_horizon
 
     # ------------------------------------------------------------------ #
     # The application-facing API

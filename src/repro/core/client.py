@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.addfriend import AddFriendEngine, QueuedFriendRequest
 from repro.core.addressbook import AddressBook, FriendshipState
-from repro.core.config import AlpenhornConfig
+from repro.core.config import ADDFRIEND_REQUEST_SIZE, AlpenhornConfig
 from repro.core.dialing import DialingEngine
 from repro.core.dialtoken import IncomingCall, OutgoingCall, PlacedCall
 from repro.core.identity import UserIdentity
@@ -81,7 +81,7 @@ class Client:
             address_book=self.address_book,
             keywheel=self.keywheel,
             ibe=ibe,
-            plaintext_size=config.addfriend_request_size,
+            plaintext_size=ADDFRIEND_REQUEST_SIZE,
             attestation=self.attestation,
         )
         self.dialing = DialingEngine(keywheel=self.keywheel, num_intents=config.num_intents)
@@ -173,7 +173,7 @@ class Client:
             address_book=self.address_book,
             keywheel=self.keywheel,
             ibe=self.ibe,
-            plaintext_size=self.config.addfriend_request_size,
+            plaintext_size=ADDFRIEND_REQUEST_SIZE,
             attestation=self.attestation,
         )
         self.dialing = DialingEngine(keywheel=self.keywheel, num_intents=self.config.num_intents)

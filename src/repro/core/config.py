@@ -1,9 +1,10 @@
 """Deployment and protocol configuration.
 
 The knobs mirror the parameters the paper's evaluation varies: number of mix
-servers and PKGs, round durations, noise volumes, mailbox sizing targets,
-and the number of dialing intents the application uses (§5.3); dialing
-mailboxes are built at the paper's Bloom false-positive rate of 1e-10.  ``ibe_backend`` selects between the real
+servers and PKGs, noise volumes, mailbox sizing targets, and the number of
+dialing intents the application uses (§5.3); dialing mailboxes are built at
+the paper's Bloom false-positive rate of 1e-10, and the request size and
+round durations are module constants.  ``ibe_backend`` selects between the real
 pairing-based IBE and the oracle-based simulation backend used for
 large-scale scenario runs (README, "Choosing a crypto backend");
 ``crypto_backend`` selects the symmetric/X25519 engine every hot path runs
@@ -24,6 +25,16 @@ from repro.mixnet.noise import NoiseConfig
 # Sizes that determine the fixed request layout for a round.
 DIAL_TOKEN_SIZE = 32
 
+#: Add-friend request body: the friend request plus IBE overhead is padded
+#: to this length so every request in a round has identical size.
+ADDFRIEND_REQUEST_SIZE = 640
+
+#: Round durations in seconds (§8.2: hours for add-friend, minutes for
+#: dialing).  Only used by the latency/bandwidth models and the logical
+#: clock; the in-process simulator advances rounds explicitly.
+ADDFRIEND_ROUND_DURATION = 60 * 60.0
+DIALING_ROUND_DURATION = 5 * 60.0
+
 
 @dataclass
 class AlpenhornConfig:
@@ -43,12 +54,6 @@ class AlpenhornConfig:
     # repro.crypto.engine.
     crypto_backend: str = "pure"
 
-    # Round durations in seconds (§8.2: hours for add-friend, minutes for
-    # dialing).  Only used by the latency/bandwidth models and the logical
-    # clock; the in-process simulator advances rounds explicitly.
-    addfriend_round_duration: float = 60 * 60.0
-    dialing_round_duration: float = 5 * 60.0
-
     # Noise configuration (per server, per mailbox).
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
@@ -58,10 +63,6 @@ class AlpenhornConfig:
 
     # Dialing parameters.
     num_intents: int = 10  # §8.1: "the maximum number of intents was 10"
-
-    # Add-friend request body: the friend request plus IBE overhead is padded
-    # to this length so every request in a round has identical size.
-    addfriend_request_size: int = 640
 
     # PKG attestation scheme for the PKGSigs field (§4.5): "bls" (the real
     # multi-signature, the default) or "simulated" (hash-based oracle for
@@ -73,7 +74,7 @@ class AlpenhornConfig:
     # still unconfirmed this many add-friend rounds after its last
     # submission.  None disables retry, matching the paper's bare library
     # (which leaves retry to the application).
-    addfriend_retry_horizon: int | None = None
+    retry_horizon: int | None = None
 
     # Dialing retry (ClientSession outbox): a call whose round aborted is
     # re-dialed next round, up to this many total dials per CallHandle
@@ -133,12 +134,8 @@ class AlpenhornConfig:
             )
         if self.num_intents < 1:
             raise ConfigurationError("need at least one dialing intent")
-        if self.addfriend_request_size < 256:
-            raise ConfigurationError("add-friend request size too small to hold a request")
-        if self.addfriend_round_duration <= 0 or self.dialing_round_duration <= 0:
-            raise ConfigurationError("round durations must be positive")
-        if self.addfriend_retry_horizon is not None and self.addfriend_retry_horizon < 1:
-            raise ConfigurationError("addfriend_retry_horizon must be >= 1 (or None)")
+        if self.retry_horizon is not None and self.retry_horizon < 1:
+            raise ConfigurationError("retry_horizon must be >= 1 (or None)")
         if self.dialing_redial_attempts is not None and self.dialing_redial_attempts < 1:
             raise ConfigurationError("dialing_redial_attempts must be >= 1 (or None)")
         if self.entry_shards < 1:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.core.addfriend import addfriend_body_length
 from repro.core.client import Client
+from repro.core.config import ADDFRIEND_REQUEST_SIZE, ADDFRIEND_ROUND_DURATION, DIALING_ROUND_DURATION
 from repro.core.dialtoken import DIAL_TOKEN_SIZE
 from repro.errors import NetworkError
 from repro.mixnet.chain import RoundCounts
@@ -250,10 +251,10 @@ class AddFriendDriver(ProtocolDriver):
         # Wire-format constants only: a deployment driven purely with
         # externally constructed clients must announce the same fixed size
         # every client will produce.
-        return addfriend_body_length(self.dep.config.addfriend_request_size)
+        return addfriend_body_length(ADDFRIEND_REQUEST_SIZE)
 
     def round_duration(self) -> float:
-        return self.dep.config.addfriend_round_duration
+        return ADDFRIEND_ROUND_DURATION
 
     def submit_many(self, clients: list[Client], announcement) -> list:
         """All clients' extraction fan-outs and submissions as batch waves.
@@ -391,7 +392,7 @@ class DialingDriver(ProtocolDriver):
         return DIAL_TOKEN_SIZE
 
     def round_duration(self) -> float:
-        return self.dep.config.dialing_round_duration
+        return DIALING_ROUND_DURATION
 
     def submit_many(self, clients: list[Client], announcement) -> list:
         """All clients' dialing tokens as one wrap batch + one submit wave.

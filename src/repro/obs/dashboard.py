@@ -292,9 +292,9 @@ class DashboardMonitor:
             clients=spec.num_clients,
             addfriend_rounds=spec.addfriend_rounds,
             dialing_rounds=spec.dialing_rounds,
-            mix_servers=spec.num_mix_servers,
-            entry_shards=spec.entry_shards,
-            crypto_backend=spec.crypto_backend,
+            mix_servers=spec.config.num_mix_servers,
+            entry_shards=spec.config.entry_shards,
+            crypto_backend=spec.config.crypto_backend,
             pipelined=spec.pipelined,
             fidelity=spec.fidelity,
         )

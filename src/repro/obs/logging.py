@@ -102,8 +102,8 @@ class EventLogMonitor:
                 clients=spec.num_clients,
                 addfriend_rounds=spec.addfriend_rounds,
                 dialing_rounds=spec.dialing_rounds,
-                crypto=spec.crypto_backend,
-                shards=spec.entry_shards or None,
+                crypto=spec.config.crypto_backend,
+                shards=spec.config.entry_shards or None,
             ),
         )
 

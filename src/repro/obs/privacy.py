@@ -294,7 +294,7 @@ def action_budget_report(sessions, budgets: dict[str, int]) -> dict:
     return report
 
 
-def noise_traffic_report(protocols: dict, addfriend_request_size: int, bytes_sent: int) -> dict:
+def noise_traffic_report(protocols: dict, bytes_sent: int) -> dict:
     """Noise volume as a share of delivered messages and wire bytes.
 
     The byte share is an estimate: noise envelopes are indistinguishable
@@ -303,11 +303,12 @@ def noise_traffic_report(protocols: dict, addfriend_request_size: int, bytes_sen
     that ignores per-hop onion overhead.
     """
     from repro.core.addfriend import addfriend_body_length
+    from repro.core.config import ADDFRIEND_REQUEST_SIZE
     from repro.core.dialtoken import DIAL_TOKEN_SIZE
 
     body_lengths = {
         "dialing": DIAL_TOKEN_SIZE,
-        "add-friend": addfriend_body_length(addfriend_request_size),
+        "add-friend": addfriend_body_length(ADDFRIEND_REQUEST_SIZE),
     }
     noise_total = sum(summary["noise_total"] for summary in protocols.values())
     real_total = sum(summary["delivered_real"] for summary in protocols.values())
@@ -329,7 +330,6 @@ def noise_traffic_report(protocols: dict, addfriend_request_size: int, bytes_sen
 def run_report(
     ledger: PrivacyLedger,
     sessions,
-    addfriend_request_size: int,
     bytes_sent: int,
     budget_check: dict | None = None,
 ) -> dict:
@@ -337,9 +337,7 @@ def run_report(
     report = ledger.report()
     report["budget_check"] = budget_check
     report["action_budgets"] = action_budget_report(sessions, PAPER_ACTION_BUDGETS)
-    report["noise_traffic"] = noise_traffic_report(
-        report["protocols"], addfriend_request_size, bytes_sent
-    )
+    report["noise_traffic"] = noise_traffic_report(report["protocols"], bytes_sent)
     report["per_shard"] = ledger.per_shard_report()
     return report
 

@@ -6,14 +6,17 @@ Three subcommands::
     python -m repro.sim run SCENARIO [--FIELD VALUE ...]
     python -m repro.sim sweep EXPERIMENT [--FIELD VALUE[,VALUE...] ...]
 
-Every scalar :class:`~repro.sim.scenario.ScenarioSpec` field is a flag under
-its own name (``num_clients`` -> ``--num-clients``); an ``int | None`` field
-takes an integer or ``none``, a ``bool`` field ``on``/``off``.  Examples::
+Every scalar field of :class:`~repro.sim.scenario.ScenarioSpec` and of its
+:class:`~repro.core.config.AlpenhornConfig` is a flag under its own name
+(``num_clients`` -> ``--num-clients``, ``ibe_backend`` -> ``--ibe-backend``);
+an ``int | None`` field takes an integer or ``none``, a ``bool`` field
+``on``/``off``.  Examples::
 
     python -m repro.sim run baseline --num-clients 500
     python -m repro.sim run straggler_mix --num-clients 100 --json out.json
     python -m repro.sim run sharded_entry --entry-shards 4 --zipf-alpha 1.2
     python -m repro.sim run client_churn --retry-horizon none
+    python -m repro.sim run baseline --ibe-backend bn254 --attestation-backend bls
     python -m repro.sim run metropolis           # 10k clients, accelerated
     python -m repro.sim run megacity --fidelity slotted  # exact client links
     python -m repro.sim run baseline --runtime mp  # a worker per mix server
@@ -47,11 +50,12 @@ import shutil
 import sys
 from functools import partial
 
+from repro.core.config import AlpenhornConfig
 from repro.errors import ConfigurationError
 from repro.obs.record import render, write_json_report
-from repro.sim.experiment import SPEC_FIELDS, emit_record, run_experiment
+from repro.sim.experiment import emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
-from repro.sim.scenario import ScenarioSpec
+from repro.sim.scenario import CONFIG_FIELDS, SPEC_FIELDS, ScenarioSpec
 from repro.sim.scenarios import SCENARIOS, make_scenario, scenario_names
 
 
@@ -81,15 +85,14 @@ def _convert(name: str, kind: str, convert, optional: bool, text: str):
 
 def flag_parsers() -> dict:
     """name -> text parser for every flag generated from a declaration: each
-    scalar ``ScenarioSpec`` field, by its annotation (``LinkSpec`` fields
-    have no flag), plus the derived axes of the registered experiments."""
+    scalar ``ScenarioSpec`` and ``AlpenhornConfig`` field, by its annotation
+    (``LinkSpec``, ``NoiseConfig`` and ``config`` itself have no flag), plus
+    the derived axes of the registered experiments."""
     parsers = {}
-    for spec_field in dataclasses.fields(ScenarioSpec):
-        kind, _, rest = spec_field.type.partition(" | ")
+    for f in dataclasses.fields(ScenarioSpec) + dataclasses.fields(AlpenhornConfig):
+        kind, _, rest = f.type.partition(" | ")
         if kind in _KINDS:
-            parsers[spec_field.name] = partial(
-                _convert, spec_field.name, kind, _KINDS[kind], rest == "None"
-            )
+            parsers[f.name] = partial(_convert, f.name, kind, _KINDS[kind], rest == "None")
     for experiment in EXPERIMENTS.values():
         for section in experiment.sections:
             for axis in section.axes:
@@ -139,14 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("experiment", help="experiment name (see list)")
     for name in flag_parsers():
         # a derived axis (latency_ms, privacy_trials) only means something to a sweep
-        for command in (run, sweep) if name in SPEC_FIELDS else (sweep,):
+        owner = ScenarioSpec if name in SPEC_FIELDS else AlpenhornConfig if name in CONFIG_FIELDS else None
+        for command in (run, sweep) if owner else (sweep,):
             command.add_argument(
                 "--" + name.replace("_", "-"),
                 dest=name,
                 metavar="VALUE" if command is run else "VALUE[,VALUE...]",
                 help=(
-                    f"ScenarioSpec.{name}: {ScenarioSpec.__dataclass_fields__[name].type}"
-                    if name in SPEC_FIELDS
+                    f"{owner.__name__}.{name}: {owner.__dataclass_fields__[name].type}"
+                    if owner
                     else f"the {name} axis"
                 ),
             )
@@ -173,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         return sweep_cli(args, given, parsers)
     except (UsageError, ConfigurationError, ValueError) as exc:
         # ConfigurationError: e.g. a topology-sculpting scenario asked to run
-        # on a real runtime, or Zipf skew over one shard; ValueError: e.g. Zipf skew without a pinned
-        # mailbox count, or too few audit trials.
+        # on a real runtime, or Zipf skew over one shard or without a pinned
+        # mailbox count; ValueError: e.g. too few audit trials.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,21 +19,19 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.record import format_table, write_json_report
 from repro.errors import ConfigurationError
-from repro.sim.scenario import ScenarioSpec
+from repro.sim.scenario import CONFIG_FIELDS, SPEC_FIELDS
 from repro.sim.scenarios import run_scenario
-
-SPEC_FIELDS = frozenset(f.name for f in fields(ScenarioSpec))
 
 
 @dataclass(frozen=True)
 class Axis:
-    """One swept dimension: a ``ScenarioSpec`` field, or a derived axis."""
+    """One swept dimension: a spec or config field, or a derived axis."""
 
     name: str
     values: tuple
@@ -195,7 +193,7 @@ def run_experiment(experiment: Experiment, overrides: dict | None = None, progre
 
     ``overrides`` maps a name to a *sequence* when the name is an axis of
     some section (it replaces that axis's values wherever the axis appears)
-    and to a single value when it is any other ``ScenarioSpec`` field (it
+    and to a single value when it is any other spec or config field (it
     applies to every point, under each section's fixed workload).  ``seed``
     fills the sections' seed templates.  ``progress`` is an optional
     ``callable(str)``.  The record's ``failed_checks`` lists every broken
@@ -203,7 +201,7 @@ def run_experiment(experiment: Experiment, overrides: dict | None = None, progre
     """
     overrides = dict(overrides or {})
     axis_names = {axis.name for section in experiment.sections for axis in section.axes}
-    unknown = sorted(set(overrides) - axis_names - SPEC_FIELDS)
+    unknown = sorted(set(overrides) - axis_names - SPEC_FIELDS - CONFIG_FIELDS)
     if unknown:
         raise ConfigurationError(
             f"experiment {experiment.name!r} has no axis or ScenarioSpec field "

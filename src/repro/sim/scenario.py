@@ -15,18 +15,20 @@ injector subclasses :class:`Scenario`, through three hooks:
 * :meth:`Scenario.before_round` -- per-round fault injection (partitions,
   load spikes).
 
-Scenarios always use the ``simulated`` IBE backend: they measure the
-*system* (round structure, batching, links), not the pairing arithmetic,
-exactly like the paper separates protocol-scale from crypto microbenchmarks.
-The symmetric/X25519 hot path still runs for real, on whichever engine
-``spec.crypto_backend`` selects (see :mod:`repro.crypto.engine`) -- that
-cost *is* part of the system under test.
+A spec's deployment is one :class:`~repro.core.config.AlpenhornConfig`
+(``spec.config``), by default on the ``simulated`` IBE and attestation
+backends: scenarios measure the *system* (round structure, batching, links),
+not the pairing arithmetic, exactly like the paper separates protocol-scale
+from crypto microbenchmarks (``ibe_backend="bn254"`` runs the paper's IBE on
+the same wire sizes).  The symmetric/X25519 hot path always runs for real,
+on whichever engine ``config.crypto_backend`` selects (see
+:mod:`repro.crypto.engine`) -- that cost *is* part of the system under test.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.cluster.directory import front_endpoints
 from repro.core.config import AlpenhornConfig
@@ -43,6 +45,23 @@ from repro.obs.trace import active_tracer
 from repro.sim.workloads import ZipfMailboxWorkload
 
 
+def scenario_config(**overrides) -> AlpenhornConfig:
+    """The deployment every scenario row starts from, ``overrides`` applied.
+    16 real requests per mailbox is small, so a few hundred clients still
+    fill several mailboxes."""
+    return AlpenhornConfig(**{
+        "num_mix_servers": 2,
+        "num_pkg_servers": 2,
+        "ibe_backend": "simulated",
+        "attestation_backend": "simulated",
+        "num_intents": 3,
+        "addfriend_target_per_mailbox": 16,
+        "dialing_target_per_mailbox": 16,
+        "crypto_backend": "pure",
+        **overrides,
+    })
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything that parameterizes one scenario run."""
@@ -54,8 +73,9 @@ class ScenarioSpec:
     dialing_rounds: int = 3
     #: How many disjoint client pairs queue a friendship before round 1.
     friend_pairs: int | None = None  # default: num_clients // 8
-    num_mix_servers: int = 2
-    num_pkg_servers: int = 2
+    #: The deployment; ``build`` replaces only its ``noise``, with
+    #: :meth:`resolved_noise`'s (mu, b) for both protocols.
+    config: AlpenhornConfig = field(default_factory=scenario_config)
     #: Default link for client <-> server paths.
     client_link: LinkSpec = field(default_factory=lambda: LinkSpec.of(latency_ms=40, bandwidth_mbps=50, jitter_ms=10))
     #: Per-server, per-mailbox noise (mu, b) -- kept small so simulations
@@ -77,17 +97,6 @@ class ScenarioSpec:
     #: round N+1's announce+submit overlapping round N's mix+scan.
     #: ``False`` drains each round and waits out its duration before the next.
     pipelined: bool = False
-    #: Sender-side retry: re-enqueue friend requests still unconfirmed this
-    #: many add-friend rounds after their last submission (None = off, the
-    #: paper's bare-library behavior).  Friendships are queued through
-    #: ClientSession, so handles report per-request liveness either way.
-    retry_horizon: int | None = None
-    #: Entry/CDN front tier (repro.cluster): number of mailbox-range shards
-    #: the envelopes wait at.  The one EntryServer runs every round at any
-    #: count; 1 is its in-process front behind the "entry"/"cdn" endpoints.
-    entry_shards: int = 1
-    #: Envelopes per SubmitBatch frame at each shard's ingress proxy.
-    ingress_batch_size: int = 16
     #: Zipf exponent for the mailbox-skew client population (0 = uniform).
     #: Above 0 it needs several entry shards and a fixed mailbox count, and
     #: the scenario refuses to construct without them.
@@ -97,12 +106,6 @@ class ScenarioSpec:
     #: single "entry" endpoint when unsharded, so shard-count sweeps
     #: compare equal per-shard capacity.
     shard_access_mbps: float = 0.0
-    #: Pin every round's mailbox count (required for stable Zipf skew).
-    fixed_mailbox_count: int | None = None
-    #: Crypto engine for the symmetric/X25519 hot path ("pure" or
-    #: "accelerated"; see repro.crypto.engine) -- the axis the ``crypto``
-    #: experiment varies.
-    crypto_backend: str = "pure"
     #: Shared egress capacity of each CDN endpoint's access link in Mbit/s
     #: (0 = uncapped).  Applied to every CDN shard -- or to the single
     #: "cdn" endpoint when unsharded -- so the scan stage queues behind the
@@ -134,12 +137,6 @@ class ScenarioSpec:
     #: access-link caps do not apply, and scenarios that sculpt the
     #: topology (``requires_simulated_network``) refuse to run on them.
     runtime: str = "sim"
-    #: PKG attestation scheme ("bls" = real BLS aggregate signatures,
-    #: "simulated" = hash-based stand-in with identical wire sizes).
-    #: Scenarios measure the system, not the pairing arithmetic -- same
-    #: rationale as the simulated IBE backend -- so "simulated" is the
-    #: default here while the library default stays "bls".
-    attestation_backend: str = "simulated"
 
     def resolved_friend_pairs(self) -> int:
         if self.friend_pairs is not None:
@@ -352,12 +349,13 @@ class ScenarioResult:
         ]
 
     def to_dict(self) -> dict:
+        config = self.spec.config
         return {
             "scenario": self.name,
             "description": self.spec.description,
             "num_clients": self.spec.num_clients,
-            "mix_servers": self.spec.num_mix_servers,
-            "pkg_servers": self.spec.num_pkg_servers,
+            "mix_servers": config.num_mix_servers,
+            "pkg_servers": config.num_pkg_servers,
             "rounds": [r.to_dict() for r in self.rounds],
             "friendships_confirmed": self.friendships_confirmed,
             "calls_delivered": self.calls_delivered,
@@ -365,18 +363,18 @@ class ScenarioResult:
             "total_messages_sent": self.total_messages_sent,
             "wall_seconds": round(self.wall_seconds, 3),
             "pipelined": self.spec.pipelined,
-            "retry_horizon": self.spec.retry_horizon,
-            "entry_shards": self.spec.entry_shards,
-            "ingress_batch_size": self.spec.ingress_batch_size,
+            "retry_horizon": config.retry_horizon,
+            "entry_shards": config.entry_shards,
+            "ingress_batch_size": config.ingress_batch_size,
             "zipf_alpha": self.spec.zipf_alpha,
             "shard_access_mbps": self.spec.shard_access_mbps,
             "cdn_egress_mbps": self.spec.cdn_egress_mbps,
-            "crypto_backend": self.spec.crypto_backend,
+            "crypto_backend": config.crypto_backend,
             "fidelity": self.spec.fidelity,
             "runtime": self.spec.runtime,
             # the worker processes the run used: one per mix server on mp
-            "mp_workers": self.spec.num_mix_servers if self.spec.runtime == "mp" else 0,
-            "attestation_backend": self.spec.attestation_backend,
+            "mp_workers": config.num_mix_servers if self.spec.runtime == "mp" else 0,
+            "attestation_backend": config.attestation_backend,
             "addfriend_submit_stage_s": round(self.stage_mean("submit_stage_s", "add-friend"), 6),
             "addfriend_scan_stage_s": round(self.mean_scan_stage("add-friend"), 6),
             "throughput": self.throughput,
@@ -402,9 +400,6 @@ class Scenario:
     requires_simulated_network = False
     #: Link between any two servers (entry, mixes, PKGs, CDN).
     server_link = LinkSpec.of(latency_ms=2, bandwidth_mbps=1000)
-    #: Real requests per mailbox the round sizes its mailbox count for, both
-    #: protocols -- small, so a few hundred clients still fill several.
-    target_per_mailbox = 16
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
@@ -412,20 +407,21 @@ class Scenario:
         #: workload draws a shard per new index, so each email is kept.
         self._zipf = None
         self._emails: dict[int, str] = {}
+        config = spec.config
         if spec.zipf_alpha > 0:
-            if spec.entry_shards < 2:
+            if config.entry_shards < 2:
                 raise ConfigurationError(
                     f"zipf_alpha={spec.zipf_alpha:g} needs entry_shards > 1 (got "
-                    f"{spec.entry_shards}): one shard has no placement to skew"
+                    f"{config.entry_shards}): one shard has no placement to skew"
                 )
-            if spec.fixed_mailbox_count is None:
-                raise ValueError(
+            if config.fixed_mailbox_count is None:
+                raise ConfigurationError(
                     "zipf_alpha > 0 needs fixed_mailbox_count: mailbox placement "
                     "must be stable across rounds for the skew to mean anything"
                 )
             self._zipf = ZipfMailboxWorkload(
-                shard_count=spec.entry_shards,
-                mailbox_count=spec.fixed_mailbox_count,
+                shard_count=config.entry_shards,
+                mailbox_count=config.fixed_mailbox_count,
                 alpha=spec.zipf_alpha,
                 seed=f"{spec.seed}/{spec.name}/zipf",
             )
@@ -474,12 +470,13 @@ class Scenario:
         # server's process: its control RPCs ride the server mesh, not a
         # client WAN link (otherwise every round's measured latency would
         # carry phantom announce/close round-trips).
-        front = front_endpoints(self.spec.entry_shards)
+        config = self.spec.config
+        front = front_endpoints(config.entry_shards)
         return (
             list(dict.fromkeys(name for names in front for name in names))
             + ["coordinator"]
-            + [f"mix{i}" for i in range(self.spec.num_mix_servers)]
-            + [f"pkg{i}" for i in range(self.spec.num_pkg_servers)]
+            + [f"mix{i}" for i in range(config.num_mix_servers)]
+            + [f"pkg{i}" for i in range(config.num_pkg_servers)]
         )
 
     def build_topology(self) -> NetworkTopology:
@@ -518,8 +515,8 @@ class Scenario:
             # One worker per mix server, rebuilt from the exact derivation
             # Deployment itself uses: (name, rng seed, crypto backend).
             return MultiprocessTransport([
-                [mix_endpoint_spec(f"mix{i}", f"{spec.seed}/{spec.name}/mix/{i}", spec.crypto_backend)]
-                for i in range(spec.num_mix_servers)
+                [mix_endpoint_spec(f"mix{i}", f"{spec.seed}/{spec.name}/mix/{i}", spec.config.crypto_backend)]
+                for i in range(spec.config.num_mix_servers)
             ])
         raise ConfigurationError(
             f"unknown runtime {spec.runtime!r}: expected sim, asyncio, or mp"
@@ -532,24 +529,13 @@ class Scenario:
                 f"unknown fidelity {spec.fidelity!r}: expected slotted or fluid"
             )
         net = self.build_transport()
-        noise_mu, noise_b = spec.resolved_noise()
-        config = AlpenhornConfig(
-            num_mix_servers=spec.num_mix_servers,
-            num_pkg_servers=spec.num_pkg_servers,
-            ibe_backend="simulated",
-            crypto_backend=spec.crypto_backend,
-            noise=NoiseConfig(noise_mu, noise_b, noise_mu, noise_b),
-            addfriend_target_per_mailbox=self.target_per_mailbox,
-            dialing_target_per_mailbox=self.target_per_mailbox,
-            num_intents=3,
-            addfriend_retry_horizon=spec.retry_horizon,
-            entry_shards=spec.entry_shards,
-            ingress_batch_size=spec.ingress_batch_size,
-            fixed_mailbox_count=spec.fixed_mailbox_count,
-            attestation_backend=spec.attestation_backend,
-        )
+        mu, b = spec.resolved_noise()
         try:
-            deployment = Deployment(config, seed=f"{spec.seed}/{spec.name}", transport=net)
+            deployment = Deployment(
+                replace(spec.config, noise=NoiseConfig(mu, b, mu, b)),
+                seed=f"{spec.seed}/{spec.name}",
+                transport=net,
+            )
         except Exception:
             net.close()  # don't leak sockets/worker processes on a failed build
             raise
@@ -567,7 +553,7 @@ class Scenario:
         egress).
         """
         mbps, egress = self.spec.shard_access_mbps, self.spec.cdn_egress_mbps
-        for entry, _ingress, cdn in front_endpoints(self.spec.entry_shards):
+        for entry, _ingress, cdn in front_endpoints(self.spec.config.entry_shards):
             if mbps > 0:
                 net.set_access_link(entry, ingress_mbps=mbps)
             if egress > 0:
@@ -591,7 +577,7 @@ class Scenario:
 
         Requests go through :class:`~repro.api.session.ClientSession`, so
         every scenario gets per-request lifecycle handles (and, with
-        ``spec.retry_horizon`` set, sender-side retry) for free.
+        ``config.retry_horizon`` set, sender-side retry) for free.
         """
         for pair in range(self.spec.resolved_friend_pairs()):
             a, b = self.client_email(2 * pair), self.client_email(2 * pair + 1)
@@ -646,13 +632,7 @@ class Scenario:
             result.bytes_by_method = dict(net.stats.bytes_by_method)
             result.shard_loads = deployment.entry.load_report()
             sessions = [client.session for client in deployment.clients.values()]
-            result.privacy = run_report(
-                self.ledger,
-                sessions,
-                deployment.config.addfriend_request_size,
-                net.stats.bytes_sent,
-                budget_check,
-            )
+            result.privacy = run_report(self.ledger, sessions, net.stats.bytes_sent, budget_check)
             result.sessions = {
                 "count": len(sessions),
                 "outbox_depth": sum(len(s.pending_requests()) for s in sessions),
@@ -801,6 +781,19 @@ class Scenario:
         }
 
 
+SPEC_FIELDS = frozenset(f.name for f in fields(ScenarioSpec))
+#: ``noise`` is not among them: a run's noise is the spec's ``noise_mu``,
+#: ``noise_b`` and ``privacy_budget``, and ``build`` replaces the config's.
+CONFIG_FIELDS = frozenset(f.name for f in fields(AlpenhornConfig)) - {"noise"}
+
+
 def with_overrides(spec: ScenarioSpec, **overrides) -> ScenarioSpec:
-    """A spec with the given fields replaced (unknown names raise)."""
-    return replace(spec, **overrides)
+    """A spec with the given names replaced: a spec field on the spec, a
+    config field on a fresh copy of its config (copied even without one, so
+    no run shares a row's config); any other name raises ``TypeError``."""
+    unknown = sorted(set(overrides) - SPEC_FIELDS - CONFIG_FIELDS)
+    if unknown:
+        raise TypeError(f"no ScenarioSpec or AlpenhornConfig field named {', '.join(unknown)}")
+    config = overrides.pop("config", spec.config)
+    config = replace(config, **{k: overrides.pop(k) for k in CONFIG_FIELDS & set(overrides)})
+    return replace(spec, config=config, **overrides)

@@ -72,7 +72,7 @@ from __future__ import annotations
 from repro.core.coordinator import Deployment
 from repro.net.links import LinkSpec
 from repro.net.simulated import SimulatedNetwork
-from repro.sim.scenario import Scenario, ScenarioResult, ScenarioSpec, with_overrides
+from repro.sim.scenario import Scenario, ScenarioResult, ScenarioSpec, scenario_config, with_overrides
 from repro.utils.rng import DeterministicRng
 
 
@@ -175,7 +175,7 @@ class FlashCrowdScenario(Scenario):
         count = int(len(lonely) * self.flash_fraction) & ~1  # even
         # Distinct clients with no friend and nothing queued: any error is real.
         for i in range(0, count, 2):
-            lonely[i].add_friend(lonely[i + 1].email)
+            self.extra_handles.append(lonely[i].session.add_friend(lonely[i + 1].email))
 
 
 class GeoDistributedScenario(Scenario):
@@ -247,7 +247,7 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
             # the freshly anchored keywheels reach their dialable round.
             addfriend_rounds=2,
             dialing_rounds=2,
-            crypto_backend="accelerated",
+            config=scenario_config(crypto_backend="accelerated"),
         ),
     ),
     "megacity": (
@@ -260,7 +260,7 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
             # The minimum rounds, as metropolis: single-figure minutes at 100k.
             addfriend_rounds=2,
             dialing_rounds=2,
-            crypto_backend="accelerated",
+            config=scenario_config(crypto_backend="accelerated"),
             fidelity="fluid",
         ),
     ),
@@ -273,10 +273,8 @@ SCENARIOS: dict[str, tuple[type[Scenario], ScenarioSpec]] = {
             addfriend_rounds=2,
             dialing_rounds=2,
             client_link=LinkSpec.of(latency_ms=200, bandwidth_mbps=50, jitter_ms=10),
-            entry_shards=4,
-            ingress_batch_size=16,
+            config=scenario_config(entry_shards=4, ingress_batch_size=16, fixed_mailbox_count=8),
             shard_access_mbps=1.0,
-            fixed_mailbox_count=8,
         ),
     ),
     "passive_observer": (
@@ -331,5 +329,6 @@ def make_scenario(name: str, **overrides) -> Scenario:
 
 
 def run_scenario(name: str, **overrides) -> ScenarioResult:
-    """Build and run a named scenario; overrides are ScenarioSpec fields."""
+    """Build and run a named scenario; overrides are ScenarioSpec or
+    AlpenhornConfig fields (see :func:`~repro.sim.scenario.with_overrides`)."""
     return make_scenario(name, **overrides).run()

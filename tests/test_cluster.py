@@ -618,9 +618,10 @@ class TestShardedScenario:
         assert result.calls_delivered >= 3
 
     def test_zipf_without_fixed_mailboxes_is_rejected(self):
+        from repro.errors import ConfigurationError
         from repro.sim.scenarios import make_scenario
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="zipf_alpha > 0 needs fixed_mailbox_count"):
             make_scenario(
                 "sharded_entry", entry_shards=2, zipf_alpha=1.0, fixed_mailbox_count=None
             )

@@ -19,13 +19,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import AlpenhornConfig
 from repro.errors import ConfigurationError
 from repro.obs.record import SCHEMA, read_json_report, validate_record
 from repro.sim.__main__ import build_parser, flag_parsers, main
 from repro.sim.experiment import Axis, Column, Experiment, Section, emit_record, run_experiment
 from repro.sim.experiments import EXPERIMENTS
 from repro.sim.paper import NEAR_PAPER, PAPER
-from repro.sim.scenario import ScenarioSpec, with_overrides
+from repro.sim.scenario import SPEC_FIELDS, ScenarioSpec, with_overrides
 from repro.sim.scenarios import run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -429,9 +430,11 @@ class TestCli:
             (["sweep", "fidelity", "--friend-pairs", "2,3"], "--friend-pairs: expected int or none"),
             (["run", "baseline", "--pipelined", "maybe"], "--pipelined: expected bool"),
             (["run", "baseline", "--latency-ms", "40"], "unrecognized arguments"),
-            (["run", "baseline", "--retry-horizon", "0"], "addfriend_retry_horizon must be >= 1"),
+            (["run", "baseline", "--retry-horizon", "0"], "retry_horizon must be >= 1"),
             (["run", "straggler_mix", "--runtime", "asyncio", "--num-clients", "8"], "cannot run with runtime"),
             (["frobnicate"], "invalid choice"),
+            (["run", "sharded_entry", "--zipf-alpha", "1", "--fixed-mailbox-count", "none"],
+             "zipf_alpha > 0 needs fixed_mailbox_count"),
         ],
     )
     def test_bad_command_lines_exit_two_with_one_line(self, argv, message, capsys):
@@ -475,26 +478,31 @@ class TestCli:
         assert parsers["pipelined"](args.pipelined) is True
 
     def test_every_scalar_spec_field_has_a_flag_that_round_trips(self):
-        """A new ScenarioSpec field can never again need a hand-written flag."""
+        """A new ScenarioSpec or AlpenhornConfig field can never again need a
+        hand-written flag."""
         samples = {"int": ("7", 7), "float": ("0.25", 0.25), "str": ("x-y", "x-y"),
                    "bool": ("on", True)}
+        # a config backend is validated on override: sample a registered one
+        samples.update({name: (value, value) for name, value in (
+            ("ibe_backend", "bn254"), ("crypto_backend", "accelerated"),
+            ("attestation_backend", "bls"))})
         parsers = flag_parsers()
         checked = 0
-        for spec_field in dataclasses.fields(ScenarioSpec):
-            kind, _, rest = spec_field.type.partition(" | ")
-            if kind == "LinkSpec":
-                continue  # links stay flagless
-            text, value = samples[kind]
-            flag = "--" + spec_field.name.replace("_", "-")
+        every_field = dataclasses.fields(ScenarioSpec) + dataclasses.fields(AlpenhornConfig)
+        for f in every_field:
+            name, (kind, _, rest) = f.name, f.type.partition(" | ")
+            if kind in ("LinkSpec", "NoiseConfig", "AlpenhornConfig"):
+                continue  # links, noise and the config itself stay flagless
+            text, value = samples.get(name, samples[kind])
+            flag = "--" + name.replace("_", "-")
             for command in (["run", "baseline"], ["sweep", "fidelity"]):
                 args = build_parser().parse_args(command + [flag, text])
-                parsed = parsers[spec_field.name](getattr(args, spec_field.name))
-                spec = with_overrides(ScenarioSpec(), **{spec_field.name: parsed})
-                assert getattr(spec, spec_field.name) == value
+                spec = with_overrides(ScenarioSpec(), **{name: parsers[name](getattr(args, name))})
+                assert getattr(spec if name in SPEC_FIELDS else spec.config, name) == value
             if rest == "None":
-                assert parsers[spec_field.name]("none") is None
+                assert parsers[name]("none") is None
             checked += 1
-        assert checked == len(dataclasses.fields(ScenarioSpec)) - 1  # client_link
+        assert checked == len(every_field) - 3 == 29  # client_link, config, noise
 
     def test_hand_written_arguments_stay_few(self):
         source = (REPO / "src/repro/sim/__main__.py").read_text()

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.addfriend import addfriend_body_length
 from repro.core.client import Client
-from repro.core.config import AlpenhornConfig
+from repro.core.config import ADDFRIEND_REQUEST_SIZE, AlpenhornConfig
 from repro.core.coordinator import Deployment
 from repro.errors import NetworkError, RoundError
 from repro.mixnet.chain import MixChain
@@ -158,7 +158,7 @@ class TestAnnouncedBodyLength:
         deployment = make_deployment(seed="bodylen")
         client = deployment.create_client("alice@example.org")
         driver = deployment.round_engine("add-friend").driver
-        expected = addfriend_body_length(deployment.config.addfriend_request_size)
+        expected = addfriend_body_length(ADDFRIEND_REQUEST_SIZE)
         assert driver.body_length() == expected
         assert client.addfriend.body_length() == expected
 

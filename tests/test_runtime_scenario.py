@@ -67,7 +67,7 @@ class TestRuntimeParity:
         real = run_scenario("baseline", runtime="mp", **SMALL)
         assert real.friendships_confirmed == sim.friendships_confirmed
         assert real.calls_delivered == sim.calls_delivered
-        assert real.to_dict()["mp_workers"] == real.spec.num_mix_servers
+        assert real.to_dict()["mp_workers"] == real.spec.config.num_mix_servers
 
 
 class TestTeardown:

@@ -37,7 +37,7 @@ from repro.sim.scenarios import run_scenario
 
 def make_deployment(seed: str = "session-test", retry: int | None = None, **config_kwargs):
     config = AlpenhornConfig.for_tests(backend="simulated")
-    config.addfriend_retry_horizon = retry
+    config.retry_horizon = retry
     for key, value in config_kwargs.items():
         setattr(config, key, value)
     config.validate()
@@ -372,7 +372,7 @@ class TestAbortedRoundHandles:
         from repro.errors import NetworkError
 
         deployment = make_sim_deployment(pkgs=2, latency_ms=20, seed=f"abort-{retry}")
-        deployment.config.addfriend_retry_horizon = retry
+        deployment.config.retry_horizon = retry
         deployment.create_client("alice@x.org")
         deployment.create_client("bob@x.org")
         alice = deployment.session("alice@x.org")

@@ -7,12 +7,14 @@ clients via ``python -m repro.sim``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.net.links import LinkSpec
 from repro.sim import SCENARIOS, ScenarioSpec, make_scenario, run_scenario, scenario_names
+from repro.sim.scenario import CONFIG_FIELDS, SPEC_FIELDS, with_overrides
 from repro.sim.scenarios import StragglerMixScenario
 
 
@@ -140,6 +142,18 @@ class TestFaultScenarios:
         assert flash_round.delivered_real > addfriend[0].delivered_real
         assert result.friendships_confirmed > 2
 
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_flash_crowd_burst_is_in_the_request_totals(self, pipelined):
+        """The burst is queued through sessions, so every burst request has a
+        handle: the totals match what the sessions submitted and confirmed."""
+        result = run_scenario("flash_crowd", num_clients=14, dialing_rounds=1,
+                              friend_pairs=2, seed="t-flash", pipelined=pipelined)
+        requests, events = result.friend_requests, result.sessions["events"]
+        assert requests["initial"]["total"] == 2
+        assert requests["total"] > requests["initial"]["total"]
+        assert requests["total"] == events["request_submitted"]
+        assert requests["confirmed"] == events.get("friend_confirmed", 0)
+
     def test_geo_distribution_slows_rounds(self):
         base = run_scenario("baseline", num_clients=9, addfriend_rounds=1,
                             dialing_rounds=1, friend_pairs=2, seed="t-geo")
@@ -153,6 +167,56 @@ class TestSpecDefaults:
         assert ScenarioSpec(num_clients=64).resolved_friend_pairs() == 8
         assert ScenarioSpec(num_clients=4).resolved_friend_pairs() == 1
         assert ScenarioSpec(num_clients=64, friend_pairs=3).resolved_friend_pairs() == 3
+
+
+class TestOneDeploymentConfig:
+    """A spec carries its deployment as one AlpenhornConfig; overrides route
+    by name."""
+
+    def test_no_name_is_both_a_spec_and_a_config_field(self):
+        assert not SPEC_FIELDS & CONFIG_FIELDS
+
+    def test_overrides_route_by_name(self):
+        spec = with_overrides(ScenarioSpec(), num_clients=7, ibe_backend="bn254", num_intents=10)
+        assert spec.num_clients == 7
+        assert (spec.config.ibe_backend, spec.config.num_intents) == ("bn254", 10)
+        assert spec.config.num_mix_servers == ScenarioSpec().config.num_mix_servers
+
+    def test_noise_is_not_an_override_name(self):
+        """A run's noise is the spec's (noise_mu, noise_b, privacy_budget):
+        ``build`` replaces the config's, so setting it would be ignored.
+        (Any other unknown name: ``test_unknown_spec_override_rejected``.)"""
+        with pytest.raises(TypeError, match="field named noise"):
+            make_scenario("baseline", noise=None)
+
+    def test_a_runs_config_is_its_own(self):
+        row = SCENARIOS["baseline"][1].config
+        before = dataclasses.replace(row)
+        scenario = make_scenario("baseline", num_clients=4, friend_pairs=1)
+        assert scenario.spec.config is not row
+        scenario.spec.config.num_intents = 9
+        deployment, _net = scenario.build()
+        try:
+            deployment.config.retry_horizon = 5
+            assert deployment.config.num_intents == 9
+        finally:
+            deployment.close()
+        assert SCENARIOS["baseline"][1].config == before
+
+    def test_simulated_backends_have_the_real_wire_sizes(self):
+        """``SimulatedIbe`` and the simulated attestation scheme claim the
+        real backends' wire sizes: a run on bn254 + bls records the same
+        bytes, deliveries and friendships.  A difference here is a wrong
+        size model in the simulated backend, not a test to loosen."""
+        kw = dict(num_clients=4, friend_pairs=2, addfriend_rounds=2, dialing_rounds=2, seed="t-wire")
+        simulated = run_scenario("baseline", **kw).to_dict()
+        real = run_scenario("baseline", ibe_backend="bn254", attestation_backend="bls", **kw).to_dict()
+        for record in (simulated, real):
+            record.pop("wall_seconds")
+        assert (simulated.pop("attestation_backend"), real.pop("attestation_backend")) == (
+            "simulated", "bls")
+        assert real["friendships_confirmed"] == 2 and real["calls_delivered"] == 2
+        assert real == simulated
 
 
 class TestPipelinedScenarioAndSweep:
