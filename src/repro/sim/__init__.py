@@ -17,6 +17,7 @@ or ``python -m repro.sim sweep NAME``; this package does not import them.
 """
 
 from repro.sim.scenario import (
+    Fault,
     RoundStats,
     Scenario,
     ScenarioResult,
@@ -26,6 +27,7 @@ from repro.sim.scenario import (
 from repro.sim.scenarios import SCENARIOS, make_scenario, run_scenario, scenario_names
 
 __all__ = [
+    "Fault",
     "RoundStats",
     "SCENARIOS",
     "Scenario",

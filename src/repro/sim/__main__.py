@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
 def list_cli() -> int:
     print("scenarios (python -m repro.sim run NAME):")
     for name in scenario_names():
-        print(f"  {name:22s} {SCENARIOS[name][1].description}")
+        print(f"  {name:22s} {SCENARIOS[name].description}")
     print("experiments (python -m repro.sim sweep NAME), sections and default axes:")
     for experiment in EXPERIMENTS.values():
         print("\n".join("  " + line for line in experiment.describe()))

@@ -7,13 +7,15 @@ on it, populates clients and friendships, drives N add-friend and dialing
 rounds, and collects per-round latency/bandwidth/failure statistics into a
 :class:`ScenarioResult`.
 
-A named scenario is a spec row (:mod:`repro.sim.scenarios`); only a fault
-injector subclasses :class:`Scenario`, through three hooks:
+A named scenario is a spec row (:mod:`repro.sim.scenarios`) run by the one
+:class:`Scenario` class.  Its faults are data too, a schedule of
+:class:`Fault` values in ``spec.faults`` that the base class interprets in
+two places:
 
-* :meth:`Scenario.configure` -- one-time topology/deployment mutation,
-* :meth:`Scenario.participants` -- which clients are online for a round,
-* :meth:`Scenario.before_round` -- per-round fault injection (partitions,
-  load spikes).
+* :meth:`Scenario.configure` -- once, after the deployment is built: the
+  ``slow``, ``regions`` and ``region_link`` faults sculpt the topology;
+* just before each round -- ``partition``, ``join`` and ``flash``, then the
+  ``churn`` draw of which clients are online.
 
 A spec's deployment is one :class:`~repro.core.config.AlpenhornConfig`
 (``spec.config``), by default on the ``simulated`` IBE and attestation
@@ -43,6 +45,7 @@ from repro.obs.logging import get_logger
 from repro.obs.privacy import PrivacyLedger, budget_consistency, run_report
 from repro.obs.trace import active_tracer
 from repro.sim.workloads import ZipfMailboxWorkload
+from repro.utils.rng import DeterministicRng
 
 
 def scenario_config(**overrides) -> AlpenhornConfig:
@@ -60,6 +63,50 @@ def scenario_config(**overrides) -> AlpenhornConfig:
         "crypto_backend": "pure",
         **overrides,
     })
+
+
+#: Fault kinds that sculpt the simulated topology: a spec with one cannot run
+#: on a real runtime, which has no topology to sculpt.
+TOPOLOGY_FAULTS = frozenset({"partition", "slow", "regions", "region_link"})
+FAULT_KINDS = TOPOLOGY_FAULTS | {"churn", "join", "flash"}
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One entry of a scenario's fault schedule (``ScenarioSpec.faults``).
+
+    ``at`` is a 0-based add-friend round index, ``names`` are server
+    endpoints or regions, ``amount`` is a fraction or a count.  By kind:
+
+    * ``churn`` -- every round each client is offline with probability
+      ``amount``, except the initial pairs' senders: their requests' fate
+      then measures what churn does to recipients and what sender-side
+      retry recovers, not the sender's own absence;
+    * ``join`` -- ``amount`` new clients register before every add-friend
+      round from ``at`` on, and each befriends client 0;
+    * ``flash`` -- before add-friend round ``at``, a fraction ``amount`` of
+      the clients with no friend and nothing queued pair up and befriend
+      each other;
+    * ``partition`` -- the endpoints ``names`` are cut off for add-friend
+      round ``at`` and heal on the next round;
+    * ``slow`` -- every path touching the endpoints ``names`` runs on ``link``;
+    * ``regions`` -- the servers are hosted in region ``names[0]`` and the
+      clients are dealt round-robin across ``names``;
+    * ``region_link`` -- paths between regions ``names[0]`` and ``names[1]``
+      run on ``link``.
+    """
+
+    kind: str
+    names: tuple[str, ...] = ()
+    at: int = 0
+    amount: float = 0.0
+    link: LinkSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ConfigurationError(
+                f"unknown fault kind {self.kind!r}: expected one of {', '.join(sorted(FAULT_KINDS))}"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,9 +181,11 @@ class ScenarioSpec:
     #:   separate cores.
     #:
     #: Real runtimes have no modelled topology: link specs, fidelity, and
-    #: access-link caps do not apply, and scenarios that sculpt the
-    #: topology (``requires_simulated_network``) refuse to run on them.
+    #: access-link caps do not apply, and a spec with a fault that sculpts
+    #: the topology (:data:`TOPOLOGY_FAULTS`) refuses to run on them.
     runtime: str = "sim"
+    #: The fault schedule the run injects (see :class:`Fault`).
+    faults: tuple[Fault, ...] = ()
 
     def resolved_friend_pairs(self) -> int:
         if self.friend_pairs is not None:
@@ -393,11 +442,6 @@ class ScenarioResult:
 class Scenario:
     """Base scenario: N clients, some friendships, then dialing."""
 
-    #: Scenarios that sculpt the simulated topology (straggler links,
-    #: partitions, regions) cannot run on a real runtime -- there is no
-    #: topology to sculpt.  They set this and ``build`` refuses
-    #: ``spec.runtime != "sim"`` with a ConfigurationError.
-    requires_simulated_network = False
     #: Link between any two servers (entry, mixes, PKGs, CDN).
     server_link = LinkSpec.of(latency_ms=2, bandwidth_mbps=1000)
 
@@ -425,6 +469,17 @@ class Scenario:
                 alpha=spec.zipf_alpha,
                 seed=f"{spec.seed}/{spec.name}/zipf",
             )
+        servers = self.server_endpoints()
+        for fault in spec.faults:
+            missing = [name for name in fault.names if name not in servers]
+            if fault.kind in ("partition", "slow") and missing:
+                raise ConfigurationError(
+                    f"{fault.kind} fault names {', '.join(missing)}, not an endpoint "
+                    f"of this deployment ({', '.join(servers)})"
+                )
+        self._churn_rng = DeterministicRng(f"{spec.seed}/{spec.name}/churn")
+        self._flash_rng = DeterministicRng(f"{spec.seed}/{spec.name}/flash")
+        self._joined = 0  # late joiners so far (a ``join`` fault)
         #: Observability monitors (duck-typed; see ``_notify``): the one seam
         #: the record reaches its live views through.  Hooks:
         #: ``on_start(deployment, net, spec)`` once the deployment is
@@ -453,16 +508,74 @@ class Scenario:
         #: not an artifact of the sender itself being offline.
         self.sender_emails: set[str] = set()
 
-    # -- hooks -------------------------------------------------------------
+    # -- faults ------------------------------------------------------------
     def configure(self, deployment: Deployment, net: Transport) -> None:
-        """One-time setup after the deployment is built (topology tweaks)."""
+        """One-time setup after the deployment is built: the ``slow``,
+        ``regions`` and ``region_link`` faults sculpt the topology."""
+        servers = self.server_endpoints()
+        for fault in self.spec.faults:
+            if fault.kind == "slow":
+                for name in fault.names:
+                    # Explicit pair links outrank endpoint overrides, so replace
+                    # the server-mesh links touching it as well as its default.
+                    for other in servers:
+                        if other != name:
+                            net.topology.set_link(name, other, fault.link)
+                    net.topology.set_endpoint(name, fault.link)
+            elif fault.kind == "regions":
+                for server in servers:
+                    net.topology.assign_region(server, fault.names[0])
+                for index in range(self.spec.num_clients):
+                    region = fault.names[index % len(fault.names)]
+                    net.topology.assign_region(self.client_email(index), region)
+            elif fault.kind == "region_link":
+                net.topology.set_region_link(*fault.names, fault.link)
 
-    def participants(self, deployment: Deployment, protocol: str, round_index: int):
-        """Which clients take part this round; ``None`` means everyone."""
-        return None
-
-    def before_round(self, deployment: Deployment, net: Transport, protocol: str, round_index: int) -> None:
-        """Fault injection / load changes just before a round starts."""
+    def _apply_round_faults(
+        self, deployment: Deployment, net: Transport, protocol: str, round_index: int
+    ):
+        """The spec's faults just before a round: ``partition``, ``join`` and
+        ``flash``, then the ``churn`` draw.  Returns the clients online this
+        round, ``None`` meaning everyone."""
+        addfriend = protocol == "add-friend"
+        churn = None
+        for fault in self.spec.faults:
+            if fault.kind == "partition":
+                # Both drive paths come here for every round, aborted ones
+                # included, so the heal lands on the very round after the failure.
+                for name in fault.names:
+                    if addfriend and round_index == fault.at:
+                        net.topology.partition_endpoint(name)
+                    elif not addfriend or round_index > fault.at:
+                        net.topology.heal_endpoint(name)
+            elif fault.kind == "join" and addfriend and round_index >= fault.at:
+                count = int(fault.amount)
+                joiners = [f"late{self._joined + i}@sim.example.org" for i in range(count)]
+                self._joined += count
+                for client in deployment.create_clients(joiners):
+                    self.extra_handles.append(client.session.add_friend(self.client_email(0)))
+            elif fault.kind == "flash" and addfriend and round_index == fault.at:
+                lonely = [
+                    client
+                    for client in deployment.clients.values()
+                    if not client.friends() and not client.addfriend.pending_in_queue()
+                ]
+                self._flash_rng.shuffle(lonely)
+                count = int(len(lonely) * fault.amount) & ~1  # even
+                # Distinct clients with no friend and nothing queued: any error is real.
+                for i in range(0, count, 2):
+                    self.extra_handles.append(lonely[i].session.add_friend(lonely[i + 1].email))
+            elif fault.kind == "churn":
+                churn = fault
+        if churn is None:
+            return None
+        online = [
+            client
+            for client in deployment.clients.values()
+            if self._churn_rng.uniform() >= churn.amount or client.email in self.sender_emails
+        ]
+        # A round with zero online clients tells us nothing; keep one.
+        return online or [next(iter(deployment.clients.values()))]
 
     # -- construction ------------------------------------------------------
     def server_endpoints(self) -> list[str]:
@@ -500,7 +613,7 @@ class Scenario:
             return SimulatedNetwork(
                 topology=self.build_topology(), seed=f"{spec.seed}/{spec.name}/net"
             )
-        if self.requires_simulated_network:
+        if any(fault.kind in TOPOLOGY_FAULTS for fault in spec.faults):
             raise ConfigurationError(
                 f"scenario {spec.name!r} sculpts the simulated topology and "
                 f"cannot run with runtime {spec.runtime!r}"
@@ -739,8 +852,7 @@ class Scenario:
 
         def participants_for(round_index: int):
             self._notify("before_round", deployment, protocol, round_index)
-            self.before_round(deployment, net, protocol, round_index)
-            return self.participants(deployment, protocol, round_index)
+            return self._apply_round_faults(deployment, net, protocol, round_index)
 
         latencies = []
 

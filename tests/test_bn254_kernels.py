@@ -296,7 +296,7 @@ class TestLineSteps:
     @settings(max_examples=20, deadline=None)
     def test_add_step(self, f, a, b, c, z):
         if a == b or (a + b) % CURVE_ORDER == 0:
-            b = a + 1 if a + 2 < CURVE_ORDER else 1
+            b = 2 * a % CURVE_ORDER  # neither a nor -a: r is a prime above 3
         r, q, p = _twist_point(a), _twist_point(b), g1_generator().scalar_mul(c)
         t = _projective(r, z)
         product, total = _add_step(f, t, q._coordinates(), p.x, p.y)

@@ -636,10 +636,11 @@ class TestShardedScenario:
 
     def test_every_scenario_honours_zipf_placement(self):
         """Zipf placement is the base scenario's, keyed on the spec alone."""
-        from repro.sim.scenarios import SCENARIOS, make_scenario
+        from repro.sim.scenario import Scenario
+        from repro.sim.scenarios import make_scenario
 
         baseline = make_scenario("baseline", entry_shards=4, fixed_mailbox_count=8, zipf_alpha=1.2)
-        sharded = SCENARIOS["sharded_entry"][0](baseline.spec)
+        sharded = Scenario(baseline.spec)
         emails = [baseline.client_email(i) for i in range(16)]
         assert emails == [sharded.client_email(i) for i in range(16)]
         assert emails != [f"user{i}@sim.example.org" for i in range(16)]

@@ -435,6 +435,7 @@ class TestCli:
             (["frobnicate"], "invalid choice"),
             (["run", "sharded_entry", "--zipf-alpha", "1", "--fixed-mailbox-count", "none"],
              "zipf_alpha > 0 needs fixed_mailbox_count"),
+            (["run", "pkg_failure", "--num-pkg-servers", "1"], "partition fault names pkg1"),
         ],
     )
     def test_bad_command_lines_exit_two_with_one_line(self, argv, message, capsys):
@@ -491,8 +492,8 @@ class TestCli:
         every_field = dataclasses.fields(ScenarioSpec) + dataclasses.fields(AlpenhornConfig)
         for f in every_field:
             name, (kind, _, rest) = f.name, f.type.partition(" | ")
-            if kind in ("LinkSpec", "NoiseConfig", "AlpenhornConfig"):
-                continue  # links, noise and the config itself stay flagless
+            if kind in ("LinkSpec", "NoiseConfig", "AlpenhornConfig", "tuple[Fault, ...]"):
+                continue  # links, noise, the config itself and the faults stay flagless
             text, value = samples.get(name, samples[kind])
             flag = "--" + name.replace("_", "-")
             for command in (["run", "baseline"], ["sweep", "fidelity"]):
@@ -502,7 +503,7 @@ class TestCli:
             if rest == "None":
                 assert parsers[name]("none") is None
             checked += 1
-        assert checked == len(every_field) - 3 == 29  # client_link, config, noise
+        assert checked == len(every_field) - 4 == 29  # client_link, config, noise, faults
 
     def test_hand_written_arguments_stay_few(self):
         source = (REPO / "src/repro/sim/__main__.py").read_text()

@@ -34,6 +34,9 @@ from repro.sim import make_scenario, run_scenario
 #: four digests on both backends.
 #: The two privacy-audit arms were pinned, by the same recipe, while each
 #: still had its own ``Scenario`` subclass; as spec rows they must match.
+#: So were the four fault rows (``straggler_mix``, ``pkg_failure``,
+#: ``flash_crowd``, ``geo_distributed``), before their faults became
+#: ``ScenarioSpec.faults`` data.
 GOLDEN_DIGESTS = {
     "baseline": "ec454c3cf2a9522b17b3a2342be3190340e8a08abb2dfafeec2bcb2b8cea83a5",
     "sharded_entry": "8c3970d9655d0c335b10dc26a27dabe0cd505bc2ea5cd54dd715cefcc4905b6b",
@@ -41,6 +44,10 @@ GOLDEN_DIGESTS = {
     "client_churn": "363a7cb0de962b059bd5d84f53c968c3c09ef0b88859db6063a647e0b80b937e",
     "passive_observer": "93744b379ed152c12dd780edf33481b134d26603a05375e164eba812ee8918a6",
     "passive_observer_idle": "5c93ccb59bad0415609e839fb4097aa0e91e713615ed20c078af4fa7e6da553e",
+    "straggler_mix": "4fcfd2dd7a9fd530b89ea3fa4526fa657cf2d1f6c76e11e5699ff840907205bb",
+    "pkg_failure": "ab005f289a2acf3660c6ffae372b8b059dbe95048cd5e20fd45519e0e2985a2e",
+    "flash_crowd": "c79f479adfd4b7d015e0592a9ecea15aee37c0b302cfbfbe6c80b7cc3e8608d8",
+    "geo_distributed": "22ecd9f8cda0f90138e8f7be9130b6e9c0dc427cc1d5f528987e544ce8dcf133",
 }
 
 

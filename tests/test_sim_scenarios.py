@@ -14,8 +14,8 @@ import pytest
 
 from repro.net.links import LinkSpec
 from repro.sim import SCENARIOS, ScenarioSpec, make_scenario, run_scenario, scenario_names
-from repro.sim.scenario import CONFIG_FIELDS, SPEC_FIELDS, with_overrides
-from repro.sim.scenarios import StragglerMixScenario
+from repro.errors import ConfigurationError
+from repro.sim.scenario import CONFIG_FIELDS, SPEC_FIELDS, Fault, Scenario, with_overrides
 
 
 class TestHarnessBasics:
@@ -31,6 +31,9 @@ class TestHarnessBasics:
         assert scenario_names() == sorted(SCENARIOS)
         assert {"baseline", "client_churn", "straggler_mix", "pkg_failure",
                 "flash_crowd", "geo_distributed"} <= set(scenario_names())
+        # a row is a spec, faults included, run by the one Scenario class
+        assert all(isinstance(spec, ScenarioSpec) for spec in SCENARIOS.values())
+        assert {type(make_scenario(name)) for name in scenario_names()} == {Scenario}
 
     def test_result_is_json_serializable(self):
         result = run_scenario("baseline", num_clients=8, addfriend_rounds=1,
@@ -106,8 +109,10 @@ class TestFaultScenarios:
         scenario = make_scenario("straggler_mix", num_clients=4)
         deployment, net = scenario.build()
         scenario.configure(deployment, net)
-        resolved = net.topology.link("entry", StragglerMixScenario.straggler)
-        assert resolved.latency_s == StragglerMixScenario.straggler_link.latency_s
+        (fault,) = SCENARIOS["straggler_mix"].faults
+        (straggler,) = fault.names
+        resolved = net.topology.link("entry", straggler)
+        assert resolved.latency_s == fault.link.latency_s
 
     def test_pkg_failure_aborts_one_round_and_recovers(self):
         result = run_scenario("pkg_failure", num_clients=10, dialing_rounds=2,
@@ -154,6 +159,21 @@ class TestFaultScenarios:
         assert requests["total"] == events["request_submitted"]
         assert requests["confirmed"] == events.get("friend_confirmed", 0)
 
+    @pytest.mark.parametrize("name, overrides, endpoint", [
+        ("pkg_failure", {"num_pkg_servers": 1}, "pkg1"),
+        ("straggler_mix", {"num_mix_servers": 1}, "mix1"),
+    ])
+    def test_a_fault_on_a_missing_endpoint_is_refused(self, name, overrides, endpoint):
+        """A partition or slow link aimed at a server the deployment lacks
+        would run as a no-op: fail closed, naming what does exist."""
+        with pytest.raises(ConfigurationError, match=f"fault names {endpoint}, not an endpoint") as err:
+            make_scenario(name, **overrides)
+        assert "mix0" in str(err.value) and "pkg0" in str(err.value)
+
+    def test_an_unknown_fault_kind_is_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown fault kind 'meteor'"):
+            Fault("meteor", names=("mix0",))
+
     def test_geo_distribution_slows_rounds(self):
         base = run_scenario("baseline", num_clients=9, addfriend_rounds=1,
                             dialing_rounds=1, friend_pairs=2, seed="t-geo")
@@ -190,7 +210,7 @@ class TestOneDeploymentConfig:
             make_scenario("baseline", noise=None)
 
     def test_a_runs_config_is_its_own(self):
-        row = SCENARIOS["baseline"][1].config
+        row = SCENARIOS["baseline"].config
         before = dataclasses.replace(row)
         scenario = make_scenario("baseline", num_clients=4, friend_pairs=1)
         assert scenario.spec.config is not row
@@ -201,7 +221,7 @@ class TestOneDeploymentConfig:
             assert deployment.config.num_intents == 9
         finally:
             deployment.close()
-        assert SCENARIOS["baseline"][1].config == before
+        assert SCENARIOS["baseline"].config == before
 
     def test_simulated_backends_have_the_real_wire_sizes(self):
         """``SimulatedIbe`` and the simulated attestation scheme claim the
@@ -222,7 +242,7 @@ class TestOneDeploymentConfig:
 class TestPipelinedScenarioAndSweep:
     def test_pipelined_rounds_is_registered(self):
         assert "pipelined_rounds" in scenario_names()
-        _, spec = SCENARIOS["pipelined_rounds"]
+        spec = SCENARIOS["pipelined_rounds"]
         assert spec.pipelined
 
     def test_throughput_recorded_for_both_drivers(self):

@@ -365,15 +365,6 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
         "repro/sim/experiments.py::post_submit",
         "repro/sim/experiments.py::_cdn_seed",
     ]),
-    (DOCUMENTED, "the straggler_mix, flash_crowd and geo_distributed scenarios (run SCENARIO)", [
-        "repro/sim/scenarios.py::StragglerMixScenario.configure",
-        "repro/sim/scenarios.py::FlashCrowdScenario.__init__",
-        "repro/sim/scenarios.py::FlashCrowdScenario.before_round",
-        "repro/sim/scenarios.py::GeoDistributedScenario.configure",
-        "repro/net/links.py::NetworkTopology.set_endpoint",
-        "repro/net/links.py::NetworkTopology.assign_region",
-        "repro/net/links.py::NetworkTopology.set_region_link",
-    ]),
     (OUT_OF_SCOPE, "blind-signature rate tokens: removing them changes the SUBMIT bytes, its own format-break change", [
         "repro/crypto/blind.py::RateToken.to_bytes",
         "repro/crypto/blind.py::RateToken.from_bytes",
