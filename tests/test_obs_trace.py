@@ -317,3 +317,118 @@ class TestScenarioIntegration:
         assert result.trace["crypto_ops"]["open_many"]["items"] > 0
         assert abs(result.trace["coverage"]["fraction"] - 1.0) <= 0.05
         assert len(result.rounds_for("add-friend")) == 2
+
+
+def traced_run(name: str, **overrides):
+    """``run_scenario(name, ...)`` under a fresh tracer; returns both."""
+    from repro.sim.scenarios import run_scenario
+
+    tracer = Tracer()
+    previous = set_active_tracer(tracer)
+    try:
+        result = run_scenario(name, **overrides)
+    finally:
+        set_active_tracer(previous)
+    return tracer, result
+
+
+#: Small, seeded runs: enough for every span of the README's table to show.
+SPAN_TABLE_RUN = dict(
+    num_clients=8, friend_pairs=2, addfriend_rounds=2, dialing_rounds=1, seed="span-table"
+)
+
+
+class TestSpanTable:
+    """The README's "Per-stage round tracing" table, span by span, on a
+    one-shard and a sharded deployment."""
+
+    @pytest.fixture(scope="class", params=["baseline", "sharded_entry"])
+    def traced(self, request):
+        tracer, result = traced_run(request.param, **SPAN_TABLE_RUN)
+        return request.param, tracer, result
+
+    @staticmethod
+    def spans(tracer, name, protocol, round_number):
+        return [
+            span
+            for span in tracer.spans
+            if span.name == name
+            and span.args.get("protocol") == protocol
+            and span.args.get("round") == round_number
+        ]
+
+    def test_four_stage_spans_per_protocol_per_completed_round(self, traced):
+        _, tracer, result = traced
+        completed = [r for r in result.rounds if not r.aborted]
+        assert {r.protocol for r in completed} == {"add-friend", "dialing"}
+        for row in completed:
+            for stage_name in ("announce", "submit", "mix", "scan"):
+                (span,) = self.spans(tracer, stage_name, row.protocol, row.round_number)
+                assert span.category == CATEGORY_STAGE and span.track == row.protocol
+                assert "bytes" in span.args
+        stage_spans = [s for s in tracer.spans if s.category == CATEGORY_STAGE]
+        assert len(stage_spans) == 4 * len(completed)
+
+    def test_one_mix_process_batch_per_mix_server_per_round(self, traced):
+        _, tracer, result = traced
+        for row in result.rounds:
+            spans = self.spans(tracer, "mix.process_batch", row.protocol, row.round_number)
+            assert sorted(span.track for span in spans) == ["mix0", "mix1"]
+            for span in spans:
+                assert span.category == "mix" and span.args["server"] == span.track
+                assert {"received", "dropped", "noise"} <= set(span.args)
+
+    def test_shard_and_ingress_spans_on_the_sharded_front(self, traced):
+        name, tracer, result = traced
+        cluster = [s for s in tracer.spans if s.category == "cluster"]
+        if name == "baseline":
+            assert cluster == []
+            return
+        for row in result.rounds:
+            for span_name in ("shard.open_broadcast", "shard.flush_drain", "shard.collect"):
+                (span,) = self.spans(tracer, span_name, row.protocol, row.round_number)
+                assert span.category == "cluster" and span.track == "coordinator"
+                assert span.args["shards"] == 4
+            (drain,) = self.spans(tracer, "shard.flush_drain", row.protocol, row.round_number)
+            assert "rejected" in drain.args
+            (collect,) = self.spans(tracer, "shard.collect", row.protocol, row.round_number)
+            assert collect.args["envelopes"] > 0
+        flushes = [s for s in cluster if s.name == "ingress.flush_batch"]
+        assert flushes
+        for span in flushes:
+            assert span.track.startswith("ingress") and span.args["proxy"] == span.track
+            assert span.args["envelopes"] > 0 and "rejected" in span.args
+
+    def test_crypto_batch_spans_are_kept(self, traced):
+        _, tracer, _ = traced
+        batches = [s for s in tracer.spans if s.category == CATEGORY_CRYPTO]
+        assert {"open_many", "seal_many"} <= {s.name for s in batches}
+        assert all(s.track == "crypto" and s.args["count"] >= 0 for s in batches)
+
+    def test_transport_and_crypto_attribution_buckets(self, traced):
+        _, tracer, _ = traced
+        report = tracer.report()
+        for protocol in ("add-friend", "dialing"):
+            bucket = report["attribution"][f"{protocol}/mix"]
+            assert bucket.get(CATEGORY_TRANSPORT, 0.0) > 0.0
+            assert bucket.get(CATEGORY_CRYPTO, 0.0) > 0.0
+        assert {CATEGORY_TRANSPORT, CATEGORY_CRYPTO} <= set(report["category_totals"])
+
+
+class TestTracingOnlyObserves:
+    """A traced run's record is the untraced one plus its ``trace`` section."""
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("name", ["baseline", "sharded_entry"])
+    def test_traced_record_equals_untraced(self, name, pipelined):
+        from repro.sim.scenarios import run_scenario
+
+        run = dict(SPAN_TABLE_RUN, seed="observes", pipelined=pipelined)
+        plain = run_scenario(name, **run).to_dict()
+        _, result = traced_run(name, **run)
+        traced = result.to_dict()
+        assert "trace" in traced and "trace" not in plain
+        for record in (plain, traced):
+            record.pop("wall_seconds")
+            record.pop("trace", None)
+        assert traced == plain
