@@ -48,7 +48,6 @@ from repro.mixnet.mailbox import MailboxSet, mailbox_for_identity
 from repro.net import rpc
 from repro.net.frames import ENVELOPE_BATCH
 from repro.net.transport import BatchCall, RpcRequest, RpcResult, Transport, raise_first_error
-from repro.obs.trace import active_tracer
 
 
 @dataclass
@@ -267,45 +266,38 @@ class IngressProxy:
         return len(self._buffers.get((protocol, round_number), ()))
 
     def _flush(self, protocol: str, round_number: int) -> None:
-        key = (protocol, round_number)
-        batch = self._buffers.pop(key, None)
-        if not batch:
-            return
-        rejects = self._rejects.setdefault(key, [])
-        span = active_tracer().start(
-            "ingress.flush_batch",
-            category="cluster",
-            track=self.name,
-            protocol=protocol,
-            round=round_number,
-            proxy=self.name,
-            envelopes=len(batch),
-        )
+        batch = self._buffers.pop((protocol, round_number), None)
+        if batch:
+            self.flush_batch(protocol, round_number, batch)
+
+    def flush_batch(
+        self, protocol: str, round_number: int, batch: list[tuple[str, bytes, bytes | None]]
+    ) -> list[tuple[str, str]]:
+        """Send one buffered batch to the shard as a ``SubmitBatch`` frame;
+        returns the round's rejects so far, this batch's included."""
+        rejects = self._rejects.setdefault((protocol, round_number), [])
         try:
-            try:
-                result = self.transport.call(
-                    self.name,
-                    self.shard_endpoint,
-                    "submit_batch",
-                    rpc.SUBMIT_BATCH_REQUEST.encode(protocol, round_number, batch),
-                )
-                # An undecodable reply is a lost one: its senders retry, and
-                # the shard drops what it already holds as duplicates.
-                (statuses,) = rpc.decode_reply(rpc.SUBMIT_BATCH_RESPONSE.decode, result.payload)
-            except NetworkError as exc:
-                if exc.request_delivered:
-                    # Ack lost: the shard holds the envelopes; the batch stands.
-                    return
+            result = self.transport.call(
+                self.name,
+                self.shard_endpoint,
+                "submit_batch",
+                rpc.SUBMIT_BATCH_REQUEST.encode(protocol, round_number, batch),
+            )
+            # An undecodable reply is a lost one: its senders retry, and
+            # the shard drops what it already holds as duplicates.
+            (statuses,) = rpc.decode_reply(rpc.SUBMIT_BATCH_RESPONSE.decode, result.payload)
+        except NetworkError as exc:
+            # Only the ack was lost (request_delivered): the shard holds the
+            # envelopes and the batch stands.
+            if not exc.request_delivered:
                 rejects.extend((client_id, "batch lost in transit") for client_id, _, _ in batch)
-                return
-            for (client_id, _, _), status in zip(batch, statuses):
-                if status in (rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_DUPLICATE):
-                    continue
+            return rejects
+        for (client_id, _, _), status in zip(batch, statuses):
+            if status not in (rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_DUPLICATE):
                 rejects.append(
                     (client_id, rpc.SUBMIT_STATUS_REASONS.get(status, f"status {status}"))
                 )
-        finally:
-            active_tracer().end(span, rejected=len(rejects))
+        return rejects
 
     def flush(self, protocol: str, round_number: int) -> list[tuple[str, str]]:
         """Flush the round's remainder; return and clear its rejects."""

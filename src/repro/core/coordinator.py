@@ -41,6 +41,7 @@ from repro.mixnet.chain import MixChain
 from repro.mixnet.server import MixServer
 from repro.net.rpc import CdnStub, EntryStub, PkgStub
 from repro.net.transport import DirectTransport, Phase, Transport
+from repro.obs.instrument import instrument
 from repro.pkg.coordinator import PkgCoordinator
 from repro.pkg.server import PkgServer
 from repro.utils.rng import DeterministicRng
@@ -81,20 +82,8 @@ class Deployment:
         # deployments with different backends each run their own rounds on
         # their own selection instead of whichever was constructed last.
         from repro.crypto.engine import get_backend, set_active_backend
-        from repro.obs.trace import active_tracer
 
         self.crypto = get_backend(self.config.crypto_backend)
-        # Under an active tracer (``repro.sim run SCENARIO --trace PATH``) the
-        # engine is wrapped so every op feeds wall-clock attribution and batch calls
-        # become trace spans; the tracer's simulated clock is this
-        # deployment's transport clock from here on.  Untraced runs skip
-        # both, keeping the crypto hot path at zero overhead.
-        tracer = active_tracer()
-        if tracer.enabled:
-            from repro.obs.instrument import InstrumentedCryptoBackend
-
-            tracer.bind_clock(self.transport.now)
-            self.crypto = InstrumentedCryptoBackend(self.crypto)
         set_active_backend(self.crypto)
 
         # PKG attestation scheme (PKGSigs); shared by the PKGs and every
@@ -203,6 +192,12 @@ class Deployment:
             "add-friend": RoundEngine(self, AddFriendDriver(self)),
             "dialing": RoundEngine(self, DialingDriver(self)),
         }
+
+        # Under an active tracer (``repro.sim run SCENARIO --trace PATH``)
+        # the public seams of everything built above -- engine stages,
+        # transport, crypto engine, mix servers, shard waves -- are wrapped
+        # in spans from the outside; untraced, nothing is touched.
+        instrument(self)
 
     # ------------------------------------------------------------------ #
     # Client management

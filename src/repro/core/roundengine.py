@@ -9,10 +9,11 @@ round's participants; a single client is a wave of one.
   how to size mailboxes, what the clients submit (``submit_many``), how they
   scan their mailboxes (``scan_many``), and what to undo on each failure
   path;
-* :class:`RoundEngine` drives one round through its three stages --
-  **start** (announce + the clients' submission wave), **close** (hand the
-  batch to the mix chain, publish mailboxes to the CDN), and **scan** (the
-  clients' mailbox download wave + post-round key erasure);
+* :class:`RoundEngine` drives one round through its four stages, one
+  method each -- **announce**, **submit** (the clients' submission wave),
+  **mix** (close the round: the mix chain runs and the mailboxes are
+  published) and **scan** (the clients' mailbox download wave + post-round
+  key erasure);
 * :meth:`RoundEngine.start_round` / :meth:`RoundEngine.finish_round` split a
   round at the stage boundary the paper's deployment overlaps: a new round's
   announce+submit can run while the previous round is still mixing and being
@@ -41,7 +42,6 @@ from repro.errors import NetworkError
 from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import choose_mailbox_count, mailbox_for_identity
 from repro.mixnet.onion import wrap_onion_many
-from repro.obs.trace import active_tracer
 
 
 @dataclass
@@ -456,187 +456,92 @@ class RoundEngine:
         self.dep = deployment
         self.driver = driver
 
-    # -- stage 1: announce + submissions ----------------------------------
+    # -- start_round: stages announce + submit -----------------------------
     def start_round(self, participants=None) -> PendingRound:
         """Announce a new round and run the concurrent submission phase.
 
         Never raises on announce failure; the returned pending round carries
         the failure so a pipelined driver can keep the previous round alive.
         """
-        driver = self.driver
-        tracer = active_tracer()
         clients = self.dep._resolve_participants(participants)
-        round_number = driver.allocate_round()
         bytes_before = self.dep.transport.stats.bytes_sent
         pending = PendingRound(
-            round_number=round_number,
+            round_number=self.driver.allocate_round(),
             clients=clients,
-            mailbox_count=driver.mailbox_count(clients),
+            mailbox_count=self.driver.mailbox_count(clients),
             started_at=self.dep.clock,
         )
-        announce_span = tracer.start(
-            "announce",
-            category="stage",
-            track=driver.protocol,
-            protocol=driver.protocol,
-            round=round_number,
-        )
+        self.announce(pending)
+        if pending.failure is None:
+            self.submit(pending)
+        pending.bytes_accum = self.dep.transport.stats.bytes_sent - bytes_before
+        return pending
+
+    def announce(self, pending: PendingRound) -> None:
+        """Stage ``announce``: open the round on the entry server.  A failure
+        is recorded on ``pending``, not raised."""
+        driver = self.driver
         try:
             pending.announcement = self.dep.entry_stub.announce_round(
-                driver.protocol, round_number, pending.mailbox_count, driver.body_length()
+                driver.protocol, pending.round_number, pending.mailbox_count, driver.body_length()
             )
         except NetworkError as exc:
             # The announce may have reached the entry server even though its
             # reply was lost; abort locally so no round secrets outlive the
             # failure (idempotent if the round never opened).
-            self.dep.entry.abort_round(driver.protocol, round_number)
+            self.dep.entry.abort_round(driver.protocol, pending.round_number)
             pending.failure = exc
             pending.submitted_at = self.dep.clock
-            pending.bytes_accum = self.dep.transport.stats.bytes_sent - bytes_before
-            tracer.end(announce_span, bytes=pending.bytes_accum, aborted=True)
-            return pending
-        tracer.end(
-            announce_span, bytes=self.dep.transport.stats.bytes_sent - bytes_before
-        )
 
-        # Every online client participates every round (cover traffic
-        # included); clients act concurrently, so the phase's duration is
-        # the slowest participant's, not the sum.
-        submit_bytes_before = self.dep.transport.stats.bytes_sent
-        submit_span = tracer.start(
-            "submit",
-            category="stage",
-            track=driver.protocol,
-            protocol=driver.protocol,
-            round=round_number,
-            clients=len(clients),
-        )
-        try:
-            with self.dep.transport.phase() as phase:
-                outcomes = phase.run(lambda: driver.submit_many(clients, pending.announcement))
-                for client, error in outcomes:
-                    if error is None:
-                        pending.participated.append(client)
-                        client.session._submitted(driver.protocol, round_number)
-                    else:
-                        pending.failures += 1
-                        driver.submit_failed(client, round_number)
-                # A batching entry tier (repro.cluster) acks submissions
-                # optimistically at the ingress proxies; drain the remainders
-                # inside the stage's phase and learn what was actually rejected.
-                rejected = phase.run(
-                    lambda: self.dep.entry_stub.flush_submissions(driver.protocol, round_number)
-                )
-            if rejected:
-                by_email = {client.email: client for client in pending.participated}
-                for client_id, _reason in rejected:
-                    client = by_email.pop(client_id, None)
-                    if client is None:
-                        continue
-                    pending.participated.remove(client)
+    def submit(self, pending: PendingRound) -> None:
+        """Stage ``submit``: every online client participates every round
+        (cover traffic included); clients act concurrently, so the phase's
+        duration is the slowest participant's, not the sum."""
+        driver = self.driver
+        round_number = pending.round_number
+        with self.dep.transport.phase() as phase:
+            outcomes = phase.run(lambda: driver.submit_many(pending.clients, pending.announcement))
+            for client, error in outcomes:
+                if error is None:
+                    pending.participated.append(client)
+                    client.session._submitted(driver.protocol, round_number)
+                else:
                     pending.failures += 1
-                    driver.submit_revoked(client, round_number)
-                    client.session._submission_revoked(driver.protocol, round_number)
-            pending.submitted_at = self.dep.clock
-            pending.bytes_accum = self.dep.transport.stats.bytes_sent - bytes_before
-        finally:
-            tracer.end(
-                submit_span,
-                bytes=self.dep.transport.stats.bytes_sent - submit_bytes_before,
-                submitted=len(pending.participated),
-                failures=pending.failures,
+                    driver.submit_failed(client, round_number)
+            # A batching entry tier (repro.cluster) acks submissions
+            # optimistically at the ingress proxies; drain the remainders
+            # inside the stage's phase and learn what was actually rejected.
+            rejected = phase.run(
+                lambda: self.dep.entry_stub.flush_submissions(driver.protocol, round_number)
             )
-        return pending
+        if rejected:
+            by_email = {client.email: client for client in pending.participated}
+            for client_id, _reason in rejected:
+                client = by_email.pop(client_id, None)
+                if client is None:
+                    continue
+                pending.participated.remove(client)
+                pending.failures += 1
+                driver.submit_revoked(client, round_number)
+                client.session._submission_revoked(driver.protocol, round_number)
+        pending.submitted_at = self.dep.clock
 
-    # -- stages 2+3: close the round, publish, scan ------------------------
+    # -- finish_round: stages mix + scan ----------------------------------
     def finish_round(self, pending: PendingRound) -> RoundSummary:
         """Close the round on the entry server, publish, and run the scans."""
         if pending.failure is not None:
             raise pending.failure
         driver = self.driver
-        tracer = active_tracer()
         round_number = pending.round_number
         bytes_before = self.dep.transport.stats.bytes_sent
         mix_started = self.dep.clock
-        mix_span = tracer.start(
-            "mix",
-            category="stage",
-            track=driver.protocol,
-            protocol=driver.protocol,
-            round=round_number,
-        )
         try:
-            submissions = self.dep.entry_stub.submissions(driver.protocol, round_number)
-            result = self.dep.entry_stub.close_round(driver.protocol, round_number)
+            submissions, result = self.mix(pending)
         except NetworkError:
-            # The round's control plane failed (entry or CDN unreachable).
-            # The operator runs in the entry server's process: tear the
-            # round down locally so envelopes and round secrets are erased,
-            # then let the failure surface.  This round's requests are lost,
-            # like any mixnet round that dies mid-flight.
-            self.dep.entry.abort_round(driver.protocol, round_number)
-            driver.round_aborted(pending.participated, round_number)
-            for client in pending.participated:
-                client.session._round_aborted(driver.protocol, round_number)
             pending.bytes_accum += self.dep.transport.stats.bytes_sent - bytes_before
-            tracer.end(
-                mix_span,
-                bytes=self.dep.transport.stats.bytes_sent - bytes_before,
-                aborted=True,
-            )
             raise
         mix_done = self.dep.clock
-        tracer.end(
-            mix_span,
-            bytes=self.dep.transport.stats.bytes_sent - bytes_before,
-            submissions=submissions,
-        )
-
-        # Clients fetch and scan their mailboxes concurrently; the announced
-        # mailbox count spares them the CDN metadata round trip.
-        events_by_client: dict[str, list] = {}
-        scan_bytes_before = self.dep.transport.stats.bytes_sent
-        scan_span = tracer.start(
-            "scan",
-            category="stage",
-            track=driver.protocol,
-            protocol=driver.protocol,
-            round=round_number,
-            clients=len(pending.participated),
-        )
-        try:
-            with self.dep.transport.phase() as phase:
-                scans = phase.run(
-                    lambda: driver.scan_many(
-                        pending.participated, round_number, pending.announcement.mailbox_count
-                    )
-                )
-                for client, events, error in scans:
-                    if error is not None:
-                        pending.failures += 1
-                        driver.scan_failed(client, round_number)
-                    elif events:
-                        events_by_client[client.email] = events
-            driver.after_scan(round_number)
-            # Feed the sessions: handles submitted into this round are now
-            # delivered, scan events may confirm them, and the retry pass
-            # re-enqueues what stayed unconfirmed past the horizon -- for
-            # every client, online or not: an offline sender's re-enqueued
-            # request simply waits in its queue until it next participates.
-            for client in pending.participated:
-                client.session._round_delivered(driver.protocol, round_number)
-            if driver.protocol == "add-friend":
-                for client in pending.participated:
-                    client.session._apply_scan_events(
-                        round_number, events_by_client.get(client.email, [])
-                    )
-                for client in self.dep.clients.values():
-                    client.session._retry_pass(round_number)
-        finally:
-            tracer.end(
-                scan_span,
-                bytes=self.dep.transport.stats.bytes_sent - scan_bytes_before,
-            )
+        events_by_client = self.scan(pending)
         pending.bytes_accum += self.dep.transport.stats.bytes_sent - bytes_before
 
         summary = RoundSummary(
@@ -656,6 +561,63 @@ class RoundEngine:
         )
         self.dep.round_summaries.append(summary)
         return summary
+
+    def mix(self, pending: PendingRound) -> tuple[int, RoundCounts]:
+        """Stage ``mix``: close the round on the entry server (it runs the
+        mix chain and publishes the mailboxes); returns the submission count
+        and the round's counts."""
+        driver = self.driver
+        round_number = pending.round_number
+        try:
+            submissions = self.dep.entry_stub.submissions(driver.protocol, round_number)
+            return submissions, self.dep.entry_stub.close_round(driver.protocol, round_number)
+        except NetworkError:
+            # The round's control plane failed (entry or CDN unreachable).
+            # The operator runs in the entry server's process: tear the
+            # round down locally so envelopes and round secrets are erased,
+            # then let the failure surface.  This round's requests are lost,
+            # like any mixnet round that dies mid-flight.
+            self.dep.entry.abort_round(driver.protocol, round_number)
+            driver.round_aborted(pending.participated, round_number)
+            for client in pending.participated:
+                client.session._round_aborted(driver.protocol, round_number)
+            raise
+
+    def scan(self, pending: PendingRound) -> dict[str, list]:
+        """Stage ``scan``: clients fetch and scan their mailboxes concurrently
+        (the announced mailbox count spares them the CDN metadata round
+        trip), then the sessions are fed; returns each client's scan events."""
+        driver = self.driver
+        round_number = pending.round_number
+        events_by_client: dict[str, list] = {}
+        with self.dep.transport.phase() as phase:
+            scans = phase.run(
+                lambda: driver.scan_many(
+                    pending.participated, round_number, pending.announcement.mailbox_count
+                )
+            )
+            for client, events, error in scans:
+                if error is not None:
+                    pending.failures += 1
+                    driver.scan_failed(client, round_number)
+                elif events:
+                    events_by_client[client.email] = events
+        driver.after_scan(round_number)
+        # Feed the sessions: handles submitted into this round are now
+        # delivered, scan events may confirm them, and the retry pass
+        # re-enqueues what stayed unconfirmed past the horizon -- for
+        # every client, online or not: an offline sender's re-enqueued
+        # request simply waits in its queue until it next participates.
+        for client in pending.participated:
+            client.session._round_delivered(driver.protocol, round_number)
+        if driver.protocol == "add-friend":
+            for client in pending.participated:
+                client.session._apply_scan_events(
+                    round_number, events_by_client.get(client.email, [])
+                )
+            for client in self.dep.clients.values():
+                client.session._retry_pass(round_number)
+        return events_by_client
 
     def aborted_summary(self, pending: PendingRound) -> RoundSummary:
         """Record a round that was torn down before delivering anything."""

@@ -41,7 +41,6 @@ from repro.net.transport import (
     Transport,
     raise_first_error,
 )
-from repro.obs.trace import active_tracer
 from repro.pkg.coordinator import PkgCoordinator
 
 
@@ -142,15 +141,43 @@ class EntryServer:
             [BatchCall(self.src, endpoint, method, payload) for endpoint in endpoints]
         )
 
-    def _span(self, name: str, protocol: str, round_number: int):
-        return active_tracer().span(
-            name,
-            category="cluster",
-            track=self.src,
-            protocol=protocol,
-            round=round_number,
-            shards=self.shard_count,
+    # -- the sharded front's three waves -------------------------------------
+    def open_broadcast(
+        self, protocol: str, round_number: int, directory: ShardDirectory, request_body_length: int
+    ) -> None:
+        """Open the round on every entry shard, as one wave; the first
+        failure is raised."""
+        payload = rpc.OPEN_SHARD_ROUND.encode(request_body_length, directory.to_fields())
+        entries = [shard.entry for shard in directory.ranges]
+        raise_first_error(self._wave(entries, "open_round", payload))
+
+    def flush_drain(
+        self, protocol: str, round_number: int, directory: ShardDirectory
+    ) -> list[tuple[str, str]]:
+        """Drain every ingress proxy, as one wave; returns the round's rejects."""
+        outcomes = self._wave(
+            [shard.ingress for shard in directory.ranges],
+            "flush",
+            rpc.ROUND_REF.encode(protocol, round_number),
         )
+        rejected: list[tuple[str, str]] = []
+        for outcome in outcomes:
+            try:
+                rejected += _reply(outcome, rpc.REJECTS)
+            except NetworkError:
+                pass  # unreachable proxy, or a garbled reply: see flush_submissions
+        return rejected
+
+    def collect(
+        self, protocol: str, round_number: int, directory: ShardDirectory
+    ) -> list[list[bytes]]:
+        """Every entry shard's envelope batch, in shard order, as one wave."""
+        outcomes = self._wave(
+            [shard.entry for shard in directory.ranges],
+            "close_round",
+            rpc.ROUND_REF.encode(protocol, round_number),
+        )
+        return [_reply(outcome, ENVELOPE_BATCH) for outcome in outcomes]
 
     # -- round lifecycle ---------------------------------------------------
     def announce_round(
@@ -179,10 +206,7 @@ class EntryServer:
             if self.front is not None:
                 self.front.open_round(protocol, round_number, request_body_length, directory)
             else:
-                payload = rpc.OPEN_SHARD_ROUND.encode(request_body_length, directory.to_fields())
-                with self._span("shard.open_broadcast", protocol, round_number):
-                    entries = [shard.entry for shard in directory.ranges]
-                    raise_first_error(self._wave(entries, "open_round", payload))
+                self.open_broadcast(protocol, round_number, directory, request_body_length)
         except Exception:
             # The round cannot open (a server unreachable during key setup,
             # or a shard that would silently reject its clients all round
@@ -287,20 +311,7 @@ class EntryServer:
         directory = self.directory_or_none(protocol, round_number)
         if self.front is not None or directory is None:
             return []
-        with self._span("shard.flush_drain", protocol, round_number) as span:
-            outcomes = self._wave(
-                [shard.ingress for shard in directory.ranges],
-                "flush",
-                rpc.ROUND_REF.encode(protocol, round_number),
-            )
-            rejected: list[tuple[str, str]] = []
-            for outcome in outcomes:
-                try:
-                    rejected += _reply(outcome, rpc.REJECTS)
-                except NetworkError:
-                    pass  # unreachable proxy, or a garbled reply: see above
-            span.set(rejected=len(rejected))
-        return rejected
+        return self.flush_drain(protocol, round_number, directory)
 
     def submissions(self, protocol: str, round_number: int) -> int:
         if self.front is not None:
@@ -329,14 +340,7 @@ class EntryServer:
         if self.front is not None:
             per_shard = [self.front.collect_round(protocol, round_number)]
         else:
-            endpoints = [shard.entry for shard in self._directories[key].ranges]
-            payload = rpc.ROUND_REF.encode(protocol, round_number)
-            with self._span("shard.collect", protocol, round_number) as span:
-                per_shard = [
-                    _reply(outcome, ENVELOPE_BATCH)
-                    for outcome in self._wave(endpoints, "close_round", payload)
-                ]
-                span.set(envelopes=sum(len(envelopes) for envelopes in per_shard))
+            per_shard = self.collect(protocol, round_number, self._directories[key])
         self.load_by_round[key] = [len(envelopes) for envelopes in per_shard]
 
         self._announcements.pop(key)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.crypto.engine import CryptoBackend, active_backend
 from repro.mixnet.noise import NoiseConfig, noise_counts_per_mailbox
-from repro.obs.trace import active_tracer
 from repro.mixnet.onion import OnionKeyPair, unwrap_layers, wrap_onion_many
 from repro.errors import RoundError
 from repro.utils.rng import DeterministicRng, random_bytes
@@ -112,46 +111,32 @@ class MixServer:
         engine = self.engine if self.engine is not None else active_backend()
 
         stats = MixServerStats(received=len(envelopes))
-        span = active_tracer().start(
-            "mix.process_batch",
-            category="mix",
-            track=self.name,
-            protocol=protocol,
-            round=round_number,
-            server=self.name,
-            received=len(envelopes),
-        )
-        try:
-            peeled = [
-                item for item in unwrap_layers(envelopes, keypair, engine) if item is not None
+        peeled = [item for item in unwrap_layers(envelopes, keypair, engine) if item is not None]
+        stats.dropped = len(envelopes) - len(peeled)
+
+        if self.drop_fraction > 0.0:
+            keep = []
+            for item in peeled:
+                if self.rng.uniform() < self.drop_fraction:
+                    stats.dropped += 1
+                else:
+                    keep.append(item)
+            peeled = keep
+
+        if not self.drop_all_noise:
+            counts = noise_counts_per_mailbox(noise_config, protocol, mailbox_count, self.rng)
+            noise_payloads = [
+                self._make_noise_payload(protocol, mailbox_id, noise_body_length)
+                for mailbox_id, count in enumerate(counts)
+                for _ in range(count)
             ]
-            stats.dropped = len(envelopes) - len(peeled)
+            if downstream_publics:
+                noise_payloads = wrap_onion_many(noise_payloads, downstream_publics, engine)
+            peeled.extend(noise_payloads)
+            stats.noise_added = len(noise_payloads)
 
-            if self.drop_fraction > 0.0:
-                keep = []
-                for item in peeled:
-                    if self.rng.uniform() < self.drop_fraction:
-                        stats.dropped += 1
-                    else:
-                        keep.append(item)
-                peeled = keep
-
-            if not self.drop_all_noise:
-                counts = noise_counts_per_mailbox(noise_config, protocol, mailbox_count, self.rng)
-                noise_payloads = [
-                    self._make_noise_payload(protocol, mailbox_id, noise_body_length)
-                    for mailbox_id, count in enumerate(counts)
-                    for _ in range(count)
-                ]
-                if downstream_publics:
-                    noise_payloads = wrap_onion_many(noise_payloads, downstream_publics, engine)
-                peeled.extend(noise_payloads)
-                stats.noise_added = len(noise_payloads)
-
-            self.rng.shuffle(peeled)
-            self.last_stats = stats
-        finally:
-            active_tracer().end(span, dropped=stats.dropped, noise=stats.noise_added)
+        self.rng.shuffle(peeled)
+        self.last_stats = stats
         return peeled
 
     # -- transport dispatch --------------------------------------------------

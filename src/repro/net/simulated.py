@@ -40,7 +40,6 @@ from repro.net.transport import (
     Transport,
     normalize_response,
 )
-from repro.obs.trace import CATEGORY_TRANSPORT, active_tracer
 from repro.utils.rng import DeterministicRng
 
 DEFAULT_RETRY_TIMEOUT_S = 1.0
@@ -212,12 +211,13 @@ class SimulatedNetwork(Transport):
         )
 
     # -- the Transport surface ----------------------------------------------
-    def _call(
+    def call(
         self,
         src: str,
         dst: str,
         method: str,
-        payload: bytes,
+        payload: bytes = b"",
+        *,
         timeout_s: float | None = None,
     ) -> RpcResult:
         """One call: a wave of one that raises its outcome's error.
@@ -261,14 +261,7 @@ class SimulatedNetwork(Transport):
         """
         if not calls:
             return []
-        tracer = active_tracer()
-        if not tracer.enabled:
-            return self._deliver(calls)
-        span = tracer.start("call_batch", category=CATEGORY_TRANSPORT, keep=False)
-        try:
-            return self._deliver(calls)
-        finally:
-            tracer.end(span)
+        return self._deliver(calls)
 
     def _deliver(self, calls: list[BatchCall]) -> list[BatchCallOutcome]:
         """The one delivery path: every call's two trips, by delay arithmetic.

@@ -31,7 +31,6 @@ from typing import Callable
 
 from repro.errors import NetworkError
 from repro.net.frames import Frame, KIND_REQUEST, frame_overhead
-from repro.obs.trace import active_tracer
 
 
 @dataclass
@@ -202,6 +201,7 @@ class Transport(ABC):
         return frame
 
     # -- the RPC surface ----------------------------------------------------
+    @abstractmethod
     def call(
         self,
         src: str,
@@ -223,19 +223,9 @@ class Transport(ABC):
         ``request_delivered`` when the server acted and only the ack was
         lost, so the caller owns any retry and dedup decision.
 
-        When tracing is active every RPC is measured as a ``transport``-
-        category span (attribution only, not kept in the trace -- a round
-        moves thousands of frames); disabled, the cost is one global read
-        and an attribute check.
+        Transports implement this directly; a traced deployment's
+        :mod:`repro.obs.instrument` wraps it on the instance.
         """
-        tracer = active_tracer()
-        if not tracer.enabled:
-            return self._call(src, dst, method, payload, timeout_s)
-        span = tracer.start(method, category="transport", keep=False)
-        try:
-            return self._call(src, dst, method, payload, timeout_s)
-        finally:
-            tracer.end(span)
 
     def call_batch(self, calls: "list[BatchCall]") -> "list[BatchCallOutcome]":
         """Issue a wave of logically concurrent calls; never raises per-call.
@@ -259,17 +249,6 @@ class Transport(ABC):
             else:
                 outcomes.append(BatchCallOutcome(result=result, finished_at=self.now()))
         return outcomes
-
-    @abstractmethod
-    def _call(
-        self,
-        src: str,
-        dst: str,
-        method: str,
-        payload: bytes,
-        timeout_s: float | None = None,
-    ) -> RpcResult:
-        """Transport-specific delivery of one request/response exchange."""
 
     @abstractmethod
     def now(self) -> float:
@@ -320,12 +299,13 @@ class DirectTransport(Transport):
         super().__init__()
         self._clock = 0.0
 
-    def _call(
+    def call(
         self,
         src: str,
         dst: str,
         method: str,
-        payload: bytes,
+        payload: bytes = b"",
+        *,
         timeout_s: float | None = None,
     ) -> RpcResult:
         # timeout_s is accepted but can never expire: dispatch is immediate

@@ -26,10 +26,12 @@ envelope); everything here either fills it or renders it:
   + Server-Sent Events, run/pause/step), both functions of the
   ``RoundStats``/``ScenarioResult`` handed over ``Scenario.monitors``.
 
-The tracer follows the crypto engine's activation pattern: a process-wide
-active tracer (:func:`active_tracer`) that defaults to a no-op
-:class:`NullTracer`, so instrumented hot paths cost one attribute check
-when tracing is off.  ``python -m repro.sim run SCENARIO --trace PATH``
+The tracer follows the crypto engine's activation pattern: one process-wide
+active tracer (:func:`active_tracer`, ``None`` when tracing is off).  No
+protocol tier calls it: a ``Deployment`` built under a tracer has its public
+seams wrapped in spans from the outside by :mod:`repro.obs.instrument`, and
+one built without one is never touched, so untraced hot paths carry no
+tracing code at all.  ``python -m repro.sim run SCENARIO --trace PATH``
 enables it for a scenario run; ``python -m repro.obs validate PATH...``
 checks the record and the emitted trace (CI does both).
 """
@@ -44,7 +46,6 @@ from repro.obs.logging import configure_logging, configured_level, get_logger
 from repro.obs.privacy import PassiveObserver, PrivacyLedger
 from repro.obs.record import render, validate_record
 from repro.obs.trace import (
-    NullTracer,
     Span,
     Tracer,
     active_tracer,
@@ -54,7 +55,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "NullTracer",
     "PassiveObserver",
     "PrivacyLedger",
     "Span",

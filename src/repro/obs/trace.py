@@ -13,10 +13,11 @@ self time (wall minus children) attributes cleanly to a category —
 ``mix`` / ``cluster`` (server-side batch work), or ``other`` (Python object
 churn in the stage body itself).
 
-Span categories:
+Span categories (every in-process span but ``rpc`` is opened by a wrapper
+:mod:`repro.obs.instrument` puts on a deployment's public seams):
 
-* ``stage`` -- the four round stages emitted by ``RoundEngine``
-  (``announce`` / ``submit`` / ``mix`` / ``scan``), one track per protocol.
+* ``stage`` -- the four round stages, ``RoundEngine.announce`` /
+  ``submit`` / ``mix`` / ``scan``, one track per protocol.
   Their simulated durations tile ``RoundSummary.latency_s`` exactly in
   sequential mode.
 * ``transport`` -- one (unkept) span per RPC or per ``call_batch`` wave;
@@ -50,7 +51,6 @@ __all__ = [
     "CATEGORY_RPC",
     "CATEGORY_STAGE",
     "CATEGORY_TRANSPORT",
-    "NullTracer",
     "Span",
     "Tracer",
     "active_tracer",
@@ -166,41 +166,14 @@ class Span:
         }
 
 
-class _NullSpan:
-    """Shared do-nothing span handed out by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-    name = ""
-    category = CATEGORY_OTHER
-    track = ""
-    sim_start = sim_end = 0.0
-    wall_start = wall_end = 0.0
-    sim_duration = wall_duration = self_wall = 0.0
-    depth = 0
-    child_wall = 0.0
-    crypto_wall = 0.0
-    span_id = 0
-    thread = ""
-    keep = False
-    args: dict[str, Any] = {}
-
-    def set(self, **args: Any) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Records spans; one instance per traced run.
 
     The simulated clock is injected as a zero-arg callable so the tracer can
-    be constructed before the deployment exists; ``Deployment`` calls
-    :meth:`bind_clock` with ``transport.now`` once the network is built.
+    be constructed before the deployment exists; instrumenting a deployment
+    (:func:`repro.obs.instrument.instrument`) calls :meth:`bind_clock` with
+    its ``transport.now``.
     """
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
@@ -589,40 +562,26 @@ class Tracer:
         }
 
 
-class NullTracer:
-    """The default, do-nothing tracer; every hot-path hook checks
-    ``active_tracer().enabled`` (or gets :data:`NULL_SPAN` back) so the
-    disabled cost is one global read and an attribute check."""
-
-    enabled = False
-
-    def start(self, name: str, **kwargs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def end(self, span: Any, **args: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    @contextmanager
-    def span(self, name: str, **kwargs: Any) -> Iterator[_NullSpan]:
-        yield NULL_SPAN
+_active_tracer: Tracer | None = None
 
 
+def active_tracer() -> Tracer | None:
+    """The process-wide tracer, or ``None`` when no run is traced.
 
-_NULL_TRACER = NullTracer()
-_active_tracer: Tracer | NullTracer = _NULL_TRACER
-
-
-def active_tracer() -> Tracer | NullTracer:
-    """The process-wide tracer instrumentation hooks report to."""
+    Read where a deployment is built (:func:`repro.obs.instrument.instrument`
+    wraps its seams for this tracer), by the real runtimes' RPC code (the
+    span id rides the wire) and by the scenario driver (the record's
+    ``trace`` section).
+    """
     return _active_tracer
 
 
-def set_active_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` (or the null tracer for ``None``); returns the
-    previous one so callers can restore it."""
+def set_active_tracer(tracer: Tracer | None) -> Tracer | None:
+    """Install ``tracer`` (``None``: tracing off); returns the previous one
+    so callers can restore it."""
     global _active_tracer
     previous = _active_tracer
-    _active_tracer = tracer if tracer is not None else _NULL_TRACER
+    _active_tracer = tracer
     return previous
 
 

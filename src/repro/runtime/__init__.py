@@ -10,6 +10,13 @@ sockets instead of a simulated or zero-latency in-process wire:
   the crypto hot path uses real cores.
 
 Selected from the scenario harness and CLI via ``--runtime={sim,asyncio,mp}``.
+
+Unlike the protocol tiers, these transports read the active tracer
+themselves: an ``rpc.call`` span's id travels in the wire format (the
+:class:`~repro.obs.distributed.TraceContext` trailer) so the server's
+``rpc.serve`` span can link to it, and an ``mp`` worker runs its own tracer
+whose spans the parent harvests.  Every other in-process span is installed
+from outside by :mod:`repro.obs.instrument`.
 """
 
 from repro.runtime.mp import EndpointSpec, MultiprocessTransport, mix_endpoint_spec

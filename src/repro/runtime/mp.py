@@ -110,17 +110,17 @@ def mix_endpoint_spec(name: str, rng_seed: str, crypto_backend: str = "pure") ->
 def _build_mix(name: str, params: dict):
     from repro.crypto.engine import get_backend, set_active_backend
     from repro.mixnet.server import MixServer
+    from repro.obs.instrument import instrument_mix_server
     from repro.utils.rng import DeterministicRng
 
     backend = get_backend(params.get("crypto_backend", "pure"))
-    if params.get("instrument"):
-        # Same wrapping Deployment applies in-parent when traced: engine
-        # calls feed the (worker-local) tracer's crypto attribution.
-        from repro.obs.instrument import InstrumentedCryptoBackend
-
-        backend = InstrumentedCryptoBackend(backend)
-    set_active_backend(backend)
     server = MixServer(name, rng=DeterministicRng(params["rng_seed"]), engine=backend)
+    tracer = active_tracer()
+    if tracer is not None:
+        # The seams a traced Deployment wraps in-parent: the batch and its
+        # engine calls feed the worker-local tracer.
+        instrument_mix_server(server, tracer)
+    set_active_backend(server.engine)
     return server.handle_rpc
 
 
@@ -156,10 +156,7 @@ async def _worker_async(
         builder = _BUILDERS.get(spec.kind)
         if builder is None:
             raise ConfigurationError(f"unknown worker endpoint kind {spec.kind!r}")
-        params = dict(spec.params)
-        if options.telemetry:
-            params["instrument"] = True
-        handlers[spec.name] = builder(spec.name, params)
+        handlers[spec.name] = builder(spec.name, dict(spec.params))
 
     epoch = time.monotonic()
     clock = lambda: time.monotonic() - epoch  # noqa: E731
@@ -251,7 +248,7 @@ class MultiprocessTransport(AsyncioTransport):
         #: exactly when a tracer is active, and they log at whatever level
         #: ``configure_logging`` was last given.
         tracer = active_tracer()
-        self._telemetry = tracer.enabled
+        self._telemetry = tracer is not None
         self._processes: list = []
         #: One (process, any endpoint it serves) pair per worker, for the
         #: graceful shutdown RPC.
@@ -315,6 +312,12 @@ class MultiprocessTransport(AsyncioTransport):
     def remote_endpoints(self) -> list[str]:
         return sorted(self._remote_ports)
 
+    def _control(self, endpoint: str, method: str, timeout_s: float):
+        """One control RPC to a worker, by :meth:`AsyncioTransport.call`
+        itself: past any wrapper a tracer or a subclass puts on ``call``,
+        since control traffic is bookkeeping, not protocol."""
+        return AsyncioTransport.call(self, "runtime", endpoint, method, timeout_s=timeout_s)
+
     # -- telemetry ------------------------------------------------------------
     def _align_clocks(self, tracer) -> None:
         """Ping each worker at the handshake to map its ``perf_counter``
@@ -324,7 +327,7 @@ class MultiprocessTransport(AsyncioTransport):
             samples = []
             for _ in range(_PING_SAMPLES):
                 t0 = time.perf_counter()
-                result = self._call("runtime", contact, PING_METHOD, b"", 10.0)
+                result = self._control(contact, PING_METHOD, 10.0)
                 t1 = time.perf_counter()
                 worker_t, rss, pid = decode_reply(PING_REPLY.decode, result.payload)
                 samples.append((t0, t1, worker_t))
@@ -347,13 +350,13 @@ class MultiprocessTransport(AsyncioTransport):
             if not process.is_alive():
                 continue
             try:
-                result = self._call("runtime", contact, TELEMETRY_METHOD, b"", 10.0)
+                result = self._control(contact, TELEMETRY_METHOD, 10.0)
             except Exception:  # noqa: BLE001 - a dying worker loses its tail
                 continue
             info = self._worker_info.get(contact, {})
             try:
                 telemetry = WorkerTelemetry.from_payload(json.loads(result.payload))
-                if tracer.enabled and telemetry.spans:
+                if tracer is not None and telemetry.spans:
                     tracer.add_remote_spans(
                         telemetry.pid, telemetry.spans, info.get("offset_s", 0.0)
                     )
@@ -387,7 +390,7 @@ class MultiprocessTransport(AsyncioTransport):
         for process, endpoint in self._worker_contacts:
             if process.is_alive():
                 with contextlib.suppress(Exception):
-                    self._call("runtime", endpoint, SHUTDOWN_METHOD, b"", 5.0)
+                    self._control(endpoint, SHUTDOWN_METHOD, 5.0)
                     asked.add(process)
         super().close()
         for process in self._processes:

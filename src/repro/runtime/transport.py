@@ -141,7 +141,7 @@ def serve_wire_message(
     """
     tracer = active_tracer()
     context = message.trace
-    if not tracer.enabled or context is None:
+    if tracer is None or context is None:
         return dispatch_wire_message(message, handler, clock)
     span = tracer.start(
         "rpc.serve",
@@ -403,39 +403,43 @@ class AsyncioTransport(Transport):
             self._in_flight[dst] -= count
 
     # -- the Transport surface -----------------------------------------------
-    def _call(
+    def call(
         self,
         src: str,
         dst: str,
         method: str,
-        payload: bytes,
+        payload: bytes = b"",
+        *,
         timeout_s: float | None = None,
     ) -> RpcResult:
         if self._closed:
             raise NetworkError("transport is closed")
         self._port_for(dst)  # an unknown endpoint fails before any accounting
         control = method.startswith(CONTROL_PREFIX)
+        tracer = None if control else active_tracer()
         with self._send_lock:
             frame = self._frame(src, dst, method, payload)
-            # Request accounting matches the in-process transports: payload
-            # + frame overhead (the stream's 4-byte length prefix is
-            # transport framing, not protocol bandwidth).
-            if not control:
-                self.stats.record(
-                    src, dst, method, len(payload) + frame_overhead(src, dst, method)
-                )
-        tracer = active_tracer()
         span = context = None
-        if tracer.enabled and not control:
+        if tracer is not None:
             span = tracer.start(
                 "rpc.call", category=CATEGORY_RPC, track=src, src=src, dst=dst, method=method
             )
             span.set(span_id=span.span_id)
             context = TraceContext(tracer.trace_id, span.span_id, src, os.getpid())
-        body = encode_wire_message(wire.encode_message(frame, context))
-        replies: list[tuple[bytes, float]] = []
-        started = time.monotonic()
         try:
+            # Encoded before it is counted: a message over the size limit
+            # never leaves, so it is no traffic.
+            body = encode_wire_message(wire.encode_message(frame, context))
+            if not control:
+                # Request accounting matches the in-process transports:
+                # payload + frame overhead (the stream's 4-byte length prefix
+                # is transport framing, not protocol bandwidth).
+                with self._send_lock:
+                    self.stats.record(
+                        src, dst, method, len(payload) + frame_overhead(src, dst, method)
+                    )
+            replies: list[tuple[bytes, float]] = []
+            started = time.monotonic()
             conn = asyncio.run_coroutine_threadsafe(
                 self._request(dst, body, timeout_s, replies), self._loop
             ).result()
@@ -492,7 +496,6 @@ class AsyncioTransport(Transport):
         if self._closed:
             raise NetworkError("transport is closed")
         tracer = active_tracer()
-        traced = tracer.enabled
         outcomes: list[BatchCallOutcome | None] = [None] * len(calls)
         # dst -> [(call index, msg id, span id, wire bytes)].  A wave of N
         # overlapping calls on one thread cannot nest on the span stack, so
@@ -506,18 +509,23 @@ class AsyncioTransport(Transport):
                 continue
             with self._send_lock:
                 frame = self._frame(call.src, call.dst, call.method, call.payload)
+            context = None
+            span_id = 0
+            if tracer is not None:
+                span_id = tracer.next_span_id()
+                context = TraceContext(tracer.trace_id, span_id, call.src, os.getpid())
+            try:
+                body = encode_wire_message(wire.encode_message(frame, context))
+            except SerializationError as exc:  # over the size limit: this call only
+                outcomes[index] = BatchCallOutcome(error=exc, finished_at=self.now())
+                continue
+            with self._send_lock:
                 self.stats.record(
                     call.src,
                     call.dst,
                     call.method,
                     len(call.payload) + frame_overhead(call.src, call.dst, call.method),
                 )
-            context = None
-            span_id = 0
-            if traced:
-                span_id = tracer.next_span_id()
-                context = TraceContext(tracer.trace_id, span_id, call.src, os.getpid())
-            body = encode_wire_message(wire.encode_message(frame, context))
             groups.setdefault(call.dst, []).append((index, frame.msg_id, span_id, body))
 
         async def run_group(dst: str, group: list[tuple[int, int, int, bytes]]):
@@ -543,7 +551,7 @@ class AsyncioTransport(Transport):
         for group, (replies, conn, error, t0) in zip(groups.values(), results):
             for (index, msg_id, span_id, _body), (reply_body, t1) in zip(group, replies):
                 call = calls[index]
-                if traced:
+                if tracer is not None:
                     span = tracer.record_span(
                         "rpc.call",
                         category=CATEGORY_RPC,

@@ -239,11 +239,10 @@ def run_cli(args, overrides: dict) -> int:
         if args.dashboard_paused:
             print("dashboard: starting paused; press Run or Step to begin")
 
-    from repro.obs.trace import NullTracer, Tracer, active_tracer, set_active_tracer
+    from repro.obs.trace import Tracer, set_active_tracer
 
-    previous_tracer = active_tracer()
-    tracer = Tracer() if args.trace else NullTracer()
-    set_active_tracer(tracer)
+    tracer = Tracer() if args.trace else None
+    previous_tracer = set_active_tracer(tracer)
     try:
         result = scenario.run()
     finally:

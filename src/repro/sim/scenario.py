@@ -25,6 +25,12 @@ from crypto microbenchmarks (``ibe_backend="bn254"`` runs the paper's IBE on
 the same wire sizes).  The symmetric/X25519 hot path always runs for real,
 on whichever engine ``config.crypto_backend`` selects (see
 :mod:`repro.crypto.engine`) -- that cost *is* part of the system under test.
+
+The harness opens no span.  It reads the active tracer once, after the
+deployment has closed (an ``mp`` transport's last worker harvest happens
+there), to build the record's ``trace`` section; the spans themselves come
+from the wrappers :mod:`repro.obs.instrument` put on the deployment, and
+``python -m repro.sim run --trace`` is what installs the tracer.
 """
 
 from __future__ import annotations
@@ -756,7 +762,7 @@ class Scenario:
             deployment.close()
         result.wall_seconds = time.perf_counter() - started
         tracer = active_tracer()
-        if tracer.enabled:
+        if tracer is not None:
             # After close(): an mp transport's last harvest happens there.
             result.trace = trace_section(tracer, result.rounds)
         self._notify("on_finish", result)

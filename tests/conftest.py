@@ -59,21 +59,16 @@ def backend(request):
 
     ``traced-NAME`` is the engine a traced run computes with, in a
     ``Deployment`` and in an ``mp`` mix worker alike: NAME wrapped in
-    ``InstrumentedCryptoBackend`` under an enabled tracer.  Vectors pinned
+    ``InstrumentedCryptoBackend`` reporting to a tracer.  Vectors pinned
     on it pin that the wrapper moves no byte and no failure."""
     from repro.crypto.engine import get_backend
     from repro.obs.instrument import InstrumentedCryptoBackend
-    from repro.obs.trace import Tracer, set_active_tracer
+    from repro.obs.trace import Tracer
 
     name = request.param
     if not name.startswith("traced-"):
-        yield get_backend(name)
-        return
-    previous = set_active_tracer(Tracer())
-    try:
-        yield InstrumentedCryptoBackend(get_backend(name.removeprefix("traced-")))
-    finally:
-        set_active_tracer(previous)
+        return get_backend(name)
+    return InstrumentedCryptoBackend(get_backend(name.removeprefix("traced-")), Tracer())
 
 
 def pytest_addoption(parser):

@@ -39,7 +39,7 @@ class PerFrameNetwork(SimulatedNetwork):
             raise NetworkError(f"message {src} -> {dst} lost after {self.max_attempts} attempts")
         self.stats.record(src, dst, method, num_bytes)
 
-    def _call(self, src, dst, method, payload, timeout_s=None) -> RpcResult:
+    def call(self, src, dst, method, payload=b"", *, timeout_s=None) -> RpcResult:
         if timeout_s is None:
             return self._call_untimed(src, dst, method, payload)
         # The exchange runs to its natural end, then the caller-visible clock

@@ -11,8 +11,6 @@ from repro.obs.trace import (
     CATEGORY_CRYPTO,
     CATEGORY_STAGE,
     CATEGORY_TRANSPORT,
-    NULL_SPAN,
-    NullTracer,
     Tracer,
     UNSTAGED,
     active_tracer,
@@ -214,8 +212,8 @@ class TestValidator:
 
 
 class TestActiveTracer:
-    def test_default_is_a_disabled_null_tracer(self):
-        assert active_tracer().enabled is False
+    def test_default_is_none(self):
+        assert active_tracer() is None
 
     def test_set_and_restore(self):
         previous = active_tracer()
@@ -227,13 +225,21 @@ class TestActiveTracer:
             set_active_tracer(previous)
         assert active_tracer() is previous
 
-    def test_null_tracer_is_a_no_op(self):
-        null = NullTracer()
-        span = null.start("x", category=CATEGORY_CRYPTO)
-        assert span is NULL_SPAN
-        null.end(span, bytes=1)
-        with null.span("y"):
-            pass
+    def test_untraced_deployment_is_not_instrumented(self):
+        from repro.core.config import AlpenhornConfig
+        from repro.core.coordinator import Deployment
+        from repro.obs.instrument import InstrumentedCryptoBackend
+
+        previous = set_active_tracer(None)
+        try:
+            plain = Deployment(AlpenhornConfig.for_tests(backend="simulated"))
+        finally:
+            set_active_tracer(previous)
+        assert not isinstance(plain.crypto, InstrumentedCryptoBackend)
+        for seam in ("call", "call_batch"):
+            assert seam not in vars(plain.transport)
+        for stage_name in ("announce", "submit", "mix", "scan"):
+            assert stage_name not in vars(plain.round_engine("dialing"))
 
 
 class TestScenarioIntegration:

@@ -322,7 +322,7 @@ class TestExplain:
         printed, envelope = self.explain_equals_run(tmp_path, capsys, monkeypatch, traced=True)
         assert "stage coverage 100.0%" in printed and "wall self time: crypto" in printed
         assert envelope["data"]["trace"]["span_count"] > 0
-        assert not active_tracer().enabled
+        assert active_tracer() is None
 
     def test_asyncio_traced(self, tmp_path, capsys, monkeypatch):
         printed, envelope = self.explain_equals_run(

@@ -18,8 +18,14 @@ import time
 
 import pytest
 
-from repro.errors import NetworkError, RemoteCallError, RoundError, TransportTimeoutError
-from repro.net import DirectTransport
+from repro.errors import (
+    NetworkError,
+    RemoteCallError,
+    RoundError,
+    SerializationError,
+    TransportTimeoutError,
+)
+from repro.net import DirectTransport, frames
 from repro.net.frames import KIND_RESPONSE, Frame, encode_wire_message
 from repro.net.transport import BatchCall, RpcResult
 from repro.runtime import AsyncioTransport, MultiprocessTransport, mix_endpoint_spec, wire
@@ -236,6 +242,23 @@ class TestAsyncioTransport:
         for i in (0, 3, 4, 5):
             assert outcomes[i].error is None
             assert outcomes[i].result.payload == calls[i].payload
+
+    def test_an_oversize_call_fails_only_itself(self, transport, monkeypatch):
+        # Encoding comes before accounting: a call whose wire message is over
+        # the limit is never sent, so it counts no message, and in a wave it
+        # fails alone.
+        register_echo(transport)
+        monkeypatch.setattr(frames, "MAX_WIRE_MESSAGE_BYTES", 200)
+        small, big = b"s" * 8, b"b" * 500
+        outcomes = transport.call_batch(
+            [BatchCall("c0", "server", "echo", small), BatchCall("c1", "server", "echo", big)]
+        )
+        assert outcomes[0].error is None and outcomes[0].result.payload == small
+        assert isinstance(outcomes[1].error, SerializationError)
+        with pytest.raises(SerializationError):
+            transport.call("c2", "server", "echo", big)
+        assert transport.stats.messages_sent == 2  # the small call's request and reply
+        assert transport.stats.calls_by_method["echo"] == 2
 
     def test_connection_dropped_mid_wave_keeps_answered_calls(self, transport, scripted_peer):
         seen = itertools.count(1)

@@ -300,8 +300,8 @@ class TestRetryLiveness:
     def test_churn_scenario_liveness_with_and_without_retry(self):
         """Always-online senders: 100% confirmed with retry, loss without."""
         kwargs = dict(
-            num_clients=24, addfriend_rounds=6, dialing_rounds=0,
-            friend_pairs=8, seed="live1",
+            num_clients=16, addfriend_rounds=6, dialing_rounds=0,
+            friend_pairs=8, seed="live1", num_mix_servers=1, num_pkg_servers=1,
         )
         with_retry = run_scenario("client_churn", retry_horizon=1, **kwargs)
         without = run_scenario("client_churn", retry_horizon=None, **kwargs)

@@ -342,7 +342,7 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
         "repro/crypto/ibe/simulated.py::SimulatedIbe.ciphertext_overhead",
     ]),
     (ABSTRACT, "Transport: direct, simulated, asyncio and mp", [
-        f"repro/net/transport.py::Transport.{name}" for name in ("_call", "now", "advance", "snapshot")
+        f"repro/net/transport.py::Transport.{name}" for name in ("call", "now", "advance", "snapshot")
     ]),
     (ABSTRACT, "Field: every layout field type", ["repro/utils/serialization.py::Field.size"]),
     (DOCUMENTED, "run --dashboard (README, Live dashboard)", [
@@ -356,9 +356,6 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
     ]),
     (DOCUMENTED, "run --privacy-budget (README, Privacy observability)", [
         "repro/obs/privacy.py::budget_consistency",
-    ]),
-    (DOCUMENTED, "the entry server's shard spans on a traced sharded run (run sharded_entry --trace)", [
-        "repro/obs/trace.py::Tracer.span",
     ]),
     (DOCUMENTED, "a bad flag exits 2 with one line on stderr", ["repro/sim/__main__.py::_Parser.error"]),
     (DOCUMENTED, "sweep shards --cdn-egress-mbps (README, Experiments)", [
