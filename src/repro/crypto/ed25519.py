@@ -176,6 +176,16 @@ def _point_compress(point) -> bytes:
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
 
 
+def is_canonical_point(data: bytes) -> bool:
+    """Whether ``data`` passes RFC 8032 §5.1.3's two encoding checks: y < p,
+    and no sign bit on x = 0 (y = 1 or y = p - 1).  :func:`_point_decompress`
+    enforces both; OpenSSL's decoder reduces y and ignores that sign bit, so
+    the accelerated engine checks a public key here first."""
+    encoded = int.from_bytes(data, "little")
+    y = encoded & ((1 << 255) - 1)
+    return y < _P and not (encoded >> 255 and y in (1, _P - 1))
+
+
 def _point_decompress(data: bytes):
     if len(data) != 32:
         raise CryptoError("invalid point encoding length")

@@ -16,6 +16,8 @@ Three layers of assurance:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import engine_names
@@ -419,6 +421,123 @@ class TestKeypairExchange:
         # Nothing carried over: the next call loads again.
         backend.shared_secret_many(pairs[:1])
         assert backend._private_key.loads == 4
+
+
+# --------------------------------------------------------------------------- #
+# The pure engine's batches: one inversion per call, one table per peer
+# --------------------------------------------------------------------------- #
+class LoopedPureBackend(engine.PureBackend):
+    """The pure engine with ``CryptoBackend``'s looped batch defaults: every
+    batch is the composition of the single ops, the oracle for the batches."""
+
+    shared_secret_many = engine.CryptoBackend.shared_secret_many
+    public_key_many = engine.CryptoBackend.public_key_many
+    keypair_exchange_many = engine.CryptoBackend.keypair_exchange_many
+
+
+LOOPED = LoopedPureBackend()
+PURE = get_backend("pure")
+P = 2**255 - 19
+#: RFC 7748's low-order u values, their non-canonical spellings (u + p below
+#: 2**255, and u with the masked top bit set), and the other edges of _decode_u.
+LOW_ORDER_U = sorted(
+    {*SMALL_ORDER_U}
+    | {u + P for u in SMALL_ORDER_U if u + P < 2**255}
+    | {u | 1 << 255 for u in SMALL_ORDER_U if u < 2**255}
+)
+EDGE_U = [0, 1, P - 1, P, P + 1, 2**255 - 1]
+SPECIAL_PEERS = [u.to_bytes(32, "little") for u in sorted({*LOW_ORDER_U, *EDGE_U})]
+#: Special points, random strings (about half on the twist), real keys.
+peers = st.one_of(st.sampled_from(SPECIAL_PEERS), keys32, keys32.map(PURE.public_key))
+#: Batch sizes on both sides of the window table's break-even.
+key_batches = st.lists(keys32, max_size=2 * x25519._TABLE_MIN_KEYS)
+
+
+def outcome(call):
+    """A batch call's result, or its exception as ``(type, message)``."""
+    try:
+        return call()
+    except CryptoError as exc:
+        return type(exc), str(exc)
+
+
+def every_backend_agrees(method: str, *args) -> None:
+    expected = outcome(lambda: getattr(LOOPED, method)(*args))
+    for backend in [PURE, *(get_backend(name) for name in available_backends() if name != "pure")]:
+        assert outcome(lambda: getattr(backend, method)(*args)) == expected, backend.name
+
+
+class TestPureBatchesEqualSingleOps:
+    @given(privates=key_batches, peer=peers)
+    @settings(max_examples=40, deadline=None)
+    def test_keypair_exchange_many(self, privates, peer):
+        every_backend_agrees("keypair_exchange_many", privates, peer)
+
+    @given(pairs=st.lists(st.tuples(keys32, peers), max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_shared_secret_many(self, pairs):
+        # Low-order peers among good ones put zero denominators inside
+        # the batched inversion.
+        every_backend_agrees("shared_secret_many", pairs)
+
+    @given(privates=key_batches)
+    @settings(max_examples=15, deadline=None)
+    def test_public_key_many(self, privates):
+        every_backend_agrees("public_key_many", privates)
+
+    def test_random_peers_on_the_curve_and_on_the_twist(self):
+        peers = [hashlib.sha256(b"peer-%d" % i).digest() for i in range(12)]
+        on_curve = [x25519._window_table(x25519._decode_u(peer)) is not None for peer in peers]
+        assert 0 < sum(on_curve) < len(peers)
+        privates = [
+            hashlib.sha256(b"key-%d" % i).digest() for i in range(x25519._TABLE_MIN_KEYS + 1)
+        ]
+        for peer in peers:
+            every_backend_agrees("keypair_exchange_many", privates, peer)
+
+    @pytest.mark.parametrize(
+        "privates,peer",
+        [
+            ([bytes(32), b"short"], bytes(32)),
+            ([bytes(32)] * 3 + [bytes(33)], (9).to_bytes(32, "little")),
+            ([bytes(32)] * 4, bytes(31)),
+            ([b""], bytes(33)),
+        ],
+    )
+    def test_wrong_lengths_raise_as_the_single_ops_do(self, privates, peer):
+        every_backend_agrees("keypair_exchange_many", privates, peer)
+        every_backend_agrees("public_key_many", privates)
+        every_backend_agrees("shared_secret_many", [(key, peer) for key in privates])
+        with pytest.raises(CryptoError):
+            PURE.keypair_exchange_many(privates, peer)
+
+    def test_zero_denominators_inside_one_inversion(self):
+        fractions = [(5, 7), (3, 0), (2, P), (11, -4), (0, 0), (1, 2 * P + 9), (4, 1)]
+        assert x25519._divide_many(fractions) == [x25519._divide(n, d) for n, d in fractions]
+        assert x25519._divide_many([]) == []
+        assert x25519._divide_many([(1, 0), (2, P)]) == [0, 0]
+
+    def test_the_table_runs_from_the_break_even_and_keeps_nothing(self, monkeypatch):
+        peer = PURE.public_key(bytes(range(32)))
+        privates = [bytes([i]) * 32 for i in range(1, x25519._TABLE_MIN_KEYS + 1)]
+        expected = LOOPED.keypair_exchange_many(privates, peer)
+        before = (dict(vars(PURE)), dict(vars(x25519)))
+
+        def no_ladder(k, u):
+            raise AssertionError("ladder used at the break-even batch size")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(x25519, "_ladder_fraction", no_ladder)
+            assert PURE.keypair_exchange_many(privates, peer) == expected
+            with pytest.raises(AssertionError, match="ladder used"):
+                PURE.keypair_exchange_many(privates[1:], peer)  # below it: ladders
+        assert (dict(vars(PURE)), dict(vars(x25519))) == before
+
+    def test_peers_without_an_edwards_image_take_the_ladder(self):
+        assert x25519._window_table(P - 1) is None
+        twist = next(u for u in range(2, 100) if x25519._window_table(u) is None)
+        privates = [bytes([i]) * 32 for i in range(1, 5)]
+        every_backend_agrees("keypair_exchange_many", privates, twist.to_bytes(32, "little"))
 
 
 # --------------------------------------------------------------------------- #

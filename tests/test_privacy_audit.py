@@ -88,3 +88,43 @@ class TestPrivacyAudit:
         assert point["within_bound"] is True
         assert point["eval_trials_per_arm"] == 2
         assert point["direction"] in (1, -1)
+
+
+class TestAddFriendNoiseShape:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="mix noise bodies are random bytes, not IBE ciphertexts: a mailbox "
+        "download counts its real requests (ROADMAP item 21)",
+    )
+    def test_every_published_entry_parses_as_a_ciphertext(self, monkeypatch):
+        """A downloader must not tell noise from a real request by its shape.
+
+        Real entries are ``IbeCiphertext.to_bytes()``, which starts with the
+        2-byte header length; noise (``MixServer._make_noise_payload``)
+        starts with whatever its random bytes say."""
+        from repro.cdn.cdn import Cdn
+        from repro.core.addfriend import _IBE_HEADER_SIZE
+        from repro.crypto.ibe.interface import IbeCiphertext
+        from repro.mixnet.mailbox import AddFriendMailbox
+
+        published: list[bytes] = []
+        store_round = Cdn.store_round
+
+        def capture(self, protocol, round_number, blobs):
+            if protocol == "add-friend":
+                for blob in blobs.values():
+                    published.extend(AddFriendMailbox.from_bytes(blob).ciphertexts)
+            return store_round(self, protocol, round_number, blobs)
+
+        monkeypatch.setattr(Cdn, "store_round", capture)
+        make_scenario("baseline", num_clients=12, dialing_rounds=0).run()
+
+        def parses(entry: bytes) -> bool:
+            try:
+                return len(IbeCiphertext.from_bytes(entry).header) == _IBE_HEADER_SIZE
+            except ValueError:
+                return False
+
+        shapes = [parses(entry) for entry in published]
+        assert any(shapes), "no real request was published"
+        assert all(shapes), f"{shapes.count(False)} of {len(shapes)} entries are not ciphertexts"

@@ -276,6 +276,28 @@ class TestEd25519PinnedAtParent:
         for name, (key, msg, sig) in rejected.items():
             assert not backend.ed25519_verify(key, msg, sig), name
 
+    @backend_params()
+    def test_identity_key_is_judged_alike_on_every_backend(self, backend):
+        """RFC 8032 §5.1.3: decoding fails for y >= p and for x = 0 with the
+        sign bit set.  The canonical identity verifies R = r*B, s = r for
+        any message on every backend; its non-canonical spellings, and a
+        non-canonical R, are refused by every backend."""
+        big_r = textbook.point_compress(textbook.point_mul(5, textbook.BASE))
+        forged = big_r + (5).to_bytes(32, "little")
+        identity = (1).to_bytes(32, "little")
+        assert backend.ed25519_verify(identity, b"anything", forged)
+        for name, key in {
+            "y = p + 1": (P + 1).to_bytes(32, "little"),
+            "y = 1, sign 1": (1 | 1 << 255).to_bytes(32, "little"),
+            "y = p - 1, sign 1": (P - 1 | 1 << 255).to_bytes(32, "little"),
+        }.items():
+            assert not backend.ed25519_verify(key, b"anything", forged), name
+        # R = identity and s = 0 satisfy s*B = R + h*A for A = identity, so
+        # only R's encoding decides.
+        assert backend.ed25519_verify(identity, b"m", identity + bytes(32))
+        non_canonical_r = (P + 1).to_bytes(32, "little")
+        assert not backend.ed25519_verify(identity, b"m", non_canonical_r + bytes(32))
+
     def test_pure_verify_keeps_the_cofactorless_equation(self):
         """``s*B == R + h*A`` with A the identity holds for R = s*B and any
         message: the parent accepted it, so the pure path still does, while

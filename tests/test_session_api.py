@@ -255,11 +255,22 @@ class TestRetryLiveness:
         from repro.crypto.engine import PureBackend
 
         class CountingPublicKey(PureBackend):
+            """Counts public halves on every path that derives one: the pure
+            batch ops derive theirs without calling ``public_key``."""
+
             derivations = 0
 
             def public_key(self, private_key: bytes) -> bytes:
                 self.derivations += 1
                 return super().public_key(private_key)
+
+            def public_key_many(self, private_keys):
+                self.derivations += len(private_keys)
+                return super().public_key_many(private_keys)
+
+            def keypair_exchange_many(self, private_keys, peer_public_key):
+                self.derivations += len(private_keys)
+                return super().keypair_exchange_many(private_keys, peer_public_key)
 
         counting = CountingPublicKey()
         monkeypatch.setattr(addfriend, "active_backend", lambda: counting)
