@@ -21,6 +21,7 @@ _P = 2**255 - 19
 _L = 2**252 + 27742317777372353535851937790883648493
 _D = -121665 * pow(121666, -1, _P) % _P
 _I = pow(2, (_P - 1) // 4, _P)
+_MASK255 = (1 << 255) - 1
 
 
 def _sha512(data: bytes) -> bytes:
@@ -52,7 +53,8 @@ def _recover_x(y: int, sign: int) -> int:
 
 # Points are stored in extended homogeneous coordinates (X, Y, Z, T)
 # with x = X/Z, y = Y/Z, x*y = T/Z.  Sums and differences are left
-# unreduced (Python ints may go negative); every product is reduced.
+# unreduced (Python ints may go negative); every product is reduced, except
+# the products :func:`_point_mul` folds lazily below 2**262.
 _BASE_Y = 4 * pow(5, -1, _P) % _P
 _BASE_X = _recover_x(_BASE_Y, 0)
 _BASE = (_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % _P)
@@ -88,17 +90,79 @@ def _point_double(p):
 
 
 def _point_mul(scalar: int, point):
-    """Variable-base multiply: fixed 4-bit windows, most significant first."""
-    multiples = [_IDENTITY, point]
-    for _ in range(14):
-        multiples.append(_point_add(multiples[-1], point))
-    result = _IDENTITY
-    for shift in range((scalar.bit_length() + 3) // 4 * 4 - 4, -4, -4):
-        result = _point_double(_point_double(_point_double(_point_double(result))))
-        digit = (scalar >> shift) & 15
+    """``scalar * point`` for any ``scalar >= 0``: width-5 NAF, one doubling chain.
+
+    The scalar is recoded into odd digits in [-15, 15], each at least five
+    bits above the one below it, so the chain adds one of +-P, +-3P, ...,
+    +-15P per non-zero digit (about one addition per six doublings).  Each
+    doubling is :func:`_point_double` inlined as in ``x25519._window_table``:
+    the four squarings only feed sums, so they are folded lazily
+    (2**255 = 19 mod p), the three outputs are reduced fully, and T = e*h is
+    computed only where an addition (or the caller) needs it.  Not
+    constant-time, like the rest of the pure engine.
+    """
+    # (position, digit) pairs, least significant first; the (0, 0) sentinel
+    # carries the doublings below the lowest non-zero digit.
+    terms = [(0, 0)]
+    position = 0
+    while scalar:
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar & 31
+        if digit > 16:
+            digit -= 32
+        terms.append((position, digit))
+        scalar = (scalar - digit) >> 5
+        position += 5
+    if len(terms) == 1:
+        return _IDENTITY
+    multiples = [point]
+    double = _point_double(point)
+    for _ in range(7):
+        multiples.append(_point_add(multiples[-1], double))
+    # cached[d] is d*P as (y - x, y + x, 2dT, 2Z) for odd d in [-15, 15]: a
+    # negative d indexes from the end, and negating swaps y - x with y + x
+    # and flips T.
+    cached = [None] * 32
+    for digit, (x, y, z, t) in zip(range(1, 16, 2), multiples):
+        y_minus_x, y_plus_x, t2d, z2 = (y - x) % _P, (y + x) % _P, 2 * _D * t % _P, 2 * z % _P
+        cached[digit] = (y_minus_x, y_plus_x, t2d, z2)
+        cached[-digit] = (y_plus_x, y_minus_x, -t2d % _P, z2)
+    top, digit = terms.pop()
+    x, y, z, t = multiples[digit >> 1]
+    e, h = t, 1  # T is e*h % p from here on
+    for position, digit in reversed(terms):
+        for _ in range(top - position):
+            a = x * x
+            a = (a & _MASK255) + 19 * (a >> 255)
+            b = y * y
+            b = (b & _MASK255) + 19 * (b >> 255)
+            h = a + b
+            e = x + y
+            e = e * e
+            e = h - ((e & _MASK255) + 19 * (e >> 255))
+            g = a - b
+            f = z * z
+            f = 2 * ((f & _MASK255) + 19 * (f >> 255)) + g
+            x, y, z = e * f % _P, g * h % _P, f * g % _P
+        top = position
         if digit:
-            result = _point_add(result, multiples[digit])
-    return result
+            y_minus_x, y_plus_x, t2d, z2 = cached[digit]
+            a = (y - x) * y_minus_x
+            a = (a & _MASK255) + 19 * (a >> 255)
+            b = (y + x) * y_plus_x
+            b = (b & _MASK255) + 19 * (b >> 255)
+            c = e * h % _P * t2d
+            c = (c & _MASK255) + 19 * (c >> 255)
+            d = z * z2
+            d = (d & _MASK255) + 19 * (d >> 255)
+            e = b - a
+            f = d - c
+            g = d + c
+            h = b + a
+            x, y, z = e * f % _P, g * h % _P, f * g % _P
+    return (x, y, z, e * h % _P)
 
 
 _WINDOWS = 64
@@ -158,14 +222,6 @@ def _base_mul(scalar: int):
             h = b + a
             x, y, z, t = e * f % _P, g * h % _P, f * g % _P, e * h % _P
     return (x, y, z, t)
-
-
-def _point_equal(p, q) -> bool:
-    x1, y1, z1, _ = p
-    x2, y2, z2, _ = q
-    if (x1 * z2 - x2 * z1) % _P != 0:
-        return False
-    return (y1 * z2 - y2 * z1) % _P == 0
 
 
 def _point_compress(point) -> bytes:
@@ -229,18 +285,23 @@ def sign(private_key: bytes, message: bytes) -> bytes:
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """Check an Ed25519 signature; returns True/False (never raises on bad sig)."""
+    """Check an Ed25519 signature; returns True/False (never raises on bad sig).
+
+    The cofactorless equation, checked by R's encoding (the Ed25519 paper's
+    verification, and what OpenSSL evaluates): accept iff
+    ``encode(s*B - h*A) == R``.  Only canonical, on-curve points have an
+    encoding, so an R with y >= p, a sign bit on x = 0 or no point behind
+    it fails the comparison exactly as it would fail decoding.
+    """
     if len(public) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return False
     try:
-        point_a = _point_decompress(public)
-        point_r = _point_decompress(signature[:32])
+        x, y, z, t = _point_decompress(public)
     except CryptoError:
         return False
     s = int.from_bytes(signature[32:], "little")
     if s >= _L:
         return False
     h = int.from_bytes(_sha512(signature[:32] + public + message), "little") % _L
-    left = _base_mul(s)
-    right = _point_add(point_r, _point_mul(h, point_a))
-    return _point_equal(left, right)
+    minus_h_a = _point_mul(h, (-x % _P, y, z, -t % _P))
+    return _point_compress(_point_add(_base_mul(s), minus_h_a)) == signature[:32]

@@ -33,6 +33,15 @@ under either of them.  Multi-core mix work is not a backend: on
 ``runtime=mp`` each mix server peels in its own worker process
 (:mod:`repro.runtime.mp`).
 
+Ed25519 verification is the same cofactorless equation on both backends:
+with A a canonically encoded public key, s < L and
+h = SHA-512(R || A || message) mod L, a signature (R, s) is accepted iff
+``encode([s]B - [h]A)`` equals R's 32 bytes.  R is never decoded: only
+canonical, on-curve points have an encoding, so an R with y >= p, a sign
+bit on x = 0 or no curve point behind it fails the comparison, and small-
+and mixed-order keys and nonces get the verdict OpenSSL gives them.  The
+pure engine computes [h](-A) with one width-5 NAF doubling chain.
+
 A :class:`CryptoBackend` adds batch variants (``seal_many``, ``open_many``,
 ``shared_secret_many``, ``public_key_many``, ``keypair_exchange_many``)
 that the hot paths feed whole rounds through:

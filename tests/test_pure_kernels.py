@@ -141,6 +141,33 @@ def torsion_points():
     return points
 
 
+@functools.cache
+def eight_torsion_points():
+    """All 8 points of the torsion subgroup: ``k * T8`` for one T8 of order 8."""
+    for point in torsion_points():
+        multiples = [textbook.point_mul(k, point) for k in range(8)]
+        if len({textbook.point_compress(p) for p in multiples}) == 8:
+            return multiples
+    raise AssertionError("no point of order 8 among the torsion points")
+
+
+def drawn_point(kind: str, a: int, index: int):
+    """A torsion point, ``a*B + T`` (mixed order) or ``a*B`` (prime order)."""
+    torsion = eight_torsion_points()[index]
+    if kind == "torsion":
+        return torsion
+    prime = textbook.point_mul(a, textbook.BASE)
+    return prime if kind == "prime" else textbook.point_add(prime, torsion)
+
+
+#: Scalars at the wNAF recoding's borders: a 5-bit window holding 17..31
+#: becomes a negative digit and a carry (17 = 32 - 15), 2**k - 1 carries
+#: through every bit, and 16 * odd puts the lowest digit at bit 4.
+NAF_SCALARS = [0, 1, 15, 16, 17, 31, 32, 33, L - 1, L, 2**256 - 1, 16 * 3, 16 * 15, 16 * (2**247 + 1)] + [
+    2**k + sign for k in (5, 6, 63, 252, 255) for sign in (-1, 1)
+]
+
+
 class TestEdwardsKernels:
     def test_constants_unchanged(self):
         assert (ed25519._P, ed25519._L, ed25519._D, ed25519._I) == (P, L, textbook.D, textbook.SQRT_M1)
@@ -185,7 +212,34 @@ class TestEdwardsKernels:
         point = textbook.point_mul(base_scalar, textbook.BASE)
         expected = textbook.point_compress(textbook.point_mul(scalar, point))
         assert ed25519._point_compress(ed25519._point_mul(scalar, point)) == expected
-        assert ed25519._point_equal(ed25519._point_double(point), textbook.point_add(point, point))
+        assert ed25519._point_compress(ed25519._point_double(point)) == textbook.point_compress(textbook.point_add(point, point))
+
+    @pytest.mark.parametrize("kind,index", [("torsion", i) for i in range(8)] + [("mixed", 1), ("prime", 0)])
+    def test_point_mul_edge_scalars_on_every_point_order(self, kind, index):
+        point = drawn_point(kind, 0x1234567, index)
+        for scalar in NAF_SCALARS:
+            expected = textbook.point_compress(textbook.point_mul(scalar, point))
+            assert ed25519._point_compress(ed25519._point_mul(scalar, point)) == expected, scalar
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["torsion", "mixed", "prime"]),
+        a=scalars256.map(lambda n: n % (L - 1) + 1),
+        index=st.integers(0, 7),
+        scalar=st.one_of(
+            st.sampled_from(NAF_SCALARS),
+            st.builds(lambda k, sign: 2**k + sign, st.integers(1, 256), st.sampled_from([-1, 1])),
+            st.builds(lambda n: 16 * (2 * n + 1), st.integers(0, 2**250)),
+            scalars256,
+        ),
+    )
+    def test_point_mul_matches_textbook_on_every_point_order(self, kind, a, index, scalar):
+        """The wNAF chain against bit-at-a-time double-and-add, compared by
+        encoding, with the T it returns consistent with X, Y, Z."""
+        point = drawn_point(kind, a, index)
+        x, y, z, t = result = ed25519._point_mul(scalar, point)
+        assert ed25519._point_compress(result) == textbook.point_compress(textbook.point_mul(scalar, point))
+        assert (x * y - z * t) % P == 0
 
     @settings(max_examples=60, deadline=None)
     @given(y=scalars256.map(lambda n: n >> 1), sign=st.integers(0, 1))
@@ -305,6 +359,87 @@ class TestEd25519PinnedAtParent:
         forged = textbook.point_compress(textbook.point_mul(5, textbook.BASE)) + (5).to_bytes(32, "little")
         assert ed25519.verify((1).to_bytes(32, "little"), b"anything", forged)
         assert not ed25519.verify((P + 1).to_bytes(32, "little"), b"anything", forged)
+
+
+# --------------------------------------------------------------------------- #
+# Ed25519: small- and mixed-order keys and nonces
+# --------------------------------------------------------------------------- #
+def challenge(big_r: bytes, public: bytes, message: bytes) -> int:
+    return int.from_bytes(hashlib.sha512(big_r + public + message).digest(), "little") % L
+
+
+def message_with(big_r: bytes, public: bytes, residues: set[int]) -> bytes:
+    """The first ``b"taming-<i>"`` whose challenge mod 8 is in ``residues``."""
+    i = 0
+    while challenge(big_r, public, b"taming-%d" % i) % 8 not in residues:
+        i += 1
+    return b"taming-%d" % i
+
+
+@functools.cache
+def taming_corpus() -> dict[str, tuple[bytes, bytes, bytes, bool]]:
+    """The small- and mixed-order shapes of Chalkias, Garillot and
+    Nikolaenko, "Taming the many EdDSAs" (SSR 2020), built from fixed scalars:
+    name -> (public, message, signature, verdict of the cofactorless
+    equation s*B == R + h*A)."""
+    t8, minus_t8 = eight_torsion_points()[1], eight_torsion_points()[7]
+    encode = textbook.point_compress
+    a, r = 0x5EED, 0xC0FFEE
+    corpus = {}
+
+    # Small-order A and R, s = 0: R = -h*A holds for h = 1 mod 8 with R = -T8.
+    public, big_r = encode(t8), encode(minus_t8)
+    message = message_with(big_r, public, {1})
+    corpus["small-order A and R, s = 0"] = (public, message, big_r + bytes(32), True)
+
+    # Mixed-order A = a*B + T8, R = r*B, s = r + h*a: s*B - h*A = R - h*T8,
+    # so only the cofactored equation holds when h != 0 mod 8.
+    mixed_a = textbook.point_add(textbook.point_mul(a, textbook.BASE), t8)
+    public, big_r = encode(mixed_a), encode(textbook.point_mul(r, textbook.BASE))
+    message = message_with(big_r, public, set(range(1, 8)))
+    s = (r + challenge(big_r, public, message) * a) % L
+    corpus["mixed-order A, R = r*B (cofactored only)"] = (public, message, big_r + s.to_bytes(32, "little"), False)
+
+    # The same A with R = r*B - T8 and h = 1 mod 8: the cofactorless equation holds.
+    big_r = encode(textbook.point_add(textbook.point_mul(r, textbook.BASE), minus_t8))
+    message = message_with(big_r, public, {1})
+    s = (r + challenge(big_r, public, message) * a) % L
+    corpus["mixed-order A and R, cofactorless"] = (public, message, big_r + s.to_bytes(32, "little"), True)
+
+    # Prime-order A = a*B with R = r*B + T8: s*B - h*A = r*B != R.
+    public = encode(textbook.point_mul(a, textbook.BASE))
+    big_r = encode(textbook.point_add(textbook.point_mul(r, textbook.BASE), t8))
+    message = b"taming"
+    s = (r + challenge(big_r, public, message) * a) % L
+    corpus["prime-order A, mixed-order R"] = (public, message, big_r + s.to_bytes(32, "little"), False)
+    return corpus
+
+
+def textbook_decode(data: bytes):
+    encoded = int.from_bytes(data, "little")
+    y = encoded & ((1 << 255) - 1)
+    x = textbook.recover_x(y, encoded >> 255)
+    return (x, y, 1, x * y % P)
+
+
+class TestEd25519SmallOrderCorpus:
+    @backend_params()
+    @pytest.mark.parametrize("name", list(taming_corpus()))
+    def test_verdict_is_pinned_on_every_backend(self, backend, name):
+        public, message, signature, verdict = taming_corpus()[name]
+        assert backend.ed25519_verify(public, message, signature) is verdict
+
+    @pytest.mark.parametrize("name", list(taming_corpus()))
+    def test_verdict_is_the_cofactorless_equation(self, name):
+        """Each pinned verdict is s*B == R + h*A evaluated on the textbook
+        points, and the cofactored equation accepts all four."""
+        public, message, signature, verdict = taming_corpus()[name]
+        big_a, big_r = (textbook_decode(data) for data in (public, signature[:32]))
+        s, h = int.from_bytes(signature[32:], "little"), challenge(signature[:32], public, message)
+        left = textbook.point_mul(s, textbook.BASE)
+        right = textbook.point_add(big_r, textbook.point_mul(h, big_a))
+        assert (textbook.point_compress(left) == textbook.point_compress(right)) is verdict
+        assert textbook.point_compress(textbook.point_mul(8, left)) == textbook.point_compress(textbook.point_mul(8, right))
 
 
 # --------------------------------------------------------------------------- #

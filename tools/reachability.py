@@ -313,6 +313,9 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
         "repro/net/links.py::NetworkTopology.partition",
         "repro/net/links.py::NetworkTopology.heal",
     ]),
+    (ORACLE, "the looped batch default both backends override: the batch-equals-single-ops tests' reference", [
+        "repro/crypto/engine.py::CryptoBackend.shared_secret_many",
+    ]),
     (ORACLE, "value equality the round-trip and group-law tests compare with", [
         "repro/primitives/bloom.py::BloomFilter.__eq__",
         "repro/crypto/bn254/curve.py::G1Point.__eq__",
