@@ -11,7 +11,11 @@ fixed-base table for multiples of the G2 generator.
 The affine group laws are the readable reference.  Scalar multiplication
 runs on Jacobian coordinates held as plain ints (pairs of ints on the
 twist), reducing once per coordinate a step produces rather than after
-every product -- see :mod:`repro.crypto.bn254.field`.
+every product -- see :mod:`repro.crypto.bn254.field`.  Scalars are recoded
+into signed windows (:func:`_signed_digits`) and added from a small table of
+odd multiples: on G1 the scalar is first split in two halves of half the
+length by the GLV endomorphism ``(x, y) -> (beta x, y)``, so one chain of
+~127 doublings serves both.  None of it is constant-time.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from repro.crypto.bn254.field import (
     FROBENIUS_TABLES,
     Fq2,
     XI,
+    fq2_inverse,
     fq2_mul,
+    fq2_square,
     fq_inv,
     fq_sqrt,
 )
@@ -53,35 +59,112 @@ def _jacobian_double(X1: int, Y1: int, Z1: int) -> tuple[int, int, int]:
     return X3, (E * (D - X3) - 8 * C) % _P, 2 * Y1 * Z1 % _P
 
 
-def _jacobian_scalar_mul(x2: int, y2: int, scalar: int) -> tuple[int, int, int]:
-    """MSB-first double-and-add over Jacobian coordinates.
+def _jacobian_add_affine(X1: int, Y1: int, Z1: int, x2: int, y2: int) -> tuple[int, int, int]:
+    """Jacobian ``(X1, Y1, Z1)`` + affine ``(x2, y2)`` on G1 (madd-2007-bl).
 
-    ``(x2, y2)`` is the affine base point; returns the Jacobian result
-    (``Z = 0`` encodes the identity).  Mixed additions are madd-2007-bl.
+    ``Z = 0`` is the identity, on the way in and (for ``P + (-P)``) out.
     """
-    X1 = Y1 = Z1 = 0
-    for bit in bin(scalar)[2:]:
-        if Z1:
-            X1, Y1, Z1 = _jacobian_double(X1, Y1, Z1)
-        if bit == "1":
-            if not Z1:
-                X1, Y1, Z1 = x2, y2, 1
-                continue
-            Z1Z1 = Z1 * Z1 % _P
-            H = (x2 * Z1Z1 - X1) % _P
-            r = 2 * (y2 * Z1 * Z1Z1 - Y1) % _P
-            if H == 0:
-                if r == 0:  # adding the accumulator to itself
-                    X1, Y1, Z1 = _jacobian_double(X1, Y1, Z1)
-                else:  # P + (-P)
-                    X1 = Y1 = Z1 = 0
-                continue
-            I = 4 * H * H % _P
-            J = H * I
-            V = X1 * I
-            X3 = (r * r - J - 2 * V) % _P
-            X1, Y1, Z1 = X3, (r * (V - X3) - 2 * Y1 * J) % _P, 2 * Z1 * H % _P
-    return X1, Y1, Z1
+    if not Z1:
+        return x2, y2, 1
+    Z1Z1 = Z1 * Z1 % _P
+    H = (x2 * Z1Z1 - X1) % _P
+    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % _P
+    if H == 0:
+        if r == 0:  # adding the accumulator to itself
+            return _jacobian_double(X1, Y1, Z1)
+        return 0, 0, 0  # P + (-P)
+    I = 4 * H * H % _P
+    J = H * I
+    V = X1 * I
+    X3 = (r * r - J - 2 * V) % _P
+    return X3, (r * (V - X3) - 2 * Y1 * J) % _P, 2 * Z1 * H % _P
+
+
+def _signed_digits(value: int, width: int) -> list[int]:
+    """The width-``width`` NAF of ``value``, most significant digit first.
+
+    Every nonzero digit is odd and below ``2**(width - 1)`` in absolute
+    value, and at least ``width - 1`` zeros follow it, so a chain over the
+    digits adds about once per ``width + 1`` doublings from a table of the
+    odd multiples ``1, 3, .., 2**(width - 1) - 1`` of its base.  A negative
+    digit costs what a positive one does (negating a point, or conjugating a
+    cyclotomic element, is free).  ``value`` may be negative: its digits are
+    those of ``-value``, negated.
+    """
+    half = 1 << (width - 1)
+    digits = []
+    while value:
+        zeros = (value & -value).bit_length() - 1
+        digits += [0] * zeros
+        value >>= zeros
+        digit = value & (2 * half - 1)
+        if digit > half:
+            digit -= 2 * half
+        digits.append(digit)
+        value = (value - digit) >> 1
+    digits.reverse()
+    return digits
+
+
+# The GLV endomorphism of G1: phi(x, y) = (beta x, y) with beta a primitive
+# cube root of unity mod p acts on G1 as multiplication by lambda, a cube root
+# of unity mod r.  The two vectors below span the lattice of pairs (a, b) with
+# a + b lambda = 0 (mod r), and are short (~2^127): the standard BN basis,
+# polynomials in t whose determinant is r(t).
+_GLV_BETA = 0x30644E72E131A0295E6DD9E7E0ACCCB0C28F069FBB966E3DE4BD44E5607CFD48
+_GLV_LAMBDA = 0x30644E72E131A029048B6E193FD84104CC37A73FEC2BC5E9B8CA0B2D36636F23
+_GLV_BASIS = (
+    (6 * BN_PARAMETER_T**2 + 2 * BN_PARAMETER_T, -(2 * BN_PARAMETER_T + 1)),
+    (2 * BN_PARAMETER_T + 1, 6 * BN_PARAMETER_T**2 + 4 * BN_PARAMETER_T + 1),
+)
+assert pow(_GLV_BETA, 3, _P) == 1 and _GLV_BETA != 1
+assert (_GLV_LAMBDA * _GLV_LAMBDA + _GLV_LAMBDA + 1) % CURVE_ORDER == 0
+assert all((a + b * _GLV_LAMBDA) % CURVE_ORDER == 0 for a, b in _GLV_BASIS)
+
+
+def _glv_split(scalar: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 lambda = scalar (mod r)``, each below 2^127
+    in absolute value.
+
+    Babai rounding: write ``(scalar, 0)`` in the basis over the rationals,
+    round both coordinates to the nearest integer, and subtract that lattice
+    vector; what is left lies within half the sum of the basis vectors.
+    """
+    (a1, b1), (a2, b2) = _GLV_BASIS
+    c1 = (2 * scalar * b2 + CURVE_ORDER) // (2 * CURVE_ORDER)
+    c2 = (-2 * scalar * b1 + CURVE_ORDER) // (2 * CURVE_ORDER)
+    return scalar - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+
+def _odd_multiples(x: int, y: int) -> list[tuple[int, int]]:
+    """``P, 3P, 5P, .., 15P`` as affine pairs, for a point ``P = (x, y)`` of G1.
+
+    ``2P = (X, Y, Z)`` is computed in Jacobian coordinates.  On the
+    isomorphic curve ``y^2 = x^3 + b Z^6``, reached by ``(u, v) -> (u Z^2,
+    v Z^3)``, ``2P`` is the affine ``(X, Y)`` (the addition formulas do not
+    involve b), so each odd multiple is one mixed addition from the one
+    before, and a Jacobian ``(X', Y', Z')`` there is ``(X', Y', Z' Z)`` here.
+    Montgomery's trick then brings all seven to affine with one inversion.
+    """
+    X2, Y2, Z2 = _jacobian_double(x, y, 1)
+    zz = Z2 * Z2 % _P
+    point = (x * zz % _P, y * zz * Z2 % _P, 1)
+    points, zs, prefix = [], [], [1]
+    for _ in range(7):
+        point = _jacobian_add_affine(*point, X2, Y2)
+        z = point[2] * Z2 % _P
+        points.append(point)
+        zs.append(z)
+        prefix.append(prefix[-1] * z % _P)
+    inverse = fq_inv(prefix[-1])
+    multiples = [None] * 7
+    for i in range(6, -1, -1):
+        z_inv = inverse * prefix[i] % _P
+        inverse = inverse * zs[i] % _P
+        z_inv2 = z_inv * z_inv % _P
+        X, Y, _ = points[i]
+        multiples[i] = (X * z_inv2 % _P, Y * z_inv2 * z_inv % _P)
+    return [(x, y), *multiples]
 
 
 def _decode_coordinates(data: bytes) -> list[int]:
@@ -152,25 +235,52 @@ class G1Point:
         return G1Point(x3, y3)
 
     def scalar_mul(self, scalar: int) -> "G1Point":
-        """Scalar multiplication in Jacobian coordinates.
+        """Scalar multiplication by the GLV method, in Jacobian coordinates.
 
-        Affine double/add pays one modular inversion per step -- ~500
-        inversions per multiplication -- which made BLS signing the single
-        hottest line of a large scenario.  The Jacobian ladder defers to
-        exactly one inversion at the end; the affine group law above stays
-        as the readable reference and the serialization is untouched.
+        The scalar is split as ``k1 + k2 lambda`` (:func:`_glv_split`) with
+        halves of ~127 bits, and ``[k1]P + [k2]phi(P)`` runs as one doubling
+        chain over the interleaved width-5 NAFs of the halves.  Each nonzero
+        digit is one mixed addition from the affine odd multiples of P
+        (:func:`_odd_multiples`), or of ``phi(P)``, which are the same points
+        with x times beta.  A negative digit flips y, and a negative half
+        recodes to negative digits.  One inversion builds the table and one
+        leaves Jacobian coordinates.  Not constant-time.
+
+        ``phi(P) = [lambda]P`` holds only on the curve ``y^2 = x^3 + 3``, so a
+        point off it is refused rather than multiplied on some other curve.
         """
         scalar %= CURVE_ORDER
         if scalar == 0 or self.infinity:
             return G1Point.identity()
-        # MSB-first double-and-add: the accumulator stays Jacobian, the base
-        # stays affine so every addition is a cheap mixed addition.
-        X1, Y1, Z1 = _jacobian_scalar_mul(self.x, self.y, scalar)
-        if not Z1:
+        if not self.is_on_curve():
+            raise CryptoError("scalar multiplication of a point not on G1")
+        # table[d] is dP and phi_table[d] is d phi(P), for odd d in [-15, 15]:
+        # a negative d indexes from the end.
+        table = [None] * 32
+        phi_table = [None] * 32
+        for digit, (x, y) in zip(range(1, 16, 2), _odd_multiples(self.x, self.y)):
+            beta_x = x * _GLV_BETA % _P
+            table[digit], table[-digit] = (x, y), (x, _P - y)
+            phi_table[digit], phi_table[-digit] = (beta_x, y), (beta_x, _P - y)
+        k1, k2 = _glv_split(scalar)
+        digits1 = _signed_digits(k1, 5)
+        digits2 = _signed_digits(k2, 5)
+        length = max(len(digits1), len(digits2))
+        digits1 = [0] * (length - len(digits1)) + digits1
+        digits2 = [0] * (length - len(digits2)) + digits2
+        X = Y = Z = 0
+        for digit1, digit2 in zip(digits1, digits2):
+            if Z:
+                X, Y, Z = _jacobian_double(X, Y, Z)
+            if digit1:
+                X, Y, Z = _jacobian_add_affine(X, Y, Z, *table[digit1])
+            if digit2:
+                X, Y, Z = _jacobian_add_affine(X, Y, Z, *phi_table[digit2])
+        if not Z:
             return G1Point.identity()
-        z_inv = fq_inv(Z1)
+        z_inv = fq_inv(Z)
         z_inv2 = z_inv * z_inv % _P
-        return G1Point(X1 * z_inv2 % _P, Y1 * z_inv2 * z_inv % _P)
+        return G1Point(X * z_inv2 % _P, Y * z_inv2 * z_inv % _P)
 
     __mul__ = scalar_mul
     __rmul__ = scalar_mul
@@ -282,6 +392,31 @@ def _jacobian_add_affine_fq2(point, base):
     m = Z0 * H0
     n = Z1 * H1
     return X30, X31, Y30, Y31, 2 * (m - n) % _P, 2 * ((Z0 + Z1) * (H0 + H1) - m - n) % _P
+
+
+def _odd_multiples_fq2(base):
+    """``Q, 3Q, 5Q, 7Q`` as affine four-int tuples, for ``Q = base`` on the
+    twist: :func:`_odd_multiples` over Fq2, with one Fq2 inversion."""
+    x0, x1, y0, y1 = base
+    X0, X1, Y0, Y1, Z0, Z1 = _jacobian_double_fq2((*base, 1, 0))
+    zz = fq2_square(Z0, Z1)
+    point = (*fq2_mul(x0, x1, *zz), *fq2_mul(y0, y1, *fq2_mul(*zz, Z0, Z1)), 1, 0)
+    points, zs, prefix = [], [], [(1, 0)]
+    for _ in range(3):
+        point = _jacobian_add_affine_fq2(point, (X0, X1, Y0, Y1))
+        z = fq2_mul(point[4], point[5], Z0, Z1)
+        points.append(point)
+        zs.append(z)
+        prefix.append(fq2_mul(*prefix[-1], *z))
+    inverse = fq2_inverse(*prefix[-1])
+    multiples = [None] * 3
+    for i in range(2, -1, -1):
+        z_inv = fq2_mul(*inverse, *prefix[i])
+        inverse = fq2_mul(*inverse, *zs[i])
+        z_inv2 = fq2_square(*z_inv)
+        X0, X1, Y0, Y1, _, _ = points[i]
+        multiples[i] = (*fq2_mul(X0, X1, *z_inv2), *fq2_mul(Y0, Y1, *fq2_mul(*z_inv2, *z_inv)))
+    return [base, *multiples]
 
 
 def frobenius_twist(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int, int, int]:
@@ -401,21 +536,27 @@ class G2Point:
     def scalar_mul(self, scalar: int) -> "G2Point":
         """Scalar multiplication in Jacobian coordinates over Fq2.
 
-        Same shape as :meth:`G1Point.scalar_mul`: MSB-first double-and-add,
-        one field inversion at the end instead of one per double/add.  This
-        is the variable-base routine; multiples of the generator go through
+        One doubling chain over the width-4 NAF of the scalar, each nonzero
+        digit a mixed addition of ``+-Q``, ``+-3Q``, ``+-5Q`` or ``+-7Q``
+        (:func:`_odd_multiples_fq2`), and one field inversion at the end.
+        It is a correct group law on the whole twist, not only on G2, which
+        the subgroup check relies on.  Not constant-time.  This is the
+        variable-base routine; multiples of the generator go through
         :func:`g2_generator_mul`.
         """
         scalar %= CURVE_ORDER
         if scalar == 0 or self.infinity:
             return G2Point.identity()
-        base = self._coordinates()
+        # table[d] is dQ for odd d in [-7, 7]; a negative d indexes from the end.
+        table = [None] * 16
+        for digit, (x0, x1, y0, y1) in zip((1, 3, 5, 7), _odd_multiples_fq2(self._coordinates())):
+            table[digit], table[-digit] = (x0, x1, y0, y1), (x0, x1, -y0 % _P, -y1 % _P)
         accumulator = None
-        for bit in bin(scalar)[2:]:
+        for digit in _signed_digits(scalar, 4):
             if accumulator is not None:
                 accumulator = _jacobian_double_fq2(accumulator)
-            if bit == "1":
-                accumulator = _jacobian_add_affine_fq2(accumulator, base)
+            if digit:
+                accumulator = _jacobian_add_affine_fq2(accumulator, table[digit])
         return G2Point._from_jacobian(accumulator)
 
     __mul__ = scalar_mul

@@ -17,14 +17,14 @@ import textwrap
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import textbook_crypto as textbook
 from repro.crypto import bls
 from repro.crypto.bn254 import curve, field
 from repro.crypto.bn254.curve import G1Point, G2Point, g1_generator, g2_generator, g2_generator_mul
 from repro.crypto.bn254.field import BN_PARAMETER_T, CURVE_ORDER, FIELD_MODULUS, Fq2, Fq12
-from repro.crypto.bn254.pairing import _add_step, _double_step, miller_loop, pairing
+from repro.crypto.bn254.pairing import _add_step, _cyclotomic_pow_t, _double_step, miller_loop, pairing
 from repro.crypto.ibe import boneh_franklin
 from repro.crypto.ibe.boneh_franklin import BonehFranklinIbe
 from repro.crypto.ibe.interface import IbeCiphertext
@@ -48,6 +48,54 @@ def vectors(length: int, elements=coefficients):
 
 EDGE_SCALARS = [0, 1, 2, 15, 16, CURVE_ORDER - 1, CURVE_ORDER, CURVE_ORDER + 1, 2**256 + 12345, 2**300 - 1]
 scalars = st.one_of(st.integers(min_value=0, max_value=2**260), st.sampled_from(EDGE_SCALARS))
+
+
+def _g1_edge_scalars() -> list[int]:
+    """Where the GLV split or the width-5 recoding could go wrong: around r
+    and lambda, around each basis coordinate, scalars whose split has a zero
+    half or either sign in each half, and 2^k +- 1 (a long zero run)."""
+    lam, r = curve._GLV_LAMBDA, CURVE_ORDER
+    values = [*EDGE_SCALARS, 0, 1, 2, r - 1, r, r + 1, lam - 1, lam, lam + 1, r - lam]
+    for vector in curve._GLV_BASIS:
+        for coordinate in vector:
+            values += [coordinate % r - 1, coordinate % r, coordinate % r + 1]
+    for m in (1, 3, 2**126 - 1):
+        values += [m, r - m, m * lam % r, -m * lam % r]
+    m1, m2 = 2**125 + 12345, 2**124 + 999
+    values += [(s1 * m1 + s2 * m2 * lam) % r for s1 in (1, -1) for s2 in (1, -1)]
+    for k in (5, 64, 126, 127, 128, 253):
+        values += [2**k - 1, 2**k + 1]
+    return values
+
+
+G1_EDGE_SCALARS = _g1_edge_scalars()
+
+
+def affine_g1_mul(point: G1Point, scalar: int) -> G1Point:
+    """Affine double-and-add with the readable group law."""
+    result = G1Point.identity()
+    for bit in bin(scalar % CURVE_ORDER)[2:]:
+        result = result.double()
+        if bit == "1":
+            result = result + point
+    return result
+
+
+def digits_value(digits, leading: int = 0) -> int:
+    """The integer that MSB-first signed binary digits spell below ``leading``."""
+    total = leading
+    for digit in digits:
+        total = 2 * total + digit
+    return total
+
+
+def textbook_g1_mul(point: G1Point, scalar: int) -> G1Point:
+    """The binary Jacobian ladder G1 ran before the GLV chain."""
+    X, Y, Z = textbook._jacobian_scalar_mul(point.x, point.y, scalar % CURVE_ORDER)
+    if not Z:
+        return G1Point.identity()
+    z_inv = pow(Z, -1, P)
+    return G1Point(X * z_inv**2, Y * z_inv**3)
 
 
 # -- conversions between the flat forms and the oracle's objects ------------- #
@@ -246,6 +294,15 @@ class TestFq12Kernels:
     def test_pow(self, a, exponent):
         assert field.fq12_pow(a, exponent) == flat_fq12(tb_fq12(a).pow(exponent))
 
+    @given(vectors(12).filter(any))
+    @settings(max_examples=10, deadline=None)
+    def test_cyclotomic_pow_t(self, seed):
+        """The width-4 chain over t, conjugates for its negative digits, is
+        the generic power on the cyclotomic subgroup (where conjugation is
+        inversion and the Granger-Scott squaring is a squaring)."""
+        f = cyclotomic_element(seed)
+        assert _cyclotomic_pow_t(f) == field.fq12_pow(f, BN_PARAMETER_T)
+
 
 # --------------------------------------------------------------------------- #
 # Miller line steps
@@ -316,16 +373,37 @@ class TestLineSteps:
                 _add_step(field.FQ12_ONE, t, q._coordinates(), p.x, p.y)
 
     def test_signed_digits(self):
-        from repro.crypto.bn254.pairing import _LOOP_DIGITS, _T_DIGITS, _signed_digits
+        from repro.crypto.bn254.pairing import _LOOP_DIGITS, _T_WINDOW_DIGITS, _signed_digits
 
-        for value, digits in ((field.ATE_LOOP_COUNT, _LOOP_DIGITS), (BN_PARAMETER_T, _T_DIGITS), (7, _signed_digits(7))):
-            total = 1
-            for digit in digits:
-                total = 2 * total + digit
-            assert total == value
-            assert set(digits) <= {-1, 0, 1}
-            assert all(not (x and y) for x, y in zip(digits, digits[1:]))
-        assert sum(map(abs, _LOOP_DIGITS)) == 21 and sum(map(abs, _T_DIGITS)) == 23
+        assert digits_value(_LOOP_DIGITS, leading=1) == field.ATE_LOOP_COUNT
+        assert set(_LOOP_DIGITS) <= {-1, 0, 1}
+        assert all(not (x and y) for x, y in zip(_LOOP_DIGITS, _LOOP_DIGITS[1:]))
+        assert sum(map(abs, _LOOP_DIGITS)) == 21
+        # t in width 4: odd digits in [-7, 7], 14 of them nonzero
+        assert _T_WINDOW_DIGITS == _signed_digits(BN_PARAMETER_T, 4)
+        assert digits_value(_T_WINDOW_DIGITS) == BN_PARAMETER_T
+        nonzero = [digit for digit in _T_WINDOW_DIGITS if digit]
+        assert all(digit % 2 and -7 <= digit <= 7 for digit in nonzero)
+        assert len(nonzero) == 14
+
+    @given(st.integers(-(2**300), 2**300), st.integers(2, 6))
+    @example(7, 2)
+    @example(0, 4)
+    @settings(max_examples=60, deadline=None)
+    def test_signed_digits_any_width(self, value, width):
+        """The one recoding helper: the digits rebuild the value, every
+        nonzero one is odd and below ``2^(width-1)``, at least ``width - 1``
+        zeros follow each, and a negative value recodes to the negated
+        digits of its absolute value."""
+        from repro.crypto.bn254.curve import _signed_digits
+
+        digits = _signed_digits(value, width)
+        assert digits_value(digits) == value
+        assert not digits or digits[0] != 0
+        positions = [i for i, digit in enumerate(digits) if digit]
+        assert all(digits[i] % 2 and abs(digits[i]) < 2 ** (width - 1) for i in positions)
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+        assert _signed_digits(-value, width) == [-digit for digit in digits]
 
     def test_frobenius_on_the_twist(self):
         point = _twist_point(0xABCDEF)
@@ -345,6 +423,15 @@ def _tb_jacobian(point):
 
 def _flat_jacobian(coordinates):
     return tuple(c for value in coordinates for c in flat_fq2(value))
+
+
+def _order_10069_point():
+    """A twist point of order 10069 (the cofactor's smallest prime), with its
+    oracle twin."""
+    cofactor = 2 * FIELD_MODULUS - CURVE_ORDER
+    oracle = tb_g2(_off_subgroup_point(2)).mul_unreduced(CURVE_ORDER * cofactor // 10069)
+    assert not oracle.is_identity() and oracle.mul_unreduced(10069).is_identity()
+    return G2Point(Fq2(*flat_fq2(oracle.x)), Fq2(*flat_fq2(oracle.y))), oracle
 
 
 class TestG2Kernels:
@@ -415,6 +502,14 @@ class TestG2Kernels:
         for scalar in (1, 2, 3, 10069, 2**64 + 1):
             assert same_point(point.scalar_mul(scalar), tb_g2(point).mul_unreduced(scalar))
 
+    @pytest.mark.parametrize("scalar", [*range(21), BN_PARAMETER_T, 2 * BN_PARAMETER_T])
+    def test_scalar_mul_on_a_point_of_order_10069(self, scalar):
+        """The subgroup check multiplies by t and 2t: on the point a
+        confinement attack would send, the window table and every branch of
+        the chain must still give the true multiple."""
+        point, oracle = _order_10069_point()
+        assert same_point(point.scalar_mul(scalar), oracle.mul_unreduced(scalar))
+
     @given(scalars)
     @settings(max_examples=25, deadline=None)
     def test_generator_table(self, scalar):
@@ -450,6 +545,103 @@ class TestG1Kernels:
         assert 0 <= X < P and 0 <= Y < P and 0 <= Z < P
         z_inv = pow(Z, -1, P)
         assert G1Point(X * z_inv**2, Y * z_inv**3) == point.double()
+
+
+    def test_mixed_addition_branches(self):
+        point = g1_generator().scalar_mul(77)
+        assert curve._jacobian_add_affine(0, 0, 0, point.x, point.y) == (point.x, point.y, 1)
+        z = 12345
+        X, Y = point.x * z**2 % P, point.y * z**3 % P
+        # the doubling inside the addition
+        X3, Y3, Z3 = curve._jacobian_add_affine(X, Y, z, point.x, point.y)
+        z_inv = pow(Z3, -1, P)
+        assert G1Point(X3 * z_inv**2, Y3 * z_inv**3) == point.double()
+        # P + (-P)
+        assert curve._jacobian_add_affine(X, Y, z, point.x, P - point.y)[2] == 0
+        # a general sum
+        other = g1_generator().scalar_mul(91)
+        X3, Y3, Z3 = curve._jacobian_add_affine(X, Y, z, other.x, other.y)
+        z_inv = pow(Z3, -1, P)
+        assert G1Point(X3 * z_inv**2, Y3 * z_inv**3) == point + other
+
+    @given(st.integers(1, CURVE_ORDER - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_odd_multiples(self, base_scalar):
+        point = textbook_g1_mul(g1_generator(), base_scalar)
+        multiples = curve._odd_multiples(point.x, point.y)
+        assert multiples == [(m.x, m.y) for m in (textbook_g1_mul(point, d) for d in range(1, 16, 2))]
+        twist_point = _twist_point(base_scalar)
+        oracles = [tb_g2(twist_point).mul_unreduced(d) for d in (1, 3, 5, 7)]
+        expected = [(*flat_fq2(oracle.x), *flat_fq2(oracle.y)) for oracle in oracles]
+        assert curve._odd_multiples_fq2(twist_point._coordinates()) == expected
+
+    @pytest.mark.parametrize("scalar", G1_EDGE_SCALARS)
+    def test_scalar_mul_edges(self, scalar):
+        point = g1_generator().scalar_mul(0xC0FFEE)
+        result = point.scalar_mul(scalar)
+        assert result == textbook_g1_mul(point, scalar)
+        assert result == affine_g1_mul(point, scalar)
+        assert G1Point.identity().scalar_mul(scalar).is_identity()
+
+    @given(st.integers(1, CURVE_ORDER - 1), scalars)
+    @settings(max_examples=25, deadline=None)
+    def test_scalar_mul_matches_the_binary_ladder(self, base_scalar, scalar):
+        point = textbook_g1_mul(g1_generator(), base_scalar)
+        assert point.scalar_mul(scalar) == textbook_g1_mul(point, scalar)
+
+    def test_identity_and_zero(self):
+        point = g1_generator().scalar_mul(5)
+        for scalar in (0, CURVE_ORDER, 7 * CURVE_ORDER):
+            assert point.scalar_mul(scalar).is_identity()
+        assert G1Point.identity().scalar_mul(12345).is_identity()
+        assert point.scalar_mul(CURVE_ORDER - 1) == G1Point(point.x, P - point.y)
+
+    def test_off_curve_point_refused(self):
+        """``phi(P) = [lambda]P`` only on ``y^2 = x^3 + 3``: off it the chain
+        would be a wrong multiple on another curve, so it is refused."""
+        bad = G1Point(1, 1)
+        assert not bad.is_on_curve()
+        for scalar in (1, 2, 12345, CURVE_ORDER - 1):
+            with pytest.raises(CryptoError):
+                bad.scalar_mul(scalar)
+        with pytest.raises(CryptoError):
+            bad * 3
+
+    @given(st.integers(0, 2**300))
+    @settings(max_examples=100, deadline=None)
+    def test_glv_split(self, scalar):
+        k1, k2 = curve._glv_split(scalar)
+        assert (k1 + k2 * curve._GLV_LAMBDA - scalar) % CURVE_ORDER == 0
+        assert abs(k1) < 2**127 and abs(k2) < 2**127
+
+    def test_glv_split_of_constructed_scalars(self):
+        """Both halves zero in turn, and every pair of signs."""
+        lam = curve._GLV_LAMBDA
+        for m in (1, 5, 2**100 + 3):
+            for sign in (1, -1):
+                assert curve._glv_split(sign * m % CURVE_ORDER) == (sign * m, 0)
+                assert curve._glv_split(sign * m * lam % CURVE_ORDER) == (0, sign * m)
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            m1, m2 = 2**125 + 12345, 2**124 + 999
+            assert curve._glv_split((s1 * m1 + s2 * m2 * lam) % CURVE_ORDER) == (s1 * m1, s2 * m2)
+
+    def test_glv_constants(self):
+        """beta and lambda are primitive cube roots of unity and the basis
+        spans the lattice ``a + b lambda = 0 (mod r)`` with determinant r."""
+        beta, lam = curve._GLV_BETA, curve._GLV_LAMBDA
+        assert pow(beta, 3, P) == 1 and beta != 1
+        assert pow(lam, 3, CURVE_ORDER) == 1 and lam != 1
+        (a1, b1), (a2, b2) = curve._GLV_BASIS
+        assert a1 * b2 - a2 * b1 == CURVE_ORDER
+        assert (a1 + b1 * lam) % CURVE_ORDER == 0 and (a2 + b2 * lam) % CURVE_ORDER == 0
+
+    @given(st.integers(1, CURVE_ORDER - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_endomorphism_is_multiplication_by_lambda(self, base_scalar):
+        point = textbook_g1_mul(g1_generator(), base_scalar)
+        phi = G1Point(curve._GLV_BETA * point.x, point.y)
+        assert phi.is_on_curve()
+        assert phi == textbook_g1_mul(point, curve._GLV_LAMBDA)
 
 
 # --------------------------------------------------------------------------- #

@@ -806,3 +806,54 @@ def _line_step(f: Fq12, r: G2Point, q: G2Point, p: G1Point) -> tuple[Fq12, G2Poi
     x_new = slope.square() - xr - xq
     y_new = slope * (xr - x_new) - yr
     return f, G2Point(x_new, y_new)
+
+
+# --------------------------------------------------------------------------- #
+# BN254 G1: the binary Jacobian ladder
+# --------------------------------------------------------------------------- #
+# ``_jacobian_scalar_mul`` is the G1 ladder ``src/repro/crypto/bn254/curve.py``
+# ran up to commit c199fcc, moved here unchanged when ``G1Point.scalar_mul``
+# became a GLV chain over signed windows; ``_jacobian_double`` is a copy of the
+# doubling it calls, which the source still uses.  One scalar bit at a time,
+# on any curve ``y^2 = x^3 + b`` (nothing in it depends on b), so it is the
+# oracle for the endomorphism too.
+def _jacobian_double(X1: int, Y1: int, Z1: int) -> tuple[int, int, int]:
+    """One Jacobian doubling on ``y^2 = x^3 + b`` (dbl-2009-l, a = 0)."""
+    A = X1 * X1 % _P
+    B = Y1 * Y1 % _P
+    C = B * B
+    D = 2 * ((X1 + B) * (X1 + B) - A - C)
+    E = 3 * A
+    X3 = (E * E - 2 * D) % _P
+    return X3, (E * (D - X3) - 8 * C) % _P, 2 * Y1 * Z1 % _P
+
+
+def _jacobian_scalar_mul(x2: int, y2: int, scalar: int) -> tuple[int, int, int]:
+    """MSB-first double-and-add over Jacobian coordinates.
+
+    ``(x2, y2)`` is the affine base point; returns the Jacobian result
+    (``Z = 0`` encodes the identity).  Mixed additions are madd-2007-bl.
+    """
+    X1 = Y1 = Z1 = 0
+    for bit in bin(scalar)[2:]:
+        if Z1:
+            X1, Y1, Z1 = _jacobian_double(X1, Y1, Z1)
+        if bit == "1":
+            if not Z1:
+                X1, Y1, Z1 = x2, y2, 1
+                continue
+            Z1Z1 = Z1 * Z1 % _P
+            H = (x2 * Z1Z1 - X1) % _P
+            r = 2 * (y2 * Z1 * Z1Z1 - Y1) % _P
+            if H == 0:
+                if r == 0:  # adding the accumulator to itself
+                    X1, Y1, Z1 = _jacobian_double(X1, Y1, Z1)
+                else:  # P + (-P)
+                    X1 = Y1 = Z1 = 0
+                continue
+            I = 4 * H * H % _P
+            J = H * I
+            V = X1 * I
+            X3 = (r * r - J - 2 * V) % _P
+            X1, Y1, Z1 = X3, (r * (V - X3) - 2 * Y1 * J) % _P, 2 * Z1 * H % _P
+    return X1, Y1, Z1
