@@ -258,7 +258,7 @@ class Deployment:
     def subscribe_all(self, handler) -> None:
         """Subscribe ``handler(event)`` to every client's session bus,
         including clients created later.  This is how the observability
-        layer (dashboard monitors, ``--log-level`` event logging) watches a
+        layer (the scenario driver, which feeds its live views) watches a
         whole deployment without enumerating sessions."""
         self._subscribers.append(handler)
         for client in self.clients.values():

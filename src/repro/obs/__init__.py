@@ -17,14 +17,15 @@ envelope); everything here either fills it or renders it:
   / crypto) from the spans the workers ship.
 * :mod:`repro.obs.privacy` -- the (epsilon, delta) ledger the scenario driver
   feeds one row per round, the record's ``privacy`` section, and the passive
-  observer of the audit.
+  adversary's statistic the audit reads off a finished run's rounds.
 * :mod:`repro.obs.record` -- the record read back: ``validate`` (one schema,
   privacy invariants, trace coverage) and ``explain`` (the run's printed
   summary, offline).
 * :mod:`repro.obs.logging` and :mod:`repro.obs.dashboard` -- the live views:
   a structured stderr log stream and a stdlib-only dashboard (``http.server``
-  + Server-Sent Events, run/pause/step), both functions of the
-  ``RoundStats``/``ScenarioResult`` handed over ``Scenario.monitors``.
+  + Server-Sent Events, run/pause/step), plain ``view(kind, item)``
+  callables in ``Scenario.views``, fed the spec, each ``RoundStats``, each
+  session event and the ``ScenarioResult`` as the driver appends them.
 
 The tracer follows the crypto engine's activation pattern: one process-wide
 active tracer (:func:`active_tracer`, ``None`` when tracing is off).  No
@@ -43,7 +44,7 @@ from repro.obs.distributed import (
     runtime_attribution,
 )
 from repro.obs.logging import configure_logging, configured_level, get_logger
-from repro.obs.privacy import PassiveObserver, PrivacyLedger
+from repro.obs.privacy import PrivacyLedger, passive_statistic
 from repro.obs.record import render, validate_record
 from repro.obs.trace import (
     Span,
@@ -55,7 +56,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "PassiveObserver",
     "PrivacyLedger",
     "Span",
     "TraceContext",
@@ -66,6 +66,7 @@ __all__ = [
     "configured_level",
     "estimate_clock_offset",
     "get_logger",
+    "passive_statistic",
     "propagation_coverage",
     "render",
     "runtime_attribution",

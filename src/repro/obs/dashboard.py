@@ -1,8 +1,8 @@
 """The live scenario dashboard: stdlib ``http.server`` + Server-Sent Events.
 
 ``python -m repro.sim run SCENARIO --dashboard PORT`` starts a
-:class:`DashboardServer` in a background thread and attaches a
-:class:`DashboardMonitor` to the scenario.  The server exposes:
+:class:`DashboardServer` in a background thread and adds its
+:meth:`~DashboardServer.view` to the scenario's views.  The server exposes:
 
 * ``/`` -- a single-file web UI (no external assets) that connects an
   ``EventSource`` to ``/events`` and renders live round/stage/shard stats,
@@ -10,11 +10,13 @@
 * ``/events`` -- the SSE stream.  New subscribers first receive the replay
   of the event history (so a mid-run connection -- or an integration test
   scraping the endpoint -- sees everything so far, race-free), then live
-  events as they are published;
+  events as they are published.  The replay always opens with the current
+  run's ``scenario_started``, however much history a long run evicted;
 * ``/state`` -- the current aggregate state as one JSON object;
-* ``/control?action=run|pause|step`` -- the round gate.  The scenario
-  driver calls :meth:`DashboardServer.gate` before each round; ``pause``
-  blocks it there, ``step`` releases exactly one round.
+* ``/control?action=run|pause|step`` -- the round gate.  :meth:`~DashboardServer.view`
+  calls :meth:`~DashboardServer.gate` as each round starts; ``pause``
+  blocks the scenario there, ``step`` releases exactly one round
+  (``--dashboard-paused`` requests ``pause`` before the run starts).
 
 Everything is stdlib: ``ThreadingHTTPServer`` with daemon threads, a
 condition variable for the gate, per-subscriber queues for fan-out.
@@ -33,7 +35,7 @@ from repro.analysis.dp import distinguishing_advantage
 from repro.obs.record import dumps
 from repro.obs.logging import get_logger
 
-__all__ = ["DashboardMonitor", "DashboardServer"]
+__all__ = ["DashboardServer"]
 
 #: How many recent rounds the aggregate state retains for late joiners.
 MAX_STATE_ROUNDS = 200
@@ -51,6 +53,10 @@ class DashboardServer:
         self._lock = threading.Lock()
         self._seq = 0
         self._state: dict[str, Any] = {"status": "idle", "scenario": None, "rounds": []}
+        #: The current run's ``scenario_started`` event, which opens every replay.
+        self._started: dict | None = None
+        #: The run's ``spec.runtime``: a real runtime's gauges feed the Runtime panel.
+        self._runtime = "sim"
         self._gate = threading.Condition()
         self._mode = "run"
         self._steps = 0
@@ -99,6 +105,8 @@ class DashboardServer:
             self._seq += 1
             event = {"seq": self._seq, "type": event_type, "data": data}
             self._history.append(event)
+            if event_type == "scenario_started":
+                self._started = event
             self._apply_to_state(event_type, data)
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
@@ -138,6 +146,9 @@ class DashboardServer:
         with self._lock:
             subscriber: queue.SimpleQueue = queue.SimpleQueue()
             replay = list(self._history)
+            started = self._started
+            if started is not None and replay[0]["seq"] > started["seq"]:
+                replay.insert(0, started)  # evicted by a long run: still open with it
             self._subscribers.append(subscriber)
         return replay, subscriber
 
@@ -172,7 +183,7 @@ class DashboardServer:
     def gate(self) -> None:
         """Block while paused; consume one step credit if stepping.
 
-        Called by the scenario driver before each round.  Returns
+        Called by :meth:`view` before each round.  Returns
         immediately in ``run`` mode, when a ``step`` credit is available,
         or once the server shuts down (so a stopped dashboard can never
         wedge a scenario).
@@ -182,6 +193,76 @@ class DashboardServer:
                 self._gate.wait(0.25)
             if self._steps > 0:
                 self._steps -= 1
+
+    # -- the scenario view --------------------------------------------------
+    def view(self, kind: str, item: Any) -> None:
+        """A scenario view (``Scenario.views``) of the run record.
+
+        Publishes the spec, each round's
+        :class:`~repro.sim.scenario.RoundStats` (the stage split,
+        session-event counts, shard loads, transport gauges, the privacy
+        ledger row) and the finished result, reading nothing but what it is
+        handed, and holds each round at the run/pause/step :meth:`gate`.
+        """
+        if kind == "start":
+            self._runtime = item.runtime
+            self.publish(
+                "scenario_started",
+                name=item.name,
+                clients=item.num_clients,
+                addfriend_rounds=item.addfriend_rounds,
+                dialing_rounds=item.dialing_rounds,
+                mix_servers=item.config.num_mix_servers,
+                entry_shards=item.config.entry_shards,
+                crypto_backend=item.config.crypto_backend,
+                pipelined=item.pipelined,
+                fidelity=item.fidelity,
+            )
+        elif kind == "round_start":
+            protocol, index, clock = item
+            self.gate()
+            self.publish("round_starting", protocol=protocol, index=index, clock=clock)
+        elif kind == "round":
+            self.publish("round", clock=item.clock, **item.to_dict())
+            if item.events:
+                self.publish("events", **item.events)
+            if item.shards:
+                self.publish("shards", **item.shards)
+            if item.net:
+                # The simulated network's wave gauges, or a real runtime's
+                # per-endpoint executor/connection/in-flight gauges (and worker
+                # RSS under mp) for the Runtime panel.
+                if self._runtime == "sim":
+                    self.publish("net", **item.net)
+                else:
+                    self.publish("runtime", endpoints=item.net)
+            row = item.privacy
+            if row:
+                observed = row["observed_messages"]
+                self.publish(
+                    "privacy",
+                    protocol=item.protocol,
+                    round=item.round_number,
+                    epsilon=row["epsilon_cumulative"],
+                    delta=row["delta"],
+                    epsilon_round=row["epsilon_round"],
+                    noise_added=row["noise_added"],
+                    per_server_noise=row["per_server_noise"],
+                    noise_fraction=round(row["noise_added"] / observed, 4) if observed else 0.0,
+                    advantage_bound=distinguishing_advantage(row["epsilon_cumulative"]),
+                    per_shard_noise=row["per_shard_noise"],
+                )
+        elif kind == "finish":
+            self.publish(
+                "scenario_finished",
+                name=item.name,
+                rounds=len(item.rounds),
+                aborted=sum(1 for r in item.rounds if r.aborted),
+                friendships_confirmed=item.friendships_confirmed,
+                calls_delivered=item.calls_delivered,
+                total_bytes_sent=item.total_bytes_sent,
+                wall_seconds=round(item.wall_seconds, 3),
+            )
 
 
 class _DashboardHandler(BaseHTTPRequestHandler):
@@ -265,88 +346,6 @@ class _DashboardHandler(BaseHTTPRequestHandler):
             f"id: {event['seq']}\nevent: {event['type']}\ndata: {payload}\n\n".encode("utf-8")
         )
         self.wfile.flush()
-
-
-class DashboardMonitor:
-    """The scenario monitor feeding a :class:`DashboardServer`.
-
-    Attached via ``Scenario.monitors``; a view of the run record: it publishes
-    the spec, each round's :class:`~repro.sim.scenario.RoundStats` (the stage
-    split, session-event counts, shard loads, transport gauges, the privacy
-    ledger row) and the finished result, reading nothing but what it is
-    handed, and holds each round at the server's run/pause/step gate.
-    """
-
-    def __init__(self, server: DashboardServer, paused: bool = False) -> None:
-        self.server = server
-        self._runtime = "sim"
-        if paused:
-            server.request("pause")
-
-    # -- scenario monitor hooks --------------------------------------------
-    def on_start(self, deployment, net, spec) -> None:
-        self._runtime = spec.runtime
-        self.server.publish(
-            "scenario_started",
-            name=spec.name,
-            clients=spec.num_clients,
-            addfriend_rounds=spec.addfriend_rounds,
-            dialing_rounds=spec.dialing_rounds,
-            mix_servers=spec.config.num_mix_servers,
-            entry_shards=spec.config.entry_shards,
-            crypto_backend=spec.config.crypto_backend,
-            pipelined=spec.pipelined,
-            fidelity=spec.fidelity,
-        )
-
-    def before_round(self, deployment, protocol: str, round_index: int) -> None:
-        self.server.gate()
-        self.server.publish(
-            "round_starting", protocol=protocol, index=round_index, clock=deployment.clock
-        )
-
-    def on_round(self, stats, deployment) -> None:
-        self.server.publish("round", clock=stats.clock, **stats.to_dict())
-        if stats.events:
-            self.server.publish("events", **stats.events)
-        if stats.shards:
-            self.server.publish("shards", **stats.shards)
-        if stats.net:
-            # The simulated network's wave gauges, or a real runtime's
-            # per-endpoint executor/connection/in-flight gauges (and worker
-            # RSS under mp) for the Runtime panel.
-            if self._runtime == "sim":
-                self.server.publish("net", **stats.net)
-            else:
-                self.server.publish("runtime", endpoints=stats.net)
-        row = stats.privacy
-        if row:
-            observed = row["observed_messages"]
-            self.server.publish(
-                "privacy",
-                protocol=stats.protocol,
-                round=stats.round_number,
-                epsilon=row["epsilon_cumulative"],
-                delta=row["delta"],
-                epsilon_round=row["epsilon_round"],
-                noise_added=row["noise_added"],
-                per_server_noise=row["per_server_noise"],
-                noise_fraction=round(row["noise_added"] / observed, 4) if observed else 0.0,
-                advantage_bound=distinguishing_advantage(row["epsilon_cumulative"]),
-                per_shard_noise=row["per_shard_noise"],
-            )
-
-    def on_finish(self, result) -> None:
-        self.server.publish(
-            "scenario_finished",
-            name=result.name,
-            rounds=len(result.rounds),
-            aborted=sum(1 for r in result.rounds if r.aborted),
-            friendships_confirmed=result.friendships_confirmed,
-            calls_delivered=result.calls_delivered,
-            total_bytes_sent=result.total_bytes_sent,
-            wall_seconds=round(result.wall_seconds, 3),
-        )
 
 
 _PAGE = """<!doctype html>

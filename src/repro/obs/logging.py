@@ -3,8 +3,8 @@
 ``python -m repro.sim run SCENARIO --log-level LEVEL`` routes harness output
 through here instead of scattered ``print``\\ s: one ``repro`` logger
 hierarchy, a single stderr handler, and ``key=value`` structured suffixes
-built by :func:`log_fields`.  :class:`EventLogMonitor` is a view of the run
-record on the scenario's monitor seam: it logs each round's
+built by :func:`log_fields`.  :func:`log_view` is a view of the run record,
+one callable in ``Scenario.views``: it logs each round's
 :class:`~repro.sim.scenario.RoundStats` at INFO and every session
 :class:`~repro.api.events.SessionEvent` at DEBUG, from what it is handed.
 """
@@ -15,7 +15,7 @@ import logging
 import sys
 from typing import Any
 
-__all__ = ["EventLogMonitor", "configure_logging", "configured_level", "get_logger", "log_fields"]
+__all__ = ["configure_logging", "configured_level", "get_logger", "log_fields", "log_view"]
 
 ROOT_LOGGER = "repro"
 
@@ -87,74 +87,70 @@ def progress_printer():
     return print
 
 
-class EventLogMonitor:
-    """Scenario monitor: structured per-round INFO and per-event DEBUG."""
-
-    def __init__(self, logger: logging.Logger | None = None) -> None:
-        self.log = logger if logger is not None else get_logger("scenario")
-
-    # -- scenario monitor hooks --------------------------------------------
-    def on_start(self, deployment, net, spec) -> None:
-        self.log.info(
+def log_view(kind: str, item: Any, log: logging.Logger | None = None) -> None:
+    """A scenario view (``Scenario.views``): the spec, each round's
+    :class:`~repro.sim.scenario.RoundStats` and the finished result at INFO,
+    round starts, transport gauges and session events at DEBUG, on ``log``
+    (default ``repro.scenario``)."""
+    if log is None:
+        log = get_logger("scenario")
+    if kind == "start":
+        log.info(
             "scenario start %s",
             log_fields(
-                name=spec.name,
-                clients=spec.num_clients,
-                addfriend_rounds=spec.addfriend_rounds,
-                dialing_rounds=spec.dialing_rounds,
-                crypto=spec.config.crypto_backend,
-                shards=spec.config.entry_shards or None,
+                name=item.name,
+                clients=item.num_clients,
+                addfriend_rounds=item.addfriend_rounds,
+                dialing_rounds=item.dialing_rounds,
+                crypto=item.config.crypto_backend,
+                shards=item.config.entry_shards or None,
             ),
         )
-
-    def before_round(self, deployment, protocol: str, round_index: int) -> None:
-        self.log.debug("round starting %s", log_fields(protocol=protocol, index=round_index))
-
-    def on_round(self, stats, deployment) -> None:
-        self.log.info(
+    elif kind == "round_start":
+        protocol, index, _clock = item
+        log.debug("round starting %s", log_fields(protocol=protocol, index=index))
+    elif kind == "round":
+        log.info(
             "round %s",
             log_fields(
-                protocol=stats.protocol,
-                round=stats.round_number,
-                participants=stats.participants,
-                latency_s=stats.latency_s,
-                submit_s=stats.submit_stage_s,
-                mix_s=stats.mix_stage_s,
-                scan_s=stats.scan_stage_s,
-                bytes=stats.bytes_sent,
-                failures=stats.failures or None,
-                aborted=True if stats.aborted else None,
+                protocol=item.protocol,
+                round=item.round_number,
+                participants=item.participants,
+                latency_s=item.latency_s,
+                submit_s=item.submit_stage_s,
+                mix_s=item.mix_stage_s,
+                scan_s=item.scan_stage_s,
+                bytes=item.bytes_sent,
+                failures=item.failures or None,
+                aborted=True if item.aborted else None,
             ),
         )
         # Deliveries may arrive as per-(link, slot) batches rather than one
         # event per frame; report the transport's own aggregates instead of
         # assuming frame granularity.
-        if stats.net and self.log.isEnabledFor(logging.DEBUG):
-            self.log.debug("net %s", log_fields(**stats.net))
-
-    def on_finish(self, result) -> None:
-        self.log.info(
+        if item.net and log.isEnabledFor(logging.DEBUG):
+            log.debug("net %s", log_fields(**item.net))
+    elif kind == "event":
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "event %s",
+                log_fields(
+                    type=item.type,
+                    email=item.email,
+                    round=item.round_number,
+                    **{k: v for k, v in item.data.items() if isinstance(v, (str, int, float, bool))},
+                ),
+            )
+    elif kind == "finish":
+        log.info(
             "scenario done %s",
             log_fields(
-                name=result.name,
-                rounds=len(result.rounds),
-                aborted=sum(1 for r in result.rounds if r.aborted) or None,
-                friendships=result.friendships_confirmed,
-                calls=result.calls_delivered,
-                total_mib=result.total_bytes_sent / 2**20,
-                wall_s=result.wall_seconds,
-            ),
-        )
-
-    def on_event(self, event) -> None:
-        if not self.log.isEnabledFor(logging.DEBUG):
-            return
-        self.log.debug(
-            "event %s",
-            log_fields(
-                type=event.type,
-                email=event.email,
-                round=event.round_number,
-                **{k: v for k, v in event.data.items() if isinstance(v, (str, int, float, bool))},
+                name=item.name,
+                rounds=len(item.rounds),
+                aborted=sum(1 for r in item.rounds if r.aborted) or None,
+                friendships=item.friendships_confirmed,
+                calls=item.calls_delivered,
+                total_mib=item.total_bytes_sent / 2**20,
+                wall_s=item.wall_seconds,
             ),
         )

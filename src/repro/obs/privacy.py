@@ -18,12 +18,12 @@ run actually emits:
   configured noise against a stated ``ScenarioSpec.privacy_budget``
   (:func:`budget_consistency`; warn-and-record, never hard-fail: adversarial
   scenarios deliberately under-noise).
-* :class:`PassiveObserver` -- a monitor that sees only what a network tap
-  sees: per-endpoint frame/byte counts from ``TransportStats`` plus the
-  published noisy mailbox counts.  The paired-scenario audit harness
-  (:mod:`repro.sim.privacy_sweep`) runs it over "target acts" vs "target
-  idle" trials and compares the empirical distinguishing advantage against
-  the analytic bound ``(e^eps - 1)/(e^eps + 1)``.
+* :func:`passive_statistic` -- what a passive adversary sees of a finished
+  run: the total of one round's published noisy mailbox counts, read from
+  the record's ``RoundStats``.  The paired-scenario audit harness
+  (:mod:`repro.sim.privacy_sweep`) computes it over "target acts" vs
+  "target idle" trials and compares the empirical distinguishing advantage
+  against the analytic bound ``(e^eps - 1)/(e^eps + 1)``.
 * :func:`validate_ledger` / :func:`validate_audit` -- the privacy invariants
   of a record (epsilon monotone, noise nonnegative, cumulative epsilon
   re-derivable, empirical advantage within the bound), run by ``python -m
@@ -53,10 +53,10 @@ from repro.analysis.dp import (
 __all__ = [
     "PAPER_ACTION_BUDGETS",
     "UNPROTECTED",
-    "PassiveObserver",
     "PrivacyLedger",
     "PrivacyRoundRecord",
     "budget_consistency",
+    "passive_statistic",
     "run_report",
     "validate_audit",
     "validate_ledger",
@@ -342,62 +342,23 @@ def run_report(
     return report
 
 
-class PassiveObserver:
-    """A monitor restricted to what a passive network tap can see.
+def passive_statistic(rounds, protocol: str = "add-friend", occurrence: int = 0) -> float:
+    """The passive adversary's test statistic (§6, §8.1): the total of the
+    published noisy mailbox counts in the ``occurrence``-th round of
+    ``protocol`` among a finished run's ``rounds``.
 
-    Per round it records the *published* noisy mailbox-count vector (any
-    client can download mailboxes; their sizes are public) and the deltas of
-    the transport's per-endpoint byte totals and per-method frame counts --
-    traffic *shape*, never payloads (envelopes are fixed-size and onion-
-    encrypted).  The audit harness runs paired trials ("target acts" vs
-    "target idle") and feeds :meth:`statistic` to a threshold distinguisher.
+    Mailbox sizes are public (any client downloads mailboxes) and that is
+    all this reads; an aborted round publishes nothing, so it counts as an
+    occurrence observing 0.  The audit harness runs paired trials ("target
+    acts" vs "target idle") and feeds this to a threshold distinguisher.
     """
-
-    def __init__(self) -> None:
-        self.observations: list[dict] = []
-        self._net = None
-        self._bytes_by_endpoint: dict[str, int] = {}
-        self._calls_by_method: dict[str, int] = {}
-
-    def on_start(self, deployment, net, spec) -> None:
-        self._net = net
-        self._bytes_by_endpoint = dict(net.stats.bytes_by_endpoint)
-        self._calls_by_method = dict(net.stats.calls_by_method)
-
-    def on_round(self, stats, deployment) -> None:
-        stats_now = self._net.stats
-        bytes_now = dict(stats_now.bytes_by_endpoint)
-        calls_now = dict(stats_now.calls_by_method)
-        self.observations.append(
-            {
-                "protocol": stats.protocol,
-                "round": stats.round_number,
-                "aborted": stats.aborted,
-                "mailbox_counts": list(stats.mailbox_counts),
-                "observed_messages": sum(stats.mailbox_counts),
-                "endpoint_bytes": {
-                    endpoint: total - self._bytes_by_endpoint.get(endpoint, 0)
-                    for endpoint, total in bytes_now.items()
-                },
-                "method_frames": {
-                    method: count - self._calls_by_method.get(method, 0)
-                    for method, count in calls_now.items()
-                },
-            }
+    seen = [stats for stats in rounds if stats.protocol == protocol]
+    if occurrence >= len(seen):
+        raise ValueError(
+            f"observer saw {len(seen)} {protocol} round(s), "
+            f"occurrence {occurrence} never happened"
         )
-        self._bytes_by_endpoint = bytes_now
-        self._calls_by_method = calls_now
-
-    def statistic(self, protocol: str = "add-friend", occurrence: int = 0) -> float:
-        """The distinguisher's test statistic: total observed (noisy)
-        messages in the ``occurrence``-th round of ``protocol``."""
-        rounds = [o for o in self.observations if o["protocol"] == protocol]
-        if occurrence >= len(rounds):
-            raise ValueError(
-                f"observer saw {len(rounds)} {protocol} round(s), "
-                f"occurrence {occurrence} never happened"
-            )
-        return float(rounds[occurrence]["observed_messages"])
+    return float(sum(seen[occurrence].mailbox_counts))
 
 
 # --------------------------------------------------------------------------- #

@@ -222,19 +222,19 @@ def run_cli(args, overrides: dict) -> int:
     scenario = make_scenario(args.scenario, **overrides)
 
     if args.log_level:
-        from repro.obs.logging import EventLogMonitor
+        from repro.obs.logging import log_view
 
-        scenario.monitors.append(EventLogMonitor())
+        scenario.views.append(log_view)
 
     dashboard = None
     if args.dashboard is not None:
-        from repro.obs.dashboard import DashboardMonitor, DashboardServer
+        from repro.obs.dashboard import DashboardServer
 
         dashboard = DashboardServer(port=args.dashboard)
         dashboard.start()
-        scenario.monitors.append(
-            DashboardMonitor(dashboard, paused=args.dashboard_paused)
-        )
+        if args.dashboard_paused:
+            dashboard.request("pause")
+        scenario.views.append(dashboard.view)
         print(f"dashboard: {dashboard.url}  (run/pause/step from the page)")
         if args.dashboard_paused:
             print("dashboard: starting paused; press Run or Step to begin")

@@ -1,9 +1,9 @@
 """The passive-adversary audit: paired distinguishing trials vs the DP bound.
 
 ROADMAP item 5(b)'s measurement half.  The experiment instantiates §6's
-threat model directly: a passive observer taps every link (per-endpoint
-bytes, per-method frame counts via ``TransportStats``) and downloads the
-published noisy mailbox counts, then must decide whether a target client
+threat model directly: a passive observer downloads the published noisy
+mailbox counts (envelopes are fixed-size and onion-encrypted, so the counts
+are what the traffic shows), then must decide whether a target client
 acted (queued one real friend request) or idled (submitted only cover
 traffic).  Differential privacy promises its advantage over guessing is at
 most ``(e^eps - 1)/(e^eps + 1)`` for the per-observation epsilon -- plus
@@ -37,7 +37,7 @@ from repro.analysis.dp import (
     noise_floor_delta,
     per_round_epsilon,
 )
-from repro.obs.privacy import PassiveObserver
+from repro.obs.privacy import passive_statistic
 from repro.sim.scenarios import make_scenario
 
 #: Two-sided confidence level for the Hoeffding certification.
@@ -60,10 +60,7 @@ def run_observer_trial(
         noise_b=noise_b,
         **{**overrides, "friend_pairs": 1 if acts else 0},
     )
-    observer = PassiveObserver()
-    scenario.monitors.append(observer)
-    scenario.run()
-    return observer.statistic("add-friend", 0)
+    return passive_statistic(scenario.run().rounds, "add-friend", 0)
 
 
 def _best_threshold(acts: list[float], idle: list[float]) -> tuple[float, int]:

@@ -26,6 +26,10 @@ the same wire sizes).  The symmetric/X25519 hot path always runs for real,
 on whichever engine ``config.crypto_backend`` selects (see
 :mod:`repro.crypto.engine`) -- that cost *is* part of the system under test.
 
+Its live views (the ``--log-level`` log, the ``--dashboard`` page) are plain
+``view(kind, item)`` callables in ``Scenario.views``, handed what the record
+appends as the driver appends it, never the deployment or its transport.
+
 The harness opens no span.  It reads the active tracer once, after the
 deployment has closed (an ``mp`` transport's last worker harvest happens
 there), to build the record's ``trace`` section; the spans themselves come
@@ -486,17 +490,16 @@ class Scenario:
         self._churn_rng = DeterministicRng(f"{spec.seed}/{spec.name}/churn")
         self._flash_rng = DeterministicRng(f"{spec.seed}/{spec.name}/flash")
         self._joined = 0  # late joiners so far (a ``join`` fault)
-        #: Observability monitors (duck-typed; see ``_notify``): the one seam
-        #: the record reaches its live views through.  Hooks:
-        #: ``on_start(deployment, net, spec)`` once the deployment is
-        #: populated, ``before_round(deployment, protocol, round_index)``
-        #: just before each round (where a dashboard's pause/step gate
-        #: blocks), ``on_event(event)`` per session event,
-        #: ``on_round(stats, deployment)`` after each round (aborted ones
-        #: included) with the round's finished :class:`RoundStats`,
-        #: ``on_finish(result)`` at the end.  A view reads only the spec, the
-        #: ``RoundStats`` and the ``ScenarioResult`` it is handed.
-        self.monitors: list = []
+        #: The live views: plain callables ``view(kind, item)``, each handed
+        #: what the driver appends to the record, where it appends it:
+        #: ``"start"`` (the :class:`ScenarioSpec`, once the deployment is
+        #: populated), ``"round_start"`` (``(protocol, index, clock)`` just
+        #: before each round, where a dashboard's pause/step gate blocks),
+        #: ``"round"`` (the finished :class:`RoundStats`, aborted rounds
+        #: included), ``"event"`` (a session event) and ``"finish"`` (the
+        #: :class:`ScenarioResult`).  No view is handed a deployment or a
+        #: transport.
+        self.views: list = []
         #: The always-on privacy ledger: every run accounts its (epsilon,
         #: delta) spend, whether or not anyone asked (privacy observability
         #: is not opt-in).  The driver feeds it one row per published round;
@@ -715,22 +718,21 @@ class Scenario:
                 client.call(friends[0])
 
     # -- the run loop ------------------------------------------------------
-    def _notify(self, method: str, *args) -> None:
-        """Invoke ``method`` on every attached monitor that defines it."""
-        for monitor in self.monitors:
-            hook = getattr(monitor, method, None)
-            if hook is not None:
-                hook(*args)
+    def _show(self, kind: str, item) -> None:
+        """Hand one fragment of the record to every live view."""
+        for view in self.views:
+            view(kind, item)
 
     def run(self) -> ScenarioResult:
         started = time.perf_counter()
         deployment, net = self.build()
         try:
             self.configure(deployment, net)
-            self.populate(deployment)
+            # Subscribed first: the initial pairs' requests are session events too.
             deployment.subscribe_all(self._on_event)
+            self.populate(deployment)
             budget_check = self._check_privacy_budget(deployment)
-            self._notify("on_start", deployment, net, self.spec)
+            self._show("start", self.spec)
 
             result = ScenarioResult(name=self.spec.name, spec=self.spec)
             self._drive_protocol(deployment, net, "add-friend", self.spec.addfriend_rounds, result)
@@ -765,12 +767,12 @@ class Scenario:
         if tracer is not None:
             # After close(): an mp transport's last harvest happens there.
             result.trace = trace_section(tracer, result.rounds)
-        self._notify("on_finish", result)
+        self._show("finish", result)
         return result
 
     def _on_event(self, event) -> None:
         self.event_counts[event.type] = self.event_counts.get(event.type, 0) + 1
-        self._notify("on_event", event)
+        self._show("event", event)
 
     def _check_privacy_budget(self, deployment: Deployment) -> dict | None:
         """The startup check of the configured noise against a stated
@@ -826,7 +828,7 @@ class Scenario:
                 "per_shard_noise": self.ledger.expected_noise_by_shard(stats.protocol),
             }
         result.rounds.append(stats)
-        self._notify("on_round", stats, deployment)
+        self._show("round", stats)
 
     def _friend_request_stats(self) -> dict:
         """Liveness accounting over the handles this scenario queued."""
@@ -857,7 +859,7 @@ class Scenario:
         """Drive all of one protocol's rounds and record their throughput."""
 
         def participants_for(round_index: int):
-            self._notify("before_round", deployment, protocol, round_index)
+            self._show("round_start", (protocol, round_index, deployment.clock))
             return self._apply_round_faults(deployment, net, protocol, round_index)
 
         latencies = []

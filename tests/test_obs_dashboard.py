@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.dashboard import DashboardMonitor, DashboardServer
+from repro.obs.dashboard import DashboardServer
 
 
 def _get_json(url: str | urllib.request.Request, timeout: float = 5.0) -> dict:
@@ -87,6 +87,21 @@ class TestPublish:
         assert live.get(timeout=1.0)["type"] == "round"
         server.unsubscribe(live)
 
+    def test_a_late_subscriber_replay_opens_with_the_start_event(self):
+        """A long run evicts its start from the bounded history; the replay
+        still opens with it, so a late page learns which run it joined."""
+        server = DashboardServer(history=4)
+        server.publish("scenario_started", name="old")
+        server.publish("scenario_started", name="x")
+        for i in range(10):
+            server.publish("round", round=i)
+        replay, live = server.subscribe()
+        server.unsubscribe(live)
+        assert [e["type"] for e in replay] == ["scenario_started"] + ["round"] * 4
+        assert replay[0]["data"] == {"name": "x"}
+        assert [e["data"]["round"] for e in replay[1:]] == [6, 7, 8, 9]
+        assert [e["seq"] for e in replay] == sorted(e["seq"] for e in replay)
+
     def test_state_rounds_are_capped(self):
         from repro.obs.dashboard import MAX_STATE_ROUNDS
 
@@ -158,7 +173,7 @@ class TestLiveScenarioScrape:
             dialing_rounds=1,
             friend_pairs=4,
         )
-        scenario.monitors.append(DashboardMonitor(server))
+        scenario.views.append(server.view)
         results: list = []
         thread = threading.Thread(target=lambda: results.append(scenario.run()), daemon=True)
         thread.start()
@@ -198,9 +213,9 @@ class TestLiveScenarioScrape:
         assert len(state["rounds"]) == 3
 
     def test_slotted_delivery_keeps_the_event_stream_coherent(self):
-        """The monitors see one event per round under wave (slotted) delivery.
+        """The view sees one event per round under wave (slotted) delivery.
 
-        The before_round/on_round hooks fire at stage boundaries, not per
+        The "round_start"/"round" kinds are fed at stage boundaries, not per
         frame, so the published stream -- pipelined rounds included -- has
         one round event per round with monotonic clocks, and the largest
         delivery wave is reported.
@@ -215,7 +230,7 @@ class TestLiveScenarioScrape:
             addfriend_rounds=2,
             dialing_rounds=2,
         )
-        scenario.monitors.append(DashboardMonitor(server))
+        scenario.views.append(server.view)
         scenario.run()
         slotted, live = server.subscribe()
         server.unsubscribe(live)
@@ -235,7 +250,8 @@ class TestLiveScenarioScrape:
             dialing_rounds=0,
             friend_pairs=2,
         )
-        scenario.monitors.append(DashboardMonitor(server, paused=True))
+        server.request("pause")  # what --dashboard-paused does before the run
+        scenario.views.append(server.view)
         results: list = []
         thread = threading.Thread(target=lambda: results.append(scenario.run()), daemon=True)
         thread.start()

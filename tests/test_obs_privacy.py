@@ -162,22 +162,33 @@ class TestValidatePrivacyReport:
 
 
 class _KeepDeployment:
-    """Monitor that keeps the run's live deployment."""
+    """Keeps the run's live deployment by wrapping the scenario's
+    ``populate`` (no view is handed a deployment)."""
 
     deployment = None
 
-    def on_start(self, deployment, net, spec):
-        self.deployment = deployment
+    def __init__(self, scenario):
+        populate = scenario.populate
+
+        def keep(deployment):
+            populate(deployment)
+            self.deployment = deployment
+            self.populated(deployment)
+
+        scenario.populate = keep
+
+    def populated(self, deployment):
+        pass
 
 
 class _BudgetTamper(_KeepDeployment):
-    """Monitor that zeroes every session's budget and records the events."""
+    """Zeroes every session's budget once populated and records the events."""
 
-    def __init__(self):
+    def __init__(self, scenario):
+        super().__init__(scenario)
         self.events = []
 
-    def on_start(self, deployment, net, spec):
-        super().on_start(deployment, net, spec)
+    def populated(self, deployment):
         for client in deployment.clients.values():
             client.session.action_budgets["add-friend"] = 0
             client.session.events.subscribe("privacy_budget_exceeded", self.events.append)
@@ -220,11 +231,10 @@ class TestScenarioIntegration:
     def test_every_real_dial_counts_against_the_dialing_budget(self):
         """Scenarios dial through the client's bare ``call`` (no handle):
         those dials are actions the §8.1 budget protects all the same."""
-        keep = _KeepDeployment()
         scenario = make_scenario(
             "baseline", num_clients=12, friend_pairs=3, addfriend_rounds=2, dialing_rounds=2,
         )
-        scenario.monitors.append(keep)
+        keep = _KeepDeployment(scenario)
         result = scenario.run()
         placed = sum(len(c.placed_calls()) for c in keep.deployment.clients.values())
         assert placed > 0
@@ -236,12 +246,11 @@ class TestScenarioIntegration:
         assert any(row["delivered_real"] > 0 for row in rows)
 
     def test_budget_exceeded_event_fires_once_per_session(self):
-        tamper = _BudgetTamper()
         scenario = make_scenario(
             "baseline", num_clients=8, friend_pairs=2,
             addfriend_rounds=1, dialing_rounds=0,
         )
-        scenario.monitors.append(tamper)
+        tamper = _BudgetTamper(scenario)
         result = scenario.run()
         # Exactly once per session that submitted a real request (the two
         # queued senders at minimum), never for cover-only participation.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.obs.privacy import PassiveObserver
+from repro.obs.privacy import passive_statistic
 from repro.sim.privacy_sweep import (
     _best_threshold,
     _holdout_advantage,
@@ -45,25 +47,26 @@ class TestDistinguisherHelpers:
 
 class TestPassiveObserver:
     def test_observer_sees_only_tap_data(self):
-        scenario = make_scenario("passive_observer", seed="tap-test")
-        observer = PassiveObserver()
-        scenario.monitors.append(observer)
-        scenario.run()
-        assert len(observer.observations) == 1
-        obs = observer.observations[0]
-        assert set(obs) == {
-            "protocol", "round", "aborted", "mailbox_counts",
-            "observed_messages", "endpoint_bytes", "method_frames",
-        }
-        assert obs["observed_messages"] == sum(obs["mailbox_counts"])
-        assert obs["observed_messages"] > 0
-        assert observer.statistic("add-friend", 0) == float(obs["observed_messages"])
-        assert obs["method_frames"]
+        result = make_scenario("passive_observer", seed="tap-test").run()
+        assert len(result.rounds) == 1
+        statistic = passive_statistic(result.rounds, "add-friend", 0)
+        assert statistic == float(sum(result.rounds[0].mailbox_counts)) > 0
+        # A round's protocol and its published mailbox counts are all it reads.
+        tap = [SimpleNamespace(protocol=r.protocol, mailbox_counts=r.mailbox_counts)
+               for r in result.rounds]
+        assert passive_statistic(tap, "add-friend", 0) == statistic
+
+    def test_an_aborted_round_is_an_occurrence_observing_nothing(self):
+        rounds = [SimpleNamespace(protocol="add-friend", mailbox_counts=[]),
+                  SimpleNamespace(protocol="dialing", mailbox_counts=[9]),
+                  SimpleNamespace(protocol="add-friend", mailbox_counts=[3, 4])]
+        assert passive_statistic(rounds, "add-friend", 0) == 0.0
+        assert passive_statistic(rounds, "add-friend", 1) == 7.0
+        assert passive_statistic(rounds, "dialing", 0) == 9.0
 
     def test_statistic_rejects_missing_round(self):
-        observer = PassiveObserver()
         with pytest.raises(ValueError):
-            observer.statistic("add-friend", 0)
+            passive_statistic([], "add-friend", 0)
 
     def test_paired_arms_differ_only_in_the_target_action(self):
         acts = run_observer_trial(True, noise_b=4.0, trial=0, **FAST)

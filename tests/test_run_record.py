@@ -1,9 +1,9 @@
 """The run record: one self-describing JSON per scenario run, and its views.
 
 * the log stream and the dashboard are *pure* views -- replaying a finished
-  run's ``RoundStats``/``ScenarioResult`` through fresh monitors, with no
-  deployment and no transport, reproduces what the live run logged and
-  published;
+  run's spec, ``RoundStats`` and ``ScenarioResult`` through the same view
+  callables reproduces what the live run logged and published (no view is
+  ever handed a deployment or a transport);
 * every name of the metrics catalogue the registry used to publish maps to
   the record path that now holds the fact, value for value;
 * ``python -m repro.obs explain RUN.json`` prints what the run printed;
@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import logging
 import math
@@ -20,12 +21,14 @@ import urllib.request
 
 import pytest
 
+from repro.api.events import SessionEvent
 from repro.obs.__main__ import main as obs_main
-from repro.obs.dashboard import DashboardMonitor, DashboardServer
-from repro.obs.logging import EventLogMonitor
+from repro.obs.dashboard import DashboardServer
+from repro.obs.logging import log_view
 from repro.obs.record import SCHEMA, dumps, read_json_report, validate_record
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer
 from repro.sim.__main__ import main as sim_main
+from repro.sim.scenario import RoundStats, ScenarioResult, ScenarioSpec
 from repro.sim.scenarios import make_scenario
 
 SMALL = dict(num_clients=16, friend_pairs=4, addfriend_rounds=2, dialing_rounds=2)
@@ -56,11 +59,11 @@ def _views(tag: str):
     logger.propagate = False
     logger.handlers = [_Lines()]
     server = DashboardServer()
-    return logger.handlers[0], server, [EventLogMonitor(logger), DashboardMonitor(server)]
+    return logger.handlers[0], server, [functools.partial(log_view, log=logger), server.view]
 
 
 def _published(server) -> list[tuple[str, dict]]:
-    # round_starting comes from the pause/step gate hook, not from the record
+    # round_starting comes from the "round_start" kind at the pause/step gate, not from the record
     return [(e["type"], e["data"]) for e in server._history if e["type"] != "round_starting"]
 
 
@@ -75,17 +78,17 @@ def _record_lines(handler) -> list[str]:
 class TestViewsArePure:
     @pytest.mark.parametrize("name", ["baseline", "sharded_entry"])
     def test_replaying_the_record_reproduces_the_live_views(self, name):
-        live_log, live_server, monitors = _views(f"live.{name}")
+        live_log, live_server, views = _views(f"live.{name}")
         scenario = make_scenario(name, seed="t-replay", **SMALL)
-        scenario.monitors += monitors
+        scenario.views += views
         result = scenario.run()
 
-        replay_log, replay_server, monitors = _views(f"replay.{name}")
-        for monitor in monitors:
-            monitor.on_start(None, None, result.spec)
+        replay_log, replay_server, views = _views(f"replay.{name}")
+        for view in views:
+            view("start", result.spec)
             for stats in result.rounds:
-                monitor.on_round(stats, None)
-            monitor.on_finish(result)
+                view("round", stats)
+            view("finish", result)
 
         assert _record_lines(replay_log) == _record_lines(live_log)
         assert _published(replay_server) == _published(live_server)
@@ -94,7 +97,7 @@ class TestViewsArePure:
         expected = {"scenario_started", "round", "events", "net", "privacy", "scenario_finished"}
         assert kinds == expected | ({"shards"} if name == "sharded_entry" else set())
         assert any(line.startswith("net ") for line in live_log.lines)
-        assert any(line.startswith("event ") for line in live_log.lines)  # the on_event hook
+        assert any(line.startswith("event ") for line in live_log.lines)  # the "event" kind
 
         # ... and what the views published is what the JSON record holds.
         record = strict_loads(dumps(result.to_dict()))
@@ -114,10 +117,27 @@ class TestViewsArePure:
         ]
         assert {p["delta"] for p in privacy} == {record["privacy"]["delta"]}
 
+    def test_a_view_is_handed_record_fragments_only(self):
+        handed = []
+        scenario = make_scenario("baseline", seed="t-kinds", **SMALL)
+        scenario.views.append(lambda kind, item: handed.append((kind, item)))
+        result = scenario.run()
+        types = {"start": ScenarioSpec, "round_start": tuple, "round": RoundStats,
+                 "event": SessionEvent, "finish": ScenarioResult}
+        assert {kind for kind, _ in handed} == set(types)
+        assert all(type(item) is types[kind] for kind, item in handed)
+        assert [item for kind, item in handed if kind == "round"] == result.rounds
+        assert handed[-1] == ("finish", result)
+        starts = [item for kind, item in handed if kind == "round_start"]
+        assert [(p, i) for p, i, _ in starts] == [
+            ("add-friend", 0), ("add-friend", 1), ("dialing", 0), ("dialing", 1)
+        ]
+        assert [clock for *_, clock in starts] == sorted(clock for *_, clock in starts)
+
     def test_aborted_rounds_reach_the_views_without_a_ledger_row(self):
-        _, server, monitors = _views("aborted")
+        _, server, views = _views("aborted")
         scenario = make_scenario("pkg_failure", num_clients=12, seed="t-abort")
-        scenario.monitors += monitors
+        scenario.views += views
         result = scenario.run()
         aborted = [stats for stats in result.rounds if stats.aborted]
         assert aborted and all(stats.privacy == {} and stats.net for stats in aborted)
@@ -130,10 +150,17 @@ class TestViewsArePure:
 # (b) each fact once: the old metrics catalogue -> record paths
 # --------------------------------------------------------------------------- #
 class _Capture:
-    """Keeps the live deployment and transport, for the oracle below."""
+    """Keeps the live deployment and transport, for the oracle below: the
+    scenario's ``populate`` is wrapped, since no view is handed either."""
 
-    def on_start(self, deployment, net, spec):
-        self.deployment, self.net = deployment, net
+    def __init__(self, scenario):
+        populate = scenario.populate
+
+        def keep(deployment):
+            populate(deployment)
+            self.deployment, self.net = deployment, deployment.transport
+
+        scenario.populate = keep
 
 
 def _histogram(values) -> dict:
@@ -257,9 +284,8 @@ class TestEachFactOnce:
     @pytest.mark.parametrize("name, traced", [("baseline", True), ("sharded_entry", False),
                                               ("pkg_failure", False)])
     def test_every_catalogue_name_has_a_record_path_holding_its_value(self, name, traced):
-        capture = _Capture()
         scenario = make_scenario(name, seed="t-once", **{**SMALL, "dialing_rounds": 1})
-        scenario.monitors.append(capture)
+        capture = _Capture(scenario)
         tracer = Tracer() if traced else None
         previous = set_active_tracer(tracer)
         try:
@@ -420,12 +446,12 @@ class TestStrictJson:
         server = DashboardServer()
         server.start()
         try:
-            result = make_scenario(
+            scenario = make_scenario(
                 "baseline", num_clients=8, friend_pairs=2, addfriend_rounds=1,
                 dialing_rounds=0, noise_b=0.0,
             )
-            result.monitors.append(DashboardMonitor(server))
-            result.run()
+            scenario.views.append(server.view)
+            scenario.run()
             with urllib.request.urlopen(server.url + "state", timeout=5.0) as response:
                 state = strict_loads(response.read().decode("utf-8"))
             with urllib.request.urlopen(server.url, timeout=5.0) as response:

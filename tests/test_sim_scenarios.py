@@ -157,6 +157,7 @@ class TestFaultScenarios:
         assert requests["initial"]["total"] == 2
         assert requests["total"] > requests["initial"]["total"]
         assert requests["total"] == events["request_submitted"]
+        assert requests["total"] == events["request_queued"]
         assert requests["confirmed"] == events.get("friend_confirmed", 0)
 
     @pytest.mark.parametrize("name, overrides, endpoint", [

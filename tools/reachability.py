@@ -351,11 +351,9 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
     (DOCUMENTED, "run --dashboard (README, Live dashboard)", [
         *(f"repro/obs/dashboard.py::DashboardServer.{name}" for name in (
             "__init__", "start", "url", "stop", "publish", "_apply_to_state", "state", "subscribe",
-            "unsubscribe", "request", "closed", "gate")),
+            "unsubscribe", "request", "closed", "gate", "view")),
         *(f"repro/obs/dashboard.py::_DashboardHandler.{name}" for name in (
             "log_message", "_send_json", "do_GET", "do_POST", "_control", "_serve_events", "_write_event")),
-        *(f"repro/obs/dashboard.py::DashboardMonitor.{name}" for name in (
-            "__init__", "on_start", "before_round", "on_round", "on_finish")),
     ]),
     (DOCUMENTED, "run --privacy-budget (README, Privacy observability)", [
         "repro/obs/privacy.py::budget_consistency",
