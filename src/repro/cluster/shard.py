@@ -23,11 +23,6 @@ Three server roles live here, each bound to its own transport endpoint:
   (a routing bug must surface loudly, never read as silent no-mail).
 
 :class:`ShardedCdnStub` is the client/entry-server side of the CDN shards.
-
-Rate limiting: every shard holds a reference to the *same*
-:class:`~repro.crypto.blind.TokenVerifier` (modelling the replicated
-spent-token set a real deployment would share), so a token spent at one
-shard is spent at all of them.
 """
 
 from __future__ import annotations
@@ -36,10 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.cdn.cdn import Cdn
 from repro.cluster.directory import ShardDirectory
-from repro.crypto import blind
 from repro.errors import (
     NetworkError,
-    RateLimitError,
     RoundError,
     ShardRoutingError,
     UnknownRoundError,
@@ -70,15 +63,9 @@ class EntryShard:
     #: mid-round) must not retain envelopes indefinitely.
     RETAINED_ROUNDS = 4
 
-    def __init__(
-        self,
-        name: str,
-        index: int,
-        rate_limit_verifier: blind.TokenVerifier | None = None,
-    ) -> None:
+    def __init__(self, name: str, index: int) -> None:
         self.name = name
         self.index = index
-        self.rate_limit_verifier = rate_limit_verifier
         self._open_rounds: dict[tuple[str, int], _ShardRound] = {}
         self.rounds_expired = 0
 
@@ -118,14 +105,7 @@ class EntryShard:
         return len(self._open_rounds[key].envelopes)
 
     # -- submission --------------------------------------------------------
-    def _accept(
-        self,
-        protocol: str,
-        round_number: int,
-        client_id: str,
-        envelope: bytes,
-        token_bytes: bytes | None,
-    ) -> int:
+    def _accept(self, protocol: str, round_number: int, client_id: str, envelope: bytes) -> int:
         """Validate and buffer one envelope; returns a ``SUBMIT_*`` status."""
         open_round = self._open_rounds.get((protocol, round_number))
         if open_round is None:
@@ -139,28 +119,13 @@ class EntryShard:
             # One request per client per round: duplicates are dropped, which
             # also defeats naive replay flooding.
             return rpc.SUBMIT_DUPLICATE
-        if self.rate_limit_verifier is not None:
-            if token_bytes is None:
-                return rpc.SUBMIT_RATE_LIMITED
-            try:
-                self.rate_limit_verifier.spend(blind.RateToken.from_bytes(token_bytes))
-            except RateLimitError:
-                return rpc.SUBMIT_RATE_LIMITED
         open_round.submitted_by.add(client_id)
         open_round.envelopes.append(envelope)
         return rpc.SUBMIT_ACCEPTED
 
-    def submit(
-        self,
-        protocol: str,
-        round_number: int,
-        client_id: str,
-        envelope: bytes,
-        rate_token: blind.RateToken | None = None,
-    ) -> None:
+    def submit(self, protocol: str, round_number: int, client_id: str, envelope: bytes) -> None:
         """Direct (unbatched) submission; raises instead of returning a status."""
-        token_bytes = rate_token.to_bytes() if rate_token is not None else None
-        status = self._accept(protocol, round_number, client_id, envelope, token_bytes)
+        status = self._accept(protocol, round_number, client_id, envelope)
         if status == rpc.SUBMIT_ROUND_NOT_OPEN:
             raise RoundError(f"{protocol} round {round_number} is not open on {self.name}")
         if status == rpc.SUBMIT_WRONG_SHARD:
@@ -168,20 +133,18 @@ class EntryShard:
                 f"{client_id}'s mailbox is outside {self.name}'s range for "
                 f"{protocol} round {round_number}"
             )
-        if status == rpc.SUBMIT_RATE_LIMITED:
-            raise RateLimitError("rate token missing or rejected")
         # SUBMIT_ACCEPTED and SUBMIT_DUPLICATE are both silent successes.
 
     def submit_batch(
         self,
         protocol: str,
         round_number: int,
-        entries: list[tuple[str, bytes, bytes | None]],
+        entries: list[tuple[str, bytes]],
     ) -> list[int]:
         """Accept a ``SubmitBatch`` frame; one status per envelope, in order."""
         return [
-            self._accept(protocol, round_number, client_id, envelope, token_bytes)
-            for client_id, envelope, token_bytes in entries
+            self._accept(protocol, round_number, client_id, envelope)
+            for client_id, envelope in entries
         ]
 
     # -- transport dispatch --------------------------------------------------
@@ -245,7 +208,7 @@ class IngressProxy:
         self.shard_endpoint = shard_endpoint
         self.transport = transport
         self.batch_size = batch_size
-        self._buffers: dict[tuple[str, int], list[tuple[str, bytes, bytes | None]]] = {}
+        self._buffers: dict[tuple[str, int], list[tuple[str, bytes]]] = {}
         self._rejects: dict[tuple[str, int], list[tuple[str, str]]] = {}
         self.rounds_expired = 0
 
@@ -271,7 +234,7 @@ class IngressProxy:
             self.flush_batch(protocol, round_number, batch)
 
     def flush_batch(
-        self, protocol: str, round_number: int, batch: list[tuple[str, bytes, bytes | None]]
+        self, protocol: str, round_number: int, batch: list[tuple[str, bytes]]
     ) -> list[tuple[str, str]]:
         """Send one buffered batch to the shard as a ``SubmitBatch`` frame;
         returns the round's rejects so far, this batch's included."""
@@ -283,16 +246,19 @@ class IngressProxy:
                 "submit_batch",
                 rpc.SUBMIT_BATCH_REQUEST.encode(protocol, round_number, batch),
             )
-            # An undecodable reply is a lost one: its senders retry, and
+            # An undecodable reply, or one that does not answer every
+            # envelope exactly once, is a lost one: its senders retry, and
             # the shard drops what it already holds as duplicates.
             (statuses,) = rpc.decode_reply(rpc.SUBMIT_BATCH_RESPONSE.decode, result.payload)
+            if len(statuses) != len(batch):
+                raise NetworkError(f"{len(statuses)} statuses for a batch of {len(batch)}")
         except NetworkError as exc:
             # Only the ack was lost (request_delivered): the shard holds the
             # envelopes and the batch stands.
             if not exc.request_delivered:
-                rejects.extend((client_id, "batch lost in transit") for client_id, _, _ in batch)
+                rejects.extend((client_id, "batch lost in transit") for client_id, _ in batch)
             return rejects
-        for (client_id, _, _), status in zip(batch, statuses):
+        for (client_id, _), status in zip(batch, statuses):
             if status not in (rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_DUPLICATE):
                 rejects.append(
                     (client_id, rpc.SUBMIT_STATUS_REASONS.get(status, f"status {status}"))
@@ -312,13 +278,11 @@ class IngressProxy:
     # -- transport dispatch --------------------------------------------------
     def handle_rpc(self, request: RpcRequest) -> RpcResult:
         if request.method == "submit":
-            protocol, round_number, client_id, envelope, token_bytes = rpc.SUBMIT_REQUEST.decode(
-                request.payload
-            )
+            protocol, round_number, client_id, envelope = rpc.SUBMIT_REQUEST.decode(request.payload)
             self._expire_stale(protocol, round_number)
             key = (protocol, round_number)
             buffer = self._buffers.setdefault(key, [])
-            buffer.append((client_id, envelope, token_bytes))
+            buffer.append((client_id, envelope))
             if len(buffer) >= self.batch_size:
                 self._flush(protocol, round_number)
             return RpcResult()

@@ -17,9 +17,6 @@ count -- open the mix chain and the PKG commit-reveal, build the round's
 publish, erase -- and only its *front* changes: one in-process
 :class:`~repro.cluster.shard.EntryShard` owning all of ``[0, K)``, or N
 ``entry{i}``/``ingress{i}``/``cdn{i}`` shard endpoints reached in waves.
-
-As an extension (§9, "DoS attacks"), the front can require a valid
-blind-signature rate token per submitted request.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from dataclasses import astuple, dataclass
 
 from repro.cluster.directory import ShardDirectory
 from repro.cluster.shard import EntryShard
-from repro.crypto import blind
 from repro.errors import NetworkError, RoundError
 from repro.mixnet.chain import MixChain, RoundCounts, RoundResult
 from repro.net import rpc
@@ -81,7 +77,6 @@ class EntryServer:
         self,
         mix_chain: MixChain,
         pkg_coordinator: PkgCoordinator | None = None,
-        rate_limit_verifier: blind.TokenVerifier | None = None,
         cdn=None,
         transport: Transport | None = None,
         shard_count: int = 1,
@@ -105,7 +100,7 @@ class EntryServer:
         #: The one in-process front shard, or ``None`` when the front is
         #: ``shard_count`` shard endpoints.  It expires a round whose close
         #: or abort never arrived (``EntryShard.RETAINED_ROUNDS``).
-        self.front = EntryShard("entry", 0, rate_limit_verifier) if shard_count == 1 else None
+        self.front = EntryShard("entry", 0) if shard_count == 1 else None
         self._announcements: dict[tuple[str, int], RoundAnnouncement] = {}
         self._directories: dict[tuple[str, int], ShardDirectory] = {}
         #: Per-shard accepted-envelope counts recorded at each close; feeds
@@ -265,11 +260,10 @@ class EntryServer:
         round_number: int,
         client_id: str,
         envelope: bytes,
-        rate_token: blind.RateToken | None = None,
     ) -> None:
         """Accept one fixed-size envelope into the in-process front (one
         shard; a sharded front's clients submit to their shard's ingress)."""
-        self.front.submit(protocol, round_number, client_id, envelope, rate_token)
+        self.front.submit(protocol, round_number, client_id, envelope)
 
     def submit_many(
         self,
@@ -288,9 +282,7 @@ class EntryServer:
                 src=client_id,
                 dst=directory.shard_for_identity(client_id).ingress,
                 method="submit",
-                payload=rpc.SUBMIT_REQUEST.encode(
-                    protocol, round_number, client_id, envelope, None
-                ),
+                payload=rpc.SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope),
                 start=start,
             )
             for client_id, envelope, start in entries
@@ -415,11 +407,7 @@ class EntryServer:
                 )
             )
         if request.method == "submit":
-            protocol, round_number, client_id, envelope, token_bytes = rpc.SUBMIT_REQUEST.decode(
-                request.payload
-            )
-            token = blind.RateToken.from_bytes(token_bytes) if token_bytes is not None else None
-            self.submit(protocol, round_number, client_id, envelope, rate_token=token)
+            self.submit(*rpc.SUBMIT_REQUEST.decode(request.payload))
             return RpcResult()
         if request.method == "submissions":
             protocol, round_number = rpc.ROUND_REF.decode(request.payload)

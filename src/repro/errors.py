@@ -70,10 +70,6 @@ class ConfigurationError(AlpenhornError):
     """The deployment or client configuration is invalid."""
 
 
-class RateLimitError(AlpenhornError):
-    """The entry server rejected a request for lack of a valid rate token."""
-
-
 class NetworkError(AlpenhornError):
     """A transport-level failure: unknown endpoint, lost message, dead link."""
 

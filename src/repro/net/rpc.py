@@ -76,7 +76,7 @@ ANNOUNCE_RESPONSE = Message(
     "public keys (128 each; none for dialing)",
 )
 
-_SUBMISSION = (Str("client"), Bytes("envelope"), Opt(Bytes("rate_token")))
+_SUBMISSION = (Str("client"), Bytes("envelope"))
 SUBMIT_REQUEST = Message("submit_request", *ROUND_REF.fields, *_SUBMISSION)
 #: Many clients' envelopes under one frame overhead (ingress proxy -> shard).
 SUBMIT_BATCH_REQUEST = Message(
@@ -175,12 +175,10 @@ METHODS = (
 #: Per-envelope acceptance statuses an entry shard reports for a batch.
 SUBMIT_ACCEPTED = 0
 SUBMIT_DUPLICATE = 1  # dropped silently: the client's first envelope stands
-SUBMIT_RATE_LIMITED = 2
-SUBMIT_WRONG_SHARD = 3
+SUBMIT_WRONG_SHARD = 3  # 2 stays unused: renumbering would change reply bytes
 SUBMIT_ROUND_NOT_OPEN = 4
 
 SUBMIT_STATUS_REASONS = {
-    SUBMIT_RATE_LIMITED: "rate token rejected",
     SUBMIT_WRONG_SHARD: "mailbox outside the shard's range",
     SUBMIT_ROUND_NOT_OPEN: "round not open on the shard",
 }
@@ -285,16 +283,14 @@ class EntryStub:
         """One submit wave: ``(client_id, envelope, start_time)`` per entry.
 
         Each entry's ``start_time`` is when that client logically begins
-        (e.g. when its key extraction finished).  No §9 rate token rides
-        along: the ``rate_token`` field of :data:`SUBMIT_REQUEST` is sent
-        empty.
+        (e.g. when its key extraction finished).
         """
         calls = [
             BatchCall(
                 src=client_id,
                 dst=self.endpoint,
                 method="submit",
-                payload=SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope, None),
+                payload=SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope),
                 start=start,
             )
             for client_id, envelope, start in entries

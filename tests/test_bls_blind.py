@@ -1,12 +1,12 @@
-"""Tests for BLS (multi-)signatures and blind-BLS rate tokens."""
+"""Tests for BLS (multi-)signatures."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.crypto import blind, bls
+from repro.crypto import bls
 from repro.crypto.bn254 import G2Point
-from repro.errors import CryptoError, RateLimitError
+from repro.errors import CryptoError
 
 
 class TestBls:
@@ -74,49 +74,3 @@ class TestBls:
         with pytest.raises(CryptoError):
             bls.sign(0, b"m")
 
-
-class TestBlindTokens:
-    def test_issue_and_verify(self):
-        issuer = bls.generate_keypair()
-        blinded, state = blind.blind()
-        token = blind.unblind(state, blind.issue(issuer.secret, blinded))
-        assert blind.verify_token(issuer.public, token)
-
-    def test_issuer_never_sees_token_id(self):
-        """The blinded element must not equal (or reveal) H(token_id)."""
-        blinded, state = blind.blind()
-        assert blinded != bls.hash_message(state.token_id)
-
-    def test_token_from_wrong_issuer_rejected(self):
-        issuer = bls.generate_keypair()
-        rogue = bls.generate_keypair()
-        blinded, state = blind.blind()
-        token = blind.unblind(state, blind.issue(rogue.secret, blinded))
-        assert not blind.verify_token(issuer.public, token)
-
-    def test_token_serialization_roundtrip(self):
-        issuer = bls.generate_keypair()
-        blinded, state = blind.blind()
-        token = blind.unblind(state, blind.issue(issuer.secret, blinded))
-        assert blind.RateToken.from_bytes(token.to_bytes()) == token
-
-    def test_verifier_enforces_single_spend(self):
-        issuer = bls.generate_keypair()
-        verifier = blind.TokenVerifier(issuer.public)
-        blinded, state = blind.blind()
-        token = blind.unblind(state, blind.issue(issuer.secret, blinded))
-        verifier.spend(token)
-        assert verifier.spent_count == 1
-        with pytest.raises(RateLimitError):
-            verifier.spend(token)
-
-    def test_verifier_rejects_invalid_token(self):
-        issuer = bls.generate_keypair()
-        verifier = blind.TokenVerifier(issuer.public)
-        forged = blind.RateToken(token_id=b"\x01" * 32, signature=bls.hash_message(b"x"))
-        with pytest.raises(RateLimitError):
-            verifier.spend(forged)
-
-    def test_blind_rejects_bad_token_id(self):
-        with pytest.raises(CryptoError):
-            blind.blind(token_id=b"short")

@@ -3,9 +3,9 @@
 Covers the shard directory (balanced contiguous ranges, boundary routing,
 wire codec), the Zipf mailbox-skew workload generator, end-to-end rounds
 through a sharded deployment (including equivalence with the single-shard
-tier), ingress envelope batching and its failure/requeue semantics, shared
-rate-token enforcement, the unknown-round vs empty-mailbox distinction, the
-access-link capacity model, and the dialing redial outbox.
+tier), ingress envelope batching and its failure/requeue semantics, the
+unknown-round vs empty-mailbox distinction, the access-link capacity model,
+and the dialing redial outbox.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from repro.cluster.directory import ShardDirectory, balanced_ranges
 from repro.cluster.shard import CdnShard, EntryShard, IngressProxy
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
-from repro.crypto import blind, bls
 from repro.errors import (
     NetworkError,
-    RateLimitError,
     RoundError,
     ShardRoutingError,
     UnknownRoundError,
@@ -238,6 +236,23 @@ class TestShardedDeployment:
             shard0.submit("dialing", 99, misrouted, b"envelope")
 
 
+_LOST = [("c0", "batch lost in transit"), ("c1", "batch lost in transit")]
+
+
+def _lost_request(request):
+    raise NetworkError("submit_batch lost on the way to the shard")
+
+
+def _lost_ack(request):
+    error = NetworkError("submit_batch acknowledgement lost")
+    error.request_delivered = True
+    raise error
+
+
+def _statuses(*statuses):
+    return lambda request: rpc.SUBMIT_BATCH_RESPONSE.encode(list(statuses))
+
+
 class TestIngressBatching:
     def test_batches_amortize_frames(self):
         """Fewer SubmitBatch frames at larger batch sizes, same submissions."""
@@ -260,11 +275,55 @@ class TestIngressBatching:
                 f"c{n}",
                 proxy.name,
                 "submit",
-                rpc.SUBMIT_REQUEST.encode("dialing", 1, f"c{n}", b"env", None),
+                rpc.SUBMIT_REQUEST.encode("dialing", 1, f"c{n}", b"env"),
             )
         rejects = proxy.flush("dialing", 1)
         assert [client for client, _ in rejects] == ["c0", "c1", "c2"]
         assert proxy.flush("dialing", 1) == []  # drained
+
+    @pytest.mark.parametrize(
+        "reply, rejects",
+        [
+            pytest.param(_lost_request, _LOST, id="request-lost"),
+            pytest.param(_lost_ack, [], id="ack-lost"),
+            pytest.param(lambda request: b"\xff", _LOST, id="undecodable"),
+            pytest.param(_statuses(rpc.SUBMIT_ACCEPTED), _LOST, id="short"),
+            pytest.param(_statuses(*[rpc.SUBMIT_ACCEPTED] * 3), _LOST, id="long"),
+            pytest.param(_statuses(rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_ACCEPTED), [], id="accepted"),
+            pytest.param(_statuses(rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_DUPLICATE), [], id="duplicate"),
+            pytest.param(
+                _statuses(rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_WRONG_SHARD),
+                [("c1", "mailbox outside the shard's range")],
+                id="wrong-shard",
+            ),
+            pytest.param(
+                _statuses(rpc.SUBMIT_ACCEPTED, rpc.SUBMIT_ROUND_NOT_OPEN),
+                [("c1", "round not open on the shard")],
+                id="round-not-open",
+            ),
+            pytest.param(
+                _statuses(rpc.SUBMIT_ACCEPTED, 255), [("c1", "status 255")], id="unknown-status"
+            ),
+        ],
+    )
+    def test_every_batch_reply_is_read_per_sender(self, reply, rejects):
+        """Each way a two-envelope batch can come back from its shard: a reply
+        that does not answer every envelope exactly once is a lost batch."""
+        transport = DirectTransport()
+        received = []
+
+        def shard(request):
+            received.append(rpc.SUBMIT_BATCH_REQUEST.decode(request.payload))
+            return reply(request)
+
+        transport.register("entry0", shard)
+        proxy = IngressProxy("ingress0", "entry0", transport, batch_size=10)
+        transport.register(proxy.name, proxy.handle_rpc)
+        for n in range(2):
+            payload = rpc.SUBMIT_REQUEST.encode("dialing", 1, f"c{n}", b"env")
+            transport.call(f"c{n}", proxy.name, "submit", payload)
+        assert proxy.flush("dialing", 1) == rejects
+        assert received == [("dialing", 1, [("c0", b"env"), ("c1", b"env")])]
 
     def test_unflushed_rounds_expire(self):
         """A round whose flush never arrived must not retain envelopes
@@ -275,7 +334,7 @@ class TestIngressBatching:
         proxy = IngressProxy("ingress0", shard.name, transport, batch_size=10)
         transport.register(proxy.name, proxy.handle_rpc)
         transport.call(
-            "c0", proxy.name, "submit", rpc.SUBMIT_REQUEST.encode("dialing", 1, "c0", b"env", None)
+            "c0", proxy.name, "submit", rpc.SUBMIT_REQUEST.encode("dialing", 1, "c0", b"env")
         )
         assert proxy.buffered("dialing", 1) == 1
         far_ahead = 1 + IngressProxy.RETAINED_ROUNDS + 1
@@ -283,7 +342,7 @@ class TestIngressBatching:
             "c1",
             proxy.name,
             "submit",
-            rpc.SUBMIT_REQUEST.encode("dialing", far_ahead, "c1", b"env", None),
+            rpc.SUBMIT_REQUEST.encode("dialing", far_ahead, "c1", b"env"),
         )
         assert proxy.buffered("dialing", 1) == 0
         assert proxy.rounds_expired == 1
@@ -342,37 +401,6 @@ class TestIngressBatching:
         deployment.run_addfriend_round()  # bob's confirmation returns
         assert handle.confirmed
         assert handle.attempts == 1  # the revoked attempt was not counted
-
-
-class TestRateTokensAcrossShards:
-    def make_shards(self):
-        issuer = bls.generate_keypair(seed=b"\x07" * 32)
-        verifier = blind.TokenVerifier(issuer.public)
-        shards = [EntryShard(f"entry{i}", i, rate_limit_verifier=verifier) for i in range(2)]
-        directory = ShardDirectory.build("dialing", 1, 4, 2)
-        for shard in shards:
-            shard.open_round("dialing", 1, 32, directory)
-        return issuer, shards
-
-    def mint(self, issuer) -> blind.RateToken:
-        blinded, state = blind.blind()
-        return blind.unblind(state, blind.issue(issuer.secret, blinded))
-
-    def test_token_spent_at_one_shard_is_spent_at_all(self):
-        issuer, (shard0, shard1) = self.make_shards()
-        token = self.mint(issuer)
-        sender0 = email_on_mailbox(0, 4, tag="s0")
-        sender1 = email_on_mailbox(2, 4, tag="s1")
-        shard0.submit("dialing", 1, sender0, b"env", rate_token=token)
-        with pytest.raises(RateLimitError):
-            shard1.submit("dialing", 1, sender1, b"env", rate_token=token)
-        # A fresh token is accepted at the second shard.
-        shard1.submit("dialing", 1, sender1, b"env", rate_token=self.mint(issuer))
-
-    def test_missing_token_rejected_per_shard(self):
-        _, (shard0, _) = self.make_shards()
-        with pytest.raises(RateLimitError):
-            shard0.submit("dialing", 1, email_on_mailbox(0, 4), b"env")
 
 
 class TestUnknownRoundVsEmptyMailbox:

@@ -111,3 +111,17 @@ def test_every_kept_function_exists(reachability):
     was deleted or renamed must leave the table with it."""
     defined = {f.key for f in reachability.enumerate_functions(reachability.SOURCE)}
     assert sorted(set(reachability.KEEP) - defined) == []
+
+
+def test_a_source_edit_during_the_run_stops_the_census(reachability, tmp_path):
+    """A population that edits the package shifts the lines later populations
+    record: the census names the changed file instead of classifying."""
+    package = tmp_path / "src" / "synthetic"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    mod = package / "mod.py"
+    mod.write_text(MODULE)
+    edit = f"import pathlib; p = pathlib.Path({str(mod)!r}); p.write_text('#\\n' + p.read_text())"
+    editor = reachability.Population("editor", "workload", ((sys.executable, "-c", edit),))
+    with pytest.raises(reachability.SourceChanged, match=r"^editor: .*: synthetic/mod\.py$"):
+        reachability.census(package, [editor])

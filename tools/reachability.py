@@ -26,7 +26,12 @@ two cores, tier-1 under the hook being most of it)::
     python3 tools/reachability.py --json OUT.json   # plus the classification
 
 The census is a report, not a gate: it exits 0 unless a population could
-not be started.  The CI commands run at no more than ``CLIENT_CAP`` clients
+not be started, or a source file under the package changed while the
+populations ran -- every ``(file, line)`` a later population records would
+then miss its ``def``.  Each ``.py`` file is hashed before the first
+population and after each one; on a mismatch the census prints one
+``FAILED`` line naming the changed files and exits 1 without classifying.
+The CI commands run at no more than ``CLIENT_CAP`` clients
 (and ``FRIEND_PAIR_CAP`` friend pairs): which functions run does not depend
 on the client count, and the 10k- and 20k-client smokes would take most of
 an hour under the hook.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import re
@@ -149,6 +155,18 @@ def enumerate_functions(package: Path) -> list[Function]:
     return functions
 
 
+def source_digests(package: Path) -> dict[str, str]:
+    """Every ``.py`` file under *package*, keyed as :class:`Function` paths, to its SHA-256."""
+    return {
+        path.relative_to(package.parent).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(package.rglob("*.py"))
+    }
+
+
+class SourceChanged(Exception):
+    """A source file changed while the populations ran: no classification."""
+
+
 # --------------------------------------------------------------- populations
 
 
@@ -193,6 +211,7 @@ def read_records(out: Path) -> set[tuple[str, int]]:
 def census(package: Path, populations: list[Population]) -> Census:
     """Run every population and classify every ``def`` under *package*."""
     package = package.resolve()
+    digests = source_digests(package)
     functions = enumerate_functions(package)
     failures: list[str] = []
     callers: dict[str, list[str]] = {}
@@ -203,6 +222,12 @@ def census(package: Path, populations: list[Population]) -> Census:
         for population in populations:
             out = Path(scratch) / "records" / population.name
             failures += run_population(population, package, out, hook_dir)
+            now = source_digests(package)
+            changed = sorted(k for k in digests.keys() | now.keys() if digests.get(k) != now.get(k))
+            if changed:
+                raise SourceChanged(
+                    f"{population.name}: source changed during the census: {', '.join(changed)}"
+                )
             called = read_records(out)
             for f in functions:
                 if (str(package.parent / f.path), f.line) in called:
@@ -259,7 +284,6 @@ SAFETY = "safety"
 ORACLE = "test oracle"
 ABSTRACT = "abstract declaration"
 DOCUMENTED = "documented feature"
-OUT_OF_SCOPE = "out of scope"
 
 #: Unreached functions that stay, each with one reason (see the module
 #: docstring): ``(kind, reason, [path::qualname, ...])`` as the report prints
@@ -363,17 +387,6 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
         "repro/sim/experiments.py::post_submit",
         "repro/sim/experiments.py::_cdn_seed",
     ]),
-    (OUT_OF_SCOPE, "blind-signature rate tokens: removing them changes the SUBMIT bytes, its own format-break change", [
-        "repro/crypto/blind.py::RateToken.to_bytes",
-        "repro/crypto/blind.py::RateToken.from_bytes",
-        "repro/crypto/blind.py::blind",
-        "repro/crypto/blind.py::issue",
-        "repro/crypto/blind.py::unblind",
-        "repro/crypto/blind.py::verify_token",
-        "repro/crypto/blind.py::TokenVerifier.__init__",
-        "repro/crypto/blind.py::TokenVerifier.spend",
-        "repro/crypto/blind.py::TokenVerifier.spent_count",
-    ]),
 ]
 KEEP: dict[str, tuple[str, str]] = {
     key: (kind, reason) for kind, reason, keys in _KEEP_GROUPS for key in keys
@@ -410,7 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", type=Path, help="write the classification here")
     args = parser.parse_args(argv)
-    result = census(SOURCE, repo_populations())
+    try:
+        result = census(SOURCE, repo_populations())
+    except SourceChanged as exc:
+        print(f"FAILED {exc}")
+        return 1
     print(report(result))
     if args.json:
         args.json.write_text(json.dumps({
