@@ -14,20 +14,18 @@ Event types emitted by a :class:`~repro.api.session.ClientSession`:
 
 ========================== ===========================================================
 ``request_queued``          ``AddFriend`` accepted a request into the outbox
-``request_submitted``       the request entered a round (``round``, ``attempts``)
+``request_submitted``       the request entered a round and stayed in it (``round``,
+                            ``attempts``); a lost envelope leaves it queued
 ``request_delivered``       that round's mixnet delivered its mailboxes
 ``request_retrying``        unconfirmed past the retry horizon; re-enqueued
-``request_requeued``        the entry tier's batch flush lost the envelope;
-                            back in the queue (attempt not counted)
 ``request_failed``          retry budget exhausted; the outbox gave up
 ``friend_request_received`` an incoming request decrypted (``email``, ``accepted``)
 ``friend_request_declined`` we declined an incoming request
 ``friend_request_rejected`` an incoming request failed verification (``reason``)
 ``friend_confirmed``        the handshake completed (``email``, ``round``)
-``call_placed``             a queued call's dial token entered a round
+``call_placed``             a queued call's dial token entered a round and stayed in it
 ``call_delivered``          the dialing round carrying the token completed
 ``call_retrying``           the round aborted; the dialing outbox re-dials
-``call_requeued``           the entry tier's batch flush lost the token
 ``call_failed``             the round carrying the token aborted (no redial)
 ``call_received``           a friend's dial token addressed us (``call``)
 ========================== ===========================================================

@@ -174,10 +174,11 @@ class ClientSession:
 
     def _addfriend_submitted(self, round_number: int) -> None:
         consumed = self.client.addfriend.last_consumed
-        if consumed is None or consumed.is_reply:
+        if consumed is None or consumed[1].is_reply:
             return
-        handle = self._requests.get(consumed.email.lower())
-        if handle is None or handle.request is not consumed or handle.done():
+        request = consumed[1]
+        handle = self._requests.get(request.email.lower())
+        if handle is None or handle.request is not request or handle.done():
             return
         handle.state = RequestState.SUBMITTED
         handle.round_submitted = round_number
@@ -198,7 +199,7 @@ class ClientSession:
         # Every real dial counts against the budget, whether it was placed
         # through a handle or through the client's bare ``call``.
         self._note_action("dialing", round_number)
-        outgoing, placed = built
+        outgoing, placed, _ = built
         for handle in self._calls:
             if handle.outgoing is outgoing and handle.state is RequestState.QUEUED:
                 handle.state = RequestState.SUBMITTED
@@ -303,44 +304,6 @@ class ClientSession:
             attempts=handle.attempts,
         )
         return True
-
-    # ------------------------------------------------------------------ #
-    # Batched-submission revocation (the ingress-flush undo)
-    # ------------------------------------------------------------------ #
-    def _submission_revoked(self, protocol: str, round_number: int) -> None:
-        """The entry tier's flush reported this round's envelope lost.
-
-        The client engine already put the request/call back in its queue
-        (``revoke_submission``); the handle mirrors that by returning to
-        QUEUED as if the submission never happened -- including the attempt
-        counter, so revoked attempts never eat the retry budget.
-        """
-        if protocol == "add-friend":
-            for handle in self._requests.values():
-                if (
-                    handle.state is RequestState.SUBMITTED
-                    and handle.round_submitted == round_number
-                ):
-                    handle.state = RequestState.QUEUED
-                    handle.attempts = max(0, handle.attempts - 1)
-                    if handle.rounds_submitted:
-                        handle.rounds_submitted.pop()
-                    handle.round_submitted = (
-                        handle.rounds_submitted[-1] if handle.rounds_submitted else None
-                    )
-                    self.events.emit(
-                        "request_requeued", email=handle.email, round_number=round_number
-                    )
-            return
-        for handle in self._calls:
-            if handle.state is RequestState.SUBMITTED and handle.round_submitted == round_number:
-                handle.state = RequestState.QUEUED
-                handle.attempts = max(0, handle.attempts - 1)
-                handle.round_submitted = None
-                handle.placed = None
-                self.events.emit(
-                    "call_requeued", email=handle.friend, round_number=round_number
-                )
 
     def _apply_scan_events(self, round_number: int, events: list[dict]) -> None:
         for event in events:

@@ -138,14 +138,13 @@ class AddFriendEngine:
         # recipient who answered the first copy).
         self._accepted_requests: dict[str, bytes] = {}
         self._sent_replies: dict[str, PreparedReply] = {}
-        # What the most recent build_request_payload consumed, so a failed
-        # network submission can put it back (see requeue_last).
-        self._last_sent: tuple[QueuedFriendRequest, PreparedReply | None] | None = None
-        #: The queue entry the most recent build consumed (None for cover
-        #: traffic).  Unlike ``_last_sent`` this survives ``confirm_sent``,
-        #: so the session layer can attribute a successful submission to its
-        #: handle after the fact.
-        self.last_consumed: QueuedFriendRequest | None = None
+        #: What the most recent build consumed: ``(round, request, prepared
+        #: reply or None)``, or None for cover traffic.  The session layer
+        #: attributes a standing submission to its handle from it, and
+        #: :meth:`requeue` puts a lost one back.
+        self.last_consumed: (
+            tuple[int, QueuedFriendRequest, PreparedReply | None] | None
+        ) = None
 
     # -- queueing (driven by the public API) ------------------------------
     def enqueue(self, request: QueuedFriendRequest) -> None:
@@ -204,15 +203,13 @@ class AddFriendEngine:
             raise ProtocolError(f"round {round_number} keys were not acquired")
 
         if not self.queue:
-            self._last_sent = None
             self.last_consumed = None
             body = b"\x00" * self.body_length()
             return encode_inner_payload(COVER_MAILBOX_ID, body), None
 
         queued = self.queue.pop(0)
         prepared = self._prepared_replies.pop(queued.email.lower(), None)
-        self._last_sent = (queued, prepared)
-        self.last_consumed = queued
+        self.last_consumed = (round_number, queued, prepared)
         if prepared is not None:
             dialing_private = prepared.dialing_private
             dialing_public = prepared.dialing_public
@@ -279,57 +276,25 @@ class AddFriendEngine:
         mailbox_id = mailbox_for_identity(queued.email, mailbox_count)
         return encode_inner_payload(mailbox_id, body), queued
 
-    def confirm_sent(self) -> None:
-        """The last built request reached the entry server; nothing to undo.
+    def requeue(self, round_number: int) -> None:
+        """Undo ``round_number``'s build: its envelope never entered the round.
 
-        Must be called after a successful submission so that a *later*
-        failure (e.g. next round's extraction) cannot re-enqueue a request
-        that was already delivered.
-        """
-        self._last_sent = None
-
-    def requeue_last(self) -> None:
-        """Undo the queue consumption of the last built request.
-
-        Called when the network lost the envelope before the entry server
-        accepted it: the request goes back to the front of the queue (and a
-        confirming reply's prepared key pair is restored, since the wheel is
-        already anchored with it), so the next round re-sends it.  The
+        The request goes back to the front of the queue (and a confirming
+        reply's prepared key pair is restored, since the wheel is already
+        anchored with it), so the next round re-sends it.  The
         pending-outgoing record an initial request created is left in place;
         the re-send *reuses* its ephemeral key (see build_request_payload),
         so every copy of an outstanding request carries identical key
-        material and a recipient can answer any of them.
+        material and a recipient can answer any of them.  A request built in
+        an earlier round entered that round and never comes back.
         """
-        if self._last_sent is None:
+        if self.last_consumed is None or self.last_consumed[0] != round_number:
             return
-        queued, prepared = self._last_sent
-        self._last_sent = None
+        _, queued, prepared = self.last_consumed
+        self.last_consumed = None
         self.queue.insert(0, queued)
         if prepared is not None:
             self._prepared_replies[queued.email.lower()] = prepared
-
-    def revoke_submission(self) -> None:
-        """Undo this round's submission *after* it was acknowledged.
-
-        A batched entry tier acknowledges submissions optimistically and
-        only learns at the end-of-stage flush that a batch was lost or an
-        envelope rejected -- by which point ``confirm_sent`` has already
-        cleared ``_last_sent``.  This rebuilds the same undo from
-        ``last_consumed`` (which survives the ack): the request returns to
-        the queue front, and a confirming reply's key material is restored
-        so a later copy carries identical keys.  The re-send path then works
-        exactly as for a lost envelope (the pending ephemeral is reused).
-        """
-        queued = self.last_consumed
-        if queued is None:
-            return
-        self.last_consumed = None
-        self._last_sent = None
-        self.queue.insert(0, queued)
-        if queued.is_reply:
-            prepared = self._sent_replies.pop(queued.email.lower(), None)
-            if prepared is not None:
-                self._prepared_replies[queued.email.lower()] = prepared
 
     # -- step 3: scan the mailbox ------------------------------------------------
     def scan_mailbox(

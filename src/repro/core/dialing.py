@@ -38,12 +38,11 @@ class DialingEngine:
     # Tokens we sent this round, so we do not mistake them for incoming calls
     # when our own mailbox happens to coincide with the callee's.
     _sent_tokens: dict[int, set[bytes]] = field(default_factory=dict)
-    # (call, token) consumed by the last build, restorable on network failure.
-    _last_sent: tuple[OutgoingCall, PlacedCall, bytes] | None = None
-    #: The (outgoing call, placed record) of the most recent build, or None
-    #: for cover traffic.  Survives ``confirm_sent`` so the session layer can
-    #: attribute a successful submission to its CallHandle.
-    last_built: tuple[OutgoingCall, PlacedCall] | None = None
+    #: The (outgoing call, placed record, token) of the most recent build,
+    #: or None for cover traffic.  The session layer attributes a standing
+    #: submission to its CallHandle from it, and :meth:`requeue` withdraws a
+    #: lost one.
+    last_built: tuple[OutgoingCall, PlacedCall, bytes] | None = None
 
     # -- queueing ---------------------------------------------------------
     def enqueue(self, call: OutgoingCall) -> None:
@@ -71,7 +70,6 @@ class DialingEngine:
                 ready = self.queue.pop(index)
                 break
         if ready is None:
-            self._last_sent = None
             self.last_built = None
             body = b"\x00" * DIAL_TOKEN_SIZE
             return encode_inner_payload(COVER_MAILBOX_ID, body), None
@@ -86,47 +84,24 @@ class DialingEngine:
         )
         self.placed_calls.append(placed)
         self._sent_tokens.setdefault(round_number, set()).add(token)
-        self._last_sent = (ready, placed, token)
-        self.last_built = (ready, placed)
+        self.last_built = (ready, placed, token)
         mailbox_id = mailbox_for_identity(ready.friend, mailbox_count)
         return encode_inner_payload(mailbox_id, token), placed
 
-    def confirm_sent(self) -> None:
-        """The last built token reached the entry server; nothing to undo."""
-        self._last_sent = None
+    def requeue(self, round_number: int) -> None:
+        """Undo ``round_number``'s build: its token never entered the round.
 
-    def requeue_last(self) -> None:
-        """Undo the last build after the network lost the envelope: the call
-        returns to the front of the queue and the speculative placed-call
-        record and sent-token marker are withdrawn."""
-        if self._last_sent is None:
-            return
-        call, placed, token = self._last_sent
-        self._last_sent = None
-        self.queue.insert(0, call)
-        if placed in self.placed_calls:
-            self.placed_calls.remove(placed)
-        self._sent_tokens.get(placed.round_number, set()).discard(token)
-
-    def revoke_submission(self) -> None:
-        """Undo this round's dial *after* it was acknowledged.
-
-        The batched entry tier's counterpart to :meth:`requeue_last`: by the
-        time a lost batch is reported, ``confirm_sent`` has cleared
-        ``_last_sent``, so the undo is rebuilt from ``last_built`` (which
-        survives the ack).  The token is re-derived from the keywheel --
-        still possible because wheels only advance at ``finish_round``.
+        The call returns to the front of the queue and the speculative
+        placed-call record and sent-token marker are withdrawn.  A call
+        built in an earlier round entered that round and never comes back.
         """
-        if self.last_built is None:
+        if self.last_built is None or self.last_built[1].round_number != round_number:
             return
-        call, placed = self.last_built
+        call, placed, token = self.last_built
         self.last_built = None
-        self._last_sent = None
         self.queue.insert(0, call)
-        if placed in self.placed_calls:
-            self.placed_calls.remove(placed)
-        token = self.keywheel.dial_token(call.friend, placed.round_number, call.intent)
-        self._sent_tokens.get(placed.round_number, set()).discard(token)
+        self.placed_calls.remove(placed)
+        self._sent_tokens.get(round_number, set()).discard(token)
 
     # -- step 2: scan the Bloom filter -----------------------------------------
     def scan_mailbox(self, round_number: int, mailbox: DialingMailbox) -> list[IncomingCall]:

@@ -7,8 +7,9 @@ round's participants; a single client is a wave of one.
 * :class:`ProtocolDriver` is the per-protocol hook set (add-friend and
   dialing implementations live here, next to the engine that calls them):
   how to size mailboxes, what the clients submit (``submit_many``), how they
-  scan their mailboxes (``scan_many``), and what to undo on each failure
-  path;
+  scan their mailboxes (``scan_many``), and what to undo when a client's
+  envelope never entered the round (``submit_failed``) or its round's
+  mailbox is lost to it (``scan_missed``);
 * :class:`RoundEngine` drives one round through its four stages, one
   method each -- **announce**, **submit** (the clients' submission wave),
   **mix** (close the round: the mix chain runs and the mailboxes are
@@ -124,23 +125,16 @@ class ProtocolDriver:
 
         Returns ``(client, error_or_None)`` per client, in client order.  A
         client whose envelope reached the entry server (acknowledged, or
-        delivered with only the acknowledgement lost) has had its
-        ``confirm_sent`` run; a ``NetworkError`` is that client's outcome;
-        any other error propagates.
+        delivered with only the acknowledgement lost) has ``None``; a
+        ``NetworkError`` is that client's outcome; any other error
+        propagates.
         """
         raise NotImplementedError
 
     def submit_failed(self, client: Client, round_number: int) -> None:
-        """The envelope never reached the entry server: undo client state."""
-        raise NotImplementedError
-
-    def submit_revoked(self, client: Client, round_number: int) -> None:
-        """An *acknowledged* submission was reported lost or rejected later.
-
-        The batched entry tier acks optimistically; the end-of-stage flush
-        may then report the envelope gone, after ``confirm_sent`` already
-        ran -- so the undo must work from the engine state that survives
-        the ack (see the engines' ``revoke_submission``)."""
+        """The client's envelope never entered the round (lost before the
+        entry server held it, or rejected by the ingress flush): undo this
+        round's build so the request waits for the next round."""
         raise NotImplementedError
 
     def _fixed_mailbox_count(self) -> int | None:
@@ -155,12 +149,10 @@ class ProtocolDriver:
         """
         raise NotImplementedError
 
-    def scan_failed(self, client: Client, round_number: int) -> None:
-        """The mailbox is unreachable for this client: advance its state."""
-        raise NotImplementedError
-
-    def round_aborted(self, participated: list[Client], round_number: int) -> None:
-        """The round died after submissions: erase client round state."""
+    def scan_missed(self, client: Client, round_number: int) -> None:
+        """The client will never scan this round's mailbox (unreachable, or
+        the round aborted after it submitted): erase or advance its round
+        state exactly as a scan would have."""
         raise NotImplementedError
 
     def after_scan(self, round_number: int) -> None:
@@ -186,13 +178,12 @@ class ProtocolDriver:
         envelopes: list[bytes],
         starts: list[float | None],
         errors: dict[int, Exception],
-        confirm,
     ) -> float:
         """Issue the entry-submission wave and apply the ack semantics.
 
-        ``confirm(client)`` runs for every accepted (or delivered-but-ack-
-        lost) submission; undeliverable submissions land in ``errors``.
-        Returns the latest finisher's time.
+        Undeliverable submissions land in ``errors``; an accepted (or
+        delivered-but-ack-lost) one stands.  Returns the latest finisher's
+        time.
         """
         entries = [
             (clients[i].email, envelope, start)
@@ -203,18 +194,16 @@ class ProtocolDriver:
         for i, outcome in zip(indices, outcomes):
             latest = max(latest, outcome.finished_at)
             error = outcome.error
-            if error is not None:
-                if not isinstance(error, NetworkError):
-                    raise error
-                if not error.request_delivered:
-                    errors[i] = error
-                    continue
-                # Only the acknowledgement was lost: the entry server holds
-                # the envelope, so the submission stands and must NOT be
-                # re-sent (a re-send would carry a fresh ephemeral key and
-                # desync the keywheel if the recipient answers the first
-                # copy).
-            confirm(clients[i])
+            if error is None:
+                continue
+            if not isinstance(error, NetworkError):
+                raise error
+            # A lost acknowledgement is no error: the entry server holds the
+            # envelope, so the submission stands and must NOT be re-sent (a
+            # re-send would carry a fresh ephemeral key and desync the
+            # keywheel if the recipient answers the first copy).
+            if not error.request_delivered:
+                errors[i] = error
         return latest
 
     def _download_wave(
@@ -323,21 +312,15 @@ class AddFriendDriver(ProtocolDriver):
                 envelopes,
                 [ready[i] for i in survivors],
                 errors,
-                lambda client: client.addfriend.confirm_sent(),
             ),
         )
         self._fast_forward(latest)
         return [(client, errors.get(i)) for i, client in enumerate(clients)]
 
     def submit_failed(self, client: Client, round_number: int) -> None:
-        # The envelope never reached the entry server: put any consumed
-        # friend request back for the next round, and drop round keys the
-        # client will never use.
-        client.addfriend.requeue_last()
-        client.addfriend.erase_round_keys(round_number)
-
-    def submit_revoked(self, client: Client, round_number: int) -> None:
-        client.addfriend.revoke_submission()
+        # Put any consumed friend request back for the next round, and drop
+        # round keys the client will never use.
+        client.addfriend.requeue(round_number)
         client.addfriend.erase_round_keys(round_number)
 
     def scan_many(self, clients: list[Client], round_number: int, mailbox_count: int) -> list:
@@ -359,12 +342,8 @@ class AddFriendDriver(ProtocolDriver):
             results.append((client, events, None))
         return results
 
-    def scan_failed(self, client: Client, round_number: int) -> None:
+    def scan_missed(self, client: Client, round_number: int) -> None:
         client.addfriend.erase_round_keys(round_number)
-
-    def round_aborted(self, participated: list[Client], round_number: int) -> None:
-        for client in participated:
-            client.addfriend.erase_round_keys(round_number)
 
     def after_scan(self, round_number: int) -> None:
         # The PKGs erase the round's master secrets once clients have
@@ -412,18 +391,13 @@ class DialingDriver(ProtocolDriver):
             envelopes,
             [None] * len(clients),
             errors,
-            lambda client: client.dialing.confirm_sent(),
         )
         self._fast_forward(latest)
         return [(client, errors.get(i)) for i, client in enumerate(clients)]
 
     def submit_failed(self, client: Client, round_number: int) -> None:
-        # The token never reached the entry server: withdraw the speculative
-        # placed-call record and retry next round.
-        client.dialing.requeue_last()
-
-    def submit_revoked(self, client: Client, round_number: int) -> None:
-        client.dialing.revoke_submission()
+        # Withdraw the speculative placed-call record and retry next round.
+        client.dialing.requeue(round_number)
 
     def scan_many(self, clients: list[Client], round_number: int, mailbox_count: int) -> list:
         downloads = self._download_wave(clients, round_number, mailbox_count)
@@ -438,15 +412,11 @@ class DialingDriver(ProtocolDriver):
             results.append((client, events, None))
         return results
 
-    def scan_failed(self, client: Client, round_number: int) -> None:
+    def scan_missed(self, client: Client, round_number: int) -> None:
         # The round's mailbox is unrecoverable for this client; advance its
         # wheels and prune the round's sent-token set exactly as a
         # successful scan would have.
         client.dialing.finish_round(round_number)
-
-    def round_aborted(self, participated: list[Client], round_number: int) -> None:
-        for client in participated:
-            client.dialing.finish_round(round_number)
 
 
 class RoundEngine:
@@ -496,34 +466,29 @@ class RoundEngine:
     def submit(self, pending: PendingRound) -> None:
         """Stage ``submit``: every online client participates every round
         (cover traffic included); clients act concurrently, so the phase's
-        duration is the slowest participant's, not the sum."""
+        duration is the slowest participant's, not the sum.
+
+        Each client's submission is decided once, after the flush: it either
+        stands (the session learns what entered the round) or never entered
+        the round (the driver undoes the build)."""
         driver = self.driver
         round_number = pending.round_number
         with self.dep.transport.phase() as phase:
             outcomes = phase.run(lambda: driver.submit_many(pending.clients, pending.announcement))
-            for client, error in outcomes:
-                if error is None:
-                    pending.participated.append(client)
-                    client.session._submitted(driver.protocol, round_number)
-                else:
-                    pending.failures += 1
-                    driver.submit_failed(client, round_number)
             # A batching entry tier (repro.cluster) acks submissions
             # optimistically at the ingress proxies; drain the remainders
             # inside the stage's phase and learn what was actually rejected.
             rejected = phase.run(
                 lambda: self.dep.entry_stub.flush_submissions(driver.protocol, round_number)
             )
-        if rejected:
-            by_email = {client.email: client for client in pending.participated}
-            for client_id, _reason in rejected:
-                client = by_email.pop(client_id, None)
-                if client is None:
-                    continue
-                pending.participated.remove(client)
+        rejected_ids = {client_id for client_id, _reason in rejected}
+        for client, error in outcomes:
+            if error is None and client.email not in rejected_ids:
+                pending.participated.append(client)
+                client.session._submitted(driver.protocol, round_number)
+            else:
                 pending.failures += 1
-                driver.submit_revoked(client, round_number)
-                client.session._submission_revoked(driver.protocol, round_number)
+                driver.submit_failed(client, round_number)
         pending.submitted_at = self.dep.clock
 
     # -- finish_round: stages mix + scan ----------------------------------
@@ -578,8 +543,8 @@ class RoundEngine:
             # then let the failure surface.  This round's requests are lost,
             # like any mixnet round that dies mid-flight.
             self.dep.entry.abort_round(driver.protocol, round_number)
-            driver.round_aborted(pending.participated, round_number)
             for client in pending.participated:
+                driver.scan_missed(client, round_number)
                 client.session._round_aborted(driver.protocol, round_number)
             raise
 
@@ -599,7 +564,7 @@ class RoundEngine:
             for client, events, error in scans:
                 if error is not None:
                     pending.failures += 1
-                    driver.scan_failed(client, round_number)
+                    driver.scan_missed(client, round_number)
                 elif events:
                     events_by_client[client.email] = events
         driver.after_scan(round_number)

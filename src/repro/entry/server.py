@@ -274,9 +274,14 @@ class EntryServer:
         """One submit wave, each envelope routed to its owning shard's ingress.
 
         Same contract as :meth:`~repro.net.rpc.EntryStub.submit_many`:
-        ``(client_id, envelope, start_time)`` per entry, outcomes in order.
+        ``(client_id, envelope, start_time)`` per entry, outcomes in order --
+        a round with no directory is a ``RoundError`` outcome per entry.
         """
-        directory = self.directory(protocol, round_number)
+        try:
+            directory = self.directory(protocol, round_number)
+        except RoundError as exc:
+            now = self.transport.now()
+            return [BatchCallOutcome(error=RoundError(str(exc)), finished_at=now) for _ in entries]
         calls = [
             BatchCall(
                 src=client_id,

@@ -250,7 +250,7 @@ class TestOneBadReplyFailsOneCaller:
         deployment.session(sender).add_friend(recipient)
 
         summary = deployment.run_addfriend_round()
-        assert summary.failures == len(readers)  # scan_failed, each of them
+        assert summary.failures == len(readers)  # scan_missed, each of them
         assert summary.participants == len(EMAILS)
         number = summary.round_number
         assert all(

@@ -387,20 +387,61 @@ class TestIngressBatching:
         bob = email_on_mailbox(0, 4, tag="b")  # shard0: [0, 2)
         deployment.create_client(alice)
         deployment.create_client(bob)
-        handle = deployment.session(alice).add_friend(bob)
+        session = deployment.session(alice)
+        handle = session.add_friend(bob)
 
         net.topology.partition("ingress1", "entry1")  # submit path only
         summary = deployment.run_addfriend_round()
         assert summary.failures == 1  # alice's envelope died with the batch
         assert summary.submissions == 1  # bob's made it to shard 0
-        assert handle.state is RequestState.QUEUED  # revoked, not failed
+        assert handle.state is RequestState.QUEUED  # never entered the round
         assert deployment.client(alice).addfriend.pending_in_queue() == 1
+        # The lost envelope was never submitted, so nothing was announced.
+        assert [event.type for event in session.events.history()] == ["request_queued"]
 
         net.topology.heal("ingress1", "entry1")
         deployment.run_addfriend_round()  # request reaches bob
         deployment.run_addfriend_round()  # bob's confirmation returns
         assert handle.confirmed
-        assert handle.attempts == 1  # the revoked attempt was not counted
+        assert handle.attempts == 1  # the lost attempt was not counted
+        assert session.action_counts["add-friend"] == 1  # one request, one action
+
+    def test_engine_requeues_rejected_dial_tokens(self):
+        """The dialing twin: a token lost with its shard's batch never
+        entered the round, so the call stays queued, is not counted as a
+        privacy action, and is placed once the partition heals."""
+        net = SimulatedNetwork(seed="partition-dial")
+        deployment = Deployment(
+            cluster_config(shards=2, batch=4, fixed_k=4), seed="partition-dial", transport=net
+        )
+        alice = email_on_mailbox(2, 4, tag="a")  # shard1: [2, 4)
+        bob = email_on_mailbox(0, 4, tag="b")  # shard0: [0, 2)
+        caller = deployment.create_client(alice)
+        callee = deployment.create_client(bob)
+        session = deployment.session(alice)
+        session.add_friend(bob)
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        assert caller.friends() == [bob]
+        # Cover rounds until alice's wheel for bob is live next round.
+        while caller.dialing.keywheel.entry(bob).round_number > deployment.dialing_round + 1:
+            deployment.run_dialing_round()
+        handle = session.call(bob)
+
+        net.topology.partition("ingress1", "entry1")  # submit path only
+        summary = deployment.run_dialing_round()
+        assert summary.failures == 1
+        assert handle.state is RequestState.QUEUED
+        assert caller.placed_calls() == []
+        assert session.action_counts["dialing"] == 0
+
+        net.topology.heal("ingress1", "entry1")
+        deployment.run_dialing_round()
+        assert handle.state is RequestState.DELIVERED
+        assert session.action_counts["dialing"] == 1
+        calls = [e.type for e in session.events.history() if e.type.startswith("call_")]
+        assert calls == ["call_placed", "call_delivered"]
+        assert [call.caller for call in callee.received_calls()] == [alice]
 
 
 class TestUnknownRoundVsEmptyMailbox:
@@ -444,13 +485,13 @@ class TestRevokeSubmission:
         alice.add_friend("bob@x.org")
         announcement = deployment.entry.announce_round("add-friend", 1, 4, alice.addfriend.body_length())
         driver = deployment.round_engine("add-friend").driver
-        # A wave of one; an accepted submission runs confirm_sent (the ack).
+        # A wave of one: the entry server accepted the envelope.
         assert driver.submit_many([alice], announcement) == [(alice, None)]
         assert alice.addfriend.pending_in_queue() == 0
-        alice.addfriend.revoke_submission()
+        alice.addfriend.requeue(1)
         assert alice.addfriend.pending_in_queue() == 1
         assert alice.addfriend.queue[0].email == "bob@x.org"
-        alice.addfriend.revoke_submission()  # idempotent
+        alice.addfriend.requeue(1)  # idempotent
         assert alice.addfriend.pending_in_queue() == 1
 
     def test_dialing_revoke_withdraws_the_placed_call(self):
@@ -463,12 +504,32 @@ class TestRevokeSubmission:
         engine = DialingEngine(keywheel=wheel, num_intents=3)
         engine.enqueue(OutgoingCall(friend="bob@x.org", intent=1))
         engine.build_request_payload(round_number=1, mailbox_count=4)
-        engine.confirm_sent()
         assert engine.placed_calls and not engine.queue
-        engine.revoke_submission()
+        engine.requeue(1)
         assert not engine.placed_calls
         assert [c.intent for c in engine.queue] == [1]
         assert engine._sent_tokens.get(1, set()) == set()
+
+    def test_delivered_request_never_comes_back(self):
+        """A request that entered round N stays delivered when the client
+        loses round N+1 before building anything (its extraction fails):
+        the undo is scoped to the round that built the request."""
+        net = SimulatedNetwork(seed="no-resend")
+        deployment = Deployment(
+            AlpenhornConfig.for_tests(backend="simulated"), seed="no-resend", transport=net
+        )
+        alice = deployment.create_client("alice@x.org")
+        bob = deployment.create_client("bob@x.org")
+        alice.add_friend("bob@x.org")
+        deployment.run_addfriend_round()  # round N: alice's request enters
+        net.topology.partition("alice@x.org", "pkg1")
+        summary = deployment.run_addfriend_round()  # round N+1: no round keys
+        assert summary.failures == 1
+        assert alice.addfriend.pending_in_queue() == 0
+        net.topology.heal("alice@x.org", "pkg1")
+        deployment.run_addfriend_round()
+        assert alice.addfriend.pending_in_queue() == 0
+        assert len(bob.session.events.history("friend_request_received")) == 1
 
 
 class TestDialingRedial:

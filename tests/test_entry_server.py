@@ -39,9 +39,15 @@ class InProcessFront:
 
     def __init__(self) -> None:
         self.entry = make_entry()
+        self.stub = EntryStub(DirectTransport())
+        self.stub.transport.register("entry", self.entry.handle_rpc)
 
     def submit(self, round_number: int, client_id: str, envelope: bytes) -> None:
         self.entry.submit("dialing", round_number, client_id, envelope)
+
+    def submit_many(self, round_number: int, entries: list) -> list:
+        """The round engine's submit wave, as framed RPCs to the server."""
+        return self.stub.submit_many("dialing", round_number, entries)
 
 
 class ShardedFront:
@@ -63,6 +69,10 @@ class ShardedFront:
         for client, reason in self.entry.flush_submissions("dialing", round_number):
             raise RoundError(f"{client}: {reason}")
 
+    def submit_many(self, round_number: int, entries: list) -> list:
+        """The round engine's submit wave, routed to the shards' ingresses."""
+        return self.entry.submit_many("dialing", round_number, entries)
+
 
 @pytest.fixture(params=[InProcessFront, ShardedFront], ids=["in-process", "2-shard"])
 def front(request):
@@ -73,6 +83,13 @@ class TestRoundLifecycle:
     def test_submit_before_announce_raises(self, front):
         with pytest.raises(RoundError):
             front.submit(1, "alice", b"envelope")
+
+    def test_submit_wave_to_unannounced_round_fails_per_entry(self, front):
+        """A submit wave is one outcome per entry, never a raise: a round
+        the server never announced fails each entry with a RoundError."""
+        outcomes = front.submit_many(5, [("alice", b"a", None), ("bob", b"b", None)])
+        assert len(outcomes) == 2
+        assert all(isinstance(outcome.error, RoundError) for outcome in outcomes)
 
     def test_close_unopened_round_raises(self, front):
         with pytest.raises(RoundError):

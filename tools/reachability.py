@@ -289,22 +289,15 @@ DOCUMENTED = "documented feature"
 #: docstring): ``(kind, reason, [path::qualname, ...])`` as the report prints
 #: the keys.
 _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
-    (SAFETY, "a lost, revoked or aborted round puts requests back, erases keys or fails the handle", [
+    (SAFETY, "a lost or aborted round puts requests back, erases keys or fails the handle", [
         "repro/api/session.py::ClientSession._round_aborted",
         "repro/api/session.py::ClientSession._try_redial",
-        "repro/api/session.py::ClientSession._submission_revoked",
-        "repro/core/addfriend.py::AddFriendEngine.requeue_last",
-        "repro/core/addfriend.py::AddFriendEngine.revoke_submission",
-        "repro/core/dialing.py::DialingEngine.requeue_last",
-        "repro/core/dialing.py::DialingEngine.revoke_submission",
+        "repro/core/addfriend.py::AddFriendEngine.requeue",
+        "repro/core/dialing.py::DialingEngine.requeue",
         "repro/core/roundengine.py::AddFriendDriver.submit_failed",
-        "repro/core/roundengine.py::AddFriendDriver.submit_revoked",
-        "repro/core/roundengine.py::AddFriendDriver.scan_failed",
-        "repro/core/roundengine.py::AddFriendDriver.round_aborted",
+        "repro/core/roundengine.py::AddFriendDriver.scan_missed",
         "repro/core/roundengine.py::DialingDriver.submit_failed",
-        "repro/core/roundengine.py::DialingDriver.submit_revoked",
-        "repro/core/roundengine.py::DialingDriver.scan_failed",
-        "repro/core/roundengine.py::DialingDriver.round_aborted",
+        "repro/core/roundengine.py::DialingDriver.scan_missed",
         "repro/cluster/shard.py::IngressProxy.abort_round",
     ]),
     (SAFETY, "forward secrecy: is a closed round's PKG master secret gone (over the wire too)", [
@@ -350,7 +343,7 @@ _KEEP_GROUPS: list[tuple[str, str, list[str]]] = [
     (ABSTRACT, "ProtocolDriver: AddFriendDriver and DialingDriver", [
         f"repro/core/roundengine.py::ProtocolDriver.{name}" for name in (
             "allocate_round", "mailbox_count", "body_length", "round_duration", "submit_many",
-            "submit_failed", "submit_revoked", "scan_many", "scan_failed", "round_aborted")
+            "submit_failed", "scan_many", "scan_missed")
     ]),
     (ABSTRACT, "AttestationScheme: bls and simulated", [
         f"repro/crypto/attestation.py::AttestationScheme.{name}" for name in (
