@@ -7,8 +7,10 @@ Three server roles live here, each bound to its own transport endpoint:
   server at round open), buffers the envelopes of the clients whose own
   mailbox falls in that range, and hands them back when the entry server
   closes the round.  It never touches the mix chain or the PKGs -- round
-  control lives in the :class:`~repro.entry.server.EntryServer`, whose
-  one-shard front is an in-process ``EntryShard`` owning all of ``[0, K)``.
+  control lives in the :class:`~repro.entry.server.EntryServer`, which runs
+  in the coordinator's process at every shard count and calls the shards
+  from :data:`~repro.net.rpc.CONTROL_SRC`.  Its one-shard front is an
+  in-process ``EntryShard`` owning all of ``[0, K)``.
 * :class:`IngressProxy` -- the shard's access-link aggregation point.
   Clients submit to the proxy; the proxy coalesces envelopes into
   ``SubmitBatch`` frames of up to ``batch_size`` toward its shard, paying
@@ -158,9 +160,6 @@ class EntryShard:
             protocol, round_number, entries = rpc.SUBMIT_BATCH_REQUEST.decode(request.payload)
             statuses = self.submit_batch(protocol, round_number, entries)
             return RpcResult(payload=rpc.SUBMIT_BATCH_RESPONSE.encode(statuses))
-        if request.method == "submissions":
-            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
-            return RpcResult(payload=rpc.COUNT_REPLY.encode(self.submissions(protocol, round_number)))
         if request.method == "close_round":
             protocol, round_number = rpc.ROUND_REF.decode(request.payload)
             envelopes = self.collect_round(protocol, round_number)
@@ -359,10 +358,9 @@ class ShardedCdnStub:
     each shard stores only its range.
     """
 
-    def __init__(self, transport: Transport, entry, src: str = "coordinator") -> None:
+    def __init__(self, transport: Transport, entry) -> None:
         self.transport = transport
         self.entry = entry
-        self.src = src
 
     def publish(self, mailboxes: MailboxSet) -> None:
         directory = self.entry.directory(mailboxes.protocol, mailboxes.round_number)
@@ -372,7 +370,7 @@ class ShardedCdnStub:
         # round (see CdnShard.download_blob).
         calls = [
             BatchCall(
-                self.src,
+                rpc.CONTROL_SRC,
                 shard.cdn,
                 "publish",
                 rpc.SHARD_PUBLISH_REQUEST.encode(

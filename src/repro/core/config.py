@@ -83,11 +83,11 @@ class AlpenhornConfig:
     dialing_redial_attempts: int | None = None
 
     # Entry/CDN front tier (repro.cluster): where envelopes wait.  The
-    # EntryServer runs every round at any count; 1 is its in-process front
-    # (the "entry"/"cdn" endpoints), N > 1 splits the front into N
-    # EntryShard/IngressProxy/CdnShard triples, each owning a contiguous
-    # mailbox-ID range behind its own transport endpoints, with the entry
-    # server in the coordinator's process.
+    # EntryServer runs every round at any count, in the coordinator's
+    # process; 1 is its in-process front (the "entry"/"cdn" endpoints),
+    # N > 1 splits the front into N EntryShard/IngressProxy/CdnShard
+    # triples, each owning a contiguous mailbox-ID range behind its own
+    # transport endpoints.
     entry_shards: int = 1
 
     # How many client envelopes each shard's ingress proxy coalesces into

@@ -5,10 +5,13 @@ the PKG servers, the mixnet chain, the entry server, the CDN, and the email
 substrate -- wires clients to them, and advances the two protocols in
 explicit rounds.  It replaces the paper's EC2 testbed.
 
-All inter-component communication goes through a
+The round driver runs in the entry server's process (§7: the entry server
+is the round coordinator), so it calls :class:`~repro.entry.server.EntryServer`
+directly at every shard count.  Everything else goes through a
 :class:`~repro.net.transport.Transport`: servers register named endpoints,
-clients and the round driver talk to stubs, and every protocol message is
-the real wire-format bytes the library produces.  With the default
+clients and the entry server talk to stubs, every round-control RPC leaves
+from one source (:data:`~repro.net.rpc.CONTROL_SRC`), and every protocol
+message is the real wire-format bytes the library produces.  With the default
 :class:`~repro.net.transport.DirectTransport` dispatch is immediate and the
 clock is logical (it only advances between rounds), matching the seed's
 behavior exactly.  Handing in a :class:`~repro.net.simulated.SimulatedNetwork`
@@ -39,7 +42,7 @@ from repro.entry.server import EntryServer
 from repro.errors import ConfigurationError, NetworkError
 from repro.mixnet.chain import MixChain
 from repro.mixnet.server import MixServer
-from repro.net.rpc import CdnStub, EntryStub, PkgStub
+from repro.net.rpc import CdnStub, PkgStub
 from repro.net.transport import DirectTransport, Phase, Transport
 from repro.obs.instrument import instrument
 from repro.pkg.coordinator import PkgCoordinator
@@ -118,21 +121,14 @@ class Deployment:
         for mix in self.mix_servers:
             self.transport.register(mix.name, mix.handle_rpc)
 
-        # One shard: the entry server is the ``entry`` endpoint, and its
-        # in-process front holds the envelopes.  N shards: the envelopes wait
-        # at N shard endpoints and the entry server runs in the coordinator's
-        # process, so the mix-chain and PKG round-lifecycle RPCs originate
-        # there.
+        # The entry server runs here, in the round driver's process, at every
+        # shard count; only where the envelopes wait changes.  One shard: its
+        # in-process front holds them and clients submit to the ``entry``
+        # endpoint.  N shards: they wait at N shard endpoints.
         shard_count = self.config.entry_shards
-        control_src = "entry" if shard_count == 1 else "coordinator"
         self.pkg_stubs = [
             PkgStub(
-                self.transport,
-                pkg.name,
-                self._ibe_backend,
-                self.attestation,
-                pkg.bls_public_key,
-                control_src=control_src,
+                self.transport, pkg.name, self._ibe_backend, self.attestation, pkg.bls_public_key
             )
             for pkg in self.pkgs
         ]
@@ -142,14 +138,9 @@ class Deployment:
             noise_config=self.config.noise,
             transport=self.transport,
             server_names=[mix.name for mix in self.mix_servers],
-            driver_src=control_src,
         )
         self.entry = EntryServer(
-            self.mix_chain,
-            self.pkg_coordinator,
-            transport=self.transport,
-            shard_count=shard_count,
-            src=control_src,
+            self.mix_chain, self.pkg_coordinator, transport=self.transport, shard_count=shard_count
         )
         self.cdn: Cdn | None = None
         self.entry_shard_servers: list[EntryShard] = []
@@ -160,7 +151,6 @@ class Deployment:
             self.transport.register("cdn", self.cdn.handle_rpc)
             self.transport.register("entry", self.entry.handle_rpc)
             self.cdn_stub = CdnStub(self.transport)
-            self.entry_stub = EntryStub(self.transport, ibe=self._ibe_backend)
         else:
             for index, (entry, ingress, cdn) in enumerate(front_endpoints(shard_count)):
                 shard = EntryShard(entry, index)
@@ -173,9 +163,7 @@ class Deployment:
                 self.entry_shard_servers.append(shard)
                 self.ingress_proxies.append(proxy)
                 self.cdn_shards.append(cdn_shard)
-            # The round engine drives the in-process entry server directly.
             self.cdn_stub = ShardedCdnStub(self.transport, self.entry)
-            self.entry_stub = self.entry
         self.entry.cdn = self.cdn_stub
 
         # Clients (each owns its session), the deployment-wide event
@@ -184,7 +172,6 @@ class Deployment:
         self._subscribers: list = []
         self.addfriend_round = 0
         self.dialing_round = 0
-        self.round_summaries: list[RoundSummary] = []
 
         # One engine per protocol; both share the generic round structure
         # and differ only in the per-protocol driver hooks.

@@ -26,9 +26,11 @@ round's participants; a single client is a wave of one.
 
 The engine never imports :class:`~repro.core.coordinator.Deployment`; it
 talks to it duck-typed (clients, stubs, clock, entry server), which keeps
-the module cycle-free.  It feeds each client's session directly: what was
-submitted, what each round delivered, which scans confirmed, which rounds
-aborted.
+the module cycle-free.  The entry server runs in the engine's process at
+every shard count, so the stages call it directly: ``announce_round``,
+``submit_many`` and ``flush_submissions``, ``close_round``.  The engine
+feeds each client's session directly too: what was submitted, what each
+round delivered, which scans confirmed, which rounds aborted.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class RoundSummary:
     mailbox_count: int
     submissions: int
     mix_result: RoundCounts | None = None
-    events_by_client: dict[str, list] = field(default_factory=dict)
     # Transport-level measurements for the round (simulated time and bytes).
     latency_s: float = 0.0
     #: Time the announce+submit stage took (the stage the per-PKG fan-out
@@ -189,7 +190,7 @@ class ProtocolDriver:
             (clients[i].email, envelope, start)
             for i, envelope, start in zip(indices, envelopes, starts)
         ]
-        outcomes = self.dep.entry_stub.submit_many(self.protocol, round_number, entries)
+        outcomes = self.dep.entry.submit_many(self.protocol, round_number, entries)
         latest = 0.0
         for i, outcome in zip(indices, outcomes):
             latest = max(latest, outcome.finished_at)
@@ -452,7 +453,7 @@ class RoundEngine:
         is recorded on ``pending``, not raised."""
         driver = self.driver
         try:
-            pending.announcement = self.dep.entry_stub.announce_round(
+            pending.announcement = self.dep.entry.announce_round(
                 driver.protocol, pending.round_number, pending.mailbox_count, driver.body_length()
             )
         except NetworkError as exc:
@@ -479,7 +480,7 @@ class RoundEngine:
             # optimistically at the ingress proxies; drain the remainders
             # inside the stage's phase and learn what was actually rejected.
             rejected = phase.run(
-                lambda: self.dep.entry_stub.flush_submissions(driver.protocol, round_number)
+                lambda: self.dep.entry.flush_submissions(driver.protocol, round_number)
             )
         rejected_ids = {client_id for client_id, _reason in rejected}
         for client, error in outcomes:
@@ -501,21 +502,20 @@ class RoundEngine:
         bytes_before = self.dep.transport.stats.bytes_sent
         mix_started = self.dep.clock
         try:
-            submissions, result = self.mix(pending)
+            result = self.mix(pending)
         except NetworkError:
             pending.bytes_accum += self.dep.transport.stats.bytes_sent - bytes_before
             raise
         mix_done = self.dep.clock
-        events_by_client = self.scan(pending)
+        self.scan(pending)
         pending.bytes_accum += self.dep.transport.stats.bytes_sent - bytes_before
 
-        summary = RoundSummary(
+        return RoundSummary(
             protocol=driver.protocol,
             round_number=round_number,
             mailbox_count=pending.mailbox_count,
-            submissions=submissions,
+            submissions=result.submitted,
             mix_result=result,
-            events_by_client=events_by_client,
             latency_s=self.dep.clock - pending.started_at,
             submit_stage_s=pending.submitted_at - pending.started_at,
             mix_stage_s=mix_done - mix_started,
@@ -524,37 +524,34 @@ class RoundEngine:
             failures=pending.failures,
             participants=len(pending.clients),
         )
-        self.dep.round_summaries.append(summary)
-        return summary
 
-    def mix(self, pending: PendingRound) -> tuple[int, RoundCounts]:
+    def mix(self, pending: PendingRound) -> RoundCounts:
         """Stage ``mix``: close the round on the entry server (it runs the
-        mix chain and publishes the mailboxes); returns the submission count
-        and the round's counts."""
+        mix chain and publishes the mailboxes); returns the round's counts,
+        its submission count (``submitted``) included."""
         driver = self.driver
         round_number = pending.round_number
         try:
-            submissions = self.dep.entry_stub.submissions(driver.protocol, round_number)
-            return submissions, self.dep.entry_stub.close_round(driver.protocol, round_number)
+            return self.dep.entry.close_round(driver.protocol, round_number)
         except NetworkError:
-            # The round's control plane failed (entry or CDN unreachable).
-            # The operator runs in the entry server's process: tear the
-            # round down locally so envelopes and round secrets are erased,
-            # then let the failure surface.  This round's requests are lost,
-            # like any mixnet round that dies mid-flight.
+            # The round's control plane failed (a shard, a mix or the CDN
+            # unreachable).  Tear the round down so envelopes and round
+            # secrets are erased, then let the failure surface.  This
+            # round's requests are lost, like any mixnet round that dies
+            # mid-flight.
             self.dep.entry.abort_round(driver.protocol, round_number)
             for client in pending.participated:
                 driver.scan_missed(client, round_number)
                 client.session._round_aborted(driver.protocol, round_number)
             raise
 
-    def scan(self, pending: PendingRound) -> dict[str, list]:
+    def scan(self, pending: PendingRound) -> None:
         """Stage ``scan``: clients fetch and scan their mailboxes concurrently
         (the announced mailbox count spares them the CDN metadata round
-        trip), then the sessions are fed; returns each client's scan events."""
+        trip), then the sessions are fed."""
         driver = self.driver
         round_number = pending.round_number
-        events_by_client: dict[str, list] = {}
+        scan_events: dict[str, list] = {}
         with self.dep.transport.phase() as phase:
             scans = phase.run(
                 lambda: driver.scan_many(
@@ -566,7 +563,7 @@ class RoundEngine:
                     pending.failures += 1
                     driver.scan_missed(client, round_number)
                 elif events:
-                    events_by_client[client.email] = events
+                    scan_events[client.email] = events
         driver.after_scan(round_number)
         # Feed the sessions: handles submitted into this round are now
         # delivered, scan events may confirm them, and the retry pass
@@ -578,15 +575,14 @@ class RoundEngine:
         if driver.protocol == "add-friend":
             for client in pending.participated:
                 client.session._apply_scan_events(
-                    round_number, events_by_client.get(client.email, [])
+                    round_number, scan_events.get(client.email, [])
                 )
             for client in self.dep.clients.values():
                 client.session._retry_pass(round_number)
-        return events_by_client
 
     def aborted_summary(self, pending: PendingRound) -> RoundSummary:
         """Record a round that was torn down before delivering anything."""
-        summary = RoundSummary(
+        return RoundSummary(
             protocol=self.driver.protocol,
             round_number=pending.round_number,
             mailbox_count=pending.mailbox_count,
@@ -599,8 +595,6 @@ class RoundEngine:
             participants=len(pending.clients),
             aborted=True,
         )
-        self.dep.round_summaries.append(summary)
-        return summary
 
     # -- the sequential driver (legacy semantics) ---------------------------
     def run_round(self, participants=None) -> RoundSummary:

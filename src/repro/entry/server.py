@@ -17,11 +17,18 @@ count -- open the mix chain and the PKG commit-reveal, build the round's
 publish, erase -- and only its *front* changes: one in-process
 :class:`~repro.cluster.shard.EntryShard` owning all of ``[0, K)``, or N
 ``entry{i}``/``ingress{i}``/``cdn{i}`` shard endpoints reached in waves.
+
+The server itself runs in the round driver's process at every shard count:
+the driver calls :meth:`EntryServer.announce_round`, :meth:`~EntryServer.submit_many`,
+:meth:`~EntryServer.flush_submissions` and :meth:`~EntryServer.close_round`
+directly, and every control RPC the server issues leaves from
+:data:`~repro.net.rpc.CONTROL_SRC`.  Its one transport method is ``submit``,
+a client's envelope into the one-shard front.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from repro.cluster.directory import ShardDirectory
 from repro.cluster.shard import EntryShard
@@ -50,10 +57,6 @@ class RoundAnnouncement:
     pkg_public_keys: list
     mailbox_count: int
     request_body_length: int
-    #: With a sharded front (see ``repro.cluster``), the per-round routing
-    #: table: which shard owns which contiguous mailbox-ID range.  ``None``
-    #: with one shard, where every client submits to the entry server itself.
-    shard_directory: object = None
 
 
 def _reply(outcome: BatchCallOutcome, layout):
@@ -80,7 +83,6 @@ class EntryServer:
         cdn=None,
         transport: Transport | None = None,
         shard_count: int = 1,
-        src: str = "entry",
     ) -> None:
         if shard_count < 1:
             raise ValueError("need at least one shard")
@@ -92,11 +94,10 @@ class EntryServer:
         #: chain publishes, so mailboxes cross the wire once.  ``None``: the
         #: caller gets the :class:`RoundResult` and publishes it itself.
         self.cdn = cdn
-        #: Carries the waves to a sharded front, issued from ``src`` (the
-        #: coordinator's process, where a sharded entry server runs).
+        #: Carries the clients' submit waves, and the waves to a sharded
+        #: front (issued from ``rpc.CONTROL_SRC``).
         self.transport = transport
         self.shard_count = shard_count
-        self.src = src
         #: The one in-process front shard, or ``None`` when the front is
         #: ``shard_count`` shard endpoints.  It expires a round whose close
         #: or abort never arrived (``EntryShard.RETAINED_ROUNDS``).
@@ -133,7 +134,7 @@ class EntryServer:
     def _wave(self, endpoints: list[str], method: str, payload: bytes) -> list[BatchCallOutcome]:
         """The same control RPC to every shard endpoint, as one wave."""
         return self.transport.call_batch(
-            [BatchCall(self.src, endpoint, method, payload) for endpoint in endpoints]
+            [BatchCall(rpc.CONTROL_SRC, endpoint, method, payload) for endpoint in endpoints]
         )
 
     # -- the sharded front's three waves -------------------------------------
@@ -220,7 +221,6 @@ class EntryServer:
             pkg_public_keys=pkg_publics,
             mailbox_count=mailbox_count,
             request_body_length=request_body_length,
-            shard_directory=directory if self.front is None else None,
         )
         self._announcements[key] = announcement
         self._prune(protocol, round_number)
@@ -271,11 +271,13 @@ class EntryServer:
         round_number: int,
         entries: list[tuple[str, bytes, float | None]],
     ) -> list[BatchCallOutcome]:
-        """One submit wave, each envelope routed to its owning shard's ingress.
+        """The clients' submit wave, each envelope sent to its owning shard's
+        ingress (the one-shard front's is ``entry``, this server's endpoint).
 
-        Same contract as :meth:`~repro.net.rpc.EntryStub.submit_many`:
-        ``(client_id, envelope, start_time)`` per entry, outcomes in order --
-        a round with no directory is a ``RoundError`` outcome per entry.
+        ``(client_id, envelope, start_time)`` per entry, where ``start_time``
+        is when that client logically begins (e.g. when its key extraction
+        finished); outcomes in order -- a round with no directory is a
+        ``RoundError`` outcome per entry.
         """
         try:
             directory = self.directory(protocol, round_number)
@@ -311,17 +313,10 @@ class EntryServer:
         return self.flush_drain(protocol, round_number, directory)
 
     def submissions(self, protocol: str, round_number: int) -> int:
-        if self.front is not None:
-            return self.front.submissions(protocol, round_number)
-        directory = self.directory_or_none(protocol, round_number)
-        if directory is None:
-            return 0
-        outcomes = self._wave(
-            [shard.entry for shard in directory.ranges],
-            "submissions",
-            rpc.ROUND_REF.encode(protocol, round_number),
-        )
-        return sum(_reply(outcome, rpc.COUNT_REPLY) for outcome in outcomes)
+        """Envelopes the one-shard front holds for an open round.  A sharded
+        front's envelopes wait at its shards; the round driver reads every
+        front's count from :meth:`close_round`'s ``submitted``."""
+        return self.front.submissions(protocol, round_number)
 
     # -- closing a round ----------------------------------------------------------
     def close_round(self, protocol: str, round_number: int) -> RoundCounts | RoundResult:
@@ -392,34 +387,9 @@ class EntryServer:
 
     # -- transport dispatch --------------------------------------------------
     def handle_rpc(self, request: RpcRequest) -> RpcResult:
-        """Serve one framed RPC (see ``repro/net/rpc.py`` for the layouts)."""
-        if request.method == "announce_round":
-            protocol, round_number, mailbox_count, body_length = rpc.ANNOUNCE_REQUEST.decode(
-                request.payload
-            )
-            announcement = self.announce_round(protocol, round_number, mailbox_count, body_length)
-            pkg_publics: list[bytes] = []
-            if announcement.pkg_public_keys:
-                pkg_publics = self.pkg_coordinator.round_keys(round_number).encoded_public_keys
-            directory = announcement.shard_directory
-            return RpcResult(
-                payload=rpc.ANNOUNCE_RESPONSE.encode(
-                    announcement.mailbox_count,
-                    announcement.request_body_length,
-                    announcement.mix_public_keys,
-                    directory and directory.to_fields(),
-                    pkg_publics,
-                )
-            )
+        """Serve a client's ``submit`` into the one-shard front (see
+        ``repro/net/rpc.py`` for the layout)."""
         if request.method == "submit":
             self.submit(*rpc.SUBMIT_REQUEST.decode(request.payload))
             return RpcResult()
-        if request.method == "submissions":
-            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
-            return RpcResult(payload=rpc.COUNT_REPLY.encode(self.submissions(protocol, round_number)))
-        if request.method == "close_round":
-            protocol, round_number = rpc.ROUND_REF.decode(request.payload)
-            # The mailboxes go entry -> CDN; the coordinator gets statistics.
-            counts = self.close_round(protocol, round_number)
-            return RpcResult(payload=rpc.ROUND_COUNTS.encode(*astuple(counts)))
         raise NetworkError(f"entry server has no RPC method {request.method!r}")

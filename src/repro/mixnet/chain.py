@@ -86,7 +86,6 @@ class MixChain:
         noise_config: NoiseConfig | None = None,
         transport=None,
         server_names: list[str] | None = None,
-        driver_src: str = "entry",
     ) -> None:
         self.servers = list(servers) if servers is not None else []
         self.noise_config = noise_config if noise_config is not None else NoiseConfig()
@@ -96,9 +95,9 @@ class MixChain:
             names = server_names if server_names is not None else [s.name for s in self.servers]
             if not names:
                 raise MixnetError("mix chain needs at least one server")
-            # driver_src names the process driving the chain: the entry
-            # server's, which with a sharded front is the coordinator's.
-            self._handles = [MixStub(transport, name, src=driver_src) for name in names]
+            # The stubs' calls leave from rpc.CONTROL_SRC, the coordinator's
+            # process, where the entry server drives the chain.
+            self._handles = [MixStub(transport, name) for name in names]
         else:
             if not self.servers:
                 raise MixnetError("mix chain needs at least one server")

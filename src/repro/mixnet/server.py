@@ -58,9 +58,6 @@ class MixServer:
         self.engine = engine
         self._round_keys: dict[tuple[str, int], OnionKeyPair] = {}
         self.last_stats: MixServerStats = MixServerStats()
-        # Failure-injection switches used by the test suite.
-        self.drop_all_noise = False
-        self.drop_fraction = 0.0
 
     # -- round keys --------------------------------------------------------
     def open_round(self, protocol: str, round_number: int) -> bytes:
@@ -114,26 +111,16 @@ class MixServer:
         peeled = [item for item in unwrap_layers(envelopes, keypair, engine) if item is not None]
         stats.dropped = len(envelopes) - len(peeled)
 
-        if self.drop_fraction > 0.0:
-            keep = []
-            for item in peeled:
-                if self.rng.uniform() < self.drop_fraction:
-                    stats.dropped += 1
-                else:
-                    keep.append(item)
-            peeled = keep
-
-        if not self.drop_all_noise:
-            counts = noise_counts_per_mailbox(noise_config, protocol, mailbox_count, self.rng)
-            noise_payloads = [
-                self._make_noise_payload(protocol, mailbox_id, noise_body_length)
-                for mailbox_id, count in enumerate(counts)
-                for _ in range(count)
-            ]
-            if downstream_publics:
-                noise_payloads = wrap_onion_many(noise_payloads, downstream_publics, engine)
-            peeled.extend(noise_payloads)
-            stats.noise_added = len(noise_payloads)
+        counts = noise_counts_per_mailbox(noise_config, protocol, mailbox_count, self.rng)
+        noise_payloads = [
+            self._make_noise_payload(protocol, mailbox_id, noise_body_length)
+            for mailbox_id, count in enumerate(counts)
+            for _ in range(count)
+        ]
+        if downstream_publics:
+            noise_payloads = wrap_onion_many(noise_payloads, downstream_publics, engine)
+        peeled.extend(noise_payloads)
+        stats.noise_added = len(noise_payloads)
 
         self.rng.shuffle(peeled)
         self.last_stats = stats

@@ -12,7 +12,7 @@ the project's canonical wire format) from *how* the messages travel:
 
 from repro.net.frames import Frame
 from repro.net.links import LinkSpec, NetworkTopology, PERFECT_LINK
-from repro.net.rpc import CdnStub, EntryStub, MixStub, PkgStub
+from repro.net.rpc import CdnStub, MixStub, PkgStub
 from repro.net.scheduler import EventScheduler
 from repro.net.simulated import SimulatedNetwork
 from repro.net.transport import (
@@ -27,7 +27,6 @@ from repro.net.transport import (
 __all__ = [
     "CdnStub",
     "DirectTransport",
-    "EntryStub",
     "EventScheduler",
     "Frame",
     "LinkSpec",

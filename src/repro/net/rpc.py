@@ -1,14 +1,20 @@
 """Client-side RPC stubs and the payload layouts both sides share.
 
 Each stub presents the same Python surface as the server object it fronts
-(:class:`~repro.entry.server.EntryServer`, :class:`~repro.pkg.server.PkgServer`,
-:class:`~repro.mixnet.server.MixServer`, :class:`~repro.cdn.cdn.Cdn`), so the
-deployment can hand a stub anywhere a direct reference used to go.  The stub
-encodes arguments into a framed payload, issues one :meth:`Transport.call`,
-and decodes the response; the server's ``handle_rpc`` does the inverse.  An
-RPC that only ever goes out as one wave across many callers or endpoints
-(``extract``, the registration legs, ``submit``, ``download``) has a
-:class:`BatchCall` builder or a ``*_many`` method instead of a single call.
+(:class:`~repro.pkg.server.PkgServer`, :class:`~repro.mixnet.server.MixServer`,
+:class:`~repro.cdn.cdn.Cdn`), so the deployment can hand a stub anywhere a
+direct reference used to go.  The stub encodes arguments into a framed
+payload, issues one :meth:`Transport.call`, and decodes the response; the
+server's ``handle_rpc`` does the inverse.  An RPC that only ever goes out as
+one wave across many callers or endpoints (``extract``, the registration legs,
+``submit``, ``download``) has a :class:`BatchCall` builder or a ``*_many``
+method instead of a single call.
+
+The entry server has no stub: it runs in the round driver's process at every
+shard count (§7: it is the round coordinator), and the driver calls it
+directly.  Its one endpoint method is ``submit``, the clients' way in to the
+one-shard front.  Every round-control RPC it issues -- to the mixes, the PKGs
+and the CDN -- leaves from one source, :data:`CONTROL_SRC`.
 
 Every payload is a :class:`~repro.utils.serialization.Message` declared
 below -- one description the codec, ``docs/wire.md`` (``python -m
@@ -26,12 +32,11 @@ from __future__ import annotations
 from dataclasses import astuple
 
 from repro.errors import CryptoError, NetworkError, SerializationError
-from repro.mixnet.chain import RoundCounts
 from repro.mixnet.mailbox import decode_mailbox
 from repro.mixnet.noise import NoiseConfig
 from repro.mixnet.server import MixServerStats
 from repro.net.frames import ENVELOPE_BATCH
-from repro.net.transport import BatchCall, BatchCallOutcome, Transport
+from repro.net.transport import BatchCall, Transport
 from repro.obs.distributed import PING_REPLY
 from repro.utils.serialization import F64, U8, U32, U64, Bytes, Flag, List, Message, Opt, Str
 
@@ -50,7 +55,6 @@ def decode_reply(decode, payload: bytes, *args):
 ROUND_REF = Message("round_ref", Str("protocol"), U64("round"))
 #: A PKG numbers add-friend rounds only.
 PKG_ROUND_REF = Message("pkg_round_ref", U64("round"))
-COUNT_REPLY = Message("count_reply", U32("count"))
 FLAG_REPLY = Message("flag_reply", Flag("value"))
 ROUND_KEY_REPLY = Message("round_key_reply", Bytes("key"), note="a mix server's X25519 round key (32)")
 
@@ -63,17 +67,6 @@ SHARD_DIRECTORY = Message(
     "shard_directory",
     Str("protocol"), U64("round"), U32("mailbox_count"),
     List("ranges", U32("lo"), U32("hi"), Str("entry"), Str("ingress"), Str("cdn")),
-)
-
-ANNOUNCE_REQUEST = Message(
-    "announce_request", *ROUND_REF.fields, U32("mailbox_count"), U32("body_length")
-)
-ANNOUNCE_RESPONSE = Message(
-    "announce_response",
-    U32("mailbox_count"), U32("body_length"), List("mix_keys", Bytes("key")),
-    Opt(SHARD_DIRECTORY), List("pkg_keys", Bytes("key")),
-    note="mix keys are 32 bytes each; pkg keys are the PKGs' encoded round master "
-    "public keys (128 each; none for dialing)",
 )
 
 _SUBMISSION = (Str("client"), Bytes("envelope"))
@@ -108,14 +101,6 @@ DOWNLOAD_RESPONSE = Message(
     note="a mailbox's stored bytes; flag 0 is the empty-mailbox marker",
 )
 
-#: The ``close_round`` reply (:class:`~repro.mixnet.chain.RoundCounts`):
-#: round statistics, never the mailboxes.
-ROUND_COUNTS = Message(
-    "round_counts",
-    U32("submitted"), U32("delivered_real"), U32("dropped"), U32("noise_added"),
-    U32("cover_dropped"), List("per_server_noise", U32("noise")),
-    List("mailbox_counts", U32("messages")),
-)
 PROCESS_BATCH_REQUEST = Message(
     "process_batch_request",
     U64("round"), Str("protocol"), U32("mailbox_count"), U32("noise_body_length"),
@@ -145,10 +130,7 @@ EXTRACTION_RESPONSE = Message(
 #: :class:`Message`, ``None`` for an empty payload, or a string naming a value
 #: that is sent raw.
 METHODS = (
-    (("entry",), ("announce_round",), ANNOUNCE_REQUEST, ANNOUNCE_RESPONSE),
     (("entry", "ingress"), ("submit",), SUBMIT_REQUEST, None),
-    (("entry", "entry shard"), ("submissions",), ROUND_REF, COUNT_REPLY),
-    (("entry",), ("close_round",), ROUND_REF, ROUND_COUNTS),
     (("mix",), ("open_round", "round_public_key"), ROUND_REF, ROUND_KEY_REPLY),
     (("mix",), ("close_round",), ROUND_REF, None),
     (("mix",), ("process_batch",), PROCESS_BATCH_REQUEST, PROCESS_BATCH_RESPONSE),
@@ -235,96 +217,15 @@ def download_wave(
 # --------------------------------------------------------------------------- #
 # Stubs
 # --------------------------------------------------------------------------- #
-class EntryStub:
-    """Fronts the entry server for the round coordinator and for clients."""
-
-    def __init__(
-        self, transport: Transport, endpoint: str = "entry", src: str = "coordinator", ibe=None
-    ) -> None:
-        self.transport = transport
-        self.endpoint = endpoint
-        self.src = src
-        #: Decodes an add-friend announcement's PKG master public keys.
-        self.ibe = ibe
-
-    def announce_round(
-        self,
-        protocol: str,
-        round_number: int,
-        mailbox_count: int,
-        request_body_length: int,
-    ):
-        from repro.cluster.directory import ShardDirectory
-        from repro.entry.server import RoundAnnouncement
-
-        request = ANNOUNCE_REQUEST.encode(protocol, round_number, mailbox_count, request_body_length)
-        result = self.transport.call(self.src, self.endpoint, "announce_round", request)
-        final_mailbox_count, body_length, mix_publics, directory, pkg_publics = decode_reply(
-            ANNOUNCE_RESPONSE.decode, result.payload
-        )
-        return RoundAnnouncement(
-            protocol=protocol,
-            round_number=round_number,
-            mix_public_keys=mix_publics,
-            pkg_public_keys=[
-                decode_reply(self.ibe.master_public_from_bytes, key) for key in pkg_publics
-            ],
-            mailbox_count=final_mailbox_count,
-            request_body_length=body_length,
-            shard_directory=directory and ShardDirectory.from_fields(directory),
-        )
-
-    def submit_many(
-        self,
-        protocol: str,
-        round_number: int,
-        entries: list[tuple[str, bytes, float | None]],
-    ) -> list[BatchCallOutcome]:
-        """One submit wave: ``(client_id, envelope, start_time)`` per entry.
-
-        Each entry's ``start_time`` is when that client logically begins
-        (e.g. when its key extraction finished).
-        """
-        calls = [
-            BatchCall(
-                src=client_id,
-                dst=self.endpoint,
-                method="submit",
-                payload=SUBMIT_REQUEST.encode(protocol, round_number, client_id, envelope),
-                start=start,
-            )
-            for client_id, envelope, start in entries
-        ]
-        return self.transport.call_batch(calls)
-
-    def flush_submissions(self, protocol: str, round_number: int) -> list[tuple[str, str]]:
-        """The end-of-stage drain: ``(client_id, reason)`` per late reject.
-
-        The entry server's in-process front answers every submission itself,
-        so there is nothing buffered and no RPC; with a sharded front,
-        :meth:`~repro.entry.server.EntryServer.flush_submissions` drains the
-        ingress proxies here.
-        """
-        return []
-
-    def submissions(self, protocol: str, round_number: int) -> int:
-        result = self.transport.call(
-            self.src, self.endpoint, "submissions", ROUND_REF.encode(protocol, round_number)
-        )
-        return decode_reply(COUNT_REPLY.decode, result.payload)[0]
-
-    def close_round(self, protocol: str, round_number: int) -> RoundCounts:
-        """Mix the round; the entry server publishes the mailboxes itself."""
-        result = self.transport.call(
-            self.src, self.endpoint, "close_round", ROUND_REF.encode(protocol, round_number)
-        )
-        return RoundCounts(*decode_reply(ROUND_COUNTS.decode, result.payload))
+#: Where every round-control RPC leaves from: the coordinator's process, which
+#: runs the entry server, the mix-chain driver and the PKG commit-reveal.
+CONTROL_SRC = "coordinator"
 
 
 class MixStub:
     """Fronts one mix server for the chain driver (the entry server)."""
 
-    def __init__(self, transport: Transport, name: str, src: str = "entry") -> None:
+    def __init__(self, transport: Transport, name: str, src: str = CONTROL_SRC) -> None:
         self.transport = transport
         self.name = name
         self.src = src
@@ -371,28 +272,18 @@ class PkgStub:
 
     Registration and extraction calls originate from the client whose email
     appears in the request; round-lifecycle calls originate from
-    ``control_src`` -- the entry server, which runs the commit-reveal
-    coordinator: ``entry`` by default, the coordinator process when the
-    entry server runs there over a sharded front.  The ``ibe`` backend reference, the
-    ``attestation`` scheme and the long-term ``bls_public_key`` mirror what a
-    real client ships with in its configuration.
+    :data:`CONTROL_SRC`, where the entry server runs the commit-reveal
+    coordinator.  The ``ibe`` backend reference, the ``attestation`` scheme
+    and the long-term ``bls_public_key`` mirror what a real client ships with
+    in its configuration.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        name: str,
-        ibe,
-        attestation,
-        bls_public_key,
-        control_src: str = "entry",
-    ) -> None:
+    def __init__(self, transport: Transport, name: str, ibe, attestation, bls_public_key) -> None:
         self.transport = transport
         self.name = name
         self.ibe = ibe
         self.attestation = attestation
         self._bls_public_key = bls_public_key
-        self.control_src = control_src
 
     @property
     def bls_public_key(self):
@@ -442,10 +333,10 @@ class PkgStub:
 
         return decode_reply(decode, payload)
 
-    # -- round lifecycle (src = the control plane, see ``control_src``) ----
+    # -- round lifecycle (src = the control plane, :data:`CONTROL_SRC`) ----
     def _round_call(self, method: str, round_number: int) -> bytes:
         return self.transport.call(
-            self.control_src, self.name, method, PKG_ROUND_REF.encode(round_number)
+            CONTROL_SRC, self.name, method, PKG_ROUND_REF.encode(round_number)
         ).payload
 
     def _master_public(self, method: str, round_number: int):
@@ -476,7 +367,7 @@ class CdnStub:
             mailboxes.protocol, mailboxes.round_number, mailboxes.mailbox_count,
             list(mailboxes.blobs().items()),
         )
-        self.transport.call("entry", self.endpoint, "publish", request)
+        self.transport.call(CONTROL_SRC, self.endpoint, "publish", request)
 
     def download_many(
         self, protocol: str, round_number: int, items: list[tuple[int, str]]

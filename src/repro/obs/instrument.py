@@ -44,6 +44,7 @@ from repro.crypto.engine import (
     SecretItem,
     set_active_backend,
 )
+from repro.net.rpc import CONTROL_SRC
 from repro.net.simulated import SimulatedNetwork
 from repro.obs.trace import (
     CATEGORY_CLUSTER,
@@ -140,7 +141,7 @@ def _span_shard_wave(tracer: Tracer, entry, wave: str) -> None:
         with tracer.span(
             f"shard.{wave}",
             category=CATEGORY_CLUSTER,
-            track=entry.src,
+            track=CONTROL_SRC,
             protocol=protocol,
             round=round_number,
             shards=entry.shard_count,
@@ -187,7 +188,7 @@ _STAGE_ARGS: dict[str, tuple[Callable, Callable]] = {
     ),
     "mix": (
         lambda pending: {},
-        lambda pending, mixed: {"aborted": True} if mixed is None else {"submissions": mixed[0]},
+        lambda pending, mixed: {"aborted": True} if mixed is None else {"submissions": mixed.submitted},
     ),
     "scan": (
         lambda pending: {"clients": len(pending.participated)},

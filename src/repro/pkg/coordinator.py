@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import hmac_sha256
-from repro.errors import NetworkError, ProtocolError, RoundError
+from repro.errors import NetworkError, ProtocolError
 from repro.pkg.server import PkgServer
 from repro.utils.rng import random_bytes
 
@@ -30,8 +30,7 @@ class RoundMasterKeys:
     round_number: int
     public_keys: list
     commitments: list[bytes]
-    #: ``public_keys`` in their wire encoding (what the commitments bind).
-    encoded_public_keys: list[bytes]
+
 
 @dataclass
 class PkgCoordinator:
@@ -78,15 +77,9 @@ class PkgCoordinator:
             round_number=round_number,
             public_keys=publics,
             commitments=commitments,
-            encoded_public_keys=encoded_publics,
         )
         self._rounds[round_number] = keys
         return keys
-
-    def round_keys(self, round_number: int) -> RoundMasterKeys:
-        if round_number not in self._rounds:
-            raise RoundError(f"round {round_number} has not been opened")
-        return self._rounds[round_number]
 
     def close_round(self, round_number: int) -> None:
         """Ask every PKG to erase the round's master secret.

@@ -588,10 +588,10 @@ class Scenario:
 
     # -- construction ------------------------------------------------------
     def server_endpoints(self) -> list[str]:
-        # "coordinator" is the round driver, which runs in the entry
-        # server's process: its control RPCs ride the server mesh, not a
-        # client WAN link (otherwise every round's measured latency would
-        # carry phantom announce/close round-trips).
+        # "coordinator" is the round driver's process, where the entry
+        # server runs at every shard count: every control RPC to a mix, a
+        # PKG, a shard or the CDN leaves from it (rpc.CONTROL_SRC) and rides
+        # the server mesh, not a client WAN link.
         config = self.spec.config
         front = front_endpoints(config.entry_shards)
         return (

@@ -129,7 +129,7 @@ class TestBytesAreMeasured:
         assert dict(stats.bytes_by_method) == dict(expected)
         assert stats.bytes_sent == sum(expected.values())
         assert {
-            "announce_round", "extract", "submit", "submissions", "close_round",
+            "extract", "submit", "close_round",
             "process_batch", "publish", "download", "open_round",
         } <= set(expected)
 
@@ -167,13 +167,6 @@ class TestMailboxesCrossOnce:
         assert busy_close_bytes == close_bytes
         dialing, (publishes, _close_bytes, _publish_bytes) = self.run_round(deployment, "dialing")
         assert publishes == 2 and type(dialing.mix_result) is RoundCounts
-
-    def test_the_close_reply_is_the_fixed_layout(self):
-        deployment = make_deployment(DirectTransport())
-        counts = deployment.run_dialing_round().mix_result
-        servers = deployment.config.num_mix_servers
-        encoded = rpc.ROUND_COUNTS.encode(*dataclasses.astuple(counts))
-        assert len(encoded) == 5 * 4 + 4 * (1 + servers) + 4 * (1 + MAILBOXES)
 
     def test_sharded_tier_publishes_once_per_cdn_shard(self):
         deployment = make_deployment(DirectTransport(), entry_shards=2)
@@ -282,9 +275,9 @@ class TestOneBadReplyFailsOneCaller:
 
     def test_undecodable_control_reply_is_a_network_error(self):
         transport = DirectTransport()
-        transport.register("entry", lambda request: RpcResult(payload=b"\x00\x01"))
+        transport.register("mix0", lambda request: RpcResult(payload=b"\x00\x01"))
         with pytest.raises(NetworkError, match="undecodable reply"):
-            rpc.EntryStub(transport).close_round("dialing", 1)
+            rpc.MixStub(transport, "mix0").open_round("dialing", 1)
 
 
 # --------------------------------------------------------------------------- #

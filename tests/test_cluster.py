@@ -102,15 +102,6 @@ class TestShardDirectory:
         encoded = rpc.SHARD_DIRECTORY.encode(*directory.to_fields())
         assert ShardDirectory.from_fields(rpc.SHARD_DIRECTORY.decode(encoded)) == directory
 
-    def test_announce_response_carries_the_directory(self):
-        directory = ShardDirectory.build("add-friend", 2, 8, 2)
-        payload = rpc.ANNOUNCE_RESPONSE.encode(8, 640, [b"mixkey"], directory.to_fields(), [])
-        count, body, mix, decoded, _pkg_keys = rpc.ANNOUNCE_RESPONSE.decode(payload)
-        assert (mix, count, body) == ([b"mixkey"], 8, 640)
-        assert ShardDirectory.from_fields(decoded) == directory
-        # And the single-server form still decodes with no directory.
-        payload = rpc.ANNOUNCE_RESPONSE.encode(4, 32, [b"mixkey"], None, [])
-        assert rpc.ANNOUNCE_RESPONSE.decode(payload)[3] is None
 
 
 class TestZipfMailboxWorkload:
@@ -546,13 +537,11 @@ class TestDialingRedial:
         return deployment
 
     def abort_next_round(self, deployment):
-        original = deployment.entry_stub.close_round
-
         def lost_control(protocol, round_number):
-            deployment.entry_stub.close_round = original
+            del deployment.entry.close_round
             raise NetworkError("control plane died")
 
-        deployment.entry_stub.close_round = lost_control
+        deployment.entry.close_round = lost_control
 
     def drive_until_keywheel_live(self, deployment):
         # The keywheel anchors a couple of dialing rounds ahead; burn cover

@@ -231,11 +231,6 @@ class TestPkgCoordinator:
         # Reopening returns the same keys.
         assert coordinator.open_round(1) is keys
 
-    def test_round_keys_requires_open_round(self, network):
-        coordinator = PkgCoordinator([make_pkg(network)])
-        with pytest.raises(RoundError):
-            coordinator.round_keys(9)
-
     def test_close_round_erases_all_masters(self, network):
         pkgs = [make_pkg(network, f"pkg{i}") for i in range(2)]
         coordinator = PkgCoordinator(pkgs)

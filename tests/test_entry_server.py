@@ -18,7 +18,7 @@ from repro.errors import NetworkError, RoundError
 from repro.mixnet.chain import MixChain
 from repro.mixnet.noise import NoiseConfig
 from repro.mixnet.server import MixServer
-from repro.net import DirectTransport, EntryStub, rpc
+from repro.net import DirectTransport, rpc
 from repro.utils.rng import DeterministicRng
 
 #: Mailboxes per test round: enough that both shards of the sharded front own some.
@@ -30,24 +30,29 @@ def make_chain() -> MixChain:
     return MixChain(servers, noise_config=NoiseConfig(0, 0, 0, 0))
 
 
-def make_entry() -> EntryServer:
-    return EntryServer(make_chain())
+def make_networked_entry() -> EntryServer:
+    """A one-shard entry server bound to its ``entry`` endpoint, as the
+    deployment binds it: clients submit over the transport."""
+    entry = EntryServer(make_chain(), transport=DirectTransport())
+    entry.transport.register("entry", entry.handle_rpc)
+    return entry
 
 
 class InProcessFront:
     """The one-shard front: the entry server answers each submission itself."""
 
     def __init__(self) -> None:
-        self.entry = make_entry()
-        self.stub = EntryStub(DirectTransport())
-        self.stub.transport.register("entry", self.entry.handle_rpc)
+        self.entry = make_networked_entry()
 
     def submit(self, round_number: int, client_id: str, envelope: bytes) -> None:
         self.entry.submit("dialing", round_number, client_id, envelope)
 
     def submit_many(self, round_number: int, entries: list) -> list:
         """The round engine's submit wave, as framed RPCs to the server."""
-        return self.stub.submit_many("dialing", round_number, entries)
+        return self.entry.submit_many("dialing", round_number, entries)
+
+    def submissions(self, round_number: int) -> int:
+        return self.entry.submissions("dialing", round_number)
 
 
 class ShardedFront:
@@ -57,8 +62,10 @@ class ShardedFront:
     def __init__(self) -> None:
         transport = DirectTransport()
         self.entry = EntryServer(make_chain(), transport=transport, shard_count=2)
+        self.shards = []
         for index, (entry, ingress, _) in enumerate(front_endpoints(2)):
-            transport.register(entry, EntryShard(entry, index).handle_rpc)
+            self.shards.append(EntryShard(entry, index))
+            transport.register(entry, self.shards[-1].handle_rpc)
             transport.register(ingress, IngressProxy(ingress, entry, transport).handle_rpc)
 
     def submit(self, round_number: int, client_id: str, envelope: bytes) -> None:
@@ -72,6 +79,10 @@ class ShardedFront:
     def submit_many(self, round_number: int, entries: list) -> list:
         """The round engine's submit wave, routed to the shards' ingresses."""
         return self.entry.submit_many("dialing", round_number, entries)
+
+    def submissions(self, round_number: int) -> int:
+        """The envelopes wait at the shards; the entry server holds none."""
+        return sum(shard.submissions("dialing", round_number) for shard in self.shards)
 
 
 @pytest.fixture(params=[InProcessFront, ShardedFront], ids=["in-process", "2-shard"])
@@ -101,13 +112,13 @@ class TestRoundLifecycle:
         assert second is first
 
     def test_submissions_of_unknown_round_is_zero(self, front):
-        assert front.entry.submissions("dialing", 3) == 0
+        assert front.submissions(3) == 0
 
     def test_duplicate_submission_is_dropped(self, front):
         front.entry.announce_round("dialing", 1, MAILBOXES, 32)
         front.submit(1, "alice", b"first")
         front.submit(1, "alice", b"replayed")
-        assert front.entry.submissions("dialing", 1) == 1
+        assert front.submissions(1) == 1
 
     def test_unclosed_round_expires_with_the_front(self, front):
         """A round whose close or abort never arrives must not retain its
@@ -117,9 +128,9 @@ class TestRoundLifecycle:
         entry.announce_round("dialing", 1, MAILBOXES, 32)
         front.submit(1, "alice", b"envelope")
         entry.announce_round("dialing", 1 + EntryShard.RETAINED_ROUNDS, MAILBOXES, 32)
-        assert entry.submissions("dialing", 1) == 1  # still inside the horizon
+        assert front.submissions(1) == 1  # still inside the horizon
         entry.announce_round("dialing", 1 + EntryShard.RETAINED_ROUNDS + 1, MAILBOXES, 32)
-        assert entry.submissions("dialing", 1) == 0
+        assert front.submissions(1) == 0
         assert ("dialing", 1) not in entry._announcements
         with pytest.raises(RoundError):
             entry.close_round("dialing", 1)
@@ -134,33 +145,27 @@ class TestRoundLifecycle:
 class TestEntryOverTransport:
     """The same branches exercised through framed RPCs."""
 
-    def make_networked_entry(self):
-        entry = make_entry()
-        transport = DirectTransport()
-        transport.register("entry", entry.handle_rpc)
-        return entry, EntryStub(transport)
-
     @staticmethod
-    def submit(stub, client_id: str, envelope: bytes) -> None:
+    def submit(entry, client_id: str, envelope: bytes) -> None:
         """One framed ``submit`` RPC."""
         payload = rpc.SUBMIT_REQUEST.encode("dialing", 1, client_id, envelope)
-        stub.transport.call(client_id, stub.endpoint, "submit", payload)
+        entry.transport.call(client_id, "entry", "submit", payload)
 
     def test_submit_and_count_over_rpc(self):
-        entry, stub = self.make_networked_entry()
+        entry = make_networked_entry()
         entry.announce_round("dialing", 1, 1, 32)
-        self.submit(stub, "alice@example.org", b"\x01" * 64)
-        assert stub.submissions("dialing", 1) == 1
+        self.submit(entry, "alice@example.org", b"\x01" * 64)
+        assert entry.submissions("dialing", 1) == 1
 
     def test_duplicate_over_rpc_is_dropped(self):
         """A replayed frame is dropped silently: the first envelope stands."""
-        entry, stub = self.make_networked_entry()
+        entry = make_networked_entry()
         entry.announce_round("dialing", 1, 1, 32)
-        self.submit(stub, "alice@example.org", b"\x01" * 64)
-        self.submit(stub, "alice@example.org", b"\x02" * 64)
-        assert stub.submissions("dialing", 1) == 1
+        self.submit(entry, "alice@example.org", b"\x01" * 64)
+        self.submit(entry, "alice@example.org", b"\x02" * 64)
+        assert entry.submissions("dialing", 1) == 1
 
     def test_unknown_method_raises_network_error(self):
-        _, stub = self.make_networked_entry()
+        entry = make_networked_entry()
         with pytest.raises(NetworkError):
-            stub.transport.call("x", "entry", "no_such_method")
+            entry.transport.call("x", "entry", "no_such_method")

@@ -41,17 +41,22 @@ from repro.sim import make_scenario, run_scenario
 #: submission lost its one absent-token flag byte.  With a constant ``u8`` 0
 #: put back at the end of each submission, the change gave every previous
 #: digest on both backends.
+#: Regenerated for all ten when the round driver began calling the entry
+#: server directly: the announce_round, submissions and entry close_round
+#: RPCs left the wire and every control RPC's source became ``coordinator``.
+#: On 24 seeded records (12 rows x pipelined off/on) every outcome leaf kept
+#: its value and the traffic moved by exactly those calls and the rename.
 GOLDEN_DIGESTS = {
-    "baseline": "1d9664021b698c9b9a5cc9cb8bac81718837c58f7f571941a13b3fd19eb052d1",
-    "sharded_entry": "1e51ea15339f4e004074a1b3516fc28eac29d710786ab631215f458f7da0b91c",
-    "pipelined_rounds": "8b30f368cbaa686d881f6318d43ace3a7b01fbb5ce23076e93deea68c0ff94b6",
-    "client_churn": "4ba261b89afa1a08695c7390fe25a9c5d51f1ccdd67c976fdfdb21a73e6d1754",
-    "passive_observer": "a6da81dfae256b2e02000c03e991fbabf7e0572d74756cbdd2230b8a6bf9c932",
-    "passive_observer_idle": "8cba2ce9495fb99f1ea4c60dbf9f363e3ae462100f8921bf6def9cc4eb64ed98",
-    "straggler_mix": "e8d3a735467d089865d40fc7b4eb6295156d81a7f169c18ccc41b3c71ead235b",
-    "pkg_failure": "0d075cac6706dee0f7ea8b22d3a64fcc5eea37d9f176cdb30a351f516dab23f3",
-    "flash_crowd": "16c42b9f26aeb588eb05bb9fac032c93bf1db196796c6f0c19f069deec973e05",
-    "geo_distributed": "65f76ee1f22dce6195db15053841171629a8967895b75231f2ceae84f3d78a86",
+    "baseline": "695320eb12c163a174aa2ae99fe2c170201aa3fbc63abe9a9c7979b5ca48f2c6",
+    "sharded_entry": "2df7141195ccbf9062e15824cbc32df3ec8fc6e48eb767c1b766dbd94794c9f9",
+    "pipelined_rounds": "d2dcc69dd532ad8bc3b453930c00b4bc825b2313c5a52ba3336d6a1d3e912ed4",
+    "client_churn": "2d65d866427cc9f48f9bbf6ad67787f3f5fdeaba6d36ab4e78bd071c4f0bd65a",
+    "passive_observer": "8e66c7cc44debb49f30d43625353e04154ae68b80b3f747f3d7ba968de70f670",
+    "passive_observer_idle": "2df95cf7b20a6a74ec65e4b757e969229a04fccc804e75256f00cf4a7f664050",
+    "straggler_mix": "74524c2f4f98adfa768dd96728579a5c1324eb0a513b323b3cacf5bcba5d5042",
+    "pkg_failure": "24e05bbd36e2848077a69c60315a421d7a85acd02f47c8b75c851983414ec10c",
+    "flash_crowd": "c5717d18de9f435f6adc41f22471682e37788402dd6351f09166f18bf37ad9ff",
+    "geo_distributed": "49f6b71d55c433dbff8768ec5da870bcf4f9e8a47b050045b8ecd659288eb476",
 }
 
 

@@ -32,6 +32,21 @@ from repro.mixnet.server import INNER_PAYLOAD, MixServer, encode_inner_payload
 from repro.utils.rng import DeterministicRng
 
 
+class DroppingMix(MixServer):
+    """A faulty mix server: drops each envelope it would forward with
+    probability ``drop_fraction``, and counts the drops in its stats."""
+
+    def __init__(self, name: str, drop_fraction: float, **kwargs) -> None:
+        super().__init__(name, **kwargs)
+        self.drop_fraction = drop_fraction
+
+    def process_batch(self, *args, **kwargs) -> list[bytes]:
+        batch = super().process_batch(*args, **kwargs)
+        kept = [item for item in batch if self.rng.uniform() >= self.drop_fraction]
+        self.last_stats.dropped += len(batch) - len(kept)
+        return kept
+
+
 def make_chain(num_servers: int = 3, noise: NoiseConfig | None = None, seed: str = "chain") -> MixChain:
     servers = [
         MixServer(f"mix{i}", rng=DeterministicRng(f"{seed}-{i}")) for i in range(num_servers)
@@ -217,15 +232,6 @@ class TestMixServer:
         mailboxes = {INNER_PAYLOAD.decode(payload)[0] for payload in out}
         assert mailboxes == {0, 1, 2, 3}
 
-    def test_drop_all_noise_switch(self):
-        server = MixServer("mix0", rng=DeterministicRng("x"))
-        server.drop_all_noise = True
-        server.open_round("add-friend", 1)
-        out = server.process_batch(
-            1, "add-friend", [], [], 2, NoiseConfig(10, 0, 10, 0), 16
-        )
-        assert out == []
-
 
 class TestMixChain:
     def _submit_round(self, chain, round_number, payloads, mailbox_count, protocol="add-friend", body_len=64):
@@ -307,8 +313,11 @@ class TestMixChain:
         assert received != [bytes([i]) * 8 for i in range(30)]
 
     def test_faulty_server_dropping_requests_is_detected_in_stats(self):
-        chain = make_chain(2, noise=NoiseConfig(0, 0, 0, 0))
-        chain.servers[0].drop_fraction = 1.0
+        servers = [
+            DroppingMix("mix0", drop_fraction=1.0, rng=DeterministicRng("chain-0")),
+            MixServer("mix1", rng=DeterministicRng("chain-1")),
+        ]
+        chain = MixChain(servers, noise_config=NoiseConfig(0, 0, 0, 0))
         payloads = [encode_inner_payload(0, b"x" * 8) for _ in range(10)]
         result = self._submit_round(chain, 1, payloads, mailbox_count=1, body_len=8)
         assert result.delivered_real == 0

@@ -518,16 +518,18 @@ class TestDeploymentOverSimulatedNetwork:
         def lost_control(*args, **kwargs):
             raise NetworkError("control plane down")
 
-        deployment.entry_stub.close_round = lost_control
+        deployment.entry.close_round = lost_control
         with pytest.raises(NetworkError):
             deployment.run_addfriend_round()
         aborted = deployment.addfriend_round
-        assert deployment.entry.submissions("add-friend", aborted) == 0  # batch dropped
+        # The batch is dropped wherever it waited: the in-process front, or the shards.
+        fronts = deployment.entry_shard_servers or [deployment.entry.front]
+        assert all(front.submissions("add-friend", aborted) == 0 for front in fronts)
         assert all(not mix.has_round_key("add-friend", aborted) for mix in deployment.mix_servers)
         assert all(not pkg.has_master_secret(aborted) for pkg in deployment.pkgs)
         assert not alice.addfriend.has_round_keys(aborted)
         # The deployment recovers once the control path works again.
-        del deployment.entry_stub.close_round
+        del deployment.entry.close_round
         deployment.run_addfriend_round()
         deployment.run_addfriend_round()
 
@@ -544,6 +546,37 @@ class TestDeploymentOverSimulatedNetwork:
         aborted = deployment.addfriend_round
         assert all(not mix.has_round_key("add-friend", aborted) for mix in deployment.mix_servers)
         assert not deployment.pkgs[0].has_master_secret(aborted)
+
+    @pytest.mark.parametrize("entry_shards", [1, 3])
+    def test_one_control_plane_leaves_from_the_coordinator(self, entry_shards):
+        """The round driver calls the entry server in its own process at every
+        shard count: no announce or count RPC crosses the wire, and every
+        round-control frame to a mix, a PKG or the CDN leaves from
+        ``coordinator``."""
+        seen: list[tuple[str, str]] = []
+
+        class Recording(SimulatedNetwork):
+            def register(self, name, handler):
+                def recording(request):
+                    seen.append((request.src, request.method))
+                    return handler(request)
+
+                super().register(name, recording)
+
+        topo = NetworkTopology(default=LinkSpec.of(latency_ms=10, bandwidth_mbps=100))
+        config = replace(AlpenhornConfig.for_tests(backend="simulated"), entry_shards=entry_shards)
+        network = Recording(topo, seed="control/net")
+        deployment = Deployment(config, seed="control", transport=network)
+        deployment.create_clients(["alice@example.org", "bob@example.org"])
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        deployment.run_addfriend_round()
+        deployment.run_dialing_round()
+        calls = network.stats.calls_by_method
+        assert "announce_round" not in calls and "submissions" not in calls
+        control = {"open_round", "process_batch", "publish"}
+        sources = {(src, method) for src, method in seen if method in control}
+        assert {method for _src, method in sources} == control
+        assert {src for src, _method in sources} == {"coordinator"}
 
     def test_a_failed_open_broadcast_still_reaches_and_aborts_every_shard(self):
         """A fan-out is a wave: one unreachable shard fails the round, not the
@@ -570,7 +603,7 @@ class TestDeploymentOverSimulatedNetwork:
         topo.partition("coordinator", "entry0")
         del seen[:]
         with pytest.raises(PartitionError):
-            deployment.entry_stub.announce_round("add-friend", 1, 4, 64)
+            deployment.entry.announce_round("add-friend", 1, 4, 64)
         for shard in deployment.entry_shard_servers[1:]:
             assert [m for name, m in seen if name == shard.name] == ["open_round", "abort_round"]
             assert shard.submissions("add-friend", 1) == 0 and not shard._open_rounds

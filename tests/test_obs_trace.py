@@ -305,7 +305,7 @@ class TestScenarioIntegration:
         assert totals.get("crypto", 0.0) > 0.0
         assert totals.get("transport", 0.0) > 0.0
 
-    def test_round_summaries_carry_the_stage_split(self, traced_result):
+    def test_round_stats_carry_the_stage_split(self, traced_result):
         _, result = traced_result
         for stats in result.rounds:
             if stats.aborted:
