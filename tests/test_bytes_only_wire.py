@@ -11,12 +11,16 @@
 * every method of ``rpc.METHODS`` fails closed: a request with a trailing byte
   is refused by its handler, and a reply that cannot be decoded -- client wave
   or server to server -- is a ``NetworkError`` that fails its caller or aborts
-  the round, after which the next round runs clean.
+  the round, after which the next round runs clean;
+* the table is the whole dispatch: an endpoint refuses every method its rows
+  do not list, the retired entry-tier ``announce_round`` and ``submissions``
+  included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import defaultdict
 
 import pytest
@@ -300,6 +304,20 @@ SERVED = [
     for method in methods
     if kind in ENDPOINT_KINDS  # a worker's control methods take no payload and need real processes
 ]
+#: Methods the entry tier served before the round driver called the entry
+#: server in its own process; no endpoint may answer them now.
+RETIRED = ("announce_round", "submissions")
+#: Every (kind, method) pair the table does not list, over the table's
+#: server-side method names and the retired ones.
+UNSERVED = [
+    (kind, method)
+    for kind in ENDPOINT_KINDS
+    for method in sorted(
+        {method for kinds, methods, *_ in rpc.METHODS if kinds != ("worker",) for method in methods}
+        | set(RETIRED)
+    )
+    if (kind, method) not in {case[:2] for case in SERVED}
+]
 #: Replies no round path asks for: their stubs are driven directly below.
 OFF_ROUND = {("mix", "round_public_key"), ("pkg", "has_master_secret")}
 #: The one reply whose loss is not a failure: `flush` returns the rejects of a
@@ -311,6 +329,13 @@ CORRUPTIONS = {"truncated": lambda payload: payload[:-1], "garbage": lambda payl
 
 def method_ids(cases):
     return [f"{kind}-{method}".replace(" ", "_") for kind, method, *_ in cases]
+
+
+@functools.cache
+def served_deployment(sharded: bool) -> Deployment:
+    """One deployment per front, shared by the refusal cases: a refused
+    frame changes nothing it could leave behind."""
+    return make_deployment(DirectTransport(), entry_shards=2 if sharded else 1)
 
 
 class TestEveryMethodFailsClosed:
@@ -329,6 +354,17 @@ class TestEveryMethodFailsClosed:
         request_layout.decode(valid)
         with pytest.raises(SerializationError, match="trailing"):
             deployment.transport.call("coordinator", endpoint, method, valid + b"\x00")
+
+    @pytest.mark.parametrize("kind,method", UNSERVED, ids=method_ids(UNSERVED))
+    def test_a_method_the_table_does_not_give_the_endpoint_is_refused(self, kind, method):
+        """The table is the whole dispatch: an endpoint answers no method its
+        rows do not list, even with a payload well formed for one it does
+        (mix and PKG servers decode a round reference before they dispatch)."""
+        endpoint, _server, sharded = ENDPOINT_KINDS[kind]
+        layout = rpc.PKG_ROUND_REF if kind == "pkg" else rpc.ROUND_REF
+        transport = served_deployment(sharded).transport
+        with pytest.raises(NetworkError, match="has no RPC method"):
+            transport.call("coordinator", endpoint, method, vector_bytes(layout)[0])
 
     WITH_REPLY = [case for case in SERVED if case[3] is not None and case[:2] not in OFF_ROUND]
 
