@@ -45,7 +45,6 @@ from repro.mixnet.server import MixServer
 from repro.net.rpc import CdnStub, PkgStub
 from repro.net.transport import DirectTransport, Phase, Transport
 from repro.obs.instrument import instrument
-from repro.pkg.coordinator import PkgCoordinator
 from repro.pkg.server import PkgServer
 from repro.utils.rng import DeterministicRng
 
@@ -132,7 +131,6 @@ class Deployment:
             )
             for pkg in self.pkgs
         ]
-        self.pkg_coordinator = PkgCoordinator(self.pkg_stubs)
         self.mix_chain = MixChain(
             self.mix_servers,
             noise_config=self.config.noise,
@@ -140,7 +138,7 @@ class Deployment:
             server_names=[mix.name for mix in self.mix_servers],
         )
         self.entry = EntryServer(
-            self.mix_chain, self.pkg_coordinator, transport=self.transport, shard_count=shard_count
+            self.mix_chain, self.pkg_stubs, transport=self.transport, shard_count=shard_count
         )
         self.cdn: Cdn | None = None
         self.entry_shard_servers: list[EntryShard] = []

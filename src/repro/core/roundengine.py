@@ -12,9 +12,9 @@ round's participants; a single client is a wave of one.
   mailbox is lost to it (``scan_missed``);
 * :class:`RoundEngine` drives one round through its four stages, one
   method each -- **announce**, **submit** (the clients' submission wave),
-  **mix** (close the round: the mix chain runs and the mailboxes are
-  published) and **scan** (the clients' mailbox download wave + post-round
-  key erasure);
+  **mix** (close the round: the mix chain runs, the entry server erases the
+  round's server secrets and publishes the mailboxes) and **scan** (the
+  clients' mailbox download wave);
 * :meth:`RoundEngine.start_round` / :meth:`RoundEngine.finish_round` split a
   round at the stage boundary the paper's deployment overlaps: a new round's
   announce+submit can run while the previous round is still mixing and being
@@ -155,9 +155,6 @@ class ProtocolDriver:
         the round aborted after it submitted): erase or advance its round
         state exactly as a scan would have."""
         raise NotImplementedError
-
-    def after_scan(self, round_number: int) -> None:
-        """Post-round server-side cleanup once clients hold their results."""
 
     def _fast_forward(self, to_time: float) -> None:
         """Ratchet the simulated clock to ``to_time`` if it is in the future.
@@ -346,11 +343,6 @@ class AddFriendDriver(ProtocolDriver):
     def scan_missed(self, client: Client, round_number: int) -> None:
         client.addfriend.erase_round_keys(round_number)
 
-    def after_scan(self, round_number: int) -> None:
-        # The PKGs erase the round's master secrets once clients have
-        # fetched their round keys.
-        self.dep.pkg_coordinator.close_round(round_number)
-
 
 class DialingDriver(ProtocolDriver):
     """Hooks for the dialing protocol (§5)."""
@@ -457,10 +449,7 @@ class RoundEngine:
                 driver.protocol, pending.round_number, pending.mailbox_count, driver.body_length()
             )
         except NetworkError as exc:
-            # The announce may have reached the entry server even though its
-            # reply was lost; abort locally so no round secrets outlive the
-            # failure (idempotent if the round never opened).
-            self.dep.entry.abort_round(driver.protocol, pending.round_number)
+            # The entry server already aborted the round.
             pending.failure = exc
             pending.submitted_at = self.dep.clock
 
@@ -535,11 +524,9 @@ class RoundEngine:
             return self.dep.entry.close_round(driver.protocol, round_number)
         except NetworkError:
             # The round's control plane failed (a shard, a mix or the CDN
-            # unreachable).  Tear the round down so envelopes and round
-            # secrets are erased, then let the failure surface.  This
+            # unreachable) and the entry server tore the round down.  This
             # round's requests are lost, like any mixnet round that dies
-            # mid-flight.
-            self.dep.entry.abort_round(driver.protocol, round_number)
+            # mid-flight: undo what each participant holds for it.
             for client in pending.participated:
                 driver.scan_missed(client, round_number)
                 client.session._round_aborted(driver.protocol, round_number)
@@ -564,7 +551,6 @@ class RoundEngine:
                     driver.scan_missed(client, round_number)
                 elif events:
                     scan_events[client.email] = events
-        driver.after_scan(round_number)
         # Feed the sessions: handles submitted into this round are now
         # delivered, scan events may confirm them, and the retry pass
         # re-enqueues what stayed unconfirmed past the horizon -- for

@@ -12,9 +12,9 @@ fixed-size envelopes, one per client per round.
 The paper's deployment sketch scales only *where the envelopes wait*: the
 untrusted front tier, split by mailbox range (see :mod:`repro.cluster`).
 So :class:`EntryServer` runs every round's lifecycle once, at any shard
-count -- open the mix chain and the PKG commit-reveal, build the round's
-:class:`~repro.cluster.directory.ShardDirectory`, collect, mix once,
-publish, erase -- and only its *front* changes: one in-process
+count -- open the mix chain and the PKGs, build the round's
+:class:`~repro.cluster.directory.ShardDirectory`, collect, mix once, erase,
+publish -- and only its *front* changes: one in-process
 :class:`~repro.cluster.shard.EntryShard` owning all of ``[0, K)``, or N
 ``entry{i}``/``ingress{i}``/``cdn{i}`` shard endpoints reached in waves.
 
@@ -24,6 +24,11 @@ the driver calls :meth:`EntryServer.announce_round`, :meth:`~EntryServer.submit_
 directly, and every control RPC the server issues leaves from
 :data:`~repro.net.rpc.CONTROL_SRC`.  Its one transport method is ``submit``,
 a client's envelope into the one-shard front.
+
+The server owns every round secret (§4.4): it opens the mixes' round keys and
+the PKGs' master keys at announce and erases both together, once, when the
+round closes or aborts -- each mix and each PKG gets exactly one
+``close_round`` per round on every path.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from repro.net.transport import (
     Transport,
     raise_first_error,
 )
-from repro.pkg.coordinator import PkgCoordinator
 
 
 @dataclass
@@ -79,7 +83,7 @@ class EntryServer:
     def __init__(
         self,
         mix_chain: MixChain,
-        pkg_coordinator: PkgCoordinator | None = None,
+        pkgs=(),
         cdn=None,
         transport: Transport | None = None,
         shard_count: int = 1,
@@ -87,7 +91,9 @@ class EntryServer:
         if shard_count < 1:
             raise ValueError("need at least one shard")
         self.mix_chain = mix_chain
-        self.pkg_coordinator = pkg_coordinator
+        #: The PKGs (:class:`~repro.net.rpc.PkgStub` or
+        #: :class:`~repro.pkg.server.PkgServer`) each add-friend round opens.
+        self.pkgs = list(pkgs)
         #: Where :meth:`close_round` publishes the round's mailboxes (a
         #: :class:`~repro.net.rpc.CdnStub` or a
         #: :class:`~repro.cluster.shard.ShardedCdnStub`): whoever ran the mix
@@ -192,8 +198,8 @@ class EntryServer:
         pkg_publics: list = []
         try:
             mix_publics = self.mix_chain.open_round(protocol, round_number)
-            if protocol == "add-friend" and self.pkg_coordinator is not None:
-                pkg_publics = list(self.pkg_coordinator.open_round(round_number).public_keys)
+            if protocol == "add-friend":
+                pkg_publics = [pkg.open_round(round_number) for pkg in self.pkgs]
             directory = ShardDirectory.build(protocol, round_number, mailbox_count, self.shard_count)
             # Registered *before* the front opens: if a shard cannot be
             # told, abort_round needs the directory to reach the shards
@@ -229,9 +235,14 @@ class EntryServer:
     def abort_round(self, protocol: str, round_number: int) -> None:
         """Tear down a round that cannot complete: drop its envelopes on
         every shard and erase every server-side round secret.  Idempotent;
-        used by the deployment operator when the round's control plane fails
-        mid-flight, so a stuck round can never retain envelopes or keys
+        :meth:`announce_round` and :meth:`close_round` call it on their own
+        failures, so a stuck round can never retain envelopes or keys
         indefinitely."""
+        self._abort_front(protocol, round_number)
+        self._erase_secrets(protocol, round_number)
+
+    def _abort_front(self, protocol: str, round_number: int) -> None:
+        """Drop the round's envelopes wherever they wait."""
         key = (protocol, round_number)
         self._announcements.pop(key, None)
         directory = self._directories.pop(key, None)
@@ -249,9 +260,21 @@ class EntryServer:
                 # Unreachable shards expire the round on later activity.
                 if outcome.error is not None and not isinstance(outcome.error, NetworkError):
                     raise outcome.error
+
+    def _erase_secrets(self, protocol: str, round_number: int) -> None:
+        """Forward secrecy (§4.4): erase the round's mix keys and, for an
+        add-friend round, the PKG master secrets.  Best-effort over the
+        network: an unreachable server (the very partition that may have
+        aborted the round) keeps its secret until it heals; the reachable
+        ones still erase theirs."""
         self.mix_chain.close_round(protocol, round_number)
-        if protocol == "add-friend" and self.pkg_coordinator is not None:
-            self.pkg_coordinator.close_round(round_number)
+        if protocol != "add-friend":
+            return
+        for pkg in self.pkgs:
+            try:
+                pkg.close_round(round_number)
+            except NetworkError:
+                continue
 
     # -- request submission ---------------------------------------------------
     def submit(
@@ -329,28 +352,38 @@ class EntryServer:
         announcement = self._announcements.get(key)
         if announcement is None:
             raise RoundError(f"{protocol} round {round_number} is not open")
-        if self.front is not None:
-            per_shard = [self.front.collect_round(protocol, round_number)]
-        else:
-            per_shard = self.collect(protocol, round_number, self._directories[key])
-        self.load_by_round[key] = [len(envelopes) for envelopes in per_shard]
-
-        self._announcements.pop(key)
-        result = self.mix_chain.run_round(
-            round_number=round_number,
-            protocol=protocol,
-            # Shard order, arrival order within a shard.
-            envelopes=[envelope for envelopes in per_shard for envelope in envelopes],
-            mailbox_count=announcement.mailbox_count,
-            payload_body_length=announcement.request_body_length,
-        )
-        # Forward secrecy: the mixnet round keys are erased as soon as the
-        # batch has been processed; PKG master secrets are erased by the
-        # deployment once clients have fetched their round keys.
-        self.mix_chain.close_round(protocol, round_number)
+        try:
+            if self.front is not None:
+                per_shard = [self.front.collect_round(protocol, round_number)]
+            else:
+                per_shard = self.collect(protocol, round_number, self._directories[key])
+            self.load_by_round[key] = [len(envelopes) for envelopes in per_shard]
+            self._announcements.pop(key)
+            result = self.mix_chain.run_round(
+                round_number=round_number,
+                protocol=protocol,
+                # Shard order, arrival order within a shard.
+                envelopes=[envelope for envelopes in per_shard for envelope in envelopes],
+                mailbox_count=announcement.mailbox_count,
+                payload_body_length=announcement.request_body_length,
+            )
+        except Exception:
+            # A shard or a mix failed mid-round: tear the round down, its
+            # secrets with it, and let the failure surface.
+            self.abort_round(protocol, round_number)
+            raise
+        # Forward secrecy: every extraction finished in the submit stage and
+        # the batch has been processed, so the round's mix keys and PKG master
+        # secrets go now, before anything is published.
+        self._erase_secrets(protocol, round_number)
         if self.cdn is None:
             return result
-        self.cdn.publish(result.mailboxes)
+        try:
+            self.cdn.publish(result.mailboxes)
+        except Exception:
+            # The secrets are already gone; only the front is left to drop.
+            self._abort_front(protocol, round_number)
+            raise
         return result.counts()
 
     # -- benchmarking ---------------------------------------------------------

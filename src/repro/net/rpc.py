@@ -218,7 +218,7 @@ def download_wave(
 # Stubs
 # --------------------------------------------------------------------------- #
 #: Where every round-control RPC leaves from: the coordinator's process, which
-#: runs the entry server, the mix-chain driver and the PKG commit-reveal.
+#: runs the entry server, the mix-chain driver and the PKGs' round lifecycle.
 CONTROL_SRC = "coordinator"
 
 
@@ -268,12 +268,12 @@ class MixStub:
 
 
 class PkgStub:
-    """Fronts one PKG server for clients and for the PKG coordinator.
+    """Fronts one PKG server for clients and for the entry server.
 
     Registration and extraction calls originate from the client whose email
     appears in the request; round-lifecycle calls originate from
-    :data:`CONTROL_SRC`, where the entry server runs the commit-reveal
-    coordinator.  The ``ibe`` backend reference, the ``attestation`` scheme
+    :data:`CONTROL_SRC`, where the entry server opens and closes each
+    round.  The ``ibe`` backend reference, the ``attestation`` scheme
     and the long-term ``bls_public_key`` mirror what a real client ships with
     in its configuration.
     """

@@ -13,13 +13,14 @@ The PKGs are one of Alpenhorn's two sets of servers (§3.1).  Each PKG:
   controls the email account from taking over an Alpenhorn account (§4.6,
   §9).
 
-The commit-reveal coordination of per-round master public keys (Appendix A)
-lives in :mod:`repro.pkg.coordinator`.
+The entry server opens and closes every PKG's round
+(:class:`~repro.entry.server.EntryServer`).  Appendix A's commit-reveal of
+the per-round master public keys is not modelled: each PKG publishes its key
+directly.
 """
 
 from repro.pkg.server import PkgServer, ExtractionResponse, pkg_statement
 from repro.pkg.registration import RegistrationManager, AccountRecord
-from repro.pkg.coordinator import PkgCoordinator, RoundMasterKeys
 
 __all__ = [
     "PkgServer",
@@ -27,6 +28,4 @@ __all__ = [
     "pkg_statement",
     "RegistrationManager",
     "AccountRecord",
-    "PkgCoordinator",
-    "RoundMasterKeys",
 ]

@@ -2,9 +2,9 @@
 
 * bytes are measured: on every transport a method's ``bytes_by_method`` is the
   sum of its requests' and replies' payload lengths plus frame headers;
-* mailboxes cross the wire once per round (entry -> CDN), and the
-  ``close_round`` reply is round statistics whose size does not depend on what
-  the mailboxes hold;
+* mailboxes cross the wire once per round (entry -> CDN), and no
+  ``close_round`` reply -- a mix's or a PKG's control frame, an entry shard's
+  envelope batch -- grows with what the mailboxes hold;
 * a reply a client cannot decode -- garbage from the CDN, a truncated PKG
   reply, a Bloom filter declaring 2**32 - 1 hashes -- fails that client's
   stage and nobody else's;
@@ -153,7 +153,10 @@ class TestMailboxesCrossOnce:
         after = [getattr(stats, table)[method] for table, method in self.COUNTERS]
         return summary, [b - a for a, b in zip(before, after)]
 
-    def test_one_publish_per_round_and_a_close_reply_blind_to_contents(self):
+    def test_one_publish_per_round_and_close_round_frames_of_fixed_size(self):
+        """At one shard the only ``close_round`` frames are the mixes' and
+        PKGs' fixed-size control frames: the round's counts never cross the
+        wire."""
         deployment = make_deployment(DirectTransport())
         quiet, (publishes, close_bytes, publish_bytes) = self.run_round(deployment, "add-friend")
         assert publishes == 2  # one request, one acknowledgement
@@ -173,12 +176,43 @@ class TestMailboxesCrossOnce:
         assert publishes == 2 and type(dialing.mix_result) is RoundCounts
 
     def test_sharded_tier_publishes_once_per_cdn_shard(self):
-        deployment = make_deployment(DirectTransport(), entry_shards=2)
+        """The shards' ``close_round`` reply is their envelope batch
+        (``ENVELOPE_BATCH``): with the same participants a busy add-friend
+        round's replies are exactly as large as a quiet one's."""
+        transport = DirectTransport()
+        replies: list[tuple[str, int]] = []
+        register = transport.register
+
+        def recording_register(name, handler):
+            def recorded(request):
+                result = normalize_response(handler(request))
+                if request.method == "close_round" and name.startswith("entry"):
+                    replies.append((name, len(result.payload)))
+                return result
+
+            register(name, recorded)
+
+        transport.register = recording_register
+        deployment = make_deployment(transport, entry_shards=2)
         stats = deployment.transport.stats
         summary = deployment.run_dialing_round()
         assert stats.calls_by_method["publish"] == 2 * 2
         assert type(summary.mix_result) is RoundCounts
         assert "close_round" in stats.bytes_by_method  # the shards' collect, not mailboxes
+        replies.clear()
+        quiet, (_publishes, _close_bytes, quiet_publish_bytes) = self.run_round(
+            deployment, "add-friend"
+        )
+        quiet_replies = list(replies)
+        replies.clear()
+        busy, (_publishes, _close_bytes, busy_publish_bytes) = self.run_round(
+            deployment, "add-friend", friend_requests=4
+        )
+        assert busy.participants == quiet.participants == len(EMAILS)
+        assert busy.mix_result.delivered_real > quiet.mix_result.delivered_real
+        assert busy_publish_bytes > quiet_publish_bytes
+        assert sorted(name for name, _size in quiet_replies) == ["entry0", "entry1"]
+        assert replies == quiet_replies
 
     def test_the_coordinator_builds_no_mailbox_set(self):
         """Mailboxes reach the coordinator's process only as downloads."""

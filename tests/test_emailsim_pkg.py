@@ -1,5 +1,5 @@
 """Tests for the email substrate and PKG servers (registration, extraction,
-lockout, round lifecycle, commit-reveal coordination)."""
+lockout, round lifecycle, the entry server's PKG rounds)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from repro.crypto import bls, ed25519
 from repro.crypto.ibe import BonehFranklinIbe, SimulatedIbe
 from repro.emailsim.provider import EmailNetwork, EmailProvider
 from repro.emailsim.provider import EmailDeliveryError
-from repro.errors import ExtractionError, LockoutError, ProtocolError, RegistrationError, RoundError
-from repro.pkg.coordinator import PkgCoordinator
+from repro.errors import ExtractionError, LockoutError, RegistrationError, RoundError
 from repro.pkg.registration import LOCKOUT_SECONDS, RegistrationManager
 from repro.pkg.server import PkgServer, extraction_request_statement, pkg_statement
 
@@ -221,26 +220,34 @@ class TestPkgServer:
         assert pkg.extractions_served == 2
 
 
-class TestPkgCoordinator:
-    def test_commit_reveal_produces_keys_for_all_pkgs(self, network):
+class TestPkgRounds:
+    """The entry server opens and closes every PKG's round."""
+
+    def make_entry(self, pkgs):
+        from repro.entry.server import EntryServer
+        from repro.mixnet.chain import MixChain
+        from repro.mixnet.noise import NoiseConfig
+        from repro.mixnet.server import MixServer
+
+        servers = [MixServer(f"mix{i}") for i in range(2)]
+        return EntryServer(MixChain(servers, noise_config=NoiseConfig(0, 0, 0, 0)), pkgs)
+
+    def test_announce_opens_every_pkg(self, network):
         pkgs = [make_pkg(network, f"pkg{i}") for i in range(3)]
-        coordinator = PkgCoordinator(pkgs)
-        keys = coordinator.open_round(1)
-        assert len(keys.public_keys) == 3
-        assert len(keys.commitments) == 3
+        entry = self.make_entry(pkgs)
+        announcement = entry.announce_round("add-friend", 1, 1, 64)
+        assert len(announcement.pkg_public_keys) == 3
+        assert all(pkg.has_master_secret(1) for pkg in pkgs)
         # Reopening returns the same keys.
-        assert coordinator.open_round(1) is keys
+        assert entry.announce_round("add-friend", 1, 1, 64) is announcement
 
-    def test_close_round_erases_all_masters(self, network):
+    @pytest.mark.parametrize("end", ["close_round", "abort_round"])
+    def test_close_round_erases_all_masters(self, network, end):
         pkgs = [make_pkg(network, f"pkg{i}") for i in range(2)]
-        coordinator = PkgCoordinator(pkgs)
-        coordinator.open_round(2)
-        coordinator.close_round(2)
+        entry = self.make_entry(pkgs)
+        entry.announce_round("add-friend", 2, 1, 64)
+        getattr(entry, end)("add-friend", 2)
         assert all(not pkg.has_master_secret(2) for pkg in pkgs)
-
-    def test_empty_coordinator_rejected(self):
-        with pytest.raises(ProtocolError):
-            PkgCoordinator([])
 
     def test_real_ibe_backend_end_to_end(self, network):
         """With the pairing backend: keys from all PKGs decrypt an Anytrust
@@ -249,11 +256,10 @@ class TestPkgCoordinator:
 
         backend = BonehFranklinIbe()
         pkgs = [make_pkg(network, f"pkg{i}", backend=backend) for i in range(2)]
-        coordinator = PkgCoordinator(pkgs)
-        keys = coordinator.open_round(1)
+        public_keys = [pkg.open_round(1) for pkg in pkgs]
 
         scheme = AnytrustIbe(backend)
-        ciphertext = scheme.encrypt(keys.public_keys, "bob@example.org", b"hi bob")
+        ciphertext = scheme.encrypt(public_keys, "bob@example.org", b"hi bob")
 
         seed, signing_pk = keypair(ed25519)
         for pkg in pkgs:

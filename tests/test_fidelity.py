@@ -46,17 +46,22 @@ from repro.sim import make_scenario, run_scenario
 #: RPCs left the wire and every control RPC's source became ``coordinator``.
 #: On 24 seeded records (12 rows x pipelined off/on) every outcome leaf kept
 #: its value and the traffic moved by exactly those calls and the rename.
+#: Regenerated for all ten when the entry server began erasing the PKG master
+#: secrets in close_round, with the mix keys: each add-friend round's PKG
+#: close_round moved from the scan stage to the mix stage (latency equal), and
+#: pkg_failure lost the duplicate close_round calls of its failed announce.
+#: On the same 24 seeded records every outcome leaf kept its value.
 GOLDEN_DIGESTS = {
-    "baseline": "695320eb12c163a174aa2ae99fe2c170201aa3fbc63abe9a9c7979b5ca48f2c6",
-    "sharded_entry": "2df7141195ccbf9062e15824cbc32df3ec8fc6e48eb767c1b766dbd94794c9f9",
-    "pipelined_rounds": "d2dcc69dd532ad8bc3b453930c00b4bc825b2313c5a52ba3336d6a1d3e912ed4",
-    "client_churn": "2d65d866427cc9f48f9bbf6ad67787f3f5fdeaba6d36ab4e78bd071c4f0bd65a",
-    "passive_observer": "8e66c7cc44debb49f30d43625353e04154ae68b80b3f747f3d7ba968de70f670",
-    "passive_observer_idle": "2df95cf7b20a6a74ec65e4b757e969229a04fccc804e75256f00cf4a7f664050",
-    "straggler_mix": "74524c2f4f98adfa768dd96728579a5c1324eb0a513b323b3cacf5bcba5d5042",
-    "pkg_failure": "24e05bbd36e2848077a69c60315a421d7a85acd02f47c8b75c851983414ec10c",
-    "flash_crowd": "c5717d18de9f435f6adc41f22471682e37788402dd6351f09166f18bf37ad9ff",
-    "geo_distributed": "49f6b71d55c433dbff8768ec5da870bcf4f9e8a47b050045b8ecd659288eb476",
+    "baseline": "04ee406291a8dd581566c0520201c7d13177e99ed8657d03e9a940f446bb84f7",
+    "sharded_entry": "be1e0d4b5e44d3ca44f0b8db70d6a69f35eb8fe9cdcee543cb26ef208112febe",
+    "pipelined_rounds": "d3b1b54c93f1c55b3d663fd6c623c6bc17f726b30d44fcb70d2bddbcd6b2a6e2",
+    "client_churn": "5eada2dd2df5c2d80e786c96b33a69c13b268505c8af14acfa9549a02ea3d887",
+    "passive_observer": "fa156528382abc4fe302c5ad052525706a42d3ab93294b90cfe2bbe0f7f58aa5",
+    "passive_observer_idle": "0355b977e1a7b05d4df6603340b7be275450e717aad64d4ae669ab8bad325a6d",
+    "straggler_mix": "39b48af271883a218d2d02c6f58aa972968fc2b6eb9a99aa1764a8e5a3db23d7",
+    "pkg_failure": "0762ac78fd95aa56220888a990025a0545e3e4055057308e4ad8670771dab2f2",
+    "flash_crowd": "22c0e6e35598e1fa962dd792b96b76889acdfe7bf8d5d82e62aff8431391583e",
+    "geo_distributed": "c4609386b67cbab280a4e0eb47f6298684931f8bbb42df2a5868b7abf4660057",
 }
 
 

@@ -505,20 +505,20 @@ class TestDeploymentOverSimulatedNetwork:
 
     @pytest.mark.parametrize("entry_shards", [1, 3])
     def test_control_plane_failure_aborts_round_and_erases_secrets(self, entry_shards):
-        """If the entry/CDN control RPCs fail after submissions, the round is
-        torn down: no retained envelopes, no live round keys anywhere -- one
-        lifecycle, whichever front holds the envelopes."""
+        """If the mix chain fails after submissions, the entry server tears
+        the round down: no retained envelopes, no live round keys anywhere --
+        one lifecycle, whichever front holds the envelopes."""
         deployment = self.make_deployment(latency_ms=10, seed="ctl-abort", entry_shards=entry_shards)
         alice = deployment.create_client("alice@example.org")
         deployment.create_client("bob@example.org")
         alice.add_friend("bob@example.org")
 
-        # Announcement and submissions succeed; the post-submission control
-        # RPC is what the network loses.
+        # Announcement and submissions succeed; the mix chain's run, inside
+        # the entry server's close_round, is what the network loses.
         def lost_control(*args, **kwargs):
             raise NetworkError("control plane down")
 
-        deployment.entry.close_round = lost_control
+        deployment.mix_chain.run_round = lost_control
         with pytest.raises(NetworkError):
             deployment.run_addfriend_round()
         aborted = deployment.addfriend_round
@@ -529,15 +529,16 @@ class TestDeploymentOverSimulatedNetwork:
         assert all(not pkg.has_master_secret(aborted) for pkg in deployment.pkgs)
         assert not alice.addfriend.has_round_keys(aborted)
         # The deployment recovers once the control path works again.
-        del deployment.entry.close_round
+        del deployment.mix_chain.run_round
         deployment.run_addfriend_round()
         deployment.run_addfriend_round()
 
     @pytest.mark.parametrize("entry_shards", [1, 3])
     def test_aborted_round_erases_partially_opened_keys(self, entry_shards):
-        """If announce fails partway (a PKG is partitioned during
-        commit-reveal), the servers that already opened the round must erase
-        its secrets -- forward secrecy holds even for rounds that never ran."""
+        """If announce fails partway (a PKG is partitioned while the entry
+        server opens the round), the servers that already opened the round
+        must erase its secrets -- forward secrecy holds even for rounds that
+        never ran."""
         deployment = self.make_deployment(latency_ms=10, seed="abort-fs", entry_shards=entry_shards)
         deployment.create_client("alice@example.org")
         deployment.transport.topology.partition_endpoint("pkg1")
@@ -546,6 +547,70 @@ class TestDeploymentOverSimulatedNetwork:
         aborted = deployment.addfriend_round
         assert all(not mix.has_round_key("add-friend", aborted) for mix in deployment.mix_servers)
         assert not deployment.pkgs[0].has_master_secret(aborted)
+
+    @pytest.mark.parametrize("entry_shards", [1, 3])
+    def test_round_secrets_are_gone_when_close_round_returns(self, entry_shards):
+        """The entry server erases the mix keys and the PKG master secrets
+        together, inside close_round: none is left for the scan stage."""
+        deployment = self.make_deployment(latency_ms=10, seed="close-erases", entry_shards=entry_shards)
+        deployment.create_clients(["alice@example.org", "bob@example.org"])
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+        close_round = deployment.entry.close_round
+        live: list[bool] = []
+
+        def checked_close(protocol, round_number):
+            counts = close_round(protocol, round_number)
+            live.extend(pkg.has_master_secret(round_number) for pkg in deployment.pkgs)
+            live.extend(mix.has_round_key(protocol, round_number) for mix in deployment.mix_servers)
+            return counts
+
+        deployment.entry.close_round = checked_close
+        summary = deployment.run_addfriend_round()
+        assert summary.failures == 0
+        assert live == [False] * (len(deployment.pkgs) + len(deployment.mix_servers))
+
+    @pytest.mark.parametrize("entry_shards", [1, 3])
+    @pytest.mark.parametrize("path", ["completed", "announce", "mix", "publish"])
+    def test_each_server_is_closed_once(self, path, entry_shards):
+        """Each mix and each reachable PKG gets exactly one close_round for an
+        add-friend round, on every path: completed, a failed announce (pkg1
+        partitioned), a failed mix chain, a failed publish."""
+        closes: dict[str, int] = {}
+
+        class Counting(SimulatedNetwork):
+            def register(self, name, handler):
+                def counting(request):
+                    if request.method == "close_round":
+                        closes[request.dst] = closes.get(request.dst, 0) + 1
+                    return handler(request)
+
+                super().register(name, counting)
+
+        topo = NetworkTopology(default=LinkSpec.of(latency_ms=10, bandwidth_mbps=100))
+        config = replace(AlpenhornConfig.for_tests(backend="simulated"), entry_shards=entry_shards)
+        deployment = Deployment(config, seed="close-once", transport=Counting(topo, seed="close-once/net"))
+        deployment.create_clients(["alice@example.org", "bob@example.org"])
+        deployment.session("alice@example.org").add_friend("bob@example.org")
+
+        def lost(*args, **kwargs):
+            raise NetworkError("lost")
+
+        if path == "announce":
+            deployment.transport.topology.partition_endpoint("pkg1")
+        elif path == "mix":
+            deployment.mix_chain.run_round = lost
+        elif path == "publish":
+            deployment.cdn_stub.publish = lost
+        if path == "completed":
+            assert deployment.run_addfriend_round().failures == 0
+        else:
+            with pytest.raises(NetworkError):
+                deployment.run_addfriend_round()
+        servers = [server.name for server in deployment.mix_servers + deployment.pkgs]
+        expected = {name: 1 for name in servers}
+        if path == "announce":
+            expected["pkg1"] = 0  # unreachable: it never opened the round
+        assert {name: closes.get(name, 0) for name in servers} == expected
 
     @pytest.mark.parametrize("entry_shards", [1, 3])
     def test_one_control_plane_leaves_from_the_coordinator(self, entry_shards):

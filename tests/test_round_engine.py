@@ -29,7 +29,6 @@ from repro.mixnet.server import MixServer
 from repro.net.links import LinkSpec, NetworkTopology
 from repro.net.simulated import SimulatedNetwork
 from repro.net.transport import DirectTransport
-from repro.pkg.coordinator import PkgCoordinator
 from repro.pkg.server import PkgServer
 from repro.sim.scenarios import run_scenario
 from repro.utils.rng import DeterministicRng
@@ -66,7 +65,7 @@ class TestCrossProtocolRoundCollision:
                 email_network=EmailNetwork(),
             )
         ]
-        return EntryServer(chain, PkgCoordinator(pkgs)), servers
+        return EntryServer(chain, pkgs), servers
 
     def test_abort_of_one_protocol_leaves_the_other_round_intact(self):
         """Both protocols have a round N open; aborting one must not erase
