@@ -11,10 +11,10 @@ envelope); everything here either fills it or renders it:
   as JSONL plus Chrome/Perfetto ``trace_event`` JSON, so a scenario round
   renders as a flame chart.
 * :mod:`repro.obs.distributed` -- the cross-process pieces for the real
-  runtimes: the trace-context trailer RPCs carry on the wire, ping-based
-  clock alignment for spawned workers, the worker telemetry payload (spans
-  and RSS), and per-endpoint runtime attribution (network / queue / handler
-  / crypto) from the spans the workers ship.
+  runtimes: the trace-context trailer RPCs carry on the wire, the handshake
+  ping that learns each ``mp`` worker's pid, the worker telemetry payload
+  (spans and RSS), and per-endpoint runtime attribution (network / queue /
+  handler / crypto) from the spans the workers ship.
 * :mod:`repro.obs.privacy` -- the (epsilon, delta) ledger the scenario driver
   feeds one row per round, the record's ``privacy`` section, and the passive
   adversary's statistic the audit reads off a finished run's rounds.
@@ -40,7 +40,6 @@ checks the record and the emitted trace (CI does both).
 from repro.obs.distributed import (
     TraceContext,
     WorkerTelemetry,
-    estimate_clock_offset,
     runtime_attribution,
 )
 from repro.obs.logging import configure_logging, configured_level, get_logger
@@ -64,7 +63,6 @@ __all__ = [
     "active_tracer",
     "configure_logging",
     "configured_level",
-    "estimate_clock_offset",
     "get_logger",
     "passive_statistic",
     "propagation_coverage",

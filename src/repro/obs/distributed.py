@@ -1,4 +1,4 @@
-"""Distributed observability: trace context, clock alignment, telemetry.
+"""Distributed observability: trace context, telemetry, attribution.
 
 The simulator's tracer (:mod:`repro.obs.trace`) is process-local; the real
 runtimes (:mod:`repro.runtime`) span OS processes.  This module holds the
@@ -9,11 +9,10 @@ pieces that bridge them, in the spirit of Dapper-style context propagation:
   side can record an ``rpc.serve`` span linked to the client's ``rpc.call``
   span.  :data:`TRACE_CONTEXT` is its layout; :mod:`repro.runtime.wire`
   declares it an optional trailer, and absent bytes decode as "no context".
-* :func:`estimate_clock_offset` — workers and the coordinator each run
-  their own ``time.perf_counter`` (arbitrary epoch per process), so worker
-  span timestamps are meaningless until shifted.  The mp transport pings
-  each worker a few times at the port-map handshake; the minimum-RTT sample
-  gives the least-skewed midpoint estimate (classic NTP-style reasoning).
+* :data:`PING_REPLY` — the one ping a worker answers at the port-map
+  handshake: its pid and RSS.  A worker's span timestamps need no shift:
+  ``time.perf_counter`` is ``CLOCK_MONOTONIC``, one clock for every
+  process on the host.
 * :class:`WorkerTelemetry` — the payload a worker's ``collect_telemetry``
   control RPC ships back: drained spans and process vitals (RSS).
 * :func:`runtime_attribution` — per-endpoint wall buckets
@@ -38,7 +37,6 @@ __all__ = [
     "TRACE_CONTEXT",
     "TraceContext",
     "WorkerTelemetry",
-    "estimate_clock_offset",
     "ping_reply",
     "rss_bytes",
     "runtime_attribution",
@@ -63,31 +61,10 @@ TRACE_CONTEXT = Message(
 
 
 # ----------------------------------------------------------------------
-# clock alignment
+# the handshake ping
 
-
-def estimate_clock_offset(samples: list[tuple[float, float, float]]) -> float:
-    """Estimate a worker's ``perf_counter`` offset from ping samples.
-
-    Each sample is ``(t0, t1, worker_t)``: coordinator clock just before the
-    ping, just after the reply, and the worker clock read while serving it.
-    Assuming symmetric network delay, the worker read maps to the midpoint
-    ``(t0 + t1) / 2`` on the coordinator clock, so the offset is
-    ``worker_t - midpoint``.  The sample with the smallest round-trip bounds
-    the asymmetry error tightest, so it wins.  Returns ``0.0`` for no
-    samples; ``worker_t - offset`` lands on the coordinator timeline.
-    """
-    best_rtt = float("inf")
-    offset = 0.0
-    for t0, t1, worker_t in samples:
-        rtt = t1 - t0
-        if 0 <= rtt < best_rtt:
-            best_rtt = rtt
-            offset = worker_t - (t0 + t1) / 2
-    return offset
-
-
-#: A worker's clock-ping reply: its clock, RSS, and pid.
+#: A worker's ping reply: its clock, RSS, and pid.  The clock stays in the
+#: layout, but the parent reads only the RSS and the pid.
 PING_REPLY = Message("ping_reply", F64("clock"), U64("rss"), U64("pid"))
 
 

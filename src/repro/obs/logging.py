@@ -33,7 +33,7 @@ def configure_logging(
 
     Returns the root ``repro`` logger.  ``level`` is a standard logging
     level name (case-insensitive).  ``process`` tags every line with a
-    ``process=<name>`` field — spawned runtime workers set it to their
+    ``process=<name>`` field — ``mp`` runtime workers set it to their
     worker label so interleaved multi-process stderr stays attributable.
     """
     global _configured_level
@@ -60,7 +60,7 @@ def configure_logging(
 
 def configured_level() -> str | None:
     """The level name :func:`configure_logging` was last called with, or
-    ``None`` — what the mp transport forwards to spawned workers so
+    ``None`` — what the mp transport forwards to its workers so
     ``--log-level`` covers every process."""
     return _configured_level
 

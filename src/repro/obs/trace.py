@@ -198,8 +198,8 @@ class Tracer:
         # crypto op name -> [calls, items, wall seconds], from crypto spans.
         self._crypto_ops: dict[str, list] = {}
         #: Spans harvested from worker processes (plain ``Span.to_dict``
-        #: dicts, wall clocks already aligned to this process's
-        #: ``time.perf_counter`` timeline) plus per-pid process labels.
+        #: dicts on the host's one ``time.perf_counter`` timeline) plus
+        #: per-pid process labels.
         self.remote_spans: list[dict[str, Any]] = []
         self.remote_processes: dict[int, dict[str, Any]] = {}
 
@@ -341,24 +341,16 @@ class Tracer:
         with self._lock:
             self.remote_processes[pid] = {"label": label, "endpoints": list(endpoints)}
 
-    def add_remote_spans(
-        self, pid: int, spans: list[dict[str, Any]], clock_offset_s: float = 0.0
-    ) -> None:
-        """Merge harvested worker spans, aligning their wall clocks.
+    def add_remote_spans(self, pid: int, spans: list[dict[str, Any]]) -> None:
+        """Merge harvested worker spans under the worker's ``pid``.
 
-        ``clock_offset_s`` is the ping-estimated offset such that
-        ``worker_perf_counter - clock_offset_s`` lands on this process's
-        ``time.perf_counter`` timeline (see
-        :func:`repro.obs.distributed.estimate_clock_offset`).
+        A worker's ``time.perf_counter`` is this process's timeline: every
+        process on the host reads the same ``CLOCK_MONOTONIC``, so the
+        spans' wall clocks go in unshifted.
         """
-        adjusted = []
-        for span in spans:
-            span = dict(span)
-            span["pid"] = pid
-            span["wall_start"] = span.get("wall_start", 0.0) - clock_offset_s
-            adjusted.append(span)
+        merged = [{**span, "pid": pid} for span in spans]
         with self._lock:
-            self.remote_spans.extend(adjusted)
+            self.remote_spans.extend(merged)
 
     # ------------------------------------------------------------------
     # attribution
@@ -488,8 +480,8 @@ class Tracer:
                 if tid is None:
                     tid = track_tids[track] = len(track_tids) + 1
                     events.append(_meta(pid, tid, "thread_name", name=track))
-                # Clamp at the coordinator epoch: a worker span can map
-                # fractionally before it only through offset-estimate error.
+                # Clamp at the coordinator epoch: a worker span lies before
+                # it only when it was recorded before this tracer existed.
                 begin_ts = max(
                     0.0, round((span.get("wall_start", 0.0) - self.wall_epoch) * 1e6, 3)
                 )
@@ -628,7 +620,7 @@ def validate_trace_events(events: Any, min_propagation: float | None = None) -> 
             problems.append(f"{where}: non-numeric ts {ts!r}")
             continue
         if ts < 0:
-            problems.append(f"{where}: negative ts {ts} (clock alignment bug)")
+            problems.append(f"{where}: negative ts {ts} (a span before the trace epoch)")
         if ts < last_ts.get(key, float("-inf")):
             problems.append(
                 f"{where}: ts {ts} goes backwards on pid/tid {key} "

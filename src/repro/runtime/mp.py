@@ -1,19 +1,25 @@
-"""Multiprocess runtime: server tiers in their own spawned processes.
+"""Multiprocess runtime: server tiers in their own worker processes.
 
 Extends :class:`~repro.runtime.transport.AsyncioTransport` with a routing
-table of endpoints served by worker processes.  Each worker is spawned (not
-forked -- the parent runs an event-loop thread), rebuilds its servers from
-plain picklable *endpoint specs*, serves them on OS-assigned localhost ports
-over the same length-prefixed wire protocol, and reports its port map back
-through a pipe.  The parent then simply routes calls for those endpoints to
-the worker's ports; everything else -- codec, pooling, pipelined waves, stats
--- is inherited.  A worker serves its connections with the parent's own
-:func:`~repro.runtime.transport.serve_connection` loop (same grouping, same
-malformed-input handling); its one handler thread is the FIFO executor that
-loop's in-order replies rest on, and the runtime-control RPCs (ping,
-telemetry harvest, shutdown) plug in as the loop's ``control`` hook.  Workers
-are all started before the first port map is awaited, so their interpreter
-start-up and ``repro`` imports overlap.
+table of endpoints served by worker processes.  Each worker is forked from
+this process's one forkserver: a single-threaded process that
+:mod:`multiprocessing` starts once, with this module (and through it
+``repro``'s runtime, ``asyncio`` and ``ssl``) and the accelerated crypto
+backend's modules already imported, so a worker starts without an
+interpreter start-up or an import of its own.  The parent does not fork its
+workers itself: it runs an event-loop thread, and a fork of a threaded
+process copies locks that other threads may hold.  A worker rebuilds its
+servers from plain picklable *endpoint specs*, serves them on OS-assigned
+localhost ports over the same length-prefixed wire protocol, and reports
+its port map back through a pipe.  The parent then simply routes calls for
+those endpoints to the worker's ports; everything else -- codec, pooling,
+pipelined waves, stats -- is inherited.  A worker serves its connections
+with the parent's own :func:`~repro.runtime.transport.serve_connection` loop
+(same grouping, same malformed-input handling); its one handler thread is
+the FIFO executor that loop's in-order replies rest on, and the
+runtime-control RPCs (ping, telemetry harvest, shutdown) plug in as the
+loop's ``control`` hook.  Workers are all started before the first port map
+is awaited, so their server builds overlap.
 
 The default placement puts **mix servers** in workers: they are the
 crypto hot path, so this is where a deployment's multi-core mix work runs
@@ -35,9 +41,11 @@ import contextlib
 import json
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import forkserver
 from typing import Any
 
 from repro.errors import ConfigurationError, NetworkError
@@ -46,7 +54,6 @@ from repro.net.rpc import decode_reply
 from repro.obs.distributed import (
     PING_REPLY,
     WorkerTelemetry,
-    estimate_clock_offset,
     ping_reply,
     rss_bytes,
 )
@@ -59,20 +66,66 @@ logger = get_logger("runtime")
 
 #: The control method a parent sends to stop a worker process gracefully.
 SHUTDOWN_METHOD = "__runtime_shutdown__"
-#: Clock ping: replies with the worker's ``perf_counter``, RSS, and pid;
-#: sampled a few times at startup for the clock-offset estimate.
+#: Ping: replies with the worker's ``perf_counter``, RSS, and pid; sent once
+#: per worker at startup for the pid and RSS.  Nothing reads the clock: every
+#: process on a host reads the same ``CLOCK_MONOTONIC``.
 PING_METHOD = "__runtime_ping__"
 #: Telemetry harvest: replies with :meth:`WorkerTelemetry.to_payload` as
 #: JSON bytes (drained spans + vitals).
 TELEMETRY_METHOD = "__runtime_telemetry__"
 
-#: Clock pings sent per worker at the port-map handshake.
-_PING_SAMPLES = 5
+#: What the forkserver imports before it forks any worker: this module (and
+#: through it ``repro``'s runtime, ``asyncio`` and ``ssl``), the wrappers a
+#: traced worker puts on its mix server, and the modules the accelerated
+#: crypto backend loads.  The forkserver skips a name it cannot import, so
+#: the ``cryptography`` entries cost nothing where that package is absent.
+_FORKSERVER_PRELOAD = [
+    __name__,
+    "repro.obs.instrument",
+    "cryptography.exceptions",
+    "cryptography.hazmat.primitives.serialization",
+    "cryptography.hazmat.primitives.asymmetric.ed25519",
+    "cryptography.hazmat.primitives.asymmetric.x25519",
+    "cryptography.hazmat.primitives.ciphers.aead",
+]
+_forkserver_lock = threading.Lock()
+_forkserver_started = False
+
+
+def _worker_context():
+    """The ``forkserver`` context every worker is started from.
+
+    The first call starts this process's forkserver with
+    :data:`_FORKSERVER_PRELOAD` imported.  CPython 3.10 and 3.11 hand the
+    forkserver the parent's ``sys.path`` but never apply it, and swallow the
+    preload's ``ImportError``: where ``repro`` is not installed but put on
+    ``sys.path`` in code, the forkserver would preload nothing.  So the
+    directory that holds ``repro`` goes first on ``PYTHONPATH`` for that
+    one exec.  Call it before starting a thread: an ``os.environ`` write
+    races ``getenv`` in other threads.
+    """
+    global _forkserver_started
+    context = multiprocessing.get_context("forkserver")
+    with _forkserver_lock:
+        if not _forkserver_started:
+            context.set_forkserver_preload(_FORKSERVER_PRELOAD)
+            root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+            previous = os.environ.get("PYTHONPATH")
+            os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, previous]))
+            try:
+                forkserver.ensure_running()
+            finally:
+                if previous is None:
+                    del os.environ["PYTHONPATH"]
+                else:
+                    os.environ["PYTHONPATH"] = previous
+            _forkserver_started = True
+    return context
 
 
 @dataclass(frozen=True)
 class WorkerOptions:
-    """Observability switches the parent forwards to a spawned worker."""
+    """Observability switches the parent forwards to a worker."""
 
     #: Install a worker-local ``Tracer`` and answer ``collect_telemetry``
     #: harvests with its spans.
@@ -130,7 +183,7 @@ _BUILDERS = {"mix": _build_mix}
 def worker_main(
     specs: list[EndpointSpec], conn, host: str, options: WorkerOptions | None = None
 ) -> None:
-    """Entry point of one spawned worker process."""
+    """Entry point of one worker process."""
     asyncio.run(_worker_async(specs, conn, host, options))
 
 
@@ -140,9 +193,9 @@ async def _worker_async(
     options = options if options is not None else WorkerOptions()
     label = options.label or f"worker-{os.getpid()}"
     if options.log_level:
-        # The spawned interpreter starts with no logging config at all; give
-        # it the parent's level with a process tag so multi-process stderr
-        # stays attributable.
+        # The forkserver a worker forks from never configures logging; give
+        # the worker the parent's level with a process tag so multi-process
+        # stderr stays attributable.
         configure_logging(options.log_level, process=label)
     tracer: Tracer | None = None
     if options.telemetry:
@@ -228,10 +281,10 @@ async def _worker_async(
 
 
 class MultiprocessTransport(AsyncioTransport):
-    """AsyncioTransport with some endpoints served by spawned workers.
+    """AsyncioTransport with some endpoints served by worker processes.
 
     ``worker_specs`` is one list of :class:`EndpointSpec` per worker
-    process.  Workers are spawned at construction and report their port
+    process.  Workers are forked at construction and report their port
     maps before the constructor returns; :meth:`register` for an endpoint a
     worker owns is then a routing no-op (the locally constructed server
     object never receives traffic).
@@ -243,6 +296,8 @@ class MultiprocessTransport(AsyncioTransport):
         host: str = "127.0.0.1",
         start_timeout_s: float = 60.0,
     ) -> None:
+        # Before the loop thread starts (see _worker_context).
+        context = _worker_context()
         super().__init__(host=host, start_timeout_s=start_timeout_s)
         #: Workers track the parent's observability state: telemetry is on
         #: exactly when a tracer is active, and they log at whatever level
@@ -253,15 +308,13 @@ class MultiprocessTransport(AsyncioTransport):
         #: One (process, any endpoint it serves) pair per worker, for the
         #: graceful shutdown RPC.
         self._worker_contacts: list[tuple[object, str]] = []
-        #: Contact endpoint -> {pid, label, endpoints, offset_s, rss}.
+        #: Contact endpoint -> {pid, label, endpoints, rss}.
         self._worker_info: dict[str, dict[str, Any]] = {}
-        context = multiprocessing.get_context("spawn")
         # (process, its end of the port-map pipe, specs, options) per worker.
         started: list[tuple] = []
         try:
-            # Start every worker before waiting on any of them: interpreter
-            # start-up and the ``repro`` import are the spawn cost, and they
-            # run side by side this way.
+            # Start every worker before waiting on any of them: their server
+            # builds run side by side this way.
             for index, specs in enumerate(worker_specs):
                 if not specs:
                     raise ConfigurationError("a worker process needs at least one endpoint")
@@ -294,11 +347,10 @@ class MultiprocessTransport(AsyncioTransport):
                     "pid": process.pid,
                     "label": options.label,
                     "endpoints": sorted(spec.name for spec in specs),
-                    "offset_s": 0.0,
                     "rss": 0,
                 }
             if self._telemetry:
-                self._align_clocks(tracer)
+                self._declare_workers(tracer)
         except Exception:
             self.close()
             raise
@@ -319,28 +371,19 @@ class MultiprocessTransport(AsyncioTransport):
         return AsyncioTransport.call(self, "runtime", endpoint, method, timeout_s=timeout_s)
 
     # -- telemetry ------------------------------------------------------------
-    def _align_clocks(self, tracer) -> None:
-        """Ping each worker at the handshake to map its ``perf_counter``
-        onto ours (min-RTT midpoint estimate); declares the worker process
-        to the tracer for the merged export."""
+    def _declare_workers(self, tracer) -> None:
+        """Ping each worker once at the handshake for its pid and RSS, and
+        declare its process to the tracer for the merged export."""
         for contact, info in self._worker_info.items():
-            samples = []
-            for _ in range(_PING_SAMPLES):
-                t0 = time.perf_counter()
-                result = self._control(contact, PING_METHOD, 10.0)
-                t1 = time.perf_counter()
-                worker_t, rss, pid = decode_reply(PING_REPLY.decode, result.payload)
-                samples.append((t0, t1, worker_t))
-                info["rss"] = rss
-                info["pid"] = pid
-            info["offset_s"] = estimate_clock_offset(samples)
+            result = self._control(contact, PING_METHOD, 10.0)
+            _clock, info["rss"], info["pid"] = decode_reply(PING_REPLY.decode, result.payload)
             tracer.add_remote_process(info["pid"], info["label"], info["endpoints"])
 
     def harvest_telemetry(self) -> list[WorkerTelemetry]:
         """Pull spans and RSS from every live worker into the parent.
 
-        Spans land in the active tracer (wall clocks aligned).  Safe to call
-        repeatedly — workers drain spans, so each span ships exactly once.
+        Spans land in the active tracer.  Safe to call repeatedly — workers
+        drain spans, so each span ships exactly once.
         """
         if not self._telemetry or self._closed:
             return []
@@ -357,9 +400,7 @@ class MultiprocessTransport(AsyncioTransport):
             try:
                 telemetry = WorkerTelemetry.from_payload(json.loads(result.payload))
                 if tracer is not None and telemetry.spans:
-                    tracer.add_remote_spans(
-                        telemetry.pid, telemetry.spans, info.get("offset_s", 0.0)
-                    )
+                    tracer.add_remote_spans(telemetry.pid, telemetry.spans)
             except (ValueError, TypeError, AttributeError) as exc:
                 # The peer is a socket, not a trusted object: skip this worker.
                 logger.warning("skipping malformed telemetry from %s: %s", contact, exc)

@@ -35,7 +35,7 @@ seconds in this mode.  :meth:`advance` is deliberately a no-op: inter-round
 gaps are a simulated-time concept and must not stall a real deployment.
 
 The multiprocess variant (:class:`~repro.runtime.mp.MultiprocessTransport`)
-extends this class with a routing table of endpoints served by spawned worker
+extends this class with a routing table of endpoints served by worker
 processes; ``_remote_ports`` is the seam it plugs into.
 """
 

@@ -187,8 +187,8 @@ class ScenarioSpec:
     #:   in this process (:class:`~repro.runtime.transport.AsyncioTransport`);
     #:   the clock is wall time, so stage latencies are real;
     #: * ``"mp"``      -- ``asyncio`` plus each mix server rebuilt in its own
-    #:   spawned worker process, so the mix/crypto hot path runs on
-    #:   separate cores.
+    #:   worker process, so the mix/crypto hot path runs on separate
+    #:   cores.
     #:
     #: Real runtimes have no modelled topology: link specs, fidelity, and
     #: access-link caps do not apply, and a spec with a fault that sculpts

@@ -1,4 +1,4 @@
-"""Distributed observability: trace propagation, clock alignment, telemetry.
+"""Distributed observability: trace propagation, telemetry, attribution.
 
 Covers the cross-process pieces of :mod:`repro.obs.distributed` end to end:
 the wire trailer round-trip (hypothesis), client/server span linkage over a
@@ -19,7 +19,6 @@ from repro.net.transport import BatchCall, RpcResult
 from repro.obs.distributed import (
     TRACE_CONTEXT,
     TraceContext,
-    estimate_clock_offset,
     rss_bytes,
     runtime_attribution,
 )
@@ -124,15 +123,7 @@ class TestErrorEndpoint:
             assert "pkg0" in str(info.value)
 
 
-class TestClockOffset:
-    def test_min_rtt_sample_wins(self):
-        # The 2nd sample has the tightest round-trip; its offset is chosen.
-        samples = [(0.0, 1.0, 100.9), (2.0, 2.1, 102.05), (3.0, 3.8, 103.0)]
-        assert estimate_clock_offset(samples) == pytest.approx(102.05 - 2.05)
-
-    def test_no_samples_means_zero(self):
-        assert estimate_clock_offset([]) == 0.0
-
+class TestRssBytes:
     def test_rss_is_nonnegative(self):
         assert rss_bytes() >= 0
 
@@ -290,6 +281,28 @@ class TestWorkerTelemetry:
         events = tracer.to_trace_events()
         assert validate_trace_events(events, min_propagation=0.95) == []
         assert any(e["pid"] == harvested[0].pid for e in events if e["ph"] == "B")
+
+    def test_worker_serve_span_lies_inside_its_call_span(self, tracer):
+        """Worker spans go into the merged trace unshifted: every process on
+        the host reads one ``perf_counter`` clock, so a worker's ``rpc.serve``
+        lies inside the parent's ``rpc.call`` that caused it."""
+        from repro.net.rpc import MixStub
+
+        with MultiprocessTransport([[mix_endpoint_spec("mix0", "seed/mix/0")]]) as transport:
+            stub = MixStub(transport, "mix0", src="entry")
+            pk = stub.open_round("dialing", 1)
+            assert stub.round_public_key("dialing", 1) == pk
+        calls = {
+            span["span_id"]: span
+            for span in (s.to_dict() for s in tracer.spans)
+            if span["name"] == "rpc.call"
+        }
+        serves = [s for s in tracer.remote_spans if s["name"] == "rpc.serve"]
+        assert len(serves) == 2
+        for serve in serves:
+            call = calls[serve["args"]["parent_span"]]
+            assert call["wall_start"] <= serve["wall_start"]
+            assert serve["wall_start"] + serve["wall_dur"] <= call["wall_start"] + call["wall_dur"]
 
     def test_untraced_mp_run_ships_no_telemetry(self):
         from repro.net.rpc import MixStub

@@ -2,8 +2,10 @@
 
 Four functions, one per case the census must tell apart: called by a
 workload, called only from tests, never called, and called only inside a
-``multiprocessing`` spawn child -- the last guards the ``sitecustomize``
-hook that follows a population into the processes it starts.
+child forked by a ``multiprocessing`` forkserver, as ``mp`` workers are --
+the last guards the ``sitecustomize`` hook that follows a population into
+the processes it starts (the forkserver's child inherits its hook and its
+open record file).
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ MODULE = textwrap.dedent(
         return 3
 
 
-    def spawn_child_function():
+    def forkserver_child_function():
         return 4
 
 
-    def run_in_spawn_child():
-        process = multiprocessing.get_context("spawn").Process(target=spawn_child_function)
+    def run_in_forkserver_child():
+        process = multiprocessing.get_context("forkserver").Process(target=forkserver_child_function)
         process.start()
         process.join(30)
         return process.exitcode
@@ -69,7 +71,7 @@ def test_census_sorts_each_function_into_its_class(reachability, tmp_path):
         )),
         reachability.Population("workload", "workload", (
             (python, "-c", "from synthetic import mod; mod.workload_function(); "
-                           "assert mod.run_in_spawn_child() == 0"),
+                           "assert mod.run_in_forkserver_child() == 0"),
         )),
     ]
     result = reachability.census(package, populations)
@@ -79,8 +81,8 @@ def test_census_sorts_each_function_into_its_class(reachability, tmp_path):
         "workload_function": reachability.WORKLOAD,
         "test_only_function": reachability.TEST_ONLY,
         "never_called_function": reachability.NEVER,
-        "spawn_child_function": reachability.WORKLOAD,
-        "run_in_spawn_child": reachability.WORKLOAD,
+        "forkserver_child_function": reachability.WORKLOAD,
+        "run_in_forkserver_child": reachability.WORKLOAD,
     }
     assert result.callers["synthetic/mod.py::workload_function"] == ["tests", "workload"]
     assert result.counts()[reachability.NEVER] == (1, 2)

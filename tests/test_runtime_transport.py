@@ -1,5 +1,6 @@
 """The real-runtime transports: :class:`AsyncioTransport` over localhost TCP
-and :class:`MultiprocessTransport` with spawned worker processes."""
+and :class:`MultiprocessTransport` with worker processes forked from one
+preloaded forkserver."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import os
 import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +133,32 @@ def scripted_peer(transport, scripted_peers):
 def settle(transport):
     """Let callbacks queued on the transport's loop (a discard) run."""
     asyncio.run_coroutine_threadsafe(asyncio.sleep(0), transport._loop).result(5)
+
+
+def children_of(pid):
+    """Pids whose parent is ``pid``, zombies included (Linux)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            fields = Path("/proc", entry, "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # ended while we looked
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def forkserver_pid():
+    """This process's forkserver (started if it was not): the child whose
+    command line runs ``multiprocessing.forkserver``."""
+    mp_module._worker_context()
+    (pid,) = [
+        child for child in children_of(os.getpid())
+        if b"multiprocessing.forkserver" in Path("/proc", str(child), "cmdline").read_bytes()
+    ]
+    return pid
 
 
 def poke(port, data):
@@ -419,7 +448,7 @@ class TestMultiprocessTransport:
 
     @pytest.mark.slow
     def test_workers_start_before_any_port_map_is_read(self, monkeypatch):
-        spawn = multiprocessing.get_context("spawn")
+        context = mp_module._worker_context()
         events = []
 
         class RecordingPipeEnd:
@@ -435,29 +464,76 @@ class TestMultiprocessTransport:
 
         class RecordingContext:
             def Pipe(self):
-                parent_end, child_end = spawn.Pipe()
+                parent_end, child_end = context.Pipe()
                 return RecordingPipeEnd(parent_end), child_end
 
             def __getattr__(self, name):
-                return getattr(spawn, name)
+                return getattr(context, name)
 
-        start = spawn.Process.start
-        # Patched on the class: spawn serializes the Process object itself to the child.
+        start = context.Process.start
+        # Patched on the class: the forkserver is sent the Process object itself.
         monkeypatch.setattr(
-            spawn.Process, "start", lambda process: (events.append("start"), start(process))
+            context.Process, "start", lambda process: (events.append("start"), start(process))
         )
-        monkeypatch.setattr(mp_module.multiprocessing, "get_context", lambda _m: RecordingContext())
+        monkeypatch.setattr(mp_module, "_worker_context", lambda: RecordingContext())
         specs = [[mix_endpoint_spec(f"mix{i}", f"seed/mix/{i}")] for i in range(2)]
         with MultiprocessTransport(specs) as transport:
             assert transport.remote_endpoints() == ["mix0", "mix1"]
         assert events == ["start", "start", "recv", "recv"]
 
     @pytest.mark.slow
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_failed_worker_build_leaves_no_process_behind(self):
+        server = forkserver_pid()
         specs = [[mix_endpoint_spec("mix0", "seed/mix/0")], [EndpointSpec(kind="nope", name="x")]]
         with pytest.raises(EOFError):  # the dead worker's port-map pipe
             MultiprocessTransport(specs)
         assert multiprocessing.active_children() == []
+        assert children_of(server) == []
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or "_asyncio" in sys.builtin_module_names,
+        reason="reads /proc/<pid>/maps for the _asyncio extension module",
+    )
+    def test_forkserver_preloads_the_worker_runtime(self):
+        """Workers fork from one forkserver that has already imported the
+        runtime -- also where ``repro`` is on ``sys.path`` only because code
+        put it there (``python -S``, no ``PYTHONPATH``): the forkserver maps
+        ``asyncio``'s extension module, and it is the parent of the workers
+        of two transports built one after the other."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        child = textwrap.dedent(
+            f"""\
+            import json, multiprocessing, os, sys
+            sys.path.insert(0, {src!r})
+            from repro.runtime import MultiprocessTransport, mix_endpoint_spec
+
+            def parent_of(pid):
+                with open(f"/proc/{{pid}}/stat") as fh:
+                    return int(fh.read().rsplit(")", 1)[1].split()[1])
+
+            if __name__ == "__main__":
+                parents = []
+                for _ in range(2):
+                    with MultiprocessTransport([[mix_endpoint_spec("mix0", "seed/mix/0")]]):
+                        (worker,) = multiprocessing.active_children()
+                        parents.append(parent_of(worker.pid))
+                with open(f"/proc/{{parents[0]}}/maps") as fh:
+                    maps = fh.read()
+                print(json.dumps({{"me": os.getpid(), "parents": parents, "asyncio": "/_asyncio" in maps}}))
+            """
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", child], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        (server,) = set(report["parents"])
+        assert server != report["me"]
+        assert report["asyncio"]
 
     @pytest.mark.slow
     def test_unclosed_transport_workers_are_reaped_at_exit(self):

@@ -3,7 +3,8 @@
 Every population below runs in its own subprocess with a ``sitecustomize``
 module first on ``PYTHONPATH``.  That module installs a ``sys.setprofile``
 hook and a ``threading.setprofile`` hook in every Python process the
-population starts -- pytest, spawned ``mp`` mix workers, the benchmark
+population starts -- pytest, the ``mp`` forkserver and the mix workers it
+forks (they inherit its hook and its record file), the benchmark
 ladder's per-workload subprocesses -- and appends each ``repro`` code object
 to a per-process record file the first time it is called.  Every ``def``
 under ``src/repro`` then falls into exactly one class:
