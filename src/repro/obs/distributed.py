@@ -127,7 +127,8 @@ def runtime_attribution(tracer: Tracer) -> dict[str, dict[str, float]]:
 
     For every server endpoint: ``network_s`` (client call wall minus the
     matched serve span's queue + handler time — wire, kernel, and event-loop
-    scheduling), ``queue_s`` (handler-executor queue wait), ``handler_s``
+    scheduling), ``queue_s`` (arrival to handler start: an in-parent
+    endpoint's executor hop, and the requests ahead in its group), ``handler_s``
     (handler execution excluding crypto), ``crypto_s`` (engine calls inside
     the handler), plus ``calls`` (client-side) and ``rpcs`` (server-side)
     counts.  Unmatched calls attribute their full wall to ``network_s``.

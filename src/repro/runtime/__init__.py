@@ -7,7 +7,8 @@ sockets instead of a simulated or zero-latency in-process wire:
   asyncio TCP server in this process, handlers on per-endpoint threads;
 * :class:`~repro.runtime.mp.MultiprocessTransport` -- the same, with chosen
   tiers (by default the mix servers) rebuilt in worker processes, forked from
-  one preloaded forkserver, so the crypto hot path uses real cores.
+  one preloaded forkserver and served on each worker's own loop thread, so
+  the crypto hot path uses real cores.
 
 Selected from the scenario harness and CLI via ``--runtime={sim,asyncio,mp}``.
 

@@ -5,8 +5,9 @@ table of endpoints served by worker processes.  Each worker is forked from
 this process's one forkserver: a single-threaded process that
 :mod:`multiprocessing` starts once, with this module (and through it
 ``repro``'s runtime, ``asyncio`` and ``ssl``) and the accelerated crypto
-backend's modules already imported, so a worker starts without an
-interpreter start-up or an import of its own.  The parent does not fork its
+backend's modules already imported.  A worker is launched without the
+parent's ``__main__`` (see :class:`_WorkerPopen`), so it starts with no
+interpreter start-up and no import of its own.  The parent does not fork its
 workers itself: it runs an event-loop thread, and a fork of a threaded
 process copies locks that other threads may hold.  A worker rebuilds its
 servers from plain picklable *endpoint specs*, serves them on OS-assigned
@@ -15,11 +16,13 @@ its port map back through a pipe.  The parent then simply routes calls for
 those endpoints to the worker's ports; everything else -- codec, pooling,
 pipelined waves, stats -- is inherited.  A worker serves its connections
 with the parent's own :func:`~repro.runtime.transport.serve_connection` loop
-(same grouping, same malformed-input handling); its one handler thread is
-the FIFO executor that loop's in-order replies rest on, and the
-runtime-control RPCs (ping, telemetry harvest, shutdown) plug in as the
-loop's ``control`` hook.  Workers are all started before the first port map
-is awaited, so their server builds overlap.
+(same grouping, same malformed-input handling), but runs every handler
+inline on its one event-loop thread: its mix servers make no outgoing
+calls, so a handler never waits on the loop it blocks, and the loop's one
+thread serializes handlers and keeps replies in request order.  The
+runtime-control RPCs (ping, telemetry harvest, shutdown) are answered by the
+same serve function before it reaches a server.  Workers are all started
+before the first port map is awaited, so their server builds overlap.
 
 The default placement puts **mix servers** in workers: they are the
 crypto hot path, so this is where a deployment's multi-core mix work runs
@@ -38,14 +41,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import io
 import json
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import forkserver
+from multiprocessing import context as mp_context
+from multiprocessing import forkserver, popen_forkserver, reduction, spawn, util
 from typing import Any
 
 from repro.errors import ConfigurationError, NetworkError
@@ -92,8 +95,60 @@ _forkserver_lock = threading.Lock()
 _forkserver_started = False
 
 
-def _worker_context():
-    """The ``forkserver`` context every worker is started from.
+class _WorkerPopen(popen_forkserver.Popen):
+    """``popen_forkserver.Popen`` minus the parent's ``__main__``.
+
+    The stock launch sends the child the path or module name of the parent's
+    ``__main__``, and the child re-runs that script (as ``__mp_main__``)
+    before it unpickles its target: 20-30 ms per worker, and a script
+    without an ``if __name__ == "__main__":`` guard would build a transport
+    inside every worker.  The forkserver's own ``'__main__'`` preload never
+    runs it either (CPython 3.10-3.13 look for a ``main_path`` key that the
+    preparation data does not have).  A worker needs neither: its target is
+    :func:`worker_main` and its arguments are this module's plain
+    dataclasses, all imported by the forkserver.  The body is CPython's
+    ``popen_forkserver.Popen._launch`` (the same on 3.10-3.13) with the two
+    ``init_main_*`` keys left out.
+    """
+
+    def _launch(self, process_obj):
+        prep_data = spawn.get_preparation_data(process_obj._name)
+        prep_data.pop("init_main_from_path", None)
+        prep_data.pop("init_main_from_name", None)
+        buf = io.BytesIO()
+        mp_context.set_spawning_popen(self)
+        try:
+            reduction.dump(prep_data, buf)
+            reduction.dump(process_obj, buf)
+        finally:
+            mp_context.set_spawning_popen(None)
+
+        self.sentinel, w = forkserver.connect_to_new_process(self._fds)
+        # Keeps the parent's end of the data pipe open as the child's
+        # parent sentinel, as the stock launch does.
+        _parent_w = os.dup(w)
+        self.finalizer = util.Finalize(self, util.close_fds, (_parent_w, self.sentinel))
+        with open(w, "wb", closefd=True) as f:
+            f.write(buf.getbuffer())
+        self.pid = forkserver.read_signed(self.sentinel)
+
+
+class _WorkerProcess(mp_context.ForkServerProcess):
+    @staticmethod
+    def _Popen(process_obj):
+        return _WorkerPopen(process_obj)
+
+
+class _WorkerContext(mp_context.ForkServerContext):
+    Process = _WorkerProcess
+
+
+_WORKER_CONTEXT = _WorkerContext()
+
+
+def _worker_context() -> _WorkerContext:
+    """The ``forkserver`` context every worker is started from; its
+    ``Process`` launches through :class:`_WorkerPopen`.
 
     The first call starts this process's forkserver with
     :data:`_FORKSERVER_PRELOAD` imported.  CPython 3.10 and 3.11 hand the
@@ -105,10 +160,9 @@ def _worker_context():
     races ``getenv`` in other threads.
     """
     global _forkserver_started
-    context = multiprocessing.get_context("forkserver")
     with _forkserver_lock:
         if not _forkserver_started:
-            context.set_forkserver_preload(_FORKSERVER_PRELOAD)
+            _WORKER_CONTEXT.set_forkserver_preload(_FORKSERVER_PRELOAD)
             root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
             previous = os.environ.get("PYTHONPATH")
             os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, previous]))
@@ -120,7 +174,7 @@ def _worker_context():
                 else:
                     os.environ["PYTHONPATH"] = previous
             _forkserver_started = True
-    return context
+    return _WORKER_CONTEXT
 
 
 @dataclass(frozen=True)
@@ -214,9 +268,6 @@ async def _worker_async(
     epoch = time.monotonic()
     clock = lambda: time.monotonic() - epoch  # noqa: E731
     stop = asyncio.Event()
-    # One handler thread per worker process: a worker owns one core's worth
-    # of mix work, and its servers' handlers must serialize anyway.
-    executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="worker-rpc")
 
     def collect_telemetry() -> dict[str, Any]:
         return WorkerTelemetry(
@@ -228,9 +279,8 @@ async def _worker_async(
         ).to_payload()
 
     def control(message: wire.WireMessage) -> bytes | None:
-        """Control RPCs answer inline on the loop: the ping must not queue
-        behind mix batches (it measures the clock, not the executor), and
-        shutdown/harvest are rare."""
+        """The reply to a runtime-control RPC (None = not one).  It gets no
+        ``rpc.serve`` span: control traffic is bookkeeping, not protocol."""
         frame = message.frame
         payload = b""
         if frame.method == PING_METHOD:
@@ -253,10 +303,14 @@ async def _worker_async(
     ports: dict[str, int] = {}
     for name, handler in handlers.items():
         def serve(message: wire.WireMessage, queue_s: float, name=name, handler=handler) -> bytes:
-            return serve_wire_message(message, handler, clock, name, queue_s)
+            reply = control(message)
+            if reply is None:
+                reply = serve_wire_message(message, handler, clock, name, queue_s)
+            return reply
 
         def on_connection(reader, writer, serve=serve):
-            return serve_connection(reader, writer, executor, serve, control)
+            # No executor: handlers run inline on this process's one loop.
+            return serve_connection(reader, writer, serve)
 
         server = await asyncio.start_server(on_connection, host=host, port=0)
         servers.append(server)
@@ -277,7 +331,6 @@ async def _worker_async(
     for task in lingering:
         task.cancel()
     await asyncio.gather(*lingering, return_exceptions=True)
-    executor.shutdown(wait=True, cancel_futures=True)
 
 
 class MultiprocessTransport(AsyncioTransport):

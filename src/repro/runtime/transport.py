@@ -13,11 +13,12 @@ writes them back to back and reads the replies in order (HTTP/1.1 style; a
 single call is a group of one), so a :meth:`~AsyncioTransport.call_batch`
 wave costs one connection and one exchange per destination.  The one server
 loop, :func:`serve_connection` (shared with :mod:`repro.runtime.mp`'s
-workers), takes whatever complete messages have arrived, runs them through
-the endpoint's executor in one hop and answers with one ``write``.  Replies
-are matched to requests by position, which rests on that executor being
-single-threaded and FIFO; each reply's ``msg_id`` is checked against its
-request's, and a stream found out of step is discarded.
+workers), takes whatever complete messages have arrived, serves them in
+order -- through the endpoint's executor in one hop, or inline in a worker --
+and answers with one ``write``.  Replies are matched to requests by
+position, which rests on one thread serving a connection's group in order;
+each reply's ``msg_id`` is checked against its request's, and a stream found
+out of step is discarded.
 
 Threading model.  One background thread runs the asyncio event loop; it only
 moves bytes.  Handler execution happens on a dedicated single-thread executor
@@ -27,7 +28,9 @@ that issues nested RPCs (the entry server driving the mix chain) blocks its
 own executor thread, not the loop, so nesting cannot deadlock the transport.
 The component call graph is hierarchical (driver -> entry -> mix, client ->
 pkg); a cyclic pair of endpoints calling each other simultaneously would
-deadlock their two executors, and no Alpenhorn tier does that.
+deadlock their two executors, and no Alpenhorn tier does that.  (An mp
+worker has no executor: its mix servers make no calls, so it serves them on
+its own loop thread.)
 
 Clock.  :meth:`now` is wall time (monotonic, epoch at construction), so round
 summaries and the obs layer's per-stage histograms report *real* wall-clock
@@ -195,22 +198,24 @@ async def read_wire_messages(reader: asyncio.StreamReader, buffer: bytearray) ->
 
 
 def _serve_group(serve, messages: list[wire.WireMessage], received: float) -> list[bytes]:
-    """Executor-thread entry: one hop serves the whole group.  The gap from
-    ``received`` (loop ``perf_counter`` at arrival) to a handler's start is
-    its queue wait."""
+    """Serve a whole group in one call, in order.  The gap from ``received``
+    (loop ``perf_counter`` at arrival) to a handler's start is its queue
+    wait."""
     return [serve(message, max(0.0, time.perf_counter() - received)) for message in messages]
 
 
-async def serve_connection(reader, writer, executor, serve, control=None) -> None:
+async def serve_connection(reader, writer, serve, executor=None) -> None:
     """Serve one accepted connection until the peer hangs up: the runtime's
     one server loop, for in-parent endpoints and mp workers alike.
 
-    ``serve(message, queue_s)`` returns a reply body and runs on ``executor``
-    (single-threaded, so handlers serialize and replies keep request order);
-    ``control(message)``, when given, runs on the loop first and answers a
-    runtime-control request inline (``None`` = not one).  Malformed input --
-    an oversize length prefix, a body that does not decode -- closes this
-    connection quietly; other connections keep being served.
+    ``serve(message, queue_s)`` returns a reply body.  With an ``executor``
+    (single-threaded, so handlers serialize and replies keep request order)
+    each group is served there in one hop, so a handler may make nested
+    calls through this loop; without one it is served inline on the loop
+    thread, which only a handler that makes no outgoing call may use (an
+    mp worker's mix servers).  Malformed input -- an oversize length prefix,
+    a body that does not decode -- closes this connection quietly; other
+    connections keep being served.
     """
     loop = asyncio.get_running_loop()
     buffer = bytearray()
@@ -219,18 +224,12 @@ async def serve_connection(reader, writer, executor, serve, control=None) -> Non
             bodies = await read_wire_messages(reader, buffer)
             received = time.perf_counter()
             messages = [wire.decode_message(body) for body in bodies]
-            inline = [control(message) for message in messages] if control else None
-            queued = messages if inline is None else [
-                message for message, reply in zip(messages, inline) if reply is None
-            ]
-            replies = []
-            if queued:
+            if executor is None:
+                replies = _serve_group(serve, messages, received)
+            else:
                 replies = await loop.run_in_executor(
-                    executor, _serve_group, serve, queued, received
+                    executor, _serve_group, serve, messages, received
                 )
-            if inline is not None:  # slot the served replies back in around the inline ones
-                served = iter(replies)
-                replies = [next(served) if reply is None else reply for reply in inline]
             writer.write(b"".join(map(encode_wire_message, replies)))
             await writer.drain()
     except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
@@ -332,7 +331,7 @@ class AsyncioTransport(Transport):
             return serve_wire_message(message, handler, self.now, name, queue_s)
 
         def on_connection(reader, writer):
-            return serve_connection(reader, writer, executor, serve)
+            return serve_connection(reader, writer, serve, executor)
 
         server = await asyncio.start_server(on_connection, host=self._host, port=0)
         self._servers[name] = server
@@ -482,9 +481,10 @@ class AsyncioTransport(Transport):
 
         Encoding happens on the calling thread.  The wave's calls are grouped
         by destination; each group takes one pooled connection, goes out as
-        one back-to-back write and is served in one executor hop, and the
-        groups run concurrently -- so a 1000-client submit wave costs one
-        exchange plus its handlers, not 1000 connections.  Outcomes come back
+        one back-to-back write and is served in one pass (one executor hop
+        for an in-parent endpoint), and the groups run concurrently -- so a
+        1000-client submit wave costs one exchange plus its handlers, not
+        1000 connections.  Outcomes come back
         in call order and stay isolated: an error reply fails its own call,
         and a connection that dies mid-group fails the calls it had not yet
         answered (``NetworkError``) while keeping the replies already read.

@@ -304,6 +304,20 @@ class TestWorkerTelemetry:
             assert call["wall_start"] <= serve["wall_start"]
             assert serve["wall_start"] + serve["wall_dur"] <= call["wall_start"] + call["wall_dur"]
 
+    def test_worker_serve_spans_wait_in_no_queue(self, tracer):
+        """A worker serves each group inline on its own loop, with no hop to
+        a handler thread, so on a traced mp run every ``rpc.serve`` span it
+        ships carries a ``queue_s`` of about zero."""
+        from repro.sim.scenarios import make_scenario
+
+        make_scenario(
+            "baseline", runtime="mp", num_clients=8, addfriend_rounds=1, dialing_rounds=1,
+            seed="inline-serve",
+        ).run()
+        queued = [s["args"]["queue_s"] for s in tracer.remote_spans if s["name"] == "rpc.serve"]
+        assert len(queued) == 12  # open, process_batch and close on two mixes, two rounds
+        assert max(queued) < 0.005
+
     def test_untraced_mp_run_ships_no_telemetry(self):
         from repro.net.rpc import MixStub
 

@@ -481,6 +481,111 @@ class TestMultiprocessTransport:
             assert transport.remote_endpoints() == ["mix0", "mix1"]
         assert events == ["start", "start", "recv", "recv"]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers")
+    @pytest.mark.parametrize("guarded", [True, False], ids=["guarded", "unguarded"])
+    def test_workers_do_not_rerun_the_parents_script(self, tmp_path, guarded):
+        """A worker is launched without the parent's ``__main__``: a script
+        file that appends its pid to a marker at top level runs once, in the
+        parent only, and the same script without an ``if __name__ ==
+        "__main__":`` guard works too (a worker that re-ran it would try to
+        start processes of its own during its bootstrap and die)."""
+        import repro
+
+        marker = tmp_path / "pids"
+        script = tmp_path / "two_workers.py"
+        body = textwrap.dedent(
+            """\
+            import os
+            from repro.net.rpc import MixStub
+            from repro.runtime import MultiprocessTransport, mix_endpoint_spec
+
+            with open(MARKER, "a") as fh:
+                fh.write(f"{os.getpid()}\\n")
+
+            def main():
+                specs = [[mix_endpoint_spec(f"mix{i}", f"seed/mix/{i}")] for i in range(2)]
+                with MultiprocessTransport(specs) as transport:
+                    MixStub(transport, "mix0", src="entry").open_round("dialing", 1)
+            """
+        ).replace("MARKER", repr(str(marker)))
+        body += 'if __name__ == "__main__":\n    main()\n' if guarded else "main()\n"
+        script.write_text(body)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=path),
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        _out, err = process.communicate(timeout=60)
+        assert process.returncode == 0, err
+        assert marker.read_text().split() == [str(process.pid)]
+
+    def test_a_pipelined_group_is_served_in_request_order(self):
+        """A worker serves a connection's group inline, one message after the
+        other: a wave of mixed calls to one worker gets each call's own reply,
+        and a telemetry harvest pipelined right behind a batch answers after
+        it, with that batch's span already recorded."""
+        from repro.mixnet.noise import NoiseConfig
+        from repro.net.rpc import (
+            PROCESS_BATCH_REQUEST,
+            PROCESS_BATCH_RESPONSE,
+            ROUND_KEY_REPLY,
+            ROUND_REF,
+            MixStub,
+            decode_reply,
+        )
+        from repro.obs.trace import Tracer, set_active_tracer
+
+        def round_key(number):
+            return BatchCall("entry", "mix0", "round_public_key", ROUND_REF.encode("dialing", number))
+
+        def batch(number, mu, mailboxes):
+            noise = NoiseConfig(dialing_mu=mu, dialing_b=0.0)
+            request = PROCESS_BATCH_REQUEST.encode(
+                number, "dialing", mailboxes, 16,
+                noise.addfriend_mu, noise.addfriend_b, noise.dialing_mu, noise.dialing_b, [], [],
+            )
+            return BatchCall("entry", "mix0", "process_batch", request)
+
+        previous = set_active_tracer(Tracer())
+        try:
+            with MultiprocessTransport([[mix_endpoint_spec("mix0", "seed/mix/0")]]) as transport:
+                stub = MixStub(transport, "mix0", src="entry")
+                keys = {number: stub.open_round("dialing", number) for number in (1, 2)}
+                outcomes = transport.call_batch([
+                    round_key(1), batch(1, 2, 1), round_key(2), batch(2, 3, 2), round_key(9),
+                    BatchCall("runtime", "mix0", mp_module.TELEMETRY_METHOD),
+                ])
+                assert len(transport.harvest_telemetry()) == 1  # a later harvest answers too
+        finally:
+            set_active_tracer(previous)
+        key_1, first, key_2, second, unopened, harvest = outcomes
+        assert decode_reply(ROUND_KEY_REPLY.decode, key_1.result.payload)[0] == keys[1]
+        assert decode_reply(ROUND_KEY_REPLY.decode, key_2.result.payload)[0] == keys[2]
+        assert decode_reply(PROCESS_BATCH_RESPONSE.decode, first.result.payload)[2] == 2
+        assert decode_reply(PROCESS_BATCH_RESPONSE.decode, second.result.payload)[2] == 6
+        assert isinstance(unopened.error, RoundError)
+        spans = json.loads(harvest.result.payload)["spans"]
+        assert [span["args"]["method"] for span in spans if span["name"] == "rpc.serve"] == [
+            "open_round", "open_round",
+            "round_public_key", "process_batch", "round_public_key", "process_batch",
+            "round_public_key",
+        ]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_a_worker_serves_on_its_one_thread(self):
+        """No handler thread beside the worker's event loop: after serving a
+        call the worker process still runs exactly one thread."""
+        from repro.net.rpc import MixStub
+
+        with MultiprocessTransport([[mix_endpoint_spec("mix0", "seed/mix/0")]]) as transport:
+            MixStub(transport, "mix0", src="entry").open_round("dialing", 1)
+            (process,) = transport._processes
+            status = Path("/proc", str(process.pid), "status").read_text()
+        assert "\nThreads:\t1\n" in status
+
     @pytest.mark.slow
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_failed_worker_build_leaves_no_process_behind(self):
