@@ -3,16 +3,17 @@
 Extends :class:`~repro.runtime.transport.AsyncioTransport` with a routing
 table of endpoints served by worker processes.  Each worker is forked from
 this process's one forkserver: a single-threaded process that
-:mod:`multiprocessing` starts once, with this module (and through it
-``repro``'s runtime, ``asyncio`` and ``ssl``) and the accelerated crypto
-backend's modules already imported.  A worker is launched without the
+:mod:`multiprocessing` starts once, with everything a mix worker runs
+already imported (:data:`_FORKSERVER_PRELOAD`): ``repro``'s runtime and
+message layouts, compiled at declaration, and the accelerated crypto
+backend with OpenSSL loaded and warmed.  A worker is launched without the
 parent's ``__main__`` (see :class:`_WorkerPopen`), so it starts with no
-interpreter start-up and no import of its own.  The parent does not fork its
-workers itself: it runs an event-loop thread, and a fork of a threaded
-process copies locks that other threads may hold.  A worker rebuilds its
-servers from plain picklable *endpoint specs*, serves them on OS-assigned
-localhost ports over the same length-prefixed wire protocol, and reports
-its port map back through a pipe.  The parent then simply routes calls for
+interpreter start-up, and its first round imports no module.  The parent
+does not fork its workers itself: it runs an event-loop thread, and a fork
+of a threaded process copies locks that other threads may hold.  A worker
+rebuilds its servers from plain picklable *endpoint specs*, serves them on
+OS-assigned localhost ports over the same length-prefixed wire protocol, and
+reports its port map back through a pipe.  The parent then simply routes calls for
 those endpoints to the worker's ports; everything else -- codec, pooling,
 pipelined waves, stats -- is inherited.  A worker serves its connections
 with the parent's own :func:`~repro.runtime.transport.serve_connection` loop
@@ -78,10 +79,15 @@ PING_METHOD = "__runtime_ping__"
 TELEMETRY_METHOD = "__runtime_telemetry__"
 
 #: What the forkserver imports before it forks any worker: this module (and
-#: through it ``repro``'s runtime, ``asyncio`` and ``ssl``), the wrappers a
-#: traced worker puts on its mix server, and the modules the accelerated
-#: crypto backend loads.  The forkserver skips a name it cannot import, so
-#: the ``cryptography`` entries cost nothing where that package is absent.
+#: through it ``repro``'s runtime, ``asyncio``, ``ssl`` and every message
+#: layout a mix worker reads or writes, compiled at declaration), the
+#: wrappers a traced worker puts on its mix server, and the modules the
+#: accelerated crypto backend loads -- including the OpenSSL backend that
+#: ``cryptography`` itself imports only on a key's first use (5-7 ms,
+#: which every worker paid in its first ``open_round``) -- and last
+#: :mod:`repro.runtime.warmup`, which makes OpenSSL's own first uses.  The
+#: forkserver skips a name it cannot import, so the ``cryptography``
+#: entries cost nothing where that package is absent.
 _FORKSERVER_PRELOAD = [
     __name__,
     "repro.obs.instrument",
@@ -90,6 +96,8 @@ _FORKSERVER_PRELOAD = [
     "cryptography.hazmat.primitives.asymmetric.ed25519",
     "cryptography.hazmat.primitives.asymmetric.x25519",
     "cryptography.hazmat.primitives.ciphers.aead",
+    "cryptography.hazmat.backends.openssl",
+    "repro.runtime.warmup",
 ]
 _forkserver_lock = threading.Lock()
 _forkserver_started = False

@@ -7,11 +7,19 @@ notation::
 
     GREETING = Message("greeting", Str("name"), U64("round"), Opt(Bytes("token")))
 
-and everything else is derived from it: ``GREETING.encode(*values)`` /
-``GREETING.decode(data)`` walk the declared fields, ``docs/wire.md`` prints
-:meth:`Field.layout` and :meth:`Field.size_formula`, and the test suite
-derives each message's hypothesis strategy, fuzz corpus and reference
-interpretation from :attr:`Message.fields`.
+and everything else is derived from it.  The codec is compiled from the
+table: each field emits the source lines that write and read it, adjacent
+fixed-width fields (and the ``u32`` length or count that opens a variable
+one) share one ``struct.Struct``, and ``GREETING.encode(*values)`` /
+``GREETING.decode(data)`` are the two straight-line functions that result
+(filename ``<codec greeting>`` in a traceback or a profile).  A declaration
+compiles at once, not on first use: a module's import compiles its layouts,
+and the ``mp`` runtime's workers, forked from a server that imported them,
+inherit them compiled.  Generated source holds no declared name or default:
+every constant reaches it through the namespace it is executed in.
+``docs/wire.md`` prints :meth:`Field.layout` and :meth:`Field.size_formula`,
+and the test suite derives each message's hypothesis strategy, fuzz corpus
+and reference interpretation from :attr:`Message.fields`.
 
 The rules are the same for every message: big-endian, no tags, fixed field
 order; a message's value is the tuple of its fields' values (a nested
@@ -19,13 +27,15 @@ message's value is itself a tuple, a list's a Python list).  ``decode``
 accepts exactly the strings ``encode`` produces -- trailing bytes, truncation,
 a flag byte above 1 and invalid UTF-8 raise :class:`SerializationError`, a
 declared count or length larger than the buffer fails on the first missing
-byte -- and ``encode`` raises it for an integer out of its field's range.  The
-one declared exception is :class:`Trailing`.  Checks that are not layout (a
-frame's magic, a mailbox id in range, a point on the curve) are the caller's.
+byte -- and ``encode`` raises it for an integer out of its field's range or a
+``Fixed`` value of the wrong length.  The one declared exception is
+:class:`Trailing`.  Checks that are not layout (a frame's magic, a mailbox id
+in range, a point on the curve) are the caller's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 
 from repro.errors import SerializationError
@@ -34,23 +44,200 @@ from repro.errors import SerializationError
 #: test suite fuzzes.
 MESSAGES: dict[str, "Message"] = {}
 
-_U32 = struct.Struct(">I")
+
+class _Source:
+    """One generated function: its lines, its locals and its namespace."""
+
+    def __init__(self) -> None:
+        self.namespace = {"SerializationError": SerializationError, "struct_error": struct.error}
+        self.lines: list[str] = []
+        self.depth = 2  # inside ``def`` and ``try``
+        self.count = 0
+
+    def const(self, value) -> str:
+        """The name the generated code reads ``value`` by."""
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def var(self) -> str:
+        self.count += 1
+        return f"v{self.count}"
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    @contextlib.contextmanager
+    def block(self, header: str):
+        """An indented ``if``/``else``/``for`` body, settled on both sides."""
+        self.settle()
+        self.line(header)
+        self.depth += 1
+        yield
+        self.settle()
+        self.depth -= 1
+
+    def function(self, name: str, params: list[str], body: list[str], handlers: list[str],
+                 message: "Message"):
+        """``def name(params)``: ``body`` inside a ``try`` that ``handlers`` close."""
+        source = "\n".join([f"def {name}({', '.join(params)}):", "    try:", *body, *handlers])
+        exec(compile(source, f"<codec {message.name}>", "exec"), self.namespace)
+        return self.namespace[name]
 
 
-def _take(data: bytes, pos: int, length: int) -> tuple[bytes, int]:
-    """``length`` raw bytes at ``pos``; bounds-checked, since a slice is not."""
-    end = pos + length
-    if end > len(data):
-        raise SerializationError(f"truncated: {length} bytes declared, {len(data) - pos} left")
-    return data[pos:end], end
+class _Encoder(_Source):
+    """Collects the parts of an encoding; a run of fixed-width values packs
+    as one ``Struct``, and a layout without a branch or a loop is one
+    ``b"".join`` of its parts."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.run: list[tuple[str, str]] = []  # (struct format, value expression)
+        self.parts: list[str] = []
+        self.straight = True
+
+    def scalar(self, fmt: str, value: str) -> None:
+        self.run.append((fmt, value))
+
+    def part(self, value: str) -> None:
+        self._pack()
+        self.parts.append(value)
+
+    def _pack(self) -> None:
+        if self.run:
+            pack = struct.Struct(">" + "".join(fmt for fmt, _ in self.run)).pack
+            self.parts.append(f"{self.const(pack)}({', '.join(value for _, value in self.run)})")
+            self.run = []
+
+    def settle(self) -> None:
+        self._pack()
+        self.straight = False
+        if len(self.parts) == 1:
+            self.line(f"append({self.parts[0]})")
+        elif self.parts:
+            self.line(f"parts += ({', '.join(self.parts)})")
+        self.parts = []
+
+    def compile(self, message: "Message"):
+        args = [self.var() for _ in message.fields]
+        for field, arg in zip(message.fields, args):
+            field.emit_encode(self, arg)
+        if self.straight:
+            self._pack()
+            parts = "".join(part + ", " for part in self.parts)
+            body = [*self.lines, f"        return b''.join(({parts}))"]
+        else:
+            self.settle()
+            body = ["        parts = []", "        append = parts.append", *self.lines,
+                    "        return b''.join(parts)"]
+        name = self.const(message.name)
+        return self.function("encode", args, body, [
+            "    except struct_error as exc:",
+            f"        raise SerializationError(f'{{{name}}} not encodable: {{exc}}') from None",
+        ], message)
+
+
+class _Decoder(_Source):
+    """Reads at a position known as ``base + offset`` (``base`` a local, or
+    none while every earlier field is fixed-width); a run of fixed-width
+    fields unpacks as one ``Struct`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.run: list[tuple[str, str]] = []  # (struct format, local)
+        self.checks: list[str] = []  # run after the run's unpack
+        self.base, self.offset = "", 0
+
+    def pos(self) -> str:
+        if not self.base:
+            return str(self.offset)
+        return f"{self.base} + {self.offset}" if self.offset else self.base
+
+    def scalar(self, fmt: str) -> str:
+        local = self.var()
+        self.run.append((fmt, local))
+        return local
+
+    def check(self, text: str) -> None:
+        self.checks.append(text)
+
+    def _unpack(self) -> None:
+        if self.run:
+            codec = struct.Struct(">" + "".join(fmt for fmt, _ in self.run))
+            locals_ = "".join(local + ", " for _, local in self.run)
+            self.line(f"{locals_}= {self.const(codec.unpack_from)}(data, {self.pos()})")
+            self.offset += codec.size
+            for text in self.checks:
+                self.line(text)
+            self.run, self.checks = [], []
+
+    def emit(self, text: str) -> None:
+        """A statement that may read what the pending run unpacks."""
+        self._unpack()
+        self.line(text)
+
+    def settle(self) -> None:
+        """Unpack the pending run and hold the position in ``p``."""
+        self._unpack()
+        if self.base != "p":
+            self.line(f"p = {self.pos()}")
+        elif self.offset:
+            self.line(f"p += {self.offset}")
+        self.base, self.offset = "p", 0
+
+    def take(self, length: str) -> str:
+        """``length`` bytes at the position, bounds-checked, since a slice is not."""
+        self._unpack()
+        # The new position goes to whichever of p and q the start does not read.
+        start, local, stop = self.pos(), self.var(), "p" if self.base == "q" else "q"
+        self.line(f"{stop} = {start} + {length}")
+        self.line(
+            f"if {stop} > end: raise SerializationError("
+            f"f'truncated: {{{length}}} bytes declared, {{end - ({start})}} left')"
+        )
+        self.line(f"{local} = data[{start}:{stop}]")
+        self.base, self.offset = stop, 0
+        return local
+
+    def rest(self) -> str:
+        self._unpack()
+        local = self.var()
+        self.line(f"{local} = data[{self.pos()}:]")
+        self.base, self.offset = "end", 0
+        return local
+
+    def compile(self, message: "Message"):
+        value = message.emit_decode(self)
+        self._unpack()
+        name = self.const(message.name)
+        if self.base != "end":
+            self.line(
+                f"if {self.pos()} != end: raise SerializationError("
+                f"f'{{end - ({self.pos()})}} trailing bytes after {{{name}}}')"
+            )
+        self.line(f"return {value}")
+        truncated = self.const(f"truncated {message.name}")
+        invalid = self.const(f"invalid UTF-8 in {message.name}")
+        return self.function("decode", ["data"], [
+            "        data = bytes(data)",
+            "        end = len(data)",
+            *self.lines,
+        ], [
+            "    except struct_error:",
+            f"        raise SerializationError({truncated}) from None",
+            "    except UnicodeDecodeError:",
+            f"        raise SerializationError({invalid}) from None",
+        ], message)
 
 
 class Field:
     """One named field of a layout.
 
     Subclasses give the doc notation (``kind``), the encoded size as ``(fixed
-    bytes, variable terms)``, ``write(append, value)`` and ``read(data, pos)
-    -> (value, next pos)``.
+    bytes, variable terms)``, and the codec's source:
+    ``emit_encode(out, value)`` emits what writes the value held in the
+    local ``value``, and ``emit_decode(out)`` emits what reads the field and
+    returns an expression for its value.
     """
 
     kind = ""
@@ -73,16 +260,16 @@ class Field:
 class _Scalar(Field):
     """A fixed-width number; ``struct`` refuses a value out of its range."""
 
-    codec = struct.Struct(">B")
+    fmt = "B"
 
     def size(self):
-        return self.codec.size, []
+        return struct.calcsize(">" + self.fmt), []
 
-    def write(self, append, value):
-        append(self.codec.pack(value))
+    def emit_encode(self, out, value):
+        out.scalar(self.fmt, value)
 
-    def read(self, data, pos):
-        return self.codec.unpack_from(data, pos)[0], pos + self.codec.size
+    def emit_decode(self, out):
+        return out.scalar(self.fmt)
 
 
 class U8(_Scalar):
@@ -90,15 +277,15 @@ class U8(_Scalar):
 
 
 class U32(_Scalar):
-    kind, codec = "u32", _U32
+    kind, fmt = "u32", "I"
 
 
 class U64(_Scalar):
-    kind, codec = "u64", struct.Struct(">Q")
+    kind, fmt = "u64", "Q"
 
 
 class F64(_Scalar):
-    kind, codec = "f64", struct.Struct(">d")
+    kind, fmt = "f64", "d"
 
 
 class Flag(_Scalar):
@@ -106,14 +293,16 @@ class Flag(_Scalar):
 
     kind = "flag"
 
-    def write(self, append, value):
-        append(b"\x01" if value else b"\x00")
+    def emit_encode(self, out, value):
+        out.scalar("?", value)  # packs the truth value as 0 or 1
 
-    def read(self, data, pos):
-        value, pos = super().read(data, pos)
-        if value > 1:
-            raise SerializationError(f"invalid flag byte {value} ({self.name})")
-        return value == 1, pos
+    def emit_decode(self, out):
+        byte = out.scalar("B")
+        out.check(
+            f"if {byte} > 1: raise SerializationError("
+            f"f'invalid flag byte {{{byte}}} ({{{out.const(self.name)}}})')"
+        )
+        return f"({byte} == 1)"
 
 
 class Fixed(Field):
@@ -126,13 +315,16 @@ class Fixed(Field):
     def size(self):
         return self.length, []
 
-    def write(self, append, value):
-        if len(value) != self.length:
-            raise SerializationError(f"{self.name} must be {self.length} bytes, got {len(value)}")
-        append(value)
+    def emit_encode(self, out, value):
+        length, name = out.const(self.length), out.const(self.name)
+        out.line(
+            f"if len({value}) != {length}: raise SerializationError("
+            f"f'{{{name}}} must be {{{length}}} bytes, got {{len({value})}}')"
+        )
+        out.part(value)
 
-    def read(self, data, pos):
-        return _take(data, pos, self.length)
+    def emit_decode(self, out):
+        return out.scalar(f"{self.length}s")
 
 
 class Bytes(Field):
@@ -143,12 +335,12 @@ class Bytes(Field):
     def size(self):
         return 4, [f"|{self.name}|"]
 
-    def write(self, append, value):
-        append(_U32.pack(len(value)))
-        append(value)
+    def emit_encode(self, out, value):
+        out.scalar("I", f"len({value})")
+        out.part(value)
 
-    def read(self, data, pos):
-        return _take(data, pos + 4, _U32.unpack_from(data, pos)[0])
+    def emit_decode(self, out):
+        return out.take(out.scalar("I"))
 
 
 class Str(Bytes):
@@ -156,12 +348,13 @@ class Str(Bytes):
 
     kind = "str"
 
-    def write(self, append, value):
-        Bytes.write(self, append, value.encode("utf-8"))
+    def emit_encode(self, out, value):
+        raw = out.var()
+        out.line(f"{raw} = {value}.encode('utf-8')")
+        Bytes.emit_encode(self, out, raw)
 
-    def read(self, data, pos):
-        raw, pos = Bytes.read(self, data, pos)
-        return str(raw, "utf-8"), pos
+    def emit_decode(self, out):
+        return f"str({Bytes.emit_decode(self, out)}, 'utf-8')"
 
 
 class Rest(Field):
@@ -172,11 +365,11 @@ class Rest(Field):
     def size(self):
         return 0, [f"|{self.name}|"]
 
-    def write(self, append, value):
-        append(value)
+    def emit_encode(self, out, value):
+        out.part(value)
 
-    def read(self, data, pos):
-        return data[pos:], len(data)
+    def emit_decode(self, out):
+        return out.rest()
 
 
 class Opt(Field):
@@ -192,14 +385,18 @@ class Opt(Field):
     def size(self):
         return 1, [f"[{self.field.size_formula()}]"]
 
-    def write(self, append, value):
-        self.flag.write(append, value is not None)
-        if value is not None:
-            self.field.write(append, value)
+    def emit_encode(self, out, value):
+        self.flag.emit_encode(out, f"{value} is not None")
+        with out.block(f"if {value} is not None:"):
+            self.field.emit_encode(out, value)
 
-    def read(self, data, pos):
-        present, pos = self.flag.read(data, pos)
-        return self.field.read(data, pos) if present else (None, pos)
+    def emit_decode(self, out):
+        present, local = self.flag.emit_decode(out), out.var()
+        with out.block(f"if {present}:"):
+            out.emit(f"{local} = {self.field.emit_decode(out)}")
+        with out.block("else:"):
+            out.line(f"{local} = None")
+        return local
 
 
 class Trailing(Field):
@@ -220,11 +417,16 @@ class Trailing(Field):
     def size(self):
         return 0, [f"[{self.field.size_formula()}]"]
 
-    def write(self, append, value):
-        self.field.write(append, value)
+    def emit_encode(self, out, value):
+        self.field.emit_encode(out, value)
 
-    def read(self, data, pos):
-        return self.field.read(data, pos) if pos < len(data) else (self.default, pos)
+    def emit_decode(self, out):
+        local = out.var()
+        with out.block("if p < end:"):
+            out.emit(f"{local} = {self.field.emit_decode(out)}")
+        with out.block("else:"):
+            out.line(f"{local} = {out.const(self.default)}")
+        return local
 
 
 class _Group(Field):
@@ -241,16 +443,15 @@ class _Group(Field):
         sizes = [field.size() for field in self.fields]
         return sum(fixed for fixed, _ in sizes), [term for _, terms in sizes for term in terms]
 
-    def write(self, append, values):
-        for field, value in zip(self.fields, values, strict=True):
-            field.write(append, value)
+    def emit_encode(self, out, value):
+        # Unpacking refuses a tuple of the wrong length.
+        locals_ = [out.var() for _ in self.fields]
+        out.line(f"{''.join(local + ', ' for local in locals_) or '() '}= {value}")
+        for field, local in zip(self.fields, locals_):
+            field.emit_encode(out, local)
 
-    def read(self, data, pos):
-        values = []
-        for field in self.fields:
-            value, pos = field.read(data, pos)
-            values.append(value)
-        return tuple(values), pos
+    def emit_decode(self, out):
+        return f"({''.join(field.emit_decode(out) + ', ' for field in self.fields)})"
 
 
 class List(_Group):
@@ -269,20 +470,20 @@ class List(_Group):
             return 4, [f"Σ {self.name} ({self.item.size_formula()})"]
         return 4, [f"{fixed}·|{self.name}|" if fixed > 1 else f"|{self.name}|"]
 
-    def write(self, append, value):
-        append(_U32.pack(len(value)))
-        for item in value:
-            self.item.write(append, item)
+    def emit_encode(self, out, value):
+        out.scalar("I", f"len({value})")
+        item = out.var()
+        with out.block(f"for {item} in {value}:"):
+            self.item.emit_encode(out, item)
 
-    def read(self, data, pos):
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        items = []
+    def emit_decode(self, out):
+        count, items, add = out.scalar("I"), out.var(), out.var()
+        out.emit(f"{items} = []")
+        out.line(f"{add} = {items}.append")
         # A hostile count costs nothing: the first missing item ends the loop.
-        for _ in range(count):
-            item, pos = self.item.read(data, pos)
-            items.append(item)
-        return items, pos
+        with out.block(f"for _ in range({count}):"):
+            out.emit(f"{add}({self.item.emit_decode(out)})")
+        return items
 
 
 class Message(_Group):
@@ -290,6 +491,8 @@ class Message(_Group):
 
     As a field of another message it is embedded inline (no length prefix)
     and its value is a tuple.  ``note`` is a remark for ``docs/wire.md``.
+    ``encode(*values) -> bytes`` and ``decode(data) -> tuple`` are compiled
+    from the fields when the message is declared.
     """
 
     def __init__(self, name: str, *fields: Field, note: str = "") -> None:
@@ -300,6 +503,8 @@ class Message(_Group):
         self.note = note
         #: Bytes every encoding has; the variable fields add to it.
         self.fixed_size = self.size()[0]
+        self.encode = _Encoder().compile(self)
+        self.decode = _Decoder().compile(self)
         # A module imported twice declares its layouts twice, identically;
         # two different layouts under one name are a mistake.
         registered = MESSAGES.setdefault(name, self)
@@ -311,23 +516,3 @@ class Message(_Group):
 
     def layout(self):
         return self.name
-
-    def encode(self, *values) -> bytes:
-        parts: list[bytes] = []
-        try:
-            self.write(parts.append, values)
-        except struct.error as exc:
-            raise SerializationError(f"{self.name} not encodable: {exc}") from None
-        return b"".join(parts)
-
-    def decode(self, data: bytes) -> tuple:
-        data = bytes(data)
-        try:
-            values, pos = self.read(data, 0)
-        except struct.error:
-            raise SerializationError(f"truncated {self.name}") from None
-        except UnicodeDecodeError:
-            raise SerializationError(f"invalid UTF-8 in {self.name}") from None
-        if pos != len(data):
-            raise SerializationError(f"{len(data) - pos} trailing bytes after {self.name}")
-        return values

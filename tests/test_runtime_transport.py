@@ -640,6 +640,79 @@ class TestMultiprocessTransport:
         assert server != report["me"]
         assert report["asyncio"]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks a bare child")
+    def test_a_workers_first_round_imports_nothing(self):
+        """Everything a mix worker runs in its first round is already in the
+        forkserver: a child forked from a process that imported exactly the
+        preload builds an accelerated mix and serves ``open_round``,
+        ``process_batch`` and ``close_round`` without importing a module."""
+        pytest.importorskip("cryptography")
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        child = textwrap.dedent(
+            f"""\
+            import importlib, json, os, sys
+            sys.path.insert(0, {src!r})
+            from repro.runtime import mp
+
+            for name in mp._FORKSERVER_PRELOAD:
+                importlib.import_module(name)
+            before = set(sys.modules)
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    from repro.mixnet.onion import wrap_onion
+                    from repro.mixnet.server import encode_inner_payload
+                    from repro.net import rpc
+                    from repro.net.frames import KIND_REQUEST, Frame
+                    from repro.runtime import wire
+                    from repro.runtime.transport import serve_wire_message
+
+                    handler = mp._build_mix(
+                        "mix0", {{"rng_seed": "seed/mix/0", "crypto_backend": "accelerated"}}
+                    )
+
+                    def serve(method, payload):
+                        frame = Frame(kind=KIND_REQUEST, msg_id=1, src="entry", dst="mix0",
+                                      method=method, payload=payload)
+                        message = wire.decode_message(wire.encode_message(frame))
+                        return serve_wire_message(message, handler, lambda: 0.0, "mix0")
+
+                    reply = serve("open_round", rpc.ROUND_REF.encode("dialing", 1))
+                    payload = wire.decode_message(reply).frame.payload
+                    (public,) = rpc.decode_reply(rpc.ROUND_KEY_REPLY.decode, payload)
+                    envelopes = [wrap_onion(encode_inner_payload(0, bytes(8)), [public])]
+                    request = rpc.PROCESS_BATCH_REQUEST.encode(
+                        1, "dialing", 2, 8, 1.0, 0.5, 1.0, 0.5, [public], envelopes
+                    )
+                    reply = serve("process_batch", request)
+                    payload = wire.decode_message(reply).frame.payload
+                    received, dropped, _noise, _batch = rpc.decode_reply(
+                        rpc.PROCESS_BATCH_RESPONSE.decode, payload
+                    )
+                    assert (received, dropped) == (1, 0)
+                    serve("close_round", rpc.ROUND_REF.encode("dialing", 1))
+                    grown = sorted(set(sys.modules) - before)
+                except Exception as exc:
+                    grown = [f"the child failed: {{exc!r}}"]
+                os.write(write_end, json.dumps(grown).encode())
+                os._exit(0)
+            os.close(write_end)
+            with os.fdopen(read_end, "rb") as fh:
+                report = fh.read()
+            os.waitpid(pid, 0)
+            print(report.decode())
+            """
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
     @pytest.mark.slow
     def test_unclosed_transport_workers_are_reaped_at_exit(self):
         """Workers are daemonic: an interpreter that never calls ``close()``

@@ -56,7 +56,21 @@ from repro.obs.distributed import TraceContext
 from repro.pkg.server import ExtractionResponse
 from repro.primitives.bloom import BloomFilter
 from repro.runtime import wire
-from repro.utils.serialization import Bytes, Fixed, List, Message, Opt, Rest, Str, Trailing, U8
+from repro.utils import serialization
+from repro.utils.serialization import (
+    F64,
+    U8,
+    U32,
+    Bytes,
+    Fixed,
+    Flag,
+    List,
+    Message,
+    Opt,
+    Rest,
+    Str,
+    Trailing,
+)
 from wire_oracle import VECTORS, Packer, oracle_decode, oracle_encode, values, vector_bytes
 
 names = st.text(min_size=0, max_size=24)
@@ -247,6 +261,31 @@ class TestDeclarations:
             Message("never_registered", Trailing(Str("first"), ""), Str("second"))
         assert "never_registered" not in wiredoc.MESSAGES
 
+    def test_names_and_defaults_never_reach_the_generated_source(self):
+        """Quotes, braces and backslashes in a message's and its fields' names
+        (and in a default) change no code: each is a constant of the codec."""
+        odd = "\\'\"{x}}{{\\n\"\"\"'''"
+        message = unregistered(
+            f"m{odd}", Str(f"s{odd}"), Fixed(f"f{odd}", 2), Flag(f"b{odd}"),
+            List(f"l{odd}", U8(f"u{odd}"), Opt(Bytes(f"o{odd}"))), Trailing(Str(f"t{odd}"), odd),
+        )
+        value = (odd, b"{}", True, [(1, None), (2, b"\\")], "")
+        encoded = message.encode(*value)
+        assert message.decode(encoded) == value == oracle_decode(message, encoded)
+        assert message.decode(encoded[:-4]) == value[:-1] + (odd,)  # the default
+        for function in (message.encode, message.decode):
+            assert function.__code__.co_filename == f"<codec m{odd}>"
+        with pytest.raises(SerializationError) as refused:
+            message.encode(odd, b"{", True, [], odd)
+        assert str(refused.value) == f"f{odd} must be 2 bytes, got 1"
+        flag_at = 4 + len(odd.encode()) + 2
+        with pytest.raises(SerializationError) as refused:
+            message.decode(encoded[:flag_at] + b"\x02" + encoded[flag_at + 1:])
+        assert str(refused.value) == f"invalid flag byte 2 (b{odd})"
+        with pytest.raises(SerializationError) as refused:
+            message.decode(encoded + b"!")
+        assert str(refused.value) == f"1 trailing bytes after m{odd}"
+
     def test_size_formula_is_fixed_bytes_plus_one_term_per_variable_field(self):
         """The size column of docs/wire.md, field by field."""
         assert Fixed("key", 32).size_formula() == "32"
@@ -302,11 +341,72 @@ class TestTableEqualsOracle:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_decode_of_mutated_encodings(self, message, data):
-        fields = data.draw(values(message))
-        encoded = message.encode(*fields)
-        assert message.decode(encoded) == fields == oracle_decode(message, encoded)
-        mutated = mutations(encoded, data)
-        assert outcome(message.decode, mutated) == outcome(oracle_decode, message, mutated)
+        agrees_on_a_mutation(message, data)
+
+    @pytest.mark.slow
+    @per_message
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_decode_of_a_thousand_mutated_encodings(self, message, data):
+        agrees_on_a_mutation(message, data)
+
+
+def unregistered(name: str, *fields) -> Message:
+    """A layout declared outside the registry (``docs/wire.md`` and the
+    vectors cover registered layouts only)."""
+    registry, serialization.MESSAGES = serialization.MESSAGES, {}
+    try:
+        return Message(name, *fields)
+    finally:
+        serialization.MESSAGES = registry
+
+
+_INNER = unregistered("inner", Fixed("key", 3), List("blobs", Bytes("blob")), Flag("done"))
+#: Shapes no registered layout has, for the code generator's branches and
+#: loops: options and flags in list items, lists of lists, nested messages in
+#: and after a list, an optional fixed field before the rest, an empty group.
+SHAPES = [
+    unregistered(
+        "options_in_items",
+        List("items", Opt(Str("s")), Flag("f")), Opt(List("ids", U32("id"))), U8("tail"),
+    ),
+    unregistered("lists_of_lists", List("rows", List("cells", U8("cell"))), Str("label")),
+    unregistered("nested", _INNER, List("inners", _INNER), Trailing(Opt(_INNER))),
+    unregistered("rest_after_options", F64("x"), Opt(Fixed("f", 2)), Rest("rest")),
+    unregistered("empty_group", U8("a"), unregistered("none"), Str("b")),
+]
+per_shape = pytest.mark.parametrize("message", SHAPES, ids=lambda message: message.name)
+
+
+class TestGeneratedShapesEqualOracle:
+    @per_shape
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_encode(self, message, data):
+        fields = data.draw(values(message, slack=2))
+        assert outcome(message.encode, *fields) == outcome(oracle_encode, message, fields)
+
+    @per_shape
+    @settings(max_examples=60)
+    @given(blob=st.binary(max_size=64))
+    def test_decode_of_arbitrary_bytes(self, message, blob):
+        assert outcome(message.decode, blob) == outcome(oracle_decode, message, blob)
+
+    @per_shape
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_decode_of_mutated_encodings(self, message, data):
+        agrees_on_a_mutation(message, data)
+
+
+def agrees_on_a_mutation(message: Message, data) -> None:
+    """A valid encoding decodes to its value, and one mutation of it gets the
+    same outcome from the table's codec and from the oracle."""
+    fields = data.draw(values(message))
+    encoded = message.encode(*fields)
+    assert message.decode(encoded) == fields == oracle_decode(message, encoded)
+    mutated = mutations(encoded, data)
+    assert outcome(message.decode, mutated) == outcome(oracle_decode, message, mutated)
 
 
 @functools.cache

@@ -15,6 +15,11 @@ under ``src/repro`` then falls into exactly one class:
                  pass, the examples, the CI's ``python -m repro...``
                  commands) calls it.
 
+A message's compiled ``encode``/``decode`` (``repro.utils.serialization``)
+has the file name ``<codec NAME>``, outside the package, so the hook does
+not record it and it is no ``def`` to classify; the fields' ``emit_*``
+methods that generate it are, and run when each layout is declared.
+
 A never-called or test-only function either goes, or it is listed in
 ``KEEP`` below with a one-line reason: safety code, a test oracle, an
 abstract declaration with two or more implementations, a name
