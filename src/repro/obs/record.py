@@ -25,6 +25,7 @@ __all__ = [
     "SCHEMA",
     "dumps",
     "format_table",
+    "outcome",
     "read_json_report",
     "render",
     "round_table",
@@ -163,6 +164,43 @@ def write_json_report(name: str, data, path: str | Path | None = None, **header)
     path = Path(path)
     path.write_text(dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+#: The leaves of a run record that a runtime or a crypto backend may change:
+#: the host clock, the stage seconds a real transport measures instead of
+#: simulating (and the throughput derived from them), the transport's own
+#: gauges and the trace, and the names of the runtime and the backend.
+#: ``a.b`` is key ``b`` under key ``a``, ``[]`` every item of a list, ``*``
+#: every key of a dict.  Every leaf not listed is outcome.
+MEASUREMENT = (
+    "wall_seconds", "runtime", "mp_workers", "crypto_backend",
+    "addfriend_submit_stage_s", "addfriend_scan_stage_s",
+    "rounds[].latency_s", "rounds[].submit_stage_s", "rounds[].mix_stage_s",
+    "rounds[].scan_stage_s",
+    "round_gauges[].clock", "round_gauges[].net",
+    "throughput.*.busy_s", "throughput.*.rounds_per_sec",
+    "net", "trace",
+)
+
+
+def outcome(record: dict) -> dict:
+    """``record`` without its :data:`MEASUREMENT` leaves: what every runtime
+    and crypto backend must reproduce from the same spec and seed."""
+    return _without(record, [tuple(path.replace("[]", ".[]").split(".")) for path in MEASUREMENT])
+
+
+def _without(value, paths: list[tuple[str, ...]]):
+    if isinstance(value, list) and paths:
+        tails = [path[1:] for path in paths if path[0] == "[]"]
+        return [_without(item, tails) for item in value]
+    if isinstance(value, dict) and paths:
+        kept = {}
+        for key, item in value.items():
+            tails = [path[1:] for path in paths if path[0] in (key, "*")]
+            if () not in tails:
+                kept[key] = _without(item, tails)
+        return kept
+    return value
 
 
 #: How far the stage spans' simulated time may be from the round latency.

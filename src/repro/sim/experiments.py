@@ -16,7 +16,7 @@ the reference, which values to report and which invariants fail the run.
   simulator core, and what each costs the host.
 * ``runtime``    -- ``sim`` vs real sockets (``asyncio``) vs worker processes
   (``mp``, where each mix server peels on its own core): the same seed must
-  deliver the same friendships and calls.
+  reproduce every outcome leaf of the record (:func:`repro.obs.record.outcome`).
 * ``privacy``    -- the paired passive-observer audit against the analytic
   distinguishing bound, plus one baseline run's privacy ledger.
 * ``paper``      -- section 8 itself: the figures and tables of the paper's
@@ -32,6 +32,7 @@ from __future__ import annotations
 from repro.crypto.engine import backend_available, registered_backends
 from repro.errors import ConfigurationError
 from repro.net.links import LinkSpec
+from repro.obs.record import outcome
 from repro.sim.crypto_sweep import measure_per_op
 from repro.sim.experiment import Axis, Column, Experiment, Section
 from repro.sim.paper import SECTION8
@@ -385,16 +386,14 @@ FIDELITY = Experiment(
 def _parity(result, reference):
     if reference is None:
         return None
-    return (
-        result.friendships_confirmed == reference.friendships_confirmed
-        and result.calls_delivered == reference.calls_delivered
-    )
+    return outcome(result.to_dict()) == outcome(reference.to_dict())
 
 
-# Every same-size point shares its seed, so the protocol outcome is the same
-# on every runtime: real sockets and worker processes change *when* things
-# happen, never *what* is delivered.  ``sim`` points report simulated seconds
-# per stage, ``asyncio``/``mp`` points real wall-clock seconds, so the stage
+# Every same-size point shares its seed, so the protocol outcome -- every
+# record leaf outside ``repro.obs.record.MEASUREMENT`` -- is the same on every
+# runtime: real sockets and worker processes change *when* things happen,
+# never *what* is delivered.  ``sim`` points report simulated seconds per
+# stage, ``asyncio``/``mp`` points real wall-clock seconds, so the stage
 # columns are not comparable across the runtime axis -- wall s and parity are.
 RUNTIME = Experiment(
     name="runtime",
@@ -425,7 +424,7 @@ RUNTIME = Experiment(
             },
             checks=(
                 (
-                    "every real-runtime point delivers its sim point's friendships and calls",
+                    "every real-runtime point reproduces every outcome leaf of its sim point's record",
                     holds("parity"),
                 ),
                 (

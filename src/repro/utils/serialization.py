@@ -27,10 +27,11 @@ message's value is itself a tuple, a list's a Python list).  ``decode``
 accepts exactly the strings ``encode`` produces -- trailing bytes, truncation,
 a flag byte above 1 and invalid UTF-8 raise :class:`SerializationError`, a
 declared count or length larger than the buffer fails on the first missing
-byte -- and ``encode`` raises it for an integer out of its field's range or a
-``Fixed`` value of the wrong length.  The one declared exception is
-:class:`Trailing`.  Checks that are not layout (a frame's magic, a mailbox id
-in range, a point on the curve) are the caller's.
+byte -- and ``encode`` raises it for an integer out of its field's range, a
+``Fixed`` value of the wrong length or a string UTF-8 cannot encode (a lone
+surrogate).  The one declared exception is :class:`Trailing`.  Checks that
+are not layout (a frame's magic, a mailbox id in range, a point on the curve)
+are the caller's.
 """
 
 from __future__ import annotations
@@ -349,8 +350,11 @@ class Str(Bytes):
     kind = "str"
 
     def emit_encode(self, out, value):
-        raw = out.var()
-        out.line(f"{raw} = {value}.encode('utf-8')")
+        raw, name = out.var(), out.const(self.name)
+        out.line("try:")
+        out.line(f"    {raw} = {value}.encode('utf-8')")
+        out.line("except UnicodeEncodeError as exc:")
+        out.line(f"    raise SerializationError(f'{{{name}}} not encodable: {{exc}}') from None")
         Bytes.emit_encode(self, out, raw)
 
     def emit_decode(self, out):

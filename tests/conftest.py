@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.utils.rng import DeterministicRng
@@ -37,6 +40,16 @@ def counting_accelerated():
     backend = AcceleratedBackend()
     backend._private_key = CountingPrivateKey(backend._private_key)
     return backend
+
+
+@pytest.fixture(scope="session")
+def parity_tool():
+    """``tools/parity.py`` as a module (a script, not part of the package)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    spec = importlib.util.spec_from_file_location("parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def keypair(scheme) -> tuple[bytes, bytes]:

@@ -3,13 +3,18 @@ cross-runtime result parity, and deterministic teardown."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
+from repro.crypto.engine import backend_available
 from repro.errors import ConfigurationError
 from repro.net import DirectTransport, SimulatedNetwork
-from repro.sim.scenarios import make_scenario, run_scenario
+from repro.obs.record import outcome
+from repro.sim.scenario import TOPOLOGY_FAULTS
+from repro.sim.scenarios import SCENARIOS, make_scenario, run_scenario, scenario_names
 
 SMALL = dict(num_clients=8, addfriend_rounds=2, dialing_rounds=2, seed="runtime-parity")
 
@@ -39,35 +44,44 @@ class TestTransportSelection:
         assert report["mp_workers"] == 0
 
 
+#: The rows a real runtime accepts: none of their faults sculpts the
+#: simulated topology (the check ``Scenario.build_transport`` makes).
+REAL_RUNTIME_ROWS = [
+    name for name in scenario_names()
+    if not any(fault.kind in TOPOLOGY_FAULTS for fault in SCENARIOS[name].faults)
+]
+#: The parity cases tier-1 runs; every other one is ``slow``.
+TIER1_ROWS = ("baseline", "sharded_entry", "client_churn")
+PARITY = dict(SMALL, crypto_backend="accelerated" if backend_available("accelerated") else "pure")
+
+
+@functools.cache
+def sim_record(row: str, pipelined: bool) -> dict:
+    return run_scenario(row, pipelined=pipelined, **PARITY).to_dict()
+
+
+def parity_cases():
+    for row in REAL_RUNTIME_ROWS:
+        for pipelined in (False, True):
+            for runtime in ("asyncio", "mp"):
+                tier1 = runtime == "asyncio" and row in TIER1_ROWS
+                yield pytest.param(
+                    row, pipelined, runtime, marks=() if tier1 else pytest.mark.slow,
+                    id=f"{row}-{'pipelined' if pipelined else 'sequential'}-{runtime}",
+                )
+
+
 class TestRuntimeParity:
-    def test_asyncio_matches_sim(self):
-        """Same seed, same protocol outcome: transport timing must never
-        leak into round decisions."""
-        sim = run_scenario("baseline", **SMALL)
-        real = run_scenario("baseline", runtime="asyncio", **SMALL)
-        assert real.friendships_confirmed == sim.friendships_confirmed
-        assert real.calls_delivered == sim.calls_delivered
-        assert real.calls_by_method == sim.calls_by_method
-        assert real.total_messages_sent == sim.total_messages_sent
-
-    def test_transport_totals_match_sim(self):
-        """The record's transport totals are protocol facts (message and
-        byte totals per method), not timing facts, so they must match
-        byte-for-byte across runtimes."""
-        sim = run_scenario("baseline", **SMALL)
-        real = run_scenario("baseline", runtime="asyncio", **SMALL)
-        assert sim.bytes_by_method  # the record actually carries transport totals
-        assert real.bytes_by_method == sim.bytes_by_method
-        assert real.calls_by_method == sim.calls_by_method
-        assert real.total_bytes_sent == sim.total_bytes_sent
-
-    @pytest.mark.slow
-    def test_mp_matches_sim(self):
-        sim = run_scenario("baseline", **SMALL)
-        real = run_scenario("baseline", runtime="mp", **SMALL)
-        assert real.friendships_confirmed == sim.friendships_confirmed
-        assert real.calls_delivered == sim.calls_delivered
-        assert real.to_dict()["mp_workers"] == real.spec.config.num_mix_servers
+    @pytest.mark.parametrize("row, pipelined, runtime", list(parity_cases()))
+    def test_outcome_matches_sim(self, row, pipelined, runtime, parity_tool):
+        """Same spec and seed, same outcome: a real transport changes when a
+        round's work happens, never what it delivers."""
+        result = run_scenario(row, runtime=runtime, pipelined=pipelined, **PARITY)
+        record = result.to_dict()
+        real, sim = outcome(record), outcome(sim_record(row, pipelined))
+        assert real == sim, f"first differing outcome leaf: {parity_tool.differing(sim, real)[0]}"
+        if runtime == "mp":
+            assert record["mp_workers"] == result.spec.config.num_mix_servers
 
 
 class TestTeardown:

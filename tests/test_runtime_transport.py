@@ -289,6 +289,20 @@ class TestAsyncioTransport:
         assert transport.stats.messages_sent == 2  # the small call's request and reply
         assert transport.stats.calls_by_method["echo"] == 2
 
+    def test_an_unencodable_call_fails_only_itself(self, transport):
+        # A source UTF-8 cannot encode (a lone surrogate) is refused as a
+        # SerializationError when the call's frame is encoded, so in a wave
+        # it fails alone and is never sent.
+        register_echo(transport)
+        outcomes = transport.call_batch([
+            BatchCall("c0", "server", "echo", b"ok"),
+            BatchCall("c\ud800", "server", "echo", b"no"),
+            BatchCall("c2", "server", "echo", b"ok too"),
+        ])
+        assert [o.result.payload for o in (outcomes[0], outcomes[2])] == [b"ok", b"ok too"]
+        assert isinstance(outcomes[1].error, SerializationError)
+        assert transport.stats.calls_by_method["echo"] == 4  # two requests, two replies
+
     def test_connection_dropped_mid_wave_keeps_answered_calls(self, transport, scripted_peer):
         seen = itertools.count(1)
 

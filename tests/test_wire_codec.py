@@ -112,6 +112,14 @@ class TestMessageCodec:
         with pytest.raises(SerializationError):
             wire.decode_message(body + b"\x00")
 
+    def test_a_string_utf8_cannot_encode_is_refused_by_name(self):
+        # A lone surrogate (what ``surrogateescape`` decoding leaves) has no
+        # UTF-8 encoding: the refusal names the field, like every other one.
+        with pytest.raises(SerializationError, match="^protocol not encodable"):
+            rpc.ROUND_REF.encode("\ud800", 1)
+        with pytest.raises(SerializationError, match="^src not encodable"):
+            wire.encode_message(Frame(KIND_REQUEST, 1, "a\ud800", "b", "c", b""))
+
 
 class TestStreamFraming:
     @settings(max_examples=100, deadline=None)

@@ -78,7 +78,11 @@ class Packer:
         return self
 
     def str(self, value: str) -> "Packer":
-        return self.bytes(value.encode("utf-8"))
+        try:
+            raw = value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SerializationError("unencodable string field") from exc
+        return self.bytes(raw)
 
     def pack(self) -> bytes:
         return b"".join(self._parts)
@@ -242,7 +246,9 @@ def values(field, slack: int = 0):
     """Values of ``field`` (for a message: its value tuples).
 
     ``slack`` widens every integer range by that much on both sides, so some
-    draws are out of range -- ``encode`` must then refuse, not wrap.
+    draws are out of range -- ``encode`` must then refuse, not wrap -- and
+    lets strings hold lone surrogates (category ``Cs``), which UTF-8 cannot
+    encode.
     """
     kind = type(field)
     if kind in (table.U8, table.U32, table.U64):
@@ -256,7 +262,7 @@ def values(field, slack: int = 0):
     if kind in (table.Bytes, table.Rest):
         return st.binary(max_size=40)
     if kind is table.Str:
-        return st.text(max_size=12)
+        return st.text(st.characters(exclude_categories=() if slack else ("Cs",)), max_size=12)
     if kind is table.Opt:
         return st.none() | values(field.field, slack)
     if kind is table.Trailing:
