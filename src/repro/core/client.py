@@ -118,6 +118,10 @@ class Client:
         email = email.lower()
         if email == self.email:
             raise ProtocolError("cannot add yourself as a friend")
+        try:
+            email.encode()
+        except UnicodeEncodeError:
+            raise ProtocolError(f"{email!r} is not a UTF-8 encodable address") from None
         if self.keywheel.has_friend(email):
             raise ProtocolError(f"{email} is already a friend")
         request = QueuedFriendRequest(email=email, expected_key=their_signing_key)

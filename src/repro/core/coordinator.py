@@ -204,7 +204,8 @@ class Deployment:
         client's begin leg at every PKG, then every confirm leg
         (:func:`~repro.core.client.register_clients`).  A client whose
         registration failed is not added; the others are, and the first
-        failure is raised afterwards.
+        failure is raised afterwards.  An address that is taken or that UTF-8
+        cannot encode refuses the whole batch before either wave.
         """
         self._activate_engine()
         emails = [email.lower() for email in emails]
@@ -212,6 +213,10 @@ class Deployment:
         for email in emails:
             if email in taken:
                 raise ConfigurationError(f"a client for {email} already exists")
+            try:
+                email.encode()
+            except UnicodeEncodeError:
+                raise ConfigurationError(f"{email!r} is not a UTF-8 encodable address") from None
             taken.add(email)
         clients = []
         for email in emails:

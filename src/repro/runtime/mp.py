@@ -108,7 +108,7 @@ class _WorkerPopen(popen_forkserver.Popen):
 
     The stock launch sends the child the path or module name of the parent's
     ``__main__``, and the child re-runs that script (as ``__mp_main__``)
-    before it unpickles its target: 20-30 ms per worker, and a script
+    before it loads its target: 20-30 ms per worker, and a script
     without an ``if __name__ == "__main__":`` guard would build a transport
     inside every worker.  The forkserver's own ``'__main__'`` preload never
     runs it either (CPython 3.10-3.13 look for a ``main_path`` key that the

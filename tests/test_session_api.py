@@ -27,7 +27,7 @@ from repro.api import CallHandle, EventBus, RequestState
 from repro.core.client import Client
 from repro.core.config import AlpenhornConfig
 from repro.core.coordinator import Deployment
-from repro.errors import LockoutError, ProtocolError
+from repro.errors import ConfigurationError, LockoutError, ProtocolError
 from repro.net.links import LinkSpec, NetworkTopology
 from repro.net.simulated import SimulatedNetwork
 from repro.net.transport import DirectTransport
@@ -610,3 +610,31 @@ class TestParallelPkgFanout:
         # One concurrent phase: ~one client-link round trip, not four.
         single_rtt = 2 * 0.2
         assert elapsed < single_rtt * 2.5
+
+
+class TestAddressesEnterEncodable:
+    """An address UTF-8 cannot encode (a lone surrogate, as
+    ``surrogateescape`` decoding yields) is refused where it enters, not
+    when a round or a registration wave first encodes it."""
+
+    def test_a_refused_friend_address_queues_nothing_and_the_round_runs(self):
+        deployment = make_deployment(seed="unencodable-friend")
+        deployment.create_clients(["a@x.org", "b@x.org"])
+        session = deployment.session("a@x.org")
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            session.add_friend("b\ud800@x.org")
+        assert session.pending_requests() == []
+        assert session.client.addfriend.pending_in_queue() == 0
+        request = session.add_friend("b@x.org")
+        deployment.run_addfriend_round()
+        deployment.run_addfriend_round()
+        assert request.confirmed
+
+    def test_a_refused_batch_registers_nobody_and_issues_no_wave(self):
+        deployment = make_deployment(seed="unencodable-batch")
+        deployment.create_client("a@x.org")
+        waves = count_waves(deployment.transport)
+        with pytest.raises(ConfigurationError, match="UTF-8"):
+            deployment.create_clients(["ok@x.org", "e\ud800@x.org"])
+        assert waves == []
+        assert list(deployment.clients) == ["a@x.org"]
